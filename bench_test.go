@@ -267,14 +267,15 @@ func BenchmarkAblationStaging(b *testing.B) {
 }
 
 // BenchmarkAblationStrategy contrasts the paper's naive ±1 queue-size
-// strategy with the refined proportional strategy (the future-work item),
-// on a bursty workload where ±1 inertia costs runtime.
+// strategy (Algorithm 1, kept as the reference) with the mapping's default,
+// which sizes the pool to the outstanding tasks in one step, on a bursty
+// workload where ±1 inertia costs runtime.
 func BenchmarkAblationStrategy(b *testing.B) {
-	strategies := map[string]autoscale.Strategy{
-		"naive":        nil, // mapping default: ±1 queue-size
-		"proportional": &autoscale.ProportionalQueueStrategy{TargetPerWorker: 2},
+	strategies := map[string]func() autoscale.Strategy{
+		"naive":  func() autoscale.Strategy { return &autoscale.QueueSizeStrategy{Floor: 2} },
+		"demand": func() autoscale.Strategy { return nil }, // mapping default
 	}
-	for name, strategy := range strategies {
+	for name, newStrategy := range strategies {
 		b.Run(name, func(b *testing.B) {
 			m, err := mapping.Get("dyn_auto_multi")
 			if err != nil {
@@ -283,7 +284,7 @@ func BenchmarkAblationStrategy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := galaxy.New(galaxy.Config{Galaxies: 60})
 				rep, err := m.Execute(g, mapping.Options{
-					Processes: 16, Platform: platform.Server, Seed: 1, Strategy: strategy,
+					Processes: 16, Platform: platform.Server, Seed: 1, Strategy: newStrategy(),
 				})
 				if err != nil {
 					b.Fatal(err)

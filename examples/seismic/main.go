@@ -1,6 +1,7 @@
 // Seismic example: phase 1 of the Seismic Cross-Correlation workflow under
 // dyn_auto_multi with the auto-scaler trace enabled (the paper's Figure 13
-// analysis), followed by the stateful phase 2 (cross-correlation under
+// analysis; the plotted metric is the outstanding tasks, queued plus in
+// service, that the pool is sized to), followed by the stateful phase 2 (cross-correlation under
 // groupings) on the hybrid Redis mapping.
 package main
 
@@ -46,13 +47,13 @@ func main() {
 	fmt.Printf("phase 1 wrote %d trace files to disk\n", len(files))
 
 	pts := trace.Points()
-	fmt.Printf("auto-scaler made %d observations; sample (iteration, active, queue size):\n", len(pts))
+	fmt.Printf("auto-scaler made %d observations; sample (iteration, active, outstanding tasks):\n", len(pts))
 	step := 1
 	if len(pts) > 8 {
 		step = len(pts) / 8
 	}
 	for i := 0; i < len(pts); i += step {
-		fmt.Printf("  %4d  active=%-3d queue=%.0f\n", pts[i].Iteration, pts[i].Active, pts[i].Metric)
+		fmt.Printf("  %4d  active=%-3d outstanding=%.0f\n", pts[i].Iteration, pts[i].Active, pts[i].Metric)
 	}
 
 	// Phase 2: the grouped, stateful cross-correlation on hybrid_redis.

@@ -1,18 +1,21 @@
 // Package autoscale implements the paper's Algorithm 1: the auto-scaler that
 // gives dynamic scheduling its active/idle process states. A Controller owns
-// the active_size; worker processes gate on it (workers whose index is at or
-// beyond active_size park in an idle, non-accounted state); a monitoring
-// loop samples a workload metric and applies a Strategy to grow or shrink
-// the active size by one, as in the paper's "simple incremental approach".
+// the active_size and the set of pool workers that have joined and are not
+// parked. Admission is by count: a worker parks at its refill gate when more
+// workers run than active_size allows, and the controller readmits exactly as
+// many parked workers as the size grows by. A monitoring loop samples a
+// workload metric every Interval and applies a Strategy to resize the pool.
 //
-// Two strategies mirror Section 3.2.2:
-//
-//   - QueueSizeStrategy (dyn_auto_multi): grow when the queue size increased
-//     compared to the previous observation and sits above a floor threshold,
-//     shrink otherwise.
-//   - IdleTimeStrategy (dyn_auto_redis): shrink when the consumer group's
-//     average idle time exceeds the configured reactivation threshold, grow
-//     when consumers are busy.
+//   - DemandStrategy (dyn_auto_multi): sizes the pool to the outstanding
+//     tasks, queued plus in service. By Little's law that is offered rate
+//     times service time, the pool the stream needs. The rule has no memory,
+//     so the refill gate re-evaluates it on a fresh sample (GateOn) and a
+//     surplus worker parks without waiting for the next tick.
+//   - QueueSizeStrategy: the paper's ±1 reference for dyn_auto_multi; grow
+//     while the metric rises above a floor, shrink while it falls.
+//   - IdleTimeStrategy (dyn_auto_redis, hybrid_auto_redis): shrink when the
+//     consumer group's average idle time exceeds the reactivation threshold,
+//     grow when consumers are busy.
 package autoscale
 
 import (
@@ -45,29 +48,39 @@ func (c Config) withDefaults() Config {
 	if c.MinActive <= 0 {
 		c.MinActive = 1
 	}
-	if c.InitialActive < c.MinActive {
-		c.InitialActive = c.MinActive
-	}
-	if c.InitialActive > c.MaxPoolSize {
-		c.InitialActive = c.MaxPoolSize
-	}
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Millisecond
 	}
+	c.InitialActive = c.clamp(c.InitialActive)
 	return c
 }
 
+// clamp bounds a size to [MinActive, MaxPoolSize].
+func (c Config) clamp(n int) int { return min(max(n, c.MinActive), c.MaxPoolSize) }
+
 // Strategy decides the scaling delta from a metric sample ("when to scale"
-// and "how to scale"; this work always answers the latter with ±1).
+// and "how to scale").
 type Strategy interface {
 	// Name identifies the strategy in traces.
 	Name() string
-	// Decide maps the latest metric sample to a size delta (-1, 0 or +1).
-	Decide(sample float64) int
+	// Decide maps the latest metric sample and the current active size to a
+	// signed size delta; the controller clamps the result to its bounds.
+	Decide(sample float64, active int) int
 }
 
-// QueueSizeStrategy is the dyn_auto_multi policy: scale up while the queue
-// is growing and above Floor, scale down while it is shrinking or small.
+// DemandStrategy is the dyn_auto_multi policy: the pool's target is the
+// number of outstanding tasks, reached in one step.
+type DemandStrategy struct{}
+
+// Name implements Strategy.
+func (DemandStrategy) Name() string { return "demand" }
+
+// Decide implements Strategy; the sample is the outstanding task count.
+func (DemandStrategy) Decide(outstanding float64, active int) int { return int(outstanding) - active }
+
+// QueueSizeStrategy is the paper's dyn_auto_multi policy, kept as the
+// Algorithm 1 reference: scale up by one while the metric is growing and
+// above Floor, scale down by one while it is shrinking or small.
 type QueueSizeStrategy struct {
 	// Floor is the "minimum threshold [that] prevents unnecessary scaling
 	// during low demand".
@@ -81,7 +94,7 @@ type QueueSizeStrategy struct {
 func (s *QueueSizeStrategy) Name() string { return "queue-size" }
 
 // Decide implements Strategy.
-func (s *QueueSizeStrategy) Decide(queueSize float64) int {
+func (s *QueueSizeStrategy) Decide(queueSize float64, _ int) int {
 	defer func() { s.prev = queueSize; s.started = true }()
 	if !s.started {
 		return 0
@@ -110,7 +123,7 @@ func (s *IdleTimeStrategy) Name() string { return "idle-time" }
 
 // Decide implements Strategy; the sample is the average idle time in
 // milliseconds.
-func (s *IdleTimeStrategy) Decide(avgIdleMs float64) int {
+func (s *IdleTimeStrategy) Decide(avgIdleMs float64, _ int) int {
 	if time.Duration(avgIdleMs*float64(time.Millisecond)) > s.Threshold {
 		return -1
 	}
@@ -124,7 +137,7 @@ type TracePoint struct {
 	Iteration int
 	// Active is the active size after the decision.
 	Active int
-	// Metric is the sampled monitor value (queue size or avg idle ms).
+	// Metric is the sampled monitor value (outstanding tasks or avg idle ms).
 	Metric float64
 }
 
@@ -148,17 +161,29 @@ func (t *Trace) Points() []TracePoint {
 	return append([]TracePoint(nil), t.points...)
 }
 
+// Stats is a snapshot of the pool: the active size, the joined workers
+// running and parked, and the cumulative resizes in each direction.
+type Stats struct {
+	Active, Running, Parked int
+	Grows, Shrinks          int64
+}
+
 // Controller is Algorithm 1's Auto_scaler: it owns active_size and lets
-// worker goroutines park while their index is beyond it.
+// surplus worker goroutines park.
 type Controller struct {
 	cfg      Config
 	strategy Strategy
 	trace    *Trace
+	probe    func() float64  // see GateOn
+	resume   []chan struct{} // per worker, capacity 1: its readmission
+	done     chan struct{}   // closed by Terminate
+	stop     sync.Once
 
 	mu         sync.Mutex
-	cond       *sync.Cond
-	active     int
-	terminated bool
+	stats      Stats
+	running    []bool // by worker: joined and not parked
+	parked     []bool
+	onScale    func(from, to int)
 	iter       int
 	lastMetric float64
 	hasMetric  bool
@@ -167,118 +192,155 @@ type Controller struct {
 // NewController builds a controller. trace may be nil.
 func NewController(cfg Config, strategy Strategy, trace *Trace) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg, strategy: strategy, trace: trace, active: cfg.InitialActive}
-	c.cond = sync.NewCond(&c.mu)
+	c := &Controller{cfg: cfg, strategy: strategy, trace: trace, done: make(chan struct{}),
+		resume: make([]chan struct{}, cfg.MaxPoolSize), running: make([]bool, cfg.MaxPoolSize), parked: make([]bool, cfg.MaxPoolSize)}
+	for w := range c.resume {
+		c.resume[w] = make(chan struct{}, 1)
+	}
+	c.stats.Active = cfg.InitialActive
 	return c
 }
 
 // Config returns the effective (defaulted) configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
+// GateOn makes Gate re-evaluate the strategy on a fresh probe sample. Call it
+// before any worker or monitor starts, and only for a strategy whose Decide
+// is a pure function of its arguments (DemandStrategy); strategies with
+// memory are stepped by the tick alone.
+func (c *Controller) GateOn(probe func() float64) { c.probe = probe }
+
+// OnScale registers fn to be called, outside the controller's lock, after
+// every change of the active size.
+func (c *Controller) OnScale(fn func(from, to int)) {
+	c.mu.Lock()
+	c.onScale = fn
+	c.mu.Unlock()
+}
+
 // ActiveSize returns the current active size.
-func (c *Controller) ActiveSize() int {
+func (c *Controller) ActiveSize() int { return c.Stats().Active }
+
+// Stats returns a snapshot of the pool.
+func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.active
+	return c.stats
 }
 
-// Grow increases active_size by n, capped at MaxPoolSize (Algorithm 1's
-// grow procedure), waking parked workers.
-func (c *Controller) Grow(n int) {
+// Admitted reports whether worker w has joined and is not parked.
+func (c *Controller) Admitted(w int) bool {
 	c.mu.Lock()
-	c.active += n
-	if c.active > c.cfg.MaxPoolSize {
-		c.active = c.cfg.MaxPoolSize
-	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
+	defer c.mu.Unlock()
+	return w < len(c.running) && c.running[w]
 }
 
-// Shrink decreases active_size by n with the configured minimum (Algorithm
-// 1's shrink procedure).
-func (c *Controller) Shrink(n int) {
-	c.mu.Lock()
-	c.active -= n
-	if c.active < c.cfg.MinActive {
-		c.active = c.cfg.MinActive
+// resize sets the active size (Algorithm 1's grow and shrink procedures in
+// one) and readmits as many parked workers as now fit, lowest index first.
+// Callers hold mu and run the returned OnScale call after releasing it.
+func (c *Controller) resize(target int) (notify func()) {
+	from, to := c.stats.Active, c.cfg.clamp(target)
+	if to == from {
+		return func() {}
 	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
+	c.stats.Active = to
+	if to > from {
+		c.stats.Grows++
+	} else {
+		c.stats.Shrinks++
+	}
+	for w := 0; c.stats.Parked > 0 && c.stats.Running < to; w++ {
+		if c.parked[w] {
+			c.parked[w], c.running[w] = false, true
+			c.stats.Parked--
+			c.stats.Running++
+			c.resume[w] <- struct{}{}
+		}
+	}
+	if fn := c.onScale; fn != nil {
+		return func() { fn(from, to) }
+	}
+	return func() {}
 }
 
 // Step feeds one monitor sample through the strategy (Algorithm 1's
-// auto_scale procedure) and records a trace point when the metric changed.
-// Strategies implementing StepStrategy may request multi-step adjustments.
+// auto_scale procedure) in one critical section and records a trace point
+// when the metric changed.
 func (c *Controller) Step(sample float64) {
-	var delta int
-	if ss, ok := c.strategy.(StepStrategy); ok {
-		delta = ss.DecideN(sample, c.ActiveSize())
-	} else {
-		delta = c.strategy.Decide(sample)
-	}
-	switch {
-	case delta > 0:
-		c.Grow(delta)
-	case delta < 0:
-		c.Shrink(-delta)
-	}
 	c.mu.Lock()
-	changed := !c.hasMetric || sample != c.lastMetric
-	c.lastMetric = sample
-	c.hasMetric = true
-	if changed {
+	notify := c.resize(c.stats.Active + c.strategy.Decide(sample, c.stats.Active))
+	if !c.hasMetric || sample != c.lastMetric {
 		c.iter++
 		if c.trace != nil {
-			c.trace.Record(TracePoint{Iteration: c.iter, Active: c.active, Metric: sample})
+			c.trace.Record(TracePoint{Iteration: c.iter, Active: c.stats.Active, Metric: sample})
 		}
 	}
+	c.lastMetric, c.hasMetric = sample, true
 	c.mu.Unlock()
+	notify()
 }
 
-// Admit blocks while worker index is beyond the active size (the idle /
-// low-energy standby state). It returns false when the controller has been
-// terminated, true when the worker is (again) active. The caller is
-// responsible for process-time accounting around the call.
-func (c *Controller) Admit(worker int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for worker >= c.active && !c.terminated {
-		c.cond.Wait()
+// Gate is pool worker w's refill check: its first call joins the worker, and
+// every call reports whether the worker must park (the idle, non-accounted
+// standby state) because more workers run than the pool admits. Under GateOn
+// the limit is the strategy's target on a fresh sample: the active size
+// shrinks to it at once, while growth beyond it waits for the tick but
+// already shields this worker. A worker told to park must call Admit.
+func (c *Controller) Gate(w int) (park bool) {
+	var sample float64
+	if c.probe != nil {
+		sample = c.probe()
 	}
-	return !c.terminated
+	c.mu.Lock()
+	if !c.running[w] && !c.parked[w] {
+		c.running[w] = true
+		c.stats.Running++
+	}
+	notify := func() {}
+	limit := c.stats.Active
+	if c.probe != nil {
+		limit = c.cfg.clamp(limit + c.strategy.Decide(sample, limit))
+		if limit < c.stats.Active {
+			notify = c.resize(limit)
+		}
+	}
+	if park = c.stats.Running > limit; park {
+		c.running[w], c.parked[w] = false, true
+		c.stats.Running--
+		c.stats.Parked++
+	}
+	c.mu.Unlock()
+	notify()
+	return park
 }
 
-// Idle reports whether the worker would currently have to park.
-func (c *Controller) Idle(worker int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return worker >= c.active
+// Admit blocks a parked worker until the controller readmits it. It returns
+// false when the controller has been terminated, true when the worker is
+// active again. The caller is responsible for process-time accounting around
+// the call.
+func (c *Controller) Admit(w int) bool {
+	select {
+	case <-c.resume[w]:
+		return true
+	case <-c.done:
+		return false
+	}
 }
 
 // Terminate releases all parked workers and stops the monitor loop.
-func (c *Controller) Terminate() {
-	c.mu.Lock()
-	c.terminated = true
-	c.mu.Unlock()
-	c.cond.Broadcast()
-}
-
-// Terminated reports whether Terminate was called.
-func (c *Controller) Terminated() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.terminated
-}
+func (c *Controller) Terminate() { c.stop.Do(func() { close(c.done) }) }
 
 // RunMonitor samples monitor every Interval and feeds the controller until
 // Terminate is called. Call it in its own goroutine.
 func (c *Controller) RunMonitor(monitor func() float64) {
 	ticker := time.NewTicker(c.cfg.Interval)
 	defer ticker.Stop()
-	for range ticker.C {
-		if c.Terminated() {
+	for {
+		select {
+		case <-c.done:
 			return
+		case <-ticker.C:
+			c.Step(monitor())
 		}
-		c.Step(monitor())
 	}
 }

@@ -17,6 +17,7 @@ const (
 	EvPill        = "pill"         // poison-pill routing
 	EvCheckpoint  = "checkpoint"   // managed-state checkpoint written
 	EvResize      = "resize"       // BatchSizer changed a batch window
+	EvScale       = "scale"        // auto-scaler entered or left saturation
 	EvDrain       = "drain"        // coordinator drain/finalize milestones
 	EvFault       = "fault"        // injected fault fired (internal/faultinject)
 )

@@ -8,8 +8,10 @@
 // The worker loop, queue and termination protocol live in package runtime;
 // this package is a planner: it validates the workflow against dynamic
 // scheduling's limits, builds a pool plan over the queue transport, and —
-// for dyn_auto_multi — attaches the Algorithm 1 auto-scaler driven by the
-// queue-size strategy.
+// for dyn_auto_multi — attaches the Algorithm 1 auto-scaler. Its monitor
+// samples the transport's outstanding tasks (queued plus in service), and the
+// default strategy sizes the active pool to that demand; Options.Strategy can
+// put the paper's ±1 QueueSizeStrategy behind the same signal.
 package dynamic
 
 import (
@@ -27,7 +29,7 @@ import (
 type Dyn struct{}
 
 // DynAuto is the dyn_auto_multi mapping: Dyn plus the Algorithm 1
-// auto-scaler driven by the queue-size strategy.
+// auto-scaler driven by the demand strategy.
 type DynAuto struct{}
 
 func init() {
@@ -65,7 +67,7 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool) (metr
 	}
 
 	host := platform.NewHost(opts.Platform)
-	q := runtime.NewQueue(host.SyncCost())
+	tr := runtime.NewQueueTransport(runtime.NewQueue(host.SyncCost()))
 
 	var ctrl *autoscale.Controller
 	if auto {
@@ -74,19 +76,28 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool) (metr
 			cfg = *opts.AutoScale
 			cfg.MaxPoolSize = opts.Processes
 		}
+		// Outstanding tasks: one atomic load, cheap enough for every refill.
+		demand := func() float64 {
+			n, _ := tr.Pending() // the queue transport's Pending cannot fail
+			return float64(n)
+		}
 		strategy := opts.Strategy
 		if strategy == nil {
-			strategy = &autoscale.QueueSizeStrategy{Floor: 2}
+			strategy = autoscale.DemandStrategy{}
 		}
 		ctrl = autoscale.NewController(cfg, strategy, opts.Trace)
-		go ctrl.RunMonitor(func() float64 { return float64(q.Len()) })
+		if opts.Strategy == nil {
+			// The default rule has no memory, so the refill gate evaluates it too.
+			ctrl.GateOn(demand)
+		}
+		go ctrl.RunMonitor(demand)
 		defer ctrl.Terminate()
 	}
 
 	return runtime.Execute(g, opts, runtime.Config{
 		Name:            name,
 		Plan:            runtime.PoolPlan(g, opts.Processes),
-		Transport:       runtime.NewQueueTransport(q),
+		Transport:       tr,
 		Host:            host,
 		Controller:      ctrl,
 		NewStateBackend: func() state.Backend { return state.NewMemoryBackend() },

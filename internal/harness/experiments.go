@@ -189,11 +189,13 @@ func Fig12(s Scale) []Experiment {
 }
 
 // Fig13 is the auto-scaler analysis (Figure 13): active size vs monitored
-// metric over iterations, six panels.
+// metric over iterations, six panels. The dyn_auto_multi metric is the
+// outstanding tasks (queued plus in service) the pool is sized to, where the
+// paper plots the queue size.
 func Fig13(s Scale) []TraceExperiment {
 	return []TraceExperiment{
 		{
-			ID: "fig13a", Title: "Galaxy on server, dyn_auto_multi (active vs queue size)",
+			ID: "fig13a", Title: "Galaxy on server, dyn_auto_multi (active vs outstanding tasks)",
 			Technique: "dyn_auto_multi", Platform: platform.Server, Processes: s.TraceProcsServer,
 			MakeGraph: s.galaxyGraph(1, false), Seed: 131,
 		},
@@ -203,12 +205,12 @@ func Fig13(s Scale) []TraceExperiment {
 			MakeGraph: s.galaxyGraph(1, false), Seed: 132,
 		},
 		{
-			ID: "fig13c", Title: "Galaxy on HPC, dyn_auto_multi (active vs queue size)",
+			ID: "fig13c", Title: "Galaxy on HPC, dyn_auto_multi (active vs outstanding tasks)",
 			Technique: "dyn_auto_multi", Platform: platform.HPC, Processes: s.TraceProcsHPC,
 			MakeGraph: s.galaxyGraph(5, false), Seed: 133,
 		},
 		{
-			ID: "fig13d", Title: "Seismic on server, dyn_auto_multi (active vs queue size)",
+			ID: "fig13d", Title: "Seismic on server, dyn_auto_multi (active vs outstanding tasks)",
 			Technique: "dyn_auto_multi", Platform: platform.Server, Processes: s.TraceProcsServer,
 			MakeGraph: s.seismicGraph(), Seed: 134,
 		},
@@ -218,7 +220,7 @@ func Fig13(s Scale) []TraceExperiment {
 			MakeGraph: s.seismicGraph(), Seed: 135,
 		},
 		{
-			ID: "fig13f", Title: "Seismic on HPC, dyn_auto_multi (active vs queue size)",
+			ID: "fig13f", Title: "Seismic on HPC, dyn_auto_multi (active vs outstanding tasks)",
 			Technique: "dyn_auto_multi", Platform: platform.HPC, Processes: s.TraceProcsHPC,
 			MakeGraph: s.seismicGraph(), Seed: 136,
 		},

@@ -72,11 +72,15 @@ type Options struct {
 	Retries int
 	// AutoScale overrides the auto-scaler configuration of the auto
 	// mappings; nil means defaults (max pool = Processes, initial = half).
+	// Under dyn_auto_multi's default strategy the initial size only lasts
+	// until the first worker's refill re-reads the demand.
 	AutoScale *autoscale.Config
-	// Strategy overrides the auto-scaling strategy; nil means the paper's
-	// default per mapping (queue-size for multiprocessing, idle-time for
-	// Redis). The refined autoscale.ProportionalQueueStrategy is the main
-	// alternative.
+	// Strategy overrides the auto-scaling strategy; nil means the default
+	// per mapping: autoscale.DemandStrategy (pool sized to the outstanding
+	// tasks) for dyn_auto_multi, the paper's idle-time strategy for Redis.
+	// The override is fed the mapping's own monitor signal and stepped by
+	// the monitor tick only; autoscale.QueueSizeStrategy is the paper's ±1
+	// Algorithm 1 reference for dyn_auto_multi.
 	Strategy autoscale.Strategy
 	// Trace, when non-nil, collects auto-scaler trace points (Figure 13).
 	Trace *autoscale.Trace

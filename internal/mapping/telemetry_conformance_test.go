@@ -100,6 +100,16 @@ func TestTelemetryConformanceAcrossMappings(t *testing.T) {
 			if _, ok := snap.Gauges["transport.pending"]; !ok {
 				t.Errorf("transport.pending gauge missing: %v", snap.Gauges)
 			}
+			// An auto-scaled run answers "is the pool saturated" from its
+			// gauges: every pool worker joined, so running + parked is the pool.
+			gauges, auto := snap.Gauges, strings.Contains(tc.name, "auto")
+			if _, ok := gauges["autoscale.active"]; ok != auto {
+				t.Errorf("autoscale gauges present=%v, want %v: %v", ok, auto, gauges)
+			}
+			if pool := gauges["autoscale.running"] + gauges["autoscale.parked"]; auto &&
+				(pool < 2 || pool > int64(tc.procs) || gauges["autoscale.active"] < 1 || gauges["autoscale.active"] > pool) {
+				t.Errorf("autoscale gauges inconsistent for %d processes: %v", tc.procs, gauges)
+			}
 			if snap.State == nil || len(snap.State.Ops) == 0 {
 				t.Error("state-operation latencies missing")
 			} else if _, ok := snap.State.Ops["add"]; !ok {

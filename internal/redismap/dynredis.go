@@ -114,7 +114,7 @@ func newStateBackend(cluster *redisclient.Cluster, keys runtime.RedisKeys, opts 
 }
 
 // consumerIdleMonitor builds the dyn_auto_redis monitoring metric: the mean
-// Inactive time of the pool's active consumers in the run's consumer group.
+// Inactive time of the pool's admitted consumers in the run's consumer group.
 // The stream is partitioned per shard and a consumer is active wherever it
 // last found work, so the probe scatter-gathers XINFO CONSUMERS across the
 // shards and scores each consumer by its most recent activity anywhere
@@ -122,7 +122,6 @@ func newStateBackend(cluster *redisclient.Cluster, keys runtime.RedisKeys, opts 
 // idle just because shard 0 hasn't seen it lately.
 func consumerIdleMonitor(cluster *redisclient.Cluster, keys runtime.RedisKeys, ctrl *autoscale.Controller) func() float64 {
 	return func() float64 {
-		active := ctrl.ActiveSize()
 		idle := map[int]float64{}
 		for s := 0; s < cluster.NumShards(); s++ {
 			infos, err := cluster.Shard(s).XInfoConsumers(keys.Queue, keys.Group)
@@ -131,7 +130,7 @@ func consumerIdleMonitor(cluster *redisclient.Cluster, keys runtime.RedisKeys, c
 			}
 			for _, info := range infos {
 				var w int
-				if _, err := fmt.Sscanf(info.Name, "w%d", &w); err != nil || w >= active {
+				if _, err := fmt.Sscanf(info.Name, "w%d", &w); err != nil || !ctrl.Admitted(w) {
 					continue
 				}
 				ms := float64(info.Inactive.Milliseconds())

@@ -89,7 +89,9 @@ func TestHybridAutoUsesCustomStrategy(t *testing.T) {
 	col := &collector{}
 	g := pipelineGraph(n, col)
 	opts := redisOpts(t, 6)
-	opts.Strategy = &autoscale.ProportionalQueueStrategy{TargetPerWorker: 1}
+	// The demand rule fed the idle-time metric is a poor policy, but any
+	// Strategy must be safe to plug in: the run still has to complete.
+	opts.Strategy = autoscale.DemandStrategy{}
 	m, _ := mapping.Get("hybrid_auto_redis")
 	if _, err := m.Execute(g, opts); err != nil {
 		t.Fatal(err)

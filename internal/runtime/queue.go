@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +19,7 @@ import (
 type Queue struct {
 	mu       sync.Mutex
 	items    []Task
+	waiters  []chan struct{} // blocked poppers, oldest first; each has capacity 1
 	syncCost time.Duration
 	pushes   int64
 	pops     int64
@@ -28,18 +30,19 @@ func NewQueue(syncCost time.Duration) *Queue {
 	return &Queue{syncCost: syncCost}
 }
 
-// Push appends a task. Waiting poppers notice on their next poll slice (see
-// Pop); there is no wakeup signal to deliver.
+// Push appends a task and wakes one blocked popper.
 func (q *Queue) Push(t Task) {
 	q.mu.Lock()
 	platform.SpinWait(q.syncCost)
 	q.items = append(q.items, t)
 	q.pushes++
+	q.wake(1)
 	q.mu.Unlock()
 }
 
 // PushAll appends a batch of tasks under one lock hold and one
-// synchronization cost, preserving order.
+// synchronization cost, preserving order, and wakes one blocked popper per
+// task.
 func (q *Queue) PushAll(ts []Task) {
 	if len(ts) == 0 {
 		return
@@ -48,31 +51,57 @@ func (q *Queue) PushAll(ts []Task) {
 	platform.SpinWait(q.syncCost)
 	q.items = append(q.items, ts...)
 	q.pushes += int64(len(ts))
+	q.wake(len(ts))
 	q.mu.Unlock()
+}
+
+// wake signals the min(n, waiters) longest-blocked poppers. Callers hold mu.
+func (q *Queue) wake(n int) {
+	n = min(n, len(q.waiters))
+	for _, ch := range q.waiters[:n] {
+		ch <- struct{}{}
+	}
+	q.waiters = slices.Delete(q.waiters, 0, n)
+}
+
+// await blocks until the queue is non-empty or timeout has passed, and
+// reports which. Callers hold mu, and hold it again on return. A popper
+// blocks on its own channel until a push signals it, so a task is picked up
+// as soon as it is pushed; the deadline stays because workers must return to
+// their loop to run the termination protocol. A signalled popper that finds
+// the queue empty again (another popper got there first) goes back to the end
+// of the line with what is left of its timeout.
+func (q *Queue) await(timeout time.Duration) bool {
+	if len(q.items) > 0 || timeout <= 0 {
+		return len(q.items) > 0
+	}
+	ch := make(chan struct{}, 1)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for len(q.items) == 0 {
+		q.waiters = append(q.waiters, ch)
+		q.mu.Unlock()
+		select {
+		case <-ch:
+			q.mu.Lock()
+		case <-timer.C:
+			q.mu.Lock()
+			if i := slices.Index(q.waiters, ch); i >= 0 {
+				q.waiters = slices.Delete(q.waiters, i, i+1)
+			}
+			return len(q.items) > 0
+		}
+	}
+	return true
 }
 
 // Pop removes the head task, blocking up to timeout when the queue is
 // empty. ok is false on timeout.
 func (q *Queue) Pop(timeout time.Duration) (t Task, ok bool) {
-	deadline := time.Now().Add(timeout)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return Task{}, false
-		}
-		// Empty-queue waiters poll in small slices (there is deliberately no
-		// condition-variable wakeup: workers must return to their loop to
-		// run the termination protocol anyway). The slice is a fraction of
-		// the poll timeout to keep wake-up latency low without busy-spinning.
-		q.mu.Unlock()
-		slice := remaining
-		if slice > time.Millisecond {
-			slice = time.Millisecond
-		}
-		time.Sleep(slice)
-		q.mu.Lock()
+	if !q.await(timeout) {
+		return Task{}, false
 	}
 	platform.SpinWait(q.syncCost)
 	t = q.items[0]
@@ -90,22 +119,10 @@ func (q *Queue) PopN(max int, timeout time.Duration) []Task {
 	if max < 1 {
 		max = 1
 	}
-	deadline := time.Now().Add(timeout)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil
-		}
-		// Same empty-queue poll slices as Pop (see there for why no condvar).
-		q.mu.Unlock()
-		slice := remaining
-		if slice > time.Millisecond {
-			slice = time.Millisecond
-		}
-		time.Sleep(slice)
-		q.mu.Lock()
+	if !q.await(timeout) {
+		return nil
 	}
 	platform.SpinWait(q.syncCost)
 	n := max
@@ -124,7 +141,7 @@ func (q *Queue) PopN(max int, timeout time.Duration) []Task {
 	return out
 }
 
-// Len returns the current queue length (the dyn_auto_multi monitor metric).
+// Len returns the current queue length.
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -147,8 +164,7 @@ type QueueTransport struct {
 	closed  atomic.Bool
 }
 
-// NewQueueTransport wraps a Queue as a Transport. The queue is shared so the
-// planner can also hand it to an autoscale monitor (queue-size strategy).
+// NewQueueTransport wraps a Queue as a Transport.
 func NewQueueTransport(q *Queue) *QueueTransport {
 	return &QueueTransport{q: q}
 }

@@ -1,11 +1,29 @@
 package runtime
 
 import (
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// awaitWaiters blocks until n poppers are blocked on the queue.
+func awaitWaiters(t *testing.T, q *Queue, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		q.mu.Lock()
+		got := len(q.waiters)
+		q.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d poppers blocked, want %d", got, n)
+		}
+	}
+}
 
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue(0)
@@ -30,6 +48,146 @@ func TestQueuePopTimeoutBounds(t *testing.T) {
 	}
 	if elapsed < 25*time.Millisecond || elapsed > 500*time.Millisecond {
 		t.Errorf("timeout elapsed %v", elapsed)
+	}
+}
+
+// An empty PopN returns at its deadline too, and leaves no waiter behind.
+func TestQueuePopNTimeoutBounds(t *testing.T) {
+	q := NewQueue(0)
+	start := time.Now()
+	if got := q.PopN(8, 30*time.Millisecond); got != nil {
+		t.Fatalf("empty queue returned %d tasks", len(got))
+	}
+	if elapsed := time.Since(start); elapsed < 25*time.Millisecond || elapsed > 500*time.Millisecond {
+		t.Errorf("timeout elapsed %v", elapsed)
+	}
+	awaitWaiters(t, q, 0)
+	q.Push(Task{PE: "after"}) // must not block on the departed popper
+	if got := q.PopN(8, time.Millisecond); len(got) != 1 {
+		t.Errorf("pop after a timed-out pop: %d tasks", len(got))
+	}
+}
+
+// A blocked popper is woken by the push itself, not by a poll slice: half of
+// the hand-overs must complete in a fraction of the millisecond a sleeping
+// poller would need on average.
+func TestQueuePushWakesBlockedPopperAtOnce(t *testing.T) {
+	q := NewQueue(0)
+	const trials = 21
+	waits := make([]time.Duration, 0, trials)
+	for i := 0; i < trials; i++ {
+		popped := make(chan time.Time, 1)
+		go func() {
+			if tasks := q.PopN(4, 5*time.Second); len(tasks) == 1 {
+				popped <- time.Now()
+			}
+			close(popped)
+		}()
+		awaitWaiters(t, q, 1)
+		pushed := time.Now()
+		q.Push(Task{PE: "late"})
+		at, ok := <-popped
+		if !ok {
+			t.Fatal("PopN did not return the pushed task")
+		}
+		waits = append(waits, at.Sub(pushed))
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	if median := waits[trials/2]; median > 500*time.Microsecond {
+		t.Errorf("median push-to-pop hand-over %v, want well inside a 1ms poll slice (all: %v)", median, waits)
+	}
+}
+
+// PushAll(n) wakes min(n, waiters) poppers and leaves the others blocked.
+func TestQueuePushAllWakesOnePopperPerTask(t *testing.T) {
+	q := NewQueue(0)
+	const poppers = 5
+	returned := make(chan int, poppers)
+	for i := 0; i < poppers; i++ {
+		go func() { returned <- len(q.PopN(1, 10*time.Second)) }()
+	}
+	awaitWaiters(t, q, poppers)
+	q.PushAll([]Task{{PE: "a"}, {PE: "b"}})
+	q.mu.Lock()
+	still := len(q.waiters)
+	q.mu.Unlock()
+	if still != poppers-2 {
+		t.Fatalf("PushAll(2) left %d of %d poppers blocked, want %d", still, poppers, poppers-2)
+	}
+	for i := 0; i < 2; i++ {
+		if n := <-returned; n != 1 {
+			t.Fatalf("woken popper got %d tasks", n)
+		}
+	}
+	select {
+	case n := <-returned:
+		t.Fatalf("a third popper returned (%d tasks) on a push of two", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	awaitWaiters(t, q, poppers-2)
+	q.PushAll(make([]Task, 10)) // more tasks than waiters: everyone wakes
+	for i := 0; i < poppers-2; i++ {
+		if n := <-returned; n != 1 {
+			t.Fatalf("woken popper got %d tasks", n)
+		}
+	}
+	if q.Len() != 10-(poppers-2) {
+		t.Errorf("queue holds %d tasks, want %d", q.Len(), 10-(poppers-2))
+	}
+}
+
+// With consumers that block for far longer than the test may take, a lost
+// wake-up would strand a task behind sleeping consumers and blow the budget.
+func TestQueueNoLostWakeups(t *testing.T) {
+	q := NewQueue(0)
+	const producers, perProducer, consumers = 4, 500, 6
+	const total = producers * perProducer
+	var consumed atomic.Int64
+	start := time.Now()
+	var cg sync.WaitGroup
+	for c := 0; c < consumers; c++ {
+		cg.Add(1)
+		go func(c int) {
+			defer cg.Done()
+			for consumed.Load() < total {
+				var n int
+				if c%2 == 0 {
+					n = len(q.PopN(3, 30*time.Second))
+				} else if _, ok := q.Pop(30 * time.Second); ok {
+					n = 1
+				}
+				if consumed.Add(int64(n)) >= total {
+					// Release the consumers still blocked: one task each.
+					q.PushAll(make([]Task, consumers))
+					return
+				}
+			}
+		}(c)
+	}
+	var pg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		pg.Add(1)
+		go func(p int) {
+			defer pg.Done()
+			for i := 0; i < perProducer; i++ {
+				if i%2 == 0 {
+					q.Push(Task{PE: "pe"})
+				} else {
+					q.PushAll([]Task{{PE: "pe"}})
+				}
+				if i%8 == p {
+					time.Sleep(20 * time.Microsecond) // let the consumers drain and block
+				}
+			}
+		}(p)
+	}
+	pg.Wait()
+	cg.Wait()
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("%d tasks through %d blocking consumers took %v: a wake-up was lost", total, consumers, elapsed)
+	}
+	if got := consumed.Load(); got < total {
+		t.Errorf("consumed %d of %d tasks", got, total)
 	}
 }
 

@@ -32,7 +32,9 @@ type Config struct {
 	// Host is the simulated platform host accruing process time.
 	Host *platform.Host
 	// Controller optionally gates pool workers in and out of the idle state
-	// (the auto-scaling mappings). Pinned workers are never gated.
+	// (the auto-scaling mappings): a pool worker joins at its first refill
+	// and asks at every refill whether it is surplus. Pinned workers are
+	// never gated.
 	Controller *autoscale.Controller
 	// NewStateBackend supplies the default managed-state backend when the
 	// graph declares managed state and Options.StateBackend is nil.
@@ -85,6 +87,17 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 			diag.Log(diagnosis.EvFault, -1, "", detail, 1)
 		})
 	}
+	if ctrl := cfg.Controller; ctrl != nil && r.diag != nil {
+		// Only the resizes that enter or leave saturation are journaled: the
+		// pool is resized up to once per monitor tick, which would evict every
+		// other event from the ring. The resize counts are autoscale gauges.
+		diag, full := r.diag, ctrl.Config().MaxPoolSize
+		ctrl.OnScale(func(from, to int) {
+			if from == full || to == full {
+				diag.Log(diagnosis.EvScale, -1, "", fmt.Sprintf("active %d→%d of %d", from, to, full), int64(to))
+			}
+		})
+	}
 	// Post-mortem observability must exist even when the run errors out: the
 	// final flight (which also seeds the gauge sources' last-good cache while
 	// the transport is still open) and the run_end journal entry are deferred,
@@ -117,6 +130,12 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 			}
 			return vals, true
 		})
+		if ctrl := cfg.Controller; ctrl != nil {
+			r.tel.RegisterGauges("autoscale", func() (map[string]int64, bool) {
+				st := ctrl.Stats()
+				return map[string]int64{"active": int64(st.Active), "running": int64(st.Running), "parked": int64(st.Parked), "grows": st.Grows, "shrinks": st.Shrinks}, true
+			})
+		}
 		if opts.TelemetryEvery > 0 {
 			stop := make(chan struct{})
 			defer close(stop)
@@ -416,7 +435,7 @@ func (r *run) runWorker(w int) {
 				r.workerFail(fmt.Errorf("worker %s: ack batch: %w", procName, err))
 				return
 			}
-			if ctrl != nil && !spec.Pinned() && ctrl.Idle(w) {
+			if ctrl != nil && !spec.Pinned() && ctrl.Gate(w) {
 				// Idle state: stop accruing process time until readmitted.
 				proc.Deactivate()
 				if !ctrl.Admit(w) {

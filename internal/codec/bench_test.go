@@ -2,9 +2,10 @@ package codec
 
 import "testing"
 
-// The BenchmarkCodec* family compares the flat wire format against the
-// legacy gob path it replaced. CI runs these with -benchmem as the
-// allocation-regression smoke alongside TestEncodeSteadyStateZeroAllocs.
+// The BenchmarkCodec* family measures the wire format per payload class:
+// inline scalars, flat structs (the compiled plans) and the gob trailer. CI
+// runs these with -benchmem as the allocation-regression smoke alongside
+// TestEncodeSteadyStateZeroAllocs.
 
 func benchTask(i int) Task {
 	return Task{PE: "sessionize", Port: "in", Value: "user-1234", Instance: -1, Src: uint64(i + 1), Seq: uint64(i)}
@@ -31,31 +32,8 @@ func BenchmarkCodecEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecEncodeGob(b *testing.B) {
-	task := benchTask(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeGob(task); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCodecDecode(b *testing.B) {
 	s, err := Encode(benchTask(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodecDecodeGob(b *testing.B) {
-	s, err := encodeGob(benchTask(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,16 +58,6 @@ func BenchmarkCodecEncodeBatch64(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecEncodeBatch64Gob(b *testing.B) {
-	ts := benchBatch(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeGobBatch(ts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCodecDecodeBatch64(b *testing.B) {
 	s, err := EncodeBatch(benchBatch(64))
 	if err != nil {
@@ -103,28 +71,14 @@ func BenchmarkCodecDecodeBatch64(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecDecodeBatch64Gob(b *testing.B) {
-	s, err := encodeGobBatch(benchBatch(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatch(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Struct payloads exercise the shared gob trailer: descriptors once per
-// frame, records flat.
+// Struct payloads: the workloads' synth.SessionEvent is flat, so its frames
+// are written and read by the compiled plan. CI gates the encode bench at
+// 0 allocs/op and the decode bench at 4 allocs per task (256 per frame).
 func BenchmarkCodecEncodeStructBatch64(b *testing.B) {
-	ts := make([]Task, 64)
-	for i := range ts {
-		ts[i] = Task{PE: "filter", Port: "in", Instance: -1, Value: samplePayload{Name: "g", Values: []float64{1.5, 2.5}}}
-	}
+	ts := sessionEventBatch(64)
 	dst := make([]byte, 0, 16384)
 	b.ReportAllocs()
+	b.ResetTimer() // building the batch allocates; CI reads allocs/op at 100x
 	for i := 0; i < b.N; i++ {
 		var err error
 		dst, err = AppendBatch(dst[:0], ts)
@@ -134,14 +88,36 @@ func BenchmarkCodecEncodeStructBatch64(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecEncodeStructBatch64Gob(b *testing.B) {
-	ts := make([]Task, 64)
-	for i := range ts {
-		ts[i] = Task{PE: "filter", Port: "in", Instance: -1, Value: samplePayload{Name: "g", Values: []float64{1.5, 2.5}}}
+func BenchmarkCodecDecodeStructBatch64(b *testing.B) {
+	s, err := EncodeBatch(sessionEventBatch(64))
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeGobBatch(ts); err != nil {
+		if _, err := DecodeBatch(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// samplePayload holds a map, so it is not flat: this round trip keeps the
+// shared gob trailer (descriptors once per frame, records flat) measured.
+func BenchmarkCodecGobTrailerBatch64(b *testing.B) {
+	ts := make([]Task, 64)
+	for i := range ts {
+		ts[i] = Task{PE: "filter", Port: "in", Instance: -1, Value: samplePayload{Name: "g", Values: []float64{1.5, 2.5}, Nested: map[string]int{"k": i}}}
+	}
+	dst := make([]byte, 0, 16384)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		dst, err = AppendBatch(dst[:0], ts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodeBatch(string(dst)); err != nil {
 			b.Fatal(err)
 		}
 	}

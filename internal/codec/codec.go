@@ -20,24 +20,48 @@
 //	         zigzag-uvarint Instance        (-1 = dynamic pool)
 //	         [identity] fixed64-LE Src, uvarint Seq
 //	         [traced]   fixed64-LE TraceAt
-//	         [value]    tag byte + payload (see value tags below)
+//	         [value]    tag byte + payload
 //
-// Scalar payloads are encoded inline with one-byte tags (string, []byte,
-// bool, int, int64, uint64, float64, float32, int32). Everything else —
-// the registered workflow structs — carries tag 0xFF and is written to a
-// single gob stream trailing the records, so a frame pays for gob's type
-// descriptors at most once no matter how many tasks it packs.
+//	payload, by tag:
+//	  0x01..0x0A  a built-in scalar, inline: string, []byte, true, false,
+//	              int, int64, uint64, float64, float32, int32
+//	  0xFE        a registered flat type, inline:
+//	                uvarint(ref)  index into the frame's type table
+//	                [uvarint(len) name-bytes]  iff ref == table length: the
+//	                              type's first use in this frame appends it
+//	                value         see below
+//	  0xFF        anything else: the next value of the gob trailer
 //
-// Encoding is allocation-free in steady state: AppendTask/AppendBatch write
-// into a caller-supplied byte slice (GetBuffer/Release pool them), and
-// inline-scalar frames touch neither gob nor the heap. Decoding recognizes
-// the two legacy gob formats — a bare gob frame (first byte never 0x00) and
-// the 0x00-prefixed gob batch frame — so frames written by earlier versions
-// still decode.
+//	value  = bool                 one byte, 0 or 1
+//	         int, int8..int64     zigzag-uvarint
+//	         uint, uint8..uint64, uintptr   uvarint
+//	         float32 | float64    fixed32-LE | fixed64-LE bits
+//	         string | []byte      uvarint(len) bytes
+//	         []T                  uvarint(len) value*
+//	         [n]T                 value{n}
+//	         struct               its fields' values, in declaration order
+//
+// A type is flat when it is built, recursively, from only those shapes and
+// every struct in it has at least one field, all exported. Register compiles
+// such a type once into an encode/decode plan (plan.go); the per-frame type
+// table means a frame names each type once however many tasks it packs, and
+// a frame of flat payloads never touches gob. Types that are not flat —
+// maps, pointers, interfaces, complex numbers, unexported or no fields,
+// GobEncoder/BinaryMarshaler implementers, a struct reaching itself through
+// a slice, slices of zero-width elements — and types never registered keep
+// tag 0xFF: their values go, in record order, to one gob stream after the
+// records, so a frame pays gob's type descriptors at most once.
+//
+// Encoding is allocation-free in steady state for scalar and flat payloads:
+// AppendTask/AppendBatch write into a caller-supplied byte slice
+// (GetBuffer/Release pool them). Decoding copies payload strings and byte
+// slices out of the frame, so a retained value never pins the frame; nil
+// and empty slices both decode as nil, as they do through gob. Only frames
+// in this format decode: the gob framings of earlier versions are an error,
+// which is safe because stream frames live only for the length of one run.
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -46,13 +70,20 @@ import (
 	"sync"
 )
 
-// Register makes a concrete payload type encodable inside interface values.
+// Register makes a concrete payload type encodable inside interface values:
+// it registers the type with gob and, if the type is flat (see the package
+// comment), compiles the plan that carries it inline instead.
 // Registration is idempotent: gob panics with a "gob: registering duplicate"
 // message when the same type or name is registered twice, and Register
 // swallows exactly that panic (workflow init functions run once per import
 // path but several workflows share payload types). Any other panic — a nil
 // value, an unnamed type — is re-raised.
 func Register(value any) {
+	registerGob(value)
+	registerPlan(value)
+}
+
+func registerGob(value any) {
 	defer func() {
 		if r := recover(); r != nil {
 			if s, ok := r.(string); ok && strings.HasPrefix(s, "gob: registering duplicate") {
@@ -102,19 +133,10 @@ type Task struct {
 	TraceAt int64
 }
 
-func init() {
-	gob.Register(Task{})
-}
-
-// Wire constants. A legacy gob stream starts with a length-prefixed message
-// whose first byte is never 0x00, and the legacy batch frame is exactly one
-// 0x00 followed by a gob stream — so two leading NULs are unreachable by
-// either legacy format and unambiguously mark a flat frame.
+// Wire constants.
 const (
-	flatMagic   = 0x00 // first two bytes of a flat frame
-	flatVersion = 0x01 // current flat format version
-
-	legacyBatchMagic = 0x00 // single 0x00 prefix of the legacy gob batch
+	flatMagic   = 0x00 // first two bytes of a frame
+	flatVersion = 0x01 // current format version
 )
 
 // Record flag bits.
@@ -138,6 +160,7 @@ const (
 	tagFloat64 = 0x08
 	tagFloat32 = 0x09
 	tagInt32   = 0x0A
+	tagFlat    = 0xFE // registered flat type, encoded inline by its plan
 	tagGob     = 0xFF // payload deferred to the frame's trailing gob stream
 )
 
@@ -177,11 +200,16 @@ func (w sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// frameTypes is the inline capacity of a frame's type table; a frame with
+// more distinct flat types than this spills the table to the heap.
+const frameTypes = 4
+
 // AppendTask appends a one-task flat frame to dst and returns the extended
-// slice. Inline-scalar payloads allocate nothing beyond dst's own growth.
+// slice. Scalar and flat payloads allocate nothing beyond dst's own growth.
 func AppendTask(dst []byte, t Task) ([]byte, error) {
 	dst = append(dst, flatMagic, flatMagic, flatVersion, 1)
-	dst, needsGob := appendRecord(dst, &t)
+	var table [1]*plan
+	dst, _, needsGob := appendRecord(dst, &t, table[:0])
 	if needsGob {
 		return appendGobTrailer(dst, []Task{t}, []int{0})
 	}
@@ -199,9 +227,11 @@ func AppendBatch(dst []byte, ts []Task) ([]byte, error) {
 	dst = append(dst, flatMagic, flatMagic, flatVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(ts)))
 	var gobIdx []int
+	var table [frameTypes]*plan
+	types := table[:0]
 	for i := range ts {
 		var needsGob bool
-		dst, needsGob = appendRecord(dst, &ts[i])
+		dst, types, needsGob = appendRecord(dst, &ts[i], types)
 		if needsGob {
 			gobIdx = append(gobIdx, i)
 		}
@@ -227,7 +257,10 @@ func appendGobTrailer(dst []byte, ts []Task, gobIdx []int) ([]byte, error) {
 
 // appendRecord writes one task record (without its gob payload, if any) and
 // reports whether the payload was deferred to the frame's gob trailer.
-func appendRecord(dst []byte, t *Task) ([]byte, bool) {
+// types is the frame's type table so far, returned extended when the record
+// is the first to carry its flat type (passed by value so the caller's
+// inline table stays on its stack).
+func appendRecord(dst []byte, t *Task, types []*plan) ([]byte, []*plan, bool) {
 	flags := byte(0)
 	if t.Poison {
 		flags |= flagPoison
@@ -258,7 +291,7 @@ func appendRecord(dst []byte, t *Task) ([]byte, bool) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.TraceAt))
 	}
 	if flags&flagValue == 0 {
-		return dst, false
+		return dst, types, false
 	}
 	switch v := t.Value.(type) {
 	case string:
@@ -294,10 +327,12 @@ func appendRecord(dst []byte, t *Task) ([]byte, bool) {
 		dst = append(dst, tagInt32)
 		dst = appendZigzag(dst, int64(v))
 	default:
-		dst = append(dst, tagGob)
-		return dst, true
+		var flat bool
+		if dst, types, flat = appendFlat(dst, &t.Value, types); !flat {
+			return append(dst, tagGob), types, true
+		}
 	}
-	return dst, false
+	return dst, types, false
 }
 
 // Encode serializes a task to a binary-safe string (a one-task flat frame).
@@ -324,66 +359,63 @@ func EncodeBatch(ts []Task) (string, error) {
 	return string(b), nil
 }
 
-// isFlat reports whether s starts with a flat-frame magic.
-func isFlat(s string) bool {
-	return len(s) >= 4 && s[0] == flatMagic && s[1] == flatMagic
-}
-
-// Decode deserializes a one-task frame produced by Encode — current flat
-// frames and legacy single-task gob frames both decode.
+// Decode deserializes a one-task frame produced by Encode or AppendTask.
 func Decode(s string) (Task, error) {
-	if isFlat(s) {
-		ts, err := decodeFlat(s)
-		if err != nil {
-			return Task{}, err
-		}
-		if len(ts) != 1 {
-			return Task{}, fmt.Errorf("codec: decode task: frame holds %d tasks", len(ts))
-		}
-		return ts[0], nil
+	ts, err := DecodeBatch(s)
+	if err != nil {
+		return Task{}, err
 	}
-	return decodeGob(s)
+	if len(ts) != 1 {
+		return Task{}, fmt.Errorf("codec: decode task: frame holds %d tasks", len(ts))
+	}
+	return ts[0], nil
 }
 
-// DecodeBatch deserializes any frame this package has ever written: flat
-// frames (any count), legacy gob batch frames, and legacy single-task gob
-// frames (returned as a one-element slice).
+// FrameCount reports how many tasks the frame s declares, or 0 when its
+// header is malformed (DecodeBatch then says why). Transports size their
+// receive slices with it before decoding.
+func FrameCount(s string) int {
+	count, _, err := frameHeader(s)
+	if err != nil {
+		return 0
+	}
+	return count
+}
+
+// frameHeader validates the magic, version and task count of s and returns
+// the count with the offset of the first record.
+func frameHeader(s string) (count, off int, err error) {
+	if len(s) < 4 || s[0] != flatMagic || s[1] != flatMagic {
+		return 0, 0, fmt.Errorf("codec: not a task frame (%d bytes, no magic)", len(s))
+	}
+	if s[2] != flatVersion {
+		return 0, 0, fmt.Errorf("codec: unknown wire format version %d", s[2])
+	}
+	n, off, err := readUvarint(s, 3)
+	if err != nil {
+		return 0, 0, fmt.Errorf("codec: decode frame count: %w", err)
+	}
+	// Every record costs at least 4 bytes, so a count beyond a quarter of the
+	// frame length is corrupt; reject before allocating.
+	if n == 0 || n > uint64(len(s)/4) {
+		return 0, 0, fmt.Errorf("codec: implausible frame count %d for %d-byte frame", n, len(s))
+	}
+	return int(n), off, nil
+}
+
+// DecodeBatch deserializes a frame of any task count.
 func DecodeBatch(s string) ([]Task, error) {
-	if isFlat(s) {
-		return decodeFlat(s)
-	}
-	if len(s) > 0 && s[0] == legacyBatchMagic {
-		var ts []Task
-		if err := gob.NewDecoder(strings.NewReader(s[1:])).Decode(&ts); err != nil {
-			return nil, fmt.Errorf("codec: decode batch: %w", err)
-		}
-		return ts, nil
-	}
-	t, err := decodeGob(s)
+	count, off, err := frameHeader(s)
 	if err != nil {
 		return nil, err
 	}
-	return []Task{t}, nil
-}
-
-func decodeFlat(s string) ([]Task, error) {
-	if s[2] != flatVersion {
-		return nil, fmt.Errorf("codec: unknown wire format version %d", s[2])
-	}
-	count, off, err := readUvarint(s, 3)
-	if err != nil {
-		return nil, fmt.Errorf("codec: decode frame count: %w", err)
-	}
-	// Every record costs at least 4 bytes, so a count anywhere near the frame
-	// length is corrupt; reject before allocating.
-	if count == 0 || count > uint64(len(s)) {
-		return nil, fmt.Errorf("codec: implausible frame count %d for %d-byte frame", count, len(s))
-	}
 	ts := make([]Task, count)
 	var gobIdx []int
+	var table [frameTypes]*plan
+	types := table[:0]
 	for i := range ts {
 		var needsGob bool
-		off, needsGob, err = decodeRecord(s, off, &ts[i])
+		off, types, needsGob, err = decodeRecord(s, off, &ts[i], types)
 		if err != nil {
 			return nil, fmt.Errorf("codec: decode task %d/%d: %w", i+1, count, err)
 		}
@@ -405,47 +437,49 @@ func decodeFlat(s string) ([]Task, error) {
 }
 
 // decodeRecord parses one task record starting at off and reports whether
-// its payload must be read from the frame's gob trailer.
-func decodeRecord(s string, off int, t *Task) (int, bool, error) {
+// its payload must be read from the frame's gob trailer. types is the
+// frame's type table so far, returned extended when the record names a type
+// (passed by value so the caller's inline table stays on its stack).
+func decodeRecord(s string, off int, t *Task, types []*plan) (int, []*plan, bool, error) {
 	if off >= len(s) {
-		return off, false, fmt.Errorf("truncated record")
+		return off, types, false, fmt.Errorf("truncated record")
 	}
 	flags := s[off]
 	off++
 	var err error
 	if t.PE, off, err = readString(s, off); err != nil {
-		return off, false, fmt.Errorf("PE: %w", err)
+		return off, types, false, fmt.Errorf("PE: %w", err)
 	}
 	if t.Port, off, err = readString(s, off); err != nil {
-		return off, false, fmt.Errorf("port: %w", err)
+		return off, types, false, fmt.Errorf("port: %w", err)
 	}
 	var inst int64
 	if inst, off, err = readZigzag(s, off); err != nil {
-		return off, false, fmt.Errorf("instance: %w", err)
+		return off, types, false, fmt.Errorf("instance: %w", err)
 	}
 	t.Instance = int(inst)
 	t.Poison = flags&flagPoison != 0
 	t.Finalize = flags&flagFinalize != 0
 	if flags&flagIdentity != 0 {
 		if t.Src, off, err = readFixed64(s, off); err != nil {
-			return off, false, fmt.Errorf("src: %w", err)
+			return off, types, false, fmt.Errorf("src: %w", err)
 		}
 		if t.Seq, off, err = readUvarint(s, off); err != nil {
-			return off, false, fmt.Errorf("seq: %w", err)
+			return off, types, false, fmt.Errorf("seq: %w", err)
 		}
 	}
 	if flags&flagTraced != 0 {
 		var at uint64
 		if at, off, err = readFixed64(s, off); err != nil {
-			return off, false, fmt.Errorf("traceAt: %w", err)
+			return off, types, false, fmt.Errorf("traceAt: %w", err)
 		}
 		t.TraceAt = int64(at)
 	}
 	if flags&flagValue == 0 {
-		return off, false, nil
+		return off, types, false, nil
 	}
 	if off >= len(s) {
-		return off, false, fmt.Errorf("truncated payload tag")
+		return off, types, false, fmt.Errorf("truncated payload tag")
 	}
 	tag := s[off]
 	off++
@@ -453,13 +487,13 @@ func decodeRecord(s string, off int, t *Task) (int, bool, error) {
 	case tagString:
 		var v string
 		if v, off, err = readString(s, off); err != nil {
-			return off, false, fmt.Errorf("string payload: %w", err)
+			return off, types, false, fmt.Errorf("string payload: %w", err)
 		}
-		t.Value = v
+		t.Value = strings.Clone(v)
 	case tagBytes:
 		var v string
 		if v, off, err = readString(s, off); err != nil {
-			return off, false, fmt.Errorf("bytes payload: %w", err)
+			return off, types, false, fmt.Errorf("bytes payload: %w", err)
 		}
 		t.Value = []byte(v)
 	case tagTrue:
@@ -469,83 +503,49 @@ func decodeRecord(s string, off int, t *Task) (int, bool, error) {
 	case tagInt:
 		var v int64
 		if v, off, err = readZigzag(s, off); err != nil {
-			return off, false, fmt.Errorf("int payload: %w", err)
+			return off, types, false, fmt.Errorf("int payload: %w", err)
 		}
 		t.Value = int(v)
 	case tagInt64:
 		var v int64
 		if v, off, err = readZigzag(s, off); err != nil {
-			return off, false, fmt.Errorf("int64 payload: %w", err)
+			return off, types, false, fmt.Errorf("int64 payload: %w", err)
 		}
 		t.Value = v
 	case tagUint64:
 		var v uint64
 		if v, off, err = readUvarint(s, off); err != nil {
-			return off, false, fmt.Errorf("uint64 payload: %w", err)
+			return off, types, false, fmt.Errorf("uint64 payload: %w", err)
 		}
 		t.Value = v
 	case tagFloat64:
 		var bits uint64
 		if bits, off, err = readFixed64(s, off); err != nil {
-			return off, false, fmt.Errorf("float64 payload: %w", err)
+			return off, types, false, fmt.Errorf("float64 payload: %w", err)
 		}
 		t.Value = math.Float64frombits(bits)
 	case tagFloat32:
 		var bits uint32
 		if bits, off, err = readFixed32(s, off); err != nil {
-			return off, false, fmt.Errorf("float32 payload: %w", err)
+			return off, types, false, fmt.Errorf("float32 payload: %w", err)
 		}
 		t.Value = math.Float32frombits(bits)
 	case tagInt32:
 		var v int64
 		if v, off, err = readZigzag(s, off); err != nil {
-			return off, false, fmt.Errorf("int32 payload: %w", err)
+			return off, types, false, fmt.Errorf("int32 payload: %w", err)
 		}
 		t.Value = int32(v)
+	case tagFlat:
+		if t.Value, off, types, err = readFlat(s, off, types); err != nil {
+			return off, types, false, err
+		}
 	case tagGob:
-		return off, true, nil
+		return off, types, true, nil
 	default:
-		return off, false, fmt.Errorf("unknown payload tag 0x%02x", tag)
+		return off, types, false, fmt.Errorf("unknown payload tag 0x%02x", tag)
 	}
-	return off, false, nil
-}
-
-// --- legacy gob format, retained for cross-version decode and benchmarks ---
-
-// decodeGob deserializes a legacy single-task gob frame.
-func decodeGob(s string) (Task, error) {
-	var t Task
-	if err := gob.NewDecoder(strings.NewReader(s)).Decode(&t); err != nil {
-		return Task{}, fmt.Errorf("codec: decode task: %w", err)
-	}
-	return t, nil
-}
-
-// encodeGob writes the legacy single-task gob frame (what Encode produced
-// before the flat format).
-func encodeGob(t Task) (string, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
-		return "", fmt.Errorf("codec: encode task for PE %q: %w", t.PE, err)
-	}
-	return buf.String(), nil
-}
-
-// encodeGobBatch writes the legacy batch frame (0x00 magic + gob of []Task);
-// like the old EncodeBatch, a one-task batch degrades to the single frame.
-func encodeGobBatch(ts []Task) (string, error) {
-	if len(ts) == 0 {
-		return "", fmt.Errorf("codec: encode empty batch")
-	}
-	if len(ts) == 1 {
-		return encodeGob(ts[0])
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(legacyBatchMagic)
-	if err := gob.NewEncoder(&buf).Encode(ts); err != nil {
-		return "", fmt.Errorf("codec: encode batch of %d tasks: %w", len(ts), err)
-	}
-	return buf.String(), nil
+	return off, types, false, nil
 }
 
 // --- primitive readers/writers over strings (no []byte conversions) ---

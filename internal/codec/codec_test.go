@@ -150,8 +150,8 @@ func TestBatchEdgeCases(t *testing.T) {
 	if _, err := DecodeBatch(""); err == nil {
 		t.Error("empty string must not decode")
 	}
-	if _, err := DecodeBatch(string([]byte{legacyBatchMagic}) + "garbage"); err == nil {
-		t.Error("garbage legacy batch frame must not decode")
+	if _, err := DecodeBatch("\x00garbage"); err == nil {
+		t.Error("a single-NUL (legacy gob batch) frame must not decode")
 	}
 	if _, err := DecodeBatch(string([]byte{flatMagic, flatMagic, flatVersion, 200}) + "x"); err == nil {
 		t.Error("flat frame with implausible count must not decode")

@@ -144,55 +144,19 @@ func TestFlatMaxSizeBatch(t *testing.T) {
 	}
 }
 
-// TestCrossVersionGobFramesDecode replays the exact frames the previous
-// codec wrote — bare gob single frames and 0x00-prefixed gob batch frames —
-// through the current Decode/DecodeBatch.
-func TestCrossVersionGobFramesDecode(t *testing.T) {
-	orig := Task{
-		PE: "getVOTable", Port: "in", Instance: 3,
-		Value: samplePayload{Name: "g1", Values: []float64{1.5, -2.25}},
-		Src:   0xdead_beef, Seq: 41, TraceAt: 123456789,
+// TestEncodeSteadyStateZeroAllocs is the allocation-regression gate: the
+// steady-state encode path — a reused buffer, inline-scalar or flat-struct
+// payloads, stamped identities — must not allocate at all.
+func TestEncodeSteadyStateZeroAllocs(t *testing.T) {
+	scalars := make([]Task, 16)
+	for i := range scalars {
+		scalars[i] = Task{PE: "sessionize", Port: "in", Value: "user-1234", Instance: -1, Src: uint64(i + 1), Seq: uint64(i), TraceAt: 0}
 	}
-	single, err := encodeGob(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(single)
-	if err != nil {
-		t.Fatalf("legacy single frame: %v", err)
-	}
-	if got.PE != orig.PE || got.Src != orig.Src || got.Seq != orig.Seq || got.TraceAt != orig.TraceAt {
-		t.Errorf("legacy single frame envelope: %+v", got)
-	}
-	if p, ok := got.Value.(samplePayload); !ok || p.Name != "g1" || p.Values[1] != -2.25 {
-		t.Errorf("legacy single frame payload: %#v", got.Value)
-	}
-	if ts, err := DecodeBatch(single); err != nil || len(ts) != 1 || ts[0].PE != orig.PE {
-		t.Errorf("legacy single frame via DecodeBatch: %v %+v", err, ts)
-	}
-
-	batch := []Task{orig, {PE: "agg", Instance: 0, Finalize: true}, {Poison: true}}
-	frame, err := encodeGobBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := DecodeBatch(frame)
-	if err != nil {
-		t.Fatalf("legacy batch frame: %v", err)
-	}
-	if len(ts) != 3 || ts[0].Src != orig.Src || !ts[1].Finalize || !ts[2].Poison {
-		t.Errorf("legacy batch frame: %+v", ts)
-	}
+	t.Run("scalar", func(t *testing.T) { encodeAllocatesNothing(t, scalars) })
+	t.Run("SessionEvent", func(t *testing.T) { encodeAllocatesNothing(t, sessionEventBatch(16)) })
 }
 
-// TestEncodeSteadyStateZeroAllocs is the allocation-regression gate: the
-// steady-state encode path — a reused buffer, inline-scalar payloads,
-// stamped identities — must not allocate at all.
-func TestEncodeSteadyStateZeroAllocs(t *testing.T) {
-	tasks := make([]Task, 16)
-	for i := range tasks {
-		tasks[i] = Task{PE: "sessionize", Port: "in", Value: "user-1234", Instance: -1, Src: uint64(i + 1), Seq: uint64(i), TraceAt: 0}
-	}
+func encodeAllocatesNothing(t *testing.T, tasks []Task) {
 	dst := make([]byte, 0, 8192)
 	var err error
 	if dst, err = AppendBatch(dst[:0], tasks); err != nil { // warm the capacity
@@ -226,8 +190,8 @@ func TestEncodeSteadyStateZeroAllocs(t *testing.T) {
 func FuzzDecodeBatch(f *testing.F) {
 	seed1, _ := Encode(Task{PE: "pe", Port: "in", Value: "v", Src: 1, Seq: 2})
 	seed2, _ := EncodeBatch([]Task{{PE: "a", Value: int64(1)}, {Poison: true}, {PE: "b", Value: samplePayload{Name: "x"}}})
-	seed3, _ := encodeGob(Task{PE: "legacy", Value: "old"})
-	seed4, _ := encodeGobBatch([]Task{{PE: "l1"}, {PE: "l2", Value: 3.5}})
+	seed3, _ := Encode(Task{PE: "flat", Value: flatEvent{User: "u1", Action: "view", Seq: 7}})
+	seed4, _ := EncodeBatch([]Task{{PE: "f1", Value: flatPoint{X: 1}}, {PE: "f2", Value: 3.5}, {PE: "f3", Value: flatEvent{User: "u2"}}})
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)

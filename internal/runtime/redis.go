@@ -336,7 +336,11 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 	}
 	buf := codec.GetBuffer()
 	defer buf.Release()
-	var run []Task
+	runCap := len(tasks)
+	if entryCap > 0 {
+		runCap = min(runCap, entryCap)
+	}
+	var run []Task // sized at the first pool task: a batch may hold none
 	flushRun := func() error {
 		if len(run) == 0 {
 			return nil
@@ -374,6 +378,9 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 			sc := get(nextPool())
 			sc.cmds = append(sc.cmds, []string{"XADD", t.keys.Queue, "*", taskField, string(b)})
 			continue
+		}
+		if run == nil {
+			run = make([]Task, 0, runCap)
 		}
 		run = append(run, task)
 		if entryCap > 0 && len(run) >= entryCap {
@@ -469,7 +476,11 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	// entry (XAUTOCLAIM bouncing it back to this worker) resets its
 	// bookkeeping — redelivery means full re-execution.
 	reg := t.frames[w]
-	envs := make([]Env, 0, len(entries))
+	total := 0
+	for _, e := range entries {
+		total += codec.FrameCount(e.Fields[taskField])
+	}
+	envs := make([]Env, 0, total)
 	for _, e := range entries {
 		tasks, err := codec.DecodeBatch(e.Fields[taskField])
 		if err != nil {

@@ -115,7 +115,7 @@ func MeasureProfile(g *graph.Graph, model CommModel, seed int64) (Profile, error
 	return prof, nil
 }
 
-// commCost estimates shipping one value. Values that do not gob-encode
+// commCost estimates shipping one value. Values the codec cannot encode
 // (unregistered concrete types are fine for in-process mappings) fall back
 // to the fixed cost.
 func commCost(model CommModel, value any) time.Duration {

@@ -221,7 +221,7 @@ func BenchmarkAblationHybridVsMulti(b *testing.B) {
 				g := sentiment.New(sentiment.Config{Articles: 40})
 				rep, err := m.Execute(g, mapping.Options{
 					Processes: sentiment.MinMultiProcesses, Platform: platform.Server,
-					Seed: 1, RedisAddr: srv.Addr(),
+					Seed: 1, RedisAddrs: []string{srv.Addr()},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -313,7 +313,7 @@ func BenchmarkAblationHybridAutoScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := sentiment.New(sentiment.Config{Articles: 40})
 				rep, err := m.Execute(g, mapping.Options{
-					Processes: 14, Platform: platform.Server, Seed: 1, RedisAddr: srv.Addr(),
+					Processes: 14, Platform: platform.Server, Seed: 1, RedisAddrs: []string{srv.Addr()},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -343,7 +343,7 @@ func BenchmarkAblationRedisCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := galaxy.New(galaxy.Config{Galaxies: 20})
 				rep, err := m.Execute(g, mapping.Options{
-					Processes: 8, Platform: platform.Server, Seed: 1, RedisAddr: srv.Addr(),
+					Processes: 8, Platform: platform.Server, Seed: 1, RedisAddrs: []string{srv.Addr()},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -378,7 +378,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			g := galaxy.New(galaxy.Config{Galaxies: 20})
 			rep, err := m.Execute(g, mapping.Options{
 				Processes: 8, Platform: platform.Server, Seed: 1,
-				RedisAddr: srv.Addr(), Telemetry: reg, Diagnosis: diag,
+				RedisAddrs: []string{srv.Addr()}, Telemetry: reg, Diagnosis: diag,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -557,14 +557,14 @@ func BenchmarkStateFieldVsManaged(b *testing.B) {
 	b.Run("managed-redis/dyn_redis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := baseOpts()
-			opts.RedisAddr = srv.Addr()
+			opts.RedisAddrs = []string{srv.Addr()}
 			run(b, "dyn_redis", benchKeyedGraph(items, true), opts)
 		}
 	})
 	b.Run("managed-redis/hybrid_redis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := baseOpts()
-			opts.RedisAddr = srv.Addr()
+			opts.RedisAddrs = []string{srv.Addr()}
 			run(b, "hybrid_redis", benchKeyedGraph(items, true), opts)
 		}
 	})

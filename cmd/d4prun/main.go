@@ -48,7 +48,7 @@ func main() {
 		stations     = flag.Int("stations", 50, "seismic station count")
 		articles     = flag.Int("articles", 120, "sentiment article count")
 		managed      = flag.Bool("managed", false, "sentiment: declare managed state (required for the dynamic Redis mappings)")
-		redisAddr    = flag.String("redis", "", "external Redis address(es), comma-separated in shard ring order (empty = embedded mini-Redis)")
+		redisAddr    = flag.String("redis", "", "external miniredisd address(es), comma-separated in shard ring order (empty = embedded servers)")
 		shards       = flag.Int("shards", 0, "embedded Redis shard count for the Redis mappings (0/1 = single server; ignored with -redis)")
 		staging      = flag.Bool("staging", false, "apply the static staging optimization before mapping")
 		dot          = flag.Bool("dot", false, "print the abstract workflow in Graphviz dot format and exit")
@@ -139,9 +139,7 @@ func run(workflowName, mappingName string, processes int, platformName string, s
 	if redisAddr != "" {
 		// A comma-separated -redis list is the external form of a shard ring;
 		// a single address keeps the classic one-server data plane.
-		addrs := strings.Split(redisAddr, ",")
-		opts.RedisAddr = addrs[0]
-		opts.RedisAddrs = addrs
+		opts.RedisAddrs = strings.Split(redisAddr, ",")
 	} else if strings.Contains(mappingName, "redis") {
 		n := shards
 		if n <= 0 {
@@ -156,7 +154,6 @@ func run(workflowName, mappingName string, processes int, platformName string, s
 			defer srv.Close()
 			addrs[i] = srv.Addr()
 		}
-		opts.RedisAddr = addrs[0]
 		opts.RedisAddrs = addrs
 		fmt.Printf("embedded mini-redis shards at %s\n", strings.Join(addrs, ", "))
 	}

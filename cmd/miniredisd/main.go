@@ -1,6 +1,8 @@
-// Command miniredisd runs the embedded Redis-compatible server standalone,
-// for poking at it with any RESP client or for hosting the Redis mappings
-// out-of-process.
+// Command miniredisd runs the engine's data-plane server (internal/miniredis)
+// standalone, for hosting the Redis mappings out-of-process or inspecting a
+// run's streams and state hashes. It serves the commands the engine issues
+// plus a handful of inspection commands (see the miniredis package comment),
+// not the Redis command set.
 //
 // Usage:
 //

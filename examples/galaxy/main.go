@@ -39,7 +39,7 @@ func main() {
 		for _, procs := range []int{4, 8, 16} {
 			opts := mapping.Options{Processes: procs, Platform: platform.Server, Seed: 42}
 			if strings.Contains(tech, "redis") {
-				opts.RedisAddr = srv.Addr()
+				opts.RedisAddrs = []string{srv.Addr()}
 			}
 			g := galaxy.New(galaxy.Config{Galaxies: 60})
 			rep, err := m.Execute(g, opts)

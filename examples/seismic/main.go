@@ -73,10 +73,10 @@ func main() {
 		log.Fatal(err)
 	}
 	rep2, err := hm.Execute(g2, mapping.Options{
-		Processes: 8,
-		Platform:  platform.Server,
-		Seed:      3,
-		RedisAddr: srv.Addr(),
+		Processes:  8,
+		Platform:   platform.Server,
+		Seed:       3,
+		RedisAddrs: []string{srv.Addr()},
 	})
 	if err != nil {
 		log.Fatal(err)

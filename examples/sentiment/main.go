@@ -44,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts := mapping.Options{Processes: procs, Platform: platform.Server, Seed: 7, RedisAddr: srv.Addr()}
+		opts := mapping.Options{Processes: procs, Platform: platform.Server, Seed: 7, RedisAddrs: []string{srv.Addr()}}
 		rep, err := m.Execute(g, opts)
 		if err != nil {
 			log.Fatalf("%s: %v", mappingName, err)

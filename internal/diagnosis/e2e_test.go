@@ -79,12 +79,12 @@ func TestDiagnosisNamesSlowPEOnDynRedis(t *testing.T) {
 	reg := telemetry.New(telemetry.Config{TraceSampleEvery: 1})
 	diag := diagnosis.New(diagnosis.Config{})
 	opts := mapping.Options{
-		Processes: 4,
-		Platform:  platform.Platform{Name: "test", Cores: 4},
-		Seed:      7,
-		RedisAddr: srv.Addr(),
-		Telemetry: reg,
-		Diagnosis: diag,
+		Processes:  4,
+		Platform:   platform.Platform{Name: "test", Cores: 4},
+		Seed:       7,
+		RedisAddrs: []string{srv.Addr()},
+		Telemetry:  reg,
+		Diagnosis:  diag,
 		// Flights at a few-ms cadence so the straggler scan has material.
 		TelemetryEvery: 3 * time.Millisecond,
 	}
@@ -195,12 +195,12 @@ func TestDiagnosisEndpoints(t *testing.T) {
 	var delivered atomic.Int64
 	m, _ := mapping.Get("dyn_redis")
 	opts := mapping.Options{
-		Processes: 4,
-		Platform:  platform.Platform{Name: "test", Cores: 4},
-		Seed:      7,
-		RedisAddr: srv.Addr(),
-		Telemetry: reg,
-		Diagnosis: diag,
+		Processes:  4,
+		Platform:   platform.Platform{Name: "test", Cores: 4},
+		Seed:       7,
+		RedisAddrs: []string{srv.Addr()},
+		Telemetry:  reg,
+		Diagnosis:  diag,
 	}
 	if _, err := m.Execute(slowPipeGraph(40, time.Millisecond, &delivered), opts); err != nil {
 		t.Fatal(err)

@@ -37,11 +37,6 @@ const (
 	// reply-lost window: the server has executed the command, the client
 	// cannot know — exactly what fenced retryable commands must survive.
 	ProbeConnRead = "conn-read"
-	// ProbeAfterRecord fires in the state fence's generic two-operation
-	// fallback between recording the applied-ledger entry and applying the
-	// mutation. On backends with atomic compound mutations this window does
-	// not exist and the probe is never reached.
-	ProbeAfterRecord = "after-record-before-apply"
 	// ProbeMidFinalFlush fires in the worker between running a Final hook and
 	// flushing its buffered emissions. With the fenced atomic flush, a kill
 	// here loses nothing: the task gate is recorded with the push, so the

@@ -8,7 +8,7 @@ import (
 
 func TestUnarmedProbesAreFree(t *testing.T) {
 	Disarm()
-	if err := Fire(ProbeAfterRecord); err != nil {
+	if err := Fire(ProbeMidFinalFlush); err != nil {
 		t.Fatalf("unarmed probe fired: %v", err)
 	}
 	if err := FireCmd(ProbeConnRead, "GET"); err != nil {

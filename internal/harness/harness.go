@@ -108,14 +108,6 @@ func (r *Runner) redisAddrs() ([]string, error) {
 	return addrs, nil
 }
 
-// setRedis wires the shard addresses into a run's options: RedisAddrs
-// carries the ring, RedisAddr keeps the first shard for anything still
-// reading the single-server field.
-func setRedis(opts *mapping.Options, addrs []string) {
-	opts.RedisAddr = addrs[0]
-	opts.RedisAddrs = addrs
-}
-
 // needsRedis reports whether a technique runs against Redis.
 func needsRedis(technique string) bool {
 	return strings.Contains(technique, "redis")
@@ -163,7 +155,7 @@ func (r *Runner) RunExperiment(e Experiment) ([]metrics.Series, error) {
 					if err != nil {
 						return nil, fmt.Errorf("harness %s: start redis: %w", e.ID, err)
 					}
-					setRedis(&opts, addrs)
+					opts.RedisAddrs = addrs
 				}
 				if e.Configure != nil {
 					e.Configure(&opts)
@@ -241,7 +233,7 @@ func (r *Runner) RunTrace(e TraceExperiment) (*autoscale.Trace, metrics.Report, 
 		if err != nil {
 			return nil, metrics.Report{}, err
 		}
-		setRedis(&opts, addrs)
+		opts.RedisAddrs = addrs
 	}
 	rep, err := m.Execute(e.MakeGraph(), opts)
 	if err != nil {

@@ -269,7 +269,7 @@ func (r *Runner) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopPoint, error) {
 		if err != nil {
 			return OpenLoopPoint{}, fmt.Errorf("openloop: start redis: %w", err)
 		}
-		setRedis(&opts, addrs)
+		opts.RedisAddrs = addrs
 	}
 	if _, err := m.Execute(g, opts); err != nil {
 		return OpenLoopPoint{}, fmt.Errorf("openloop %s %s @%.0f/s: %w", cfg.Workload, cfg.Mapping, cfg.Rate, err)

@@ -90,7 +90,7 @@ func TestQuickAllMappingsAgreeOnRandomPipelines(t *testing.T) {
 		// process per instance.
 		opts := testOpts(8)
 		if name == "dyn_redis" || name == "hybrid_redis" {
-			opts.RedisAddr = srv.Addr()
+			opts.RedisAddrs = []string{srv.Addr()}
 		}
 		if _, err := m.Execute(g, opts); err != nil {
 			return nil, err
@@ -238,7 +238,7 @@ func TestKeyedStateConformanceAcrossMappings(t *testing.T) {
 		opts := testOpts(procs)
 		switch name {
 		case "dyn_redis", "dyn_auto_redis", "hybrid_redis", "hybrid_auto_redis":
-			opts.RedisAddr = srv.Addr()
+			opts.RedisAddrs = []string{srv.Addr()}
 		}
 		if _, err := m.Execute(g, opts); err != nil {
 			return nil, err

@@ -48,14 +48,12 @@ type Options struct {
 	Platform platform.Platform
 	// Seed drives all deterministic randomness in the run.
 	Seed int64
-	// RedisAddr is the server address for Redis-backed mappings.
-	RedisAddr string
-	// RedisAddrs lists the shard servers of a sharded Redis data plane, in
-	// ring order (the order is part of the placement: shard i's ring arc is
-	// derived from its index). Empty falls back to the single RedisAddr.
-	// The Redis planners route the task stream, state namespaces, fence
-	// ledgers and telemetry gauges across these shards through one shared
-	// redisclient.Cluster.
+	// RedisAddrs lists the servers of the Redis data plane for Redis-backed
+	// mappings — one address for a single server, several for a sharded
+	// plane, in ring order (the order is part of the placement: shard i's
+	// ring arc is derived from its index). The Redis planners route the task
+	// stream, state namespaces, fence ledgers and telemetry gauges across
+	// these shards through one shared redisclient.Cluster.
 	RedisAddrs []string
 	// StateCoalesce group-commits unfenced AddInt state ops per shard: all
 	// increments concurrently in flight across workers merge into one
@@ -126,7 +124,7 @@ type Options struct {
 	StateCheckpointEvery int
 	// EmitBatch buffers up to this many emitted tasks per worker and hands
 	// them to the transport in one batched push: Redis transports pipeline
-	// the XADD/RPUSH commands into a single round trip, in-process
+	// the XADD commands into a single round trip, in-process
 	// transports pay one synchronization cost per batch. 1 disables
 	// batching; 0 picks the mapping's default (AutoBatch on the Redis
 	// mappings, unbatched elsewhere); AutoBatch sizes the window adaptively.
@@ -135,8 +133,8 @@ type Options struct {
 	EmitBatch int
 	// PullBatch caps how many tasks a worker takes from the transport per
 	// consume round trip, holding the surplus in a worker-local prefetch
-	// buffer: the Redis transport reads XREADGROUP COUNT n (LPOP count on
-	// private lists), the in-process queue dequeues the window under one
+	// buffer: the Redis transport reads XREADGROUP COUNT n (pool and private
+	// streams alike), the in-process queue dequeues the window under one
 	// lock hold. Acknowledgements are batched symmetrically — one pipelined
 	// release per pulled batch, flushed before the buffer refills — and
 	// prefetched tasks stay pending until acknowledged, so the coordinator's
@@ -194,19 +192,10 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// ShardAddrs resolves the Redis data-plane addresses: RedisAddrs when set,
-// else the single RedisAddr (nil when neither is configured). Every layer
-// that dials Redis goes through this, so a run cannot end up with its
-// transport and state backend on different shard sets.
-func (o Options) ShardAddrs() []string {
-	if len(o.RedisAddrs) > 0 {
-		return o.RedisAddrs
-	}
-	if o.RedisAddr != "" {
-		return []string{o.RedisAddr}
-	}
-	return nil
-}
+// ShardAddrs is the Redis data-plane address list (nil when none is
+// configured). Every layer that dials Redis goes through this, so a run
+// cannot end up with its transport and state backend on different shard sets.
+func (o Options) ShardAddrs() []string { return o.RedisAddrs }
 
 // ResolveBatching fills zero-valued batch knobs with a mapping's defaults
 // (planners call it before handing options to the runtime), leaving explicit

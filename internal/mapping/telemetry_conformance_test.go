@@ -68,7 +68,7 @@ func TestTelemetryConformanceAcrossMappings(t *testing.T) {
 			opts := testOpts(tc.procs)
 			opts.Telemetry = reg
 			if strings.Contains(tc.name, "redis") {
-				opts.RedisAddr = srv.Addr()
+				opts.RedisAddrs = []string{srv.Addr()}
 			}
 			if _, err := m.Execute(g, opts); err != nil {
 				t.Fatal(err)

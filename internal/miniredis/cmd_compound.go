@@ -106,7 +106,6 @@ func cmdFenceApply(s *Server, args []string) resp.Value {
 	switch op {
 	case "SET":
 		e.hash[field] = args[4]
-		s.notifyKey(hashKey)
 		return resp.Arr(resp.Int(1), resp.Nil)
 	case "DEL":
 		delete(e.hash, field)
@@ -114,7 +113,6 @@ func cmdFenceApply(s *Server, args []string) resp.Value {
 	default: // INCR
 		cur += delta
 		e.hash[field] = strconv.FormatInt(cur, 10)
-		s.notifyKey(hashKey)
 		return resp.Arr(resp.Int(1), resp.Int(cur))
 	}
 }
@@ -199,18 +197,18 @@ func cmdFenceXAck(s *Server, args []string) resp.Value {
 
 // sinkCmd is one validated SINKAPPEND subcommand.
 type sinkCmd struct {
-	op    string // XADD | RPUSH | INCRBY
+	op    string // XADD | INCRBY
 	key   string
-	args  []string // XADD fields / RPUSH values
+	args  []string // XADD fields
 	delta int64    // INCRBY
 }
 
 // cmdSinkAppend is the fenced transactional append: record the applied-ledger
 // field in the state hash and enqueue a whole output batch — pending-counter
-// increment, stream entries, private-list pushes — as one atomic step. A
-// duplicate (ledger already recorded) applies nothing and replies 0. The
-// whole block is validated, including key types, before any mutation, so a
-// bad request cannot leave a half-applied batch.
+// increment and stream entries — as one atomic step. A duplicate (ledger
+// already recorded) applies nothing and replies 0. The whole block is
+// validated, including key types and stream ID headroom, before any mutation,
+// so a bad request cannot leave a half-applied batch.
 func cmdSinkAppend(s *Server, args []string) resp.Value {
 	ledgerKey, ledgerField := args[0], args[1]
 	ncmds, err := strconv.Atoi(args[2])
@@ -242,18 +240,16 @@ func cmdSinkAppend(s *Server, args []string) resp.Value {
 			if n < 5 || argv[2] != "*" || (n-3)%2 != 0 {
 				return resp.Err("ERR SINKAPPEND malformed XADD")
 			}
-			if _, lerr := s.db.lookupKind(argv[1], kindStream, now); lerr != nil {
+			e, lerr := s.db.lookupKind(argv[1], kindStream, now)
+			if lerr != nil {
 				return errValue(lerr)
+			}
+			// IDs can only run out in the last representable millisecond;
+			// there, refuse unless every command in the block could take one.
+			if e != nil && e.stream.lastID.Ms == maxStreamID.Ms && maxStreamID.Seq-e.stream.lastID.Seq < uint64(ncmds) {
+				return errValue(errStreamExhausted)
 			}
 			cmds = append(cmds, sinkCmd{op: op, key: argv[1], args: argv[3:]})
-		case "RPUSH":
-			if n < 3 {
-				return resp.Err("ERR SINKAPPEND malformed RPUSH")
-			}
-			if _, lerr := s.db.lookupKind(argv[1], kindList, now); lerr != nil {
-				return errValue(lerr)
-			}
-			cmds = append(cmds, sinkCmd{op: op, key: argv[1], args: argv[2:]})
 		case "INCRBY":
 			if n != 3 {
 				return resp.Err("ERR SINKAPPEND malformed INCRBY")
@@ -297,11 +293,11 @@ func cmdSinkAppend(s *Server, args []string) resp.Value {
 		case "XADD":
 			se, _ := s.db.streamFor(c.key, true, now)
 			st := se.stream
-			st.add(st.nextAutoID(now), append([]string(nil), c.args...))
-			s.notifyKey(c.key)
-		case "RPUSH":
-			le, _ := s.db.listFor(c.key, now)
-			le.list = append(le.list, c.args...)
+			id, ierr := st.nextAutoID(now)
+			if ierr != nil {
+				return errValue(ierr) // unreachable after validation; defensive
+			}
+			st.add(id, append([]string(nil), c.args...))
 			s.notifyKey(c.key)
 		default: // INCRBY
 			if v := addToString(s, c.key, c.delta); v.Type == resp.Error {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"path"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/resp"
@@ -13,25 +11,14 @@ import (
 
 func init() {
 	register("PING", 0, 1, cmdPing)
-	register("ECHO", 1, 1, cmdEcho)
-	register("SELECT", 1, 1, func(s *Server, args []string) resp.Value { return resp.OK })
-	register("CLIENT", 1, -1, func(s *Server, args []string) resp.Value { return resp.OK })
-	register("CONFIG", 1, -1, cmdConfig)
 	register("FLUSHALL", 0, 1, cmdFlushAll)
-	register("FLUSHDB", 0, 1, cmdFlushAll)
 	register("DBSIZE", 0, 0, cmdDBSize)
 	register("DEL", 1, -1, cmdDel)
-	register("UNLINK", 1, -1, cmdDel)
 	register("EXISTS", 1, -1, cmdExists)
 	register("TYPE", 1, 1, cmdType)
 	register("KEYS", 1, 1, cmdKeys)
-	register("EXPIRE", 2, 2, cmdExpire)
-	register("PEXPIRE", 2, 2, cmdPExpire)
 	register("TTL", 1, 1, cmdTTL)
-	register("PTTL", 1, 1, cmdPTTL)
-	register("PERSIST", 1, 1, cmdPersist)
 	register("INFO", 0, -1, cmdInfo)
-	register("TIME", 0, 0, cmdTime)
 }
 
 func cmdPing(s *Server, args []string) resp.Value {
@@ -39,16 +26,6 @@ func cmdPing(s *Server, args []string) resp.Value {
 		return resp.Str(args[0])
 	}
 	return resp.Pong
-}
-
-func cmdEcho(s *Server, args []string) resp.Value { return resp.Str(args[0]) }
-
-func cmdConfig(s *Server, args []string) resp.Value {
-	if strings.EqualFold(args[0], "GET") {
-		// Return an empty map-style array: we have no exposed config.
-		return resp.Arr()
-	}
-	return resp.OK
 }
 
 func cmdFlushAll(s *Server, args []string) resp.Value {
@@ -117,61 +94,17 @@ func cmdKeys(s *Server, args []string) resp.Value {
 	return resp.StrArray(keys...)
 }
 
-func cmdExpire(s *Server, args []string) resp.Value {
-	secs, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return resp.Err("ERR value is not an integer or out of range")
-	}
-	return expireIn(s, args[0], time.Duration(secs)*time.Second)
-}
-
-func cmdPExpire(s *Server, args []string) resp.Value {
-	ms, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return resp.Err("ERR value is not an integer or out of range")
-	}
-	return expireIn(s, args[0], time.Duration(ms)*time.Millisecond)
-}
-
-func expireIn(s *Server, key string, d time.Duration) resp.Value {
-	e := s.db.lookup(key, time.Now())
-	if e == nil {
-		return resp.Int(0)
-	}
-	if d <= 0 {
-		delete(s.db.keys, key)
-	} else {
-		e.expireAt = time.Now().Add(d)
-	}
-	return resp.Int(1)
-}
-
+// cmdTTL reports a key's remaining life in seconds: -2 when the key is
+// missing, -1 when it never expires (only SET EX/PX gives a key a TTL).
 func cmdTTL(s *Server, args []string) resp.Value {
-	return ttlValue(s, args[0], time.Second)
-}
-
-func cmdPTTL(s *Server, args []string) resp.Value {
-	return ttlValue(s, args[0], time.Millisecond)
-}
-
-func ttlValue(s *Server, key string, unit time.Duration) resp.Value {
-	e := s.db.lookup(key, time.Now())
+	e := s.db.lookup(args[0], time.Now())
 	if e == nil {
 		return resp.Int(-2)
 	}
 	if e.expireAt.IsZero() {
 		return resp.Int(-1)
 	}
-	return resp.Int(int64(time.Until(e.expireAt) / unit))
-}
-
-func cmdPersist(s *Server, args []string) resp.Value {
-	e := s.db.lookup(args[0], time.Now())
-	if e == nil || e.expireAt.IsZero() {
-		return resp.Int(0)
-	}
-	e.expireAt = time.Time{}
-	return resp.Int(1)
+	return resp.Int(int64(time.Until(e.expireAt) / time.Second))
 }
 
 func cmdInfo(s *Server, args []string) resp.Value {
@@ -179,12 +112,4 @@ func cmdInfo(s *Server, args []string) resp.Value {
 		"# Stats\r\ntotal_commands_processed:%d\r\n# Keyspace\r\ndb0:keys=%d\r\n",
 		s.commands.Load(), len(s.db.keys))
 	return resp.Str(body)
-}
-
-func cmdTime(s *Server, args []string) resp.Value {
-	now := time.Now()
-	return resp.StrArray(
-		strconv.FormatInt(now.Unix(), 10),
-		strconv.FormatInt(int64(now.Nanosecond())/1000, 10),
-	)
 }

@@ -14,18 +14,14 @@ func init() {
 	register("XADD", 4, -1, cmdXAdd)
 	register("XLEN", 1, 1, cmdXLen)
 	register("XRANGE", 3, 5, cmdXRange)
-	register("XREVRANGE", 3, 5, cmdXRevRange)
-	register("XREAD", 3, -1, cmdXRead)
-	register("XGROUP", 2, -1, cmdXGroup)
+	register("XGROUP", 4, 5, cmdXGroup)
 	register("XREADGROUP", 6, -1, cmdXReadGroup)
 	register("XACK", 3, -1, cmdXAck)
 	register("XPENDING", 2, -1, cmdXPending)
 	register("XCLAIM", 5, -1, cmdXClaim)
 	register("XAUTOCLAIM", 4, -1, cmdXAutoClaim)
-	register("XDEL", 2, -1, cmdXDel)
 	register("XTRIM", 3, 4, cmdXTrim)
-	register("XINFO", 2, 3, cmdXInfo)
-	register("XSETID", 2, 2, cmdXSetID)
+	register("XINFO", 3, 3, cmdXInfo)
 }
 
 var errNoGroup = func(key, group string) resp.Value {
@@ -57,6 +53,45 @@ func (d *db) streamFor(key string, create bool, now time.Time) (*entry, error) {
 	e = &entry{kind: kindStream, stream: newStream()}
 	d.keys[key] = e
 	return e, nil
+}
+
+// errAddIDTooSmall is Redis's reply to an XADD ID at or below the top item.
+var errAddIDTooSmall = fmt.Errorf("ERR The ID specified in XADD is equal or smaller than the target stream top item")
+
+// addID resolves XADD's ID argument against the stream's top item: "*" takes
+// the next automatic ID, "ms-*" the next sequence within ms, and an explicit
+// "ms" or "ms-seq" must lie strictly above the top item. Whatever it returns
+// is greater than lastID, which is what keeps entries sorted for searchIdx.
+func (s *stream) addID(arg string, now time.Time) (StreamID, error) {
+	if arg == "*" {
+		return s.nextAutoID(now)
+	}
+	if msStr, ok := strings.CutSuffix(arg, "-*"); ok {
+		ms, err := strconv.ParseUint(msStr, 10, 64)
+		if err != nil {
+			return StreamID{}, errInvalidStreamID
+		}
+		switch {
+		case ms < s.lastID.Ms:
+			return StreamID{}, errAddIDTooSmall
+		case ms > s.lastID.Ms:
+			return StreamID{Ms: ms, Seq: 0}, nil
+		case s.lastID.Seq == ^uint64(0):
+			return StreamID{}, errStreamExhausted
+		}
+		return StreamID{Ms: ms, Seq: s.lastID.Seq + 1}, nil
+	}
+	id, err := parseStreamID(arg, 0)
+	if err != nil {
+		return StreamID{}, err
+	}
+	if id.IsZero() {
+		return StreamID{}, fmt.Errorf("ERR The ID specified in XADD must be greater than 0-0")
+	}
+	if !s.lastID.Less(id) {
+		return StreamID{}, errAddIDTooSmall
+	}
+	return id, nil
 }
 
 func cmdXAdd(s *Server, args []string) resp.Value {
@@ -108,31 +143,9 @@ idArg:
 	}
 	st := e.stream
 
-	var id StreamID
-	switch {
-	case idArgStr == "*":
-		id = st.nextAutoID(now)
-	case strings.HasSuffix(idArgStr, "-*"):
-		ms, perr := strconv.ParseUint(strings.TrimSuffix(idArgStr, "-*"), 10, 64)
-		if perr != nil {
-			return resp.Err("ERR Invalid stream ID specified as stream command argument")
-		}
-		if ms < st.lastID.Ms {
-			return resp.Err("ERR The ID specified in XADD is equal or smaller than the target stream top item")
-		}
-		if ms == st.lastID.Ms {
-			id = StreamID{Ms: ms, Seq: st.lastID.Seq + 1}
-		} else {
-			id = StreamID{Ms: ms, Seq: 0}
-		}
-	default:
-		id, err = parseStreamID(idArgStr, 0)
-		if err != nil {
-			return errValue(err)
-		}
-		if !st.lastID.Less(id) {
-			return resp.Err("ERR The ID specified in XADD is equal or smaller than the target stream top item")
-		}
+	id, err := st.addID(idArgStr, now)
+	if err != nil {
+		return errValue(err)
 	}
 	st.add(id, append([]string(nil), fields...))
 	if maxLen >= 0 {
@@ -153,7 +166,7 @@ func cmdXLen(s *Server, args []string) resp.Value {
 	return resp.Int(int64(len(e.stream.entries)))
 }
 
-func xrange(s *Server, args []string, reverse bool) resp.Value {
+func cmdXRange(s *Server, args []string) resp.Value {
 	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
 	if err != nil {
 		return errValue(err)
@@ -170,38 +183,28 @@ func xrange(s *Server, args []string, reverse bool) resp.Value {
 	} else if len(args) == 4 {
 		return resp.Err("ERR syntax error")
 	}
-	loStr, hiStr := args[1], args[2]
-	if reverse {
-		loStr, hiStr = hiStr, loStr
-	}
 	// Exclusive bounds "(id" supported for completeness.
-	lo, hi, err := parseRangeBounds(loStr, hiStr)
+	lo, hi, err := parseRangeBounds(args[1], args[2])
 	if err != nil {
 		return errValue(err)
 	}
 	if e == nil {
 		return resp.Arr()
 	}
-	entries := e.stream.rangeEntries(lo, hi, 0)
-	if reverse {
-		for i, j := 0, len(entries)-1; i < j; i, j = i+1, j-1 {
-			entries[i], entries[j] = entries[j], entries[i]
-		}
-	}
-	if count > 0 && len(entries) > count {
-		entries = entries[:count]
-	}
-	return entriesValue(entries)
+	return entriesValue(e.stream.rangeEntries(lo, hi, count))
 }
 
+// parseRangeBounds parses an inclusive [lo, hi] ID interval as XRANGE and
+// XPENDING spell it: "-" and "+" are the smallest and largest ID, a bare "ms"
+// covers the whole millisecond, and a "(" prefix excludes the bound.
 func parseRangeBounds(loStr, hiStr string) (StreamID, StreamID, error) {
 	loExcl := strings.HasPrefix(loStr, "(")
 	hiExcl := strings.HasPrefix(hiStr, "(")
-	lo, err := parseStreamID(strings.TrimPrefix(loStr, "("), 0)
+	lo, err := parseRangeID(strings.TrimPrefix(loStr, "("), 0)
 	if err != nil {
 		return StreamID{}, StreamID{}, err
 	}
-	hi, err := parseStreamID(strings.TrimPrefix(hiStr, "("), ^uint64(0))
+	hi, err := parseRangeID(strings.TrimPrefix(hiStr, "("), ^uint64(0))
 	if err != nil {
 		return StreamID{}, StreamID{}, err
 	}
@@ -221,8 +224,16 @@ func parseRangeBounds(loStr, hiStr string) (StreamID, StreamID, error) {
 	return lo, hi, nil
 }
 
-func cmdXRange(s *Server, args []string) resp.Value    { return xrange(s, args, false) }
-func cmdXRevRange(s *Server, args []string) resp.Value { return xrange(s, args, true) }
+// parseRangeID is parseStreamID plus the two range sentinels.
+func parseRangeID(s string, seqDefault uint64) (StreamID, error) {
+	switch s {
+	case "-":
+		return StreamID{}, nil
+	case "+":
+		return maxStreamID, nil
+	}
+	return parseStreamID(s, seqDefault)
+}
 
 // parseStreamsClause parses the trailing "STREAMS key... id..." section.
 func parseStreamsClause(args []string, i int) (keys, ids []string, err error) {
@@ -237,195 +248,37 @@ func parseStreamsClause(args []string, i int) (keys, ids []string, err error) {
 	return rest[:half], rest[half:], nil
 }
 
-func cmdXRead(s *Server, args []string) resp.Value {
-	count := 0
-	blockMs := int64(-1)
-	i := 0
-	for i < len(args) {
-		switch strings.ToUpper(args[i]) {
-		case "COUNT":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			n, err := strconv.Atoi(args[i+1])
-			if err != nil {
-				return resp.Err("ERR value is not an integer or out of range")
-			}
-			count = n
-			i += 2
-		case "BLOCK":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			n, err := strconv.ParseInt(args[i+1], 10, 64)
-			if err != nil || n < 0 {
-				return resp.Err("ERR timeout is not an integer or out of range")
-			}
-			blockMs = n
-			i += 2
-		default:
-			goto streams
-		}
+// cmdXGroup serves XGROUP CREATE key group id|$ [MKSTREAM], the one
+// subcommand the transport issues.
+func cmdXGroup(s *Server, args []string) resp.Value {
+	if !strings.EqualFold(args[0], "CREATE") {
+		return resp.Errf("ERR Unknown XGROUP subcommand or wrong number of arguments for '%s'", args[0])
 	}
-streams:
-	keys, idStrs, err := parseStreamsClause(args, i)
+	key, groupName, idStr := args[1], args[2], args[3]
+	mkstream := len(args) >= 5 && strings.EqualFold(args[4], "MKSTREAM")
+	e, err := s.db.streamFor(key, mkstream, time.Now())
 	if err != nil {
 		return errValue(err)
 	}
-	now := time.Now()
-	from := make([]StreamID, len(keys))
-	for j, idStr := range idStrs {
-		if idStr == "$" {
-			e, lerr := s.db.lookupKind(keys[j], kindStream, now)
-			if lerr != nil {
-				return errValue(lerr)
-			}
-			if e != nil {
-				from[j] = e.stream.lastID
-			}
-			continue
-		}
-		from[j], err = parseStreamID(idStr, 0)
-		if err != nil {
-			return errValue(err)
+	if e == nil {
+		return resp.Err("ERR The XGROUP subcommand requires the key to exist. Note that for CREATE you may want to use the MKSTREAM option to create an empty stream automatically.")
+	}
+	st := e.stream
+	if _, dup := st.groups[groupName]; dup {
+		return resp.Err("BUSYGROUP Consumer Group name already exists")
+	}
+	var last StreamID
+	if idStr == "$" {
+		last = st.lastID
+	} else {
+		var perr error
+		last, perr = parseStreamID(idStr, 0)
+		if perr != nil {
+			return errValue(perr)
 		}
 	}
-
-	var deadline time.Time
-	if blockMs > 0 {
-		deadline = time.Now().Add(time.Duration(blockMs) * time.Millisecond)
-	}
-	for {
-		var out []resp.Value
-		for j, key := range keys {
-			e, lerr := s.db.lookupKind(key, kindStream, time.Now())
-			if lerr != nil {
-				return errValue(lerr)
-			}
-			if e == nil {
-				continue
-			}
-			entries := e.stream.rangeEntries(from[j].Next(), maxStreamID, count)
-			if len(entries) > 0 {
-				out = append(out, resp.Arr(resp.Str(key), entriesValue(entries)))
-			}
-		}
-		if len(out) > 0 {
-			return resp.Arr(out...)
-		}
-		if blockMs < 0 {
-			return resp.NilArray()
-		}
-		if !s.awaitKeys(keys, deadline) {
-			return resp.NilArray()
-		}
-	}
-}
-
-func cmdXGroup(s *Server, args []string) resp.Value {
-	sub := strings.ToUpper(args[0])
-	now := time.Now()
-	switch sub {
-	case "CREATE":
-		if len(args) < 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		key, groupName, idStr := args[1], args[2], args[3]
-		mkstream := len(args) >= 5 && strings.EqualFold(args[4], "MKSTREAM")
-		e, err := s.db.streamFor(key, mkstream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Err("ERR The XGROUP subcommand requires the key to exist. Note that for CREATE you may want to use the MKSTREAM option to create an empty stream automatically.")
-		}
-		st := e.stream
-		if _, dup := st.groups[groupName]; dup {
-			return resp.Err("BUSYGROUP Consumer Group name already exists")
-		}
-		var last StreamID
-		if idStr == "$" {
-			last = st.lastID
-		} else {
-			var perr error
-			last, perr = parseStreamID(idStr, 0)
-			if perr != nil {
-				return errValue(perr)
-			}
-		}
-		st.groups[groupName] = newGroup(last)
-		return resp.OK
-	case "DESTROY":
-		if len(args) != 3 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		e, err := s.db.lookupKind(args[1], kindStream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Int(0)
-		}
-		if _, ok := e.stream.groups[args[2]]; !ok {
-			return resp.Int(0)
-		}
-		delete(e.stream.groups, args[2])
-		return resp.Int(1)
-	case "CREATECONSUMER":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		if _, exists := g.consumers[args[3]]; exists {
-			return resp.Int(0)
-		}
-		g.consumerNamed(args[3], now)
-		return resp.Int(1)
-	case "DELCONSUMER":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		c, exists := g.consumers[args[3]]
-		if !exists {
-			return resp.Int(0)
-		}
-		n := int64(len(c.pending))
-		for id := range c.pending {
-			delete(g.pending, id)
-		}
-		delete(g.consumers, args[3])
-		return resp.Int(n)
-	case "SETID":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		var last StreamID
-		if args[3] == "$" {
-			e, _ := s.db.lookupKind(args[1], kindStream, now)
-			last = e.stream.lastID
-		} else {
-			var perr error
-			last, perr = parseStreamID(args[3], 0)
-			if perr != nil {
-				return errValue(perr)
-			}
-		}
-		g.lastDelivered = last
-		return resp.OK
-	default:
-		return resp.Errf("ERR Unknown XGROUP subcommand or wrong number of arguments for '%s'", args[0])
-	}
+	st.groups[groupName] = newGroup(last)
+	return resp.OK
 }
 
 // lookupGroup finds a stream consumer group or returns the appropriate error
@@ -548,7 +401,6 @@ streams:
 			c.activeTime = now
 			for _, se := range entries {
 				g.lastDelivered = se.id
-				g.entriesRead++
 				if !noack {
 					g.pending[se.id] = &pendingEntry{
 						consumer:      consumerName,
@@ -839,25 +691,6 @@ func cmdXAutoClaim(s *Server, args []string) resp.Value {
 	return resp.Arr(resp.Str(cursor), resp.Arr(claimed...), resp.Arr(deletedIDs...))
 }
 
-func cmdXDel(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	ids := make([]StreamID, 0, len(args)-1)
-	for _, idStr := range args[1:] {
-		id, perr := parseStreamID(idStr, 0)
-		if perr != nil {
-			return errValue(perr)
-		}
-		ids = append(ids, id)
-	}
-	return resp.Int(e.stream.delete(ids))
-}
-
 func cmdXTrim(s *Server, args []string) resp.Value {
 	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
 	if err != nil {
@@ -884,98 +717,31 @@ func cmdXTrim(s *Server, args []string) resp.Value {
 	return resp.Int(e.stream.trimMaxLen(n))
 }
 
+// cmdXInfo serves XINFO CONSUMERS key group, the one subcommand the
+// dyn_auto_redis idle monitor issues.
 func cmdXInfo(s *Server, args []string) resp.Value {
-	now := time.Now()
-	sub := strings.ToUpper(args[0])
-	switch sub {
-	case "STREAM":
-		if len(args) != 2 {
-			return resp.Err("ERR wrong number of arguments for 'xinfo' command")
-		}
-		e, err := s.db.lookupKind(args[1], kindStream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Err("ERR no such key")
-		}
-		st := e.stream
-		return resp.Arr(
-			resp.Str("length"), resp.Int(int64(len(st.entries))),
-			resp.Str("last-generated-id"), resp.Str(st.lastID.String()),
-			resp.Str("max-deleted-entry-id"), resp.Str(st.maxDeleted.String()),
-			resp.Str("entries-added"), resp.Int(st.added),
-			resp.Str("groups"), resp.Int(int64(len(st.groups))),
-		)
-	case "GROUPS":
-		if len(args) != 2 {
-			return resp.Err("ERR wrong number of arguments for 'xinfo' command")
-		}
-		e, err := s.db.lookupKind(args[1], kindStream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Err("ERR no such key")
-		}
-		names := make([]string, 0, len(e.stream.groups))
-		for name := range e.stream.groups {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		rows := make([]resp.Value, len(names))
-		for i, name := range names {
-			g := e.stream.groups[name]
-			rows[i] = resp.Arr(
-				resp.Str("name"), resp.Str(name),
-				resp.Str("consumers"), resp.Int(int64(len(g.consumers))),
-				resp.Str("pending"), resp.Int(int64(len(g.pending))),
-				resp.Str("last-delivered-id"), resp.Str(g.lastDelivered.String()),
-				resp.Str("entries-read"), resp.Int(g.entriesRead),
-			)
-		}
-		return resp.Arr(rows...)
-	case "CONSUMERS":
-		if len(args) != 3 {
-			return resp.Err("ERR wrong number of arguments for 'xinfo' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		names := make([]string, 0, len(g.consumers))
-		for name := range g.consumers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		rows := make([]resp.Value, len(names))
-		for i, name := range names {
-			c := g.consumers[name]
-			rows[i] = resp.Arr(
-				resp.Str("name"), resp.Str(name),
-				resp.Str("pending"), resp.Int(int64(len(c.pending))),
-				resp.Str("idle"), resp.Int(int64(now.Sub(c.seenTime)/time.Millisecond)),
-				resp.Str("inactive"), resp.Int(int64(now.Sub(c.activeTime)/time.Millisecond)),
-			)
-		}
-		return resp.Arr(rows...)
-	default:
+	if !strings.EqualFold(args[0], "CONSUMERS") {
 		return resp.Errf("ERR Unknown XINFO subcommand or wrong number of arguments for '%s'", args[0])
 	}
-}
-
-func cmdXSetID(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
-	if err != nil {
-		return errValue(err)
+	now := time.Now()
+	g, errv := lookupGroup(s, args[1], args[2], now)
+	if errv != nil {
+		return *errv
 	}
-	if e == nil {
-		return resp.Err("ERR The XSETID command requires the key to exist.")
+	names := make([]string, 0, len(g.consumers))
+	for name := range g.consumers {
+		names = append(names, name)
 	}
-	id, perr := parseStreamID(args[1], 0)
-	if perr != nil {
-		return errValue(perr)
+	sort.Strings(names)
+	rows := make([]resp.Value, len(names))
+	for i, name := range names {
+		c := g.consumers[name]
+		rows[i] = resp.Arr(
+			resp.Str("name"), resp.Str(name),
+			resp.Str("pending"), resp.Int(int64(len(c.pending))),
+			resp.Str("idle"), resp.Int(int64(now.Sub(c.seenTime)/time.Millisecond)),
+			resp.Str("inactive"), resp.Int(int64(now.Sub(c.activeTime)/time.Millisecond)),
+		)
 	}
-	e.stream.lastID = id
-	return resp.OK
+	return resp.Arr(rows...)
 }

@@ -10,17 +10,8 @@ import (
 
 func init() {
 	register("SET", 2, -1, cmdSet)
-	register("SETNX", 2, 2, cmdSetNX)
 	register("GET", 1, 1, cmdGet)
-	register("GETSET", 2, 2, cmdGetSet)
-	register("APPEND", 2, 2, cmdAppend)
-	register("STRLEN", 1, 1, cmdStrLen)
-	register("INCR", 1, 1, cmdIncr)
-	register("DECR", 1, 1, cmdDecr)
 	register("INCRBY", 2, 2, cmdIncrBy)
-	register("DECRBY", 2, 2, cmdDecrBy)
-	register("MSET", 2, -1, cmdMSet)
-	register("MGET", 1, -1, cmdMGet)
 }
 
 // setString stores a string value, preserving nothing from prior entries.
@@ -68,17 +59,7 @@ func cmdSet(s *Server, args []string) resp.Value {
 	if ttl > 0 {
 		s.db.keys[key].expireAt = now.Add(ttl)
 	}
-	s.notifyKey(key)
 	return resp.OK
-}
-
-func cmdSetNX(s *Server, args []string) resp.Value {
-	if s.db.lookup(args[0], time.Now()) != nil {
-		return resp.Int(0)
-	}
-	s.db.setString(args[0], args[1])
-	s.notifyKey(args[0])
-	return resp.Int(1)
 }
 
 func cmdGet(s *Server, args []string) resp.Value {
@@ -90,44 +71,6 @@ func cmdGet(s *Server, args []string) resp.Value {
 		return resp.Nil
 	}
 	return resp.Str(e.str)
-}
-
-func cmdGetSet(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindString, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	old := resp.Nil
-	if e != nil {
-		old = resp.Str(e.str)
-	}
-	s.db.setString(args[0], args[1])
-	s.notifyKey(args[0])
-	return old
-}
-
-func cmdAppend(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindString, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		s.db.setString(args[0], args[1])
-		return resp.Int(int64(len(args[1])))
-	}
-	e.str += args[1]
-	return resp.Int(int64(len(e.str)))
-}
-
-func cmdStrLen(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindString, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	return resp.Int(int64(len(e.str)))
 }
 
 func addToString(s *Server, key string, delta int64) resp.Value {
@@ -147,46 +90,10 @@ func addToString(s *Server, key string, delta int64) resp.Value {
 	return resp.Int(cur)
 }
 
-func cmdIncr(s *Server, args []string) resp.Value { return addToString(s, args[0], 1) }
-func cmdDecr(s *Server, args []string) resp.Value { return addToString(s, args[0], -1) }
-
 func cmdIncrBy(s *Server, args []string) resp.Value {
 	n, err := strconv.ParseInt(args[1], 10, 64)
 	if err != nil {
 		return resp.Err("ERR value is not an integer or out of range")
 	}
 	return addToString(s, args[0], n)
-}
-
-func cmdDecrBy(s *Server, args []string) resp.Value {
-	n, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return resp.Err("ERR value is not an integer or out of range")
-	}
-	return addToString(s, args[0], -n)
-}
-
-func cmdMSet(s *Server, args []string) resp.Value {
-	if len(args)%2 != 0 {
-		return resp.Err("ERR wrong number of arguments for 'mset' command")
-	}
-	for i := 0; i < len(args); i += 2 {
-		s.db.setString(args[i], args[i+1])
-		s.notifyKey(args[i])
-	}
-	return resp.OK
-}
-
-func cmdMGet(s *Server, args []string) resp.Value {
-	now := time.Now()
-	out := make([]resp.Value, len(args))
-	for i, key := range args {
-		e := s.db.lookup(key, now)
-		if e == nil || e.kind != kindString {
-			out[i] = resp.Nil
-		} else {
-			out[i] = resp.Str(e.str)
-		}
-	}
-	return resp.Arr(out...)
 }

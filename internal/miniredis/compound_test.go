@@ -165,8 +165,8 @@ func TestFenceXAckNoGroup(t *testing.T) {
 	}
 }
 
-// TestSinkAppend: a whole output batch (counter increment, stream entries,
-// list pushes) lands atomically behind one ledger gate, and a duplicate
+// TestSinkAppend: a whole output batch (counter increment, pool and private
+// stream entries) lands atomically behind one ledger gate, and a duplicate
 // applies none of it.
 func TestSinkAppend(t *testing.T) {
 	_, cl := newPair(t)
@@ -175,7 +175,7 @@ func TestSinkAppend(t *testing.T) {
 		{"INCRBY", "pending", "2"},
 		{"XADD", "q", "*", "task", "payload-1"},
 		{"XADD", "q", "*", "task", "payload-2"},
-		{"RPUSH", "priv", "frame-a", "frame-b"},
+		{"XADD", "priv", "*", "task", "frame-a"},
 	}
 	applied, err := cl.SinkAppend("st", "gate:1", batch)
 	if err != nil || !applied {
@@ -187,8 +187,8 @@ func TestSinkAppend(t *testing.T) {
 	if n, _ := cl.XLen("q"); n != 2 {
 		t.Fatalf("stream len=%d want 2", n)
 	}
-	if n, _ := cl.LLen("priv"); n != 2 {
-		t.Fatalf("list len=%d want 2", n)
+	if n, _ := cl.XLen("priv"); n != 1 {
+		t.Fatalf("private stream len=%d want 1", n)
 	}
 
 	applied, err = cl.SinkAppend("st", "gate:1", batch)
@@ -233,18 +233,18 @@ func TestSinkAppendValidateAllThenApply(t *testing.T) {
 	}
 
 	// Type conflicts are caught during validation too.
-	if _, err := cl.RPush("q", "now-a-list"); err != nil {
+	if err := cl.Set("q", "now-a-string"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.SinkAppend("st", "gate", [][]string{{"XADD", "q", "*", "f", "v"}}); !errors.As(err, &se) {
-		t.Fatalf("XADD onto list: %v", err)
+		t.Fatalf("XADD onto string: %v", err)
 	}
 	// Explicit IDs are rejected: only the auto-ID form the transport emits.
 	if _, err := cl.SinkAppend("st", "gate", [][]string{{"XADD", "q2", "1-1", "f", "v"}}); !errors.As(err, &se) {
 		t.Fatalf("explicit-ID XADD: %v", err)
 	}
 	// Malformed framing (bad argv count) is rejected.
-	if _, err := cl.Do("SINKAPPEND", "st", "gate", "1", "5", "RPUSH", "k", "v"); !errors.As(err, &se) {
+	if _, err := cl.Do("SINKAPPEND", "st", "gate", "1", "5", "INCRBY", "k", "1"); !errors.As(err, &se) {
 		t.Fatalf("bad framing: %v", err)
 	}
 	if _, ok, _ := cl.HGet("st", "gate"); ok {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/miniredis"
+	"repro/internal/redisclient"
 )
 
 // rawConn dials the server directly, bypassing the client library, to test
@@ -52,10 +53,10 @@ func TestInlinePing(t *testing.T) {
 
 func TestPipelinedBurst(t *testing.T) {
 	conn, r := rawConn(t)
-	// Send 50 INCRs in one write; replies must come back in order.
+	// Send 50 INCRBYs in one write; replies must come back in order.
 	var sb strings.Builder
 	for i := 0; i < 50; i++ {
-		sb.WriteString("*2\r\n$4\r\nINCR\r\n$1\r\nn\r\n")
+		sb.WriteString("*3\r\n$6\r\nINCRBY\r\n$1\r\nn\r\n$1\r\n1\r\n")
 	}
 	if _, err := conn.Write([]byte(sb.String())); err != nil {
 		t.Fatal(err)
@@ -143,8 +144,14 @@ func TestServerCloseUnblocksBlockedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Block on an empty list with no timeout, then close the server.
-	if _, err := conn.Write([]byte("*3\r\n$5\r\nBLPOP\r\n$1\r\nq\r\n$1\r\n0\r\n")); err != nil {
+	// Block on an empty stream with no timeout, then close the server.
+	cl := redisclient.Dial(srv.Addr())
+	defer cl.Close()
+	if err := cl.XGroupCreate("q", "g", "$"); err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("XREADGROUP GROUP g w BLOCK 0 STREAMS q >\r\n")); err != nil {
 		srv.Close()
 		t.Fatal(err)
 	}

@@ -38,14 +38,15 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Server is an in-memory Redis-compatible server.
+// Server is the in-memory data-plane server (see the package comment for
+// the command table it serves).
 type Server struct {
 	opts Options
 	ln   net.Listener
 
 	mu    sync.Mutex
 	db    *db
-	watch map[string][]chan struct{} // key write notification channels
+	watch map[string][]chan struct{} // stream key -> blocked XREADGROUP wake-up channels
 
 	connMu sync.Mutex
 	active map[net.Conn]struct{}
@@ -192,7 +193,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// notifyKey wakes every waiter blocked on key. Callers must hold s.mu.
+// notifyKey wakes every XREADGROUP blocked on stream key. Only writes that
+// can satisfy such a read call it: XADD, SINKAPPEND's XADD arm, and FLUSHALL
+// (so a blocked reader re-evaluates against the emptied keyspace). Callers
+// must hold s.mu.
 func (s *Server) notifyKey(key string) {
 	chans := s.watch[key]
 	if len(chans) == 0 {
@@ -204,10 +208,10 @@ func (s *Server) notifyKey(key string) {
 	delete(s.watch, key)
 }
 
-// awaitKeys blocks until one of keys is written, the timeout elapses (zero
-// timeout means wait forever), or the server closes. It must be called with
-// s.mu held; it releases the lock while waiting and reacquires before
-// returning. The return value is false on timeout/closure.
+// awaitKeys blocks until one of the stream keys is appended to, the timeout
+// elapses (zero timeout means wait forever), or the server closes. It must be
+// called with s.mu held; it releases the lock while waiting and reacquires
+// before returning. The return value is false on timeout/closure.
 func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
 	ch := make(chan struct{})
 	for _, k := range keys {

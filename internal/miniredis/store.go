@@ -1,15 +1,30 @@
-// Package miniredis implements an in-memory Redis server speaking RESP2 over
-// TCP. It exists because the paper's dyn_redis / dyn_auto_redis /
-// hybrid_redis mappings require a Redis 5+ server with Streams and consumer
-// groups, and this reproduction must be self-contained (stdlib only).
+// Package miniredis is this system's data plane: an in-memory server speaking
+// RESP2 over TCP whose command table is exactly the traffic the workflow
+// engine, the benchmark and a debugging session send it. It is not a Redis
+// clone. The paper's dyn_redis / dyn_auto_redis / hybrid_redis mappings need
+// streams with consumer groups and a keyed-state store, nothing more, and the
+// reproduction must be self-contained (stdlib only) — so a command stays in
+// the table only while something issues it, and TestCommandSurface pins the
+// table and redisclient.Retryable to the list below.
 //
-// The implemented command surface covers strings, lists (including blocking
-// pops), hashes, sets, key management with lazy expiry, and streams with
-// consumer groups (XADD, XREADGROUP, XACK, XPENDING, XCLAIM, XAUTOCLAIM,
-// XINFO, ...). Semantics follow the Redis documentation closely enough that
-// generic RESP tooling can talk to the server, but exotic options outside the
-// needs of the workflow engine are rejected with clear errors rather than
-// silently misbehaving.
+// Issued by the engine (transport, state backend, fence, monitor):
+//
+//	PING FLUSHALL                                 connectivity, reset
+//	GET SET(NX/PX) INCRBY DEL                     pending counter, update locks, checkpoints
+//	HSET HGET HGETALL HDEL HKEYS HLEN HINCRBY     namespace state hashes
+//	XADD XLEN XGROUP(CREATE) XREADGROUP XACK      task streams and their groups
+//	XPENDING XINFO(CONSUMERS) XCLAIM XAUTOCLAIM   leases, idle monitor, recovery
+//	FENCEAPPLY FENCEXACK SINKAPPEND               fenced transactions (cmd_compound.go)
+//
+// Issued by benchmark/: DBSIZE KEYS (leak checks after a run).
+//
+// Inspection a debugging session needs: EXISTS TYPE TTL INFO XRANGE.
+//
+// The seat bounded streams build on (ROADMAP item 6): XTRIM and XADD MAXLEN.
+//
+// QUIT is answered outside the table. Where a command exists its replies and
+// errors follow the Redis documentation, so the client needs no dialect; any
+// other command gets "ERR unknown command".
 package miniredis
 
 import (
@@ -25,9 +40,7 @@ type keyKind uint8
 
 const (
 	kindString keyKind = iota
-	kindList
 	kindHash
-	kindSet
 	kindStream
 )
 
@@ -35,12 +48,8 @@ func (k keyKind) String() string {
 	switch k {
 	case kindString:
 		return "string"
-	case kindList:
-		return "list"
 	case kindHash:
 		return "hash"
-	case kindSet:
-		return "set"
 	case kindStream:
 		return "stream"
 	default:
@@ -52,9 +61,7 @@ func (k keyKind) String() string {
 type entry struct {
 	kind     keyKind
 	str      string
-	list     []string
 	hash     map[string]string
-	set      map[string]struct{}
 	stream   *stream
 	expireAt time.Time // zero means no TTL
 }
@@ -63,8 +70,7 @@ func (e *entry) expired(now time.Time) bool {
 	return !e.expireAt.IsZero() && now.After(e.expireAt)
 }
 
-// db is a single keyspace. The server owns exactly one (SELECT is accepted
-// and ignored, like many embedded Redis stand-ins).
+// db is a single keyspace. The server owns exactly one.
 type db struct {
 	keys map[string]*entry
 }
@@ -135,16 +141,14 @@ func (id StreamID) Next() StreamID {
 // maxStreamID is the largest representable ID ("+" in range queries).
 var maxStreamID = StreamID{Ms: ^uint64(0), Seq: ^uint64(0)}
 
-// parseStreamID parses "ms", "ms-seq", "-", "+" forms. When seqDefault is
-// what an absent sequence part should default to (0 for range starts, max
-// for range ends).
+// errInvalidStreamID is Redis's reply to an ID argument it cannot parse.
+var errInvalidStreamID = fmt.Errorf("ERR Invalid stream ID specified as stream command argument")
+
+// parseStreamID parses the "ms" and "ms-seq" forms; seqDefault is what an
+// absent sequence part defaults to (0 for range starts, max for range ends).
+// The range sentinels "-" and "+" are not IDs: parseRangeBounds resolves
+// them, every other argument position rejects them.
 func parseStreamID(s string, seqDefault uint64) (StreamID, error) {
-	switch s {
-	case "-":
-		return StreamID{}, nil
-	case "+":
-		return maxStreamID, nil
-	}
 	ms := s
 	seq := seqDefault
 	if i := strings.IndexByte(s, '-'); i >= 0 {
@@ -152,12 +156,12 @@ func parseStreamID(s string, seqDefault uint64) (StreamID, error) {
 		var err error
 		seq, err = strconv.ParseUint(s[i+1:], 10, 64)
 		if err != nil {
-			return StreamID{}, fmt.Errorf("ERR Invalid stream ID specified as stream command argument")
+			return StreamID{}, errInvalidStreamID
 		}
 	}
 	msv, err := strconv.ParseUint(ms, 10, 64)
 	if err != nil {
-		return StreamID{}, fmt.Errorf("ERR Invalid stream ID specified as stream command argument")
+		return StreamID{}, errInvalidStreamID
 	}
 	return StreamID{Ms: msv, Seq: seq}, nil
 }
@@ -188,7 +192,6 @@ type group struct {
 	lastDelivered StreamID
 	pending       map[StreamID]*pendingEntry
 	consumers     map[string]*consumer
-	entriesRead   int64
 }
 
 func newGroup(last StreamID) *group {
@@ -225,11 +228,9 @@ func (g *group) sortedPending(onlyConsumer string) []StreamID {
 
 // stream is the stream datatype: an append-only log plus consumer groups.
 type stream struct {
-	entries    []streamEntry // ascending by id
-	lastID     StreamID
-	maxDeleted StreamID
-	added      int64 // entries-added counter (survives XDEL/XTRIM)
-	groups     map[string]*group
+	entries []streamEntry // ascending by id
+	lastID  StreamID
+	groups  map[string]*group
 }
 
 func newStream() *stream {
@@ -240,16 +241,22 @@ func newStream() *stream {
 func (s *stream) add(id StreamID, fields []string) {
 	s.entries = append(s.entries, streamEntry{id: id, fields: fields})
 	s.lastID = id
-	s.added++
 }
 
-// nextAutoID computes the ID "*"" would allocate at wall time now.
-func (s *stream) nextAutoID(now time.Time) StreamID {
-	ms := uint64(now.UnixMilli())
-	if ms > s.lastID.Ms {
-		return StreamID{Ms: ms, Seq: 0}
+// errStreamExhausted is the reply once a stream's top item holds the largest
+// representable ID: nothing can be appended above it.
+var errStreamExhausted = fmt.Errorf("ERR The stream has exhausted the last possible ID, unable to add more items")
+
+// nextAutoID computes the ID "*" would allocate at wall time now: a fresh
+// millisecond starts at sequence 0, otherwise the successor of the top item.
+func (s *stream) nextAutoID(now time.Time) (StreamID, error) {
+	if ms := uint64(now.UnixMilli()); ms > s.lastID.Ms {
+		return StreamID{Ms: ms, Seq: 0}, nil
 	}
-	return StreamID{Ms: s.lastID.Ms, Seq: s.lastID.Seq + 1}
+	if s.lastID == maxStreamID {
+		return StreamID{}, errStreamExhausted
+	}
+	return s.lastID.Next(), nil
 }
 
 // searchIdx returns the index of the first entry with id >= want.
@@ -284,33 +291,12 @@ func (s *stream) rangeEntries(from, to StreamID, count int) []streamEntry {
 	return out
 }
 
-// delete removes ids that exist, returning how many were removed.
-func (s *stream) delete(ids []StreamID) int64 {
-	var removed int64
-	for _, id := range ids {
-		i := s.searchIdx(id)
-		if i < len(s.entries) && s.entries[i].id == id {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			if s.maxDeleted.Less(id) {
-				s.maxDeleted = id
-			}
-			removed++
-		}
-	}
-	return removed
-}
-
 // trimMaxLen keeps only the newest max entries, returning evicted count.
 func (s *stream) trimMaxLen(max int64) int64 {
 	if int64(len(s.entries)) <= max {
 		return 0
 	}
 	cut := int64(len(s.entries)) - max
-	for _, e := range s.entries[:cut] {
-		if s.maxDeleted.Less(e.id) {
-			s.maxDeleted = e.id
-		}
-	}
 	s.entries = append([]streamEntry(nil), s.entries[cut:]...)
 	return cut
 }

@@ -41,8 +41,8 @@ func TestParseStreamID(t *testing.T) {
 		{"5-3", 0, StreamID{Ms: 5, Seq: 3}, false},
 		{"5", 0, StreamID{Ms: 5, Seq: 0}, false},
 		{"5", 9, StreamID{Ms: 5, Seq: 9}, false},
-		{"-", 0, StreamID{}, false},
-		{"+", 0, maxStreamID, false},
+		{"-", 0, StreamID{}, true}, // range sentinels are not IDs
+		{"+", 0, StreamID{}, true},
 		{"x-1", 0, StreamID{}, true},
 		{"1-x", 0, StreamID{}, true},
 		{"", 0, StreamID{}, true},
@@ -75,7 +75,7 @@ func TestStreamAddAndRange(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		s.add(StreamID{Ms: i}, []string{"k", "v"})
 	}
-	if s.lastID != (StreamID{Ms: 5}) || s.added != 5 {
+	if s.lastID != (StreamID{Ms: 5}) || len(s.entries) != 5 {
 		t.Errorf("stream meta: %+v", s)
 	}
 	got := s.rangeEntries(StreamID{Ms: 2}, StreamID{Ms: 4}, 0)
@@ -94,23 +94,16 @@ func TestStreamAddAndRange(t *testing.T) {
 	}
 }
 
-func TestStreamDeleteAndTrim(t *testing.T) {
+func TestStreamTrim(t *testing.T) {
 	s := newStream()
-	for i := uint64(1); i <= 6; i++ {
+	for i := uint64(1); i <= 5; i++ {
 		s.add(StreamID{Ms: i}, nil)
-	}
-	removed := s.delete([]StreamID{{Ms: 2}, {Ms: 99}})
-	if removed != 1 || len(s.entries) != 5 {
-		t.Errorf("delete: %d, %d entries", removed, len(s.entries))
-	}
-	if s.maxDeleted != (StreamID{Ms: 2}) {
-		t.Errorf("maxDeleted: %v", s.maxDeleted)
 	}
 	evicted := s.trimMaxLen(2)
 	if evicted != 3 || len(s.entries) != 2 {
 		t.Errorf("trim: %d, %d entries", evicted, len(s.entries))
 	}
-	if s.entries[0].id.Ms != 5 {
+	if s.entries[0].id.Ms != 4 {
 		t.Errorf("trim kept wrong entries: %+v", s.entries)
 	}
 	if s.trimMaxLen(10) != 0 {
@@ -121,18 +114,18 @@ func TestStreamDeleteAndTrim(t *testing.T) {
 func TestNextAutoIDMonotonic(t *testing.T) {
 	s := newStream()
 	now := time.Now()
-	id1 := s.nextAutoID(now)
+	id1, _ := s.nextAutoID(now)
 	s.add(id1, nil)
-	id2 := s.nextAutoID(now)
-	if !id1.Less(id2) {
+	id2, err := s.nextAutoID(now)
+	if err != nil || !id1.Less(id2) {
 		t.Errorf("auto IDs not increasing: %v then %v", id1, id2)
 	}
 	// A stream with a future lastID keeps sequencing after it.
 	s2 := newStream()
 	s2.add(StreamID{Ms: ^uint64(0) - 1, Seq: 3}, nil)
-	id3 := s2.nextAutoID(now)
-	if !s2.lastID.Less(id3) {
-		t.Errorf("auto ID after future lastID: %v", id3)
+	id3, err := s2.nextAutoID(now)
+	if err != nil || !s2.lastID.Less(id3) {
+		t.Errorf("auto ID after future lastID: %v %v", id3, err)
 	}
 }
 
@@ -175,10 +168,10 @@ func TestDBLazyExpiry(t *testing.T) {
 func TestLookupKindMismatch(t *testing.T) {
 	d := newDB()
 	d.setString("k", "v")
-	if _, err := d.lookupKind("k", kindList, time.Now()); err == nil {
+	if _, err := d.lookupKind("k", kindHash, time.Now()); err == nil {
 		t.Error("wrong type must error")
 	}
-	e, err := d.lookupKind("missing", kindList, time.Now())
+	e, err := d.lookupKind("missing", kindHash, time.Now())
 	if e != nil || err != nil {
 		t.Error("missing key should be nil, nil")
 	}
@@ -186,34 +179,11 @@ func TestLookupKindMismatch(t *testing.T) {
 
 func TestKeyKindString(t *testing.T) {
 	names := map[keyKind]string{
-		kindString: "string", kindList: "list", kindHash: "hash",
-		kindSet: "set", kindStream: "stream",
+		kindString: "string", kindHash: "hash", kindStream: "stream",
 	}
 	for k, want := range names {
 		if k.String() != want {
 			t.Errorf("%v → %q", k, k.String())
-		}
-	}
-}
-
-func TestClampRange(t *testing.T) {
-	cases := []struct {
-		start, stop, n int
-		i, j           int
-		ok             bool
-	}{
-		{0, -1, 5, 0, 4, true},
-		{1, 3, 5, 1, 3, true},
-		{-2, -1, 5, 3, 4, true},
-		{3, 1, 5, 0, 0, false},
-		{9, 12, 5, 0, 0, false},
-		{0, 99, 5, 0, 4, true},
-	}
-	for _, tc := range cases {
-		i, j, ok := clampRange(tc.start, tc.stop, tc.n)
-		if ok != tc.ok || (ok && (i != tc.i || j != tc.j)) {
-			t.Errorf("clampRange(%d,%d,%d) = %d,%d,%v want %d,%d,%v",
-				tc.start, tc.stop, tc.n, i, j, ok, tc.i, tc.j, tc.ok)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package redisclient is a minimal Redis client used by the Redis-backed
 // workflow mappings. It implements a connection pool over RESP2 plus typed
-// helpers for exactly the command surface the engine needs (lists, streams
-// with consumer groups, hashes, counters). It works against any RESP2 server;
-// in this repository it talks to internal/miniredis.
+// helpers for exactly the command surface the engine needs (streams with
+// consumer groups, hashes, counters, the fenced compounds). A typed helper
+// exists only while something outside this package calls it; the server it
+// talks to, internal/miniredis, serves the same set.
 package redisclient
 
 import (
@@ -44,8 +45,8 @@ type Client struct {
 	// proxies use to interpose on connection establishment.
 	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
 	// CmdTimeout bounds each command round trip with a connection deadline
-	// (blocking commands add their block duration on top; a block-forever
-	// command runs without a deadline). Zero disables deadlines.
+	// (a blocking read adds its block duration on top). Zero disables
+	// deadlines.
 	CmdTimeout time.Duration
 	// Retries is how many times a failed *retry-safe* command (see Retryable)
 	// is re-sent after a transient failure. Zero disables retries.
@@ -151,13 +152,12 @@ func (c *Client) putConn(cn *conn, broken bool) {
 // ServerError. Retry-safe commands (see Retryable) are transparently retried
 // with exponential backoff on transient failures.
 func (c *Client) Do(argv ...string) (resp.Value, error) {
-	return c.do(0, false, argv)
+	return c.do(0, argv)
 }
 
 // do is the shared command path. blockFor extends the per-command deadline
-// for blocking commands; noDeadline disables the deadline entirely (a
-// block-forever command must be allowed to outwait CmdTimeout).
-func (c *Client) do(blockFor time.Duration, noDeadline bool, argv []string) (resp.Value, error) {
+// for a blocking read.
+func (c *Client) do(blockFor time.Duration, argv []string) (resp.Value, error) {
 	if blockFor < 0 {
 		blockFor = 0
 	}
@@ -173,7 +173,7 @@ func (c *Client) do(blockFor time.Duration, noDeadline bool, argv []string) (res
 			time.Sleep(backoff(c.RetryBackoff, c.RetryMaxBackoff, a))
 		}
 		c.statRoundTrips.Add(1)
-		v, err = c.doOnce(blockFor, noDeadline, argv)
+		v, err = c.doOnce(blockFor, argv)
 		if err == nil || !retryableError(err) {
 			break
 		}
@@ -185,7 +185,7 @@ func (c *Client) do(blockFor time.Duration, noDeadline bool, argv []string) (res
 }
 
 // doOnce performs one command round trip on one pooled connection.
-func (c *Client) doOnce(blockFor time.Duration, noDeadline bool, argv []string) (resp.Value, error) {
+func (c *Client) doOnce(blockFor time.Duration, argv []string) (resp.Value, error) {
 	if err := faultinject.FireCmd(faultinject.ProbeConnWrite, argv[0]); err != nil {
 		return resp.Value{}, err
 	}
@@ -193,7 +193,7 @@ func (c *Client) doOnce(blockFor time.Duration, noDeadline bool, argv []string) 
 	if err != nil {
 		return resp.Value{}, err
 	}
-	hasDeadline := c.CmdTimeout > 0 && !noDeadline
+	hasDeadline := c.CmdTimeout > 0
 	if hasDeadline {
 		_ = cn.nc.SetDeadline(time.Now().Add(c.CmdTimeout + blockFor))
 	}
@@ -354,78 +354,7 @@ func (c *Client) FlushAll() error {
 	return err
 }
 
-// --- Lists -----------------------------------------------------------------
-
-// RPush appends values to a list, returning the new length.
-func (c *Client) RPush(key string, values ...string) (int64, error) {
-	return c.DoInt(append([]string{"RPUSH", key}, values...)...)
-}
-
-// LPush prepends values to a list, returning the new length.
-func (c *Client) LPush(key string, values ...string) (int64, error) {
-	return c.DoInt(append([]string{"LPUSH", key}, values...)...)
-}
-
-// LLen returns the list length.
-func (c *Client) LLen(key string) (int64, error) { return c.DoInt("LLEN", key) }
-
-// LPop pops from the head; ok=false when the list is empty.
-func (c *Client) LPop(key string) (string, bool, error) {
-	return c.DoString("LPOP", key)
-}
-
-// LPopCount pops up to count elements from the head in one round trip
-// (LPOP key count); an empty or missing list returns a nil slice. It is the
-// non-blocking refill of the batched private-queue consume path.
-func (c *Client) LPopCount(key string, count int) ([]string, error) {
-	v, err := c.Do("LPOP", key, strconv.Itoa(count))
-	if err != nil {
-		return nil, err
-	}
-	if v.IsNull() {
-		return nil, nil
-	}
-	out := make([]string, 0, len(v.Array))
-	for _, e := range v.Array {
-		out = append(out, e.Str)
-	}
-	return out, nil
-}
-
-// BLPop blocks until one of keys has an element or the timeout elapses.
-// It returns the key and value; ok=false on timeout. A zero or negative
-// timeout blocks forever (matching Redis "0" semantics).
-func (c *Client) BLPop(timeout time.Duration, keys ...string) (key, value string, ok bool, err error) {
-	args := append([]string{"BLPOP"}, keys...)
-	args = append(args, formatSeconds(timeout))
-	v, err := c.do(timeout, timeout <= 0, args)
-	if err != nil {
-		return "", "", false, err
-	}
-	if v.IsNull() || len(v.Array) != 2 {
-		return "", "", false, nil
-	}
-	return v.Array[0].Str, v.Array[1].Str, true, nil
-}
-
-// formatSeconds renders a blocking timeout for the wire. Zero and negative
-// durations mean "block forever", which RESP spells "0" — formatting the raw
-// value would either send a negative float the server rejects or round a
-// sub-millisecond positive timeout to "0.000" and block forever by accident.
-func formatSeconds(d time.Duration) string {
-	if d <= 0 {
-		return "0"
-	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
-}
-
 // --- Counters / hashes -------------------------------------------------------
-
-// Incr increments a counter key.
-func (c *Client) Incr(key string) (int64, error) { return c.DoInt("INCR", key) }
 
 // IncrBy adds delta to a counter key.
 func (c *Client) IncrBy(key string, delta int64) (int64, error) {
@@ -527,18 +456,8 @@ type StreamMessages struct {
 	Entries []StreamEntry
 }
 
-// XAdd appends an entry with auto ID, returning the assigned ID.
-func (c *Client) XAdd(key string, fields map[string]string) (string, error) {
-	args := []string{"XADD", key, "*"}
-	for f, v := range fields {
-		args = append(args, f, v)
-	}
-	s, _, err := c.DoString(args...)
-	return s, err
-}
-
-// XAddValues appends an entry from alternating field/value pairs, preserving
-// order (map iteration order is randomized; the engine wants determinism).
+// XAddValues appends an entry with an automatic ID from alternating
+// field/value pairs, returning the assigned ID.
 func (c *Client) XAddValues(key string, fieldValues ...string) (string, error) {
 	args := append([]string{"XADD", key, "*"}, fieldValues...)
 	s, _, err := c.DoString(args...)
@@ -570,7 +489,7 @@ func (c *Client) XReadGroup(group, consumer string, count int, block time.Durati
 		args = append(args, "BLOCK", strconv.FormatInt(block.Milliseconds(), 10))
 	}
 	args = append(args, "STREAMS", key, ">")
-	v, err := c.do(block, false, args)
+	v, err := c.do(block, args)
 	if err != nil {
 		return nil, err
 	}
@@ -586,29 +505,6 @@ func (c *Client) XReadGroup(group, consumer string, count int, block time.Durati
 // XAck acknowledges processed entries, returning how many were pending.
 func (c *Client) XAck(key, group string, ids ...string) (int64, error) {
 	return c.DoInt(append([]string{"XACK", key, group}, ids...)...)
-}
-
-// XAckEach acknowledges every ID with its own XACK in one pipelined round
-// trip and returns the per-ID removal counts in order — the caller learns
-// which specific entries its acknowledgement actually removed, which a
-// multi-ID XACK's summed reply cannot tell it.
-func (c *Client) XAckEach(key, group string, ids []string) ([]int64, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	cmds := make([][]string, len(ids))
-	for i, id := range ids {
-		cmds[i] = []string{"XACK", key, group, id}
-	}
-	replies, err := c.Pipeline(cmds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(replies))
-	for i, r := range replies {
-		out[i] = r.Int
-	}
-	return out, nil
 }
 
 // PendingSummary is the XPENDING summary reply.

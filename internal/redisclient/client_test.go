@@ -80,12 +80,6 @@ func TestTypedHelpers(t *testing.T) {
 	if err != nil || all["f"] != "1" {
 		t.Fatalf("HGetAll: %v %v", all, err)
 	}
-	if _, err := cl.RPush("l", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := cl.LLen("l"); err != nil || n != 2 {
-		t.Fatalf("LLen: %d %v", n, err)
-	}
 	if err := cl.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +114,6 @@ func TestStreamHelpers(t *testing.T) {
 	}
 	if n, err := cl.XAck("st", "g", id); err != nil || n != 1 {
 		t.Fatalf("XAck: %d %v", n, err)
-	}
-	// XAdd from a map form.
-	if _, err := cl.XAdd("st", map[string]string{"k": "v"}); err != nil {
-		t.Fatal(err)
 	}
 	// XAutoClaim empty PEL is a no-op.
 	cursor, claimed, err := cl.XAutoClaim("st", "g", "c2", 0, "0-0", 10)
@@ -172,70 +162,6 @@ func TestXAckBatchedIDs(t *testing.T) {
 	}
 }
 
-func TestXAckEach(t *testing.T) {
-	// XAckEach tells the caller WHICH entries its ack removed — the fenced
-	// entry-range ack path maps each removal count onto that entry's packed
-	// task weight, so per-ID resolution is load-bearing.
-	cl := newPair(t)
-	if err := cl.XGroupCreate("st", "g", "0"); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		id, err := cl.XAddValues("st", "f", "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if _, err := cl.XReadGroup("g", "c1", 3, 0, "st"); err != nil {
-		t.Fatal(err)
-	}
-	// Pre-ack the middle entry so the per-ID replies are distinguishable.
-	if _, err := cl.XAck("st", "g", ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.XAckEach("st", "g", []string{ids[0], ids[1], ids[2], "99999-0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 0, 1, 0}
-	if len(got) != len(want) {
-		t.Fatalf("XAckEach replies: %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("XAckEach replies: %v, want %v", got, want)
-		}
-	}
-	if out, err := cl.XAckEach("st", "g", nil); err != nil || out != nil {
-		t.Fatalf("empty XAckEach: %v %v, want nil nil", out, err)
-	}
-}
-
-func TestLPopCount(t *testing.T) {
-	cl := newPair(t)
-	if _, err := cl.RPush("q", "a", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.LPopCount("q", 2)
-	if err != nil || len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("LPopCount(2): %v %v", got, err)
-	}
-	// Count past the remaining length drains the list.
-	got, err = cl.LPopCount("q", 10)
-	if err != nil || len(got) != 1 || got[0] != "c" {
-		t.Fatalf("LPopCount(10): %v %v", got, err)
-	}
-	// Empty and missing lists return nil, not an error.
-	if got, err := cl.LPopCount("q", 4); err != nil || len(got) != 0 {
-		t.Fatalf("LPopCount empty: %v %v", got, err)
-	}
-	if got, err := cl.LPopCount("nosuch", 4); err != nil || len(got) != 0 {
-		t.Fatalf("LPopCount missing: %v %v", got, err)
-	}
-}
-
 func TestConcurrentPoolUse(t *testing.T) {
 	cl := newPair(t)
 	var wg sync.WaitGroup
@@ -244,7 +170,7 @@ func TestConcurrentPoolUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := cl.Incr("n"); err != nil {
+				if _, err := cl.IncrBy("n", 1); err != nil {
 					t.Errorf("incr: %v", err)
 					return
 				}
@@ -255,20 +181,5 @@ func TestConcurrentPoolUse(t *testing.T) {
 	s, ok, err := cl.Get("n")
 	if err != nil || !ok || s != "250" {
 		t.Fatalf("final: %q %v %v", s, ok, err)
-	}
-}
-
-func TestBLPopAgainstServer(t *testing.T) {
-	cl := newPair(t)
-	if _, err := cl.RPush("q", "v"); err != nil {
-		t.Fatal(err)
-	}
-	key, val, ok, err := cl.BLPop(time.Second, "q")
-	if err != nil || !ok || key != "q" || val != "v" {
-		t.Fatalf("BLPop: %q %q %v %v", key, val, ok, err)
-	}
-	_, _, ok, err = cl.BLPop(50*time.Millisecond, "q")
-	if err != nil || ok {
-		t.Fatalf("BLPop timeout: %v %v", ok, err)
 	}
 }

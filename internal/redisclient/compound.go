@@ -79,7 +79,7 @@ func (c *Client) FenceXAck(stream, group, consumer, pendingKey string, direct in
 	return v.Array[0].Int, v.Array[1].Int, v.Array[2].Int, nil
 }
 
-// SinkAppend runs a whitelisted command batch (XADD auto-ID / RPUSH / INCRBY)
+// SinkAppend runs a whitelisted command batch (XADD auto-ID / INCRBY)
 // gated on the applied ledger of ledgerKey/ledgerField, all in one atomic
 // server-side transaction: the fenced exactly-once Final/sink flush.
 // applied=false means the gate was already recorded and nothing ran.

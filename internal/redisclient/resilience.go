@@ -67,48 +67,49 @@ func retryableError(err error) bool {
 //   - fenced compounds (FENCEAPPLY, SINKAPPEND), where the server-side
 //     applied ledger absorbs the duplicate.
 //
-// Relative-effect writes (INCRBY, XADD, RPUSH, pops, group reads) stay
-// single-shot. The classification is argv-aware where it must be: SET..NX is
-// excluded (a lost "acquired" reply would leave the lock stuck while the
-// retry reports failure), and FENCEXACK is retryable only when its direct
-// decrement is zero — the PEL acks are ownership-fenced but the direct
-// counter adjustment is not idempotent.
+// Relative-effect writes (INCRBY, HINCRBY, XADD, XTRIM, group reads and
+// claims) stay single-shot. The classification is argv-aware where it must
+// be: SET..NX is excluded (a lost "acquired" reply would leave the lock stuck
+// while the retry reports failure), and FENCEXACK is retryable only when its
+// direct decrement is zero — the PEL acks are ownership-fenced but the direct
+// counter adjustment is not idempotent. Every command the server registers is
+// classified here or in miniredis's TestCommandSurface single-shot list, so
+// the two tables cannot drift.
 func Retryable(argv []string) bool {
 	if len(argv) == 0 {
 		return false
 	}
 	switch strings.ToUpper(argv[0]) {
-	case "PING", "ECHO", "EXISTS", "TYPE", "KEYS",
-		"GET", "MGET", "STRLEN",
-		"HGET", "HGETALL", "HKEYS", "HVALS", "HLEN", "HEXISTS", "HMGET",
-		"LLEN", "LRANGE", "LINDEX",
-		"XLEN", "XRANGE", "XREVRANGE", "XPENDING", "XINFO",
-		"SISMEMBER", "SMEMBERS", "SCARD",
-		"DEL", "HDEL", "XACK", "SREM", "XDEL",
-		"HSET", "MSET", "LTRIM", "XGROUP",
+	case "PING", "EXISTS", "TYPE", "KEYS", "TTL", "INFO", "DBSIZE",
+		"GET",
+		"HGET", "HGETALL", "HKEYS", "HLEN",
+		"XLEN", "XRANGE", "XPENDING", "XINFO",
+		"DEL", "HDEL", "XACK",
+		"HSET", "XGROUP",
 		"FLUSHALL",
 		"FENCEAPPLY", "SINKAPPEND":
 		return true
 	case "SET":
-		for _, a := range argv[2:] {
-			if strings.EqualFold(a, "NX") {
-				return false
-			}
-		}
-		return true
+		return !hasOption(argv, 3, "NX")
 	case "XCLAIM":
 		// JUSTID claims only refresh idle clocks — repeating is harmless.
-		for _, a := range argv[4:] {
-			if strings.EqualFold(a, "JUSTID") {
-				return true
-			}
-		}
-		return false
+		return hasOption(argv, 5, "JUSTID")
 	case "FENCEXACK":
 		return len(argv) > 5 && argv[5] == "0"
 	default:
 		return false
 	}
+}
+
+// hasOption reports whether word appears among argv's trailing options, which
+// start at index from (a short argv has none).
+func hasOption(argv []string, from int, word string) bool {
+	for i := from; i < len(argv); i++ {
+		if strings.EqualFold(argv[i], word) {
+			return true
+		}
+	}
+	return false
 }
 
 // backoff computes the sleep before retry attempt (1-based): base doubled

@@ -5,25 +5,6 @@ import (
 	"time"
 )
 
-func TestFormatSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "0"},                          // block forever
-		{-time.Second, "0"},               // negative: block forever, never "-1.000"
-		{500 * time.Microsecond, "0.001"}, // sub-ms clamps up, never "0.000"
-		{time.Millisecond, "0.001"},
-		{1500 * time.Millisecond, "1.500"},
-		{2 * time.Second, "2.000"},
-	}
-	for _, c := range cases {
-		if got := formatSeconds(c.d); got != c.want {
-			t.Errorf("formatSeconds(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
-}
-
 func TestRetryableClassification(t *testing.T) {
 	cases := []struct {
 		argv []string
@@ -35,9 +16,9 @@ func TestRetryableClassification(t *testing.T) {
 		{[]string{"SET", "k", "v"}, true},
 		{[]string{"SET", "k", "v", "NX", "PX", "100"}, false}, // lock-stuck hazard
 		{[]string{"INCRBY", "k", "1"}, false},                 // relative effect
+		{[]string{"HINCRBY", "h", "f", "1"}, false},
 		{[]string{"XADD", "q", "*", "f", "v"}, false},
-		{[]string{"RPUSH", "k", "v"}, false},
-		{[]string{"BLPOP", "k", "0"}, false},
+		{[]string{"XTRIM", "q", "MAXLEN", "10"}, false},
 		{[]string{"XREADGROUP", "GROUP", "g", "w0"}, false},
 		{[]string{"FENCEAPPLY", "h", "lf", "SET", "k", "v"}, true}, // ledger-gated
 		{[]string{"SINKAPPEND", "h", "lf", "0"}, true},
@@ -45,6 +26,9 @@ func TestRetryableClassification(t *testing.T) {
 		{[]string{"FENCEXACK", "q", "g", "w0", "p", "3", "1-1", "2"}, false}, // direct dec not idempotent
 		{[]string{"XCLAIM", "q", "g", "w0", "0", "1-1", "JUSTID"}, true},
 		{[]string{"XCLAIM", "q", "g", "w0", "0", "1-1"}, false},
+		{[]string{"SET"}, true}, // short argv: classified, never indexed out of range
+		{[]string{"XCLAIM"}, false},
+		{[]string{"MGET", "a", "b"}, false}, // not served, so not retried
 		{nil, false},
 	}
 	for _, c := range cases {

@@ -149,25 +149,3 @@ func TestKillFaultIsTerminal(t *testing.T) {
 		t.Fatalf("kill fault retried %d times", got)
 	}
 }
-
-// TestBLPopTimeoutBehavior: a positive sub-second timeout must actually
-// time out (not block forever via a "0" encoding), and zero/negative
-// timeouts with a value present return it immediately.
-func TestBLPopTimeoutBehavior(t *testing.T) {
-	cl := newPair(t)
-	start := time.Now()
-	_, _, ok, err := cl.BLPop(50*time.Millisecond, "empty")
-	if err != nil || ok {
-		t.Fatalf("BLPop on empty: ok=%v err=%v", ok, err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("sub-second timeout blocked far too long")
-	}
-	if _, err := cl.RPush("l", "x"); err != nil {
-		t.Fatal(err)
-	}
-	k, v, ok, err := cl.BLPop(-time.Second, "l")
-	if err != nil || !ok || k != "l" || v != "x" {
-		t.Fatalf("BLPop with value present: %q %q %v %v", k, v, ok, err)
-	}
-}

@@ -26,10 +26,6 @@ import (
 //     task re-executes, the applied ledger drops every duplicate mutation,
 //     the Final re-runs against intact aggregates, and the sink output is
 //     byte-identical to an undisturbed sequential reference run.
-//
-// A second fault stays armed at the legacy record-then-apply window through
-// both runs; it must never fire — on the built-in backends that window no
-// longer exists.
 func TestKillMidFinalFlushThenResume(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -84,7 +80,6 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 				Processes:    3,
 				Platform:     platformForTest(),
 				Seed:         31,
-				RedisAddr:    addrs[0],
 				RedisAddrs:   addrs,
 				RecoverStale: true,
 				PollTimeout:  2 * time.Millisecond,
@@ -98,8 +93,7 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 
 			// Run 1: killed inside the Final window.
 			inj := faultinject.New(1).
-				Schedule(faultinject.Fault{Probe: faultinject.ProbeMidFinalFlush, Kind: faultinject.Kill, Hits: 1}).
-				Schedule(faultinject.Fault{Probe: faultinject.ProbeAfterRecord, Kind: faultinject.Kill, Hits: 1})
+				Schedule(faultinject.Fault{Probe: faultinject.ProbeMidFinalFlush, Kind: faultinject.Kill, Hits: 1})
 			faultinject.Arm(inj)
 			t.Cleanup(faultinject.Disarm)
 
@@ -122,11 +116,8 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 				t.Fatalf("crashed Final leaked %d sink values: %v", leaked, run1)
 			}
 
-			// Run 2: resume. Only the after-record fault stays armed, and it
-			// must never find its window.
-			inj2 := faultinject.New(1).
-				Schedule(faultinject.Fault{Probe: faultinject.ProbeAfterRecord, Kind: faultinject.Kill, Hits: 1})
-			faultinject.Arm(inj2)
+			// Run 2: resume, with no fault armed.
+			faultinject.Disarm()
 
 			var got []string
 			opts.StateResume = true
@@ -143,9 +134,6 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 			mu.Unlock()
 			if strings.Join(got, ",") != strings.Join(want, ",") {
 				t.Fatalf("resumed aggregates diverge:\n got %v\nwant %v", got, want)
-			}
-			if fired := inj.FiredCount(faultinject.ProbeAfterRecord) + inj2.FiredCount(faultinject.ProbeAfterRecord); fired != 0 {
-				t.Fatalf("record-then-apply window fired %d times; it should no longer exist", fired)
 			}
 		})
 	}

@@ -39,7 +39,7 @@ import (
 func requireCluster(opts mapping.Options, technique string) (*redisclient.Cluster, error) {
 	addrs := opts.ShardAddrs()
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("%s: Options.RedisAddr or RedisAddrs is required (start internal/miniredis or point at Redis servers)", technique)
+		return nil, fmt.Errorf("%s: Options.RedisAddrs is required (start internal/miniredis and pass its address)", technique)
 	}
 	cluster, err := redisclient.NewCluster(addrs)
 	if err != nil {

@@ -55,7 +55,7 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 		Processes:    3,
 		Platform:     platformForTest(),
 		Seed:         77,
-		RedisAddr:    srv.Addr(),
+		RedisAddrs:   []string{srv.Addr()},
 		RecoverStale: true,
 		PollTimeout:  2 * time.Millisecond,
 		Retries:      40, // generous: termination must wait out the recovery
@@ -267,7 +267,7 @@ func TestDynRedisExactlyOnceStateUnderLiveReplay(t *testing.T) {
 		Processes:    3,
 		Platform:     platformForTest(),
 		Seed:         31,
-		RedisAddr:    srv.Addr(),
+		RedisAddrs:   []string{srv.Addr()},
 		RecoverStale: true, // implies ExactlyOnceState for the managed PE
 		PollTimeout:  time.Millisecond,
 		Retries:      60,

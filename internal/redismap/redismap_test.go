@@ -38,10 +38,10 @@ func startRedis(t *testing.T) string {
 
 func redisOpts(t *testing.T, procs int) mapping.Options {
 	return mapping.Options{
-		Processes: procs,
-		Platform:  platform.Platform{Name: "test", Cores: 4, QueueOpCost: 0},
-		Seed:      11,
-		RedisAddr: startRedis(t),
+		Processes:  procs,
+		Platform:   platform.Platform{Name: "test", Cores: 4, QueueOpCost: 0},
+		Seed:       11,
+		RedisAddrs: []string{startRedis(t)},
 	}
 }
 
@@ -125,13 +125,13 @@ func TestDynRedisPipeline(t *testing.T) {
 	}
 }
 
-func TestDynRedisRequiresRedisAddr(t *testing.T) {
+func TestDynRedisRequiresRedisAddrs(t *testing.T) {
 	col := &collector{}
 	g := pipelineGraph(5, col)
 	m, _ := mapping.Get("dyn_redis")
 	opts := mapping.Options{Processes: 2, Platform: platform.Server}
-	if _, err := m.Execute(g, opts); err == nil || !strings.Contains(err.Error(), "RedisAddr") {
-		t.Fatalf("want RedisAddr error, got %v", err)
+	if _, err := m.Execute(g, opts); err == nil || !strings.Contains(err.Error(), "RedisAddrs") {
+		t.Fatalf("want RedisAddrs error, got %v", err)
 	}
 }
 

@@ -10,8 +10,8 @@
 //
 //	ChanTransport   in-process channels, one per pinned instance (multi)
 //	QueueTransport  the shared in-process global queue (dyn_multi)
-//	RedisTransport  a Redis stream consumer group for the pool plus private
-//	                lists for pinned instances (dyn_redis, hybrid_redis)
+//	RedisTransport  a Redis stream consumer group for the pool plus one
+//	                private stream per pinned instance (dyn_redis, hybrid_redis)
 //	RankTransport   MPI-style per-rank mailboxes (mpi)
 //
 // Because termination and finalization are decided by one coordinator
@@ -87,8 +87,8 @@ type Transport interface {
 }
 
 // DepthReporter is an optional Transport refinement exposing per-queue depth
-// gauges for telemetry: channel occupancies, stream entry counts, private
-// list lengths. Keys name the queue ("shared", "stream", "box:<pe>:<i>", …);
+// gauges for telemetry: channel occupancies, pool and private stream entry
+// counts. Keys name the queue ("shared", "stream", "box:<pe>:<i>", …);
 // implementations best-effort skip queues they cannot sample.
 type DepthReporter interface {
 	QueueDepths() map[string]int64

@@ -1,12 +1,10 @@
 package state
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 )
 
@@ -50,27 +48,17 @@ func taskFenceField(tok Token) string {
 		strconv.FormatUint(tok.Seq, 36) + ":task"
 }
 
-// fencedAdder is the atomic fast path a store may implement: record the
-// ledger entry and apply the increment in one operation (the Redis store
-// sends one FENCEAPPLY compound command, the memory store holds both shard
-// locks; CheckpointStore forwards to whichever it wraps).
-type fencedAdder interface {
+// fencedMutator is the one fenced-mutation contract: ledger record plus
+// effect in one indivisible operation, per mutation shape. Both backends
+// implement it (one FENCEAPPLY compound command on Redis, a dual shard-locked
+// section in memory); CheckpointStore and the instrumentation wrapper forward
+// it, so a full store chain keeps the atomicity end to end. NewFencedStore
+// and the two wrappers resolve it once, at construction (fencedOf).
+type fencedMutator interface {
 	// FencedAddInt applies delta to key iff ledgerField was never recorded,
 	// recording it. It returns whether the delta was applied and the key's
 	// resulting value either way.
 	FencedAddInt(ledgerField, key string, delta int64) (applied bool, n int64, err error)
-}
-
-// errNoFencedAdder reports that a forwarding wrapper's inner store has no
-// atomic fenced-increment; the scope falls back to the two-operation path.
-var errNoFencedAdder = errors.New("state: wrapped store implements no fenced AddInt")
-
-// fencedMutator is the atomic compound path for the remaining mutation
-// shapes: ledger record plus Put/Delete/Update in one indivisible operation.
-// Both backends implement it (FENCEAPPLY on Redis, dual shard locks in
-// memory); CheckpointStore and the instrumentation wrapper forward it, so a
-// full store chain keeps the atomicity end to end.
-type fencedMutator interface {
 	// FencedPut sets key iff ledgerField was never recorded, recording it.
 	FencedPut(ledgerField, key, value string) (applied bool, err error)
 	// FencedDelete removes key iff ledgerField was never recorded, recording it.
@@ -80,9 +68,17 @@ type fencedMutator interface {
 	FencedUpdate(ledgerField, key string, fn func(cur string, exists bool) (next string, keep bool, err error)) (applied bool, err error)
 }
 
-// errNoFencedMutator reports that a forwarding wrapper's inner store has no
-// atomic fenced mutations; the scope falls back to the two-operation path.
-var errNoFencedMutator = errors.New("state: wrapped store implements no fenced mutations")
+// fencedOf resolves a store chain's fenced-mutation contract. Every store
+// this package hands out implements it; a Store from anywhere else is a
+// wiring bug, reported where the chain is built rather than at the first
+// fenced mutation.
+func fencedOf(st Store) fencedMutator {
+	fm, ok := st.(fencedMutator)
+	if !ok {
+		panic(fmt.Sprintf("state: %T implements no fenced mutations", st))
+	}
+	return fm
+}
 
 // TaskGater is implemented by stores that can name the storage-level address
 // of a delivery's task gate — the (hash key, ledger field) pair a transport
@@ -113,22 +109,19 @@ type TaskGater interface {
 // CheckpointStore and the instrumentation wrapper, so no crash point
 // between "recorded" and "applied" exists: a worker killed mid-mutation
 // either left no record (the replay re-applies) or left record+effect
-// together (the replay drops). Only a third-party Store that implements
-// neither fencedAdder nor fencedMutator falls back to the generic
-// record-first, apply-second sequence, which keeps exactly-once under
-// racing duplicates (the record step is atomic) but can lose the one
-// in-flight mutation of a worker killed between the two steps.
-// Record-first is the deliberate bias for that fallback: the inverse
-// order would double-apply on the same crash, which is the corruption
-// this subsystem exists to prevent.
+// together (the replay drops). There is no second path.
 type FencedStore struct {
 	inner  Store
+	fenced fencedMutator
 	drops  []*telemetry.Counter
 	notify func()
 }
 
-// NewFencedStore wraps a namespace's store chain with the fence.
-func NewFencedStore(inner Store) *FencedStore { return &FencedStore{inner: inner} }
+// NewFencedStore wraps a namespace's store chain with the fence. The chain
+// must come from this package's backends and wrappers (see fencedOf).
+func NewFencedStore(inner Store) *FencedStore {
+	return &FencedStore{inner: inner, fenced: fencedOf(inner)}
+}
 
 // SetDropCounter routes a count of dropped (already-applied) mutations into
 // telemetry. It may be called more than once — every registered counter is
@@ -175,9 +168,6 @@ func (fs *FencedStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
 	}
 	return "", "", false
 }
-
-// Inner returns the wrapped store chain (the unfiltered durability view).
-func (fs *FencedStore) Inner() Store { return fs.inner }
 
 // NewScope creates a per-worker view of the namespace. Scopes are not safe
 // for concurrent use — each worker goroutine owns its own.
@@ -239,32 +229,22 @@ func (s *FenceScope) Namespace() string { return s.fs.inner.Namespace() }
 // Get implements Store.
 func (s *FenceScope) Get(key string) (string, bool, error) { return s.fs.inner.Get(key) }
 
-// Put implements Store: a duplicate execution's Put is dropped. Both
-// backends apply record+set atomically (fencedMutator); the generic
-// fallback records first, with the fault probe marking the crash window the
-// compound path does not have.
+// dropIfDuplicate folds one fenced mutation's outcome into the drop
+// accounting and returns its error.
+func (s *FenceScope) dropIfDuplicate(applied bool, err error) error {
+	if err == nil && !applied {
+		s.fs.dropped()
+	}
+	return err
+}
+
+// Put implements Store: a duplicate execution's Put is dropped.
 func (s *FenceScope) Put(key, value string) error {
 	if s.tok.IsZero() {
 		return s.fs.inner.Put(key, value)
 	}
-	field := s.nextField()
-	if fm, ok := s.fs.inner.(fencedMutator); ok {
-		applied, err := fm.FencedPut(field, key, value)
-		if err == nil || !errors.Is(err, errNoFencedMutator) {
-			if err == nil && !applied {
-				s.fs.dropped()
-			}
-			return err
-		}
-	}
-	applied, err := s.fs.acquire(field)
-	if err != nil || !applied {
-		return err
-	}
-	if ferr := faultinject.Fire(faultinject.ProbeAfterRecord); ferr != nil {
-		return ferr
-	}
-	return s.fs.inner.Put(key, value)
+	applied, err := s.fs.fenced.FencedPut(s.nextField(), key, value)
+	return s.dropIfDuplicate(applied, err)
 }
 
 // Delete implements Store: a duplicate execution's Delete is dropped.
@@ -272,24 +252,8 @@ func (s *FenceScope) Delete(key string) error {
 	if s.tok.IsZero() {
 		return s.fs.inner.Delete(key)
 	}
-	field := s.nextField()
-	if fm, ok := s.fs.inner.(fencedMutator); ok {
-		applied, err := fm.FencedDelete(field, key)
-		if err == nil || !errors.Is(err, errNoFencedMutator) {
-			if err == nil && !applied {
-				s.fs.dropped()
-			}
-			return err
-		}
-	}
-	applied, err := s.fs.acquire(field)
-	if err != nil || !applied {
-		return err
-	}
-	if ferr := faultinject.Fire(faultinject.ProbeAfterRecord); ferr != nil {
-		return ferr
-	}
-	return s.fs.inner.Delete(key)
+	applied, err := s.fs.fenced.FencedDelete(s.nextField(), key)
+	return s.dropIfDuplicate(applied, err)
 }
 
 // Keys implements Store, hiding the applied ledger.
@@ -317,44 +281,13 @@ func (s *FenceScope) Len() (int, error) {
 }
 
 // AddInt implements Store: a duplicate execution's increment is dropped and
-// the key's current value is returned instead. Both backends (and their
-// CheckpointStore chains) take the atomic fenced path, where record and
-// apply are indivisible; the generic fallback for third-party stores
-// records first and applies second, so its duplicate branch may observe
-// the winner mid-flight — the caveat is on the fallback only.
+// the key's current value is returned instead.
 func (s *FenceScope) AddInt(key string, delta int64) (int64, error) {
 	if s.tok.IsZero() {
 		return s.fs.inner.AddInt(key, delta)
 	}
-	field := s.nextField()
-	if fa, ok := s.fs.inner.(fencedAdder); ok {
-		applied, n, err := fa.FencedAddInt(field, key, delta)
-		if err == nil || !errors.Is(err, errNoFencedAdder) {
-			if err == nil && !applied {
-				s.fs.dropped()
-			}
-			return n, err
-		}
-	}
-	applied, err := s.fs.acquire(field)
-	if err != nil {
-		return 0, err
-	}
-	if !applied {
-		cur, ok, err := s.fs.inner.Get(key)
-		if err != nil || !ok {
-			return 0, err
-		}
-		n, err := strconv.ParseInt(cur, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("state: AddInt duplicate read non-integer value %q of key %q", cur, key)
-		}
-		return n, nil
-	}
-	if ferr := faultinject.Fire(faultinject.ProbeAfterRecord); ferr != nil {
-		return 0, ferr
-	}
-	return s.fs.inner.AddInt(key, delta)
+	applied, n, err := s.fs.fenced.FencedAddInt(s.nextField(), key, delta)
+	return n, s.dropIfDuplicate(applied, err)
 }
 
 // Update implements Store: a duplicate execution's read-modify-write is
@@ -363,24 +296,8 @@ func (s *FenceScope) Update(key string, fn func(string, bool) (string, bool, err
 	if s.tok.IsZero() {
 		return s.fs.inner.Update(key, fn)
 	}
-	field := s.nextField()
-	if fm, ok := s.fs.inner.(fencedMutator); ok {
-		applied, err := fm.FencedUpdate(field, key, fn)
-		if err == nil || !errors.Is(err, errNoFencedMutator) {
-			if err == nil && !applied {
-				s.fs.dropped()
-			}
-			return err
-		}
-	}
-	applied, err := s.fs.acquire(field)
-	if err != nil || !applied {
-		return err
-	}
-	if ferr := faultinject.Fire(faultinject.ProbeAfterRecord); ferr != nil {
-		return ferr
-	}
-	return s.fs.inner.Update(key, fn)
+	applied, err := s.fs.fenced.FencedUpdate(s.nextField(), key, fn)
+	return s.dropIfDuplicate(applied, err)
 }
 
 // Snapshot implements Store, hiding the applied ledger. Durability paths

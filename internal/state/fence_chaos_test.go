@@ -102,9 +102,10 @@ func TestFencedMutationsSurviveConnDrops(t *testing.T) {
 	}
 }
 
-// TestAfterRecordWindowClosed: on both built-in backends the record-then-
-// apply crash window no longer exists — mutations ride one compound
-// operation, so a kill scheduled between record and apply can never fire.
+// TestAfterRecordWindowClosed: every fenced mutation shape rides one compound
+// operation on both backends — there is no record-then-apply sequence left
+// for a crash to split, so a fenced execution either lands whole or not at
+// all.
 func TestAfterRecordWindowClosed(t *testing.T) {
 	fenceBackends(t, func(t *testing.T, b state.Backend) {
 		st, err := b.Open("ns")
@@ -113,9 +114,6 @@ func TestAfterRecordWindowClosed(t *testing.T) {
 		}
 		fs := state.NewFencedStore(st)
 		scope := fs.NewScope()
-		inj := armInj(t, faultinject.Fault{
-			Probe: faultinject.ProbeAfterRecord, Kind: faultinject.Kill, Hits: 1,
-		})
 
 		scope.SetToken(state.Token{Src: 2, Seq: 9})
 		defer scope.ClearToken()
@@ -133,58 +131,13 @@ func TestAfterRecordWindowClosed(t *testing.T) {
 		if err := scope.Delete("n"); err != nil {
 			t.Fatal(err)
 		}
-		if got := inj.FiredCount(faultinject.ProbeAfterRecord); got != 0 {
-			t.Fatalf("after-record probe fired %d times on a built-in backend", got)
+		if v, _, _ := scope.Get("k"); v != "v!" {
+			t.Fatalf("k=%q want v!", v)
+		}
+		if _, ok, _ := scope.Get("n"); ok {
+			t.Fatal("fenced delete lost")
 		}
 	})
-}
-
-// bareStore strips the fenced fast path: it forwards only the base Store
-// interface, modelling a third-party Store with no compound support.
-type bareStore struct{ inner state.Store }
-
-func (s bareStore) Namespace() string                       { return s.inner.Namespace() }
-func (s bareStore) Get(k string) (string, bool, error)      { return s.inner.Get(k) }
-func (s bareStore) Put(k, v string) error                   { return s.inner.Put(k, v) }
-func (s bareStore) Delete(k string) error                   { return s.inner.Delete(k) }
-func (s bareStore) Keys() ([]string, error)                 { return s.inner.Keys() }
-func (s bareStore) Len() (int, error)                       { return s.inner.Len() }
-func (s bareStore) AddInt(k string, d int64) (int64, error) { return s.inner.AddInt(k, d) }
-func (s bareStore) Snapshot() (state.Snapshot, error)       { return s.inner.Snapshot() }
-func (s bareStore) Restore(sn state.Snapshot) error         { return s.inner.Restore(sn) }
-func (s bareStore) Clear() error                            { return s.inner.Clear() }
-func (s bareStore) Update(k string, fn func(string, bool) (string, bool, error)) error {
-	return s.inner.Update(k, fn)
-}
-
-// TestThirdPartyFallbackKeepsWindow documents the flip side: a Store without
-// compound support falls back to record-then-apply, where the injected kill
-// does land — and a retry of the same token is then (conservatively)
-// dropped by the ledger record that survived.
-func TestThirdPartyFallbackKeepsWindow(t *testing.T) {
-	mb := state.NewMemoryBackend()
-	defer mb.Close()
-	st, err := mb.Open("ns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := state.NewFencedStore(bareStore{inner: st})
-	scope := fs.NewScope()
-	inj := armInj(t, faultinject.Fault{
-		Probe: faultinject.ProbeAfterRecord, Kind: faultinject.Kill, Hits: 1,
-	})
-
-	scope.SetToken(state.Token{Src: 3, Seq: 1})
-	defer scope.ClearToken()
-	if err := scope.Put("k", "v"); !errors.Is(err, faultinject.ErrKill) {
-		t.Fatalf("want ErrKill through the fallback window, got %v", err)
-	}
-	if got := inj.FiredCount(faultinject.ProbeAfterRecord); got != 1 {
-		t.Fatalf("fallback probe fired %d times, want 1", got)
-	}
-	if _, ok, _ := scope.Get("k"); ok {
-		t.Fatal("killed fallback applied its write")
-	}
 }
 
 // TestMemoryFencedMutatorSemantics pins the memory backend's compound

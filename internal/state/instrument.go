@@ -10,16 +10,16 @@ import (
 // StateMetrics histograms. It sits between the durability chain (backend
 // store, optionally inside a CheckpointStore — so a mutation's latency
 // includes any checkpoint it triggers) and the exactly-once fence, and
-// forwards the atomic fenced-increment so instrumentation never downgrades
-// the fence to its two-operation fallback.
+// forwards the chain's fenced mutations so they are timed like plain ones.
 type instrumentedStore struct {
-	inner Store
-	sm    *telemetry.StateMetrics
+	inner  Store
+	fenced fencedMutator // inner's fenced contract
+	sm     *telemetry.StateMetrics
 }
 
 // InstrumentStore wraps a store chain with per-operation latency telemetry.
 func InstrumentStore(inner Store, sm *telemetry.StateMetrics) Store {
-	return &instrumentedStore{inner: inner, sm: sm}
+	return &instrumentedStore{inner: inner, fenced: fencedOf(inner), sm: sm}
 }
 
 // Namespace implements Store.
@@ -73,38 +73,26 @@ func (s *instrumentedStore) AddInt(key string, delta int64) (int64, error) {
 	return n, err
 }
 
-// FencedAddInt forwards the fence's atomic fast path, timed as an Add.
+// FencedAddInt forwards the atomic fenced increment, timed as an Add.
 func (s *instrumentedStore) FencedAddInt(ledgerField, key string, delta int64) (bool, int64, error) {
-	fa, ok := s.inner.(fencedAdder)
-	if !ok {
-		return false, 0, errNoFencedAdder
-	}
 	start := time.Now()
-	applied, n, err := fa.FencedAddInt(ledgerField, key, delta)
+	applied, n, err := s.fenced.FencedAddInt(ledgerField, key, delta)
 	s.sm.Add.ObserveSince(start)
 	return applied, n, err
 }
 
 // FencedPut forwards the atomic fenced set, timed as a Put.
 func (s *instrumentedStore) FencedPut(ledgerField, key, value string) (bool, error) {
-	fm, ok := s.inner.(fencedMutator)
-	if !ok {
-		return false, errNoFencedMutator
-	}
 	start := time.Now()
-	applied, err := fm.FencedPut(ledgerField, key, value)
+	applied, err := s.fenced.FencedPut(ledgerField, key, value)
 	s.sm.Put.ObserveSince(start)
 	return applied, err
 }
 
 // FencedDelete forwards the atomic fenced delete, timed as a Delete.
 func (s *instrumentedStore) FencedDelete(ledgerField, key string) (bool, error) {
-	fm, ok := s.inner.(fencedMutator)
-	if !ok {
-		return false, errNoFencedMutator
-	}
 	start := time.Now()
-	applied, err := fm.FencedDelete(ledgerField, key)
+	applied, err := s.fenced.FencedDelete(ledgerField, key)
 	s.sm.Delete.ObserveSince(start)
 	return applied, err
 }
@@ -112,12 +100,8 @@ func (s *instrumentedStore) FencedDelete(ledgerField, key string) (bool, error) 
 // FencedUpdate forwards the atomic fenced read-modify-write, timed as an
 // Update.
 func (s *instrumentedStore) FencedUpdate(ledgerField, key string, fn func(string, bool) (string, bool, error)) (bool, error) {
-	fm, ok := s.inner.(fencedMutator)
-	if !ok {
-		return false, errNoFencedMutator
-	}
 	start := time.Now()
-	applied, err := fm.FencedUpdate(ledgerField, key, fn)
+	applied, err := s.fenced.FencedUpdate(ledgerField, key, fn)
 	s.sm.Update.ObserveSince(start)
 	return applied, err
 }
@@ -158,5 +142,4 @@ func (s *instrumentedStore) Restore(snap Snapshot) error {
 func (s *instrumentedStore) Clear() error { return s.inner.Clear() }
 
 var _ Store = (*instrumentedStore)(nil)
-var _ fencedAdder = (*instrumentedStore)(nil)
 var _ fencedMutator = (*instrumentedStore)(nil)

@@ -257,10 +257,10 @@ func ledgerBump(la *memShard, ledgerField string) (int64, error) {
 	return cnt, nil
 }
 
-// FencedAddInt implements the fence's atomic fast path in process: the
-// ledger check-and-record and the data increment happen under both shard
-// locks at once, so a racing duplicate execution can neither double-apply
-// nor observe the gap between record and apply.
+// FencedAddInt implements fencedMutator in process: the ledger
+// check-and-record and the data increment happen under both shard locks at
+// once, so a racing duplicate execution can neither double-apply nor observe
+// the gap between record and apply.
 func (st *memStore) FencedAddInt(ledgerField, key string, delta int64) (bool, int64, error) {
 	st.counter.IncAdd()
 	la, da, unlock := st.lockPair(ledgerField, key)

@@ -238,7 +238,7 @@ func (st *redisStore) AddInt(key string, delta int64) (int64, error) {
 	return st.cl.HIncrBy(st.b.liveKey(st.namespace), key, delta)
 }
 
-// FencedAddInt implements the fence's atomic fast path: one FENCEAPPLY
+// FencedAddInt implements fencedMutator: one FENCEAPPLY
 // compound command checks the ledger, records it, and applies the increment
 // under the server's dispatch lock — a single round trip with no
 // record/apply gap, no duplicate-delta transient, and no compensating undo.

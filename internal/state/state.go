@@ -239,6 +239,7 @@ func RestoreLatest(b Backend, st Store) (bool, error) {
 // how much state a crash can lose. It implements Store.
 type CheckpointStore struct {
 	Store
+	fenced   fencedMutator // the wrapped store's fenced contract
 	backend  Backend
 	interval int
 
@@ -261,7 +262,7 @@ func NewCheckpointStore(st Store, b Backend, interval int) *CheckpointStore {
 	if interval <= 0 {
 		interval = 1
 	}
-	return &CheckpointStore{Store: st, backend: b, interval: interval}
+	return &CheckpointStore{Store: st, fenced: fencedOf(st), backend: b, interval: interval}
 }
 
 // noteMutation counts one mutation and checkpoints when the interval is hit.
@@ -317,15 +318,9 @@ func (cs *CheckpointStore) AddInt(key string, delta int64) (int64, error) {
 }
 
 // FencedAddInt forwards the exactly-once fence's atomic record+apply to the
-// wrapped store (both backends implement it), counting one mutation — so a
-// checkpointing chain keeps the fence's atomicity instead of degrading to
-// the two-operation fallback.
+// wrapped store, counting one mutation.
 func (cs *CheckpointStore) FencedAddInt(ledgerField, key string, delta int64) (bool, int64, error) {
-	fa, ok := cs.Store.(fencedAdder)
-	if !ok {
-		return false, 0, errNoFencedAdder
-	}
-	applied, n, err := fa.FencedAddInt(ledgerField, key, delta)
+	applied, n, err := cs.fenced.FencedAddInt(ledgerField, key, delta)
 	if err != nil {
 		return false, 0, err
 	}
@@ -334,11 +329,7 @@ func (cs *CheckpointStore) FencedAddInt(ledgerField, key string, delta int64) (b
 
 // FencedPut forwards the atomic fenced set, counting one mutation.
 func (cs *CheckpointStore) FencedPut(ledgerField, key, value string) (bool, error) {
-	fm, ok := cs.Store.(fencedMutator)
-	if !ok {
-		return false, errNoFencedMutator
-	}
-	applied, err := fm.FencedPut(ledgerField, key, value)
+	applied, err := cs.fenced.FencedPut(ledgerField, key, value)
 	if err != nil {
 		return false, err
 	}
@@ -347,11 +338,7 @@ func (cs *CheckpointStore) FencedPut(ledgerField, key, value string) (bool, erro
 
 // FencedDelete forwards the atomic fenced delete, counting one mutation.
 func (cs *CheckpointStore) FencedDelete(ledgerField, key string) (bool, error) {
-	fm, ok := cs.Store.(fencedMutator)
-	if !ok {
-		return false, errNoFencedMutator
-	}
-	applied, err := fm.FencedDelete(ledgerField, key)
+	applied, err := cs.fenced.FencedDelete(ledgerField, key)
 	if err != nil {
 		return false, err
 	}
@@ -361,11 +348,7 @@ func (cs *CheckpointStore) FencedDelete(ledgerField, key string) (bool, error) {
 // FencedUpdate forwards the atomic fenced read-modify-write, counting one
 // mutation.
 func (cs *CheckpointStore) FencedUpdate(ledgerField, key string, fn func(string, bool) (string, bool, error)) (bool, error) {
-	fm, ok := cs.Store.(fencedMutator)
-	if !ok {
-		return false, errNoFencedMutator
-	}
-	applied, err := fm.FencedUpdate(ledgerField, key, fn)
+	applied, err := cs.fenced.FencedUpdate(ledgerField, key, fn)
 	if err != nil {
 		return false, err
 	}

@@ -32,7 +32,7 @@ func withRedis(t *testing.T, opts mapping.Options) mapping.Options {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	opts.RedisAddr = srv.Addr()
+	opts.RedisAddrs = []string{srv.Addr()}
 	return opts
 }
 

@@ -541,7 +541,10 @@ func BenchmarkStateFieldVsManaged(b *testing.B) {
 	b.Run("managed-redis/multi", func(b *testing.B) {
 		// Backend pluggability: an in-process mapping with external Redis
 		// state (the resume-capable configuration).
-		backend := state.DialRedisBackend(srv.Addr(), "bench")
+		backend, err := state.DialRedisClusterBackend([]string{srv.Addr()}, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer backend.Close()
 		for i := 0; i < b.N; i++ {
 			opts := baseOpts()

@@ -208,10 +208,13 @@ func assertFencedRoundTrips() error {
 		return err
 	}
 	defer srv.Close()
-	cl := redisclient.Dial(srv.Addr())
-	defer cl.Close()
-	b := state.NewRedisBackend(cl, "rt")
-	st, err := b.Open("probe")
+	cluster, err := redisclient.NewCluster([]string{srv.Addr()})
+	if err != nil {
+		return err
+	}
+	defer cluster.Close()
+	cl := cluster.Shard(0)
+	st, err := state.NewRedisClusterBackend(cluster, "rt").Open("probe")
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,9 @@
 // journal of lifecycle moments, and a straggler detector over the
 // flight-recorder ring. Diagnose fuses them into a Report whose Verdict names
 // the bottleneck PE, the dominant stage, its utilization, and the
-// offered-rate ceiling it implies — the sensor suite the feedback autoscaler
-// (ROADMAP item 4) subscribes to.
+// offered-rate ceiling it implies. Its consumers are the open-loop bench
+// (`d4pbench -openloop` records the Verdict next to each rate's latencies)
+// and the /diagnosis and /journal endpoints of a live run.
 //
 // Like telemetry, the package imports only the standard library plus
 // telemetry itself, so every layer above (state, runtime, transports,

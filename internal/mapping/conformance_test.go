@@ -358,7 +358,10 @@ func TestKeyedStateKillAndRestore(t *testing.T) {
 		runCase(t, b)
 	})
 	t.Run("redis", func(t *testing.T) {
-		b := state.DialRedisBackend(srv.Addr(), "recov")
+		b, err := state.DialRedisClusterBackend([]string{srv.Addr()}, "recov")
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer b.Close()
 		runCase(t, b)
 	})

@@ -85,8 +85,8 @@ func OpenManagedState(g *graph.Graph, opts Options, newDefault func() state.Back
 			// Instrumentation sits outside the checkpointing chain so a
 			// mutation's observed latency includes any checkpoint write it
 			// triggers, and inside the fence so ledger traffic is timed like
-			// the data traffic it protects. The atomic fenced-increment is
-			// forwarded through, so timing never degrades the fence.
+			// the data traffic it protects. It forwards the fenced Op as it
+			// is, so timing never degrades the fence.
 			chain = state.InstrumentStore(chain, opts.Telemetry.State())
 		}
 		ms.stores[n.Name] = chain
@@ -94,8 +94,8 @@ func OpenManagedState(g *graph.Graph, opts Options, newDefault func() state.Back
 			// Fence the namespace against duplicate task executions. The
 			// fence wraps the checkpointing chain, so its applied ledger is
 			// written (and checkpointed) like workflow data, while the raw
-			// backend store underneath still serves the single-round-trip
-			// fenced-increment fast path when no checkpointing intervenes.
+			// backend store underneath still applies each fenced Op in one
+			// step (a single FENCEAPPLY round trip on Redis).
 			fs := state.NewFencedStore(chain)
 			if opts.Telemetry != nil {
 				fs.SetDropCounter(&opts.Telemetry.State().FenceDrops)

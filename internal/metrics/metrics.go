@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -52,49 +51,6 @@ func (s StateOps) String() string {
 	}
 	return fmt.Sprintf("state[get=%d put=%d del=%d add=%d upd=%d list=%d snap=%d restore=%d ckpt=%d]",
 		s.Gets, s.Puts, s.Deletes, s.Adds, s.Updates, s.Lists, s.Snapshots, s.Restores, s.Checkpoints)
-}
-
-// StateCounter is the concurrency-safe accumulator behind StateOps. State
-// backends carry one and increment it on every store operation.
-type StateCounter struct {
-	gets, puts, deletes, adds, updates, lists, snapshots, restores, checkpoints atomic.Int64
-}
-
-// IncGet counts one Get.
-func (c *StateCounter) IncGet() { c.gets.Add(1) }
-
-// IncPut counts one Put.
-func (c *StateCounter) IncPut() { c.puts.Add(1) }
-
-// IncDelete counts one Delete.
-func (c *StateCounter) IncDelete() { c.deletes.Add(1) }
-
-// IncAdd counts one AddInt.
-func (c *StateCounter) IncAdd() { c.adds.Add(1) }
-
-// IncUpdate counts one atomic Update.
-func (c *StateCounter) IncUpdate() { c.updates.Add(1) }
-
-// IncList counts one whole-namespace read.
-func (c *StateCounter) IncList() { c.lists.Add(1) }
-
-// IncSnapshot counts one Snapshot.
-func (c *StateCounter) IncSnapshot() { c.snapshots.Add(1) }
-
-// IncRestore counts one Restore.
-func (c *StateCounter) IncRestore() { c.restores.Add(1) }
-
-// IncCheckpoint counts one checkpoint write.
-func (c *StateCounter) IncCheckpoint() { c.checkpoints.Add(1) }
-
-// Snapshot reads the current totals.
-func (c *StateCounter) Snapshot() StateOps {
-	return StateOps{
-		Gets: c.gets.Load(), Puts: c.puts.Load(), Deletes: c.deletes.Load(),
-		Adds: c.adds.Load(), Updates: c.updates.Load(), Lists: c.lists.Load(),
-		Snapshots: c.snapshots.Load(), Restores: c.restores.Load(),
-		Checkpoints: c.checkpoints.Load(),
-	}
 }
 
 // Report captures one workflow execution.

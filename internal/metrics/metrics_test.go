@@ -171,45 +171,6 @@ func TestRenderSeriesGolden(t *testing.T) {
 	}
 }
 
-// StateCounter is shared by every worker of a run; hammer it from many
-// goroutines (meaningful under -race) and check the totals are exact.
-func TestStateCounterConcurrent(t *testing.T) {
-	var c StateCounter
-	const workers, perWorker = 16, 500
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < perWorker; i++ {
-				c.IncGet()
-				c.IncPut()
-				c.IncDelete()
-				c.IncAdd()
-				c.IncUpdate()
-				c.IncList()
-				c.IncSnapshot()
-				c.IncRestore()
-				c.IncCheckpoint()
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	got := c.Snapshot()
-	want := StateOps{
-		Gets: workers * perWorker, Puts: workers * perWorker, Deletes: workers * perWorker,
-		Adds: workers * perWorker, Updates: workers * perWorker, Lists: workers * perWorker,
-		Snapshots: workers * perWorker, Restores: workers * perWorker, Checkpoints: workers * perWorker,
-	}
-	if got != want {
-		t.Errorf("snapshot: %+v want %+v", got, want)
-	}
-	if got.Total() != int64(9*workers*perWorker) {
-		t.Errorf("total: %d", got.Total())
-	}
-}
-
 func TestReportString(t *testing.T) {
 	out := pt(4, time.Second, 2*time.Second).String()
 	for _, want := range []string{"wf", "m", "server", "procs=4"} {

@@ -32,7 +32,6 @@ const ringVnodes = 128
 type Cluster struct {
 	clients []*Client
 	ring    []ringPoint
-	owns    bool
 }
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
@@ -57,20 +56,6 @@ func NewCluster(addrs []string) (*Cluster, error) {
 		}
 		clients[i] = Dial(addr)
 	}
-	c := clusterOver(clients)
-	c.owns = true
-	return c, nil
-}
-
-// Single wraps an existing client as a one-shard cluster. The caller keeps
-// ownership of cl (Close does not close it) — the back-compat path for every
-// API that used to take a bare *Client.
-func Single(cl *Client) *Cluster {
-	return clusterOver([]*Client{cl})
-}
-
-// clusterOver builds the ring over the given clients.
-func clusterOver(clients []*Client) *Cluster {
 	ring := make([]ringPoint, 0, len(clients)*ringVnodes)
 	for shard := range clients {
 		for v := 0; v < ringVnodes; v++ {
@@ -78,7 +63,7 @@ func clusterOver(clients []*Client) *Cluster {
 		}
 	}
 	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-	return &Cluster{clients: clients, ring: ring}
+	return &Cluster{clients: clients, ring: ring}, nil
 }
 
 // NumShards is the shard count.
@@ -207,12 +192,8 @@ func (c *Cluster) Stats() Stats {
 	return out
 }
 
-// Close closes the shard clients when the cluster owns them (NewCluster);
-// clusters wrapping caller-owned clients (Single) leave them open.
+// Close closes the shard clients.
 func (c *Cluster) Close() error {
-	if !c.owns {
-		return nil
-	}
 	var first error
 	for _, cl := range c.clients {
 		if err := cl.Close(); err != nil && first == nil {

@@ -10,11 +10,15 @@ import (
 // fakeCluster builds an n-shard cluster over undial-ed clients — ring-only
 // tests never touch the network because Dial is lazy.
 func fakeCluster(n int) *Cluster {
-	clients := make([]*Client, n)
-	for i := range clients {
-		clients[i] = Dial(fmt.Sprintf("shard-%d.invalid:0", i))
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("shard-%d.invalid:0", i)
 	}
-	return clusterOver(clients)
+	c, err := NewCluster(addrs)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestShardForDistribution(t *testing.T) {
@@ -93,8 +97,7 @@ func TestHashTag(t *testing.T) {
 }
 
 func TestSingleShardFastPath(t *testing.T) {
-	cl := Dial("unused.invalid:0")
-	c := Single(cl)
+	c := fakeCluster(1)
 	if c.NumShards() != 1 {
 		t.Fatalf("NumShards = %d, want 1", c.NumShards())
 	}
@@ -103,7 +106,7 @@ func TestSingleShardFastPath(t *testing.T) {
 			t.Errorf("ShardFor(%q) = %d on a single-shard cluster, want 0", k, got)
 		}
 	}
-	// Single wraps a caller-owned client: Close must leave it usable.
+	// Closing a cluster that never dialed is clean.
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -74,7 +74,10 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 				t.Fatalf("reference run: %v", want)
 			}
 
-			backend := state.DialRedisClusterBackend(addrs, "chaosbk")
+			backend, err := state.DialRedisClusterBackend(addrs, "chaosbk")
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer backend.Close()
 			opts := mapping.Options{
 				Processes:    3,

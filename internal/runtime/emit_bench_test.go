@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/miniredis"
-	"repro/internal/redisclient"
 	"repro/internal/runtime"
 )
 
@@ -50,13 +48,8 @@ func BenchmarkEmitBatching(b *testing.B) {
 	}
 
 	b.Run("redis", func(b *testing.B) {
-		srv, err := miniredis.StartTestServer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		cl := redisclient.Dial(srv.Addr())
-		defer cl.Close()
+		cluster := oneShardCluster(b)
+		cl := cluster.Shard(0)
 		for _, batch := range batches {
 			name := "unbatched"
 			if batch > 1 {
@@ -64,7 +57,7 @@ func BenchmarkEmitBatching(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				keys := runtime.NewRunKeys("bench", int64(batch))
-				tr, err := runtime.NewRedisTransport(redisclient.Single(cl), keys, poolPlan, false)
+				tr, err := runtime.NewRedisTransport(cluster, keys, poolPlan, false)
 				if err != nil {
 					b.Fatal(err)
 				}

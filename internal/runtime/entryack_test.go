@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/miniredis"
 	"repro/internal/redisclient"
 	"repro/internal/runtime"
 )
@@ -13,20 +12,14 @@ import (
 // inspect the stream and PEL behind the Transport interface.
 func newEntryFixture(t *testing.T, workers int, recoverStale bool) (*runtime.RedisTransport, *redisclient.Client, runtime.RedisKeys) {
 	t.Helper()
-	srv, err := miniredis.StartTestServer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl := redisclient.Dial(srv.Addr())
-	t.Cleanup(func() { cl.Close() })
+	cluster := oneShardCluster(t)
 	keys := runtime.NewRunKeys("entrytest", 1)
 	plan := runtime.NewPlan(make([]runtime.WorkerSpec, workers), map[string]int{"pe": 0})
-	tr, err := runtime.NewRedisTransport(redisclient.Single(cl), keys, plan, recoverStale)
+	tr, err := runtime.NewRedisTransport(cluster, keys, plan, recoverStale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, cl, keys
+	return tr, cluster.Shard(0), keys
 }
 
 func poolTasks(n int) []runtime.Task {

@@ -10,21 +10,33 @@ import (
 	"repro/internal/runtime"
 )
 
+// oneShardCluster dials a one-shard cluster onto a fresh embedded server,
+// both closed with the test; Shard(0) is the client for tests that inspect
+// the server behind the Transport interface.
+func oneShardCluster(tb testing.TB) *redisclient.Cluster {
+	tb.Helper()
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	cluster, err := redisclient.NewCluster([]string{srv.Addr()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cluster.Close() })
+	return cluster
+}
+
 // newRedisFixture builds a Redis transport over a fresh embedded server.
 func newRedisFixture(t *testing.T, plan runtime.Plan, recoverStale bool) (*runtime.RedisTransport, *redisclient.Client) {
 	t.Helper()
-	srv, err := miniredis.StartTestServer()
+	cluster := oneShardCluster(t)
+	tr, err := runtime.NewRedisTransport(cluster, runtime.NewRunKeys("fencetest", 1), plan, recoverStale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	cl := redisclient.Dial(srv.Addr())
-	t.Cleanup(func() { cl.Close() })
-	tr, err := runtime.NewRedisTransport(redisclient.Single(cl), runtime.NewRunKeys("fencetest", 1), plan, recoverStale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr, cl
+	return tr, cluster.Shard(0)
 }
 
 // TestRedisLateAckAfterClaimIsFenced drives the late-ack double-decrement

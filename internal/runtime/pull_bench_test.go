@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/miniredis"
-	"repro/internal/redisclient"
 	"repro/internal/runtime"
 )
 
@@ -83,18 +81,13 @@ func BenchmarkPullBatching(b *testing.B) {
 	}
 
 	b.Run("redis", func(b *testing.B) {
-		srv, err := miniredis.StartTestServer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		cl := redisclient.Dial(srv.Addr())
-		defer cl.Close()
+		cluster := oneShardCluster(b)
+		cl := cluster.Shard(0)
 		for _, window := range windows {
 			window := window
 			b.Run(name(window), func(b *testing.B) {
 				keys := runtime.NewRunKeys("pullbench", int64(window))
-				tr, err := runtime.NewRedisTransport(redisclient.Single(cl), keys, poolPlan, false)
+				tr, err := runtime.NewRedisTransport(cluster, keys, poolPlan, false)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/miniredis"
 	"repro/internal/mpi"
-	"repro/internal/redisclient"
 	"repro/internal/runtime"
 )
 
@@ -33,14 +31,7 @@ func transportFixtures() []transportFixture {
 			return runtime.NewQueueTransport(runtime.NewQueue(0)), runtime.Task{PE: "pe", Port: "in", Instance: -1}
 		}},
 		{name: "redis", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
-			srv, err := miniredis.StartTestServer()
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			cl := redisclient.Dial(srv.Addr())
-			t.Cleanup(func() { cl.Close() })
-			tr, err := runtime.NewRedisTransport(redisclient.Single(cl), runtime.NewRunKeys("tconf", 1), pinnedPlan(), false)
+			tr, err := runtime.NewRedisTransport(oneShardCluster(t), runtime.NewRunKeys("tconf", 1), pinnedPlan(), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,18 +9,23 @@ import (
 	"repro/internal/redisclient"
 )
 
-func coalesceClient(t *testing.T) *redisclient.Client {
+// coalesceCluster is a one-shard cluster over a fresh server; Shard(0) is its
+// client, whose Stats the tests read.
+func coalesceCluster(t *testing.T) *redisclient.Cluster {
 	t.Helper()
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := redisclient.Dial(srv.Addr())
+	cluster, err := redisclient.NewCluster([]string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
-		cl.Close()
+		cluster.Close()
 		srv.Close()
 	})
-	return cl
+	return cluster
 }
 
 // TestFlushAddsMergesIntoOneRoundTrip pins the group-commit mechanics
@@ -28,7 +33,7 @@ func coalesceClient(t *testing.T) *redisclient.Client {
 // one pipeline round trip, lands the right totals server-side, and hands each
 // op the exact intermediate value its arrival position produced.
 func TestFlushAddsMergesIntoOneRoundTrip(t *testing.T) {
-	cl := coalesceClient(t)
+	cl := coalesceCluster(t).Shard(0)
 	if _, err := cl.HIncrBy("h", "a", 100); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +80,9 @@ func TestFlushAddsMergesIntoOneRoundTrip(t *testing.T) {
 // permutation of 1..N, exactly as if every increment had been its own
 // HINCRBY — and fewer round trips than ops.
 func TestCoalescedAddIntExactUnderConcurrency(t *testing.T) {
-	cl := coalesceClient(t)
-	b := NewRedisBackend(cl, "coal")
+	cluster := coalesceCluster(t)
+	cl := cluster.Shard(0)
+	b := NewRedisClusterBackend(cluster, "coal")
 	b.EnableCoalescing()
 	defer b.Close()
 	st, err := b.Open("ns")
@@ -128,8 +134,7 @@ func TestCoalescedAddIntExactUnderConcurrency(t *testing.T) {
 // TestCoalescerCloseDegradesToDirect pins the shutdown path: after the
 // backend closes the coalescer, AddInt still works via plain HIncrBy.
 func TestCoalescerCloseDegradesToDirect(t *testing.T) {
-	cl := coalesceClient(t)
-	b := NewRedisBackend(cl, "coal2")
+	b := NewRedisClusterBackend(coalesceCluster(t), "coal2")
 	b.EnableCoalescing()
 	st, err := b.Open("ns")
 	if err != nil {

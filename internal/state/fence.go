@@ -1,7 +1,6 @@
 package state
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -32,6 +31,17 @@ const fencePrefix = "\x00fence:"
 // Final flushes never observe fence bookkeeping.
 func IsFenceKey(key string) bool { return strings.HasPrefix(key, fencePrefix) }
 
+// dataKeys filters the applied ledger out of a key listing, in place.
+func dataKeys(keys []string) []string {
+	out := keys[:0]
+	for _, k := range keys {
+		if !IsFenceKey(k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // fenceField builds the ledger key of one mutation: provenance, sequence and
 // the mutation's index within the delivery's execution. The index is what
 // admits several mutations from one execution while rejecting every mutation
@@ -48,38 +58,6 @@ func taskFenceField(tok Token) string {
 		strconv.FormatUint(tok.Seq, 36) + ":task"
 }
 
-// fencedMutator is the one fenced-mutation contract: ledger record plus
-// effect in one indivisible operation, per mutation shape. Both backends
-// implement it (one FENCEAPPLY compound command on Redis, a dual shard-locked
-// section in memory); CheckpointStore and the instrumentation wrapper forward
-// it, so a full store chain keeps the atomicity end to end. NewFencedStore
-// and the two wrappers resolve it once, at construction (fencedOf).
-type fencedMutator interface {
-	// FencedAddInt applies delta to key iff ledgerField was never recorded,
-	// recording it. It returns whether the delta was applied and the key's
-	// resulting value either way.
-	FencedAddInt(ledgerField, key string, delta int64) (applied bool, n int64, err error)
-	// FencedPut sets key iff ledgerField was never recorded, recording it.
-	FencedPut(ledgerField, key, value string) (applied bool, err error)
-	// FencedDelete removes key iff ledgerField was never recorded, recording it.
-	FencedDelete(ledgerField, key string) (applied bool, err error)
-	// FencedUpdate runs the read-modify-write iff ledgerField was never
-	// recorded; a duplicate returns applied=false without invoking fn.
-	FencedUpdate(ledgerField, key string, fn func(cur string, exists bool) (next string, keep bool, err error)) (applied bool, err error)
-}
-
-// fencedOf resolves a store chain's fenced-mutation contract. Every store
-// this package hands out implements it; a Store from anywhere else is a
-// wiring bug, reported where the chain is built rather than at the first
-// fenced mutation.
-func fencedOf(st Store) fencedMutator {
-	fm, ok := st.(fencedMutator)
-	if !ok {
-		panic(fmt.Sprintf("state: %T implements no fenced mutations", st))
-	}
-	return fm
-}
-
 // TaskGater is implemented by stores that can name the storage-level address
 // of a delivery's task gate — the (hash key, ledger field) pair a transport
 // speaking to the same server can record inside an atomic output flush
@@ -87,6 +65,15 @@ func fencedOf(st Store) fencedMutator {
 // one server, which every Redis mapping in this repository does.
 type TaskGater interface {
 	TaskGateRef(tok Token) (hashKey, field string, ok bool)
+}
+
+// taskGateRef asks the next store down a chain for the gate's address; the
+// zero token, or a chain that cannot name one (memory), has none.
+func taskGateRef(inner Store, tok Token) (hashKey, field string, ok bool) {
+	if tg, ok := inner.(TaskGater); ok && !tok.IsZero() {
+		return tg.TaskGateRef(tok)
+	}
+	return "", "", false
 }
 
 // FencedStore guards one namespace's mutations against duplicate
@@ -101,27 +88,22 @@ type TaskGater interface {
 // consumption. Entries live in the namespace itself (see fencePrefix) and
 // are filtered from the user-facing key/snapshot views.
 //
-// Atomicity scope: every mutation shape records its ledger entry and
-// applies its effect in one indivisible operation on both backends — a
-// single FENCEAPPLY compound command on Redis (fence-check + record +
-// HSET/HDEL/HINCRBY under the server's one dispatch lock), a
-// double-shard-locked section in memory — forwarded through
-// CheckpointStore and the instrumentation wrapper, so no crash point
-// between "recorded" and "applied" exists: a worker killed mid-mutation
-// either left no record (the replay re-applies) or left record+effect
-// together (the replay drops). There is no second path.
+// Atomicity scope: a fenced Op records its ledger entry and applies its
+// effect in one indivisible operation on both backends — a single FENCEAPPLY
+// compound command on Redis (fence-check + record + HSET/HDEL/HINCRBY under
+// the server's one dispatch lock), a double-shard-locked section in memory —
+// and CheckpointStore and the instrumentation wrapper forward the Op as it
+// is, so no crash point between "recorded" and "applied" exists: a worker
+// killed mid-mutation either left no record (the replay re-applies) or left
+// record+effect together (the replay drops). There is no second path.
 type FencedStore struct {
 	inner  Store
-	fenced fencedMutator
 	drops  []*telemetry.Counter
 	notify func()
 }
 
-// NewFencedStore wraps a namespace's store chain with the fence. The chain
-// must come from this package's backends and wrappers (see fencedOf).
-func NewFencedStore(inner Store) *FencedStore {
-	return &FencedStore{inner: inner, fenced: fencedOf(inner)}
-}
+// NewFencedStore wraps a namespace's store chain with the fence.
+func NewFencedStore(inner Store) *FencedStore { return &FencedStore{inner: inner} }
 
 // SetDropCounter routes a count of dropped (already-applied) mutations into
 // telemetry. It may be called more than once — every registered counter is
@@ -160,37 +142,22 @@ func (fs *FencedStore) ObserveDrop() { fs.dropped() }
 // transport sharing the server can then record the gate inside its own atomic
 // flush instead of the two-step acquire-then-emit sequence.
 func (fs *FencedStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
-	if tok.IsZero() {
-		return "", "", false
-	}
-	if tg, ok := fs.inner.(TaskGater); ok {
-		return tg.TaskGateRef(tok)
-	}
-	return "", "", false
+	return taskGateRef(fs.inner, tok)
 }
 
 // NewScope creates a per-worker view of the namespace. Scopes are not safe
 // for concurrent use — each worker goroutine owns its own.
-func (fs *FencedStore) NewScope() *FenceScope { return &FenceScope{fs: fs} }
-
-// acquire records one ledger entry, reporting whether this caller was first.
-// It rides the store's atomic AddInt, so two racing executions of the same
-// delivery resolve to exactly one applier on every backend.
-func (fs *FencedStore) acquire(field string) (bool, error) {
-	n, err := fs.inner.AddInt(field, 1)
-	if err != nil {
-		return false, err
-	}
-	if n != 1 {
-		fs.dropped()
-	}
-	return n == 1, nil
+func (fs *FencedStore) NewScope() *FenceScope {
+	s := &FenceScope{fs: fs}
+	s.mutations.to = s
+	return s
 }
 
 // FenceScope is one worker's handle onto a FencedStore. It implements Store:
 // reads pass through; with a delivery token set, mutations are applied at
 // most once per (token, mutation-index) across duplicate executions.
 type FenceScope struct {
+	mutations
 	fs  *FencedStore
 	tok Token
 	mut uint64
@@ -208,19 +175,21 @@ func (s *FenceScope) ClearToken() { s.tok = Token{}; s.mut = 0 }
 
 // AcquireTask gates a whole delivery (the Finalize path): it reports whether
 // this execution is the delivery's first, so a duplicate Final is skipped
-// before it can re-emit its flush values.
+// before it can re-emit its flush values. The gate rides the store's atomic
+// AddInt, so two racing executions of the same delivery resolve to exactly
+// one first on every backend.
 func (s *FenceScope) AcquireTask(tok Token) (bool, error) {
 	if tok.IsZero() {
 		return true, nil
 	}
-	return s.fs.acquire(taskFenceField(tok))
-}
-
-// nextField issues the ledger key for the execution's next mutation.
-func (s *FenceScope) nextField() string {
-	f := fenceField(s.tok, s.mut)
-	s.mut++
-	return f
+	n, err := s.fs.inner.AddInt(taskFenceField(tok), 1)
+	if err != nil {
+		return false, err
+	}
+	if n != 1 {
+		s.fs.dropped()
+	}
+	return n == 1, nil
 }
 
 // Namespace implements Store.
@@ -229,46 +198,27 @@ func (s *FenceScope) Namespace() string { return s.fs.inner.Namespace() }
 // Get implements Store.
 func (s *FenceScope) Get(key string) (string, bool, error) { return s.fs.inner.Get(key) }
 
-// dropIfDuplicate folds one fenced mutation's outcome into the drop
-// accounting and returns its error.
-func (s *FenceScope) dropIfDuplicate(applied bool, err error) error {
-	if err == nil && !applied {
+// Apply implements Store. With a delivery token bound, the op is stamped with
+// the ledger field of the execution's next mutation index, so across every
+// execution of that delivery it applies once: a duplicate's Put, Delete or
+// Update is dropped (Fn not invoked), and a duplicate's AddInt returns the
+// key's current value instead. Unbound, the op passes through as it came.
+func (s *FenceScope) Apply(op Op) (Result, error) {
+	if !s.tok.IsZero() {
+		op.Ledger = fenceField(s.tok, s.mut)
+		s.mut++
+	}
+	res, err := s.fs.inner.Apply(op)
+	if err == nil && !res.Applied {
 		s.fs.dropped()
 	}
-	return err
-}
-
-// Put implements Store: a duplicate execution's Put is dropped.
-func (s *FenceScope) Put(key, value string) error {
-	if s.tok.IsZero() {
-		return s.fs.inner.Put(key, value)
-	}
-	applied, err := s.fs.fenced.FencedPut(s.nextField(), key, value)
-	return s.dropIfDuplicate(applied, err)
-}
-
-// Delete implements Store: a duplicate execution's Delete is dropped.
-func (s *FenceScope) Delete(key string) error {
-	if s.tok.IsZero() {
-		return s.fs.inner.Delete(key)
-	}
-	applied, err := s.fs.fenced.FencedDelete(s.nextField(), key)
-	return s.dropIfDuplicate(applied, err)
+	return res, err
 }
 
 // Keys implements Store, hiding the applied ledger.
 func (s *FenceScope) Keys() ([]string, error) {
 	keys, err := s.fs.inner.Keys()
-	if err != nil {
-		return nil, err
-	}
-	out := keys[:0]
-	for _, k := range keys {
-		if !IsFenceKey(k) {
-			out = append(out, k)
-		}
-	}
-	return out, nil
+	return dataKeys(keys), err
 }
 
 // Len implements Store, counting only workflow entries.
@@ -278,26 +228,6 @@ func (s *FenceScope) Len() (int, error) {
 		return 0, err
 	}
 	return len(keys), nil
-}
-
-// AddInt implements Store: a duplicate execution's increment is dropped and
-// the key's current value is returned instead.
-func (s *FenceScope) AddInt(key string, delta int64) (int64, error) {
-	if s.tok.IsZero() {
-		return s.fs.inner.AddInt(key, delta)
-	}
-	applied, n, err := s.fs.fenced.FencedAddInt(s.nextField(), key, delta)
-	return n, s.dropIfDuplicate(applied, err)
-}
-
-// Update implements Store: a duplicate execution's read-modify-write is
-// dropped without invoking fn.
-func (s *FenceScope) Update(key string, fn func(string, bool) (string, bool, error)) error {
-	if s.tok.IsZero() {
-		return s.fs.inner.Update(key, fn)
-	}
-	applied, err := s.fs.fenced.FencedUpdate(s.nextField(), key, fn)
-	return s.dropIfDuplicate(applied, err)
 }
 
 // Snapshot implements Store, hiding the applied ledger. Durability paths

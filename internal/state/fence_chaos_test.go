@@ -1,7 +1,6 @@
 package state_test
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/miniredis"
 	"repro/internal/state"
-	"repro/internal/telemetry"
 )
 
 // armInj installs a process-global injector for one test; chaos tests must
@@ -41,7 +39,10 @@ func TestFencedMutationsSurviveConnDrops(t *testing.T) {
 				defer srv.Close()
 				addrs[i] = srv.Addr()
 			}
-			b := state.DialRedisClusterBackend(addrs, "chaos")
+			b, err := state.DialRedisClusterBackend(addrs, "chaos")
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer b.Close()
 
 			// One namespace per shard count keeps a scope's gate, ledger and
@@ -99,103 +100,5 @@ func TestFencedMutationsSurviveConnDrops(t *testing.T) {
 				t.Fatal("delete lost")
 			}
 		})
-	}
-}
-
-// TestAfterRecordWindowClosed: every fenced mutation shape rides one compound
-// operation on both backends — there is no record-then-apply sequence left
-// for a crash to split, so a fenced execution either lands whole or not at
-// all.
-func TestAfterRecordWindowClosed(t *testing.T) {
-	fenceBackends(t, func(t *testing.T, b state.Backend) {
-		st, err := b.Open("ns")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := state.NewFencedStore(st)
-		scope := fs.NewScope()
-
-		scope.SetToken(state.Token{Src: 2, Seq: 9})
-		defer scope.ClearToken()
-		if err := scope.Put("k", "v"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := scope.AddInt("n", 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := scope.Update("k", func(cur string, exists bool) (string, bool, error) {
-			return cur + "!", true, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := scope.Delete("n"); err != nil {
-			t.Fatal(err)
-		}
-		if v, _, _ := scope.Get("k"); v != "v!" {
-			t.Fatalf("k=%q want v!", v)
-		}
-		if _, ok, _ := scope.Get("n"); ok {
-			t.Fatal("fenced delete lost")
-		}
-	})
-}
-
-// TestMemoryFencedMutatorSemantics pins the memory backend's compound
-// behavior: duplicate drops, and an Update whose fn errors leaves no ledger
-// record so a retry can still apply.
-func TestMemoryFencedMutatorSemantics(t *testing.T) {
-	mb := state.NewMemoryBackend()
-	defer mb.Close()
-	st, err := mb.Open("ns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := state.NewFencedStore(st)
-	drops := &telemetry.Counter{}
-	fs.SetDropCounter(drops)
-	scope := fs.NewScope()
-	tok := state.Token{Src: 4, Seq: 1}
-
-	boom := errors.New("boom")
-	scope.SetToken(tok)
-	if err := scope.Update("k", func(string, bool) (string, bool, error) {
-		return "", false, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("fn error: %v", err)
-	}
-	scope.ClearToken()
-
-	// The failed attempt must not have burned the token's ledger slots:
-	// replaying the task applies cleanly.
-	scope.SetToken(tok)
-	if err := scope.Update("k", func(cur string, exists bool) (string, bool, error) {
-		if exists {
-			t.Fatalf("phantom value %q", cur)
-		}
-		return "ok", true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	scope.ClearToken()
-	if v, _, _ := scope.Get("k"); v != "ok" {
-		t.Fatalf("k=%q want ok", v)
-	}
-
-	// Duplicate delivery of the whole task: the mutation drops.
-	if got := drops.Load(); got != 0 {
-		t.Fatalf("premature drops: %d", got)
-	}
-	scope.SetToken(tok)
-	if err := scope.Update("k", func(string, bool) (string, bool, error) {
-		return "clobbered", true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	scope.ClearToken()
-	if v, _, _ := scope.Get("k"); v != "ok" {
-		t.Fatalf("duplicate applied: k=%q", v)
-	}
-	if got := drops.Load(); got != 1 {
-		t.Fatalf("drops=%d want 1", got)
 	}
 }

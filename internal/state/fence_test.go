@@ -3,35 +3,15 @@ package state_test
 import (
 	"testing"
 
-	"repro/internal/miniredis"
 	"repro/internal/state"
 )
-
-// fenceBackends runs a subtest against both backend kinds.
-func fenceBackends(t *testing.T, run func(t *testing.T, b state.Backend)) {
-	t.Run("memory", func(t *testing.T) {
-		b := state.NewMemoryBackend()
-		defer b.Close()
-		run(t, b)
-	})
-	t.Run("redis", func(t *testing.T) {
-		srv, err := miniredis.StartTestServer()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		b := state.DialRedisBackend(srv.Addr(), "fence")
-		defer b.Close()
-		run(t, b)
-	})
-}
 
 // TestFenceDropsDuplicateExecutions is the core exactly-once property: the
 // same delivery token applied twice (a replayed task raced by its original)
 // mutates the store once, while distinct tokens — and distinct mutations
 // within one execution — all apply.
 func TestFenceDropsDuplicateExecutions(t *testing.T) {
-	fenceBackends(t, func(t *testing.T, b state.Backend) {
+	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, err := b.Open("ns")
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +56,7 @@ func TestFenceDropsDuplicateExecutions(t *testing.T) {
 // still reports the key's present value, so PE code observing the return
 // stays coherent.
 func TestFenceDuplicateAddIntReturnsCurrentValue(t *testing.T) {
-	fenceBackends(t, func(t *testing.T, b state.Backend) {
+	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
 		scope := state.NewFencedStore(st).NewScope()
 		scope.SetToken(state.Token{Src: 1, Seq: 1})
@@ -95,7 +75,7 @@ func TestFenceDuplicateAddIntReturnsCurrentValue(t *testing.T) {
 // helpers (the Final-flush path), while remaining present in the inner
 // chain's snapshot — the durability view checkpoints are taken from.
 func TestFenceHidesLedgerFromUserViews(t *testing.T) {
-	fenceBackends(t, func(t *testing.T, b state.Backend) {
+	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
 		scope := state.NewFencedStore(st).NewScope()
 		scope.SetToken(state.Token{Src: 3, Seq: 9})
@@ -133,7 +113,7 @@ func TestFenceHidesLedgerFromUserViews(t *testing.T) {
 // updates the crashed run already applied — replaying the same deliveries
 // against the restored state must leave it byte-identical.
 func TestFenceSurvivesCheckpointRestore(t *testing.T) {
-	fenceBackends(t, func(t *testing.T, b state.Backend) {
+	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
 		ckpt := state.NewCheckpointStore(st, b, 1)
 		scope := state.NewFencedStore(ckpt).NewScope()
@@ -162,7 +142,7 @@ func TestFenceSurvivesCheckpointRestore(t *testing.T) {
 
 // TestFenceFinalGate: AcquireTask admits a delivery's first execution only.
 func TestFenceFinalGate(t *testing.T) {
-	fenceBackends(t, func(t *testing.T, b state.Backend) {
+	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
 		scope := state.NewFencedStore(st).NewScope()
 		tok := state.Token{Src: 21, Seq: 0}

@@ -20,7 +20,7 @@ type MemoryBackend struct {
 	mu          sync.RWMutex
 	namespaces  map[string]*memStore
 	checkpoints map[string]Snapshot
-	counter     metrics.StateCounter
+	counts      opCounts
 	closed      bool
 }
 
@@ -44,7 +44,7 @@ func (b *MemoryBackend) Open(namespace string) (Store, error) {
 	}
 	st, ok := b.namespaces[namespace]
 	if !ok {
-		st = newMemStore(namespace, &b.counter)
+		st = newMemStore(namespace, &b.counts)
 		b.namespaces[namespace] = st
 	}
 	return st, nil
@@ -58,7 +58,7 @@ func (b *MemoryBackend) SaveCheckpoint(namespace string, snap Snapshot) error {
 		return fmt.Errorf("state: memory backend closed")
 	}
 	b.checkpoints[namespace] = snap.Clone()
-	b.counter.IncCheckpoint()
+	b.counts[countCheckpoint].Add(1)
 	return nil
 }
 
@@ -83,7 +83,7 @@ func (b *MemoryBackend) DropNamespace(namespace string) error {
 }
 
 // Ops implements Backend.
-func (b *MemoryBackend) Ops() metrics.StateOps { return b.counter.Snapshot() }
+func (b *MemoryBackend) Ops() metrics.StateOps { return b.counts.ops() }
 
 // Close implements Backend.
 func (b *MemoryBackend) Close() error {
@@ -97,8 +97,9 @@ func (b *MemoryBackend) Close() error {
 
 // memStore is one lock-sharded in-memory namespace.
 type memStore struct {
+	mutations
 	namespace string
-	counter   *metrics.StateCounter
+	counts    *opCounts
 	shards    [memShards]memShard
 }
 
@@ -107,8 +108,9 @@ type memShard struct {
 	m  map[string]string
 }
 
-func newMemStore(namespace string, counter *metrics.StateCounter) *memStore {
-	st := &memStore{namespace: namespace, counter: counter}
+func newMemStore(namespace string, counts *opCounts) *memStore {
+	st := &memStore{namespace: namespace, counts: counts}
+	st.mutations.to = st
 	for i := range st.shards {
 		st.shards[i].m = make(map[string]string)
 	}
@@ -135,7 +137,7 @@ func (st *memStore) Namespace() string { return st.namespace }
 
 // Get implements Store.
 func (st *memStore) Get(key string) (string, bool, error) {
-	st.counter.IncGet()
+	st.counts[countGet].Add(1)
 	sh := st.shardOf(key)
 	sh.mu.Lock()
 	v, ok := sh.m[key]
@@ -143,29 +145,9 @@ func (st *memStore) Get(key string) (string, bool, error) {
 	return v, ok, nil
 }
 
-// Put implements Store.
-func (st *memStore) Put(key, value string) error {
-	st.counter.IncPut()
-	sh := st.shardOf(key)
-	sh.mu.Lock()
-	sh.m[key] = value
-	sh.mu.Unlock()
-	return nil
-}
-
-// Delete implements Store.
-func (st *memStore) Delete(key string) error {
-	st.counter.IncDelete()
-	sh := st.shardOf(key)
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
-	return nil
-}
-
 // Keys implements Store.
 func (st *memStore) Keys() ([]string, error) {
-	st.counter.IncList()
+	st.counts[countList].Add(1)
 	var keys []string
 	for i := range st.shards {
 		sh := &st.shards[i]
@@ -180,7 +162,7 @@ func (st *memStore) Keys() ([]string, error) {
 
 // Len implements Store.
 func (st *memStore) Len() (int, error) {
-	st.counter.IncList()
+	st.counts[countList].Add(1)
 	n := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
@@ -191,181 +173,86 @@ func (st *memStore) Len() (int, error) {
 	return n, nil
 }
 
-// AddInt implements Store.
-func (st *memStore) AddInt(key string, delta int64) (int64, error) {
-	st.counter.IncAdd()
-	sh := st.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := int64(0)
-	if s, ok := sh.m[key]; ok {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("state: AddInt on non-integer value %q of key %q", s, key)
+// Apply implements Store. The key's shard — and, for a fenced op, the ledger
+// field's shard with it, taken in shard-index order to rule out lock cycles —
+// stays locked from the first read to the last write, so the section is
+// atomic with respect to every other mutation of the key and is the
+// in-process analogue of a FENCEAPPLY compound command: a racing duplicate
+// execution can neither double-apply nor observe a gap between record and
+// apply. The order inside is check ledger → validate → record → apply, so an
+// op that fails (a non-integer AddInt target, an Update whose Fn errors)
+// leaves no record and a clean retry of the same delivery still applies.
+func (st *memStore) Apply(op Op) (Result, error) {
+	st.counts[op.Kind].Add(1)
+	di := shardIndexOf(op.Key)
+	li := di
+	if op.Ledger != "" {
+		li = shardIndexOf(op.Ledger)
+	}
+	lo, hi := min(di, li), max(di, li)
+	st.shards[lo].mu.Lock()
+	defer st.shards[lo].mu.Unlock()
+	if hi != lo {
+		st.shards[hi].mu.Lock()
+		defer st.shards[hi].mu.Unlock()
+	}
+	data, ledger := st.shards[di].m, st.shards[li].m
+
+	// recorded counts the executions the ledger already holds for this op:
+	// above zero, this one is a duplicate and must apply nothing.
+	var recorded int64
+	if op.Ledger != "" {
+		if s, ok := ledger[op.Ledger]; ok {
+			var err error
+			if recorded, err = strconv.ParseInt(s, 10, 64); err != nil {
+				return Result{}, fmt.Errorf("state: fence ledger holds non-integer %q", s)
+			}
 		}
-		cur = n
 	}
-	cur += delta
-	sh.m[key] = strconv.FormatInt(cur, 10)
-	return cur, nil
-}
-
-// lockPair locks the ledger field's and the data key's shards together
-// (ordered by shard index to rule out lock cycles), returning both shards
-// and the unlock. Everything done before unlock is one atomic section: the
-// in-process analogue of a FENCEAPPLY compound command.
-func (st *memStore) lockPair(ledgerField, key string) (la, da *memShard, unlock func()) {
-	li, di := shardIndexOf(ledgerField), shardIndexOf(key)
-	la, da = &st.shards[li], &st.shards[di]
-	first, second := la, da
-	if li > di {
-		first, second = second, first
-	}
-	first.mu.Lock()
-	if second == first {
-		return la, da, first.mu.Unlock
-	}
-	second.mu.Lock()
-	return la, da, func() {
-		second.mu.Unlock()
-		first.mu.Unlock()
-	}
-}
-
-// ledgerCount reads the applied-ledger count under the caller's lock.
-func ledgerCount(la *memShard, ledgerField string) (int64, error) {
-	s, ok := la.m[ledgerField]
-	if !ok {
-		return 0, nil
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("state: fence ledger holds non-integer %q", s)
-	}
-	return n, nil
-}
-
-// ledgerBump records one more execution in the applied ledger under the
-// caller's lock, returning the pre-bump count (0 = first record, the
-// mutation must be applied).
-func ledgerBump(la *memShard, ledgerField string) (int64, error) {
-	cnt, err := ledgerCount(la, ledgerField)
-	if err != nil {
-		return 0, err
-	}
-	la.m[ledgerField] = strconv.FormatInt(cnt+1, 10)
-	return cnt, nil
-}
-
-// FencedAddInt implements fencedMutator in process: the ledger
-// check-and-record and the data increment happen under both shard locks at
-// once, so a racing duplicate execution can neither double-apply nor observe
-// the gap between record and apply.
-func (st *memStore) FencedAddInt(ledgerField, key string, delta int64) (bool, int64, error) {
-	st.counter.IncAdd()
-	la, da, unlock := st.lockPair(ledgerField, key)
-	defer unlock()
-	cnt, err := ledgerBump(la, ledgerField)
-	if err != nil {
-		return false, 0, err
-	}
-	cur := int64(0)
-	if s, ok := da.m[key]; ok {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return false, 0, fmt.Errorf("state: AddInt on non-integer value %q of key %q", s, key)
+	cur, exists := data[op.Key]
+	res := Result{Applied: recorded == 0}
+	next, keep := op.Value, op.Kind != OpDelete
+	switch op.Kind {
+	case OpAddInt:
+		// Parsed on the duplicate branch too: a dropped increment still
+		// reports the key's current value.
+		if exists {
+			n, err := strconv.ParseInt(cur, 10, 64)
+			if err != nil {
+				return Result{}, fmt.Errorf("state: AddInt on non-integer value %q of key %q", cur, op.Key)
+			}
+			res.N = n
 		}
-		cur = n
+		if res.Applied {
+			res.N += op.Delta
+			next = strconv.FormatInt(res.N, 10)
+		}
+	case OpUpdate:
+		// A duplicate does not invoke Fn.
+		if res.Applied {
+			var err error
+			if next, keep, err = op.Fn(cur, exists); err != nil {
+				return Result{}, err
+			}
+		}
 	}
-	if cnt > 0 {
-		return false, cur, nil
+	if op.Ledger != "" {
+		ledger[op.Ledger] = strconv.FormatInt(recorded+1, 10)
 	}
-	cur += delta
-	da.m[key] = strconv.FormatInt(cur, 10)
-	return true, cur, nil
-}
-
-// FencedPut implements fencedMutator: ledger record + set in one
-// double-locked section.
-func (st *memStore) FencedPut(ledgerField, key, value string) (bool, error) {
-	st.counter.IncPut()
-	la, da, unlock := st.lockPair(ledgerField, key)
-	defer unlock()
-	cnt, err := ledgerBump(la, ledgerField)
-	if err != nil || cnt > 0 {
-		return false, err
+	if !res.Applied {
+		return res, nil
 	}
-	da.m[key] = value
-	return true, nil
-}
-
-// FencedDelete implements fencedMutator: ledger record + delete in one
-// double-locked section.
-func (st *memStore) FencedDelete(ledgerField, key string) (bool, error) {
-	st.counter.IncDelete()
-	la, da, unlock := st.lockPair(ledgerField, key)
-	defer unlock()
-	cnt, err := ledgerBump(la, ledgerField)
-	if err != nil || cnt > 0 {
-		return false, err
-	}
-	delete(da.m, key)
-	return true, nil
-}
-
-// FencedUpdate implements fencedMutator. A duplicate bumps the ledger and
-// returns without invoking fn; an error from fn leaves no record, so a
-// clean retry of the same delivery can re-run the update.
-func (st *memStore) FencedUpdate(ledgerField, key string, fn func(string, bool) (string, bool, error)) (bool, error) {
-	st.counter.IncUpdate()
-	la, da, unlock := st.lockPair(ledgerField, key)
-	defer unlock()
-	cnt, err := ledgerCount(la, ledgerField)
-	if err != nil {
-		return false, err
-	}
-	if cnt > 0 {
-		la.m[ledgerField] = strconv.FormatInt(cnt+1, 10)
-		return false, nil
-	}
-	cur, ok := da.m[key]
-	next, keep, err := fn(cur, ok)
-	if err != nil {
-		return false, err
-	}
-	la.m[ledgerField] = "1"
-	if !keep {
-		delete(da.m, key)
+	if keep {
+		data[op.Key] = next
 	} else {
-		da.m[key] = next
+		delete(data, op.Key)
 	}
-	return true, nil
-}
-
-// Update implements Store. The shard stays locked for the duration of fn,
-// making the read-modify-write atomic with respect to every other mutation
-// of the key.
-func (st *memStore) Update(key string, fn func(string, bool) (string, bool, error)) error {
-	st.counter.IncUpdate()
-	sh := st.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur, ok := sh.m[key]
-	next, keep, err := fn(cur, ok)
-	if err != nil {
-		return err
-	}
-	if !keep {
-		delete(sh.m, key)
-		return nil
-	}
-	sh.m[key] = next
-	return nil
+	return res, nil
 }
 
 // Snapshot implements Store.
 func (st *memStore) Snapshot() (Snapshot, error) {
-	st.counter.IncSnapshot()
+	st.counts[countSnapshot].Add(1)
 	snap := make(Snapshot)
 	for i := range st.shards {
 		sh := &st.shards[i]
@@ -380,13 +267,8 @@ func (st *memStore) Snapshot() (Snapshot, error) {
 
 // Restore implements Store.
 func (st *memStore) Restore(snap Snapshot) error {
-	st.counter.IncRestore()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[string]string)
-		sh.mu.Unlock()
-	}
+	st.counts[countRestore].Add(1)
+	st.wipe()
 	for k, v := range snap {
 		sh := st.shardOf(k)
 		sh.mu.Lock()
@@ -398,14 +280,19 @@ func (st *memStore) Restore(snap Snapshot) error {
 
 // Clear implements Store.
 func (st *memStore) Clear() error {
-	st.counter.IncDelete()
+	st.counts[OpDelete].Add(1)
+	st.wipe()
+	return nil
+}
+
+// wipe empties every shard.
+func (st *memStore) wipe() {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		sh.m = make(map[string]string)
 		sh.mu.Unlock()
 	}
-	return nil
 }
 
 var (

@@ -36,7 +36,7 @@ type RedisBackend struct {
 	cluster     *redisclient.Cluster
 	ownsCluster bool
 	prefix      string
-	counter     metrics.StateCounter
+	counts      opCounts
 	coal        *coalescer
 
 	// LockRetry is the sleep between attempts on a contended per-key update
@@ -52,13 +52,6 @@ type RedisBackend struct {
 	LockTTL time.Duration
 }
 
-// NewRedisBackend creates a single-shard backend on an existing client. The
-// caller keeps ownership of cl (Close does not close it). prefix namespaces
-// every key the backend writes, isolating concurrent runs on one server.
-func NewRedisBackend(cl *redisclient.Client, prefix string) *RedisBackend {
-	return &RedisBackend{cluster: redisclient.Single(cl), prefix: prefix}
-}
-
 // NewRedisClusterBackend creates a backend routing namespaces across the
 // cluster's shards. The caller keeps ownership of the cluster (Close does
 // not close it); the transport of the same run must share it so gates and
@@ -67,24 +60,16 @@ func NewRedisClusterBackend(cluster *redisclient.Cluster, prefix string) *RedisB
 	return &RedisBackend{cluster: cluster, prefix: prefix}
 }
 
-// DialRedisBackend creates a backend with its own client connection pool to
-// addr; Close closes the pool.
-func DialRedisBackend(addr, prefix string) *RedisBackend {
-	return DialRedisClusterBackend([]string{addr}, prefix)
-}
-
 // DialRedisClusterBackend creates a backend with its own cluster over the
 // shard addresses (in ring order); Close closes it. An external observer
 // dialing the same addresses computes the same placement as the run it
 // inspects.
-func DialRedisClusterBackend(addrs []string, prefix string) *RedisBackend {
+func DialRedisClusterBackend(addrs []string, prefix string) (*RedisBackend, error) {
 	cluster, err := redisclient.NewCluster(addrs)
 	if err != nil {
-		// Preserve DialRedisBackend's never-fails contract: surface the
-		// configuration error on first use instead.
-		cluster = redisclient.Single(redisclient.Dial(""))
+		return nil, err
 	}
-	return &RedisBackend{cluster: cluster, ownsCluster: true, prefix: prefix}
+	return &RedisBackend{cluster: cluster, ownsCluster: true, prefix: prefix}, nil
 }
 
 // EnableCoalescing turns on per-shard group commit for unfenced AddInt ops:
@@ -107,12 +92,15 @@ func (b *RedisBackend) lockKey(ns, key string) string {
 	return b.prefix + ":lk:{" + ns + "}:" + key
 }
 
-// Open implements Backend. The namespace's shard is resolved once here —
-// every key of the namespace carries the same hash tag, so one lookup
-// covers them all.
+// Open implements Backend. The namespace's live key and shard are resolved
+// once here — every key of the namespace carries the same hash tag, so one
+// lookup covers them all.
 func (b *RedisBackend) Open(namespace string) (Store, error) {
-	shard := b.cluster.ShardFor(b.liveKey(namespace))
-	return &redisStore{b: b, namespace: namespace, shard: shard, cl: b.cluster.Shard(shard)}, nil
+	live := b.liveKey(namespace)
+	shard := b.cluster.ShardFor(live)
+	st := &redisStore{b: b, namespace: namespace, live: live, shard: shard, cl: b.cluster.Shard(shard)}
+	st.mutations.to = st
+	return st, nil
 }
 
 // SaveCheckpoint implements Backend.
@@ -124,7 +112,7 @@ func (b *RedisBackend) SaveCheckpoint(namespace string, snap Snapshot) error {
 	if err := b.cluster.For(b.ckptKey(namespace)).Set(b.ckptKey(namespace), enc); err != nil {
 		return fmt.Errorf("state: save checkpoint %s: %w", namespace, err)
 	}
-	b.counter.IncCheckpoint()
+	b.counts[countCheckpoint].Add(1)
 	return nil
 }
 
@@ -152,7 +140,7 @@ func (b *RedisBackend) DropNamespace(namespace string) error {
 }
 
 // Ops implements Backend.
-func (b *RedisBackend) Ops() metrics.StateOps { return b.counter.Snapshot() }
+func (b *RedisBackend) Ops() metrics.StateOps { return b.counts.ops() }
 
 // Close implements Backend.
 func (b *RedisBackend) Close() error {
@@ -185,8 +173,10 @@ func (b *RedisBackend) lockParams() (retry time.Duration, attempts int, ttl time
 // redisStore is one namespace on a RedisBackend, pinned to the shard its
 // hash tag maps to.
 type redisStore struct {
+	mutations
 	b         *RedisBackend
 	namespace string
+	live      string // the hash holding the namespace's entries (liveKey)
 	shard     int
 	cl        *redisclient.Client
 }
@@ -196,133 +186,103 @@ func (st *redisStore) Namespace() string { return st.namespace }
 
 // Get implements Store.
 func (st *redisStore) Get(key string) (string, bool, error) {
-	st.b.counter.IncGet()
-	return st.cl.HGet(st.b.liveKey(st.namespace), key)
-}
-
-// Put implements Store.
-func (st *redisStore) Put(key, value string) error {
-	st.b.counter.IncPut()
-	return st.cl.HSet(st.b.liveKey(st.namespace), key, value)
-}
-
-// Delete implements Store.
-func (st *redisStore) Delete(key string) error {
-	st.b.counter.IncDelete()
-	_, err := st.cl.HDel(st.b.liveKey(st.namespace), key)
-	return err
+	st.b.counts[countGet].Add(1)
+	return st.cl.HGet(st.live, key)
 }
 
 // Keys implements Store.
 func (st *redisStore) Keys() ([]string, error) {
-	st.b.counter.IncList()
-	return st.cl.HKeys(st.b.liveKey(st.namespace))
+	st.b.counts[countList].Add(1)
+	return st.cl.HKeys(st.live)
 }
 
 // Len implements Store.
 func (st *redisStore) Len() (int, error) {
-	st.b.counter.IncList()
-	n, err := st.cl.HLen(st.b.liveKey(st.namespace))
+	st.b.counts[countList].Add(1)
+	n, err := st.cl.HLen(st.live)
 	return int(n), err
 }
 
-// AddInt implements Store. HINCRBY executes atomically on the server, so no
-// client-side lock is needed. With coalescing enabled, concurrent
-// increments across workers group-commit into one pipelined flush per
-// shard; each caller still gets the exact value its own delta produced.
-func (st *redisStore) AddInt(key string, delta int64) (int64, error) {
-	st.b.counter.IncAdd()
-	if st.b.coal != nil {
-		return st.b.coal.addInt(st.shard, st.cl, st.b.liveKey(st.namespace), key, delta)
+// Apply implements Store. An unfenced op is the plain hash command — HSET,
+// HDEL, HINCRBY (atomic on the server, so no client-side lock; with
+// coalescing on, concurrent increments group-commit into one pipelined flush
+// per shard and each caller still gets the exact value its own delta
+// produced). A fenced op is one FENCEAPPLY compound command: the server
+// checks the ledger, records it and applies the mutation under its dispatch
+// lock — a single round trip with no record/apply gap, no duplicate-delta
+// transient and no compensating undo. A duplicate applies nothing, and for an
+// increment the server reports the field's current value, so the caller
+// always observes the effective count. FENCEAPPLY is ledger-gated and
+// therefore retry-safe: the client re-sends it across a lost reply without
+// risk of double application.
+//
+// Update is a read-modify-write guarded by a per-key SET NX PX spin lock,
+// making concurrent updates of one key from different workers serialize (the
+// Redis idiom for client-side atomic sections when scripting is
+// unavailable). The TTL reaps locks whose holder died mid-update, at the
+// cost of a theoretical double-execution when an unfenced update outlives
+// the TTL — acceptable for the engine's microsecond-scale update sections.
+// A fenced update consults the ledger first under the lock (stable: ledger
+// counts only grow, so a recorded duplicate stays recorded) and a duplicate
+// returns without invoking Fn; its final write rides FENCEAPPLY, so record
+// and apply land atomically even if the lock TTL were breached mid-section —
+// the server, not the lock, arbitrates the exactly-once decision. That inner
+// command is the same op's wire form, not a second op: it is not counted.
+func (st *redisStore) Apply(op Op) (Result, error) {
+	st.b.counts[op.Kind].Add(1)
+	res := Result{Applied: true}
+	var err error
+	switch op.Kind {
+	case OpPut, OpDelete:
+		res.Applied, err = st.write(op.Ledger, op.Key, op.Value, op.Kind == OpPut)
+	case OpAddInt:
+		switch {
+		case op.Ledger != "":
+			res.Applied, res.N, err = st.cl.FenceApplyIncr(st.live, op.Ledger, op.Key, op.Delta)
+		case st.b.coal != nil:
+			res.N, err = st.b.coal.addInt(st.shard, st.cl, st.live, op.Key, op.Delta)
+		default:
+			res.N, err = st.cl.HIncrBy(st.live, op.Key, op.Delta)
+		}
+	case OpUpdate:
+		err = st.withKeyLock(op.Key, func() error {
+			if op.Ledger != "" {
+				if _, recorded, err := st.cl.HGet(st.live, op.Ledger); err != nil || recorded {
+					res.Applied = false
+					return err
+				}
+			}
+			cur, exists, err := st.cl.HGet(st.live, op.Key)
+			if err != nil {
+				return err
+			}
+			next, keep, err := op.Fn(cur, exists)
+			if err != nil {
+				return err
+			}
+			res.Applied, err = st.write(op.Ledger, op.Key, next, keep)
+			return err
+		})
 	}
-	return st.cl.HIncrBy(st.b.liveKey(st.namespace), key, delta)
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }
 
-// FencedAddInt implements fencedMutator: one FENCEAPPLY
-// compound command checks the ledger, records it, and applies the increment
-// under the server's dispatch lock — a single round trip with no
-// record/apply gap, no duplicate-delta transient, and no compensating undo.
-// A duplicate applies nothing and the server reports the field's current
-// value, so the caller always observes the effective count. The command is
-// ledger-gated and therefore retry-safe: the client re-sends it across a
-// lost reply without risk of double application.
-func (st *redisStore) FencedAddInt(ledgerField, key string, delta int64) (bool, int64, error) {
-	st.b.counter.IncAdd()
-	return st.cl.FenceApplyIncr(st.b.liveKey(st.namespace), ledgerField, key, delta)
-}
-
-// FencedPut implements the atomic fenced set: ledger record + HSET in one
-// FENCEAPPLY round trip.
-func (st *redisStore) FencedPut(ledgerField, key, value string) (bool, error) {
-	st.b.counter.IncPut()
-	return st.cl.FenceApplySet(st.b.liveKey(st.namespace), ledgerField, key, value)
-}
-
-// FencedDelete implements the atomic fenced delete: ledger record + HDEL in
-// one FENCEAPPLY round trip.
-func (st *redisStore) FencedDelete(ledgerField, key string) (bool, error) {
-	st.b.counter.IncDelete()
-	return st.cl.FenceApplyDel(st.b.liveKey(st.namespace), ledgerField, key)
-}
-
-// FencedUpdate implements the fenced read-modify-write. The per-key spin
-// lock serializes concurrent updaters as in Update; under the lock the
-// ledger is consulted first (stable: ledger counts only grow, so a recorded
-// duplicate stays recorded) and a duplicate returns without invoking fn.
-// The final write rides FENCEAPPLY, so record and apply land atomically
-// even if the lock TTL were breached mid-section — the server, not the
-// lock, arbitrates the exactly-once decision.
-func (st *redisStore) FencedUpdate(ledgerField, key string, fn func(string, bool) (string, bool, error)) (bool, error) {
-	st.b.counter.IncUpdate()
-	live := st.b.liveKey(st.namespace)
-	applied := false
-	err := st.withKeyLock(key, func() error {
-		if _, recorded, err := st.cl.HGet(live, ledgerField); err != nil || recorded {
-			return err
-		}
-		cur, exists, err := st.cl.HGet(live, key)
-		if err != nil {
-			return err
-		}
-		next, keep, err := fn(cur, exists)
-		if err != nil {
-			return err
-		}
-		if keep {
-			applied, err = st.cl.FenceApplySet(live, ledgerField, key, next)
-		} else {
-			applied, err = st.cl.FenceApplyDel(live, ledgerField, key)
-		}
-		return err
-	})
-	return applied, err
-}
-
-// Update implements Store. The read-modify-write is guarded by a per-key
-// SET NX PX spin lock, making concurrent updates of the same key from
-// different workers serialize (the Redis idiom for client-side atomic
-// sections when scripting is unavailable). The TTL reaps locks whose holder
-// died mid-update, at the cost of a theoretical double-execution when an
-// update outlives the TTL — acceptable for the engine's microsecond-scale
-// update sections.
-func (st *redisStore) Update(key string, fn func(string, bool) (string, bool, error)) error {
-	st.b.counter.IncUpdate()
-	live := st.b.liveKey(st.namespace)
-	return st.withKeyLock(key, func() error {
-		cur, exists, err := st.cl.HGet(live, key)
-		if err != nil {
-			return err
-		}
-		next, keep, err := fn(cur, exists)
-		if err != nil {
-			return err
-		}
-		if !keep {
-			_, err = st.cl.HDel(live, key)
-			return err
-		}
-		return st.cl.HSet(live, key, next)
-	})
+// write lands one set (keep) or delete of a field: the plain hash command
+// when ledger is empty, the matching FENCEAPPLY arm when the op is fenced.
+func (st *redisStore) write(ledger, key, value string, keep bool) (applied bool, err error) {
+	switch {
+	case ledger != "" && keep:
+		return st.cl.FenceApplySet(st.live, ledger, key, value)
+	case ledger != "":
+		return st.cl.FenceApplyDel(st.live, ledger, key)
+	case keep:
+		return true, st.cl.HSet(st.live, key, value)
+	}
+	_, err = st.cl.HDel(st.live, key)
+	return true, err
 }
 
 // withKeyLock runs body under the per-key SET NX PX spin lock. The lock
@@ -372,13 +332,13 @@ func (st *redisStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
 	if tok.IsZero() {
 		return "", "", false
 	}
-	return st.b.liveKey(st.namespace), taskFenceField(tok), true
+	return st.live, taskFenceField(tok), true
 }
 
 // Snapshot implements Store.
 func (st *redisStore) Snapshot() (Snapshot, error) {
-	st.b.counter.IncSnapshot()
-	m, err := st.cl.HGetAll(st.b.liveKey(st.namespace))
+	st.b.counts[countSnapshot].Add(1)
+	m, err := st.cl.HGetAll(st.live)
 	if err != nil {
 		return nil, err
 	}
@@ -387,9 +347,8 @@ func (st *redisStore) Snapshot() (Snapshot, error) {
 
 // Restore implements Store.
 func (st *redisStore) Restore(snap Snapshot) error {
-	st.b.counter.IncRestore()
-	live := st.b.liveKey(st.namespace)
-	if _, err := st.cl.Del(live); err != nil {
+	st.b.counts[countRestore].Add(1)
+	if _, err := st.cl.Del(st.live); err != nil {
 		return err
 	}
 	if len(snap) == 0 {
@@ -399,13 +358,13 @@ func (st *redisStore) Restore(snap Snapshot) error {
 	for k, v := range snap {
 		fv = append(fv, k, v)
 	}
-	return st.cl.HSet(live, fv...)
+	return st.cl.HSet(st.live, fv...)
 }
 
 // Clear implements Store.
 func (st *redisStore) Clear() error {
-	st.b.counter.IncDelete()
-	_, err := st.cl.Del(st.b.liveKey(st.namespace))
+	st.b.counts[OpDelete].Add(1)
+	_, err := st.cl.Del(st.live)
 	return err
 }
 

@@ -19,6 +19,20 @@
 // internal/redisclient) for the distributed ones. Both support durable
 // checkpoints, so a killed run can be resumed from its last snapshot —
 // "state as the unit of optimization and recovery".
+//
+// A namespace's store is a chain, built inside out by the mappings:
+//
+//	backend store → [CheckpointStore] → [InstrumentStore] → FencedStore/FenceScope
+//
+// and a mutation travels it as a value. An Op says what to do (Put, Delete,
+// AddInt or Update on a key); every link has one Apply(Op) that does its own
+// job — the scope stamps the delivery's ledger field and counts a drop, the
+// instrumentation times, the CheckpointStore counts towards the next
+// checkpoint, the backend store applies — and forwards. An Op carrying a
+// Ledger field is fenced: the backend records the field and applies the
+// mutation in one indivisible step, or applies nothing when it was already
+// recorded. FENCEAPPLY is the wire form of a fenced Op on the Redis backend;
+// the memory backend does the same under two shard locks.
 package state
 
 import (
@@ -44,8 +58,11 @@ func (s Snapshot) Clone() Snapshot {
 }
 
 // Store is one namespace of keyed state. Implementations are safe for
-// concurrent use; Put, Delete, AddInt and Update are atomic per key.
+// concurrent use; every mutation is atomic per key.
 type Store interface {
+	// Apply performs one mutation — the single path every Put, Delete,
+	// AddInt and Update below takes (see Op).
+	Apply(Op) (Result, error)
 	// Namespace returns the store's namespace name.
 	Namespace() string
 	// Get fetches a key; ok=false when absent.
@@ -112,14 +129,9 @@ func SortedKeys(st Store) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := keys[:0]
-	for _, k := range keys {
-		if !IsFenceKey(k) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	keys = dataKeys(keys)
+	sort.Strings(keys)
+	return keys, nil
 }
 
 // Entry is one key/value pair of a sorted sweep.
@@ -238,8 +250,8 @@ func RestoreLatest(b Backend, st Store) (bool, error) {
 // every Interval mutations it persists a snapshot to the backend, bounding
 // how much state a crash can lose. It implements Store.
 type CheckpointStore struct {
-	Store
-	fenced   fencedMutator // the wrapped store's fenced contract
+	mutations
+	inner    Store
 	backend  Backend
 	interval int
 
@@ -249,8 +261,8 @@ type CheckpointStore struct {
 	// it before the store is shared across workers.
 	OnCheckpoint func()
 
-	mu        sync.Mutex
-	mutations int
+	mu   sync.Mutex
+	seen int // mutations forwarded so far
 	// ckptMu serializes snapshot+save so concurrent workers cannot overwrite
 	// a newer checkpoint with an older snapshot.
 	ckptMu sync.Mutex
@@ -262,14 +274,16 @@ func NewCheckpointStore(st Store, b Backend, interval int) *CheckpointStore {
 	if interval <= 0 {
 		interval = 1
 	}
-	return &CheckpointStore{Store: st, fenced: fencedOf(st), backend: b, interval: interval}
+	cs := &CheckpointStore{inner: st, backend: b, interval: interval}
+	cs.mutations.to = cs
+	return cs
 }
 
 // noteMutation counts one mutation and checkpoints when the interval is hit.
 func (cs *CheckpointStore) noteMutation() error {
 	cs.mu.Lock()
-	cs.mutations++
-	due := cs.mutations%cs.interval == 0
+	cs.seen++
+	due := cs.seen%cs.interval == 0
 	cs.mu.Unlock()
 	if !due {
 		return nil
@@ -283,7 +297,7 @@ func (cs *CheckpointStore) noteMutation() error {
 func (cs *CheckpointStore) checkpoint() error {
 	cs.ckptMu.Lock()
 	defer cs.ckptMu.Unlock()
-	if err := Checkpoint(cs.backend, cs.Store); err != nil {
+	if err := Checkpoint(cs.backend, cs.inner); err != nil {
 		return err
 	}
 	if cs.OnCheckpoint != nil {
@@ -292,89 +306,41 @@ func (cs *CheckpointStore) checkpoint() error {
 	return nil
 }
 
-// Put implements Store.
-func (cs *CheckpointStore) Put(key, value string) error {
-	if err := cs.Store.Put(key, value); err != nil {
-		return err
-	}
-	return cs.noteMutation()
-}
-
-// Delete implements Store.
-func (cs *CheckpointStore) Delete(key string) error {
-	if err := cs.Store.Delete(key); err != nil {
-		return err
-	}
-	return cs.noteMutation()
-}
-
-// AddInt implements Store.
-func (cs *CheckpointStore) AddInt(key string, delta int64) (int64, error) {
-	n, err := cs.Store.AddInt(key, delta)
+// Apply implements Store: forward, then count the mutation — applied or
+// dropped as a duplicate, either way the ledger moved — towards the next
+// checkpoint.
+func (cs *CheckpointStore) Apply(op Op) (Result, error) {
+	res, err := cs.inner.Apply(op)
 	if err != nil {
-		return 0, err
+		return Result{}, err
 	}
-	return n, cs.noteMutation()
+	return res, cs.noteMutation()
 }
 
-// FencedAddInt forwards the exactly-once fence's atomic record+apply to the
-// wrapped store, counting one mutation.
-func (cs *CheckpointStore) FencedAddInt(ledgerField, key string, delta int64) (bool, int64, error) {
-	applied, n, err := cs.fenced.FencedAddInt(ledgerField, key, delta)
-	if err != nil {
-		return false, 0, err
-	}
-	return applied, n, cs.noteMutation()
-}
+// Namespace implements Store.
+func (cs *CheckpointStore) Namespace() string { return cs.inner.Namespace() }
 
-// FencedPut forwards the atomic fenced set, counting one mutation.
-func (cs *CheckpointStore) FencedPut(ledgerField, key, value string) (bool, error) {
-	applied, err := cs.fenced.FencedPut(ledgerField, key, value)
-	if err != nil {
-		return false, err
-	}
-	return applied, cs.noteMutation()
-}
+// Get implements Store.
+func (cs *CheckpointStore) Get(key string) (string, bool, error) { return cs.inner.Get(key) }
 
-// FencedDelete forwards the atomic fenced delete, counting one mutation.
-func (cs *CheckpointStore) FencedDelete(ledgerField, key string) (bool, error) {
-	applied, err := cs.fenced.FencedDelete(ledgerField, key)
-	if err != nil {
-		return false, err
-	}
-	return applied, cs.noteMutation()
-}
+// Keys implements Store.
+func (cs *CheckpointStore) Keys() ([]string, error) { return cs.inner.Keys() }
 
-// FencedUpdate forwards the atomic fenced read-modify-write, counting one
-// mutation.
-func (cs *CheckpointStore) FencedUpdate(ledgerField, key string, fn func(string, bool) (string, bool, error)) (bool, error) {
-	applied, err := cs.fenced.FencedUpdate(ledgerField, key, fn)
-	if err != nil {
-		return false, err
-	}
-	return applied, cs.noteMutation()
-}
+// Len implements Store.
+func (cs *CheckpointStore) Len() (int, error) { return cs.inner.Len() }
+
+// Snapshot implements Store.
+func (cs *CheckpointStore) Snapshot() (Snapshot, error) { return cs.inner.Snapshot() }
 
 // TaskGateRef implements TaskGater by forwarding to the wrapped store.
 func (cs *CheckpointStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
-	if tg, ok := cs.Store.(TaskGater); ok {
-		return tg.TaskGateRef(tok)
-	}
-	return "", "", false
-}
-
-// Update implements Store.
-func (cs *CheckpointStore) Update(key string, fn func(string, bool) (string, bool, error)) error {
-	if err := cs.Store.Update(key, fn); err != nil {
-		return err
-	}
-	return cs.noteMutation()
+	return taskGateRef(cs.inner, tok)
 }
 
 // Clear implements Store; like every other mutation it advances the
 // checkpoint, so a resume cannot resurrect cleared state.
 func (cs *CheckpointStore) Clear() error {
-	if err := cs.Store.Clear(); err != nil {
+	if err := cs.inner.Clear(); err != nil {
 		return err
 	}
 	return cs.noteMutation()
@@ -383,7 +349,7 @@ func (cs *CheckpointStore) Clear() error {
 // Restore implements Store, immediately re-checkpointing the restored
 // content so the checkpoint slot tracks the live state.
 func (cs *CheckpointStore) Restore(snap Snapshot) error {
-	if err := cs.Store.Restore(snap); err != nil {
+	if err := cs.inner.Restore(snap); err != nil {
 		return err
 	}
 	return cs.checkpoint()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/miniredis"
-	"repro/internal/redisclient"
 	"repro/internal/state"
 )
 
@@ -26,9 +25,10 @@ func withBackends(t *testing.T, fn func(t *testing.T, b state.Backend)) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		cl := redisclient.Dial(srv.Addr())
-		defer cl.Close()
-		b := state.NewRedisBackend(cl, "test")
+		b, err := state.DialRedisClusterBackend([]string{srv.Addr()}, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer b.Close()
 		fn(t, b)
 	})

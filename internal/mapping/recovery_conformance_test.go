@@ -30,9 +30,10 @@ const chaosDupAckID = "chaos:dup"
 // behaviour of an at-least-once replay racing the still-alive original
 // (XAUTOCLAIM after a worker stalls, a killed worker's batch re-claimed
 // mid-flight). With exactly-once fencing the duplicates must be invisible
-// to managed state and to termination accounting.
+// to managed state and to termination accounting. Every other call reaches
+// the wrapped transport unchanged.
 type chaosTransport struct {
-	inner runtime.Transport
+	runtime.Transport
 	// eligible selects envelopes to duplicate.
 	eligible func(runtime.Env) bool
 	// target picks the worker a duplicate is delivered to.
@@ -52,20 +53,17 @@ type chaosTransport struct {
 func newChaosTransport(inner runtime.Transport, workers, budget int, stripDupAcks bool,
 	eligible func(runtime.Env) bool, target func(env runtime.Env, from, workers int) int) *chaosTransport {
 	return &chaosTransport{
-		inner: inner, eligible: eligible, target: target, stripDupAcks: stripDupAcks,
+		Transport: inner, eligible: eligible, target: target, stripDupAcks: stripDupAcks,
 		workers: workers, budget: budget,
 		seen: map[[2]uint64]bool{}, stash: map[int][]runtime.Env{},
 	}
 }
 
-// Push implements runtime.Transport.
-func (c *chaosTransport) Push(tasks ...runtime.Task) error { return c.inner.Push(tasks...) }
-
 // PullBatch implements runtime.Transport: duplicates stashed for this worker
 // are prepended to whatever the real transport delivers, and fresh eligible
 // deliveries are copied into the stash of their duplicate's target worker.
 func (c *chaosTransport) PullBatch(w, max int, timeout time.Duration) ([]runtime.Env, error) {
-	envs, err := c.inner.PullBatch(w, max, timeout)
+	envs, err := c.Transport.PullBatch(w, max, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -108,14 +106,8 @@ func (c *chaosTransport) Ack(w int, envs ...runtime.Env) error {
 	if len(envs) == 0 {
 		return nil
 	}
-	return c.inner.Ack(w, envs...)
+	return c.Transport.Ack(w, envs...)
 }
-
-// Pending implements runtime.Transport.
-func (c *chaosTransport) Pending() (int64, error) { return c.inner.Pending() }
-
-// Done implements runtime.Transport.
-func (c *chaosTransport) Done() error { return c.inner.Done() }
 
 // Issued reports how many duplicates were injected.
 func (c *chaosTransport) Issued() int {

@@ -84,6 +84,10 @@ func Dial(addr string) *Client {
 	}
 }
 
+// Addr is the server address the client dials: two clients with the same
+// address talk to the same server.
+func (c *Client) Addr() string { return c.addr }
+
 // Stats are cumulative client-side counters: server round trips attempted
 // (one per Do attempt or pipeline flush) and retries among them.
 type Stats struct {

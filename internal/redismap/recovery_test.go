@@ -1,6 +1,7 @@
 package redismap_test
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -275,5 +276,58 @@ func TestDynRedisExactlyOnceStateUnderLiveReplay(t *testing.T) {
 	got := run("dyn_redis", opts, 4*time.Millisecond)
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("aggregates diverge under live replay:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestDynRedisFencedFinalWithStateOnAnotherServer runs a fenced Final-bearing
+// aggregation on dyn_redis whose managed state lives on a different server
+// than the data plane. The Final's task gate is a ledger field of the state
+// namespace, so it must be recorded there — never on the data plane, which a
+// finished run leaves as empty as it found it — and the Final's output must
+// still arrive exactly once.
+func TestDynRedisFencedFinalWithStateOnAnotherServer(t *testing.T) {
+	plane, stateSrv := startRedis(t), startRedis(t)
+	backend, err := state.DialRedisClusterBackend([]string{stateSrv}, "elsewhere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+
+	items := make([]replayItem, 0, 30)
+	for i := 0; i < 30; i++ {
+		items = append(items, replayItem{Key: fmt.Sprintf("k%d", i%4), Val: int64(i + 1)})
+	}
+	run := func(name string, opts mapping.Options) []string {
+		var mu sync.Mutex
+		var got []string
+		g := replayAggGraph(items, 0, func(s string) {
+			mu.Lock()
+			got = append(got, s)
+			mu.Unlock()
+		})
+		m, err := mapping.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Execute(g, opts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		sort.Strings(got)
+		return got
+	}
+	want := run("simple", mapping.Options{Processes: 1, Platform: platformForTest(), Seed: 7})
+	got := run("dyn_redis", mapping.Options{
+		Processes: 3, Platform: platformForTest(), Seed: 7,
+		RedisAddrs: []string{plane}, StateBackend: backend, ExactlyOnceState: true,
+	})
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("aggregates diverge with state on another server:\n got %v\nwant %v", got, want)
+	}
+	cl := redisclient.Dial(plane)
+	defer cl.Close()
+	if n, err := cl.DoInt("DBSIZE"); err != nil || n != 0 {
+		t.Errorf("data plane holds %d keys after the run (%v), want 0: the task gate was recorded away from its state", n, err)
 	}
 }

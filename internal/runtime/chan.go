@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/state"
 )
 
 // errTransportClosed reports an operation on a transport after Done. The
@@ -19,12 +20,12 @@ func IsClosed(err error) bool { return errors.Is(err, errTransportClosed) }
 // per pinned worker (the multi mapping's per-instance input queue, with the
 // same backpressure) plus one shared channel for pool routing.
 type ChanTransport struct {
-	plan    Plan
-	boxes   []chan Task // per worker index; nil for pool workers
-	shared  chan Task
-	pending atomic.Int64
-	closed  chan struct{}
-	once    sync.Once
+	inProcess
+	plan   Plan
+	boxes  []chan Task // per worker index; nil for pool workers
+	shared chan Task
+	closed chan struct{}
+	once   sync.Once
 }
 
 // NewChanTransport builds channels for the plan. buffer is the per-channel
@@ -71,6 +72,11 @@ func (t *ChanTransport) Push(tasks ...Task) error {
 	return nil
 }
 
+// PushFenced implements Transport by admitting the gate, then pushing.
+func (t *ChanTransport) PushFenced(gate state.TaskGate, _ int, tasks ...Task) (bool, error) {
+	return pushAdmitted(gate, func() error { return t.Push(tasks...) })
+}
+
 // PullBatch implements Transport: a blocking wait for the first task, then
 // buffered draining — whatever is already queued joins the batch without
 // further blocking. A poison pill ends its batch so sibling pool workers
@@ -111,24 +117,7 @@ func (t *ChanTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, err
 	return envs, nil
 }
 
-// Ack implements Transport.
-func (t *ChanTransport) Ack(w int, envs ...Env) error {
-	var n int64
-	for _, env := range envs {
-		if !env.Poison {
-			n++
-		}
-	}
-	if n > 0 {
-		t.pending.Add(-n)
-	}
-	return nil
-}
-
-// Pending implements Transport.
-func (t *ChanTransport) Pending() (int64, error) { return t.pending.Load(), nil }
-
-// QueueDepths implements DepthReporter: the shared pool channel's occupancy
+// QueueDepths implements Transport: the shared pool channel's occupancy
 // plus one "box:<pe>:<i>" entry per pinned instance channel.
 func (t *ChanTransport) QueueDepths() map[string]int64 {
 	out := map[string]int64{"shared": int64(len(t.shared))}

@@ -29,7 +29,7 @@ type batcher struct {
 
 	// Hold mode diverts pushed tasks into held instead of the transport — no
 	// size- or age-trigger flushes — so a fenced Final's emissions can be
-	// collected in full and shipped atomically via PushFenced. See hold/take.
+	// collected in full and shipped through PushFenced. See hold/take.
 	holding bool
 	held    []Task
 

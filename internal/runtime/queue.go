@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/platform"
+	"repro/internal/state"
 )
 
 // Queue is the dynamic global queue (formerly package dynamic's). Every
@@ -159,9 +160,9 @@ func (q *Queue) Ops() (pushes, pops int64) {
 // supports pool routing only: every worker is interchangeable, so tasks
 // addressed to a pinned instance are a planning error.
 type QueueTransport struct {
-	q       *Queue
-	pending atomic.Int64
-	closed  atomic.Bool
+	inProcess
+	q      *Queue
+	closed atomic.Bool
 }
 
 // NewQueueTransport wraps a Queue as a Transport.
@@ -183,6 +184,11 @@ func (t *QueueTransport) Push(tasks ...Task) error {
 	return nil
 }
 
+// PushFenced implements Transport by admitting the gate, then pushing.
+func (t *QueueTransport) PushFenced(gate state.TaskGate, _ int, tasks ...Task) (bool, error) {
+	return pushAdmitted(gate, func() error { return t.Push(tasks...) })
+}
+
 // PullBatch implements Transport: one multi-dequeue pays one lock hold and
 // one modeled synchronization cost for the whole window.
 func (t *QueueTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
@@ -200,24 +206,7 @@ func (t *QueueTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	return envs, nil
 }
 
-// Ack implements Transport.
-func (t *QueueTransport) Ack(w int, envs ...Env) error {
-	var n int64
-	for _, env := range envs {
-		if !env.Poison {
-			n++
-		}
-	}
-	if n > 0 {
-		t.pending.Add(-n)
-	}
-	return nil
-}
-
-// Pending implements Transport.
-func (t *QueueTransport) Pending() (int64, error) { return t.pending.Load(), nil }
-
-// QueueDepths implements DepthReporter.
+// QueueDepths implements Transport.
 func (t *QueueTransport) QueueDepths() map[string]int64 {
 	return map[string]int64{"queue": int64(t.q.Len())}
 }

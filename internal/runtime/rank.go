@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/state"
 )
 
 // RankLink is the point-to-point substrate the rank transport drives. It is
@@ -16,6 +18,9 @@ type RankLink interface {
 	// me, waiting up to timeout when the mailbox is empty (ok false on
 	// timeout).
 	RecvDataTimeout(me int, timeout time.Duration) (any, bool, error)
+	// QueueLen reports how many messages are queued for rank (the mailbox
+	// depth gauge).
+	QueueLen(rank int) int
 	// Close aborts the link: blocked and subsequent operations fail.
 	Close()
 }
@@ -26,10 +31,10 @@ type RankLink interface {
 // system crucial for dynamic task assignments" is encoded in the transport
 // rejecting Instance < 0 routing.
 type RankTransport struct {
-	link    RankLink
-	plan    Plan
-	pending atomic.Int64
-	closed  atomic.Bool
+	inProcess
+	link   RankLink
+	plan   Plan
+	closed atomic.Bool
 }
 
 // NewRankTransport wraps a rank link. The plan must be fully pinned with one
@@ -65,6 +70,11 @@ func (t *RankTransport) Push(tasks ...Task) error {
 	return nil
 }
 
+// PushFenced implements Transport by admitting the gate, then pushing.
+func (t *RankTransport) PushFenced(gate state.TaskGate, _ int, tasks ...Task) (bool, error) {
+	return pushAdmitted(gate, func() error { return t.Push(tasks...) })
+}
+
 // PullBatch implements Transport: a bounded wait on the rank's mailbox for
 // the first message, then zero-timeout drains of whatever is already queued
 // — the buffered-draining consume path for per-rank mailboxes. A poison
@@ -96,42 +106,15 @@ func (t *RankTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, err
 	return envs, nil
 }
 
-// Ack implements Transport.
-func (t *RankTransport) Ack(w int, envs ...Env) error {
-	var n int64
-	for _, env := range envs {
-		if !env.Poison {
-			n++
-		}
-	}
-	if n > 0 {
-		t.pending.Add(-n)
-	}
-	return nil
-}
-
-// rankDepths is the optional mailbox-length refinement of RankLink (the same
-// no-mpi-import indirection); mpi.World implements it.
-type rankDepths interface {
-	QueueLen(rank int) int
-}
-
-// QueueDepths implements DepthReporter when the link can report mailbox
-// lengths ("rank:<i>" per worker); nil otherwise.
+// QueueDepths implements Transport: one "rank:<i>" mailbox length per
+// worker.
 func (t *RankTransport) QueueDepths() map[string]int64 {
-	ld, ok := t.link.(rankDepths)
-	if !ok {
-		return nil
-	}
 	out := make(map[string]int64, len(t.plan.Workers))
 	for w := range t.plan.Workers {
-		out[fmt.Sprintf("rank:%d", w)] = int64(ld.QueueLen(w))
+		out[fmt.Sprintf("rank:%d", w)] = int64(t.link.QueueLen(w))
 	}
 	return out
 }
-
-// Pending implements Transport.
-func (t *RankTransport) Pending() (int64, error) { return t.pending.Load(), nil }
 
 // Done implements Transport.
 func (t *RankTransport) Done() error {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/diagnosis"
 	"repro/internal/graph"
 	"repro/internal/redisclient"
+	"repro/internal/state"
 )
 
 // runNonce disambiguates concurrent runs against one server.
@@ -141,8 +142,7 @@ type leaseState struct {
 // NewRedisTransport creates the consumer groups on every shard and wraps the
 // cluster. With recoverStale, empty-handed pulls XAUTOCLAIM tasks whose
 // consumer stopped acknowledging them (at-least-once execution), sweeping
-// shard by shard. A Single-wrapped client reproduces the old single-server
-// transport exactly.
+// shard by shard.
 func NewRedisTransport(cluster *redisclient.Cluster, keys RedisKeys, plan Plan, recoverStale bool) (*RedisTransport, error) {
 	streams := []string{keys.Queue}
 	for _, spec := range plan.Workers {
@@ -216,11 +216,15 @@ type shardCmds struct {
 // survives the packing and pills spread across consumers instead of riding
 // one frame. Tasks sharing a private stream ship as a single batch frame in
 // one XADD on the stream's home shard.
-func (t *RedisTransport) Push(tasks ...Task) error {
+func (t *RedisTransport) Push(tasks ...Task) error { return t.push(tasks, 0) }
+
+// push is Push with at most entryCap pool tasks packed into one stream entry
+// (<= 0: unbounded).
+func (t *RedisTransport) push(tasks []Task, entryCap int) error {
 	if t.closed.Load() {
 		return errTransportClosed
 	}
-	batches, err := t.pushCmds(tasks, 0, -1)
+	batches, err := t.pushCmds(tasks, entryCap, -1)
 	if err != nil || len(batches) == 0 {
 		return err
 	}
@@ -254,13 +258,14 @@ func (t *RedisTransport) Push(tasks ...Task) error {
 	})
 }
 
-// PushFenced implements FencedPusher: the whole output batch of one fenced
-// Final — pending-counter increment, packed stream entries, private-stream
-// frames — rides a single SINKAPPEND transaction gated on the delivery's
-// task-gate ledger field inside the state hash. Either the gate records and
-// every task lands, or the gate was already recorded (a duplicate Final) and
-// nothing does. This is the emit half of exactly-once, atomic with the state
-// fence that guards the mutations.
+// PushFenced implements Transport. When the gate's hash lives on this
+// transport's own server, the whole output batch of the fenced Final —
+// pending-counter increment, packed stream entries, private-stream frames —
+// rides a single SINKAPPEND transaction gated on the delivery's task-gate
+// ledger field inside the state hash. Either the gate records and every task
+// lands, or the gate was already recorded (a duplicate Final) and nothing
+// does. This is the emit half of exactly-once, atomic with the state fence
+// that guards the mutations.
 //
 // Sharding is what makes the routing here load-bearing: SINKAPPEND is a
 // single-server transaction, so the entire batch is placed on the shard that
@@ -268,19 +273,23 @@ func (t *RedisTransport) Push(tasks ...Task) error {
 // entry (fields of the same state hash) and the sink entries written here
 // hash together by construction, because the state backend routes the hash
 // by its {namespace} tag and this method routes by the same key through the
-// same ring. It requires the transport and the state backend to share one
-// cluster, which TaskGateRef only affirms when true.
+// same ring. Whether the two rings agree is checked, not assumed: the shard
+// this transport picks must be the server the gate names. State that lives
+// elsewhere (the memory backend, another cluster) takes pushAdmitted
+// instead, so a gate is never recorded on a server its namespace is not on.
 //
 // entryCap chunks the batch's pool tasks into stream entries of at most
-// that many tasks (the caller's emit window). The transaction is atomic
-// either way; without the cap the whole Final output would land as one
-// packed entry and its downstream fan-out would serialize on whichever
-// single consumer pulls it.
-func (t *RedisTransport) PushFenced(hashKey, field string, entryCap int, tasks ...Task) (bool, error) {
+// that many tasks (the caller's emit window), on either path; without the
+// cap the whole Final output would land as one packed entry and its
+// downstream fan-out would serialize on whichever single consumer pulls it.
+func (t *RedisTransport) PushFenced(gate state.TaskGate, entryCap int, tasks ...Task) (bool, error) {
 	if t.closed.Load() {
 		return false, errTransportClosed
 	}
-	gateShard := t.cluster.ShardFor(hashKey)
+	gateShard := t.cluster.ShardFor(gate.Key)
+	if gate.Addr == "" || t.cluster.Shard(gateShard).Addr() != gate.Addr {
+		return pushAdmitted(gate, func() error { return t.push(tasks, entryCap) })
+	}
 	batches, err := t.pushCmds(tasks, entryCap, gateShard)
 	if err != nil {
 		return false, err
@@ -291,7 +300,7 @@ func (t *RedisTransport) PushFenced(hashKey, field string, entryCap int, tasks .
 	}
 	// An empty batch still records the gate: a Final with no emissions must
 	// be marked done exactly once too.
-	return t.cluster.Shard(gateShard).SinkAppend(hashKey, field, cmds)
+	return t.cluster.Shard(gateShard).SinkAppend(gate.Key, gate.Field, cmds)
 }
 
 // assemble prepends the shard's pending-counter increment to its entry
@@ -672,7 +681,7 @@ func (t *RedisTransport) minIdle(timeout time.Duration) time.Duration {
 	return 8 * timeout
 }
 
-// Extend implements LeaseExtender: it refreshes the idle clock of every
+// Extend implements Transport: it refreshes the idle clock of every
 // stream entry worker w still owns, via a self-targeted XCLAIM ... JUSTID
 // on each shard holding some of them. Packing made this load-bearing — the
 // unit XAUTOCLAIM reclaims is a whole frame whose processing time scales
@@ -743,7 +752,7 @@ func (t *RedisTransport) Extend(w int) error {
 	return nil
 }
 
-// QueueDepths implements DepthReporter: each partition's entry count —
+// QueueDepths implements Transport: each partition's entry count —
 // the pool stream plus one "priv:<pe>:<i>" stream per pinned instance. On a
 // multi-shard cluster every gauge is reported per shard under an "s<i>:"
 // prefix ("s0:stream", "s1:priv:pe:0", …) so a hot shard is visible as

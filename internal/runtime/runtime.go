@@ -24,11 +24,13 @@ package runtime
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/state"
 )
 
 // Task is one schedulable unit on a transport. It is the codec task type, so
@@ -49,7 +51,11 @@ type Env struct {
 }
 
 // Transport moves tasks between workers. Implementations must be safe for
-// concurrent use by all workers plus the coordinator.
+// concurrent use by all workers plus the coordinator. The interface is the
+// whole contract: the worker loop and the coordinator call nothing else, so a
+// capability one transport lacks is a trivial method there (Extend returns
+// nil where nothing reclaims by idle time), never an optional interface the
+// engine has to probe for.
 //
 // The pending-count contract is what the termination protocol rests on:
 // Push counts every non-poison task as pending *before* it becomes visible
@@ -64,6 +70,18 @@ type Transport interface {
 	// callers pass several tasks at once so implementations can amortize
 	// synchronization (one lock hold, one pipelined round trip).
 	Push(tasks ...Task) error
+	// PushFenced is Push gated on a fenced delivery's task gate — the one
+	// path of a fenced Final's output. Either the gate records and every
+	// task lands (applied), or the gate was already recorded by another
+	// execution of the delivery and nothing lands. A transport whose queues
+	// live on the gate's server records the gate and pushes in one
+	// server-side transaction (SINKAPPEND on Redis), so a worker killed
+	// before the call leaves neither behind; any other transport admits the
+	// gate through the state store first and pushes after (pushAdmitted).
+	// entryCap bounds how many pool tasks pack into one queue entry, so the
+	// batch keeps the normal emit path's delivery granularity downstream;
+	// <= 0 means unbounded, and transports that do not pack ignore it.
+	PushFenced(gate state.TaskGate, entryCap int, tasks ...Task) (applied bool, err error)
 	// PullBatch blocks up to timeout for the first task addressed to worker
 	// w, then returns it together with whatever is already queued, up to max
 	// tasks, without further waiting (nil on timeout). max is advisory: a
@@ -74,6 +92,14 @@ type Transport interface {
 	// the Redis stream, whose deliveries are irreversible, may return
 	// several pills at once and the worker loop re-routes the surplus.
 	PullBatch(w, max int, timeout time.Duration) ([]Env, error)
+	// Extend is worker w's progress heartbeat, called between the tasks of a
+	// pulled batch. A transport that reclaims deliveries by idle time
+	// refreshes the idle clock of every entry w still owns, so recovery
+	// fires on stalled workers and not on healthy ones working through a
+	// packed frame slower than the idle threshold. It must be cheap when
+	// called every task (implementations self-throttle) and is best-effort:
+	// a failure only risks an early reclaim, which recovery tolerates.
+	Extend(w int) error
 	// Ack releases pulled tasks after they are fully processed (children
 	// already pushed). A multi-task batch is released in one amortized
 	// operation: a single pipelined round trip on Redis, one atomic
@@ -81,47 +107,57 @@ type Transport interface {
 	Ack(w int, envs ...Env) error
 	// Pending reports the queued + in-flight task count.
 	Pending() (int64, error)
+	// QueueDepths samples per-queue depth gauges for telemetry: channel
+	// occupancies, pool and private stream entry counts, mailbox lengths.
+	// Keys name the queue ("shared", "stream", "box:<pe>:<i>", …); queues
+	// that cannot be sampled are skipped.
+	QueueDepths() map[string]int64
 	// Done shuts the transport down: blocked Push/Pull calls unblock and
 	// subsequent operations may fail. It must be idempotent.
 	Done() error
 }
 
-// DepthReporter is an optional Transport refinement exposing per-queue depth
-// gauges for telemetry: channel occupancies, pool and private stream entry
-// counts. Keys name the queue ("shared", "stream", "box:<pe>:<i>", …);
-// implementations best-effort skip queues they cannot sample.
-type DepthReporter interface {
-	QueueDepths() map[string]int64
+// pushAdmitted is PushFenced for a transport that does not share a server
+// with the gate: admit the gate through the state store, then push. Between
+// the two calls it is at-most-once: a worker killed there loses the Final's
+// output, because the replay finds the gate recorded (emissions cannot be
+// retracted, so the inverse order would double them at the sink instead).
+// The aggregates survive in the managed store either way.
+func pushAdmitted(gate state.TaskGate, push func() error) (bool, error) {
+	first, err := gate.Admit()
+	if err != nil || !first {
+		return false, err
+	}
+	return true, push()
 }
 
-// FencedPusher is an optional Transport extension for transports that can
-// gate a push on a state-fence ledger field living on the same server: the
-// whole batch and the gate record land in one server-side transaction
-// (SINKAPPEND on Redis), or — when the gate was already recorded by a
-// duplicate execution — nothing lands and applied is false. The worker loop
-// uses it to make a fenced Final's emissions atomic with its
-// exactly-once decision; hashKey/field come from the state layer's
-// TaskGateRef, which only yields an address when transport and state share
-// the server.
-// entryCap bounds how many pool tasks pack into one queue entry so the
-// atomic batch keeps the normal emit path's delivery granularity — a
-// fenced Final's whole output in one entry would serialize its downstream
-// fan-out on a single consumer. <=0 means unbounded.
-type FencedPusher interface {
-	PushFenced(hashKey, field string, entryCap int, tasks ...Task) (applied bool, err error)
+// inProcess is the part of the contract the three in-process transports
+// (chan, queue, rank) share: a pending counter that Push raises for every
+// non-poison task and Ack lowers, and no idle-time reclaim to heartbeat
+// against.
+type inProcess struct {
+	pending atomic.Int64
 }
 
-// LeaseExtender is an optional Transport extension for transports whose
-// recovery mechanism reclaims deliveries by idle time. The worker loop calls
-// Extend between tasks of a pulled batch to signal it is still making
-// progress on its unacked deliveries; implementations refresh the idle clock
-// of every entry the worker still owns so recovery fires on genuinely
-// stalled workers, not on healthy ones working through a packed frame whose
-// total processing time exceeds the idle threshold. Extend is best-effort
-// and must be cheap when called every task (implementations self-throttle).
-type LeaseExtender interface {
-	Extend(w int) error
+// Ack implements Transport.
+func (p *inProcess) Ack(w int, envs ...Env) error {
+	var n int64
+	for _, env := range envs {
+		if !env.Poison {
+			n++
+		}
+	}
+	if n > 0 {
+		p.pending.Add(-n)
+	}
+	return nil
 }
+
+// Pending implements Transport.
+func (p *inProcess) Pending() (int64, error) { return p.pending.Load(), nil }
+
+// Extend implements Transport: nothing reclaims an in-process delivery.
+func (p *inProcess) Extend(int) error { return nil }
 
 // WorkerSpec describes one worker slot of a plan. The zero value is a pool
 // worker; a non-empty PE pins the worker to that single (PE, instance).

@@ -8,6 +8,7 @@ import (
 	"repro/internal/miniredis"
 	"repro/internal/redisclient"
 	"repro/internal/runtime"
+	"repro/internal/state"
 )
 
 // shardedCluster starts n embedded servers and a cluster over them.
@@ -104,14 +105,15 @@ func TestShardedPushFencedStaysOnGateShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := "shardfence:state:gate:{sessionize/3}"
-	home := cluster.ShardFor(gate)
+	key := "shardfence:state:gate:{sessionize/3}"
+	home := cluster.ShardFor(key)
+	gate := state.TaskGate{Key: key, Field: "final", Addr: cluster.Shard(home).Addr()}
 
 	batch := make([]runtime.Task, 5)
 	for i := range batch {
 		batch[i] = runtime.Task{PE: "pe", Port: "in", Instance: -1, Value: i}
 	}
-	applied, err := tr.PushFenced(gate, "final", 0, batch...)
+	applied, err := tr.PushFenced(gate, 0, batch...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestShardedPushFencedStaysOnGateShard(t *testing.T) {
 	}
 
 	// A replayed flush with the same gate must change nothing.
-	applied, err = tr.PushFenced(gate, "final", 0, batch...)
+	applied, err = tr.PushFenced(gate, 0, batch...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/runtime"
+	"repro/internal/state"
 )
 
 // transportFixture builds one transport kind over a single-worker plan: the
@@ -205,6 +206,119 @@ func TestTransportsCountInFlightTasks(t *testing.T) {
 				t.Fatalf("post-ack pending = %d (%v), want 0", p, err)
 			}
 			_ = tr.Done()
+		})
+	}
+}
+
+// assertFencedOnce drives the fenced-Final half of the contract: the first
+// PushFenced for a gate lands the whole batch and counts it pending, a second
+// one for the same gate (a duplicate Final) lands nothing, and the batch then
+// drains like any other. The heartbeat and the depth gauges answer too — the
+// engine calls them on every transport.
+func assertFencedOnce(t *testing.T, tr runtime.Transport, addr runtime.Task, gate state.TaskGate) {
+	t.Helper()
+	const n = 5
+	batch := make([]runtime.Task, n)
+	for i := range batch {
+		batch[i] = addr
+		batch[i].Value = i
+	}
+	for i, want := range []bool{true, false} {
+		applied, err := tr.PushFenced(gate, 2, batch...)
+		if err != nil || applied != want {
+			t.Fatalf("PushFenced #%d: applied=%v err=%v, want applied=%v", i+1, applied, err, want)
+		}
+		if p, err := tr.Pending(); err != nil || p != n {
+			t.Fatalf("pending = %d (%v) after PushFenced #%d, want %d", p, err, i+1, n)
+		}
+	}
+	if err := tr.Extend(0); err != nil {
+		t.Fatalf("Extend: %v", err)
+	}
+	if tr.QueueDepths() == nil {
+		t.Fatal("QueueDepths returned no gauges")
+	}
+	got := 0
+	for got < n {
+		envs, err := tr.PullBatch(0, n, 50*time.Millisecond)
+		if err != nil || len(envs) == 0 {
+			t.Fatalf("pulled %d of %d fenced tasks (%v)", got, n, err)
+		}
+		got += len(envs)
+		if err := tr.Ack(0, envs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, err := tr.Pending(); err != nil || got != n || p != 0 {
+		t.Fatalf("pulled %d tasks, pending %d (%v): want %d and 0 — a duplicate landed", got, p, err, n)
+	}
+	_ = tr.Done()
+}
+
+// TestTransportsPushFencedOnce runs the fenced-Final contract on all four
+// transports with the state in memory: the gate is admitted through the
+// store, then the batch is pushed.
+func TestTransportsPushFencedOnce(t *testing.T) {
+	for _, fx := range transportFixtures() {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			t.Parallel()
+			tr, addr := fx.make(t)
+			st, err := state.NewMemoryBackend().Open("ns")
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFencedOnce(t, tr, addr, state.NewFencedStore(st).TaskGate(state.Token{Src: 9, Seq: 1}))
+		})
+	}
+}
+
+// TestRedisPushFencedRecordsGateWhereItsStateLives: on the Redis transport a
+// gate whose namespace lives on the transport's own server is recorded
+// inside the SINKAPPEND transaction (no store op), while a gate whose
+// namespace lives on another server is admitted there through the store —
+// the transport never writes a gate onto a server its state is not on. Both
+// paths pack the pool batch into entries of at most entryCap tasks.
+func TestRedisPushFencedRecordsGateWhereItsStateLives(t *testing.T) {
+	plan := runtime.NewPlan(make([]runtime.WorkerSpec, 1), map[string]int{"pe": 0})
+	addr := runtime.Task{PE: "pe", Port: "in", Instance: -1}
+	tok := state.Token{Src: 9, Seq: 1}
+	for _, tc := range []struct {
+		name       string
+		elsewhere  bool
+		wantAdmits int64
+	}{{"same-server", false, 0}, {"state-elsewhere", true, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			plane := oneShardCluster(t)
+			stateCluster := plane
+			if tc.elsewhere {
+				stateCluster = oneShardCluster(t)
+			}
+			tr, err := runtime.NewRedisTransport(plane, runtime.NewRunKeys("gatehome", 1), plan, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend := state.NewRedisClusterBackend(stateCluster, "gatehome:state")
+			st, err := backend.Open("ns")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate := state.NewFencedStore(st).TaskGate(tok)
+			assertFencedOnce(t, tr, addr, gate)
+			if n := tr.QueueDepths()["stream"]; n != 3 {
+				t.Errorf("5 tasks at entryCap 2 packed into %d stream entries, want 3", n)
+			}
+			if adds := backend.Ops().Adds; adds != tc.wantAdmits {
+				t.Errorf("gate admitted through the store %d times, want %d", adds, tc.wantAdmits)
+			}
+			if _, recorded, err := stateCluster.Shard(0).HGet(gate.Key, gate.Field); err != nil || !recorded {
+				t.Errorf("gate not recorded in its namespace on the state server (%v)", err)
+			}
+			if tc.elsewhere {
+				if n, err := plane.Shard(0).HLen(gate.Key); err != nil || n != 0 {
+					t.Errorf("data plane holds %d fields of the state hash (%v): the gate was recorded away from its state", n, err)
+				}
+			}
 		})
 	}
 }

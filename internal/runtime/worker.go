@@ -123,10 +123,8 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 				return nil, false
 			}
 			vals := map[string]int64{"pending": n}
-			if dr, ok := tr.(DepthReporter); ok {
-				for k, v := range dr.QueueDepths() {
-					vals[k] = v
-				}
+			for k, v := range tr.QueueDepths() {
+				vals[k] = v
 			}
 			return vals, true
 		})
@@ -301,15 +299,10 @@ func (r *run) runWorker(w int) {
 	defer proc.Deactivate()
 
 	// The worker's telemetry shard is resolved once; a nil shard leaves every
-	// hot-path branch on a simple pointer test. The diagnosis flow rows are
-	// resolved the same way — once per worker at build time, never per task.
+	// hot-path branch on a simple pointer test.
 	var wm *telemetry.WorkerMetrics
 	if r.tel != nil {
 		wm = r.tel.Worker(w)
-	}
-	var flows map[string]*diagnosis.PEFlow
-	if r.diag != nil {
-		flows = map[string]*diagnosis.PEFlow{}
 	}
 	r.diag.Log(diagnosis.EvWorkerStart, w, spec.PE, procName, 0)
 	exitReason := "error"
@@ -325,31 +318,28 @@ func (r *run) runWorker(w int) {
 	}
 	rt := newRouter(r.g, r.cfg.Plan, &r.outputs, b.push, r.stamped, r.tracer, w, r.diag)
 
-	// Build this worker's PE copies and contexts. Under fencing each
-	// managed-state context is routed through a per-worker FenceScope, the
-	// handle the loop binds to the current delivery before each task.
-	pes := map[string]core.PE{}
-	ctxs := map[string]*core.Context{}
-	var scopes map[string]*state.FenceScope
+	// Build this worker's PE copies. The diagnosis flow rows and the PE's
+	// hooks are resolved here — once per worker, never per task. Under
+	// fencing each managed-state context is routed through a per-worker
+	// FenceScope, the handle the loop binds to the current delivery before
+	// each task.
+	copies := map[string]*peCopy{}
 	build := func(n *graph.Node, instance int, seed int64) {
-		pes[n.Name] = n.Factory()
-		if flows != nil {
-			f := r.diag.PE(n.Name)
-			f.AddServer()
-			flows[n.Name] = f
+		c := &peCopy{pe: n.Factory()}
+		c.fin, _ = c.pe.(core.Finalizer)
+		c.src, _ = c.pe.(core.Source)
+		if r.diag != nil {
+			c.flow = r.diag.PE(n.Name)
+			c.flow.AddServer()
 		}
-		ctx := core.NewContext(n.Name, instance, r.cfg.Host, synth.NewRand(seed), rt.emitFor(n.Name))
+		c.ctx = core.NewContext(n.Name, instance, r.cfg.Host, synth.NewRand(seed), rt.emitFor(n.Name))
 		if fs := r.ms.Fenced(n.Name); fs != nil {
-			scope := fs.NewScope()
-			if scopes == nil {
-				scopes = map[string]*state.FenceScope{}
-			}
-			scopes[n.Name] = scope
-			ctx = ctx.WithStore(scope)
+			c.fence, c.scope = fs, fs.NewScope()
+			c.ctx = c.ctx.WithStore(c.scope)
 		} else if st := r.ms.Store(n.Name); st != nil {
-			ctx = ctx.WithStore(st)
+			c.ctx = c.ctx.WithStore(st)
 		}
-		ctxs[n.Name] = ctx
+		copies[n.Name] = c
 	}
 	if spec.Pinned() {
 		n := r.g.Node(spec.PE)
@@ -366,9 +356,9 @@ func (r *run) runWorker(w int) {
 	// worker copy (never replayed), so its children must not be fenced
 	// against another worker's.
 	rt.begin(Task{Src: initSrc(w)})
-	for name, pe := range pes {
-		if ini, ok := pe.(core.Initializer); ok {
-			if err := ini.Init(ctxs[name]); err != nil {
+	for name, c := range copies {
+		if ini, ok := c.pe.(core.Initializer); ok {
+			if err := ini.Init(c.ctx); err != nil {
 				r.workerFail(fmt.Errorf("worker %s: init %s: %w", procName, name, err))
 				return
 			}
@@ -401,12 +391,6 @@ func (r *run) runWorker(w int) {
 	if wm != nil {
 		acks.hist = wm.Ack
 	}
-	// Transports that reclaim deliveries by idle time need a progress
-	// heartbeat between tasks, or a healthy worker chewing through a packed
-	// frame slower than the idle threshold loses it mid-flight (see
-	// LeaseExtender). The call self-throttles; failures only risk an early
-	// reclaim, which the recovery path already tolerates.
-	leases, _ := tr.(LeaseExtender)
 
 	ctrl := r.cfg.Controller
 	// Pool workers accrue process time while polling an empty queue — the
@@ -501,13 +485,17 @@ func (r *run) runWorker(w int) {
 		if wm != nil {
 			wm.Tasks.Inc()
 		}
-		if leases != nil {
-			_ = leases.Extend(w)
+		// The progress heartbeat between tasks (see Transport.Extend); a
+		// failure only risks an early reclaim, which recovery tolerates.
+		_ = tr.Extend(w)
+		c, ok := copies[env.PE]
+		if !ok {
+			r.workerFail(fmt.Errorf("worker %s: task for unknown PE %q", procName, env.PE))
+			return
 		}
 		traced := r.tracer != nil && env.TraceAt != 0
-		flow := flows[env.PE] // nil map lookup is fine when diagnosis is off
-		if !traced && flow == nil {
-			if err := r.runTask(procName, pes, ctxs, rt, scopes, b, acks, env); err != nil {
+		if !traced && c.flow == nil {
+			if err := r.runTask(procName, c, rt, b, acks, env); err != nil {
 				r.workerFail(err)
 				return
 			}
@@ -519,15 +507,15 @@ func (r *run) runWorker(w int) {
 		// traced deliveries, the emit→start queue wait their TraceAt stamp
 		// carries across the wire.
 		startNs := time.Now().UnixNano()
-		err := r.runTask(procName, pes, ctxs, rt, scopes, b, acks, env)
+		err := r.runTask(procName, c, rt, b, acks, env)
 		endNs := time.Now().UnixNano()
 		if traced {
 			r.tracer.RecordExec(env.Src, env.Seq, env.PE, w, env.TraceAt, pulledAt, startNs, endNs)
 		}
-		if flow != nil {
-			flow.ObserveExec(startNs, endNs, diagnosis.ValueBytes(env.Value), env.Port == "" && !env.Finalize)
+		if c.flow != nil {
+			c.flow.ObserveExec(startNs, endNs, diagnosis.ValueBytes(env.Value), env.Port == "" && !env.Finalize)
 			if env.TraceAt > 0 {
-				flow.ObserveQueueWait(startNs - env.TraceAt)
+				c.flow.ObserveQueueWait(startNs - env.TraceAt)
 			}
 		}
 		if err != nil {
@@ -568,6 +556,19 @@ func (r *run) retirePoison(pill Env, rest []Env, b *batcher, acks *ackBatch) {
 	_ = acks.flush()
 }
 
+// peCopy is one worker's private instance of a PE with what the loop needs
+// per task resolved once at build time: its context, its hooks and, under
+// exactly-once fencing, its namespace's fence and this worker's scope on it.
+type peCopy struct {
+	pe    core.PE
+	ctx   *core.Context
+	fin   core.Finalizer     // nil when the PE has no Final hook
+	src   core.Source        // nil unless the PE is a source
+	fence *state.FencedStore // nil unless the node's state is fenced
+	scope *state.FenceScope  // this worker's handle on fence
+	flow  *diagnosis.PEFlow  // nil when diagnosis is off
+}
+
 // runTask executes one delivered task: generate, process, or finalize. The
 // acknowledgement is deferred into the worker's ack batch; because the ack
 // batch is only ever flushed after the emit batch, the task's children are
@@ -577,115 +578,30 @@ func (r *run) retirePoison(pill Env, rest []Env, b *batcher, acks *ackBatch) {
 // delivery's identity first, so re-emitted children are stamped
 // deterministically and managed-state mutations of a duplicate execution
 // are dropped by the store's applied ledger.
-func (r *run) runTask(procName string, pes map[string]core.PE, ctxs map[string]*core.Context, rt *router, scopes map[string]*state.FenceScope, b *batcher, acks *ackBatch, env Env) error {
-	pe, ok := pes[env.PE]
-	if !ok {
-		return fmt.Errorf("worker %s: task for unknown PE %q", procName, env.PE)
-	}
+func (r *run) runTask(procName string, c *peCopy, rt *router, b *batcher, acks *ackBatch, env Env) error {
 	rt.begin(env.Task)
-	scope := scopes[env.PE]
-	if scope != nil {
-		scope.SetToken(state.Token{Src: env.Src, Seq: env.Seq})
-		defer scope.ClearToken()
+	if c.scope != nil {
+		c.scope.SetToken(state.Token{Src: env.Src, Seq: env.Seq})
+		defer c.scope.ClearToken()
 	}
 	var err error
 	switch {
+	case env.Finalize && c.fence != nil:
+		err = r.finalFenced(c, b, env)
 	case env.Finalize:
-		if scope != nil {
-			// A Final's effect is its emissions, not store writes, so the
-			// whole delivery is gated: a replayed Finalize that raced its
-			// original must not flush (and double-emit) the namespace again.
-			tok := state.Token{Src: env.Src, Seq: env.Seq}
-			fs := r.ms.Fenced(env.PE)
-			fp, canPush := r.cfg.Transport.(FencedPusher)
-			var gateKey, gateField string
-			var gated bool
-			if canPush && fs != nil {
-				gateKey, gateField, gated = fs.TaskGateRef(tok)
-			}
-			if gated {
-				// Atomic path: the transport and the state backend share a
-				// server, so the Final's whole output batch and the task-gate
-				// record ship as one SINKAPPEND transaction. The Final runs
-				// with the batcher in hold mode (earlier emissions flushed
-				// first, so nothing unfenced can leak into the held set); a
-				// worker killed anywhere before the push leaves no gate
-				// record, and the replayed Finalize redoes the flush in full —
-				// exactly-once with no lost-output window at all. A duplicate
-				// (gate already recorded) pushes nothing and is counted as a
-				// fence drop.
-				if err = b.flush(); err != nil {
-					break
-				}
-				b.hold()
-				if fin, isFin := pe.(core.Finalizer); isFin {
-					if err = fin.Final(ctxs[env.PE]); err != nil {
-						b.take()
-						break
-					}
-				}
-				held := b.take()
-				if err = faultinject.Fire(faultinject.ProbeMidFinalFlush); err != nil {
-					break
-				}
-				// Entries are capped at the emit window so the atomic batch
-				// keeps the normal path's delivery granularity downstream.
-				cap := b.window()
-				if cap < 1 {
-					cap = 1
-				}
-				applied, perr := fp.PushFenced(gateKey, gateField, cap, held...)
-				if perr != nil {
-					err = perr
-					break
-				}
-				if !applied {
-					fs.ObserveDrop()
-				}
-				break
-			}
-			// Two-step fallback (memory-backed state, or a transport without
-			// fenced pushes): the gate is at-most-once by construction — a
-			// worker killed between acquiring it and the flush below loses
-			// some or all of the final output, because the replay will not
-			// redo it (emissions cannot be retracted, so the inverse order
-			// would double-count rows at the sink). The immediate flush
-			// shrinks that window to the Final call itself; the aggregates
-			// survive in the managed store either way. In-process transports
-			// don't crash independently of their state, so the window only
-			// matters for split Redis deployments.
-			first, aerr := scope.AcquireTask(tok)
-			if aerr != nil {
-				err = aerr
-				break
-			}
-			if !first {
-				break
-			}
-			if err = faultinject.Fire(faultinject.ProbeMidFinalFlush); err != nil {
-				break
-			}
-			if fin, isFin := pe.(core.Finalizer); isFin {
-				if err = fin.Final(ctxs[env.PE]); err == nil {
-					err = b.flush()
-				}
-			}
-			break
-		}
-		if fin, isFin := pe.(core.Finalizer); isFin {
-			err = fin.Final(ctxs[env.PE])
+		if c.fin != nil {
+			err = c.fin.Final(c.ctx)
 		}
 	case env.Port == "":
-		src, isSrc := pe.(core.Source)
-		if !isSrc {
+		if c.src == nil {
 			err = fmt.Errorf("generate task for non-source PE %q", env.PE)
 			break
 		}
 		r.tasks.Add(1)
-		err = src.Generate(ctxs[env.PE])
+		err = c.src.Generate(c.ctx)
 	default:
 		r.tasks.Add(1)
-		err = pe.Process(ctxs[env.PE], env.Port, env.Value)
+		err = c.pe.Process(c.ctx, env.Port, env.Value)
 	}
 	if err != nil {
 		// Release the deliveries so a failed run does not hang on a counter
@@ -699,6 +615,43 @@ func (r *run) runTask(procName string, pes map[string]core.PE, ctxs map[string]*
 	}
 	acks.add(env)
 	return nil
+}
+
+// finalFenced runs a fenced Final, the one path on every transport. A
+// Final's effect is its emissions, not store writes, so the whole delivery
+// is gated: a replayed Finalize that raced its original must not flush (and
+// double-emit) the namespace again. The Final runs with the batcher in hold
+// mode — earlier emissions flushed first, so nothing unfenced can leak into
+// the held set — and its whole output ships through PushFenced, which lands
+// it only if this execution records the delivery's task gate. Where the
+// transport shares the state's server that is one transaction, so a worker
+// killed anywhere before the push leaves no gate record and the replayed
+// Finalize redoes the flush in full. A duplicate pushes nothing and is
+// counted as a fence drop.
+func (r *run) finalFenced(c *peCopy, b *batcher, env Env) error {
+	if err := b.flush(); err != nil {
+		return err
+	}
+	b.hold()
+	var err error
+	if c.fin != nil {
+		err = c.fin.Final(c.ctx)
+	}
+	held := b.take()
+	if err != nil {
+		return err
+	}
+	if err := faultinject.Fire(faultinject.ProbeMidFinalFlush); err != nil {
+		return err
+	}
+	// Entries are capped at the emit window so the batch keeps the normal
+	// path's delivery granularity downstream.
+	gate := c.fence.TaskGate(state.Token{Src: env.Src, Seq: env.Seq})
+	applied, err := r.cfg.Transport.PushFenced(gate, max(b.window(), 1), held...)
+	if err == nil && !applied {
+		c.fence.ObserveDrop()
+	}
+	return err
 }
 
 // coordinate owns termination: wait for the drain, flush Finals, poison.

@@ -58,22 +58,47 @@ func taskFenceField(tok Token) string {
 		strconv.FormatUint(tok.Seq, 36) + ":task"
 }
 
-// TaskGater is implemented by stores that can name the storage-level address
-// of a delivery's task gate — the (hash key, ledger field) pair a transport
-// speaking to the same server can record inside an atomic output flush
-// (SINKAPPEND). The address is only meaningful when transport and state share
-// one server, which every Redis mapping in this repository does.
-type TaskGater interface {
-	TaskGateRef(tok Token) (hashKey, field string, ok bool)
+// homed is implemented by stores whose namespace lives in one hash on a
+// server (the Redis backend): home names that hash and the server's address.
+// The memory backend has no home; the chain's wrappers forward their inner
+// store's.
+type homed interface {
+	home() (key, addr string)
 }
 
-// taskGateRef asks the next store down a chain for the gate's address; the
-// zero token, or a chain that cannot name one (memory), has none.
-func taskGateRef(inner Store, tok Token) (hashKey, field string, ok bool) {
-	if tg, ok := inner.(TaskGater); ok && !tok.IsZero() {
-		return tg.TaskGateRef(tok)
+// homeOf is the home of a store chain, or two empty strings when it has none.
+func homeOf(st Store) (key, addr string) {
+	if h, ok := st.(homed); ok {
+		return h.home()
 	}
-	return "", "", false
+	return "", ""
+}
+
+// TaskGate gates a whole fenced delivery — a Final, whose effect is its
+// emissions rather than store mutations — on one ledger field inside the
+// namespace: the execution that records Field ships its output, every
+// duplicate ships nothing. A transport whose queues live on the server at
+// Addr records Field and ships the output in one transaction (SINKAPPEND on
+// the Redis transport); any other transport records it with Admit first and
+// pushes after.
+type TaskGate struct {
+	// Field is the gate's ledger field.
+	Field string
+	// Key is the hash holding the namespace (and so Field) and Addr the
+	// address of the server holding Key; both are empty when the namespace
+	// does not live on a server (the memory backend).
+	Key, Addr string
+
+	store Store // the namespace's chain, which Admit records Field through
+}
+
+// Admit records the gate through the namespace's store chain and reports
+// whether this call recorded it: true for the delivery's first execution,
+// false for every duplicate. The record is the store's atomic AddInt, so two
+// racing executions resolve to exactly one first on every backend.
+func (g TaskGate) Admit() (bool, error) {
+	n, err := g.store.AddInt(g.Field, 1)
+	return n == 1, err
 }
 
 // FencedStore guards one namespace's mutations against duplicate
@@ -131,18 +156,23 @@ func (fs *FencedStore) dropped() {
 	}
 }
 
-// ObserveDrop records a duplicate detected outside the store path — the
-// transport's fenced sink flush (SINKAPPEND) arbitrates the task gate on the
-// server and reports the loss here so the drop counters and journal stay the
-// single source of truth for fence activity.
+// ObserveDrop records a duplicate detected outside the store path — a fenced
+// Final whose task gate the transport found already recorded — so the drop
+// counters and journal stay the single source of truth for fence activity.
 func (fs *FencedStore) ObserveDrop() { fs.dropped() }
 
-// TaskGateRef exposes the storage address of a delivery's task gate when the
-// wrapped chain can name one (the Redis backend can; memory cannot). A
-// transport sharing the server can then record the gate inside its own atomic
-// flush instead of the two-step acquire-then-emit sequence.
+// TaskGate is the gate of the fenced delivery tok (a non-zero token).
+func (fs *FencedStore) TaskGate(tok Token) TaskGate {
+	key, addr := homeOf(fs.inner)
+	return TaskGate{Field: taskFenceField(tok), Key: key, Addr: addr, store: fs.inner}
+}
+
+// TaskGateRef is the storage address of the delivery tok's task gate — the
+// hash key and ledger field — when the namespace lives on a server; ok is
+// false in memory.
 func (fs *FencedStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
-	return taskGateRef(fs.inner, tok)
+	g := fs.TaskGate(tok)
+	return g.Key, g.Field, g.Key != ""
 }
 
 // NewScope creates a per-worker view of the namespace. Scopes are not safe
@@ -172,25 +202,6 @@ func (s *FenceScope) SetToken(tok Token) {
 
 // ClearToken unbinds the scope; subsequent mutations pass through unfenced.
 func (s *FenceScope) ClearToken() { s.tok = Token{}; s.mut = 0 }
-
-// AcquireTask gates a whole delivery (the Finalize path): it reports whether
-// this execution is the delivery's first, so a duplicate Final is skipped
-// before it can re-emit its flush values. The gate rides the store's atomic
-// AddInt, so two racing executions of the same delivery resolve to exactly
-// one first on every backend.
-func (s *FenceScope) AcquireTask(tok Token) (bool, error) {
-	if tok.IsZero() {
-		return true, nil
-	}
-	n, err := s.fs.inner.AddInt(taskFenceField(tok), 1)
-	if err != nil {
-		return false, err
-	}
-	if n != 1 {
-		s.fs.dropped()
-	}
-	return n == 1, nil
-}
 
 // Namespace implements Store.
 func (s *FenceScope) Namespace() string { return s.fs.inner.Namespace() }

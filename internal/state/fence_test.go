@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/state"
+	"repro/internal/telemetry"
 )
 
 // TestFenceDropsDuplicateExecutions is the core exactly-once property: the
@@ -140,21 +141,31 @@ func TestFenceSurvivesCheckpointRestore(t *testing.T) {
 	})
 }
 
-// TestFenceFinalGate: AcquireTask admits a delivery's first execution only.
+// TestFenceFinalGate: a delivery's task gate admits its first execution
+// only, and names the server the namespace lives on — through every wrapper
+// of the chain — so a transport on that server can record it atomically.
 func TestFenceFinalGate(t *testing.T) {
 	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
-		scope := state.NewFencedStore(st).NewScope()
+		chain := state.InstrumentStore(state.NewCheckpointStore(st, b, 1), telemetry.New(telemetry.Config{}).State())
+		fs := state.NewFencedStore(chain)
 		tok := state.Token{Src: 21, Seq: 0}
-		if first, err := scope.AcquireTask(tok); err != nil || !first {
-			t.Fatalf("first acquire: %v %v", first, err)
+		gate := fs.TaskGate(tok)
+		if first, err := gate.Admit(); err != nil || !first {
+			t.Fatalf("first admit: %v %v", first, err)
 		}
-		if first, err := scope.AcquireTask(tok); err != nil || first {
-			t.Fatalf("duplicate acquire admitted: %v %v", first, err)
+		if first, err := fs.TaskGate(tok).Admit(); err != nil || first {
+			t.Fatalf("duplicate admitted: %v %v", first, err)
 		}
-		// The zero token never gates (fencing off).
-		if first, err := scope.AcquireTask(state.Token{}); err != nil || !first {
-			t.Fatalf("zero-token acquire: %v %v", first, err)
+		if keys, _ := state.SortedKeys(st); len(keys) != 0 {
+			t.Fatalf("gate visible to user views: %v", keys)
+		}
+		key, field, onServer := fs.TaskGateRef(tok)
+		if field != gate.Field || key != gate.Key || onServer != (b.Name() == "redis") {
+			t.Fatalf("TaskGateRef = (%q, %q, %v), gate = %+v", key, field, onServer, gate)
+		}
+		if onServer && gate.Addr == "" {
+			t.Fatal("a gate on a server names no address")
 		}
 	})
 }

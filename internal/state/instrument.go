@@ -61,10 +61,8 @@ func (s *instrumentedStore) Len() (int, error) {
 	return n, err
 }
 
-// TaskGateRef implements TaskGater by forwarding to the wrapped chain.
-func (s *instrumentedStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
-	return taskGateRef(s.inner, tok)
-}
+// home forwards the wrapped chain's home (see homed).
+func (s *instrumentedStore) home() (key, addr string) { return homeOf(s.inner) }
 
 // Snapshot implements Store.
 func (s *instrumentedStore) Snapshot() (Snapshot, error) {

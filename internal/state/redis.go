@@ -54,8 +54,9 @@ type RedisBackend struct {
 
 // NewRedisClusterBackend creates a backend routing namespaces across the
 // cluster's shards. The caller keeps ownership of the cluster (Close does
-// not close it); the transport of the same run must share it so gates and
-// sinks co-locate.
+// not close it). A transport of the same run on the same cluster records a
+// fenced Final's gate in the same transaction as its output, because gate
+// and sink entries co-locate.
 func NewRedisClusterBackend(cluster *redisclient.Cluster, prefix string) *RedisBackend {
 	return &RedisBackend{cluster: cluster, prefix: prefix}
 }
@@ -320,20 +321,12 @@ func (st *redisStore) withKeyLock(key string, body func() error) error {
 	return body()
 }
 
-// TaskGateRef implements TaskGater: it names the (hash key, ledger field)
-// address of a delivery's task gate so a transport sharing this backend's
-// cluster can record the gate inside its own atomic SINKAPPEND flush. The
-// transport routes the flush by hashing the returned key through the shared
-// ring, landing it on this namespace's shard — gate, ledger and sink
-// entries co-locate by construction. Valid only when the transport and this
-// backend share one cluster — true for every mapping in this repository
-// that pairs a Redis transport with a Redis backend.
-func (st *redisStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
-	if tok.IsZero() {
-		return "", "", false
-	}
-	return st.live, taskFenceField(tok), true
-}
+// home implements homed: the namespace's hash and the address of the shard
+// holding it. A transport whose queues live on that same server records a
+// Final's task gate inside its own SINKAPPEND flush; gate, ledger and sink
+// entries then co-locate because the transport routes the flush by hashing
+// the key through its ring, which for a shared cluster names this shard.
+func (st *redisStore) home() (key, addr string) { return st.live, st.cl.Addr() }
 
 // Snapshot implements Store.
 func (st *redisStore) Snapshot() (Snapshot, error) {

@@ -33,6 +33,12 @@
 // mutation in one indivisible step, or applies nothing when it was already
 // recorded. FENCEAPPLY is the wire form of a fenced Op on the Redis backend;
 // the memory backend does the same under two shard locks.
+//
+// A fenced Final gates its whole delivery rather than one mutation: its
+// TaskGate is one more ledger field of the namespace, which the transport
+// carrying the Final's output records — inside the same SINKAPPEND
+// transaction as the output when its queues live on the namespace's server,
+// through the chain (TaskGate.Admit) otherwise.
 package state
 
 import (
@@ -332,10 +338,8 @@ func (cs *CheckpointStore) Len() (int, error) { return cs.inner.Len() }
 // Snapshot implements Store.
 func (cs *CheckpointStore) Snapshot() (Snapshot, error) { return cs.inner.Snapshot() }
 
-// TaskGateRef implements TaskGater by forwarding to the wrapped store.
-func (cs *CheckpointStore) TaskGateRef(tok Token) (hashKey, field string, ok bool) {
-	return taskGateRef(cs.inner, tok)
-}
+// home forwards the wrapped store's home (see homed).
+func (cs *CheckpointStore) home() (key, addr string) { return homeOf(cs.inner) }
 
 // Clear implements Store; like every other mutation it advances the
 // checkpoint, so a resume cannot resurrect cleared state.

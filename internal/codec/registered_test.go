@@ -7,12 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	_ "repro/internal/harness" // registers SessionEvent and SessionUpdate
 	"repro/internal/synth"
 	"repro/internal/workflows/galaxy"
 	"repro/internal/workflows/seismic"
 	"repro/internal/workflows/sentiment"
 )
+
+// The session types have no registering package outside the benchmark, so
+// the test registers them itself (the workflow packages register theirs).
+func init() {
+	codec.Register(synth.SessionEvent{})
+	codec.Register(synth.SessionUpdate{})
+}
 
 // viaGob is the reference: the round trip the gob trailer gave (and, for
 // non-flat types, still gives) an interface-held payload.

@@ -9,9 +9,10 @@
 // journal of lifecycle moments, and a straggler detector over the
 // flight-recorder ring. Diagnose fuses them into a Report whose Verdict names
 // the bottleneck PE, the dominant stage, its utilization, and the
-// offered-rate ceiling it implies. Its consumers are the open-loop bench
-// (`d4pbench -openloop` records the Verdict next to each rate's latencies)
-// and the /diagnosis and /journal endpoints of a live run.
+// offered-rate ceiling it implies. Its consumers are the benchmark's traced
+// pass (`go run ./benchmark` prices it as diagnosis.overhead_share), the
+// report `d4prun` prints and `d4pbench -json` embeds, and the /diagnosis and
+// /journal endpoints of a live run.
 //
 // Like telemetry, the package imports only the standard library plus
 // telemetry itself, so every layer above (state, runtime, transports,
@@ -96,7 +97,7 @@ type Verdict struct {
 
 // Report is the full diagnosis payload: verdict, blame ranking, flow ledger,
 // decomposed paths, stragglers, and the journal's high-water mark. It is the
-// /diagnosis endpoint's body and what BENCH_*.json embeds.
+// /diagnosis endpoint's body and what `d4pbench -json` result files embed.
 type Report struct {
 	At            time.Time    `json:"at"`
 	Verdict       Verdict      `json:"verdict"`

@@ -54,11 +54,10 @@ func (DynAuto) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, er
 }
 
 func execute(g *graph.Graph, opts mapping.Options, name string, auto bool) (metrics.Report, error) {
-	// Batching stays off by default: the per-op queue synchronization cost
-	// IS the multiprocessing overhead the paper's dyn_multi curves measure,
-	// so amortizing it silently would change the reproduced baselines. Opt
-	// in with Options.EmitBatch/PullBatch (AutoBatch sizes adaptively).
-	opts = opts.ResolveBatching(1, 1).WithDefaults()
+	// No batching: the per-op queue synchronization cost IS the
+	// multiprocessing overhead the paper's dyn_multi curves measure, so
+	// amortizing it would change the reproduced baselines.
+	opts = opts.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return metrics.Report{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/workflows/galaxy"
@@ -225,87 +224,6 @@ func Fig13(s Scale) []TraceExperiment {
 			MakeGraph: s.seismicGraph(), Seed: 136,
 		},
 	}
-}
-
-// BatchWindow is one point of the batching sweep grid.
-type BatchWindow struct {
-	// Label names the point in series labels and file names.
-	Label string
-	// Size is the EmitBatch/PullBatch value (mapping.AutoBatch for auto).
-	Size int
-}
-
-// BatchWindows is the d4pbench -sweep grid: unbatched, two fixed windows,
-// and the adaptive sizer.
-func BatchWindows() []BatchWindow {
-	return []BatchWindow{
-		{Label: "batch=1", Size: 1},
-		{Label: "batch=8", Size: 8},
-		{Label: "batch=64", Size: 64},
-		{Label: "auto", Size: mapping.AutoBatch},
-	}
-}
-
-// SweepBatching builds the batched emit+consume sweep: the galaxy workload
-// at every batch window, over one Redis-backed and one in-process dynamic
-// mapping, at the scale's largest server process count. Each experiment
-// pins both EmitBatch and PullBatch to its window; the caller distinguishes
-// the resulting series by the window's Label.
-func SweepBatching(s Scale) []Experiment {
-	procs := s.ServerProcs[len(s.ServerProcs)-1]
-	out := make([]Experiment, 0, len(BatchWindows()))
-	for _, w := range BatchWindows() {
-		size := w.Size
-		out = append(out, Experiment{
-			ID:         "batching-" + w.Label,
-			Title:      "Batched emit+consume, " + w.Label + " (galaxy, server)",
-			Platform:   platform.Server,
-			Techniques: []string{"dyn_multi", "dyn_redis"},
-			Processes:  []int{procs},
-			MakeGraph:  s.galaxyGraph(1, false),
-			Seed:       701,
-			Configure: func(o *mapping.Options) {
-				o.EmitBatch = size
-				o.PullBatch = size
-			},
-		})
-	}
-	return out
-}
-
-// SweepRecovery builds the exactly-once-recovery overhead scenario: the
-// managed-state sentiment workload on the batched dyn_redis path, once with
-// replay recovery off (the baseline) and once with Options.RecoverStale on —
-// which implies ExactlyOnceState, i.e. task identity stamping, the
-// applied-ledger fence on every managed store write, and consumer-fenced
-// acknowledgements. The gap between the two series is the price of
-// exactly-once-effect recovery on a healthy run (target: < 5%).
-func SweepRecovery(s Scale) []Experiment {
-	procs := s.ServerProcs[len(s.ServerProcs)-1]
-	mk := func() *graph.Graph {
-		return sentiment.New(sentiment.Config{Articles: s.Articles, ManagedState: true})
-	}
-	base := Experiment{
-		ID:         "recovery-unfenced",
-		Title:      "Managed-state sentiment, recovery off (dyn_redis, server)",
-		Platform:   platform.Server,
-		Techniques: []string{"dyn_redis"},
-		Processes:  []int{procs},
-		MakeGraph:  mk,
-		Seed:       801,
-	}
-	fenced := base
-	fenced.ID = "recovery-fenced"
-	fenced.Title = "Managed-state sentiment, exactly-once recovery (dyn_redis, server)"
-	fenced.Configure = func(o *mapping.Options) {
-		o.RecoverStale = true
-		// RecoverIdle above the worst-case residency of a prefetched batch:
-		// on a healthy run nothing is reclaimed, so the measured gap is the
-		// fencing machinery itself (stamping, applied-ledger writes, fenced
-		// acks), not duplicate executions from over-eager XAUTOCLAIM.
-		o.RecoverIdle = 2 * time.Second
-	}
-	return []Experiment{base, fenced}
 }
 
 // TablePair is one A/B comparison of the ratio tables.

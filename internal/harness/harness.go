@@ -37,9 +37,6 @@ type Experiment struct {
 	MakeGraph func() *graph.Graph
 	// Seed drives run determinism.
 	Seed int64
-	// Configure, when non-nil, adjusts the options of every run — the hook
-	// the batching sweep uses to pin EmitBatch/PullBatch per experiment.
-	Configure func(*mapping.Options)
 }
 
 // Runner executes experiments. It owns an embedded mini-Redis server,
@@ -50,14 +47,6 @@ type Runner struct {
 	// RedisOpDelay configures the embedded server's per-command service
 	// delay (the Redis-weight ablation knob).
 	RedisOpDelay time.Duration
-	// RedisDispatchDelay configures the embedded servers' per-command delay
-	// held under the dispatch lock — the per-shard bandwidth model the shard
-	// sweep uses (see miniredis.Options.DispatchDelay).
-	RedisDispatchDelay time.Duration
-	// Shards is how many embedded Redis servers back the Redis techniques;
-	// 0 or 1 means the classic single server. Runs receive all shard
-	// addresses via Options.RedisAddrs (ring order = start order).
-	Shards int
 	// Repetitions averages each point over this many runs; 0 means 1.
 	Repetitions int
 	// Telemetry, when non-nil, is handed to every run so the whole suite
@@ -69,15 +58,15 @@ type Runner struct {
 	// suite's runs.
 	Diag *diagnosis.Diag
 
-	redis []*miniredis.Server
+	redis *miniredis.Server
 }
 
-// Close shuts down the embedded Redis servers if any were started.
+// Close shuts down the embedded Redis server if one was started.
 func (r *Runner) Close() {
-	for _, srv := range r.redis {
-		srv.Close()
+	if r.redis != nil {
+		r.redis.Close()
+		r.redis = nil
 	}
-	r.redis = nil
 }
 
 func (r *Runner) printf(format string, args ...any) {
@@ -87,25 +76,14 @@ func (r *Runner) printf(format string, args ...any) {
 }
 
 func (r *Runner) redisAddrs() ([]string, error) {
-	n := r.Shards
-	if n <= 0 {
-		n = 1
-	}
-	for len(r.redis) < n {
-		srv := miniredis.NewServer(miniredis.Options{
-			OpDelay:       r.RedisOpDelay,
-			DispatchDelay: r.RedisDispatchDelay,
-		})
+	if r.redis == nil {
+		srv := miniredis.NewServer(miniredis.Options{OpDelay: r.RedisOpDelay})
 		if err := srv.Start(); err != nil {
 			return nil, err
 		}
-		r.redis = append(r.redis, srv)
+		r.redis = srv
 	}
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		addrs[i] = r.redis[i].Addr()
-	}
-	return addrs, nil
+	return []string{r.redis.Addr()}, nil
 }
 
 // needsRedis reports whether a technique runs against Redis.
@@ -156,9 +134,6 @@ func (r *Runner) RunExperiment(e Experiment) ([]metrics.Series, error) {
 						return nil, fmt.Errorf("harness %s: start redis: %w", e.ID, err)
 					}
 					opts.RedisAddrs = addrs
-				}
-				if e.Configure != nil {
-					e.Configure(&opts)
 				}
 				rep, err := m.Execute(e.MakeGraph(), opts)
 				if err != nil {

@@ -31,16 +31,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AutoBatch, assigned to EmitBatch or PullBatch, sizes that batch window
-// adaptively at run time: each worker tracks the transport's observed
-// per-operation round-trip cost with an EWMA and grows its window while the
-// amortized per-task share of a round trip stays above the budget (shrinking
-// again when deliveries underfill the window). Heavyweight transports
-// (Redis) converge on large windows, cheap in-process transports stay small,
-// without a compile-time constant picking sides.
-const AutoBatch = -1
-
-// Options configures one workflow execution.
+// Options configures one workflow execution. How tasks are batched on the
+// transport is not an option: the planner that builds the transport decides
+// it (runtime.Config.AdaptiveBatching).
 type Options struct {
 	// Processes is the worker process budget.
 	Processes int
@@ -55,14 +48,6 @@ type Options struct {
 	// stream, state namespaces, fence ledgers and telemetry gauges across
 	// these shards through one shared redisclient.Cluster.
 	RedisAddrs []string
-	// StateCoalesce group-commits unfenced AddInt state ops per shard: all
-	// increments concurrently in flight across workers merge into one
-	// pipelined HINCRBY flush on the namespace's shard, while each caller
-	// still observes its exact intermediate value. Worth switching on for
-	// high-rate keyed-counter workloads (the zipfian sessionization hot
-	// path); off by default because it reorders independent keys' round
-	// trips, which microbenchmarks asserting exact trip counts care about.
-	StateCoalesce bool
 	// PollTimeout is how long dynamic workers block on an empty queue before
 	// counting a retry. Zero means 2ms.
 	PollTimeout time.Duration
@@ -94,7 +79,7 @@ type Options struct {
 	// pending delivery from its consumer. Zero means 8× PollTimeout — the
 	// aggressive setting failure-injection tests want. Production-shaped
 	// runs should set it above the worst-case residency of a prefetched
-	// batch (PullBatch window × per-task service time): a too-small value
+	// batch (pull window × per-task service time): a too-small value
 	// does not break correctness (the exactly-once fence absorbs the
 	// resulting duplicate executions) but re-runs work that was never lost.
 	RecoverIdle time.Duration
@@ -122,26 +107,6 @@ type Options struct {
 	// mutations (0 disables auto-checkpointing). Lower values bound the
 	// state lost to a crash at the cost of more checkpoint writes.
 	StateCheckpointEvery int
-	// EmitBatch buffers up to this many emitted tasks per worker and hands
-	// them to the transport in one batched push: Redis transports pipeline
-	// the XADD commands into a single round trip, in-process
-	// transports pay one synchronization cost per batch. 1 disables
-	// batching; 0 picks the mapping's default (AutoBatch on the Redis
-	// mappings, unbatched elsewhere); AutoBatch sizes the window adaptively.
-	// A worker's batch is always flushed before any task that emitted into
-	// it is released, so termination accounting is unaffected.
-	EmitBatch int
-	// PullBatch caps how many tasks a worker takes from the transport per
-	// consume round trip, holding the surplus in a worker-local prefetch
-	// buffer: the Redis transport reads XREADGROUP COUNT n (pool and private
-	// streams alike), the in-process queue dequeues the window under one
-	// lock hold. Acknowledgements are batched symmetrically — one pipelined
-	// release per pulled batch, flushed before the buffer refills — and
-	// prefetched tasks stay pending until acknowledged, so the coordinator's
-	// drain never unblocks early. 1 disables batching; 0 picks the mapping's
-	// default (AutoBatch on the Redis mappings, unbatched elsewhere);
-	// AutoBatch sizes the window adaptively.
-	PullBatch int
 	// Telemetry, when non-nil, receives live metrics from the run: per-worker
 	// pull/ack/emit-flush latency histograms and batch sizes, transport
 	// queue-depth gauges, managed-state per-op latencies and fence-drop
@@ -161,15 +126,6 @@ type Options struct {
 	// flights. Like the registry, a Diag may be shared across runs, in which
 	// case ledger rows accumulate. nil costs a pointer test and nothing else.
 	Diagnosis *diagnosis.Diag
-	// EmitFlushEvery bounds how long a partially-filled emit batch may age
-	// before being flushed. The age is checked at each emission (and the
-	// batch always flushes before the worker's prefetch buffer refills, so
-	// with single-task pulls it flushes at every task end), so the bound
-	// kicks in for sources that keep emitting across a long Generate; a PE
-	// that emits once and then only computes holds its batch until the
-	// refill-time flush. Zero defaults to 2ms when EmitBatch enables
-	// batching.
-	EmitFlushEvery time.Duration
 }
 
 // WithDefaults fills zero-valued fields.
@@ -186,9 +142,6 @@ func (o Options) WithDefaults() Options {
 	if o.Retries <= 0 {
 		o.Retries = 5
 	}
-	if (o.EmitBatch > 1 || o.EmitBatch == AutoBatch) && o.EmitFlushEvery <= 0 {
-		o.EmitFlushEvery = 2 * time.Millisecond
-	}
 	return o
 }
 
@@ -196,32 +149,6 @@ func (o Options) WithDefaults() Options {
 // configured). Every layer that dials Redis goes through this, so a run
 // cannot end up with its transport and state backend on different shard sets.
 func (o Options) ShardAddrs() []string { return o.RedisAddrs }
-
-// ResolveBatching fills zero-valued batch knobs with a mapping's defaults
-// (planners call it before handing options to the runtime), leaving explicit
-// settings — including an explicit 1 = "off" — untouched.
-func (o Options) ResolveBatching(defaultEmit, defaultPull int) Options {
-	if o.EmitBatch == 0 {
-		o.EmitBatch = defaultEmit
-	}
-	if o.PullBatch == 0 {
-		o.PullBatch = defaultPull
-	}
-	return o
-}
-
-// ValidateBatching rejects batch knob values outside {AutoBatch, 0, 1, n>1}.
-// The runtime calls it once per execution so a typo'd negative size fails
-// loudly instead of silently disabling batching.
-func (o Options) ValidateBatching() error {
-	if o.EmitBatch < AutoBatch {
-		return fmt.Errorf("mapping: Options.EmitBatch = %d is invalid (want AutoBatch, 0, or a positive size)", o.EmitBatch)
-	}
-	if o.PullBatch < AutoBatch {
-		return fmt.Errorf("mapping: Options.PullBatch = %d is invalid (want AutoBatch, 0, or a positive size)", o.PullBatch)
-	}
-	return nil
-}
 
 // Mapping executes abstract workflows on a concrete engine.
 type Mapping interface {

@@ -29,10 +29,8 @@ func (Mapping) Name() string { return "mpi" }
 
 // Execute implements mapping.Mapping.
 func (Mapping) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	// Rank mailboxes are in-process, so batching defaults off like multi's;
-	// the knobs remain available (buffered mailbox draining on the pull
-	// side, one Send per task on the emit side either way).
-	opts = opts.ResolveBatching(1, 1).WithDefaults()
+	// Rank mailboxes are in-process, so tasks are unbatched like multi's.
+	opts = opts.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return metrics.Report{}, err
 	}

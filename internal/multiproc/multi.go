@@ -31,9 +31,9 @@ func (Multi) Name() string { return "multi" }
 
 // Execute implements mapping.Mapping.
 func (Multi) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	// Channel sends are cheap, so batching defaults off to preserve the
-	// paper's per-instance queue behaviour; the knobs remain available.
-	opts = opts.ResolveBatching(1, 1).WithDefaults()
+	// Channel sends are cheap, so tasks are unbatched to preserve the
+	// paper's per-instance queue behaviour.
+	opts = opts.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return metrics.Report{}, err
 	}

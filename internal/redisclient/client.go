@@ -95,8 +95,9 @@ type Stats struct {
 	Retries    int64
 }
 
-// Stats returns the client's cumulative counters. The recovery bench asserts
-// on round-trip deltas to prove fenced mutations cost one trip, not two.
+// Stats returns the client's cumulative counters. The state package's
+// fenced-mutation test asserts on round-trip deltas to prove a fenced
+// mutation costs one trip, not two.
 func (c *Client) Stats() Stats {
 	return Stats{RoundTrips: c.statRoundTrips.Load(), Retries: c.statRetries.Load()}
 }

@@ -16,9 +16,10 @@
 // connections to the Redis servers (internal/miniredis in this repository,
 // or any RESP2-compatible server), so the cost structure of the Redis
 // mappings — heavier than in-process queues, as the paper observes — is
-// physically present rather than assumed. With Options.EmitBatch the
-// transport pipelines the XADD commands of a batch into one round trip per
-// shard.
+// physically present rather than assumed. Every Redis planner sizes its emit
+// and pull windows adaptively (runtime.Config.AdaptiveBatching), and the
+// transport pipelines the XADD commands of an emit batch into one round trip
+// per shard.
 //
 // Every Redis-touching component of a run — transport, state backend, fence
 // ledger, autoscale monitor — shares one redisclient.Cluster built here, so

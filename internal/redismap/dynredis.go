@@ -41,9 +41,7 @@ func (DynAutoRedis) Execute(g *graph.Graph, opts mapping.Options) (metrics.Repor
 }
 
 func executeDynRedis(g *graph.Graph, opts mapping.Options, name string, auto bool) (metrics.Report, error) {
-	// Redis round trips dominate this mapping's per-task cost, so batching
-	// defaults on, adaptively sized (pass an explicit 1 to disable).
-	opts = opts.ResolveBatching(mapping.AutoBatch, mapping.AutoBatch).WithDefaults()
+	opts = opts.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
@@ -98,19 +96,17 @@ func executeDynRedis(g *graph.Graph, opts mapping.Options, name string, auto boo
 		Host:       platform.NewHost(opts.Platform),
 		Controller: ctrl,
 		NewStateBackend: func() state.Backend {
-			return newStateBackend(cluster, keys, opts)
+			return newStateBackend(cluster, keys)
 		},
+		// Redis round trips dominate this mapping's per-task cost.
+		AdaptiveBatching: true,
 	})
 }
 
 // newStateBackend builds the run's private state backend on the shared
-// cluster, with hot-path AddInt coalescing when the options ask for it.
-func newStateBackend(cluster *redisclient.Cluster, keys runtime.RedisKeys, opts mapping.Options) state.Backend {
-	b := state.NewRedisClusterBackend(cluster, keys.Prefix+":state")
-	if opts.StateCoalesce {
-		b.EnableCoalescing()
-	}
-	return b
+// cluster.
+func newStateBackend(cluster *redisclient.Cluster, keys runtime.RedisKeys) state.Backend {
+	return state.NewRedisClusterBackend(cluster, keys.Prefix+":state")
 }
 
 // consumerIdleMonitor builds the dyn_auto_redis monitoring metric: the mean

@@ -113,9 +113,7 @@ func validateHybrid(g *graph.Graph) error {
 }
 
 func executeHybrid(g *graph.Graph, opts mapping.Options, name string, auto bool) (metrics.Report, error) {
-	// Redis round trips dominate this mapping's per-task cost, so batching
-	// defaults on, adaptively sized (pass an explicit 1 to disable).
-	opts = opts.ResolveBatching(mapping.AutoBatch, mapping.AutoBatch).WithDefaults()
+	opts = opts.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
@@ -170,7 +168,9 @@ func executeHybrid(g *graph.Graph, opts mapping.Options, name string, auto bool)
 		Host:       platform.NewHost(opts.Platform),
 		Controller: ctrl,
 		NewStateBackend: func() state.Backend {
-			return newStateBackend(cluster, keys, opts)
+			return newStateBackend(cluster, keys)
 		},
+		// Redis round trips dominate this mapping's per-task cost.
+		AdaptiveBatching: true,
 	})
 }

@@ -21,8 +21,8 @@ const (
 )
 
 // BatchSizer adaptively sizes one worker's batch window (emit or pull) from
-// the transport's observed operation cost, the runtime's implementation of
-// Options.EmitBatch/PullBatch = mapping.AutoBatch.
+// the transport's observed operation cost — the runtime's implementation of
+// Config.AdaptiveBatching.
 //
 // It fits the two-term cost model the single-EWMA sizer approximated:
 //

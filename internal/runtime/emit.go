@@ -6,9 +6,16 @@ import (
 
 	"repro/internal/diagnosis"
 	"repro/internal/graph"
-	"repro/internal/mapping"
 	"repro/internal/telemetry"
 )
+
+// emitFlushEvery bounds how long a partially-filled adaptive emit batch may
+// age before being flushed. The age is checked at each emission (and the
+// batch always flushes before the worker's prefetch buffer refills, so with
+// single-task pulls it flushes at every task end), so the bound kicks in for
+// sources that keep emitting across a long Generate; a PE that emits once and
+// then only computes holds its batch until the refill-time flush.
+const emitFlushEvery = 2 * time.Millisecond
 
 // batcher buffers one worker's emitted tasks and hands them to the transport
 // in a single Push when the batch fills or ages out. It is single-goroutine
@@ -20,12 +27,10 @@ import (
 // buffering never creates a window in which the coordinator could observe a
 // spuriously drained transport.
 type batcher struct {
-	tr         Transport
-	max        int         // fixed window; ignored when sizer is set
-	sizer      *BatchSizer // adaptive window (Options.EmitBatch = AutoBatch)
-	flushEvery time.Duration
-	buf        []Task
-	firstAt    time.Time
+	tr      Transport
+	sizer   *BatchSizer // adaptive window; nil passes every task straight through
+	buf     []Task
+	firstAt time.Time
 
 	// Hold mode diverts pushed tasks into held instead of the transport — no
 	// size- or age-trigger flushes — so a fenced Final's emissions can be
@@ -39,20 +44,13 @@ type batcher struct {
 	sizeHist  *telemetry.Histogram
 }
 
-// newBatcher sizes the buffer from the EmitBatch knob: <= 1 passes tasks
-// straight through, mapping.AutoBatch attaches an adaptive sizer fed by the
-// observed Push round-trip cost.
-func newBatcher(tr Transport, batch int, flushEvery time.Duration) *batcher {
-	b := &batcher{tr: tr, flushEvery: flushEvery}
-	if batch == mapping.AutoBatch {
+// newBatcher passes tasks straight through, or with adaptive set attaches a
+// sizer fed by the observed Push round-trip cost.
+func newBatcher(tr Transport, adaptive bool) *batcher {
+	b := &batcher{tr: tr}
+	if adaptive {
 		b.sizer = NewBatchSizer()
-		return b
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	b.max = batch
-	b.buf = make([]Task, 0, batch)
 	return b
 }
 
@@ -61,7 +59,7 @@ func (b *batcher) window() int {
 	if b.sizer != nil {
 		return b.sizer.Next()
 	}
-	return b.max
+	return 1
 }
 
 // hold starts collecting pushed tasks instead of sending them. The caller
@@ -85,7 +83,7 @@ func (b *batcher) push(t Task) error {
 		b.held = append(b.held, t)
 		return nil
 	}
-	if b.sizer == nil && b.max <= 1 {
+	if b.sizer == nil {
 		// Unbatched passthrough: each emission is its own flush.
 		if b.flushHist == nil {
 			return b.tr.Push(t)
@@ -100,7 +98,7 @@ func (b *batcher) push(t Task) error {
 		b.firstAt = time.Now()
 	}
 	b.buf = append(b.buf, t)
-	if len(b.buf) >= b.window() || (b.flushEvery > 0 && time.Since(b.firstAt) >= b.flushEvery) {
+	if len(b.buf) >= b.sizer.Next() || time.Since(b.firstAt) >= emitFlushEvery {
 		return b.flush()
 	}
 	return nil

@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkEmitBatching compares unbatched task emission (one transport push
-// per emitted value, the seed behaviour) against batched emission
-// (Options.EmitBatch: one push per batch) on the hot emit path. On the
+// per emitted value, what the in-process planners run) against batched
+// emission (one push per batch) on the hot emit path. On the
 // Redis transport a batch becomes one pipelined round trip — INCRBY plus all
 // XADDs sharing a single network exchange — which is where the throughput
 // win of Zhao et al.'s batching optimization comes from; on the in-process

@@ -47,6 +47,13 @@ type Config struct {
 	// leaves it off — its pinned stateful processes are dedicated and stay
 	// hot for the whole run, the inefficiency hybrid_auto_redis attacks.
 	PinnedIdleStandby bool
+	// AdaptiveBatching sizes every worker's emit and pull windows at run
+	// time (see BatchSizer), flushing a partial emit batch once it is
+	// emitFlushEvery old. The Redis planners set it: a round trip dominates
+	// their per-task cost. The in-process planners leave it off, so one
+	// queue or channel operation per task — the per-op synchronization
+	// cost the paper's multiprocessing curves measure — stays visible.
+	AdaptiveBatching bool
 }
 
 // Execute runs a workflow on the shared worker runtime: it seeds one
@@ -56,9 +63,6 @@ type Config struct {
 // flushed values propagate), and finally poisons the workers.
 func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report, err error) {
 	opts = opts.WithDefaults()
-	if err := opts.ValidateBatching(); err != nil {
-		return metrics.Report{}, fmt.Errorf("%s: %w", cfg.Name, err)
-	}
 	ms, err := mapping.OpenManagedState(g, opts, cfg.NewStateBackend)
 	if err != nil {
 		return metrics.Report{}, err
@@ -308,7 +312,7 @@ func (r *run) runWorker(w int) {
 	exitReason := "error"
 	defer func() { r.diag.Log(diagnosis.EvWorkerExit, w, spec.PE, exitReason, 0) }()
 
-	b := newBatcher(r.cfg.Transport, r.opts.EmitBatch, r.opts.EmitFlushEvery)
+	b := newBatcher(r.cfg.Transport, r.cfg.AdaptiveBatching)
 	if wm != nil {
 		b.flushHist = wm.EmitFlush
 		b.sizeHist = wm.EmitBatch
@@ -373,19 +377,16 @@ func (r *run) runWorker(w int) {
 	}
 
 	// Per-loop invariants are hoisted out of the hot loop: the poll timeout
-	// and batch windows are read from Options once here, not chased on every
-	// pull iteration.
+	// and pull sizer are resolved once here, not chased on every pull
+	// iteration. Without adaptive batching a worker pulls one task at a time.
 	tr := r.cfg.Transport
 	pollTimeout := r.opts.PollTimeout
-	pullWindow := r.opts.PullBatch
 	var pullSizer *BatchSizer
-	if pullWindow == mapping.AutoBatch {
+	if r.cfg.AdaptiveBatching {
 		pullSizer = NewBatchSizer()
 		if r.diag != nil {
 			pullSizer.OnResize = resizeLogger(r.diag, w, "pull")
 		}
-	} else if pullWindow < 1 {
-		pullWindow = 1
 	}
 	acks := &ackBatch{tr: tr, w: w, tracer: r.tracer}
 	if wm != nil {
@@ -428,7 +429,7 @@ func (r *run) runWorker(w int) {
 				}
 				proc.Activate()
 			}
-			window := pullWindow
+			window := 1
 			if pullSizer != nil {
 				window = pullSizer.Next()
 			}

@@ -1,7 +1,7 @@
 package runtime_test
 
 import (
-	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,19 +9,42 @@ import (
 	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
+	"repro/internal/miniredis"
 	_ "repro/internal/multiproc"
 	"repro/internal/platform"
+	_ "repro/internal/redismap"
 )
 
-// TestPullBatchingPreservesDelivery runs a fan-out pipeline under every
-// combination of pull window (unbatched, fixed, adaptive) on an in-process
-// mapping and checks that exactly the expected values arrive — prefetching
-// and pipelined acks must be invisible to workflow semantics, including the
-// coordinator's Final flush.
+// testOptions are the options of a small run under the named mapping; a
+// Redis mapping gets a fresh embedded server.
+func testOptions(t *testing.T, name string, processes int) mapping.Options {
+	t.Helper()
+	opts := mapping.Options{
+		Processes: processes,
+		Platform:  platform.Platform{Name: "test", Cores: 4},
+		Seed:      1,
+	}
+	if strings.HasSuffix(name, "_redis") {
+		srv, err := miniredis.StartTestServer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		opts.RedisAddrs = []string{srv.Addr()}
+	}
+	return opts
+}
+
+// TestPullBatchingPreservesDelivery runs a fan-out pipeline under the two
+// batching configurations the planners choose — unbatched in process
+// (dyn_multi) and adaptive emit and pull windows on Redis (dyn_redis) — and
+// checks that exactly the expected values arrive: prefetching and pipelined
+// acks must be invisible to workflow semantics, including the coordinator's
+// Final flush.
 func TestPullBatchingPreservesDelivery(t *testing.T) {
 	const fanOut = 40
-	for _, pull := range []int{1, 8, mapping.AutoBatch} {
-		t.Run(fmt.Sprintf("pull=%d", pull), func(t *testing.T) {
+	for _, name := range []string{"dyn_multi", "dyn_redis"} {
+		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
 			sum := 0
 			got := 0
@@ -47,17 +70,11 @@ func TestPullBatchingPreservesDelivery(t *testing.T) {
 			})
 			g.Pipe("gen", "sink")
 
-			m, err := mapping.Get("dyn_multi")
+			m, err := mapping.Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Execute(g, mapping.Options{
-				Processes: 4,
-				Platform:  platform.Platform{Name: "test", Cores: 4},
-				Seed:      1,
-				EmitBatch: mapping.AutoBatch,
-				PullBatch: pull,
-			}); err != nil {
+			if _, err := m.Execute(g, testOptions(t, name, 4)); err != nil {
 				t.Fatal(err)
 			}
 			mu.Lock()
@@ -66,24 +83,6 @@ func TestPullBatchingPreservesDelivery(t *testing.T) {
 				t.Fatalf("sink saw %d values summing %d, want %d summing %d", got, sum, fanOut, want)
 			}
 		})
-	}
-}
-
-// TestExecuteRejectsInvalidBatchOptions pins the validation seam: a typo'd
-// negative batch size must fail loudly, not silently disable batching.
-func TestExecuteRejectsInvalidBatchOptions(t *testing.T) {
-	g := graph.New("badbatch")
-	g.Add(func() core.PE {
-		return core.NewSource("gen", func(ctx *core.Context) error { return nil })
-	})
-	m, err := mapping.Get("dyn_multi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []mapping.Options{{Processes: 1, EmitBatch: -7}, {Processes: 1, PullBatch: -2}} {
-		if _, err := m.Execute(g, opts); err == nil {
-			t.Fatalf("options %+v must be rejected", opts)
-		}
 	}
 }
 
@@ -106,10 +105,13 @@ func (p *initEmitPE) Process(ctx *core.Context, port string, v any) error { retu
 
 // TestInitEmissionsSurviveBatching pins the batcher contract for Init
 // hooks: emissions buffered during Init must be flushed before the worker
-// starts pulling, or a small batch would be invisible to the pending count
-// and silently dropped at termination.
+// starts pulling, or a held batch would be invisible to the pending count
+// and silently dropped at termination. On dyn_redis the adaptive emit window
+// doubles 1→2→4→8 over the first seven Init emissions, so the last three sit
+// in the window when Init returns.
 func TestInitEmissionsSurviveBatching(t *testing.T) {
-	for _, name := range []string{"multi", "dyn_multi"} {
+	const emissions, workers = 10, 3
+	for _, name := range []string{"multi", "dyn_multi", "dyn_redis"} {
 		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
 			got := 0
@@ -118,7 +120,7 @@ func TestInitEmissionsSurviveBatching(t *testing.T) {
 				return core.NewSource("gen", func(ctx *core.Context) error { return nil })
 			})
 			g.Add(func() core.PE {
-				return &initEmitPE{Base: core.NewBase("mid", core.In(), core.Out()), n: 3}
+				return &initEmitPE{Base: core.NewBase("mid", core.In(), core.Out()), n: emissions}
 			})
 			g.Add(func() core.PE {
 				return core.NewSink("sink", func(ctx *core.Context, v any) error {
@@ -135,20 +137,14 @@ func TestInitEmissionsSurviveBatching(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			workers := 3
-			if _, err := m.Execute(g, mapping.Options{
-				Processes: workers,
-				Platform:  platform.Platform{Name: "test", Cores: 4},
-				Seed:      1,
-				EmitBatch: 64, // far larger than the Init emissions
-			}); err != nil {
+			if _, err := m.Execute(g, testOptions(t, name, workers)); err != nil {
 				t.Fatal(err)
 			}
-			// multi runs one mid instance; dyn_multi runs Init once per
-			// worker copy. Either way every Init emission must arrive.
-			want := 3
-			if name == "dyn_multi" {
-				want = 3 * workers
+			// multi runs one mid instance; the pool mappings run Init once
+			// per worker copy. Either way every Init emission must arrive.
+			want := emissions
+			if name != "multi" {
+				want = emissions * workers
 			}
 			mu.Lock()
 			defer mu.Unlock()

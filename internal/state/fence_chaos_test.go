@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/miniredis"
+	"repro/internal/redisclient"
 	"repro/internal/state"
 )
 
@@ -26,7 +27,9 @@ func armInj(t *testing.T, faults ...faultinject.Fault) *faultinject.Injector {
 // TestFencedMutationsSurviveConnDrops: every fenced mutation shape on the
 // Redis backend lands exactly once even when the reply to its compound
 // command is lost and the client retries against a server that already
-// executed it.
+// executed it. With the faults disarmed, a fenced Put, AddInt and Delete
+// each then cost exactly one round trip across the cluster: the single
+// FENCEAPPLY compound, never a record trip followed by an apply trip.
 func TestFencedMutationsSurviveConnDrops(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("%dshard", shards), func(t *testing.T) {
@@ -39,10 +42,12 @@ func TestFencedMutationsSurviveConnDrops(t *testing.T) {
 				defer srv.Close()
 				addrs[i] = srv.Addr()
 			}
-			b, err := state.DialRedisClusterBackend(addrs, "chaos")
+			cluster, err := redisclient.NewCluster(addrs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer cluster.Close()
+			b := state.NewRedisClusterBackend(cluster, "chaos")
 			defer b.Close()
 
 			// One namespace per shard count keeps a scope's gate, ledger and
@@ -98,6 +103,26 @@ func TestFencedMutationsSurviveConnDrops(t *testing.T) {
 			}
 			if _, ok, _ := scope.Get("last"); ok {
 				t.Fatal("delete lost")
+			}
+
+			faultinject.Disarm()
+			scope.SetToken(state.Token{Src: 2, Seq: 1})
+			defer scope.ClearToken()
+			for _, op := range []struct {
+				name string
+				fn   func() error
+			}{
+				{"Put", func() error { return scope.Put("k", "v") }},
+				{"AddInt", func() error { _, err := scope.AddInt("n", 3); return err }},
+				{"Delete", func() error { return scope.Delete("k") }},
+			} {
+				before := cluster.Stats().RoundTrips
+				if err := op.fn(); err != nil {
+					t.Fatalf("fenced %s: %v", op.name, err)
+				}
+				if got := cluster.Stats().RoundTrips - before; got != 1 {
+					t.Errorf("fenced %s cost %d round trips, want 1", op.name, got)
+				}
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 // SnapshotCSV renders a Snapshot as a long-form metric CSV: one row per
 // histogram (merged, per-worker, and state ops) with the exact observed
 // min/max alongside the interpolated quantiles, plus one row per gauge.
-// It is served by /metrics?format=csv and written next to BENCH JSON files.
+// It is served by /metrics?format=csv.
 func SnapshotCSV(s Snapshot) string {
 	var b strings.Builder
 	b.WriteString("scope,metric,unit,count,sum,mean,p50,p90,p99,min,max\n")

@@ -11,11 +11,11 @@
 // atomic adds plus a bucket search, and tracing touches a mutex only for the
 // sampled fraction of tasks.
 //
-// Its consumers all read the one Registry: the open-loop bench (`d4pbench
-// -openloop`) takes its p50/p99 service latencies per offered rate from it,
-// the diagnosis layer derives its verdict from it, `d4prun`/`d4pbench` serve
-// it live at /metrics, and the auto-scaler publishes its pool size and resize
-// counts into it as gauges.
+// Its consumers all read the one Registry: the benchmark's traced pass (`go
+// run ./benchmark`) prices it as telemetry.overhead_share, the diagnosis layer
+// derives its verdict from it, `d4prun`/`d4pbench` serve it live at /metrics,
+// and the auto-scaler publishes its pool size and resize counts into it as
+// gauges.
 package telemetry
 
 import (

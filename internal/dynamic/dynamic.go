@@ -70,11 +70,6 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool) (metr
 
 	var ctrl *autoscale.Controller
 	if auto {
-		cfg := autoscale.Config{MaxPoolSize: opts.Processes}
-		if opts.AutoScale != nil {
-			cfg = *opts.AutoScale
-			cfg.MaxPoolSize = opts.Processes
-		}
 		// Outstanding tasks: one atomic load, cheap enough for every refill.
 		demand := func() float64 {
 			n, _ := tr.Pending() // the queue transport's Pending cannot fail
@@ -84,7 +79,7 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool) (metr
 		if strategy == nil {
 			strategy = autoscale.DemandStrategy{}
 		}
-		ctrl = autoscale.NewController(cfg, strategy, opts.Trace)
+		ctrl = autoscale.NewController(opts.AutoScaleConfig(opts.Processes), strategy, opts.Trace)
 		if opts.Strategy == nil {
 			// The default rule has no memory, so the refill gate evaluates it too.
 			ctrl.GateOn(demand)

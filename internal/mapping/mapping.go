@@ -73,16 +73,10 @@ type Options struct {
 	// re-run by another worker — possibly while the original worker is
 	// still alive, so both executions race. With managed-state PEs this
 	// implies ExactlyOnceState, so the race cannot double-apply store
-	// mutations.
+	// mutations. The reclaim threshold is fixed at 8× PollTimeout of idle
+	// time; a worker heartbeats the entries it still holds, so only a
+	// worker that stops making progress loses them.
 	RecoverStale bool
-	// RecoverIdle is the minimum idle time before RecoverStale reclaims a
-	// pending delivery from its consumer. Zero means 8× PollTimeout — the
-	// aggressive setting failure-injection tests want. Production-shaped
-	// runs should set it above the worst-case residency of a prefetched
-	// batch (pull window × per-task service time): a too-small value
-	// does not break correctness (the exactly-once fence absorbs the
-	// resulting duplicate executions) but re-runs work that was never lost.
-	RecoverIdle time.Duration
 	// ExactlyOnceState fences managed-state writes against duplicate task
 	// executions: every task is stamped with a deterministic provenance +
 	// sequence identity, and each store records an applied ledger (persisted
@@ -143,6 +137,18 @@ func (o Options) WithDefaults() Options {
 		o.Retries = 5
 	}
 	return o
+}
+
+// AutoScaleConfig is the auto-scaler configuration of an auto mapping whose
+// scalable pool has pool workers: AutoScale when set, the defaults
+// otherwise, with MaxPoolSize always the pool's.
+func (o Options) AutoScaleConfig(pool int) autoscale.Config {
+	var cfg autoscale.Config
+	if o.AutoScale != nil {
+		cfg = *o.AutoScale
+	}
+	cfg.MaxPoolSize = pool
+	return cfg
 }
 
 // ShardAddrs is the Redis data-plane address list (nil when none is

@@ -221,7 +221,7 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 
 	// redisFixture builds the redis chaos run over an n-shard embedded
 	// cluster. recoverStale is on: duplicate acks of real entry IDs must be
-	// absorbed by the transport's consumer-fenced ack path, per shard.
+	// absorbed by the transport's ownership-checked FENCEXACK, per shard.
 	redisFixture := func(shards int, items []keyedItem, eligible func(runtime.Env) bool,
 		target func(env runtime.Env, from, workers int) int) fixture {
 		return fixture{name: fmt.Sprintf("redis-%dshard", shards), run: func(t *testing.T, collect func(string)) *chaosTransport {

@@ -15,11 +15,11 @@ func init() {
 	register("XLEN", 1, 1, cmdXLen)
 	register("XRANGE", 3, 5, cmdXRange)
 	register("XGROUP", 4, 5, cmdXGroup)
-	register("XREADGROUP", 6, -1, cmdXReadGroup)
+	register("XREADGROUP", 6, 10, cmdXReadGroup)
 	register("XACK", 3, -1, cmdXAck)
-	register("XPENDING", 2, -1, cmdXPending)
-	register("XCLAIM", 5, -1, cmdXClaim)
-	register("XAUTOCLAIM", 4, -1, cmdXAutoClaim)
+	register("XPENDING", 5, 6, cmdXPending)
+	register("XCLAIM", 6, -1, cmdXClaim)
+	register("XAUTOCLAIM", 5, 7, cmdXAutoClaim)
 	register("XTRIM", 3, 4, cmdXTrim)
 	register("XINFO", 3, 3, cmdXInfo)
 }
@@ -94,35 +94,26 @@ func (s *stream) addID(arg string, now time.Time) (StreamID, error) {
 	return id, nil
 }
 
+// cmdXAdd serves XADD key [MAXLEN [~|=] n] id field value [field value ...].
 func cmdXAdd(s *Server, args []string) resp.Value {
 	key := args[0]
 	i := 1
-	nomkstream := false
 	maxLen := int64(-1)
-	for i < len(args) {
-		switch strings.ToUpper(args[i]) {
-		case "NOMKSTREAM":
-			nomkstream = true
+	if strings.EqualFold(args[i], "MAXLEN") {
+		i++
+		if i < len(args) && (args[i] == "~" || args[i] == "=") {
 			i++
-		case "MAXLEN":
-			i++
-			if i < len(args) && (args[i] == "~" || args[i] == "=") {
-				i++
-			}
-			if i >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil || n < 0 {
-				return resp.Err("ERR value is not an integer or out of range")
-			}
-			maxLen = n
-			i++
-		default:
-			goto idArg
 		}
+		if i >= len(args) {
+			return resp.Err("ERR syntax error")
+		}
+		n, err := strconv.ParseInt(args[i], 10, 64)
+		if err != nil || n < 0 {
+			return resp.Err("ERR value is not an integer or out of range")
+		}
+		maxLen = n
+		i++
 	}
-idArg:
 	if i >= len(args) {
 		return resp.Err("ERR wrong number of arguments for 'xadd' command")
 	}
@@ -134,12 +125,9 @@ idArg:
 	}
 
 	now := time.Now()
-	e, err := s.db.streamFor(key, !nomkstream, now)
+	e, err := s.db.streamFor(key, true, now)
 	if err != nil {
 		return errValue(err)
-	}
-	if e == nil {
-		return resp.Nil // NOMKSTREAM and no stream
 	}
 	st := e.stream
 
@@ -183,7 +171,6 @@ func cmdXRange(s *Server, args []string) resp.Value {
 	} else if len(args) == 4 {
 		return resp.Err("ERR syntax error")
 	}
-	// Exclusive bounds "(id" supported for completeness.
 	lo, hi, err := parseRangeBounds(args[1], args[2])
 	if err != nil {
 		return errValue(err)
@@ -195,31 +182,16 @@ func cmdXRange(s *Server, args []string) resp.Value {
 }
 
 // parseRangeBounds parses an inclusive [lo, hi] ID interval as XRANGE and
-// XPENDING spell it: "-" and "+" are the smallest and largest ID, a bare "ms"
-// covers the whole millisecond, and a "(" prefix excludes the bound.
+// XPENDING spell it: "-" and "+" are the smallest and largest ID, and a bare
+// "ms" covers the whole millisecond.
 func parseRangeBounds(loStr, hiStr string) (StreamID, StreamID, error) {
-	loExcl := strings.HasPrefix(loStr, "(")
-	hiExcl := strings.HasPrefix(hiStr, "(")
-	lo, err := parseRangeID(strings.TrimPrefix(loStr, "("), 0)
+	lo, err := parseRangeID(loStr, 0)
 	if err != nil {
 		return StreamID{}, StreamID{}, err
 	}
-	hi, err := parseRangeID(strings.TrimPrefix(hiStr, "("), ^uint64(0))
+	hi, err := parseRangeID(hiStr, ^uint64(0))
 	if err != nil {
 		return StreamID{}, StreamID{}, err
-	}
-	if loExcl {
-		lo = lo.Next()
-	}
-	if hiExcl {
-		if hi.IsZero() {
-			return StreamID{}, StreamID{}, fmt.Errorf("ERR invalid range item")
-		}
-		if hi.Seq == 0 {
-			hi = StreamID{Ms: hi.Ms - 1, Seq: ^uint64(0)}
-		} else {
-			hi = StreamID{Ms: hi.Ms, Seq: hi.Seq - 1}
-		}
 	}
 	return lo, hi, nil
 }
@@ -233,19 +205,6 @@ func parseRangeID(s string, seqDefault uint64) (StreamID, error) {
 		return maxStreamID, nil
 	}
 	return parseStreamID(s, seqDefault)
-}
-
-// parseStreamsClause parses the trailing "STREAMS key... id..." section.
-func parseStreamsClause(args []string, i int) (keys, ids []string, err error) {
-	if i >= len(args) || !strings.EqualFold(args[i], "STREAMS") {
-		return nil, nil, fmt.Errorf("ERR syntax error")
-	}
-	rest := args[i+1:]
-	if len(rest) == 0 || len(rest)%2 != 0 {
-		return nil, nil, fmt.Errorf("ERR Unbalanced XREAD list of streams: for each stream key an ID or '$' must be specified")
-	}
-	half := len(rest) / 2
-	return rest[:half], rest[half:], nil
 }
 
 // cmdXGroup serves XGROUP CREATE key group id|$ [MKSTREAM], the one
@@ -301,6 +260,9 @@ func lookupGroup(s *Server, key, groupName string, now time.Time) (*group, *resp
 	return g, nil
 }
 
+// cmdXReadGroup serves XREADGROUP GROUP group consumer [COUNT n] [BLOCK ms]
+// STREAMS key >, the one form the transport sends: new entries of one
+// stream, each entering the consumer's PEL.
 func cmdXReadGroup(s *Server, args []string) resp.Value {
 	if !strings.EqualFold(args[0], "GROUP") {
 		return resp.Err("ERR syntax error")
@@ -308,55 +270,29 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 	groupName, consumerName := args[1], args[2]
 	count := 0
 	blockMs := int64(-1)
-	noack := false
 	i := 3
-	for i < len(args) {
+	for ; i < len(args)-3; i += 2 {
 		switch strings.ToUpper(args[i]) {
 		case "COUNT":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
 			n, err := strconv.Atoi(args[i+1])
 			if err != nil {
 				return resp.Err("ERR value is not an integer or out of range")
 			}
 			count = n
-			i += 2
 		case "BLOCK":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
 			n, err := strconv.ParseInt(args[i+1], 10, 64)
 			if err != nil || n < 0 {
 				return resp.Err("ERR timeout is not an integer or out of range")
 			}
 			blockMs = n
-			i += 2
-		case "NOACK":
-			noack = true
-			i++
 		default:
-			goto streams
+			return resp.Err("ERR syntax error")
 		}
 	}
-streams:
-	keys, idStrs, err := parseStreamsClause(args, i)
-	if err != nil {
-		return errValue(err)
+	if i != len(args)-3 || !strings.EqualFold(args[i], "STREAMS") || args[i+2] != ">" {
+		return resp.Err("ERR syntax error")
 	}
-
-	wantNew := make([]bool, len(keys))
-	replayFrom := make([]StreamID, len(keys))
-	for j, idStr := range idStrs {
-		if idStr == ">" {
-			wantNew[j] = true
-			continue
-		}
-		replayFrom[j], err = parseStreamID(idStr, 0)
-		if err != nil {
-			return errValue(err)
-		}
-	}
+	key := args[i+1]
 
 	var deadline time.Time
 	if blockMs > 0 {
@@ -364,64 +300,23 @@ streams:
 	}
 	for {
 		now := time.Now()
-		var out []resp.Value
-		anyNewRequested := false
-		for j, key := range keys {
-			g, errv := lookupGroup(s, key, groupName, now)
-			if errv != nil {
-				return *errv
-			}
-			e, _ := s.db.lookupKind(key, kindStream, now)
-			st := e.stream
-			c := g.consumerNamed(consumerName, now)
-			if !wantNew[j] {
-				// Replay this consumer's PEL from the given ID.
-				var entries []streamEntry
-				for _, id := range g.sortedPending(consumerName) {
-					if id.Less(replayFrom[j].Next()) {
-						continue
-					}
-					if se := st.entryAt(id); se != nil {
-						entries = append(entries, *se)
-					} else {
-						entries = append(entries, streamEntry{id: id})
-					}
-					if count > 0 && len(entries) >= count {
-						break
-					}
-				}
-				out = append(out, resp.Arr(resp.Str(key), entriesValue(entries)))
-				continue
-			}
-			anyNewRequested = true
-			entries := st.rangeEntries(g.lastDelivered.Next(), maxStreamID, count)
-			if len(entries) == 0 {
-				continue
-			}
+		g, errv := lookupGroup(s, key, groupName, now)
+		if errv != nil {
+			return *errv
+		}
+		e, _ := s.db.lookupKind(key, kindStream, now)
+		c := g.consumerNamed(consumerName, now)
+		entries := e.stream.rangeEntries(g.lastDelivered.Next(), maxStreamID, count)
+		if len(entries) > 0 {
 			c.activeTime = now
 			for _, se := range entries {
 				g.lastDelivered = se.id
-				if !noack {
-					g.pending[se.id] = &pendingEntry{
-						consumer:      consumerName,
-						deliveryTime:  now,
-						deliveryCount: 1,
-					}
-					c.pending[se.id] = struct{}{}
-				}
+				g.pending[se.id] = &pendingEntry{consumer: consumerName, deliveryTime: now, deliveryCount: 1}
+				c.pending[se.id] = struct{}{}
 			}
-			out = append(out, resp.Arr(resp.Str(key), entriesValue(entries)))
+			return resp.Arr(resp.Arr(resp.Str(key), entriesValue(entries)))
 		}
-		if len(out) > 0 || !anyNewRequested {
-			if len(out) == 0 {
-				return resp.NilArray()
-			}
-			return resp.Arr(out...)
-		}
-		if blockMs < 0 {
-			return resp.NilArray()
-		}
-		if !s.awaitKeys(keys, deadline) {
+		if blockMs < 0 || !s.awaitKeys([]string{key}, deadline) {
 			return resp.NilArray()
 		}
 	}
@@ -456,91 +351,50 @@ func cmdXAck(s *Server, args []string) resp.Value {
 	return resp.Int(n)
 }
 
+// cmdXPending serves the extended form XPENDING key group start end count
+// [consumer]: one [id, consumer, idle ms, delivery count] row per pending
+// entry in the range, at most count of them.
 func cmdXPending(s *Server, args []string) resp.Value {
 	now := time.Now()
 	g, errv := lookupGroup(s, args[0], args[1], now)
 	if errv != nil {
 		return *errv
 	}
-	if len(args) == 2 {
-		// Summary form: [count, min-id, max-id, [[consumer, count]...]].
-		if len(g.pending) == 0 {
-			return resp.Arr(resp.Int(0), resp.Nil, resp.Nil, resp.NilArray())
-		}
-		ids := g.sortedPending("")
-		perConsumer := map[string]int64{}
-		for _, pe := range g.pending {
-			perConsumer[pe.consumer]++
-		}
-		names := make([]string, 0, len(perConsumer))
-		for name := range perConsumer {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		consumers := make([]resp.Value, len(names))
-		for i, name := range names {
-			consumers[i] = resp.Arr(resp.Str(name), resp.Str(strconv.FormatInt(perConsumer[name], 10)))
-		}
-		return resp.Arr(
-			resp.Int(int64(len(g.pending))),
-			resp.Str(ids[0].String()),
-			resp.Str(ids[len(ids)-1].String()),
-			resp.Arr(consumers...),
-		)
-	}
-
-	// Extended form: [IDLE ms] start end count [consumer].
-	i := 2
-	var minIdle time.Duration
-	if strings.EqualFold(args[i], "IDLE") {
-		if i+1 >= len(args) {
-			return resp.Err("ERR syntax error")
-		}
-		ms, err := strconv.ParseInt(args[i+1], 10, 64)
-		if err != nil {
-			return resp.Err("ERR value is not an integer or out of range")
-		}
-		minIdle = time.Duration(ms) * time.Millisecond
-		i += 2
-	}
-	if len(args)-i < 3 {
-		return resp.Err("ERR syntax error")
-	}
-	lo, hi, err := parseRangeBounds(args[i], args[i+1])
+	lo, hi, err := parseRangeBounds(args[2], args[3])
 	if err != nil {
 		return errValue(err)
 	}
-	count, cerr := strconv.Atoi(args[i+2])
+	count, cerr := strconv.Atoi(args[4])
 	if cerr != nil || count < 0 {
 		return resp.Err("ERR value is not an integer or out of range")
 	}
 	onlyConsumer := ""
-	if len(args)-i == 4 {
-		onlyConsumer = args[i+3]
+	if len(args) == 6 {
+		onlyConsumer = args[5]
 	}
 	var rows []resp.Value
 	for _, id := range g.sortedPending(onlyConsumer) {
+		if len(rows) >= count {
+			break
+		}
 		if id.Less(lo) || hi.Less(id) {
 			continue
 		}
 		pe := g.pending[id]
-		idle := now.Sub(pe.deliveryTime)
-		if idle < minIdle {
-			continue
-		}
 		rows = append(rows, resp.Arr(
 			resp.Str(id.String()),
 			resp.Str(pe.consumer),
-			resp.Int(int64(idle/time.Millisecond)),
+			resp.Int(int64(now.Sub(pe.deliveryTime)/time.Millisecond)),
 			resp.Int(pe.deliveryCount),
 		))
-		if len(rows) >= count {
-			break
-		}
 	}
 	return resp.Arr(rows...)
 }
 
+// cmdXClaim serves XCLAIM key group consumer min-idle id... JUSTID, the lease
+// heartbeat's form: pending entries idle at least min-idle move to consumer
+// with their idle clock reset and their delivery count unchanged, and the
+// reply lists the claimed IDs.
 func cmdXClaim(s *Server, args []string) resp.Value {
 	now := time.Now()
 	key, groupName, consumerName := args[0], args[1], args[2]
@@ -548,36 +402,28 @@ func cmdXClaim(s *Server, args []string) resp.Value {
 	if err != nil {
 		return resp.Err("ERR Invalid min-idle-time argument for XCLAIM")
 	}
-	g, errv := lookupGroup(s, key, groupName, now)
-	if errv != nil {
-		return *errv
+	last := len(args) - 1
+	if !strings.EqualFold(args[last], "JUSTID") {
+		return resp.Err("ERR syntax error")
 	}
-	e, _ := s.db.lookupKind(key, kindStream, now)
-	justID := false
-	var ids []StreamID
-	for _, a := range args[4:] {
-		if strings.EqualFold(a, "JUSTID") {
-			justID = true
-			continue
-		}
-		if strings.EqualFold(a, "FORCE") {
-			continue // FORCE accepted; claimed entries must still exist below
-		}
+	ids := make([]StreamID, 0, last-4)
+	for _, a := range args[4:last] {
 		id, perr := parseStreamID(a, 0)
 		if perr != nil {
 			return errValue(perr)
 		}
 		ids = append(ids, id)
 	}
+	g, errv := lookupGroup(s, key, groupName, now)
+	if errv != nil {
+		return *errv
+	}
 	dst := g.consumerNamed(consumerName, now)
 	minIdle := time.Duration(minIdleMs) * time.Millisecond
 	var out []resp.Value
 	for _, id := range ids {
 		pe, ok := g.pending[id]
-		if !ok {
-			continue
-		}
-		if now.Sub(pe.deliveryTime) < minIdle {
+		if !ok || now.Sub(pe.deliveryTime) < minIdle {
 			continue
 		}
 		if prev, ok := g.consumers[pe.consumer]; ok {
@@ -585,16 +431,8 @@ func cmdXClaim(s *Server, args []string) resp.Value {
 		}
 		pe.consumer = consumerName
 		pe.deliveryTime = now
-		if !justID {
-			pe.deliveryCount++
-		}
 		dst.pending[id] = struct{}{}
-		se := e.stream.entryAt(id)
-		if justID {
-			out = append(out, resp.Str(id.String()))
-		} else if se != nil {
-			out = append(out, entryValue(*se))
-		}
+		out = append(out, resp.Str(id.String()))
 	}
 	if len(out) > 0 {
 		dst.activeTime = now
@@ -602,6 +440,9 @@ func cmdXClaim(s *Server, args []string) resp.Value {
 	return resp.Arr(out...)
 }
 
+// cmdXAutoClaim serves XAUTOCLAIM key group consumer min-idle start
+// [COUNT n]: the recovery sweep's form, replying [cursor, entries, deleted
+// IDs] with each claimed entry's delivery count bumped.
 func cmdXAutoClaim(s *Server, args []string) resp.Value {
 	now := time.Now()
 	key, groupName, consumerName := args[0], args[1], args[2]
@@ -609,31 +450,19 @@ func cmdXAutoClaim(s *Server, args []string) resp.Value {
 	if err != nil {
 		return resp.Err("ERR Invalid min-idle-time argument for XAUTOCLAIM")
 	}
-	start := StreamID{}
-	if len(args) >= 5 {
-		start, err = parseStreamID(args[4], 0)
-		if err != nil {
-			return errValue(err)
-		}
+	start, err := parseStreamID(args[4], 0)
+	if err != nil {
+		return errValue(err)
 	}
 	count := 100
-	justID := false
-	for i := 5; i < len(args); i++ {
-		switch strings.ToUpper(args[i]) {
-		case "COUNT":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			count, err = strconv.Atoi(args[i+1])
-			if err != nil || count <= 0 {
-				return resp.Err("ERR value is not an integer or out of range")
-			}
-			i++
-		case "JUSTID":
-			justID = true
-		default:
-			return resp.Err("ERR syntax error")
+	switch {
+	case len(args) == 7 && strings.EqualFold(args[5], "COUNT"):
+		count, err = strconv.Atoi(args[6])
+		if err != nil || count <= 0 {
+			return resp.Err("ERR value is not an integer or out of range")
 		}
+	case len(args) != 5:
+		return resp.Err("ERR syntax error")
 	}
 	g, errv := lookupGroup(s, key, groupName, now)
 	if errv != nil {
@@ -675,15 +504,9 @@ func cmdXAutoClaim(s *Server, args []string) resp.Value {
 		}
 		pe.consumer = consumerName
 		pe.deliveryTime = now
-		if !justID {
-			pe.deliveryCount++
-		}
+		pe.deliveryCount++
 		dst.pending[id] = struct{}{}
-		if justID {
-			claimed = append(claimed, resp.Str(id.String()))
-		} else {
-			claimed = append(claimed, entryValue(*se))
-		}
+		claimed = append(claimed, entryValue(*se))
 	}
 	if len(claimed) > 0 {
 		dst.activeTime = now

@@ -19,17 +19,17 @@ func (d *db) setString(key, val string) {
 	d.keys[key] = &entry{kind: kindString, str: val}
 }
 
+// cmdSet serves SET key value [NX] [PX ms]: plain sets for checkpoints and
+// counters, NX PX for the state layer's expiring update locks.
 func cmdSet(s *Server, args []string) resp.Value {
 	key, val := args[0], args[1]
-	var nx, xx bool
+	var nx bool
 	var ttl time.Duration
 	for i := 2; i < len(args); i++ {
 		switch strings.ToUpper(args[i]) {
 		case "NX":
 			nx = true
-		case "XX":
-			xx = true
-		case "EX", "PX":
+		case "PX":
 			if i+1 >= len(args) {
 				return resp.Err("ERR syntax error")
 			}
@@ -37,22 +37,14 @@ func cmdSet(s *Server, args []string) resp.Value {
 			if err != nil || n <= 0 {
 				return resp.Err("ERR invalid expire time in 'set' command")
 			}
-			if strings.EqualFold(args[i], "EX") {
-				ttl = time.Duration(n) * time.Second
-			} else {
-				ttl = time.Duration(n) * time.Millisecond
-			}
+			ttl = time.Duration(n) * time.Millisecond
 			i++
 		default:
 			return resp.Err("ERR syntax error")
 		}
 	}
 	now := time.Now()
-	existing := s.db.lookup(key, now)
-	if nx && existing != nil {
-		return resp.Nil
-	}
-	if xx && existing == nil {
+	if nx && s.db.lookup(key, now) != nil {
 		return resp.Nil
 	}
 	s.db.setString(key, val)

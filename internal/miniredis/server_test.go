@@ -82,9 +82,13 @@ func TestSetNXAndXXOptions(t *testing.T) {
 	if err != nil || !v.IsNull() {
 		t.Fatalf("SET NX existing should be nil: %+v %v", v, err)
 	}
-	v, err = cl.Do("SET", "other", "x", "XX")
-	if err != nil || !v.IsNull() {
-		t.Fatalf("SET XX missing should be nil: %+v %v", v, err)
+	// XX is an arm nothing sends: refused, and the key is not created.
+	var se redisclient.ServerError
+	if _, err := cl.Do("SET", "other", "x", "XX"); !errors.As(err, &se) || !strings.Contains(string(se), "syntax error") {
+		t.Fatalf("SET XX: %v, want a syntax error", err)
+	}
+	if _, ok, err := cl.Get("other"); err != nil || ok {
+		t.Fatalf("refused SET XX created the key: ok=%v err=%v", ok, err)
 	}
 }
 

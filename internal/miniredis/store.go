@@ -7,16 +7,21 @@
 // the table only while something issues it, and TestCommandSurface pins the
 // table and redisclient.Retryable to the list below.
 //
-// Issued by the engine (transport, state backend, fence, monitor):
+// Issued by the engine (transport, state backend, fence, monitor), in these
+// forms only — any other option arm is a syntax error:
 //
 //	PING FLUSHALL                                 connectivity, reset
-//	GET SET(NX/PX) INCRBY DEL                     pending counter, update locks, checkpoints
+//	GET SET [NX] [PX ms] INCRBY DEL               pending counter, update locks, checkpoints
 //	HSET HGET HGETALL HDEL HKEYS HLEN HINCRBY     namespace state hashes
-//	XADD XLEN XGROUP(CREATE) XREADGROUP XACK      task streams and their groups
-//	XPENDING XINFO(CONSUMERS) XCLAIM XAUTOCLAIM   leases, idle monitor, recovery
+//	XADD XLEN XGROUP CREATE                       task streams and their groups
+//	XREADGROUP ... STREAMS key >                  new entries of one stream
+//	XPENDING key group start end count [consumer] a consumer's pending IDs
+//	XCLAIM ... JUSTID, XAUTOCLAIM ... [COUNT n]   lease heartbeat, recovery
+//	XINFO CONSUMERS                               idle monitor
 //	FENCEAPPLY FENCEXACK SINKAPPEND               fenced transactions (cmd_compound.go)
 //
-// Issued by benchmark/: DBSIZE KEYS (leak checks after a run).
+// Issued by benchmark/: DBSIZE KEYS (leak checks after a run), XACK (the
+// plain-ack probe the transport's FENCEXACK is measured against).
 //
 // Inspection a debugging session needs: EXISTS TYPE TTL INFO XRANGE.
 //
@@ -123,9 +128,6 @@ func (id StreamID) Less(o StreamID) bool {
 	}
 	return id.Seq < o.Seq
 }
-
-// LessEq reports id <= o.
-func (id StreamID) LessEq(o StreamID) bool { return !o.Less(id) }
 
 // IsZero reports the zero ID ("0-0").
 func (id StreamID) IsZero() bool { return id.Ms == 0 && id.Seq == 0 }

@@ -13,9 +13,6 @@ func TestStreamIDOrdering(t *testing.T) {
 	if !a.Less(b) || !b.Less(c) || c.Less(a) {
 		t.Error("ordering broken")
 	}
-	if !a.LessEq(a) || !a.LessEq(b) || b.LessEq(a) {
-		t.Error("LessEq broken")
-	}
 	if !(StreamID{}).IsZero() || a.IsZero() {
 		t.Error("IsZero")
 	}

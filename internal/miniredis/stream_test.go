@@ -43,10 +43,10 @@ func TestXAddXLenXRange(t *testing.T) {
 	if err != nil || len(v.Array) != 1 {
 		t.Fatalf("XRANGE COUNT: %+v %v", v, err)
 	}
-	// An exclusive lower bound skips the first entry.
-	v, err = cl.Do("XRANGE", "st", "("+id1, "+")
+	// An explicit ID bound is inclusive.
+	v, err = cl.Do("XRANGE", "st", id2, "+")
 	if err != nil || len(v.Array) != 1 || v.Array[0].Array[0].Str != id2 {
-		t.Fatalf("XRANGE exclusive: %+v %v", v, err)
+		t.Fatalf("XRANGE from %s: %+v %v", id2, v, err)
 	}
 }
 
@@ -117,49 +117,21 @@ func TestConsumerGroupLifecycle(t *testing.T) {
 		t.Fatalf("XREADGROUP drained: %+v %v", entries, err)
 	}
 
-	sum, err := cl.XPendingSummary("tasks", "workers")
-	if err != nil || sum.Count != 2 {
-		t.Fatalf("XPENDING: %+v %v", sum, err)
-	}
-	if sum.PerConsumer["w1"] != 1 || sum.PerConsumer["w2"] != 1 {
-		t.Fatalf("per-consumer: %+v", sum.PerConsumer)
+	for consumer, want := range map[string]string{"w1": id1, "w2": id2} {
+		ids, err := cl.XPendingIDs("tasks", "workers", consumer, 10)
+		if err != nil || len(ids) != 1 || ids[0] != want {
+			t.Fatalf("XPENDING %s: %v %v, want [%s]", consumer, ids, err, want)
+		}
 	}
 
 	n, err := cl.XAck("tasks", "workers", id1)
 	mustInt(t, n, err, 1, "XACK")
-	sum, err = cl.XPendingSummary("tasks", "workers")
-	if err != nil || sum.Count != 1 {
-		t.Fatalf("XPENDING after ack: %+v %v", sum, err)
+	if ids, err := cl.XPendingIDs("tasks", "workers", "w1", 10); err != nil || len(ids) != 0 {
+		t.Fatalf("XPENDING w1 after ack: %v %v", ids, err)
 	}
 	// Double-ack is a no-op.
 	n, err = cl.XAck("tasks", "workers", id1)
 	mustInt(t, n, err, 0, "double XACK")
-}
-
-func TestXReadGroupReplayPending(t *testing.T) {
-	_, cl := newPair(t)
-	if err := cl.XGroupCreate("tasks", "g", "0"); err != nil {
-		t.Fatal(err)
-	}
-	id, err := cl.XAddValues("tasks", "job", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.XReadGroup("g", "w1", 1, 0, "tasks"); err != nil {
-		t.Fatal(err)
-	}
-	// Replay from 0 returns the un-acked entry.
-	v, err := cl.Do("XREADGROUP", "GROUP", "g", "w1", "STREAMS", "tasks", "0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Array) != 1 {
-		t.Fatalf("replay reply: %+v", v)
-	}
-	entries := v.Array[0].Array[1].Array
-	if len(entries) != 1 || entries[0].Array[0].Str != id {
-		t.Fatalf("replay entries: %+v", entries)
-	}
 }
 
 func TestXReadGroupBlocking(t *testing.T) {
@@ -247,10 +219,31 @@ func TestXPendingExtendedAndIdle(t *testing.T) {
 	if row[3].Int != 1 {
 		t.Fatalf("delivery count: %d", row[3].Int)
 	}
-	// IDLE filter excludes fresh entries.
-	v, err = cl.Do("XPENDING", "st", "g", "IDLE", "60000", "-", "+", "10")
-	if err != nil || len(v.Array) != 0 {
-		t.Fatalf("XPENDING IDLE filter: %+v %v", v, err)
+
+	// A second delivery to another consumer; count caps the rows (a count
+	// of 0 returns none, as in Redis), the consumer filters them.
+	if _, err := cl.XAddValues("st", "a", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.XReadGroup("g", "w2", 1, 0, "st"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		rows int
+	}{
+		{[]string{"-", "+", "10"}, 2},
+		{[]string{"-", "+", "1"}, 1},
+		{[]string{"-", "+", "0"}, 0},
+		{[]string{"-", "+", "0", "w1"}, 0},
+		{[]string{"-", "+", "10", "w1"}, 1},
+		{[]string{"-", "+", "10", "nobody"}, 0},
+		{[]string{id, id, "10"}, 1},
+	} {
+		v, err := cl.Do(append([]string{"XPENDING", "st", "g"}, tc.args...)...)
+		if err != nil || len(v.Array) != tc.rows {
+			t.Errorf("XPENDING st g %v: %d rows (%v), want %d", tc.args, len(v.Array), err, tc.rows)
+		}
 	}
 }
 
@@ -268,14 +261,22 @@ func TestXClaimAndAutoClaim(t *testing.T) {
 	}
 	time.Sleep(15 * time.Millisecond)
 
-	// XCLAIM with min-idle 0 moves it immediately.
-	v, err := cl.Do("XCLAIM", "st", "g", "alive", "0", id)
-	if err != nil || len(v.Array) != 1 {
-		t.Fatalf("XCLAIM: %+v %v", v, err)
+	// XCLAIM with min-idle 0 moves it immediately; JUSTID leaves the
+	// delivery count alone.
+	got, err := cl.XClaimJustID("st", "g", "alive", 0, []string{id})
+	if err != nil || len(got) != 1 || got[0] != id {
+		t.Fatalf("XCLAIM: %v %v", got, err)
 	}
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.PerConsumer["alive"] != 1 || sum.PerConsumer["dead"] != 0 {
-		t.Fatalf("after claim: %+v %v", sum, err)
+	if ids, err := cl.XPendingIDs("st", "g", "dead", 10); err != nil || len(ids) != 0 {
+		t.Fatalf("dead still owns %v (%v) after the claim", ids, err)
+	}
+	v, err := cl.Do("XPENDING", "st", "g", "-", "+", "10", "alive")
+	if err != nil || len(v.Array) != 1 || v.Array[0].Array[3].Int != 1 {
+		t.Fatalf("after claim: %+v %v, want one row with delivery count 1", v, err)
+	}
+	// A claim above the entry's idle time moves nothing.
+	if got, err := cl.XClaimJustID("st", "g", "dead", time.Hour, []string{id}); err != nil || len(got) != 0 {
+		t.Fatalf("XCLAIM high idle: %v %v", got, err)
 	}
 
 	// XAUTOCLAIM with huge min-idle claims nothing.
@@ -287,6 +288,11 @@ func TestXClaimAndAutoClaim(t *testing.T) {
 	_, claimed, err = cl.XAutoClaim("st", "g", "third", 0, "0-0", 10)
 	if err != nil || len(claimed) != 1 || claimed[0].ID != id {
 		t.Fatalf("XAUTOCLAIM: %+v %v", claimed, err)
+	}
+	// A reclaim is a redelivery: it counts.
+	v, err = cl.Do("XPENDING", "st", "g", "-", "+", "10", "third")
+	if err != nil || len(v.Array) != 1 || v.Array[0].Array[3].Int != 2 {
+		t.Fatalf("after XAUTOCLAIM: %+v %v, want one row with delivery count 2", v, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package miniredis
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -16,10 +17,11 @@ var keptCommands = [][]string{
 	// its fence, the coalescer, the dyn_auto_redis idle monitor.
 	{"PING", "FLUSHALL", "GET", "SET", "INCRBY", "DEL",
 		"HSET", "HGET", "HGETALL", "HDEL", "HKEYS", "HLEN", "HINCRBY",
-		"XADD", "XLEN", "XGROUP", "XREADGROUP", "XACK", "XPENDING", "XINFO", "XCLAIM", "XAUTOCLAIM",
+		"XADD", "XLEN", "XGROUP", "XREADGROUP", "XPENDING", "XINFO", "XCLAIM", "XAUTOCLAIM",
 		"FENCEAPPLY", "FENCEXACK", "SINKAPPEND"},
-	// Issued by benchmark/: keys left after a run, leftover queue streams.
-	{"DBSIZE", "KEYS"},
+	// Issued by benchmark/: keys left after a run, leftover queue streams,
+	// and the plain-ack probe FENCEXACK is measured against.
+	{"DBSIZE", "KEYS", "XACK"},
 	// Inspection a debugging session needs.
 	{"EXISTS", "TYPE", "TTL", "INFO", "XRANGE"},
 	// The seat bounded streams build on (ROADMAP item 6), with XADD MAXLEN.
@@ -27,12 +29,81 @@ var keptCommands = [][]string{
 }
 
 // retrySafeForm gives, for each command the client may re-send after a lost
-// reply, an argv in the shape that is safe (Retryable is argv-aware for SET,
-// XCLAIM and FENCEXACK).
+// reply, an argv in the shape that is safe (Retryable is argv-aware for SET
+// and FENCEXACK).
 var retrySafeForm = map[string][]string{
 	"SET":       {"SET", "k", "v"},
-	"XCLAIM":    {"XCLAIM", "q", "g", "w", "0", "1-1", "JUSTID"},
 	"FENCEXACK": {"FENCEXACK", "q", "g", "w", "pending", "0", "1-1", "1"},
+}
+
+// sentForms is every argv form a caller sends, replayed in order against one
+// fresh server: each must succeed. The first rows only lay out state (a
+// stream q with group g, entries 1-1 and 1-2 delivered to w0) for the rows
+// after them.
+var sentForms = [][]string{
+	{"XGROUP", "CREATE", "q", "g", "0", "MKSTREAM"},
+	{"XADD", "q", "1-1", "task", "a"},
+	{"XADD", "q", "1-2", "task", "b"},
+	{"XREADGROUP", "GROUP", "g", "w0", "COUNT", "2", "STREAMS", "q", ">"},
+	// The engine: transport, state backend, fence, idle monitor.
+	{"PING"},
+	{"SET", "k", "1"},
+	{"SET", "lock", "v", "NX"},
+	{"SET", "lease", "v", "NX", "PX", "60000"},
+	{"GET", "k"},
+	{"INCRBY", "k", "2"},
+	{"HSET", "h", "f", "v"},
+	{"HGET", "h", "f"},
+	{"HGETALL", "h"},
+	{"HKEYS", "h"},
+	{"HLEN", "h"},
+	{"HINCRBY", "h", "n", "1"},
+	{"HDEL", "h", "f"},
+	{"XADD", "q", "*", "task", "c"},
+	{"XLEN", "q"},
+	{"XREADGROUP", "GROUP", "g", "w1", "STREAMS", "q", ">"},
+	{"XREADGROUP", "GROUP", "g", "w1", "COUNT", "1", "BLOCK", "1", "STREAMS", "q", ">"},
+	{"XPENDING", "q", "g", "-", "+", "10", "w0"},
+	{"XCLAIM", "q", "g", "w0", "0", "1-1", "1-2", "JUSTID"},
+	{"XAUTOCLAIM", "q", "g", "w1", "0", "0-0", "COUNT", "1"},
+	{"XINFO", "CONSUMERS", "q", "g"},
+	{"FENCEAPPLY", "h", "ledger:1", "INCR", "n", "1"},
+	{"FENCEXACK", "q", "g", "w0", "pending", "0", "1-2", "1"},
+	{"SINKAPPEND", "h", "gate:1", "1", "3", "INCRBY", "pending", "1"},
+	{"DEL", "k"},
+	// benchmark/.
+	{"XACK", "q", "g", "1-1"},
+	{"DBSIZE"},
+	{"KEYS", "*"},
+	// Inspection, and the bounded-stream seat.
+	{"EXISTS", "h"},
+	{"TYPE", "q"},
+	{"TTL", "lease"},
+	{"INFO"},
+	{"XRANGE", "q", "-", "+", "COUNT", "10"},
+	{"XADD", "q", "MAXLEN", "~", "100", "*", "task", "d"},
+	{"XTRIM", "q", "MAXLEN", "100"},
+	{"FLUSHALL"},
+}
+
+// deletedArms are option arms of kept commands that nothing sends: each must
+// answer an error rather than half-serve a form no test exercises. They run
+// against the state sentForms laid out, before its FLUSHALL.
+var deletedArms = [][]string{
+	{"SET", "k", "v", "XX"},
+	{"SET", "k", "v", "EX", "10"},
+	{"XADD", "q", "NOMKSTREAM", "*", "task", "x"},
+	{"XREADGROUP", "GROUP", "g", "w0", "NOACK", "STREAMS", "q", ">"},
+	{"XREADGROUP", "GROUP", "g", "w0", "STREAMS", "q", "0"},
+	{"XREADGROUP", "GROUP", "g", "w0", "STREAMS", "q", "r", ">", ">"},
+	{"XCLAIM", "q", "g", "w0", "0", "1-1"},
+	{"XCLAIM", "q", "g", "w0", "0", "1-1", "FORCE", "JUSTID"},
+	{"XAUTOCLAIM", "q", "g", "w0", "0", "0-0", "JUSTID"},
+	{"XAUTOCLAIM", "q", "g", "w0", "0", "0-0", "COUNT", "1", "JUSTID"},
+	{"XPENDING", "q", "g"},
+	{"XPENDING", "q", "g", "IDLE", "10", "-", "+", "10"},
+	{"XPENDING", "q", "g", "(1-1", "+", "10"},
+	{"XRANGE", "q", "(1-1", "+"},
 }
 
 // singleShot lists the commands that are never re-sent: their effect is
@@ -74,6 +145,34 @@ func TestCommandSurface(t *testing.T) {
 			t.Errorf("%s is both retry-safe in redisclient.Retryable and single-shot here", name)
 		case !retry && !once[name]:
 			t.Errorf("%s is unclassified: add it to redisclient.Retryable or to singleShot", name)
+		}
+	}
+
+	srv, err := StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := redisclient.Dial(srv.Addr())
+	defer cl.Close()
+	served := map[string]bool{}
+	for _, argv := range sentForms {
+		served[argv[0]] = true
+		if argv[0] == "FLUSHALL" {
+			for _, arm := range deletedArms {
+				var se redisclient.ServerError
+				if _, err := cl.Do(arm...); !errors.As(err, &se) {
+					t.Errorf("deleted arm %v answered %v, want an error reply", arm, err)
+				}
+			}
+		}
+		if _, err := cl.Do(argv...); err != nil {
+			t.Errorf("sent form %v: %v", argv, err)
+		}
+	}
+	for _, name := range want {
+		if !served[name] {
+			t.Errorf("%s is in the table but no sent form exercises it", name)
 		}
 	}
 }

@@ -512,39 +512,10 @@ func (c *Client) XAck(key, group string, ids ...string) (int64, error) {
 	return c.DoInt(append([]string{"XACK", key, group}, ids...)...)
 }
 
-// PendingSummary is the XPENDING summary reply.
-type PendingSummary struct {
-	Count       int64
-	MinID       string
-	MaxID       string
-	PerConsumer map[string]int64
-}
-
-// XPendingSummary fetches the group's PEL summary.
-func (c *Client) XPendingSummary(key, group string) (PendingSummary, error) {
-	v, err := c.Do("XPENDING", key, group)
-	if err != nil {
-		return PendingSummary{}, err
-	}
-	sum := PendingSummary{PerConsumer: map[string]int64{}}
-	if len(v.Array) >= 4 {
-		sum.Count = v.Array[0].Int
-		sum.MinID = v.Array[1].Str
-		sum.MaxID = v.Array[2].Str
-		for _, row := range v.Array[3].Array {
-			if len(row.Array) == 2 {
-				n, _ := strconv.ParseInt(row.Array[1].Str, 10, 64)
-				sum.PerConsumer[row.Array[0].Str] = n
-			}
-		}
-	}
-	return sum, nil
-}
-
 // XPendingIDs lists up to count entry IDs currently pending for one
-// consumer (the XPENDING extended form with a consumer filter). The fenced
-// acknowledgement path uses it to verify the acker still owns its
-// deliveries after an XAUTOCLAIM may have moved them to another consumer.
+// consumer (the XPENDING extended form with a consumer filter). The lease
+// heartbeat uses it to find which of its deliveries a worker still owns
+// after an XAUTOCLAIM may have moved some to another consumer.
 func (c *Client) XPendingIDs(key, group, consumer string, count int) ([]string, error) {
 	v, err := c.Do("XPENDING", key, group, "-", "+", strconv.Itoa(count), consumer)
 	if err != nil {

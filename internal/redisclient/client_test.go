@@ -104,9 +104,8 @@ func TestStreamHelpers(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].Fields["f"] != "payload" {
 		t.Fatalf("XReadGroup: %+v %v", entries, err)
 	}
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.Count != 1 || sum.PerConsumer["c1"] != 1 {
-		t.Fatalf("XPendingSummary: %+v %v", sum, err)
+	if pending, err := cl.XPendingIDs("st", "g", "c1", 10); err != nil || len(pending) != 1 || pending[0] != id {
+		t.Fatalf("XPendingIDs: %v %v", pending, err)
 	}
 	infos, err := cl.XInfoConsumers("st", "g")
 	if err != nil || len(infos) != 1 || infos[0].Name != "c1" {
@@ -145,9 +144,8 @@ func TestXAckBatchedIDs(t *testing.T) {
 	if n, err := cl.XAck("st", "g", ids...); err != nil || n != 5 {
 		t.Fatalf("batched XAck: %d %v, want 5", n, err)
 	}
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.Count != 0 {
-		t.Fatalf("PEL after batched ack: %+v %v", sum, err)
+	if pending, err := cl.XPendingIDs("st", "g", "c1", 10); err != nil || len(pending) != 0 {
+		t.Fatalf("PEL after batched ack: %v %v", pending, err)
 	}
 	// Already-acked and never-delivered IDs count zero, mixed with a live one.
 	id, err := cl.XAddValues("st", "f", "v")

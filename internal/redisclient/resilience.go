@@ -63,16 +63,18 @@ func retryableError(err error) bool {
 //
 //   - reads, which have no effect to double;
 //   - absolute-effect writes (SET, HSET, DEL, XACK...), where applying twice
-//     equals applying once;
+//     equals applying once — XCLAIM among them, because the server serves
+//     only its JUSTID form, which moves ownership and resets idle clocks
+//     without counting a delivery;
 //   - fenced compounds (FENCEAPPLY, SINKAPPEND), where the server-side
 //     applied ledger absorbs the duplicate.
 //
 // Relative-effect writes (INCRBY, HINCRBY, XADD, XTRIM, group reads and
-// claims) stay single-shot. The classification is argv-aware where it must
-// be: SET..NX is excluded (a lost "acquired" reply would leave the lock stuck
-// while the retry reports failure), and FENCEXACK is retryable only when its
-// direct decrement is zero — the PEL acks are ownership-fenced but the direct
-// counter adjustment is not idempotent. Every command the server registers is
+// XAUTOCLAIM) stay single-shot. The classification is argv-aware where it
+// must be: SET..NX is excluded (a lost "acquired" reply would leave the lock
+// stuck while the retry reports failure), and FENCEXACK is retryable only
+// when its direct decrement is zero — the PEL acks are ownership-fenced but
+// the direct counter adjustment is not idempotent. Every command the server registers is
 // classified here or in miniredis's TestCommandSurface single-shot list, so
 // the two tables cannot drift.
 func Retryable(argv []string) bool {
@@ -84,16 +86,13 @@ func Retryable(argv []string) bool {
 		"GET",
 		"HGET", "HGETALL", "HKEYS", "HLEN",
 		"XLEN", "XRANGE", "XPENDING", "XINFO",
-		"DEL", "HDEL", "XACK",
+		"DEL", "HDEL", "XACK", "XCLAIM",
 		"HSET", "XGROUP",
 		"FLUSHALL",
 		"FENCEAPPLY", "SINKAPPEND":
 		return true
 	case "SET":
 		return !hasOption(argv, 3, "NX")
-	case "XCLAIM":
-		// JUSTID claims only refresh idle clocks — repeating is harmless.
-		return hasOption(argv, 5, "JUSTID")
 	case "FENCEXACK":
 		return len(argv) > 5 && argv[5] == "0"
 	default:

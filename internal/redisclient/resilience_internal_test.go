@@ -24,10 +24,9 @@ func TestRetryableClassification(t *testing.T) {
 		{[]string{"SINKAPPEND", "h", "lf", "0"}, true},
 		{[]string{"FENCEXACK", "q", "g", "w0", "p", "0", "1-1", "2"}, true},
 		{[]string{"FENCEXACK", "q", "g", "w0", "p", "3", "1-1", "2"}, false}, // direct dec not idempotent
-		{[]string{"XCLAIM", "q", "g", "w0", "0", "1-1", "JUSTID"}, true},
-		{[]string{"XCLAIM", "q", "g", "w0", "0", "1-1"}, false},
-		{[]string{"SET"}, true}, // short argv: classified, never indexed out of range
-		{[]string{"XCLAIM"}, false},
+		{[]string{"XCLAIM", "q", "g", "w0", "0", "1-1", "JUSTID"}, true},     // the one form served
+		{[]string{"XAUTOCLAIM", "q", "g", "w0", "0", "0-0", "COUNT", "8"}, false},
+		{[]string{"SET"}, true},             // short argv: classified, never indexed out of range
 		{[]string{"MGET", "a", "b"}, false}, // not served, so not retried
 		{nil, false},
 	}

@@ -31,9 +31,81 @@ package redismap
 import (
 	"fmt"
 
+	"repro/internal/autoscale"
+	"repro/internal/graph"
 	"repro/internal/mapping"
+	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/redisclient"
+	"repro/internal/runtime"
+	"repro/internal/state"
 )
+
+// execute is the body of every Redis mapping. plan is what tells them apart:
+// it checks the graph against the mapping's scheduling limits and splits the
+// process budget into workers. auto attaches the Algorithm 1 auto-scaler to
+// the plan's pool when it has more than one worker to scale.
+//
+// With RecoverStale, stale deliveries are reclaimed through XAUTOCLAIM on
+// the pool and the private streams alike (pulled frames sit in the consumer
+// group's PEL until acked, so a stalled delivery is reclaimable, not lost).
+// Managed state stays safe under the resulting replays: OpenManagedState
+// (inside runtime.Execute) implies ExactlyOnceState, which stamps every task
+// with a deterministic identity and drops store mutations a replayed
+// execution already applied, while the transport's ownership-checked
+// FENCEXACK keeps the pending counter exact when a claimed-away consumer's
+// late ack lands.
+func execute(g *graph.Graph, opts mapping.Options, name string, auto bool,
+	plan func(g *graph.Graph, name string, processes int) (runtime.Plan, error)) (metrics.Report, error) {
+	opts = opts.WithDefaults()
+	if err := g.Validate(); err != nil {
+		return metrics.Report{}, err
+	}
+	p, err := plan(g, name, opts.Processes)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	cluster, err := requireCluster(opts, name)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	defer cluster.Close()
+
+	keys := runtime.NewRunKeys(g.Name, opts.Seed)
+	tr, err := runtime.NewRedisTransport(cluster, keys, p, opts.RecoverStale)
+	if err != nil {
+		return metrics.Report{}, fmt.Errorf("%s: %w", name, err)
+	}
+	tr.SetDiagnosis(opts.Diagnosis)
+	defer tr.Cleanup(g)
+
+	var ctrl *autoscale.Controller
+	if auto && p.Pool > 1 {
+		// The paper's dyn_auto_redis threshold is the time worth a process
+		// reactivation/redeployment; at our millisecond timescale the poll
+		// timeout is that order of magnitude.
+		strategy := opts.Strategy
+		if strategy == nil {
+			strategy = &autoscale.IdleTimeStrategy{Threshold: 4 * opts.PollTimeout}
+		}
+		ctrl = autoscale.NewController(opts.AutoScaleConfig(p.Pool), strategy, opts.Trace)
+		go ctrl.RunMonitor(consumerIdleMonitor(cluster, keys, ctrl))
+		defer ctrl.Terminate()
+	}
+
+	return runtime.Execute(g, opts, runtime.Config{
+		Name:       name,
+		Plan:       p,
+		Transport:  tr,
+		Host:       platform.NewHost(opts.Platform),
+		Controller: ctrl,
+		NewStateBackend: func() state.Backend {
+			return state.NewRedisClusterBackend(cluster, keys.Prefix+":state")
+		},
+		// Redis round trips dominate this mapping's per-task cost.
+		AdaptiveBatching: true,
+	})
+}
 
 // requireCluster validates the Redis data-plane addresses and dials the
 // run's shared shard cluster. The caller owns the handle (defer Close).
@@ -51,4 +123,41 @@ func requireCluster(opts mapping.Options, technique string) (*redisclient.Cluste
 		return nil, fmt.Errorf("%s: redis unreachable: %w", technique, err)
 	}
 	return cluster, nil
+}
+
+// consumerIdleMonitor builds the dyn_auto_redis monitoring metric: the mean
+// Inactive time of the pool's admitted consumers in the run's consumer group.
+// The stream is partitioned per shard and a consumer is active wherever it
+// last found work, so the probe scatter-gathers XINFO CONSUMERS across the
+// shards and scores each consumer by its most recent activity anywhere
+// (minimum Inactive across shards) — a worker busy draining shard 1 is not
+// idle just because shard 0 hasn't seen it lately.
+func consumerIdleMonitor(cluster *redisclient.Cluster, keys runtime.RedisKeys, ctrl *autoscale.Controller) func() float64 {
+	return func() float64 {
+		idle := map[int]float64{}
+		for s := 0; s < cluster.NumShards(); s++ {
+			infos, err := cluster.Shard(s).XInfoConsumers(keys.Queue, keys.Group)
+			if err != nil {
+				continue
+			}
+			for _, info := range infos {
+				var w int
+				if _, err := fmt.Sscanf(info.Name, "w%d", &w); err != nil || !ctrl.Admitted(w) {
+					continue
+				}
+				ms := float64(info.Inactive.Milliseconds())
+				if cur, ok := idle[w]; !ok || ms < cur {
+					idle[w] = ms
+				}
+			}
+		}
+		if len(idle) == 0 {
+			return 0
+		}
+		var sum float64
+		for _, ms := range idle {
+			sum += ms
+		}
+		return sum / float64(len(idle))
+	}
 }

@@ -3,14 +3,11 @@ package redismap
 import (
 	"fmt"
 
-	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
-	"repro/internal/platform"
 	"repro/internal/runtime"
-	"repro/internal/state"
 )
 
 // Hybrid is the hybrid_redis mapping: stateful PE instances are pinned to
@@ -41,20 +38,24 @@ func (HybridAuto) Name() string { return "hybrid_auto_redis" }
 
 // Execute implements mapping.Mapping.
 func (Hybrid) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	return executeHybrid(g, opts, "hybrid_redis", false)
+	return execute(g, opts, "hybrid_redis", false, planHybrid)
 }
 
 // Execute implements mapping.Mapping.
 func (HybridAuto) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	return executeHybrid(g, opts, "hybrid_auto_redis", true)
+	return execute(g, opts, "hybrid_auto_redis", true, planHybrid)
 }
 
-// planHybrid computes the process split as a runtime plan: every stateful
-// instance gets a pinned worker with a private queue, and the remaining
-// budget forms the dynamic stateless pool, enforcing the paper's minimum
-// ("stateless PE instances are assigned to the available processes that are
-// not dedicated to stateful tasks ... N − number of stateful PE instances").
-func planHybrid(g *graph.Graph, processes int) (runtime.Plan, error) {
+// planHybrid checks the graph (validateHybrid) and computes the process
+// split as a runtime plan: every stateful instance gets a pinned worker with
+// a private queue, and the remaining budget forms the dynamic stateless
+// pool, enforcing the paper's minimum ("stateless PE instances are assigned
+// to the available processes that are not dedicated to stateful tasks ... N
+// − number of stateful PE instances").
+func planHybrid(g *graph.Graph, _ string, processes int) (runtime.Plan, error) {
+	if err := validateHybrid(g); err != nil {
+		return runtime.Plan{}, err
+	}
 	var pinned []runtime.WorkerSpec
 	instances := make(map[string]int, len(g.Nodes()))
 	for _, n := range g.Nodes() {
@@ -110,67 +111,4 @@ func validateHybrid(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-func executeHybrid(g *graph.Graph, opts mapping.Options, name string, auto bool) (metrics.Report, error) {
-	opts = opts.WithDefaults()
-	if err := g.Validate(); err != nil {
-		return metrics.Report{}, err
-	}
-	if err := validateHybrid(g); err != nil {
-		return metrics.Report{}, err
-	}
-	plan, err := planHybrid(g, opts.Processes)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	cluster, err := requireCluster(opts, name)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	defer cluster.Close()
-
-	// RecoverStale covers both halves of the hybrid: stale pool deliveries
-	// are reclaimed via XAUTOCLAIM (with fenced acks and, for managed-state
-	// PEs, fenced store writes), and the pinned private queues are now
-	// per-shard stream partitions with the same consumer-group PEL — pulled
-	// frames sit pending until acked, so a stalled delivery is reclaimable
-	// instead of lost with its list element.
-	keys := runtime.NewRunKeys(g.Name, opts.Seed)
-	tr, err := runtime.NewRedisTransport(cluster, keys, plan, opts.RecoverStale)
-	if err != nil {
-		return metrics.Report{}, fmt.Errorf("%s: %w", name, err)
-	}
-	tr.RecoverIdle = opts.RecoverIdle
-	tr.SetDiagnosis(opts.Diagnosis)
-	defer tr.Cleanup(g)
-
-	var ctrl *autoscale.Controller
-	if auto && plan.Pool > 1 {
-		cfg := autoscale.Config{MaxPoolSize: plan.Pool}
-		if opts.AutoScale != nil {
-			cfg = *opts.AutoScale
-			cfg.MaxPoolSize = plan.Pool
-		}
-		strategy := opts.Strategy
-		if strategy == nil {
-			strategy = &autoscale.IdleTimeStrategy{Threshold: 4 * opts.PollTimeout}
-		}
-		ctrl = autoscale.NewController(cfg, strategy, opts.Trace)
-		go ctrl.RunMonitor(consumerIdleMonitor(cluster, keys, ctrl))
-		defer ctrl.Terminate()
-	}
-
-	return runtime.Execute(g, opts, runtime.Config{
-		Name:       name,
-		Plan:       plan,
-		Transport:  tr,
-		Host:       platform.NewHost(opts.Platform),
-		Controller: ctrl,
-		NewStateBackend: func() state.Backend {
-			return newStateBackend(cluster, keys)
-		},
-		// Redis round trips dominate this mapping's per-task cost.
-		AdaptiveBatching: true,
-	})
 }

@@ -129,8 +129,8 @@ func (b *batcher) flush() error {
 }
 
 // ackBatch buffers one worker's acknowledgements so a pulled batch is
-// released in one amortized transport operation (a single pipelined
-// XACK + decrement on Redis). It is single-goroutine, like the batcher.
+// released in one amortized transport operation (one FENCEXACK per shard on
+// Redis). It is single-goroutine, like the batcher.
 //
 // Deferring an ack only ever keeps the pending count high, never low, so
 // the termination invariant is untouched; what matters is that the batch is

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -67,62 +68,55 @@ func TestRedisPackedPushSingleEntry(t *testing.T) {
 	}
 }
 
-// TestRedisEntryRangeAckPartial acks a packed entry in two halves: the entry
-// must stay in the PEL until the last of its tasks is released, while the
-// unfenced pending counter still drains per task.
+// TestRedisEntryRangeAckPartial acks a packed entry in two halves and then
+// again, on both recoverStale settings — acknowledgement is one path either
+// way. The entry stays in the PEL until the last of its tasks is released,
+// and the half-acked frame holds its full weight on the pending counter
+// (decrements are backed by entry removal, so the drain check never sees a
+// packed frame as partially done). A repeated ack of the released frame
+// removes nothing and so decrements nothing: Pending stays at 0. An ack
+// costs one round trip (the FENCEXACK) when it completes an entry and none
+// when it does not.
 func TestRedisEntryRangeAckPartial(t *testing.T) {
-	tr, cl, keys := newEntryFixture(t, 1, false)
-	if err := tr.Push(poolTasks(4)...); err != nil {
-		t.Fatal(err)
-	}
-	envs, err := tr.PullBatch(0, 1, 5*time.Millisecond)
-	if err != nil || len(envs) != 4 {
-		t.Fatalf("pull: %d envs, %v", len(envs), err)
-	}
-	if err := tr.Ack(0, envs[:2]...); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tr.Pending(); p != 2 {
-		t.Fatalf("pending = %d after half the frame acked, want 2", p)
-	}
-	if ids, err := cl.XPendingIDs(keys.Queue, keys.Group, "w0", 16); err != nil || len(ids) != 1 {
-		t.Fatalf("PEL %v (%v) with the frame half-acked, want the entry still pending", ids, err)
-	}
-	if err := tr.Ack(0, envs[2:]...); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tr.Pending(); p != 0 {
-		t.Fatalf("pending = %d after the full frame, want 0", p)
-	}
-	if ids, _ := cl.XPendingIDs(keys.Queue, keys.Group, "w0", 16); len(ids) != 0 {
-		t.Fatalf("PEL %v after the full frame, want empty", ids)
-	}
-}
-
-// TestRedisEntryRangeAckFencedPartial is the fenced variant: with
-// recoverStale on, decrements are backed by entry removal, so a half-acked
-// frame holds its full weight on the pending counter — the drain check can
-// never observe a packed frame as partially done.
-func TestRedisEntryRangeAckFencedPartial(t *testing.T) {
-	tr, _, _ := newEntryFixture(t, 1, true)
-	if err := tr.Push(poolTasks(4)...); err != nil {
-		t.Fatal(err)
-	}
-	envs, err := tr.PullBatch(0, 1, 5*time.Millisecond)
-	if err != nil || len(envs) != 4 {
-		t.Fatalf("pull: %d envs, %v", len(envs), err)
-	}
-	if err := tr.Ack(0, envs[:2]...); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tr.Pending(); p != 4 {
-		t.Fatalf("fenced pending = %d after half the frame acked, want the full 4 until the entry completes", p)
-	}
-	if err := tr.Ack(0, envs[2:]...); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := tr.Pending(); p != 0 {
-		t.Fatalf("fenced pending = %d after the full frame, want 0", p)
+	for _, recoverStale := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recoverStale=%v", recoverStale), func(t *testing.T) {
+			tr, cl, keys := newEntryFixture(t, 1, recoverStale)
+			ack := func(envs []runtime.Env, wantTrips int64) {
+				t.Helper()
+				before := cl.Stats().RoundTrips
+				if err := tr.Ack(0, envs...); err != nil {
+					t.Fatal(err)
+				}
+				if trips := cl.Stats().RoundTrips - before; trips != wantTrips {
+					t.Fatalf("ack of %d envs cost %d round trips, want %d", len(envs), trips, wantTrips)
+				}
+			}
+			if err := tr.Push(poolTasks(4)...); err != nil {
+				t.Fatal(err)
+			}
+			envs, err := tr.PullBatch(0, 1, 5*time.Millisecond)
+			if err != nil || len(envs) != 4 {
+				t.Fatalf("pull: %d envs, %v", len(envs), err)
+			}
+			ack(envs[:2], 0)
+			if p, _ := tr.Pending(); p != 4 {
+				t.Fatalf("pending = %d after half the frame acked, want the full 4 until the entry completes", p)
+			}
+			if ids, err := cl.XPendingIDs(keys.Queue, keys.Group, "w0", 16); err != nil || len(ids) != 1 {
+				t.Fatalf("PEL %v (%v) with the frame half-acked, want the entry still pending", ids, err)
+			}
+			ack(envs[2:], 1)
+			if p, _ := tr.Pending(); p != 0 {
+				t.Fatalf("pending = %d after the full frame, want 0", p)
+			}
+			if ids, _ := cl.XPendingIDs(keys.Queue, keys.Group, "w0", 16); len(ids) != 0 {
+				t.Fatalf("PEL %v after the full frame, want empty", ids)
+			}
+			ack(envs, 1)
+			if p, _ := tr.Pending(); p != 0 {
+				t.Fatalf("pending = %d after a repeated ack of the released frame, want 0", p)
+			}
+		})
 	}
 }
 
@@ -243,5 +237,15 @@ func TestRedisPillsBreakFrames(t *testing.T) {
 	}
 	if envs[0].Value != 1 || envs[1].Value != 2 || !envs[2].Poison || envs[3].Value != 3 {
 		t.Fatalf("delivery order broken: %+v", envs)
+	}
+}
+
+// TestRedisAckWithoutEntryIDIsAnError: every env PullBatch returns carries
+// its entry ID, so an env without one did not come from this transport. Ack
+// refuses it instead of guessing a decrement.
+func TestRedisAckWithoutEntryIDIsAnError(t *testing.T) {
+	tr, _, _ := newEntryFixture(t, 1, false)
+	if err := tr.Ack(0, runtime.Env{Task: poolTasks(1)[0]}); err == nil {
+		t.Fatal("ack of an env without an entry ID succeeded")
 	}
 }

@@ -42,8 +42,8 @@ func newRedisFixture(t *testing.T, plan runtime.Plan, recoverStale bool) (*runti
 // TestRedisLateAckAfterClaimIsFenced drives the late-ack double-decrement
 // interleaving directly: worker 0 pulls a task and stalls; XAUTOCLAIM (via
 // worker 1's empty-handed pull under recoverStale) moves the pending entry
-// to worker 1; then worker 0's pipelined ack lands late. Without consumer
-// fencing that ack would XACK the claimed entry and decrement the shared
+// to worker 1; then worker 0's ack lands late. Without the ownership check
+// that ack would remove the claimed entry and decrement the shared
 // pending counter while the task is still in flight on worker 1 — the
 // coordinator would observe pending == 0 and start poisoning workers early.
 // The fenced ack must drop it: the task stays pending until its new owner

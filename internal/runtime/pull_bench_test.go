@@ -11,8 +11,8 @@ import (
 // BenchmarkPullBatching is the consume-side mirror of BenchmarkEmitBatching:
 // it measures draining a pre-filled transport through PullBatch + batched
 // Ack at fixed windows and under the adaptive sizer. On the Redis transport
-// a window becomes one XREADGROUP COUNT n round trip plus one pipelined
-// XACK+decrement instead of 2n round trips; on the in-process queue it pays
+// a window becomes one XREADGROUP COUNT n round trip plus one FENCEXACK
+// instead of 2n round trips; on the in-process queue it pays
 // one lock hold and one modeled synchronization cost per window.
 //
 // The reported tasks/op metric is fixed (256 consumed per op); compare

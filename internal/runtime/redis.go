@@ -72,9 +72,10 @@ const taskField = "task"
 // the shard's pending counter, one XADD per contiguous run of pool tasks
 // (the whole emit batch, in the common case), and one XADD batch frame per
 // private stream share a round trip per shard. Acknowledgement is
-// entry-range: a stream entry is XACKed on its own shard only once every
-// task delivered from it has been acked, so the consumer group's bookkeeping
-// stays per entry while the worker loop keeps acking per task.
+// entry-range: a stream entry is released on its own shard, by one
+// FENCEXACK, only once every task delivered from it has been acked, so the
+// consumer group's bookkeeping stays per entry while the worker loop keeps
+// acking per task.
 type RedisTransport struct {
 	cluster      *redisclient.Cluster
 	keys         RedisKeys
@@ -88,7 +89,7 @@ type RedisTransport struct {
 	// frames[w] tracks the stream entries worker w has pulled but not fully
 	// acknowledged: (shard, entry ID) → how many of its delivered tasks are
 	// still unacked, and the pending-counter weight the entry releases when
-	// its XACK removes it. Entry IDs are only unique per shard, hence the
+	// its FENCEXACK removes it. Entry IDs are only unique per shard, hence the
 	// compound key. Each map is touched only by worker w's goroutine
 	// (PullBatch and Ack for w run on it), so no locking.
 	frames []map[frameKey]*entryState
@@ -96,14 +97,6 @@ type RedisTransport struct {
 	// leases[w] throttles worker w's Extend heartbeats (same single-goroutine
 	// ownership as frames[w]).
 	leases []leaseState
-
-	// RecoverIdle is the minimum idle time before an empty-handed pull
-	// reclaims another consumer's pending entry (recoverStale only). Zero
-	// means 8× the pull timeout. Entries sitting in a healthy worker's
-	// prefetch buffer look idle to XAUTOCLAIM, so values below a batch's
-	// worst-case residency trade duplicate executions (safe under the
-	// exactly-once fence, but wasted work) for faster failure recovery.
-	RecoverIdle time.Duration
 
 	// diag (set via SetDiagnosis; nil keeps the paths cold) journals the
 	// recovery lifecycle — per-shard XAUTOCLAIM reclaims and lease
@@ -127,7 +120,7 @@ type entryState struct {
 	// remaining counts delivered-but-unacked tasks of the entry.
 	remaining int
 	// tasks is the entry's non-poison task count — what the pending counter
-	// loses when the entry's XACK confirms removal.
+	// loses when the entry's FENCEXACK confirms removal.
 	tasks int
 }
 
@@ -142,7 +135,8 @@ type leaseState struct {
 // NewRedisTransport creates the consumer groups on every shard and wraps the
 // cluster. With recoverStale, empty-handed pulls XAUTOCLAIM tasks whose
 // consumer stopped acknowledging them (at-least-once execution), sweeping
-// shard by shard.
+// shard by shard, and workers heartbeat the entries they hold (Extend).
+// recoverStale gates nothing else: acknowledgement is the same either way.
 func NewRedisTransport(cluster *redisclient.Cluster, keys RedisKeys, plan Plan, recoverStale bool) (*RedisTransport, error) {
 	streams := []string{keys.Queue}
 	for _, spec := range plan.Workers {
@@ -469,7 +463,7 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 		// the stream's at-least-once guarantee actually holds under failures.
 		for i := 0; i < n; i++ {
 			s := (home + i) % n
-			_, claimed, err := t.cluster.Shard(s).XAutoClaim(stream, t.keys.Group, consumer, t.minIdle(timeout), "0-0", max)
+			_, claimed, err := t.cluster.Shard(s).XAutoClaim(stream, t.keys.Group, consumer, reclaimPolls*timeout, "0-0", max)
 			if err == nil && len(claimed) > 0 {
 				entries, shard, reclaimed = claimed, s, true
 				break
@@ -481,7 +475,7 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	}
 	// Each entry may be a packed frame; fan its tasks out as one env per
 	// task, all sharing the entry's (shard, ID), and register the entry so
-	// Ack can XACK it once the last of them is released. A re-delivered
+	// Ack can release it once the last of them is acked. A re-delivered
 	// entry (XAUTOCLAIM bouncing it back to this worker) resets its
 	// bookkeeping — redelivery means full re-execution.
 	reg := t.frames[w]
@@ -516,170 +510,87 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	return envs, nil
 }
 
-// ackShard accumulates one shard's slice of an Ack call.
-type ackShard struct {
-	// direct counts non-poison envs without a delivery ID (duplicate
-	// deliveries stripped of their entry identity): not claimable, their
-	// decrement lands as-is.
-	direct int
-	// streamTasks counts the non-poison stream tasks released by this call.
-	streamTasks int
-	completed   []doneEntry
-}
-
 // Ack implements Transport at entry-range granularity: each env releases one
-// task of its stream entry, and the entry's XACK is issued on the entry's
-// own shard only when every task delivered from it has been released.
-// Unfenced, one pipelined round trip per involved shard carries the
-// multi-ID XACK of the shard's completed entries plus a single
-// pending-counter decrement for its released tasks. A shard's decrement
-// always lands on the shard whose counter the task incremented — the env's
-// Shard, stamped at pull time.
+// task of its stream entry, and the entry is acknowledged on its own shard
+// only when every task delivered from it has been released. Each involved
+// shard costs one FENCEXACK carrying the shard's completed entries, on both
+// recoverStale settings: the ownership check, the PEL removal and the
+// pending-counter decrement are one atomic server-side step, and the counter
+// falls only by the weight of the entries the server actually removed. Two
+// properties follow:
 //
-// With recoverStale on, stream acknowledgements are fenced by consumer: an
-// XAUTOCLAIM may have moved a delivery to another consumer while this
-// worker was still processing it, and the original's late XACK + decrement
-// landing anyway would under-count the shard's pending counter — the
-// coordinator would observe a drained transport while the claimed task is
-// still in flight and start terminating early. fencedAck closes this with
-// one atomic FENCEXACK per shard: ownership check, PEL removal and counter
-// decrement in a single server-side step, no window between them.
+//   - no double decrement: however duplicate or repeated acks interleave,
+//     exactly one decrement lands per entry;
+//   - no late release: an entry is acknowledged only while this consumer
+//     owns it per the server's own PEL, so a delivery XAUTOCLAIM moved to
+//     another consumer mid-processing stays pending until its new owner
+//     releases it — the coordinator never observes a drained transport
+//     while the claimed task is still in flight.
+//
+// A partially acked frame therefore holds its full weight on the pending
+// counter until its last task releases. The decrement lands on the shard
+// whose counter the task incremented — the env's Shard, stamped at pull
+// time. The command carries no direct decrement, so the client re-sends it
+// across a dropped connection (the removal half is idempotent).
 func (t *RedisTransport) Ack(w int, envs ...Env) error {
 	reg := t.frames[w]
-	shards := map[int]*ackShard{}
-	get := func(shard int) *ackShard {
-		a := shards[shard]
-		if a == nil {
-			a = &ackShard{}
-			shards[shard] = a
-		}
-		return a
-	}
+	completed := map[int][]doneEntry{}
 	// Envs from one entry arrive contiguously (PullBatch fans frames out in
 	// order and the worker loop preserves it), so a linear run-group scan
 	// replaces a map.
 	for i := 0; i < len(envs); {
-		env := envs[i]
-		if env.AckID == "" {
-			if !env.Poison {
-				get(env.Shard).direct++
-			}
-			i++
-			continue
+		id, shard := envs[i].AckID, envs[i].Shard
+		if id == "" {
+			return fmt.Errorf("runtime: redis ack of a %s delivery without an entry ID", envs[i].PE)
 		}
-		id, shard := env.AckID, env.Shard
 		acked, nonPoison := 0, 0
-		for i < len(envs) && envs[i].AckID == id && envs[i].Shard == shard {
+		for ; i < len(envs) && envs[i].AckID == id && envs[i].Shard == shard; i++ {
 			acked++
 			if !envs[i].Poison {
 				nonPoison++
 			}
-			i++
 		}
-		a := get(shard)
-		a.streamTasks += nonPoison
 		es, ok := reg[frameKey{shard: shard, id: id}]
 		if !ok {
 			// Not in this worker's registry: a duplicate delivery or a
-			// repeated ack of an entry already completed. Treat it as a
-			// self-contained completed entry weighted by what this call saw;
-			// under fencing the ownership filter and the XACK removal count
-			// decide whether anything actually lands.
-			a.completed = append(a.completed, doneEntry{id: id, tasks: nonPoison})
+			// repeated ack of an entry already completed. Weight it by what
+			// this call saw; the server's PEL decides whether anything lands.
+			completed[shard] = append(completed[shard], doneEntry{id: id, tasks: nonPoison})
 			continue
 		}
 		es.remaining -= acked
 		if es.remaining <= 0 {
-			a.completed = append(a.completed, doneEntry{id: id, tasks: es.tasks})
+			completed[shard] = append(completed[shard], doneEntry{id: id, tasks: es.tasks})
 			delete(reg, frameKey{shard: shard, id: id})
 		}
 	}
-	stream := t.streamFor(w)
-	for shard, a := range shards {
-		if err := t.ackShard(w, shard, stream, a); err != nil {
+	stream, consumer := t.streamFor(w), fmt.Sprintf("w%d", w)
+	for shard, done := range completed {
+		ids := make([]string, len(done))
+		weights := make([]int64, len(done))
+		for i, d := range done {
+			ids[i], weights[i] = d.id, int64(d.tasks)
+		}
+		if _, _, _, err := t.cluster.Shard(shard).FenceXAck(stream, t.keys.Group, consumer, t.keys.PendingKey, 0, ids, weights); err != nil {
 			return t.maybeClosed(err)
 		}
 	}
 	return nil
 }
 
-// ackShard releases one shard's slice of an Ack call.
-func (t *RedisTransport) ackShard(w, shard int, stream string, a *ackShard) error {
-	if t.recoverStale && (len(a.completed) > 0 || a.streamTasks > 0) {
-		return t.fencedAck(w, shard, stream, a.direct, a.completed)
-	}
-	cl := t.cluster.Shard(shard)
-	cmds := make([][]string, 0, 2)
-	if len(a.completed) > 0 {
-		xack := make([]string, 0, len(a.completed)+3)
-		xack = append(xack, "XACK", stream, t.keys.Group)
-		for _, d := range a.completed {
-			xack = append(xack, d.id)
-		}
-		cmds = append(cmds, xack)
-	}
-	if a.direct+a.streamTasks > 0 {
-		cmds = append(cmds, []string{"INCRBY", t.keys.PendingKey, strconv.Itoa(-(a.direct + a.streamTasks))})
-	}
-	if len(cmds) == 0 {
-		return nil
-	}
-	_, err := cl.Pipeline(cmds)
-	return err
-}
-
 // doneEntry is a stream entry whose delivered tasks are all released:
-// eligible for XACK, worth tasks pending-counter units on removal.
+// eligible for acknowledgement, worth tasks pending-counter units on removal.
 type doneEntry struct {
 	id    string
 	tasks int
 }
 
-// fencedAck releases one shard's completed entries under at-least-once
-// replay with one FENCEXACK compound command: ownership filter, PEL removal
-// and pending-counter decrement execute as a single atomic server-side step.
-// Two properties fall out directly:
-//
-//   - no double decrement: the server removes each entry from the PEL and
-//     credits its packed task weight in the same atomic section, so however
-//     duplicate ackers interleave, exactly one decrement lands per entry;
-//   - no late release at all: an entry is acknowledged only while this
-//     consumer owns it per the server's own PEL at execution time, so a
-//     delivery claimed away mid-processing stays pending until its new
-//     owner releases it. The old read-filter-then-XACK sequence left a
-//     one-round-trip window where a claim could slip between the check and
-//     the ack; the compound command has no between.
-//
-// Under fencing, stream tasks therefore decrement in whole-entry units when
-// their entry completes — never per env — so a partially acked frame holds
-// its full weight on the pending counter until its last task releases.
-// The command is retried by the client only when its direct decrement is
-// zero (the PEL half is ownership-fenced and idempotent; the direct counter
-// adjustment is not).
-func (t *RedisTransport) fencedAck(w, shard int, stream string, direct int, completed []doneEntry) error {
-	if direct == 0 && len(completed) == 0 {
-		return nil
-	}
-	ids := make([]string, len(completed))
-	weights := make([]int64, len(completed))
-	for i, d := range completed {
-		ids[i] = d.id
-		weights[i] = int64(d.tasks)
-	}
-	_, _, _, err := t.cluster.Shard(shard).FenceXAck(
-		stream, t.keys.Group, fmt.Sprintf("w%d", w),
-		t.keys.PendingKey, int64(direct), ids, weights)
-	return err
-}
-
-// minIdle resolves the recovery idle threshold for a pull with the given
-// poll timeout.
-func (t *RedisTransport) minIdle(timeout time.Duration) time.Duration {
-	if t.RecoverIdle > 0 {
-		return t.RecoverIdle
-	}
-	return 8 * timeout
-}
+// reclaimPolls is the recovery idle threshold in poll timeouts: an
+// empty-handed pull reclaims another consumer's pending entry once it has sat
+// idle for this many of the puller's poll timeouts. Entries in a healthy
+// worker's prefetch buffer stay below it because the worker heartbeats them
+// (Extend).
+const reclaimPolls = 8
 
 // Extend implements Transport: it refreshes the idle clock of every
 // stream entry worker w still owns, via a self-targeted XCLAIM ... JUSTID
@@ -688,7 +599,7 @@ func (t *RedisTransport) minIdle(timeout time.Duration) time.Duration {
 // with its task count, so without a progress heartbeat any frame slower
 // than the idle threshold would be claimed away mid-processing, redelivered
 // in full to the claimer, go stale there too, and ping-pong between live
-// workers forever (the fenced pending counter, decremented only by the XACK
+// workers forever (the pending counter, decremented only by the FENCEXACK
 // that removes an entry, would never drain). With the heartbeat, reclaim
 // keys on lack of progress rather than lack of completion: a worker that
 // dies or stalls between tasks stops extending and its frames age out
@@ -710,7 +621,7 @@ func (t *RedisTransport) Extend(w int) error {
 		return nil
 	}
 	ls := &t.leases[w]
-	minIdle := t.minIdle(ls.timeout)
+	minIdle := reclaimPolls * ls.timeout
 	if minIdle <= 0 {
 		return nil
 	}
@@ -753,21 +664,15 @@ func (t *RedisTransport) Extend(w int) error {
 }
 
 // QueueDepths implements Transport: each partition's entry count —
-// the pool stream plus one "priv:<pe>:<i>" stream per pinned instance. On a
-// multi-shard cluster every gauge is reported per shard under an "s<i>:"
-// prefix ("s0:stream", "s1:priv:pe:0", …) so a hot shard is visible as
-// such; a single-shard cluster keeps the legacy unprefixed names. Sampling
-// errors skip the affected entry (the gauge set shrinks rather than failing
-// the sample).
+// the pool stream plus one "priv:<pe>:<i>" stream per pinned instance — per
+// shard under an "s<i>:" prefix ("s0:stream", "s1:priv:pe:0", …), so a hot
+// shard is visible as such. Sampling errors skip the affected entry (the
+// gauge set shrinks rather than failing the sample).
 func (t *RedisTransport) QueueDepths() map[string]int64 {
 	out := map[string]int64{}
-	n := t.cluster.NumShards()
-	for s := 0; s < n; s++ {
+	for s := 0; s < t.cluster.NumShards(); s++ {
 		cl := t.cluster.Shard(s)
-		prefix := ""
-		if n > 1 {
-			prefix = fmt.Sprintf("s%d:", s)
-		}
+		prefix := fmt.Sprintf("s%d:", s)
 		if v, err := cl.XLen(t.keys.Queue); err == nil {
 			out[prefix+"stream"] = v
 		}

@@ -205,10 +205,10 @@ func TestShardedPinnedStreamFollowsRing(t *testing.T) {
 	_ = tr.Done()
 }
 
-// TestSingleShardKeepsLegacyGaugeNames pins the N=1 refactor purity: gauge
-// keys stay unprefixed so dashboards built on the single-server layout read
-// unchanged.
-func TestSingleShardKeepsLegacyGaugeNames(t *testing.T) {
+// TestSingleShardGaugesCarryShardPrefix pins one gauge naming at every shard
+// count: a single-shard cluster reports "s0:"-prefixed keys like any other,
+// and no unprefixed name remains.
+func TestSingleShardGaugesCarryShardPrefix(t *testing.T) {
 	cluster := shardedCluster(t, 1)
 	plan := runtime.NewPlan(
 		[]runtime.WorkerSpec{{}, {PE: "sess", Instance: 0}},
@@ -225,15 +225,13 @@ func TestSingleShardKeepsLegacyGaugeNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	depths := tr.QueueDepths()
-	for _, key := range []string{"stream", "priv:sess:0"} {
+	for _, key := range []string{"s0:stream", "s0:priv:sess:0"} {
 		if n, ok := depths[key]; !ok || n != 1 {
-			t.Fatalf("gauge %q = %d (present %v) at one shard; want legacy unprefixed key with depth 1 (%v)", key, n, ok, depths)
+			t.Fatalf("gauge %q = %d (present %v) at one shard; want depth 1 (%v)", key, n, ok, depths)
 		}
 	}
-	for key := range depths {
-		if key[0] == 's' && key != "stream" {
-			t.Fatalf("unexpected shard-prefixed gauge %q at one shard (%v)", key, depths)
-		}
+	if len(depths) != 2 {
+		t.Fatalf("gauges %v at one shard, want exactly s0:stream and s0:priv:sess:0", depths)
 	}
 	_ = tr.Done()
 }

@@ -305,7 +305,7 @@ func TestRedisPushFencedRecordsGateWhereItsStateLives(t *testing.T) {
 			}
 			gate := state.NewFencedStore(st).TaskGate(tok)
 			assertFencedOnce(t, tr, addr, gate)
-			if n := tr.QueueDepths()["stream"]; n != 3 {
+			if n := tr.QueueDepths()["s0:stream"]; n != 3 {
 				t.Errorf("5 tasks at entryCap 2 packed into %d stream entries, want 3", n)
 			}
 			if adds := backend.Ops().Adds; adds != tc.wantAdmits {

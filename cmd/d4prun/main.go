@@ -184,9 +184,9 @@ func run(workflowName, mappingName string, processes int, platformName string, s
 	fmt.Println(rep)
 	if reg != nil {
 		snap := reg.Snapshot()
-		fmt.Printf("telemetry: pulls=%d p99=%v acks=%d tasks=%d idle_polls=%d traces=%d\n",
+		fmt.Printf("telemetry: pulls=%d p99=%v acks=%d tasks=%d fused=%d idle_polls=%d traces=%d\n",
 			snap.Workers.Pull.Count, time.Duration(snap.Workers.Pull.P99),
-			snap.Workers.Ack.Count, snap.Workers.Tasks, snap.Workers.IdlePolls, len(snap.Traces))
+			snap.Workers.Ack.Count, snap.Workers.Tasks, snap.Workers.Fused, snap.Workers.IdlePolls, len(snap.Traces))
 		if diag != nil {
 			fmt.Print(diagnosis.Render(diag.Diagnose(reg)))
 		}

@@ -110,8 +110,12 @@ func (c *Context) WithStore(st state.Store) *Context {
 	return &cp
 }
 
-// Emit sends value out of the named port. It blocks until the value is
-// accepted by the transport (channel, queue or Redis stream).
+// Emit sends value out of the named port. Usually it returns once the value
+// is accepted by the transport (channel, queue or Redis stream), or buffered
+// for a batched push. On an edge the engine has fused — a cheap stateless
+// successor on the same pool worker — it instead runs that successor's
+// Process inline, and returns when it (and anything it fused in turn) is
+// done; its error, if any, comes back from Emit.
 func (c *Context) Emit(port string, value any) error {
 	if c.emit == nil {
 		return fmt.Errorf("core: PE %s emitted on %q outside an execution context", c.peName, port)

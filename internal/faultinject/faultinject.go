@@ -42,6 +42,12 @@ const (
 	// here loses nothing: the task gate is recorded with the push, so the
 	// replay redoes the whole Final.
 	ProbeMidFinalFlush = "mid-final-flush"
+	// ProbeFusedCall fires in the worker after a fused successor ran inline
+	// inside its parent's Process. A kill here returns through the parent's
+	// Emit and fails the run with the fused child's effects applied and the
+	// parent's later emissions unsent; a resumed rerun must re-stamp the
+	// fused children identically so downstream fences drop what was applied.
+	ProbeFusedCall = "fused-call"
 )
 
 // Kind enumerates the fault actions.

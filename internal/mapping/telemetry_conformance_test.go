@@ -4,9 +4,15 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/diagnosis"
+	"repro/internal/graph"
 	"repro/internal/mapping"
+	"repro/internal/metrics"
 	"repro/internal/miniredis"
 	"repro/internal/telemetry"
 )
@@ -132,5 +138,109 @@ func TestTelemetryConformanceAcrossMappings(t *testing.T) {
 					len(snap.Traces), snap.TraceEvents)
 			}
 		})
+	}
+}
+
+// TestTelemetryFusedHopParity is the observability contract under operator
+// fusion: on dyn_redis, work → sink fuses once the pool has measured the
+// sink, and a fused execution must count exactly like a delivered one. The
+// sink's flow row takes in every value — deliveries plus fused calls — and
+// times each execution, a sampled trace runs complete from the source
+// through a fused sink hop, and the report's task and output counts equal
+// those of dyn_multi, which never fuses.
+func TestTelemetryFusedHopParity(t *testing.T) {
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const items = 4000
+	run := func(name string, opts mapping.Options) metrics.Report {
+		t.Helper()
+		var got atomic.Int64
+		g := graph.New("fusedhop")
+		g.Add(func() core.PE {
+			return core.NewSource("gen", func(ctx *core.Context) error {
+				for i := 0; i < items; i++ {
+					// Paced, so work keeps running after the pool has
+					// measured the sink and there is something to fuse.
+					if i%100 == 0 {
+						time.Sleep(time.Millisecond)
+					}
+					if err := ctx.EmitDefault(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		g.Add(func() core.PE {
+			return core.NewMap("work", func(_ *core.Context, v any) (any, error) { return v.(int) + 1, nil })
+		})
+		g.Add(func() core.PE {
+			return core.NewSink("sink", func(*core.Context, any) error { got.Add(1); return nil })
+		})
+		g.Pipe("gen", "work")
+		g.Pipe("work", "sink")
+		m, err := mapping.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Execute(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Load() != items {
+			t.Fatalf("%s: sink received %d values, want %d", name, got.Load(), items)
+		}
+		return rep
+	}
+
+	unfused := run("dyn_multi", testOpts(3))
+	// The ring keeps every event: gen runs far ahead of the fused hops, so a
+	// default-sized ring would evict their traces' root emissions.
+	reg := telemetry.New(telemetry.Config{TraceSampleEvery: 1, TraceRing: 8 * items})
+	diag := diagnosis.New(diagnosis.Config{})
+	opts := testOpts(3)
+	opts.RedisAddrs = []string{srv.Addr()}
+	opts.Telemetry = reg
+	opts.Diagnosis = diag
+	fused := run("dyn_redis", opts)
+
+	snap := reg.Snapshot()
+	if snap.Workers.Fused == 0 {
+		t.Fatal("no execution fused; the parity checks below would only see deliveries")
+	}
+	if fused.Tasks != unfused.Tasks || fused.Outputs != unfused.Outputs {
+		t.Errorf("fused run reports %d tasks, %d outputs; dyn_multi reports %d, %d",
+			fused.Tasks, fused.Outputs, unfused.Tasks, unfused.Outputs)
+	}
+	var sink *diagnosis.PEFlowSnapshot
+	flow := diag.Diagnose(reg).Flow
+	for i := range flow.PEs {
+		if flow.PEs[i].PE == "sink" {
+			sink = &flow.PEs[i]
+		}
+	}
+	if sink == nil {
+		t.Fatalf("no sink row in the flow ledger: %+v", flow.PEs)
+	}
+	if sink.TasksIn != items || sink.Service.Count != items {
+		t.Errorf("sink row: tasks_in %d, service observations %d; want %d of each (%d of them fused)",
+			sink.TasksIn, sink.Service.Count, items, snap.Workers.Fused)
+	}
+	// A fused execution is released with its parent's ack, not by one of its
+	// own: a sink hop with an execution span and no ack is a fused hop.
+	complete := false
+	for _, tr := range reg.Tracer().Assemble(1 << 20) {
+		last := tr.Hops[len(tr.Hops)-1]
+		if tr.Complete && last.PE == "sink" && last.StartedAt > 0 && last.AckedAt == 0 {
+			complete = true
+			break
+		}
+	}
+	if !complete {
+		t.Error("no complete source→sink trace through a fused sink hop")
 	}
 }

@@ -19,8 +19,8 @@ import (
 )
 
 // TestDynRedisRecoversAbandonedTask injects a failure: a rogue consumer
-// joins the worker group before the run, steals the first task from the
-// stream and never acknowledges or processes it — the observable behaviour
+// joins the worker group as the run starts, steals a task from the stream
+// and never acknowledges or processes it — the observable behaviour
 // of a worker process that crashed mid-task. With RecoverStale the real
 // workers must reclaim the pending entry via XAUTOCLAIM and finish the
 // workflow completely.
@@ -62,30 +62,32 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 		Retries:      40, // generous: termination must wait out the recovery
 	}
 
-	// The rogue consumer must steal the seeded source task before workers
-	// start. Execute seeds the stream before launching workers, so we
-	// pre-create the group, seed a marker... instead: run the theft
-	// concurrently with a tiny head start for Execute's seeding.
+	// The rogue consumer must steal a task before the workers take them all.
+	// Execute creates the group before it seeds the stream and launches the
+	// workers, so the rogue polls briefly until the run's queue appears and
+	// then parks in a blocking read: the stream wakes it on the first entry
+	// it is handed while no worker is reading — the seeded source task, or
+	// at worst an early emission of it. A non-blocking read retried after a
+	// sleep could come only after the workers had drained the run.
 	rogue := redisclient.Dial(srv.Addr())
 	defer rogue.Close()
 
 	theft := make(chan string, 1)
 	go func() {
-		// Poll until the run's queue appears, then steal one entry under a
-		// consumer that will never ack it.
-		for i := 0; i < 2000; i++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
 			keysReply, err := rogue.Do("KEYS", "d4p:recovery:*:queue")
 			if err != nil || len(keysReply.Array) == 0 {
-				time.Sleep(time.Millisecond)
+				time.Sleep(50 * time.Microsecond)
 				continue
 			}
 			queue := keysReply.Array[0].Str
-			entries, err := rogue.XReadGroup("workers", "rogue", 1, 0, queue)
+			entries, err := rogue.XReadGroup("workers", "rogue", 1, time.Second, queue)
 			if err == nil && len(entries) == 1 {
 				theft <- entries[0].ID
 				return
 			}
-			time.Sleep(time.Millisecond)
+			break
 		}
 		theft <- ""
 	}()
@@ -97,7 +99,7 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	}
 	stolen := <-theft
 	if stolen == "" {
-		t.Skip("rogue consumer never managed to steal a task; nothing to assert")
+		t.Fatal("rogue consumer never managed to steal a task")
 	}
 	// All n values must have reached the sink despite the theft: the stolen
 	// task was reclaimed and re-executed by a live worker.

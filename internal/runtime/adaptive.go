@@ -83,6 +83,12 @@ func (s *BatchSizer) FixedCost() time.Duration { return time.Duration(s.fixed) }
 // MarginalCost is the model's current estimate of the per-task cost.
 func (s *BatchSizer) MarginalCost() time.Duration { return time.Duration(s.marginal) }
 
+// taskCost is the model's per-task cost of one operation at the current
+// window: the task's share of the fixed cost plus the marginal cost.
+func (s *BatchSizer) taskCost() time.Duration {
+	return s.FixedCost()/time.Duration(s.size) + s.MarginalCost()
+}
+
 // refit updates the least-squares fit of d ≈ fixed + n·marginal from the
 // current moments. While the batch size still varies, the slope is
 // identifiable and both terms are re-estimated; at a stable window the

@@ -180,11 +180,13 @@ func (a *ackBatch) flush() error {
 // matching the emitted port it resolves the destination — a pinned instance
 // chosen by the edge grouping, or the shared pool — and counts workflow
 // outputs. It is the one copy of the routing logic formerly duplicated in
-// every mapping.
+// every mapping. On a fused edge (see fuse.go) it runs the worker's own copy
+// of the destination inline instead of producing a task.
 type router struct {
 	g       *graph.Graph
 	plan    Plan
 	outputs *atomic.Int64
+	tasks   *atomic.Int64
 	out     func(Task) error
 	seq     map[*graph.Edge]uint64
 
@@ -193,27 +195,34 @@ type router struct {
 	// emitted task is stamped with a provenance derived from the task being
 	// executed (cur) and the emitting edge, plus a per-(execution, edge)
 	// sequence. gen versions the current execution so the per-edge counters
-	// of each emit closure reset lazily at the first emission of a new task.
+	// of each emit closure reset lazily at the first emission of a new task;
+	// every execution, fused ones included, draws a fresh gen from the
+	// monotonic counter gens, so restoring a parent's gen after a fused call
+	// can never alias another execution's.
 	stamped bool
 	cur     Task
 	gen     uint64
+	gens    uint64
 
-	// Tracing state (tracer nil when tracing is off): the worker slot, and
-	// whether the current execution is itself traced / a source Generate.
-	tracer    *telemetry.Tracer
-	worker    int
-	curPE     string
-	curTraced bool
-	curIsGen  bool
+	// Tracing state (tracer nil when tracing is off): the worker slot.
+	tracer *telemetry.Tracer
+	worker int
 
 	// diag (nil when diagnosis is off) feeds the per-PE out counters and
-	// per-edge flow rows; emitFor caches the rows per closure.
+	// per-edge flow rows; emitFor caches the rows per closure. wm (nil when
+	// telemetry is off) counts fused executions as worker tasks.
 	diag *diagnosis.Diag
-}
+	wm   *telemetry.WorkerMetrics
 
-func newRouter(g *graph.Graph, plan Plan, outputs *atomic.Int64, out func(Task) error, stamped bool, tracer *telemetry.Tracer, worker int, diag *diagnosis.Diag) *router {
-	return &router{g: g, plan: plan, outputs: outputs, out: out, seq: map[*graph.Edge]uint64{},
-		stamped: stamped, tracer: tracer, worker: worker, diag: diag}
+	// Fusion state. fuseTo maps each fusable edge to the worker's copy of
+	// its destination (nil when the worker cannot price a hop). processing
+	// is on while a Process execution runs — the only place a fused
+	// successor may run. inlineNs accumulates the wall time of the fused
+	// calls made by the current execution, so its own service time can be
+	// reported without them.
+	fuseTo     map[*graph.Edge]*peCopy
+	processing bool
+	inlineNs   int64
 }
 
 // begin marks the start of one task execution: subsequent emissions derive
@@ -225,18 +234,26 @@ func (r *router) begin(t Task) {
 		return
 	}
 	r.cur = t
-	r.gen++
-	if r.tracer != nil {
-		r.curPE = t.PE
-		r.curTraced = t.TraceAt != 0
-		r.curIsGen = t.PE != "" && t.Port == "" && !t.Finalize && !t.Poison
-	}
+	r.gens++
+	r.gen = r.gens
+}
+
+// edgeDst is what an emit closure knows about one out-edge's destination.
+type edgeDst struct {
+	nInst    int     // pinned instances; 0 means the shared pool
+	terminal bool    // a delivery into it counts as a workflow output
+	fuse     *peCopy // on a fusable edge, this worker's copy of it
 }
 
 // emitFor builds the emit closure for one sending node. The closure is
 // single-goroutine (each worker owns its router).
 func (r *router) emitFor(node string) func(port string, value any) error {
 	edges := r.g.OutEdges(node)
+	// Per-edge facts resolved once here, never per emission.
+	dsts := make([]edgeDst, len(edges))
+	for i, e := range edges {
+		dsts[i] = edgeDst{nInst: r.plan.Instances[e.To], terminal: len(r.g.OutEdges(e.To)) == 0, fuse: r.fuseTo[e]}
+	}
 	// Per-closure stamping state: a stable salt per out-edge and one child
 	// sequence per out-edge, reset when the router moves to the next task
 	// execution.
@@ -277,34 +294,46 @@ func (r *router) emitFor(node string) func(port string, value any) error {
 			// Traced parent ⇒ traced child; untraced executions start a new
 			// trace on every sampleEvery-th emission, marked Root when the
 			// trace begins at a source's Generate (a complete path head).
-			if r.curTraced {
+			if r.cur.TraceAt != 0 {
 				t.TraceAt = time.Now().UnixNano()
-				r.tracer.RecordEmit(r.cur.Src, r.cur.Seq, r.curPE, t.Src, t.Seq, r.worker, false, t.TraceAt)
+				r.tracer.RecordEmit(r.cur.Src, r.cur.Seq, r.cur.PE, t.Src, t.Seq, r.worker, false, t.TraceAt)
 			} else if r.tracer.Sample() {
 				t.TraceAt = time.Now().UnixNano()
-				r.tracer.RecordEmit(r.cur.Src, r.cur.Seq, r.curPE, t.Src, t.Seq, r.worker, r.curIsGen, t.TraceAt)
+				isGen := r.cur.PE != "" && r.cur.Port == "" && !r.cur.Finalize && !r.cur.Poison
+				r.tracer.RecordEmit(r.cur.Src, r.cur.Seq, r.cur.PE, t.Src, t.Seq, r.worker, isGen, t.TraceAt)
 			}
 		}
 		return t
+	}
+	observe := func(ei int, value any) {
+		if outFlow != nil {
+			vb := diagnosis.ValueBytes(value)
+			outFlow.ObserveOut(vb)
+			edgeFlows[ei].ObserveTask(vb)
+		}
 	}
 	return func(port string, value any) error {
 		for ei, e := range edges {
 			if e.FromPort != port {
 				continue
 			}
-			if len(r.g.OutEdges(e.To)) == 0 {
-				// Delivery into a terminal PE counts as a workflow output.
+			dst := &dsts[ei]
+			if dst.terminal {
 				r.outputs.Add(1)
 			}
-			nInst := r.plan.Instances[e.To]
+			nInst := dst.nInst
 			if nInst == 0 {
-				// Pooled destination: any worker may process the task.
-				if outFlow != nil {
-					vb := diagnosis.ValueBytes(value)
-					outFlow.ObserveOut(vb)
-					edgeFlows[ei].ObserveTask(vb)
+				// Pooled destination: any worker may process the task — this
+				// one, inline, when the edge is fused.
+				observe(ei, value)
+				t := stamp(Task{PE: e.To, Port: e.ToPort, Value: value, Instance: -1}, ei)
+				var err error
+				if c := dst.fuse; c != nil && c.fused && r.processing {
+					err = r.runFused(c, t)
+				} else {
+					err = r.out(t)
 				}
-				if err := r.out(stamp(Task{PE: e.To, Port: e.ToPort, Value: value, Instance: -1}, ei)); err != nil {
+				if err != nil {
 					return err
 				}
 				continue
@@ -313,22 +342,14 @@ func (r *router) emitFor(node string) func(port string, value any) error {
 			r.seq[e]++
 			if idx < 0 { // one-to-all broadcast
 				for i := 0; i < nInst; i++ {
-					if outFlow != nil {
-						vb := diagnosis.ValueBytes(value)
-						outFlow.ObserveOut(vb)
-						edgeFlows[ei].ObserveTask(vb)
-					}
+					observe(ei, value)
 					if err := r.out(stamp(Task{PE: e.To, Port: e.ToPort, Value: value, Instance: i}, ei)); err != nil {
 						return err
 					}
 				}
 				continue
 			}
-			if outFlow != nil {
-				vb := diagnosis.ValueBytes(value)
-				outFlow.ObserveOut(vb)
-				edgeFlows[ei].ObserveTask(vb)
-			}
+			observe(ei, value)
 			if err := r.out(stamp(Task{PE: e.To, Port: e.ToPort, Value: value, Instance: idx}, ei)); err != nil {
 				return err
 			}

@@ -14,6 +14,15 @@
 //	                private stream per pinned instance (dyn_redis, hybrid_redis)
 //	RankTransport   MPI-style per-rank mailboxes (mpi)
 //
+// A pool worker holds a private copy of every pooled PE, so on the adaptive
+// (Redis) planners an edge that needs no transport — a shuffle from a pooled
+// non-source PE into a pooled PE with no state and no Final — fuses: the
+// router calls the worker's copy of the destination inline instead of
+// pushing a task, while the destination's mean self service time on that
+// worker is below the per-task hop price (a push and a pull, priced from the
+// worker's emit batch sizer). See fuse.go for the rule and its exactly-once
+// argument.
+//
 // Because termination and finalization are decided by one coordinator
 // watching the transport's pending-task count, properties that previously
 // had to be rebuilt per mapping — managed-state Final-once, no worker exits

@@ -320,16 +320,52 @@ func (r *run) runWorker(w int) {
 	if b.sizer != nil && r.diag != nil {
 		b.sizer.OnResize = resizeLogger(r.diag, w, "emit")
 	}
-	rt := newRouter(r.g, r.cfg.Plan, &r.outputs, b.push, r.stamped, r.tracer, w, r.diag)
+	rt := &router{g: r.g, plan: r.cfg.Plan, outputs: &r.outputs, tasks: &r.tasks, out: b.push,
+		seq: map[*graph.Edge]uint64{}, stamped: r.stamped, tracer: r.tracer, worker: w, diag: r.diag, wm: wm}
 
 	// Build this worker's PE copies. The diagnosis flow rows and the PE's
 	// hooks are resolved here — once per worker, never per task. Under
 	// fencing each managed-state context is routed through a per-worker
 	// FenceScope, the handle the loop binds to the current delivery before
-	// each task.
-	copies := map[string]*peCopy{}
-	build := func(n *graph.Node, instance int, seed int64) {
-		c := &peCopy{pe: n.Factory()}
+	// each task. Every copy exists before any emit closure is built, so a
+	// closure can resolve the copy a fused edge calls into.
+	var nodes []*graph.Node
+	if spec.Pinned() {
+		nodes = []*graph.Node{r.g.Node(spec.PE)}
+	} else {
+		for _, n := range r.g.Nodes() {
+			if r.cfg.Plan.Instances[n.Name] == 0 { // else pinned elsewhere
+				nodes = append(nodes, n)
+			}
+		}
+	}
+	copies := make(map[string]*peCopy, len(nodes))
+	for _, n := range nodes {
+		copies[n.Name] = &peCopy{}
+	}
+	// Fusion needs a measured hop cost, which only the adaptive sizers give.
+	var fuseDsts []*peCopy
+	if r.cfg.AdaptiveBatching && !spec.Pinned() {
+		rt.fuseTo = map[*graph.Edge]*peCopy{}
+		for _, e := range r.g.Edges() {
+			if !fusable(r.g, r.cfg.Plan, e) {
+				continue
+			}
+			c := copies[e.To]
+			rt.fuseTo[e] = c
+			if !c.fuseDst {
+				c.fuseDst = true
+				fuseDsts = append(fuseDsts, c)
+			}
+		}
+	}
+	for _, n := range nodes {
+		instance, seed := w, r.opts.Seed^int64(w*7919)^int64(NodeHash(n.Name))
+		if spec.Pinned() {
+			instance, seed = spec.Instance, r.opts.Seed^int64(InstanceSeed(n.Name, spec.Instance))
+		}
+		c := copies[n.Name]
+		c.pe = n.Factory()
 		c.fin, _ = c.pe.(core.Finalizer)
 		c.src, _ = c.pe.(core.Source)
 		if r.diag != nil {
@@ -342,18 +378,6 @@ func (r *run) runWorker(w int) {
 			c.ctx = c.ctx.WithStore(c.scope)
 		} else if st := r.ms.Store(n.Name); st != nil {
 			c.ctx = c.ctx.WithStore(st)
-		}
-		copies[n.Name] = c
-	}
-	if spec.Pinned() {
-		n := r.g.Node(spec.PE)
-		build(n, spec.Instance, r.opts.Seed^int64(InstanceSeed(n.Name, spec.Instance)))
-	} else {
-		for _, n := range r.g.Nodes() {
-			if r.cfg.Plan.Instances[n.Name] != 0 {
-				continue // pinned elsewhere
-			}
-			build(n, w, r.opts.Seed^int64(w*7919)^int64(NodeHash(n.Name)))
 		}
 	}
 	// Init emissions carry a per-worker provenance: Init runs once per
@@ -419,6 +443,9 @@ func (r *run) runWorker(w int) {
 			if err := acks.flush(); err != nil {
 				r.workerFail(fmt.Errorf("worker %s: ack batch: %w", procName, err))
 				return
+			}
+			if fuseDsts != nil {
+				decideFusion(fuseDsts, b.sizer)
 			}
 			if ctrl != nil && !spec.Pinned() && ctrl.Gate(w) {
 				// Idle state: stop accruing process time until readmitted.
@@ -495,7 +522,7 @@ func (r *run) runWorker(w int) {
 			return
 		}
 		traced := r.tracer != nil && env.TraceAt != 0
-		if !traced && c.flow == nil {
+		if !traced && c.flow == nil && !c.fuseDst {
 			if err := r.runTask(procName, c, rt, b, acks, env); err != nil {
 				r.workerFail(err)
 				return
@@ -503,21 +530,18 @@ func (r *run) runWorker(w int) {
 			continue
 		}
 		// Timed execution: a traced delivery records its span even on error
-		// (a trace ending in a failed hop is still reconstructable), and the
+		// (a trace ending in a failed hop is still reconstructable), the
 		// flow ledger observes every execution's service time — plus, for
 		// traced deliveries, the emit→start queue wait their TraceAt stamp
-		// carries across the wire.
+		// carries across the wire — and a fusion destination's mean service
+		// time takes the sample.
+		rt.inlineNs = 0
 		startNs := time.Now().UnixNano()
 		err := r.runTask(procName, c, rt, b, acks, env)
 		endNs := time.Now().UnixNano()
-		if traced {
-			r.tracer.RecordExec(env.Src, env.Seq, env.PE, w, env.TraceAt, pulledAt, startNs, endNs)
-		}
-		if c.flow != nil {
-			c.flow.ObserveExec(startNs, endNs, diagnosis.ValueBytes(env.Value), env.Port == "" && !env.Finalize)
-			if env.TraceAt > 0 {
-				c.flow.ObserveQueueWait(startNs - env.TraceAt)
-			}
+		rt.recordExec(c, env.Task, pulledAt, startNs, endNs)
+		if c.fuseDst {
+			c.observeService(endNs - startNs - rt.inlineNs)
 		}
 		if err != nil {
 			r.workerFail(err)
@@ -568,6 +592,15 @@ type peCopy struct {
 	fence *state.FencedStore // nil unless the node's state is fenced
 	scope *state.FenceScope  // this worker's handle on fence
 	flow  *diagnosis.PEFlow  // nil when diagnosis is off
+
+	// Fusion (see fuse.go): fuseDst marks the destination of a fusable edge,
+	// whose self service time this worker measures — svcNs in total over
+	// runs executions — and fused whether its in-edges currently run it
+	// inline.
+	fuseDst bool
+	fused   bool
+	runs    int64
+	svcNs   int64
 }
 
 // runTask executes one delivered task: generate, process, or finalize. The
@@ -602,7 +635,10 @@ func (r *run) runTask(procName string, c *peCopy, rt *router, b *batcher, acks *
 		err = c.src.Generate(c.ctx)
 	default:
 		r.tasks.Add(1)
+		// Hold mode exists only inside a fenced Final, never here.
+		rt.processing = true
 		err = c.pe.Process(c.ctx, env.Port, env.Value)
+		rt.processing = false
 	}
 	if err != nil {
 		// Release the deliveries so a failed run does not hang on a counter

@@ -7,6 +7,7 @@ import "time"
 type WorkerSnapshot struct {
 	Worker    int               `json:"worker"`
 	Tasks     int64             `json:"tasks"`
+	Fused     int64             `json:"fused"`
 	IdlePolls int64             `json:"idle_polls"`
 	Prefetch  int64             `json:"prefetch"`
 	Pull      HistogramSnapshot `json:"pull"`
@@ -59,6 +60,7 @@ func (r *Registry) snapshot(withTraces bool) Snapshot {
 		ws := WorkerSnapshot{
 			Worker:    w,
 			Tasks:     wm.Tasks.Load(),
+			Fused:     wm.Fused.Load(),
 			IdlePolls: wm.IdlePolls.Load(),
 			Prefetch:  wm.Prefetch.Load(),
 			Pull:      wm.Pull.Snapshot(),
@@ -69,6 +71,7 @@ func (r *Registry) snapshot(withTraces bool) Snapshot {
 		}
 		snap.PerWorker = append(snap.PerWorker, ws)
 		merged.Tasks += ws.Tasks
+		merged.Fused += ws.Fused
 		merged.IdlePolls += ws.IdlePolls
 		merged.Prefetch += ws.Prefetch
 		pulls = append(pulls, wm.Pull)

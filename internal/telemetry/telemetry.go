@@ -56,8 +56,10 @@ type WorkerMetrics struct {
 	PullBatch, EmitBatch *Histogram
 	// Prefetch is the worker's current prefetch-buffer occupancy.
 	Prefetch Gauge
-	// IdlePolls counts empty pull round trips; Tasks counts processed tasks.
-	IdlePolls, Tasks Counter
+	// IdlePolls counts empty pull round trips; Tasks counts processed tasks,
+	// and Fused the subset run inline by operator fusion rather than
+	// delivered by the transport.
+	IdlePolls, Tasks, Fused Counter
 }
 
 func newWorkerMetrics() *WorkerMetrics {

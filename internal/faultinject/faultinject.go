@@ -56,7 +56,9 @@ type Kind int
 const (
 	// ConnDrop poisons the in-flight connection: the probe returns
 	// ErrConnDrop and the client closes the conn and surfaces a transport
-	// error (retryable for idempotent/fenced commands).
+	// error (retryable for idempotent/fenced commands). Other commands
+	// sharing that connection fail as a dropped connection, as they would
+	// in a real drop.
 	ConnDrop Kind = iota
 	// Delay sleeps Fault.Delay before letting the operation proceed —
 	// a slow reply / stalled peer.

@@ -180,12 +180,22 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.opts.OpDelay > 0 {
 			time.Sleep(s.opts.OpDelay)
 		}
+		// Replies are coalesced: one flush carries the replies of every
+		// command that arrived together, and none waits behind a block
+		// (XREADGROUP is the one command that can block).
+		if strings.EqualFold(argv[0], "XREADGROUP") {
+			if err := w.Flush(); err != nil {
+				return
+			}
+		}
 		reply, quit := s.dispatch(argv)
 		if err := w.WriteValue(reply); err != nil {
 			return
 		}
-		if err := w.Flush(); err != nil {
-			return
+		if quit || r.Buffered() == 0 {
+			if err := w.Flush(); err != nil {
+				return
+			}
 		}
 		if quit {
 			return

@@ -4,6 +4,13 @@
 // consumer groups, hashes, counters, the fenced compounds). A typed helper
 // exists only while something outside this package calls it; the server it
 // talks to, internal/miniredis, serves the same set.
+//
+// Concurrent retry-safe commands share a connection: a command that finds
+// another retry-safe command in flight joins its connection, so their bytes
+// go out in one write and their replies come back in one read. Each still
+// counts as one round trip per attempt in Stats. Everything else — commands
+// a retry may not repeat, pipelines, blocking reads — holds a connection of
+// its own.
 package redisclient
 
 import (
@@ -34,7 +41,9 @@ type Client struct {
 	addr string
 
 	mu     sync.Mutex
+	conns  map[*conn]struct{} // every open connection, idle or in use
 	idle   []*conn
+	shared *conn // the connection retry-safe commands join while one is in flight
 	closed bool
 
 	// DialTimeout bounds connection establishment.
@@ -44,7 +53,8 @@ type Client struct {
 	// Dialer, when set, replaces the default TCP dialer — the hook tests and
 	// proxies use to interpose on connection establishment.
 	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
-	// CmdTimeout bounds each command round trip with a connection deadline
+	// CmdTimeout bounds each command round trip with a connection deadline,
+	// set at every write, so it bounds each write and each wait for a reply
 	// (a blocking read adds its block duration on top). Zero disables
 	// deadlines.
 	CmdTimeout time.Duration
@@ -59,13 +69,6 @@ type Client struct {
 
 	statRoundTrips atomic.Int64
 	statRetries    atomic.Int64
-}
-
-// conn is one pooled connection.
-type conn struct {
-	nc net.Conn
-	r  *resp.Reader
-	w  *resp.Writer
 }
 
 // Dial creates a client for the server at addr. Connections are created
@@ -89,7 +92,8 @@ func Dial(addr string) *Client {
 func (c *Client) Addr() string { return c.addr }
 
 // Stats are cumulative client-side counters: server round trips attempted
-// (one per Do attempt or pipeline flush) and retries among them.
+// (one per Do attempt or pipeline flush, whether or not the command shared
+// its connection's write and read with others) and retries among them.
 type Stats struct {
 	RoundTrips int64
 	Retries    int64
@@ -102,31 +106,68 @@ func (c *Client) Stats() Stats {
 	return Stats{RoundTrips: c.statRoundTrips.Load(), Retries: c.statRetries.Load()}
 }
 
-// Close releases all pooled connections. In-flight commands fail.
+// Close closes every connection. In-flight commands fail with ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
-	for _, cn := range c.idle {
-		cn.nc.Close()
+	conns := c.conns
+	c.conns, c.idle = nil, nil
+	c.mu.Unlock()
+	for cn := range conns {
+		cn.mu.Lock()
+		cn.fail(ErrClosed)
+		cn.mu.Unlock()
 	}
-	c.idle = nil
 	return nil
 }
 
-func (c *Client) getConn() (*conn, error) {
+// acquire returns a connection for one command. A retry-safe command (share)
+// joins the connection another retry-safe command has in flight; otherwise
+// it takes an idle connection or dials one, as an exclusive command always
+// does, and makes that the shared one. A serial caller therefore runs on one
+// connection, and a dropped shared connection fails only commands the retry
+// loop re-sends.
+func (c *Client) acquire(share bool) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if n := len(c.idle); n > 0 {
-		cn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
+	if sh := c.shared; share && sh != nil && !sh.broken.Load() {
+		sh.users++
 		c.mu.Unlock()
-		return cn, nil
+		return sh, nil
+	}
+	var cn *conn
+	if n := len(c.idle); n > 0 {
+		cn = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+	} else {
+		c.mu.Unlock()
+		var err error
+		if cn, err = c.dial(); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			cn.nc.Close()
+			return nil, ErrClosed
+		}
+		if c.conns == nil {
+			c.conns = make(map[*conn]struct{})
+		}
+		c.conns[cn] = struct{}{}
+	}
+	cn.users = 1
+	if sh := c.shared; share && (sh == nil || sh.broken.Load()) {
+		c.shared = cn
 	}
 	c.mu.Unlock()
+	return cn, nil
+}
+
+func (c *Client) dial() (*conn, error) {
 	dial := c.Dialer
 	if dial == nil {
 		dial = net.DialTimeout
@@ -135,41 +176,56 @@ func (c *Client) getConn() (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("redisclient: dial %s: %w", c.addr, err)
 	}
-	return &conn{nc: nc, r: resp.NewReader(nc), w: resp.NewWriter(nc)}, nil
+	cn := &conn{nc: nc, r: resp.NewReader(nc)}
+	cn.w = resp.NewWriter(&cn.out)
+	cn.wrote.L = &cn.mu
+	return cn, nil
 }
 
-func (c *Client) putConn(cn *conn, broken bool) {
-	if broken {
-		cn.nc.Close()
-		return
-	}
+// release ends one command's hold on cn. The last command out returns it to
+// the pool, or closes it when it failed.
+func (c *Client) release(cn *conn) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || len(c.idle) >= c.MaxIdle {
-		cn.nc.Close()
+	if cn.users--; cn.users > 0 {
+		c.mu.Unlock()
 		return
 	}
-	c.idle = append(c.idle, cn)
+	if c.shared == cn {
+		c.shared = nil
+	}
+	keep := !cn.broken.Load() && !c.closed && len(c.idle) < c.MaxIdle
+	if keep {
+		c.idle = append(c.idle, cn)
+	} else {
+		delete(c.conns, cn)
+	}
+	c.mu.Unlock()
+	if !keep {
+		cn.nc.Close()
+	}
 }
 
 // Do sends one command and returns the reply value. Failures come back as a
 // *CmdError naming the failing command; server error replies wrap a
 // ServerError. Retry-safe commands (see Retryable) are transparently retried
-// with exponential backoff on transient failures.
+// with exponential backoff on transient failures, and share a connection
+// with the other retry-safe commands in flight (see acquire).
 func (c *Client) Do(argv ...string) (resp.Value, error) {
 	return c.do(0, argv)
 }
 
 // do is the shared command path. blockFor extends the per-command deadline
-// for a blocking read.
+// for a blocking read, which never shares its connection.
 func (c *Client) do(blockFor time.Duration, argv []string) (resp.Value, error) {
 	if blockFor < 0 {
 		blockFor = 0
 	}
+	retrySafe := Retryable(argv)
 	attempts := 1
-	if c.Retries > 0 && Retryable(argv) {
+	if c.Retries > 0 && retrySafe {
 		attempts = c.Retries + 1
 	}
+	cmds := [][]string{argv}
 	var v resp.Value
 	var err error
 	for a := 0; a < attempts; a++ {
@@ -178,7 +234,10 @@ func (c *Client) do(blockFor time.Duration, argv []string) (resp.Value, error) {
 			time.Sleep(backoff(c.RetryBackoff, c.RetryMaxBackoff, a))
 		}
 		c.statRoundTrips.Add(1)
-		v, err = c.doOnce(blockFor, argv)
+		v, _, err = c.roundTrip(cmds, nil, retrySafe && blockFor == 0, blockFor)
+		if err == nil && v.Type == resp.Error {
+			err = ServerError(v.Str)
+		}
 		if err == nil || !retryableError(err) {
 			break
 		}
@@ -189,51 +248,13 @@ func (c *Client) do(blockFor time.Duration, argv []string) (resp.Value, error) {
 	return v, nil
 }
 
-// doOnce performs one command round trip on one pooled connection.
-func (c *Client) doOnce(blockFor time.Duration, argv []string) (resp.Value, error) {
-	if err := faultinject.FireCmd(faultinject.ProbeConnWrite, argv[0]); err != nil {
-		return resp.Value{}, err
-	}
-	cn, err := c.getConn()
-	if err != nil {
-		return resp.Value{}, err
-	}
-	hasDeadline := c.CmdTimeout > 0
-	if hasDeadline {
-		_ = cn.nc.SetDeadline(time.Now().Add(c.CmdTimeout + blockFor))
-	}
-	if err := cn.w.WriteCommand(argv...); err != nil {
-		c.putConn(cn, true)
-		return resp.Value{}, fmt.Errorf("write: %w", err)
-	}
-	// The command is on the wire: a fault or conn error from here on leaves
-	// the client unable to know whether the server executed it — the window
-	// only retry-safe commands may cross.
-	if err := faultinject.FireCmd(faultinject.ProbeConnRead, argv[0]); err != nil {
-		c.putConn(cn, true)
-		return resp.Value{}, err
-	}
-	v, err := cn.r.ReadValue()
-	if err != nil {
-		c.putConn(cn, true)
-		return resp.Value{}, fmt.Errorf("read reply: %w", err)
-	}
-	if hasDeadline {
-		_ = cn.nc.SetDeadline(time.Time{})
-	}
-	c.putConn(cn, false)
-	if v.Type == resp.Error {
-		return resp.Value{}, ServerError(v.Str)
-	}
-	return v, nil
-}
-
 // Pipeline writes all commands over one connection before reading any reply,
 // so the batch costs a single network round trip instead of one per command.
 // Replies come back in command order; the first server error reply is
 // returned as a *CmdError naming the failing command (later replies are still
 // drained so the connection stays reusable). The whole pipeline is retried on
 // transient transport failures only when every command in it is retry-safe.
+// A pipeline never shares its connection.
 func (c *Client) Pipeline(cmds [][]string) ([]resp.Value, error) {
 	if len(cmds) == 0 {
 		return nil, nil
@@ -259,61 +280,254 @@ func (c *Client) Pipeline(cmds [][]string) ([]resp.Value, error) {
 			time.Sleep(backoff(c.RetryBackoff, c.RetryMaxBackoff, a))
 		}
 		c.statRoundTrips.Add(1)
-		replies, err = c.pipelineOnce(cmds)
-		// Retry only transport-level failures (no replies came back); a
-		// server error reply is a delivered result, not a transient fault.
-		if replies != nil || err == nil || !retryableError(err) {
+		_, replies, err = c.roundTrip(cmds, make([]resp.Value, 0, len(cmds)), false, 0)
+		if err == nil || !retryableError(err) {
 			break
 		}
 	}
-	return replies, err
-}
-
-// pipelineOnce performs one pipelined round trip.
-func (c *Client) pipelineOnce(cmds [][]string) ([]resp.Value, error) {
-	if err := faultinject.FireCmd(faultinject.ProbeConnWrite, cmds[0][0]); err != nil {
-		return nil, &CmdError{Cmd: cmds[0][0], Err: err}
-	}
-	cn, err := c.getConn()
 	if err != nil {
 		return nil, &CmdError{Cmd: cmds[0][0], Err: err}
 	}
-	hasDeadline := c.CmdTimeout > 0
-	if hasDeadline {
-		_ = cn.nc.SetDeadline(time.Now().Add(c.CmdTimeout))
+	// A server error reply is a delivered result, not a transient fault.
+	for i, v := range replies {
+		if v.Type == resp.Error {
+			return replies, &CmdError{Cmd: cmds[i][0], Err: ServerError(v.Str)}
+		}
+	}
+	return replies, nil
+}
+
+// errConnDropped fails the commands queued on a connection that an injected
+// fault dropped under another command: a retryable transport error, as a
+// real drop would be.
+var errConnDropped = errors.New("connection dropped")
+
+// conn is one pooled connection. Commands queue on it in wire order: their
+// encoded bytes go out in group-committed writes, and their replies are read
+// back by whichever queued command holds the reader role, which hands each
+// reply to its owner. An exclusive command is alone on its connection and
+// takes both roles itself; the shared connection carries every retry-safe
+// command the client has in flight.
+type conn struct {
+	nc     net.Conn
+	r      *resp.Reader // used only by the reader-role holder
+	users  int          // commands holding the conn; guarded by Client.mu
+	broken atomic.Bool  // set once failed: no command may join it
+
+	mu      sync.Mutex
+	w       *resp.Writer // encodes into out
+	out     pendingBytes // encoded commands not yet written
+	spare   []byte       // out's other buffer, swapped in while a write runs
+	writing bool         // some command is writing out
+	reading bool         // some queued command holds the reader role
+	queue   []*call      // commands whose replies are due, in wire order
+	queued  uint64       // commands encoded so far
+	sent    uint64       // commands written so far
+	wrote   sync.Cond    // signalled after each write and on failure
+	err     error        // why the conn failed; nil while usable
+}
+
+// maxSpare caps the write buffer a connection keeps between writes: one
+// large command must not pin its size for the connection's lifetime.
+const maxSpare = 64 << 10
+
+// pendingBytes is the in-memory sink commands are encoded into.
+type pendingBytes struct{ b []byte }
+
+func (p *pendingBytes) Write(b []byte) (int, error) {
+	p.b = append(p.b, b...)
+	return len(b), nil
+}
+
+// call is one command, or one pipeline, queued on a conn.
+type call struct {
+	n       int // replies due
+	replies []resp.Value
+	one     [1]resp.Value // replies' backing store for a single command
+	err     error
+	seq     uint64 // the conn's queued count once this call's bytes were encoded
+	done    bool   // replies complete, or err set
+	lead    bool   // holds the conn's reader role
+	waiting bool   // parked on wake
+	wake    chan struct{}
+}
+
+var calls = sync.Pool{New: func() any { return &call{wake: make(chan struct{}, 1)} }}
+
+// roundTrip sends cmds as one unit and waits for their replies. A pipeline
+// passes replies, empty with room for every reply, and gets it back filled;
+// a single command passes nil and gets its reply as v. share lets it join
+// the client's shared connection. Every write and every wait for a reply is
+// bounded by CmdTimeout plus blockFor.
+func (c *Client) roundTrip(cmds [][]string, replies []resp.Value, share bool, blockFor time.Duration) (v resp.Value, _ []resp.Value, err error) {
+	if err := faultinject.FireCmd(faultinject.ProbeConnWrite, cmds[0][0]); err != nil {
+		return v, nil, err
+	}
+	var cn *conn
+	for {
+		if cn, err = c.acquire(share); err != nil {
+			return v, nil, err
+		}
+		cn.mu.Lock()
+		if cn.err == nil {
+			break
+		}
+		// Joined a connection that failed before this command was queued:
+		// nothing was sent, so take another.
+		cn.mu.Unlock()
+		c.release(cn)
+	}
+	cl := calls.Get().(*call)
+	cl.n, cl.replies = len(cmds), replies
+	if replies == nil {
+		cl.replies = cl.one[:0]
 	}
 	for _, argv := range cmds {
-		if err := cn.w.WriteCommandBuffered(argv...); err != nil {
-			c.putConn(cn, true)
-			return nil, &CmdError{Cmd: argv[0], Err: fmt.Errorf("pipeline write: %w", err)}
+		_ = cn.w.WriteCommand(argv...) // into memory: cannot fail
+	}
+	cn.queued++
+	cl.seq = cn.queued
+	cn.queue = append(cn.queue, cl)
+	if !cn.reading {
+		cn.reading, cl.lead = true, true
+	}
+	var timeout time.Duration
+	if c.CmdTimeout > 0 {
+		timeout = c.CmdTimeout + blockFor
+	}
+	if !cn.writing {
+		cn.flush(timeout)
+	}
+	if faultinject.Active() != nil {
+		cn.probeRead(cl, cmds[0][0])
+	}
+	for !cl.done {
+		if cl.lead {
+			cn.read(cl)
+			continue
 		}
+		cl.waiting = true
+		cn.mu.Unlock()
+		<-cl.wake
+		cn.mu.Lock()
 	}
-	if err := cn.w.Flush(); err != nil {
-		c.putConn(cn, true)
-		return nil, &CmdError{Cmd: cmds[0][0], Err: fmt.Errorf("pipeline flush: %w", err)}
+	cn.mu.Unlock()
+	if err = cl.err; err == nil {
+		v, replies = cl.one[0], cl.replies
 	}
-	if err := faultinject.FireCmd(faultinject.ProbeConnRead, cmds[0][0]); err != nil {
-		c.putConn(cn, true)
-		return nil, &CmdError{Cmd: cmds[0][0], Err: err}
+	*cl = call{wake: cl.wake} // a pooled call holds no reply and no role
+	calls.Put(cl)
+	c.release(cn)
+	return v, replies, err
+}
+
+// probeRead fires ProbeConnRead once cl's bytes are on the wire. A fault
+// fails cl with the injected error and drops the connection under the
+// commands still queued on it. Called and returns with cn.mu held.
+func (cn *conn) probeRead(cl *call, cmd string) {
+	for cl.seq > cn.sent && cn.err == nil {
+		cn.wrote.Wait()
 	}
-	replies := make([]resp.Value, 0, len(cmds))
-	var firstErr error
-	for i := range cmds {
-		v, err := cn.r.ReadValue()
+	if cn.err != nil {
+		return
+	}
+	cn.mu.Unlock()
+	err := faultinject.FireCmd(faultinject.ProbeConnRead, cmd)
+	cn.mu.Lock()
+	if err != nil {
+		cn.fail(errConnDropped)
+		cl.err, cl.done = err, true
+	}
+}
+
+// flush writes everything encoded so far, looping while other commands join,
+// with one deadline per write. Called with cn.mu held and no write running.
+func (cn *conn) flush(timeout time.Duration) {
+	cn.writing = true
+	for cn.err == nil && len(cn.out.b) > 0 {
+		buf, upto := cn.out.b, cn.queued
+		cn.out.b, cn.spare = cn.spare[:0], nil
+		cn.mu.Unlock()
+		if timeout > 0 {
+			_ = cn.nc.SetDeadline(time.Now().Add(timeout))
+		}
+		_, err := cn.nc.Write(buf)
+		cn.mu.Lock()
+		if cap(buf) <= maxSpare {
+			cn.spare = buf[:0]
+		}
 		if err != nil {
-			c.putConn(cn, true)
-			return nil, &CmdError{Cmd: cmds[i][0], Err: fmt.Errorf("pipeline read reply: %w", err)}
+			cn.fail(fmt.Errorf("write: %w", err))
+			break
 		}
-		if v.Type == resp.Error && firstErr == nil {
-			firstErr = &CmdError{Cmd: cmds[i][0], Err: ServerError(v.Str)}
+		cn.sent = upto
+		cn.wrote.Broadcast()
+	}
+	cn.writing = false
+}
+
+// read holds the reader role for cl: it reads replies in wire order, handing
+// each to its command, until cl's own are in; then it hands out the replies
+// already buffered, which costs no syscall, and passes the role to the
+// oldest command still waiting. Called and returns with cn.mu held.
+func (cn *conn) read(cl *call) {
+	for cn.err == nil && len(cn.queue) > 0 && (!cl.done || cn.r.Buffered() > 0) {
+		head := cn.queue[0]
+		cn.mu.Unlock()
+		v, err := cn.r.ReadValue()
+		cn.mu.Lock()
+		if cn.err != nil {
+			break // failed meanwhile: head has completed with the failure
 		}
-		replies = append(replies, v)
+		if err != nil {
+			cn.fail(fmt.Errorf("read reply: %w", err))
+			break
+		}
+		if head.replies = append(head.replies, v); len(head.replies) == head.n {
+			n := copy(cn.queue, cn.queue[1:])
+			cn.queue[n] = nil
+			cn.queue = cn.queue[:n]
+			head.done = true
+			head.wakeUp()
+		}
 	}
-	if hasDeadline {
-		_ = cn.nc.SetDeadline(time.Time{})
+	cl.lead = false
+	if cn.err == nil && len(cn.queue) > 0 {
+		next := cn.queue[0]
+		next.lead = true
+		next.wakeUp()
+	} else {
+		cn.reading = false
 	}
-	c.putConn(cn, false)
-	return replies, firstErr
+}
+
+// fail marks the connection dead: it closes at once, which unblocks a
+// reader or writer in a syscall, and every queued command completes with
+// err. The first failure wins. Called with cn.mu held.
+func (cn *conn) fail(err error) {
+	if cn.err != nil {
+		return
+	}
+	cn.err = err
+	cn.broken.Store(true)
+	cn.nc.Close()
+	for i, q := range cn.queue {
+		q.err, q.done = err, true
+		q.wakeUp()
+		cn.queue[i] = nil
+	}
+	cn.queue = cn.queue[:0]
+	cn.wrote.Broadcast()
+}
+
+// wakeUp resumes cl if it is parked; the caller holds its conn's mu and has
+// just completed cl or handed it the reader role. The send never blocks: a
+// parked call gets exactly one token, and wake holds one.
+func (cl *call) wakeUp() {
+	if cl.waiting {
+		cl.waiting = false
+		cl.wake <- struct{}{}
+	}
 }
 
 // DoInt runs a command expecting an integer reply.
@@ -433,7 +647,7 @@ func (c *Client) HIncrBy(key, field string, delta int64) (int64, error) {
 func (c *Client) SetNX(key, value string, ttl time.Duration) (bool, error) {
 	args := []string{"SET", key, value, "NX"}
 	if ttl > 0 {
-		args = append(args, "PX", strconv.FormatInt(ttl.Milliseconds(), 10))
+		args = append(args, "PX", millis(ttl))
 	}
 	v, err := c.Do(args...)
 	if err != nil {
@@ -445,6 +659,17 @@ func (c *Client) SetNX(key, value string, ttl time.Duration) (bool, error) {
 // Del removes keys, returning how many existed.
 func (c *Client) Del(keys ...string) (int64, error) {
 	return c.DoInt(append([]string{"DEL"}, keys...)...)
+}
+
+// millis renders d in the whole milliseconds the protocol takes, rounding a
+// positive duration up: a sub-millisecond BLOCK sent as 0 would block
+// forever, PX 0 is rejected, and a min-idle of 0 reclaims live deliveries.
+func millis(d time.Duration) string {
+	n := d.Milliseconds()
+	if d > 0 && time.Duration(n)*time.Millisecond < d {
+		n++
+	}
+	return strconv.FormatInt(n, 10)
 }
 
 // --- Streams -----------------------------------------------------------------
@@ -491,7 +716,7 @@ func (c *Client) XReadGroup(group, consumer string, count int, block time.Durati
 		args = append(args, "COUNT", strconv.Itoa(count))
 	}
 	if block > 0 {
-		args = append(args, "BLOCK", strconv.FormatInt(block.Milliseconds(), 10))
+		args = append(args, "BLOCK", millis(block))
 	}
 	args = append(args, "STREAMS", key, ">")
 	v, err := c.do(block, args)
@@ -598,8 +823,7 @@ func (c *Client) XClaimJustID(key, group, consumer string, minIdle time.Duration
 // next cursor and the claimed entries.
 func (c *Client) XAutoClaim(key, group, consumer string, minIdle time.Duration, start string, count int) (string, []StreamEntry, error) {
 	args := []string{
-		"XAUTOCLAIM", key, group, consumer,
-		strconv.FormatInt(minIdle.Milliseconds(), 10), start,
+		"XAUTOCLAIM", key, group, consumer, millis(minIdle), start,
 		"COUNT", strconv.Itoa(count),
 	}
 	v, err := c.Do(args...)

@@ -2,7 +2,10 @@ package redisclient_test
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,36 +50,68 @@ func TestRetryOnConnDrop(t *testing.T) {
 // TestReplyLostExactlyOnce: the reply to a FENCEAPPLY is lost after the
 // server executed it. The client's retry re-sends the command; the
 // server-side applied ledger absorbs the duplicate, so the effect lands
-// exactly once and the retry still reports the effective value.
+// exactly once and the retry still reports the effective value. In the
+// concurrent row the drop also fails every FENCEAPPLY sharing the dropped
+// connection, and each of those lands exactly once too.
 func TestReplyLostExactlyOnce(t *testing.T) {
-	cl := newPair(t)
-	arm(t, faultinject.Fault{
-		Probe: faultinject.ProbeConnRead, Cmd: "FENCEAPPLY", Hits: 1, Kind: faultinject.ConnDrop,
+	t.Run("serial", func(t *testing.T) {
+		cl := newPair(t)
+		arm(t, faultinject.Fault{
+			Probe: faultinject.ProbeConnRead, Cmd: "FENCEAPPLY", Hits: 1, Kind: faultinject.ConnDrop,
+		})
+		_, n, err := cl.FenceApplyIncr("h", "gate", "cnt", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Whichever of the two server-side executions wins the race to apply,
+		// the observed value is exact and the effect lands once.
+		if n != 7 {
+			t.Fatalf("n=%d want 7", n)
+		}
+		if v, _, _ := cl.HGet("h", "cnt"); v != "7" {
+			t.Fatalf("cnt=%q want 7 (double-applied?)", v)
+		}
+		// Both executions recorded their ledger hit; one applied.
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			if c, _, _ := cl.HGet("h", "gate"); c == "2" {
+				break
+			}
+			if time.Now().After(deadline) {
+				c, _, _ := cl.HGet("h", "gate")
+				t.Fatalf("ledger count=%q want 2", c)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	})
-	_, n, err := cl.FenceApplyIncr("h", "gate", "cnt", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Whichever of the two server-side executions wins the race to apply,
-	// the observed value is exact and the effect lands once.
-	if n != 7 {
-		t.Fatalf("n=%d want 7", n)
-	}
-	if v, _, _ := cl.HGet("h", "cnt"); v != "7" {
-		t.Fatalf("cnt=%q want 7 (double-applied?)", v)
-	}
-	// Both executions recorded their ledger hit; one applied.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if c, _, _ := cl.HGet("h", "gate"); c == "2" {
-			break
+	t.Run("concurrent", func(t *testing.T) {
+		cl := newPair(t)
+		inj := arm(t, faultinject.Fault{
+			Probe: faultinject.ProbeConnRead, Cmd: "FENCEAPPLY", Hits: 3, Kind: faultinject.ConnDrop,
+		})
+		const callers, each = 8, 20
+		var wg sync.WaitGroup
+		for w := 0; w < callers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if _, _, err := cl.FenceApplyIncr("h", fmt.Sprintf("gate:%d:%d", w, i), "cnt", 1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
 		}
-		if time.Now().After(deadline) {
-			c, _, _ := cl.HGet("h", "gate")
-			t.Fatalf("ledger count=%q want 2", c)
+		wg.Wait()
+		if v, _, _ := cl.HGet("h", "cnt"); v != strconv.Itoa(callers*each) {
+			t.Fatalf("cnt=%q want %d (lost or double-applied)", v, callers*each)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		if inj.FiredCount(faultinject.ProbeConnRead) != 1 || cl.Stats().Retries < 1 {
+			t.Fatalf("drop fired %d times, %d retries: the row did not exercise a drop",
+				inj.FiredCount(faultinject.ProbeConnRead), cl.Stats().Retries)
+		}
+	})
 }
 
 // TestNonRetryableSurfacesDrop: XADD is a relative-effect write, so a lost

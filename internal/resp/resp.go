@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"unsafe"
 )
 
 // Type identifies the kind of a RESP value.
@@ -153,7 +154,13 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 16*1024)}
 }
 
-// ReadValue reads one complete RESP value.
+// Buffered reports how many bytes of input the reader already holds: a
+// non-zero count means the next value (or part of it) arrived with the
+// previous one and reading it starts without a syscall.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
+// ReadValue reads one complete RESP value. Integers and headers parse in
+// place; the only allocations are one per string payload and one per array.
 func (r *Reader) ReadValue() (Value, error) {
 	prefix, err := r.br.ReadByte()
 	if err != nil {
@@ -171,8 +178,8 @@ func (r *Reader) ReadValue() (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		n, err := strconv.ParseInt(string(line), 10, 64)
-		if err != nil {
+		n, ok := atoi(line)
+		if !ok {
 			return Value{}, fmt.Errorf("%w: bad integer %q", ErrProtocol, line)
 		}
 		return Value{Type: Integer, Int: n}, nil
@@ -186,26 +193,40 @@ func (r *Reader) ReadValue() (Value, error) {
 }
 
 // ReadCommand reads one client command: either a RESP array of bulk strings
-// or an inline command line ("PING\r\n"). It returns the argv.
+// or an inline command line ("PING\r\n"). It returns the argv. An array
+// command parses straight into argv: one allocation for argv and one per
+// non-empty argument, each its own string so that an argument the server
+// keeps does not pin the rest of the command.
 func (r *Reader) ReadCommand() ([]string, error) {
 	prefix, err := r.br.ReadByte()
 	if err != nil {
 		return nil, err
 	}
 	if Type(prefix) == Array {
-		v, err := r.readArray()
+		n, err := r.readLength("array", MaxArrayLen)
 		if err != nil {
 			return nil, err
 		}
-		if v.Null || len(v.Array) == 0 {
+		if n <= 0 {
 			return nil, fmt.Errorf("%w: empty command array", ErrProtocol)
 		}
-		argv := make([]string, len(v.Array))
-		for i, elem := range v.Array {
-			if elem.Type != BulkString || elem.Null {
-				return nil, fmt.Errorf("%w: command element %d is %s, want bulk string", ErrProtocol, i, elem.Type)
+		argv := make([]string, n)
+		for i := range argv {
+			t, err := r.br.ReadByte()
+			if err != nil {
+				return nil, err
 			}
-			argv[i] = elem.Str
+			if Type(t) != BulkString {
+				return nil, fmt.Errorf("%w: command element %d is %s, want bulk string", ErrProtocol, i, Type(t))
+			}
+			v, err := r.readBulk()
+			if err != nil {
+				return nil, err
+			}
+			if v.Null {
+				return nil, fmt.Errorf("%w: command element %d is a nil bulk string", ErrProtocol, i)
+			}
+			argv[i] = v.Str
 		}
 		return argv, nil
 	}
@@ -226,21 +247,33 @@ func (r *Reader) ReadCommand() ([]string, error) {
 	return argv, nil
 }
 
-func (r *Reader) readBulk() (Value, error) {
+// readLength reads a bulk or array header: -1 (nil) or a count in
+// [0, limit].
+func (r *Reader) readLength(kind string, limit int64) (int64, error) {
 	line, err := r.readLine()
 	if err != nil {
-		return Value{}, err
+		return 0, err
 	}
-	n, err := strconv.ParseInt(string(line), 10, 64)
+	n, ok := atoi(line)
+	if !ok {
+		return 0, fmt.Errorf("%w: bad %s length %q", ErrProtocol, kind, line)
+	}
+	if n < -1 || n > limit {
+		return 0, fmt.Errorf("%w: %s length %d out of range", ErrProtocol, kind, n)
+	}
+	return n, nil
+}
+
+func (r *Reader) readBulk() (Value, error) {
+	n, err := r.readLength("bulk", MaxBulkLen)
 	if err != nil {
-		return Value{}, fmt.Errorf("%w: bad bulk length %q", ErrProtocol, line)
+		return Value{}, err
 	}
 	if n == -1 {
 		return Value{Type: BulkString, Null: true}, nil
 	}
-	if n < 0 || n > MaxBulkLen {
-		return Value{}, fmt.Errorf("%w: bulk length %d out of range", ErrProtocol, n)
-	}
+	// The payload's buffer becomes its string without a copy: one
+	// allocation, and nothing else ever references the buffer.
 	buf := make([]byte, n+2)
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return Value{}, err
@@ -248,38 +281,39 @@ func (r *Reader) readBulk() (Value, error) {
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return Value{}, fmt.Errorf("%w: bulk string missing CRLF terminator", ErrProtocol)
 	}
-	return Value{Type: BulkString, Str: string(buf[:n])}, nil
+	return Value{Type: BulkString, Str: unsafe.String(unsafe.SliceData(buf), n)}, nil
 }
 
 func (r *Reader) readArray() (Value, error) {
-	line, err := r.readLine()
+	n, err := r.readLength("array", MaxArrayLen)
 	if err != nil {
 		return Value{}, err
-	}
-	n, err := strconv.ParseInt(string(line), 10, 64)
-	if err != nil {
-		return Value{}, fmt.Errorf("%w: bad array length %q", ErrProtocol, line)
 	}
 	if n == -1 {
 		return Value{Type: Array, Null: true}, nil
 	}
-	if n < 0 || n > MaxArrayLen {
-		return Value{}, fmt.Errorf("%w: array length %d out of range", ErrProtocol, n)
-	}
-	vals := make([]Value, 0, n)
-	for i := int64(0); i < n; i++ {
-		v, err := r.ReadValue()
-		if err != nil {
+	vals := make([]Value, n)
+	for i := range vals {
+		if vals[i], err = r.ReadValue(); err != nil {
 			return Value{}, err
 		}
-		vals = append(vals, v)
 	}
 	return Value{Type: Array, Array: vals}, nil
 }
 
-// readLine reads up to CRLF and returns the line without the terminator.
+// readLine reads up to CRLF and returns the line without the terminator. The
+// slice aliases the reader's buffer and is valid until the next read.
 func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// A line longer than the buffer: collect it in a copy.
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -287,6 +321,34 @@ func (r *Reader) readLine() ([]byte, error) {
 		return nil, fmt.Errorf("%w: line missing CRLF", ErrProtocol)
 	}
 	return line[:len(line)-2], nil
+}
+
+// atoi parses a decimal line as strconv.ParseInt(s, 10, 64) would, without
+// converting it to a string first.
+func atoi(b []byte) (int64, bool) {
+	if len(b) > 18 || len(b) == 0 {
+		// Long enough to overflow (or empty): let strconv decide.
+		n, err := strconv.ParseInt(string(b), 10, 64)
+		return n, err == nil
+	}
+	neg := b[0] == '-'
+	if neg || b[0] == '+' {
+		b = b[1:]
+		if len(b) == 0 {
+			return 0, false
+		}
+	}
+	var n int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
 }
 
 // Writer encodes RESP values onto a stream.

@@ -288,3 +288,50 @@ func TestTypeString(t *testing.T) {
 		t.Error("unknown type naming")
 	}
 }
+
+// TestParseAllocCeilings pins the parser's allocation budget: a command
+// costs one allocation for argv plus one per argument, and a reply of
+// integers costs only its array.
+func TestParseAllocCeilings(t *testing.T) {
+	var cmd bytes.Buffer
+	w := NewWriter(&cmd)
+	argv := []string{"FENCEAPPLY", "state:ns", "t:src:42", "INCR", "user-17", "1"}
+	if err := w.WriteCommand(argv...); err != nil {
+		t.Fatal(err)
+	}
+	reply := []byte("*2\r\n:1\r\n:5\r\n")
+	for _, c := range []struct {
+		name  string
+		input []byte
+		parse func(*Reader) error
+		max   float64
+	}{
+		{"FENCEAPPLY command", cmd.Bytes(), func(r *Reader) error {
+			got, err := r.ReadCommand()
+			if err == nil && len(got) != len(argv) {
+				t.Fatalf("argv %q", got)
+			}
+			return err
+		}, float64(len(argv) + 1)},
+		{"[1, 5] reply", reply, func(r *Reader) error {
+			v, err := r.ReadValue()
+			if err == nil && (len(v.Array) != 2 || v.Array[1].Int != 5) {
+				t.Fatalf("reply %+v", v)
+			}
+			return err
+		}, 1},
+	} {
+		src := bytes.NewReader(c.input)
+		r := NewReader(src)
+		allocs := testing.AllocsPerRun(200, func() {
+			src.Reset(c.input)
+			r.br.Reset(src)
+			if err := c.parse(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, allocs, c.max)
+		}
+	}
+}

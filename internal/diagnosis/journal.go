@@ -20,6 +20,7 @@ const (
 	EvScale       = "scale"        // auto-scaler entered or left saturation
 	EvDrain       = "drain"        // coordinator drain/finalize milestones
 	EvFault       = "fault"        // injected fault fired (internal/faultinject)
+	EvFuse        = "fuse"         // a fused edge's destination switched between inline and delivered; n is the hop price (ns)
 )
 
 // Event is one sequence-numbered journal entry. Worker is -1 for events not

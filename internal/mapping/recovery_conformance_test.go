@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/redisclient"
 	"repro/internal/runtime"
@@ -18,7 +17,7 @@ import (
 )
 
 // chaosDupAckID tags wrapper-injected duplicate deliveries on transports
-// without per-delivery acknowledgement state (chan, queue, rank), so their
+// without per-delivery acknowledgement state (queue, rank), so their
 // acks are swallowed by the wrapper instead of double-decrementing the
 // pending counter. The Redis transport keeps the real entry ID: its fenced
 // ack path is exactly what must absorb the duplicate.
@@ -268,22 +267,6 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 	}
 
 	fixtures := []fixture{
-		{name: "chan", run: func(t *testing.T, collect func(string)) *chaosTransport {
-			g := keyedAggGraph(items, 2, collect)
-			plan := runtime.PinnedPlan(g, map[string]int{"gen": 1, "count": 2, "sink": 1})
-			chaos := newChaosTransport(runtime.NewChanTransport(plan, 0), len(plan.Workers), 16, true, eligible, pinnedTarget(plan))
-			opts := testOpts(len(plan.Workers))
-			opts.ExactlyOnceState = true
-			opts.Retries = 20
-			if _, err := runtime.Execute(g, opts, runtime.Config{
-				Name: "chaos-chan", Plan: plan, Transport: chaos,
-				Host:            platform.NewHost(opts.Platform),
-				NewStateBackend: func() state.Backend { return state.NewMemoryBackend() },
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return chaos
-		}},
 		{name: "queue", run: func(t *testing.T, collect func(string)) *chaosTransport {
 			g := keyedAggGraph(items, 0, collect)
 			plan := runtime.PoolPlan(g, 3)
@@ -309,16 +292,7 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 		{name: "rank", run: func(t *testing.T, collect func(string)) *chaosTransport {
 			g := keyedAggGraph(items, 2, collect)
 			plan := runtime.PinnedPlan(g, map[string]int{"gen": 1, "count": 2, "sink": 1})
-			world, err := mpi.NewWorld(len(plan.Workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(world.Close)
-			tr, err := runtime.NewRankTransport(world, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chaos := newChaosTransport(tr, len(plan.Workers), 16, true, eligible, pinnedTarget(plan))
+			chaos := newChaosTransport(runtime.NewPinnedTransport(plan), len(plan.Workers), 16, true, eligible, pinnedTarget(plan))
 			opts := testOpts(len(plan.Workers))
 			opts.ExactlyOnceState = true
 			opts.Retries = 20

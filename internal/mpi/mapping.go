@@ -1,25 +1,27 @@
+// Package mpi is the static MPI-style mapping. It is a planner: the same
+// instance allocation as multi, one fixed rank (pinned worker) per PE
+// instance, each with its own bounded box on the in-process transport.
+// Like the paper's MPI mapping it is static only — there is no shared
+// queue, so neither dynamic scheduling nor auto-scaling can be layered on it
+// (the pinned transport rejects pool routing outright): "traditional MPI
+// lacks support for a queue-based system crucial for dynamic task
+// assignments". A push into a full box waits for room, as MPI's
+// standard-mode send may block.
+//
+// Managed keyed state is supported: the shared runtime coordinator drains
+// the rank boxes and flushes each managed node's Final exactly once, so the
+// rank-level finalization barrier falls out of the unified termination
+// protocol instead of needing an MPI-specific one.
 package mpi
 
 import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
-	"repro/internal/platform"
-	"repro/internal/runtime"
-	"repro/internal/state"
+	"repro/internal/multiproc"
 )
 
-// Mapping is the static MPI-style enactment: the same instance allocation
-// as multi, but every connection is realized as point-to-point messages
-// between fixed ranks over a World. Like the paper's MPI mapping it is
-// static only — there is no shared queue, so neither dynamic scheduling nor
-// auto-scaling can be layered on it (the rank transport rejects pool
-// routing outright).
-//
-// Managed keyed state is supported: the shared runtime coordinator drains
-// the rank mailboxes and flushes each managed node's Final exactly once, so
-// the rank-level finalization barrier the seed lacked now falls out of the
-// unified termination protocol instead of needing an MPI-specific one.
+// Mapping is the static MPI-style enactment.
 type Mapping struct{}
 
 func init() { mapping.Register(Mapping{}) }
@@ -29,31 +31,5 @@ func (Mapping) Name() string { return "mpi" }
 
 // Execute implements mapping.Mapping.
 func (Mapping) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	// Rank mailboxes are in-process, so tasks are unbatched like multi's.
-	opts = opts.WithDefaults()
-	if err := g.Validate(); err != nil {
-		return metrics.Report{}, err
-	}
-	alloc, err := g.AllocateInstances(opts.Processes)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	plan := runtime.PinnedPlan(g, alloc)
-	world, err := NewWorld(len(plan.Workers))
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	defer world.Close()
-	tr, err := runtime.NewRankTransport(world, plan)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	return runtime.Execute(g, opts, runtime.Config{
-		Name:              "mpi",
-		Plan:              plan,
-		Transport:         tr,
-		Host:              platform.NewHost(opts.Platform),
-		NewStateBackend:   func() state.Backend { return state.NewMemoryBackend() },
-		PinnedIdleStandby: true,
-	})
+	return multiproc.ExecutePinned("mpi", g, opts)
 }

@@ -20,10 +20,10 @@ func TestNameAndRegistration(t *testing.T) {
 	}
 }
 
-// TestPipelineBackpressure fills the bounded instance channels: a slow sink
+// TestPipelineBackpressure fills the bounded instance boxes: a slow sink
 // with a fast producer must neither deadlock nor drop data.
 func TestPipelineBackpressure(t *testing.T) {
-	const n = 600 // > the 256-slot channel buffer
+	const n = 600 // > the 256-task box bound
 	var mu sync.Mutex
 	var got int
 	g := graph.New("backpressure")

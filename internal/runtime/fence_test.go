@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/miniredis"
-	"repro/internal/mpi"
 	"repro/internal/redisclient"
 	"repro/internal/runtime"
 )
@@ -100,8 +99,9 @@ func TestRedisLateAckAfterClaimIsFenced(t *testing.T) {
 // push interleaving tasks and a poison pill — the contract PR 3's worker
 // re-routing relies on but no test held down:
 //
-//   - reversible transports (chan, queue, rank) end the batch at the pill,
-//     so a worker can never swallow work queued behind its own pill;
+//   - the reversible in-process transport (pool queue, pinned rank boxes)
+//     ends the batch at the pill, so a worker can never swallow work queued
+//     behind its own pill;
 //   - the Redis transports may return tasks behind the pill in one batch
 //     (irreversible stream deliveries, whole private-list frames); the
 //     worker's re-route — push the surplus back, then release the batch —
@@ -134,29 +134,14 @@ func TestTransportsPoisonPillBatchFraming(t *testing.T) {
 		}
 	}
 
-	t.Run("chan", func(t *testing.T) {
-		plan := runtime.NewPlan([]runtime.WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
-		assertReversible(t, runtime.NewChanTransport(plan, 0), func(v int, poison bool) runtime.Task {
-			return runtime.Task{PE: "pe", Port: "in", Value: v, Instance: 0, Poison: poison}
-		})
-	})
 	t.Run("queue", func(t *testing.T) {
 		assertReversible(t, runtime.NewQueueTransport(runtime.NewQueue(0)), func(v int, poison bool) runtime.Task {
 			return runtime.Task{PE: "pe", Port: "in", Value: v, Instance: -1, Poison: poison}
 		})
 	})
 	t.Run("rank", func(t *testing.T) {
-		world, err := mpi.NewWorld(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(world.Close)
 		plan := runtime.NewPlan([]runtime.WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
-		tr, err := runtime.NewRankTransport(world, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertReversible(t, tr, func(v int, poison bool) runtime.Task {
+		assertReversible(t, runtime.NewPinnedTransport(plan), func(v int, poison bool) runtime.Task {
 			return runtime.Task{PE: "pe", Port: "in", Value: v, Instance: 0, Poison: poison}
 		})
 	})

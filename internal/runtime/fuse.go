@@ -67,13 +67,19 @@ func (c *peCopy) observeService(ns int64) {
 }
 
 // decideFusion is the cost half of the rule, run at a refill boundary for
-// every fusion destination on the worker. It also marks each destination's
+// every fusion destination on worker w. It also marks each destination's
 // next fused call to be timed: one sample per refill keeps the mean fed
-// without reading the clock around every fused call.
-func decideFusion(dsts []*peCopy, emit *BatchSizer) {
+// without reading the clock around every fused call. Each switch between
+// fused and delivered is journaled with the hop price it was decided at.
+func decideFusion(dsts []*peCopy, emit *BatchSizer, d *diagnosis.Diag, w int) {
 	hop := 2 * int64(emit.taskCost())
 	for _, c := range dsts {
-		c.fused = c.svcNs < c.runs*hop
+		fused := c.svcNs < c.runs*hop
+		if fused != c.fused && d != nil {
+			d.Log(diagnosis.EvFuse, w, c.pe.Name(), fmt.Sprintf("fused=%v service %v hop %v",
+				fused, time.Duration(c.svcNs/max(c.runs, 1)), time.Duration(hop)), hop)
+		}
+		c.fused = fused
 		c.sample = true
 	}
 }

@@ -2,11 +2,13 @@ package runtime_test
 
 import (
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diagnosis"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
@@ -136,7 +138,11 @@ func TestFusionRule(t *testing.T) {
 		}},
 		// A 2 ms PE under light load and paced near the pool's capacity, so
 		// that mid keeps running after the workers have measured dst:
-		// without the cost side, dst would fuse in both.
+		// without the cost side, dst would fuse in both. A hop normally
+		// prices far below 2 ms, but on a loaded host (the race detector,
+		// parallel packages) a measured push can exceed 1 ms per task, and
+		// then the rule rightly fuses dst: these rows assert that every
+		// fusion was decided at a measured hop price above dst's cost.
 		{name: "a 2 ms PE", mapping: "dyn_redis", procs: 3, n: 300, cost: 2 * time.Millisecond},
 		{name: "a 2 ms PE at capacity", mapping: "dyn_redis", procs: 3, n: 300, cost: 2 * time.Millisecond, pace: 1},
 		{name: "dyn_multi", mapping: "dyn_multi", procs: 3, n: n},
@@ -146,8 +152,10 @@ func TestFusionRule(t *testing.T) {
 			var got atomic.Int64
 			g := tc.graph(&got)
 			reg := telemetry.New(telemetry.Config{TraceSampleEvery: -1})
+			diag := diagnosis.New(diagnosis.Config{})
 			opts := testOptions(t, tc.mapping, tc.procs)
 			opts.Telemetry = reg
+			opts.Diagnosis = diag
 			var err error
 			if tc.mapping == "" {
 				_, err = runPoolRedis(t, g, opts)
@@ -170,8 +178,27 @@ func TestFusionRule(t *testing.T) {
 			if tc.fuses && (fused == 0 || delivered == 0) {
 				t.Errorf("want a warm-up of delivered executions, then fused ones: %d fused, %d delivered", fused, delivered)
 			}
-			if !tc.fuses && fused != 0 {
-				t.Errorf("%d executions fused, want none", fused)
+			if tc.fuses || fused == 0 {
+				return
+			}
+			if tc.cost == 0 {
+				t.Fatalf("%d executions fused, want none", fused)
+			}
+			// A priced row fused: only a measured hop price above dst's
+			// cost (which bounds its mean service time from below) allows
+			// that.
+			decisions := 0
+			for _, ev := range diag.Journal.Events() {
+				if ev.Kind != diagnosis.EvFuse || ev.PE != "dst" || !strings.HasPrefix(ev.Detail, "fused=true") {
+					continue
+				}
+				decisions++
+				if time.Duration(ev.N) <= tc.cost {
+					t.Errorf("dst fused at a measured hop price of %v, not above its %v cost (%s)", time.Duration(ev.N), tc.cost, ev.Detail)
+				}
+			}
+			if decisions == 0 {
+				t.Errorf("%d executions fused with no journaled fusion decision", fused)
 			}
 		})
 	}

@@ -12,16 +12,129 @@ import (
 // awaitWaiters blocks until n poppers are blocked on the queue.
 func awaitWaiters(t *testing.T, q *Queue, n int) {
 	t.Helper()
+	awaitLine(t, q, n, "poppers", func() int { return len(q.waiters) })
+}
+
+// awaitPushers blocks until n pushers are blocked on the full queue.
+func awaitPushers(t *testing.T, q *Queue, n int) {
+	t.Helper()
+	awaitLine(t, q, n, "pushers", func() int { return len(q.pushers) })
+}
+
+func awaitLine(t *testing.T, q *Queue, n int, what string, line func() int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
 		q.mu.Lock()
-		got := len(q.waiters)
+		got := line()
 		q.mu.Unlock()
 		if got == n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d poppers blocked, want %d", got, n)
+			t.Fatalf("%d %s blocked, want %d", got, what, n)
 		}
+	}
+}
+
+func onePinnedWorker() Plan {
+	return NewPlan([]WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
+}
+
+// TestQueueTransportDoneWakesBlockedPull: Done ends a blocked pull at once
+// with the closed error, not at the pull's timeout, on the pool queue and on
+// a pinned box alike, and every later pull fails the same way.
+func TestQueueTransportDoneWakesBlockedPull(t *testing.T) {
+	pinned := NewPinnedTransport(onePinnedWorker())
+	pool := NewQueueTransport(NewQueue(0))
+	for _, tc := range []struct {
+		name string
+		tr   *QueueTransport
+		q    *Queue
+	}{{"pool", pool, pool.pool}, {"pinned", pinned, pinned.boxes[0]}} {
+		t.Run(tc.name, func(t *testing.T) {
+			type pull struct {
+				envs []Env
+				err  error
+				took time.Duration
+			}
+			done := make(chan pull, 1)
+			go func() {
+				start := time.Now()
+				envs, err := tc.tr.PullBatch(0, 8, 2*time.Second)
+				done <- pull{envs, err, time.Since(start)}
+			}()
+			awaitWaiters(t, tc.q, 1)
+			if err := tc.tr.Done(); err != nil {
+				t.Fatal(err)
+			}
+			got := <-done
+			if !IsClosed(got.err) || got.envs != nil || got.took > time.Second {
+				t.Fatalf("blocked pull returned %v, %v after %v; want the closed error at once", got.envs, got.err, got.took)
+			}
+			if _, err := tc.tr.PullBatch(0, 8, time.Second); !IsClosed(err) {
+				t.Fatalf("pull after Done: %v, want the closed error", err)
+			}
+			if err := tc.tr.Done(); err != nil {
+				t.Fatalf("second Done: %v", err)
+			}
+		})
+	}
+}
+
+// TestPinnedBoxBound: with its consumer stalled, a pinned box never holds
+// more than boxBound tasks. The push that overflows it blocks, resumes when
+// a pull makes room, and a push blocked at Done returns the closed error.
+func TestPinnedBoxBound(t *testing.T) {
+	tr := NewPinnedTransport(onePinnedWorker())
+	box := tr.boxes[0]
+	const extra = 10
+	tasks := make([]Task, boxBound+extra)
+	for i := range tasks {
+		tasks[i] = Task{PE: "pe", Port: "in", Instance: 0, Value: i}
+	}
+	pushed := make(chan error, 1)
+	go func() { pushed <- tr.Push(tasks...) }()
+	awaitPushers(t, box, 1)
+	if n := tr.QueueDepths()["box:pe:0"]; n != boxBound {
+		t.Fatalf("a stalled consumer's box holds %d tasks, want the bound %d", n, boxBound)
+	}
+	select {
+	case err := <-pushed:
+		t.Fatalf("push into a full box returned (%v) without waiting for room", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	envs, err := tr.PullBatch(0, extra, time.Second)
+	if err != nil || len(envs) != extra || envs[0].Value != 0 {
+		t.Fatalf("pull of %d: %d tasks (%v)", extra, len(envs), err)
+	}
+	select {
+	case err := <-pushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked push did not resume after a pull made room")
+	}
+	if n := box.Len(); n != boxBound {
+		t.Fatalf("box holds %d tasks after the resumed push, want %d", n, boxBound)
+	}
+	if p, _ := tr.Pending(); p != boxBound+extra {
+		t.Fatalf("pending = %d, want %d", p, boxBound+extra)
+	}
+
+	go func() { pushed <- tr.Push(tasks[0]) }()
+	awaitPushers(t, box, 1)
+	if err := tr.Done(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-pushed:
+		if !IsClosed(err) {
+			t.Fatalf("push blocked at Done returned %v, want the closed error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done left a push blocked on a full box")
 	}
 }
 

@@ -6,13 +6,13 @@
 // how many workers exist, which are pinned to PE instances and which form a
 // dynamic pool, and which Transport carries the tasks.
 //
-// Four transports implement the same contract:
+// Two transports implement the same contract:
 //
-//	ChanTransport   in-process channels, one per pinned instance (multi)
-//	QueueTransport  the shared in-process global queue (dyn_multi)
+//	QueueTransport  in process: one shared global queue for a pool plan
+//	                (dyn_multi, dyn_auto_multi), or one bounded box of 256
+//	                tasks per pinned worker (multi, mpi)
 //	RedisTransport  a Redis stream consumer group for the pool plus one
 //	                private stream per pinned instance (dyn_redis, hybrid_redis)
-//	RankTransport   MPI-style per-rank mailboxes (mpi)
 //
 // A pool worker holds a private copy of every pooled PE, so on the adaptive
 // (Redis) planners an edge that needs no transport — a shuffle from a pooled
@@ -39,8 +39,8 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -102,9 +102,9 @@ type Transport interface {
 	// w, then returns it together with whatever is already queued, up to max
 	// tasks, without further waiting (nil on timeout). max is advisory: a
 	// transport whose wire format packs several tasks into one frame may
-	// return more. Where the dequeue is reversible (in-process channels,
-	// queue, rank mailboxes) a batch never extends past a poison pill — the
-	// pill ends its batch — so one worker cannot swallow siblings' pills;
+	// return more. Where the dequeue is reversible (the in-process queue and
+	// boxes) a batch never extends past a poison pill — the pill ends its
+	// batch — so one worker cannot swallow siblings' pills;
 	// the Redis stream, whose deliveries are irreversible, may return
 	// several pills at once and the worker loop re-routes the surplus.
 	PullBatch(w, max int, timeout time.Duration) ([]Env, error)
@@ -123,15 +123,24 @@ type Transport interface {
 	Ack(w int, envs ...Env) error
 	// Pending reports the queued + in-flight task count.
 	Pending() (int64, error)
-	// QueueDepths samples per-queue depth gauges for telemetry: channel
-	// occupancies, pool and private stream entry counts, mailbox lengths.
-	// Keys name the queue ("shared", "stream", "box:<pe>:<i>", …); queues
-	// that cannot be sampled are skipped.
+	// QueueDepths samples per-queue depth gauges for telemetry: the global
+	// queue's and each pinned box's length, pool and private stream entry
+	// counts. Keys name the queue ("queue", "box:<pe>:<i>", "stream", …);
+	// queues that cannot be sampled are skipped.
 	QueueDepths() map[string]int64
-	// Done shuts the transport down: blocked Push/Pull calls unblock and
-	// subsequent operations may fail. It must be idempotent.
+	// Done shuts the transport down. In process, blocked Push and PullBatch
+	// calls return at once; on Redis, a blocked PullBatch returns within its
+	// poll timeout. From then on pulls fail with the closed error (IsClosed)
+	// and other operations may. It must be idempotent.
 	Done() error
 }
+
+// errTransportClosed reports an operation on a transport after Done. The
+// worker loop treats it as a shutdown signal, not a workflow failure.
+var errTransportClosed = errors.New("runtime: transport closed")
+
+// IsClosed reports whether err is the transport-shutdown sentinel.
+func IsClosed(err error) bool { return errors.Is(err, errTransportClosed) }
 
 // pushAdmitted is PushFenced for a transport that does not share a server
 // with the gate: admit the gate through the state store, then push. Between
@@ -146,34 +155,6 @@ func pushAdmitted(gate state.TaskGate, push func() error) (bool, error) {
 	}
 	return true, push()
 }
-
-// inProcess is the part of the contract the three in-process transports
-// (chan, queue, rank) share: a pending counter that Push raises for every
-// non-poison task and Ack lowers, and no idle-time reclaim to heartbeat
-// against.
-type inProcess struct {
-	pending atomic.Int64
-}
-
-// Ack implements Transport.
-func (p *inProcess) Ack(w int, envs ...Env) error {
-	var n int64
-	for _, env := range envs {
-		if !env.Poison {
-			n++
-		}
-	}
-	if n > 0 {
-		p.pending.Add(-n)
-	}
-	return nil
-}
-
-// Pending implements Transport.
-func (p *inProcess) Pending() (int64, error) { return p.pending.Load(), nil }
-
-// Extend implements Transport: nothing reclaims an in-process delivery.
-func (p *inProcess) Extend(int) error { return nil }
 
 // WorkerSpec describes one worker slot of a plan. The zero value is a pool
 // worker; a non-empty PE pins the worker to that single (PE, instance).

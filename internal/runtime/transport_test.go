@@ -6,15 +6,15 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/mpi"
 	"repro/internal/runtime"
 	"repro/internal/state"
 )
 
 // transportFixture builds one transport kind over a single-worker plan: the
-// chan, redis and rank transports exercise their pinned delivery path, the
-// queue transport its pool path — together covering every route of the four
-// transports. addr is a task template addressed to the fixture's worker 0.
+// rank fixture is the in-process transport's pinned path (a rank's bounded
+// box, as multi and mpi place them), queue its pool path, and redis the
+// Redis transport's pinned path. addr is a task template addressed to the
+// fixture's worker 0.
 type transportFixture struct {
 	name string
 	make func(t *testing.T) (tr runtime.Transport, addr runtime.Task)
@@ -25,8 +25,8 @@ func transportFixtures() []transportFixture {
 		return runtime.NewPlan([]runtime.WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
 	}
 	return []transportFixture{
-		{name: "chan", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
-			return runtime.NewChanTransport(pinnedPlan(), 0), runtime.Task{PE: "pe", Port: "in", Instance: 0}
+		{name: "rank", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
+			return runtime.NewPinnedTransport(pinnedPlan()), runtime.Task{PE: "pe", Port: "in", Instance: 0}
 		}},
 		{name: "queue", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
 			return runtime.NewQueueTransport(runtime.NewQueue(0)), runtime.Task{PE: "pe", Port: "in", Instance: -1}
@@ -38,25 +38,13 @@ func transportFixtures() []transportFixture {
 			}
 			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}
 		}},
-		{name: "rank", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
-			world, err := mpi.NewWorld(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(world.Close)
-			tr, err := runtime.NewRankTransport(world, pinnedPlan())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}
-		}},
 	}
 }
 
 // TestTransportsHoldTerminationUntilDrained is the transport-level
 // termination conformance property: with a deliberately slow consumer, the
 // drain check the coordinator gates poison pills on must not pass while any
-// task is queued or in flight — across all four transports. A violation is
+// task is queued or in flight — on every fixture. A violation is
 // exactly the bug class the per-mapping protocols used to guard against
 // individually: a worker exiting while tasks are pending.
 func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
@@ -118,7 +106,7 @@ func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
 // property to the batched consume path: a slow consumer that pulls windows
 // of several tasks and parks them in a non-empty prefetch buffer — acking
 // the whole batch only after the last task is processed — must never let
-// the coordinator's drain pass early, on all four transports. This is the
+// the coordinator's drain pass early, on every fixture. This is the
 // invariant that makes prefetching safe: pulled-but-unacknowledged tasks
 // still count as pending.
 func TestTransportsHoldTerminationWithPrefetch(t *testing.T) {
@@ -255,8 +243,8 @@ func assertFencedOnce(t *testing.T, tr runtime.Transport, addr runtime.Task, gat
 	_ = tr.Done()
 }
 
-// TestTransportsPushFencedOnce runs the fenced-Final contract on all four
-// transports with the state in memory: the gate is admitted through the
+// TestTransportsPushFencedOnce runs the fenced-Final contract on every
+// fixture with the state in memory: the gate is admitted through the
 // store, then the batch is pushed.
 func TestTransportsPushFencedOnce(t *testing.T) {
 	for _, fx := range transportFixtures() {

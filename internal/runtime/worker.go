@@ -55,9 +55,9 @@ type Config struct {
 	// handed to the worker's pusher goroutine, which ships everything queued
 	// in one Push while the worker keeps running; a slower window is pushed
 	// inline. The Redis planners set it: a round trip dominates their
-	// per-task cost. The in-process planners leave it off, so one queue or
-	// channel operation per task — the per-op synchronization cost the
-	// paper's multiprocessing curves measure — stays visible.
+	// per-task cost. The in-process planners leave it off, so one queue
+	// operation per task — the per-op synchronization cost the paper's
+	// multiprocessing curves measure — stays visible.
 	AdaptiveBatching bool
 }
 
@@ -451,7 +451,7 @@ func (r *run) runWorker(w int) {
 				return
 			}
 			if fuseDsts != nil {
-				decideFusion(fuseDsts, b.sizer)
+				decideFusion(fuseDsts, b.sizer, r.diag, w)
 			}
 			if ctrl != nil && !spec.Pinned() && ctrl.Gate(w) {
 				// Idle state: stop accruing process time until readmitted.

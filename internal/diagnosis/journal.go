@@ -15,7 +15,6 @@ const (
 	EvLease       = "lease_extend" // progress-heartbeat XCLAIM JUSTID
 	EvFenceDrop   = "fence_drop"   // exactly-once fence dropped a duplicate
 	EvPill        = "pill"         // poison-pill routing
-	EvCheckpoint  = "checkpoint"   // managed-state checkpoint written
 	EvResize      = "resize"       // BatchSizer changed a batch window
 	EvScale       = "scale"        // auto-scaler entered or left saturation
 	EvDrain       = "drain"        // coordinator drain/finalize milestones

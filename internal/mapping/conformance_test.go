@@ -291,9 +291,11 @@ func TestKeyedStateConformanceAcrossMappings(t *testing.T) {
 }
 
 // TestKeyedStateKillAndRestore is the recovery scenario: a run crashes
-// mid-stream, its managed state survives on an external backend (checkpoint
-// per mutation), and a resumed run over the remaining items produces the
-// same totals as one uninterrupted run — exercised against both backends.
+// mid-stream, its managed state survives on an external backend, and a
+// resumed run over the remaining items produces the same totals as one
+// uninterrupted run — exercised against both backends. A resumed run
+// continues from the live namespace the failed run kept: a stale checkpoint
+// left in the namespace's slot must not be restored over it.
 func TestKeyedStateKillAndRestore(t *testing.T) {
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
@@ -324,20 +326,24 @@ func TestKeyedStateKillAndRestore(t *testing.T) {
 		g1 := keyedAggGraph(crashing, 1, func(string) {})
 		opts := testOpts(1)
 		opts.StateBackend = backend
-		opts.StateCheckpointEvery = 1
 		m, _ := mapping.Get("simple")
 		if _, err := m.Execute(g1, opts); err == nil {
 			t.Fatal("crashing run reported success")
 		}
-		snap, ok, err := backend.LoadCheckpoint(state.Namespace("keyedagg", "count"))
-		if err != nil || !ok {
-			t.Fatalf("no checkpoint survived the crash: ok=%v err=%v", ok, err)
+		ns := state.Namespace("keyedagg", "count")
+		live, err := backend.Open(ns)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(snap) == 0 {
-			t.Fatal("checkpoint is empty")
+		if snap, err := live.Snapshot(); err != nil || len(snap) == 0 {
+			t.Fatalf("the failed run's live namespace did not survive the crash: %d entries, err=%v", len(snap), err)
+		}
+		// A stale checkpoint in the slot: resuming must not restore it.
+		if err := backend.SaveCheckpoint(ns, state.Snapshot{}); err != nil {
+			t.Fatal(err)
 		}
 
-		// Run 2: resume from the checkpoint and feed the remaining items.
+		// Run 2: resume from the live namespace and feed the remaining items.
 		var got []string
 		g2 := keyedAggGraph(items[half:], 1, func(s string) { got = append(got, s) })
 		opts2 := testOpts(1)

@@ -80,7 +80,7 @@ type Options struct {
 	// ExactlyOnceState fences managed-state writes against duplicate task
 	// executions: every task is stamped with a deterministic provenance +
 	// sequence identity, and each store records an applied ledger (persisted
-	// with the namespace, so checkpoints and StateResume keep the fence)
+	// with the namespace, so StateResume keeps the fence)
 	// that drops mutations whose identity was already applied. It is
 	// implied by RecoverStale on workflows with managed state; set it
 	// explicitly to fence against duplicate deliveries from other sources.
@@ -90,17 +90,14 @@ type Options struct {
 	// per-run backend (in-memory for the in-process mappings, a run-prefixed
 	// Redis backend for the Redis mappings). Supplying an external backend
 	// makes state survive the run: on failure the namespaces are kept, so a
-	// follow-up run with StateResume can pick up from the last checkpoint.
+	// follow-up run with StateResume can pick up where it stopped.
 	StateBackend state.Backend
-	// StateResume restores each managed store from its last checkpoint (when
-	// one exists) before execution instead of starting from empty state. It
+	// StateResume continues from the live namespaces a failed run kept on
+	// StateBackend — every acknowledged effect and the applied ledger with
+	// it — instead of dropping them and starting from empty state. It
 	// requires an explicit StateBackend — a default per-run backend cannot
-	// hold a previous run's checkpoints.
+	// hold a previous run's state.
 	StateResume bool
-	// StateCheckpointEvery checkpoints each managed store after every N
-	// mutations (0 disables auto-checkpointing). Lower values bound the
-	// state lost to a crash at the cost of more checkpoint writes.
-	StateCheckpointEvery int
 	// Telemetry, when non-nil, receives live metrics from the run: per-worker
 	// pull/ack/emit-flush latency histograms and batch sizes, transport
 	// queue-depth gauges, managed-state per-op latencies and fence-drop
@@ -114,7 +111,7 @@ type Options struct {
 	// the run: the per-PE/per-edge flow ledger (tasks, bytes, service time,
 	// sampled queue wait, fence drops, replays) fed by the worker loop and
 	// router, and the run-event journal (worker lifecycle, reclaims, lease
-	// extensions, fence drops, pill routing, checkpoints, sizer resizes).
+	// extensions, fence drops, pill routing, sizer resizes).
 	// Critical-path decomposition additionally needs Telemetry (it reads the
 	// tracer's assembled paths); the straggler detector needs TelemetryEvery
 	// flights. Like the registry, a Diag may be shared across runs, in which

@@ -62,8 +62,8 @@ func (Simple) Execute(g *graph.Graph, opts Options) (metrics.Report, error) {
 			synth.NewRand(opts.Seed^int64(graph.Hash32(n.Name))),
 			func(port string, value any) error { return route(n.Name, port, value) },
 		)
-		if st := ms.Store(n.Name); st != nil {
-			ctx = ctx.WithStore(st)
+		if sc := ms.Scope(n.Name); sc != nil {
+			ctx = ctx.WithStore(sc)
 		}
 		ctxs[n.Name] = ctx
 	}

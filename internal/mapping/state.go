@@ -9,10 +9,11 @@ import (
 	"repro/internal/state"
 )
 
-// ManagedState is one run's view of the state subsystem: a store per
-// managed-state node, resume/checkpoint policy applied, and cleanup
-// responsibility tracked. Every mapping builds one at the start of Execute
-// and calls Finish when the run ends.
+// ManagedState is one run's view of the state subsystem: a FencedStore per
+// managed-state node — the one link between the node's PEs and its backend
+// store — resume policy applied, and cleanup responsibility tracked. Every
+// mapping builds one at the start of Execute and calls Finish when the run
+// ends.
 //
 // The engine contract it supports (see package state): one namespace per
 // (workflow, PE) shared by all instances, and the node's Final hook runs
@@ -20,10 +21,9 @@ import (
 type ManagedState struct {
 	backend state.Backend
 	owned   bool
-	stores  map[string]state.Store
-	fenced  map[string]*state.FencedStore
+	fenced  bool // the runtime binds scopes to deliveries (ExactlyOnceState)
+	stores  map[string]*state.FencedStore
 	nodes   []*graph.Node
-	opsBase metrics.StateOps
 }
 
 // OpenManagedState opens a store for every managed-state node of g. When
@@ -31,15 +31,15 @@ type ManagedState struct {
 // that Finish disposes of. For graphs without managed state it returns an
 // inert handle (all methods are no-ops) without calling newDefault.
 func OpenManagedState(g *graph.Graph, opts Options, newDefault func() state.Backend) (*ManagedState, error) {
-	ms := &ManagedState{stores: map[string]state.Store{}, fenced: map[string]*state.FencedStore{}}
+	ms := &ManagedState{stores: map[string]*state.FencedStore{}}
 	ms.nodes = g.ManagedStateNodes()
 	if len(ms.nodes) == 0 {
 		return ms, nil
 	}
 	if opts.StateResume && opts.StateBackend == nil {
 		// A default backend is private to this run and cannot hold a
-		// previous run's checkpoints; resuming from it would silently start
-		// empty and report partial aggregates as success.
+		// previous run's state; resuming from it would silently start empty
+		// and report partial aggregates as success.
 		return nil, fmt.Errorf("state: Options.StateResume requires an explicit Options.StateBackend holding the previous run's state")
 	}
 	if opts.StateBackend != nil {
@@ -48,13 +48,15 @@ func OpenManagedState(g *graph.Graph, opts Options, newDefault func() state.Back
 		ms.backend = newDefault()
 		ms.owned = true
 	}
-	ms.opsBase = ms.backend.Ops()
+	ms.fenced = opts.ExactlyOnceState || opts.RecoverStale
 	for _, n := range ms.nodes {
 		ns := state.Namespace(g.Name, n.Name)
 		if !opts.StateResume {
-			// Fresh run: leftover live state *and checkpoints* from an
-			// earlier run on the same backend must not contaminate this run
-			// or a later resume, so drop the whole namespace before opening.
+			// Fresh run: leftover live state and checkpoints from an earlier
+			// run on the same backend must not contaminate this run or a
+			// later resume, so drop the whole namespace before opening. A
+			// resumed run opens the live namespace the failed run kept,
+			// applied ledger included.
 			if err := ms.backend.DropNamespace(ns); err != nil {
 				return nil, fmt.Errorf("state: reset namespace for PE %s: %w", n.Name, err)
 			}
@@ -63,40 +65,11 @@ func OpenManagedState(g *graph.Graph, opts Options, newDefault func() state.Back
 		if err != nil {
 			return nil, fmt.Errorf("state: open store for PE %s: %w", n.Name, err)
 		}
-		if opts.StateResume {
-			// Resume from the last durable checkpoint when one exists;
-			// otherwise whatever live state survived is the best available.
-			if _, err := state.RestoreLatest(ms.backend, st); err != nil {
-				return nil, fmt.Errorf("state: resume PE %s: %w", n.Name, err)
-			}
-		}
-		chain := st
-		if opts.StateCheckpointEvery > 0 {
-			cs := state.NewCheckpointStore(st, ms.backend, opts.StateCheckpointEvery)
-			if opts.Diagnosis != nil {
-				nodeName := n.Name
-				cs.OnCheckpoint = func() {
-					opts.Diagnosis.Log(diagnosis.EvCheckpoint, -1, nodeName, "", 1)
-				}
-			}
-			chain = cs
-		}
+		fs := state.NewFencedStore(st)
 		if opts.Telemetry != nil {
-			// Instrumentation sits outside the checkpointing chain so a
-			// mutation's observed latency includes any checkpoint write it
-			// triggers, and inside the fence so ledger traffic is timed like
-			// the data traffic it protects. It forwards the fenced Op as it
-			// is, so timing never degrades the fence.
-			chain = state.InstrumentStore(chain, opts.Telemetry.State())
+			fs.Instrument(opts.Telemetry.State())
 		}
-		ms.stores[n.Name] = chain
-		if opts.ExactlyOnceState || opts.RecoverStale {
-			// Fence the namespace against duplicate task executions. The
-			// fence wraps the checkpointing chain, so its applied ledger is
-			// written (and checkpointed) like workflow data, while the raw
-			// backend store underneath still applies each fenced Op in one
-			// step (a single FENCEAPPLY round trip on Redis).
-			fs := state.NewFencedStore(chain)
+		if ms.fenced {
 			if opts.Telemetry != nil {
 				fs.SetDropCounter(&opts.Telemetry.State().FenceDrops)
 			}
@@ -109,38 +82,50 @@ func OpenManagedState(g *graph.Graph, opts Options, newDefault func() state.Back
 					opts.Diagnosis.Log(diagnosis.EvFenceDrop, -1, nodeName, "duplicate mutation dropped", 1)
 				})
 			}
-			ms.fenced[n.Name] = fs
 		}
+		ms.stores[n.Name] = fs
 	}
 	return ms, nil
 }
 
-// Store returns the managed store of a node, or nil when the node declared
-// no managed state.
-func (ms *ManagedState) Store(nodeName string) state.Store { return ms.stores[nodeName] }
+// Scope returns a new handle onto the node's namespace — one per worker, the
+// store its PE context carries — or nil when the node declared no managed
+// state.
+func (ms *ManagedState) Scope(nodeName string) *state.FenceScope {
+	if fs := ms.stores[nodeName]; fs != nil {
+		return fs.NewScope()
+	}
+	return nil
+}
 
 // Fenced returns the node's fenced store when exactly-once fencing is on
 // (Options.ExactlyOnceState, implied by RecoverStale), nil otherwise. The
-// runtime binds one FenceScope per worker onto it and routes task contexts
-// through the scope instead of the bare store.
-func (ms *ManagedState) Fenced(nodeName string) *state.FencedStore { return ms.fenced[nodeName] }
+// runtime binds each worker's scope on it to the delivery it executes.
+func (ms *ManagedState) Fenced(nodeName string) *state.FencedStore {
+	if !ms.fenced {
+		return nil
+	}
+	return ms.stores[nodeName]
+}
 
 // ExactlyOnce reports whether any namespace of this run is fenced — the
 // signal for the runtime to stamp tasks with fencing identities.
-func (ms *ManagedState) ExactlyOnce() bool { return len(ms.fenced) > 0 }
+func (ms *ManagedState) ExactlyOnce() bool { return ms.fenced && len(ms.stores) > 0 }
 
-// Ops reports the store operations performed during this run.
+// Ops reports the store operations performed during this run, summed over
+// its namespaces.
 func (ms *ManagedState) Ops() metrics.StateOps {
-	if ms.backend == nil {
-		return metrics.StateOps{}
+	var ops metrics.StateOps
+	for _, fs := range ms.stores {
+		ops = ops.Add(fs.Ops())
 	}
-	return ms.backend.Ops().Sub(ms.opsBase)
+	return ops
 }
 
 // Finish releases the run's state resources. On success (or with a private
 // per-run backend) every namespace is dropped; on failure against an
-// external backend the namespaces — live state and checkpoints — are kept
-// so a follow-up run can resume.
+// external backend the namespaces are kept so a follow-up run can resume
+// from them.
 func (ms *ManagedState) Finish(g *graph.Graph, success bool) {
 	if ms.backend == nil {
 		return

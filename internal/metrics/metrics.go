@@ -20,27 +20,22 @@ import (
 type StateOps struct {
 	// Gets/Puts/Deletes/Adds/Updates count single-key operations.
 	Gets, Puts, Deletes, Adds, Updates int64
-	// Lists counts whole-namespace reads (Keys/Len/Snapshot sweeps).
-	Lists int64
 	// Snapshots/Restores count whole-store snapshot round-trips.
 	Snapshots, Restores int64
-	// Checkpoints counts durable checkpoint writes.
-	Checkpoints int64
 }
 
 // Total sums all counted operations.
 func (s StateOps) Total() int64 {
-	return s.Gets + s.Puts + s.Deletes + s.Adds + s.Updates + s.Lists + s.Snapshots + s.Restores + s.Checkpoints
+	return s.Gets + s.Puts + s.Deletes + s.Adds + s.Updates + s.Snapshots + s.Restores
 }
 
-// Sub returns the element-wise difference s - o (for diffing a shared
-// counter around one run).
-func (s StateOps) Sub(o StateOps) StateOps {
+// Add returns the element-wise sum s + o (for totalling one run's
+// namespaces).
+func (s StateOps) Add(o StateOps) StateOps {
 	return StateOps{
-		Gets: s.Gets - o.Gets, Puts: s.Puts - o.Puts, Deletes: s.Deletes - o.Deletes,
-		Adds: s.Adds - o.Adds, Updates: s.Updates - o.Updates, Lists: s.Lists - o.Lists,
-		Snapshots: s.Snapshots - o.Snapshots, Restores: s.Restores - o.Restores,
-		Checkpoints: s.Checkpoints - o.Checkpoints,
+		Gets: s.Gets + o.Gets, Puts: s.Puts + o.Puts, Deletes: s.Deletes + o.Deletes,
+		Adds: s.Adds + o.Adds, Updates: s.Updates + o.Updates,
+		Snapshots: s.Snapshots + o.Snapshots, Restores: s.Restores + o.Restores,
 	}
 }
 
@@ -49,8 +44,8 @@ func (s StateOps) String() string {
 	if s.Total() == 0 {
 		return "state=∅"
 	}
-	return fmt.Sprintf("state[get=%d put=%d del=%d add=%d upd=%d list=%d snap=%d restore=%d ckpt=%d]",
-		s.Gets, s.Puts, s.Deletes, s.Adds, s.Updates, s.Lists, s.Snapshots, s.Restores, s.Checkpoints)
+	return fmt.Sprintf("state[get=%d put=%d del=%d add=%d upd=%d snap=%d restore=%d]",
+		s.Gets, s.Puts, s.Deletes, s.Adds, s.Updates, s.Snapshots, s.Restores)
 }
 
 // Report captures one workflow execution.
@@ -283,15 +278,15 @@ func RenderSeries(title string, series []Series) string {
 func CSV(series []Series) string {
 	var b strings.Builder
 	b.WriteString("workflow,mapping,platform,processes,runtime_s,proctime_s,tasks,outputs," +
-		"state_gets,state_puts,state_deletes,state_adds,state_updates,state_lists," +
-		"state_snapshots,state_restores,state_checkpoints\n")
+		"state_gets,state_puts,state_deletes,state_adds,state_updates," +
+		"state_snapshots,state_restores\n")
 	for _, s := range series {
 		for _, p := range s.Points {
-			fmt.Fprintf(&b, "%s,%s,%s,%d,%.4f,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(&b, "%s,%s,%s,%d,%.4f,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 				p.Workflow, p.Mapping, p.Platform, p.Processes,
 				p.Runtime.Seconds(), p.ProcessTime.Seconds(), p.Tasks, p.Outputs,
 				p.State.Gets, p.State.Puts, p.State.Deletes, p.State.Adds, p.State.Updates,
-				p.State.Lists, p.State.Snapshots, p.State.Restores, p.State.Checkpoints)
+				p.State.Snapshots, p.State.Restores)
 		}
 	}
 	return b.String()

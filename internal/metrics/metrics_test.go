@@ -120,18 +120,18 @@ func TestRenderSeriesAlignsMissingPoints(t *testing.T) {
 
 func TestCSVFormat(t *testing.T) {
 	s := Series{Label: "m", Points: []Report{pt(4, 1500*time.Millisecond, 3*time.Second)}}
-	s.Points[0].State = StateOps{Gets: 7, Adds: 3, Checkpoints: 1}
+	s.Points[0].State = StateOps{Gets: 7, Adds: 3, Restores: 1}
 	out := CSV([]Series{s})
 	wantHeader := "workflow,mapping,platform,processes,runtime_s,proctime_s,tasks,outputs," +
-		"state_gets,state_puts,state_deletes,state_adds,state_updates,state_lists," +
-		"state_snapshots,state_restores,state_checkpoints\n"
+		"state_gets,state_puts,state_deletes,state_adds,state_updates," +
+		"state_snapshots,state_restores\n"
 	if !strings.HasPrefix(out, wantHeader) {
 		t.Errorf("header: %q", out)
 	}
-	if !strings.Contains(out, "wf,m,server,4,1.5000,3.0000,10,5,7,0,0,3,0,0,0,0,1\n") {
+	if !strings.Contains(out, "wf,m,server,4,1.5000,3.0000,10,5,7,0,0,3,0,0,1\n") {
 		t.Errorf("row: %q", out)
 	}
-	if got := len(strings.Split(strings.TrimSuffix(wantHeader, "\n"), ",")); got != 17 {
+	if got := len(strings.Split(strings.TrimSuffix(wantHeader, "\n"), ",")); got != 15 {
 		t.Errorf("header columns: %d", got)
 	}
 }

@@ -15,7 +15,6 @@ func init() {
 	register("HGETALL", 1, 1, cmdHGetAll)
 	register("HLEN", 1, 1, cmdHLen)
 	register("HINCRBY", 3, 3, cmdHIncrBy)
-	register("HKEYS", 1, 1, cmdHKeys)
 }
 
 func (d *db) hashFor(key string, now time.Time) (*entry, error) {
@@ -136,15 +135,4 @@ func cmdHIncrBy(s *Server, args []string) resp.Value {
 	cur += delta
 	e.hash[args[1]] = strconv.FormatInt(cur, 10)
 	return resp.Int(cur)
-}
-
-func cmdHKeys(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindHash, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Arr()
-	}
-	return resp.StrArray(sortedHashFields(e.hash)...)
 }

@@ -123,9 +123,9 @@ func TestHashCommands(t *testing.T) {
 	mustInt(t, n, err, 5, "HINCRBY fresh")
 	n, err = cl.DoInt("HDEL", "h", "f1", "f9")
 	mustInt(t, n, err, 1, "HDEL")
-	keys, err := cl.HKeys("h")
-	if err != nil || len(keys) != 2 || keys[0] != "count" || keys[1] != "f2" {
-		t.Fatalf("HKEYS: %v %v", keys, err)
+	all, err = cl.HGetAll("h")
+	if err != nil || len(all) != 2 || all["count"] != "5" || all["f2"] != "v2" {
+		t.Fatalf("HGETALL after HDEL: %v %v", all, err)
 	}
 }
 

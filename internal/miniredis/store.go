@@ -12,7 +12,7 @@
 //
 //	PING FLUSHALL                                 connectivity, reset
 //	GET SET [NX] [PX ms] INCRBY DEL               pending counter, update locks, checkpoints
-//	HSET HGET HGETALL HDEL HKEYS HLEN HINCRBY     namespace state hashes
+//	HSET HGET HGETALL HDEL HINCRBY                namespace state hashes
 //	XADD XLEN XGROUP CREATE                       task streams and their groups
 //	XREADGROUP ... STREAMS key >                  new entries of one stream
 //	XPENDING key group start end count [consumer] a consumer's pending IDs
@@ -20,8 +20,9 @@
 //	XINFO CONSUMERS                               idle monitor
 //	FENCEAPPLY FENCEXACK SINKAPPEND               fenced transactions (cmd_compound.go)
 //
-// Issued by benchmark/: DBSIZE KEYS (leak checks after a run), XACK (the
-// plain-ack probe the transport's FENCEXACK is measured against).
+// Issued by benchmark/: DBSIZE KEYS (leak checks after a run), HLEN (the
+// fence-ledger size probe), XACK (the plain-ack probe the transport's
+// FENCEXACK is measured against).
 //
 // Inspection a debugging session needs: EXISTS TYPE TTL INFO XRANGE.
 //

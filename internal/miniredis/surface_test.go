@@ -16,12 +16,13 @@ var keptCommands = [][]string{
 	// Issued by the engine: runtime.RedisTransport, state.RedisBackend and
 	// its fence, the coalescer, the dyn_auto_redis idle monitor.
 	{"PING", "FLUSHALL", "GET", "SET", "INCRBY", "DEL",
-		"HSET", "HGET", "HGETALL", "HDEL", "HKEYS", "HLEN", "HINCRBY",
+		"HSET", "HGET", "HGETALL", "HDEL", "HINCRBY",
 		"XADD", "XLEN", "XGROUP", "XREADGROUP", "XPENDING", "XINFO", "XCLAIM", "XAUTOCLAIM",
 		"FENCEAPPLY", "FENCEXACK", "SINKAPPEND"},
 	// Issued by benchmark/: keys left after a run, leftover queue streams,
-	// and the plain-ack probe FENCEXACK is measured against.
-	{"DBSIZE", "KEYS", "XACK"},
+	// the fence-ledger size, and the plain-ack probe FENCEXACK is measured
+	// against.
+	{"DBSIZE", "KEYS", "HLEN", "XACK"},
 	// Inspection a debugging session needs.
 	{"EXISTS", "TYPE", "TTL", "INFO", "XRANGE"},
 	// The seat bounded streams build on (ROADMAP item 6), with XADD MAXLEN.
@@ -55,7 +56,6 @@ var sentForms = [][]string{
 	{"HSET", "h", "f", "v"},
 	{"HGET", "h", "f"},
 	{"HGETALL", "h"},
-	{"HKEYS", "h"},
 	{"HLEN", "h"},
 	{"HINCRBY", "h", "n", "1"},
 	{"HDEL", "h", "f"},

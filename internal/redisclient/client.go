@@ -618,19 +618,6 @@ func (c *Client) HDel(key string, fields ...string) (int64, error) {
 	return c.DoInt(append([]string{"HDEL", key}, fields...)...)
 }
 
-// HKeys lists the field names of a hash.
-func (c *Client) HKeys(key string) ([]string, error) {
-	v, err := c.Do("HKEYS", key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(v.Array))
-	for _, f := range v.Array {
-		out = append(out, f.Str)
-	}
-	return out, nil
-}
-
 // HLen returns the number of fields in a hash.
 func (c *Client) HLen(key string) (int64, error) { return c.DoInt("HLEN", key) }
 

@@ -84,7 +84,7 @@ func Retryable(argv []string) bool {
 	switch strings.ToUpper(argv[0]) {
 	case "PING", "EXISTS", "TYPE", "KEYS", "TTL", "INFO", "DBSIZE",
 		"GET",
-		"HGET", "HGETALL", "HKEYS", "HLEN",
+		"HGET", "HGETALL", "HLEN",
 		"XLEN", "XRANGE", "XPENDING", "XINFO",
 		"DEL", "HDEL", "XACK", "XCLAIM",
 		"HSET", "XGROUP",

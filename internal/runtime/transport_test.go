@@ -291,12 +291,13 @@ func TestRedisPushFencedRecordsGateWhereItsStateLives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gate := state.NewFencedStore(st).TaskGate(tok)
+			fs := state.NewFencedStore(st)
+			gate := fs.TaskGate(tok)
 			assertFencedOnce(t, tr, addr, gate)
 			if n := tr.QueueDepths()["s0:stream"]; n != 3 {
 				t.Errorf("5 tasks at entryCap 2 packed into %d stream entries, want 3", n)
 			}
-			if adds := backend.Ops().Adds; adds != tc.wantAdmits {
+			if adds := fs.Ops().Adds; adds != tc.wantAdmits {
 				t.Errorf("gate admitted through the store %d times, want %d", adds, tc.wantAdmits)
 			}
 			if _, recorded, err := stateCluster.Shard(0).HGet(gate.Key, gate.Field); err != nil || !recorded {

@@ -82,8 +82,8 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 	}
 	// Tracing rides the same deterministic Src/Seq provenance the fence
 	// uses, so identities are stamped when either consumer is active.
-	// Stamping without fencing is harmless: fence scopes only exist when
-	// fenced stores do.
+	// Stamping without fencing is harmless: scopes are only bound to
+	// deliveries when their namespace is fenced.
 	r.stamped = r.fencing || r.tracer != nil
 	r.diag = opts.Diagnosis
 	r.diag.Log(diagnosis.EvRunStart, -1, "", cfg.Name+"/"+g.Name, int64(len(cfg.Plan.Workers)))
@@ -235,11 +235,11 @@ type run struct {
 	tasks   atomic.Int64
 	outputs atomic.Int64
 
-	// fencing is on when any managed namespace is wrapped in a FencedStore
-	// (Options.ExactlyOnceState / RecoverStale): tasks are stamped with
-	// deterministic identities and workers route managed-state access
-	// through per-worker fence scopes. stamped additionally covers tracing,
-	// which reuses the same identities without the fence scopes.
+	// fencing is on when any managed namespace is fenced (Options.
+	// ExactlyOnceState / RecoverStale): tasks are stamped with deterministic
+	// identities and workers bind their fence scopes to them. stamped
+	// additionally covers tracing, which reuses the same identities without
+	// binding the scopes.
 	fencing bool
 	stamped bool
 
@@ -330,9 +330,9 @@ func (r *run) runWorker(w int) {
 		seq: map[*graph.Edge]uint64{}, stamped: r.stamped, tracer: r.tracer, worker: w, diag: r.diag, wm: wm}
 
 	// Build this worker's PE copies. The diagnosis flow rows and the PE's
-	// hooks are resolved here — once per worker, never per task. Under
-	// fencing each managed-state context is routed through a per-worker
-	// FenceScope, the handle the loop binds to the current delivery before
+	// hooks are resolved here — once per worker, never per task. Each
+	// managed-state context is routed through a per-worker FenceScope; under
+	// fencing it is the handle the loop binds to the current delivery before
 	// each task. Every copy exists before any emit closure is built, so a
 	// closure can resolve the copy a fused edge calls into.
 	var nodes []*graph.Node
@@ -379,11 +379,9 @@ func (r *run) runWorker(w int) {
 			c.flow.AddServer()
 		}
 		c.ctx = core.NewContext(n.Name, instance, r.cfg.Host, synth.NewRand(seed), rt.emitFor(n.Name))
-		if fs := r.ms.Fenced(n.Name); fs != nil {
-			c.fence, c.scope = fs, fs.NewScope()
-			c.ctx = c.ctx.WithStore(c.scope)
-		} else if st := r.ms.Store(n.Name); st != nil {
-			c.ctx = c.ctx.WithStore(st)
+		if sc := r.ms.Scope(n.Name); sc != nil {
+			c.scope, c.fence = sc, r.ms.Fenced(n.Name)
+			c.ctx = c.ctx.WithStore(sc)
 		}
 	}
 	// Init emissions carry a per-worker provenance: Init runs once per
@@ -589,15 +587,16 @@ func (r *run) retirePoison(pill Env, rest []Env, b *batcher, acks *ackBatch) {
 }
 
 // peCopy is one worker's private instance of a PE with what the loop needs
-// per task resolved once at build time: its context, its hooks and, under
-// exactly-once fencing, its namespace's fence and this worker's scope on it.
+// per task resolved once at build time: its context, its hooks, this
+// worker's scope on its namespace and, under exactly-once fencing, the
+// namespace's fence.
 type peCopy struct {
 	pe    core.PE
 	ctx   *core.Context
 	fin   core.Finalizer     // nil when the PE has no Final hook
 	src   core.Source        // nil unless the PE is a source
 	fence *state.FencedStore // nil unless the node's state is fenced
-	scope *state.FenceScope  // this worker's handle on fence
+	scope *state.FenceScope  // nil unless the node has managed state
 	flow  *diagnosis.PEFlow  // nil when diagnosis is off
 
 	// Fusion (see fuse.go): fuseDst marks the destination of a fusable edge,
@@ -622,7 +621,7 @@ type peCopy struct {
 // are dropped by the store's applied ledger.
 func (r *run) runTask(procName string, c *peCopy, rt *router, b *batcher, acks *ackBatch, env Env) error {
 	rt.begin(env.Task)
-	if c.scope != nil {
+	if c.fence != nil {
 		c.scope.SetToken(state.Token{Src: env.Src, Seq: env.Seq})
 		defer c.scope.ClearToken()
 	}

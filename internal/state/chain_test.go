@@ -128,49 +128,37 @@ func chainScript(t *testing.T, seed int64) []chainExec {
 // chainRun is what one configuration made of the script.
 type chainRun struct {
 	outcomes []chainOutcome
-	snap     state.Snapshot // the chain's own snapshot, ledger included
+	snap     state.Snapshot // the backend store's own snapshot, ledger included
 }
 
-// TestStoreChainAppliesOneScript drives one op script through every store
-// chain the mappings can build — {memory, redis} × {bare, checkpoint,
-// instrument, checkpoint+instrument}, each under a FenceScope — and holds all
-// eight to the same outcomes: per-op Results, final content, backend op
-// counts, fence drops, per-kind histogram counts and checkpoint cadence.
+// TestStoreChainAppliesOneScript drives one op script through the one link
+// the mappings build — a FenceScope over the backend store — on {memory,
+// redis} × {bare, instrument}, and holds all four configurations to the same
+// outcomes: per-op Results, final content, op counts, fence drops and
+// per-kind histogram counts.
 func TestStoreChainAppliesOneScript(t *testing.T) {
-	const interval = 4
-	type wrap struct {
-		name               string
-		ckpt, instrumented bool
-	}
-	wraps := []wrap{{name: "bare"}, {name: "checkpoint", ckpt: true}, {name: "instrument", instrumented: true},
-		{name: "checkpoint+instrument", ckpt: true, instrumented: true}}
-
 	var ref *chainRun
 	withBackends(t, func(t *testing.T, b state.Backend) {
-		for _, w := range wraps {
-			t.Run(w.name, func(t *testing.T) {
+		for _, instrumented := range []bool{false, true} {
+			name := "bare"
+			if instrumented {
+				name = "instrument"
+			}
+			t.Run(name, func(t *testing.T) {
 				script := chainScript(t, 20231112)
-				ns := "chain/" + w.name
-				chain, err := b.Open(ns)
+				st, err := b.Open("chain/" + name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkpoints := 0
-				if w.ckpt {
-					cs := state.NewCheckpointStore(chain, b, interval)
-					cs.OnCheckpoint = func() { checkpoints++ }
-					chain = cs
-				}
+				fs := state.NewFencedStore(st)
 				sm := telemetry.New(telemetry.Config{}).State()
-				if w.instrumented {
-					chain = state.InstrumentStore(chain, sm)
+				if instrumented {
+					fs.Instrument(sm)
 				}
-				fs := state.NewFencedStore(chain)
 				drops := &telemetry.Counter{}
 				fs.SetDropCounter(drops)
 				scope := fs.NewScope()
 
-				before := b.Ops()
 				run := &chainRun{}
 				var byKind [4]int64
 				var clean, wantDrops int64 // ops that returned no error; ops of dup executions
@@ -195,35 +183,25 @@ func TestStoreChainAppliesOneScript(t *testing.T) {
 						} else if ex.want == nil && (err != nil || !res.Applied) {
 							t.Errorf("%s, op %d: first execution not applied: %+v (err %v)", ex.name, i, res, err)
 						}
-						// Applied or dropped, a mutation moves the ledger, so
-						// both count towards the next checkpoint; a failed
-						// one changed nothing and does not.
-						if want := int(clean) / interval; w.ckpt && checkpoints != want {
-							t.Fatalf("%s, op %d: %d checkpoints after %d clean mutations, want %d", ex.name, i, checkpoints, clean, want)
-						}
 					}
 					scope.ClearToken()
 				}
-				ops := b.Ops().Sub(before)
-				t.Logf("%d ops: %d clean, %d of duplicate executions, %d checkpoints", len(run.outcomes), clean, wantDrops, checkpoints)
+				t.Logf("%d ops: %d clean, %d of duplicate executions", len(run.outcomes), clean, wantDrops)
 
 				if got := drops.Load(); got != wantDrops {
 					t.Errorf("fence drops = %d, want %d (one per op of a duplicate execution)", got, wantDrops)
 				}
-				// A fenced op counts once at the backend however long its
-				// chain, and an op that fails or is dropped still counts.
+				// Every op counts once, at the scope, and an op that fails or
+				// is dropped still counts.
 				wantOps := metrics.StateOps{Puts: byKind[state.OpPut], Deletes: byKind[state.OpDelete],
 					Adds: byKind[state.OpAddInt], Updates: byKind[state.OpUpdate]}
-				if w.ckpt {
-					wantOps.Snapshots, wantOps.Checkpoints = clean/interval, clean/interval
-				}
-				if ops != wantOps {
-					t.Errorf("backend ops delta = %+v, want %+v", ops, wantOps)
+				if ops := fs.Ops(); ops != wantOps {
+					t.Errorf("ops = %+v, want %+v", ops, wantOps)
 				}
 				hists := [4]*telemetry.Histogram{state.OpPut: sm.Put, state.OpDelete: sm.Delete, state.OpAddInt: sm.Add, state.OpUpdate: sm.Update}
 				for kind, h := range hists {
 					want := byKind[kind]
-					if !w.instrumented {
+					if !instrumented {
 						want = 0
 					}
 					if got := h.Count(); got != want {
@@ -231,19 +209,8 @@ func TestStoreChainAppliesOneScript(t *testing.T) {
 					}
 				}
 
-				// Pad to a checkpoint boundary — in every configuration, so the
-				// contents still agree — and the saved checkpoint must be the
-				// live content, ledger included.
-				for ; clean%interval != 0; clean++ {
-					if err := scope.Put("pad", "x"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if run.snap, err = chain.Snapshot(); err != nil {
+				if run.snap, err = st.Snapshot(); err != nil {
 					t.Fatal(err)
-				}
-				if saved, ok, err := b.LoadCheckpoint(ns); w.ckpt && (err != nil || !ok || !reflect.DeepEqual(saved, run.snap)) {
-					t.Errorf("last checkpoint (ok=%v err=%v) is not the final content", ok, err)
 				}
 				view, err := scope.Snapshot()
 				if err != nil {

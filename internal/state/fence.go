@@ -3,7 +3,9 @@ package state
 import (
 	"strconv"
 	"strings"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -21,26 +23,16 @@ func (t Token) IsZero() bool { return t.Src == 0 && t.Seq == 0 }
 // fencePrefix marks applied-ledger entries inside a namespace. The leading
 // NUL byte cannot collide with workflow keys produced by ordinary string
 // handling, and keeping the ledger *inside* the namespace is what makes the
-// fence durable for free: Snapshot/Restore and every checkpoint carry the
-// ledger together with the data it guards, so a resumed run (StateResume)
-// still drops updates the crashed run already applied.
+// fence durable for free: the live namespace a failed run keeps, like every
+// checkpoint, carries the ledger together with the data it guards, so a
+// resumed run (StateResume) still drops updates the crashed run already
+// applied.
 const fencePrefix = "\x00fence:"
 
 // IsFenceKey reports whether a state key belongs to the applied ledger
-// rather than to workflow data. SortedKeys/SortedEntries skip such keys so
-// Final flushes never observe fence bookkeeping.
+// rather than to workflow data. SortedEntries and a scope's Snapshot skip
+// such keys so Final flushes never observe fence bookkeeping.
 func IsFenceKey(key string) bool { return strings.HasPrefix(key, fencePrefix) }
-
-// dataKeys filters the applied ledger out of a key listing, in place.
-func dataKeys(keys []string) []string {
-	out := keys[:0]
-	for _, k := range keys {
-		if !IsFenceKey(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
 
 // fenceField builds the ledger key of one mutation: provenance, sequence and
 // the mutation's index within the delivery's execution. The index is what
@@ -60,13 +52,13 @@ func taskFenceField(tok Token) string {
 
 // homed is implemented by stores whose namespace lives in one hash on a
 // server (the Redis backend): home names that hash and the server's address.
-// The memory backend has no home; the chain's wrappers forward their inner
-// store's.
+// The memory backend has no home.
 type homed interface {
 	home() (key, addr string)
 }
 
-// homeOf is the home of a store chain, or two empty strings when it has none.
+// homeOf is the home of a backend store, or two empty strings when it has
+// none.
 func homeOf(st Store) (key, addr string) {
 	if h, ok := st.(homed); ok {
 		return h.home()
@@ -89,46 +81,76 @@ type TaskGate struct {
 	// does not live on a server (the memory backend).
 	Key, Addr string
 
-	store Store // the namespace's chain, which Admit records Field through
+	scope *FenceScope // an unbound scope on the namespace, which Admit records Field through
 }
 
-// Admit records the gate through the namespace's store chain and reports
-// whether this call recorded it: true for the delivery's first execution,
-// false for every duplicate. The record is the store's atomic AddInt, so two
-// racing executions resolve to exactly one first on every backend.
+// Admit records the gate through an unbound scope on the namespace — so it
+// counts, and is timed, as one AddInt — and reports whether this call
+// recorded it: true for the delivery's first execution, false for every
+// duplicate. The record is the store's atomic AddInt, so two racing
+// executions resolve to exactly one first on every backend.
 func (g TaskGate) Admit() (bool, error) {
-	n, err := g.store.AddInt(g.Field, 1)
+	n, err := g.scope.AddInt(g.Field, 1)
 	return n == 1, err
 }
 
-// FencedStore guards one namespace's mutations against duplicate
-// application under at-least-once replay. It wraps the namespace's store
-// chain (the raw backend store, optionally inside a CheckpointStore, so
-// ledger writes are checkpointed like data writes) and hands out per-worker
-// Scopes; a Scope bound to a delivery token applies each mutation at most
-// once across every execution of that delivery, dropping the rest.
+// FencedStore is the one link between a namespace's backend store and the
+// PEs using it: it hands out per-worker Scopes and holds what they share —
+// the namespace's op counters, its latency histograms when the run has
+// telemetry, and its drop counters. A Scope bound to a delivery token applies
+// each mutation at most once across every execution of that delivery,
+// dropping the rest; an unbound one applies every op as it comes.
 //
 // The ledger is exact — one entry per applied (delivery, mutation) — so
 // out-of-order duplicate deliveries are caught without assuming ordered
 // consumption. Entries live in the namespace itself (see fencePrefix) and
-// are filtered from the user-facing key/snapshot views.
+// are filtered from the scope's Snapshot.
 //
 // Atomicity scope: a fenced Op records its ledger entry and applies its
 // effect in one indivisible operation on both backends — a single FENCEAPPLY
 // compound command on Redis (fence-check + record + HSET/HDEL/HINCRBY under
 // the server's one dispatch lock), a double-shard-locked section in memory —
-// and CheckpointStore and the instrumentation wrapper forward the Op as it
-// is, so no crash point between "recorded" and "applied" exists: a worker
-// killed mid-mutation either left no record (the replay re-applies) or left
+// so no crash point between "recorded" and "applied" exists: a worker killed
+// mid-mutation either left no record (the replay re-applies) or left
 // record+effect together (the replay drops). There is no second path.
 type FencedStore struct {
 	inner  Store
+	counts opCounts
+	hist   [numCounts]*telemetry.Histogram // per counter slot; all nil until Instrument
 	drops  []*telemetry.Counter
 	notify func()
 }
 
-// NewFencedStore wraps a namespace's store chain with the fence.
+// NewFencedStore makes the link onto a namespace's backend store.
 func NewFencedStore(inner Store) *FencedStore { return &FencedStore{inner: inner} }
+
+// Instrument times every op of every scope into sm's per-kind histograms.
+// Call before any scope is used; until then no op reads the clock.
+func (fs *FencedStore) Instrument(sm *telemetry.StateMetrics) {
+	fs.hist = [numCounts]*telemetry.Histogram{
+		OpPut: sm.Put, OpDelete: sm.Delete, OpAddInt: sm.Add, OpUpdate: sm.Update,
+		countGet: sm.Get, countSnapshot: sm.Snapshot, countRestore: sm.Restore,
+	}
+}
+
+// Ops reports the ops every scope of the namespace has performed.
+func (fs *FencedStore) Ops() metrics.StateOps { return fs.counts.ops() }
+
+// begin counts one op of slot and, when instrumented, starts its clock.
+func (fs *FencedStore) begin(slot int) time.Time {
+	fs.counts[slot].Add(1)
+	if fs.hist[slot] == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// end closes the clock begin started.
+func (fs *FencedStore) end(slot int, start time.Time) {
+	if h := fs.hist[slot]; h != nil {
+		h.ObserveSince(start)
+	}
+}
 
 // SetDropCounter routes a count of dropped (already-applied) mutations into
 // telemetry. It may be called more than once — every registered counter is
@@ -164,7 +186,7 @@ func (fs *FencedStore) ObserveDrop() { fs.dropped() }
 // TaskGate is the gate of the fenced delivery tok (a non-zero token).
 func (fs *FencedStore) TaskGate(tok Token) TaskGate {
 	key, addr := homeOf(fs.inner)
-	return TaskGate{Field: taskFenceField(tok), Key: key, Addr: addr, store: fs.inner}
+	return TaskGate{Field: taskFenceField(tok), Key: key, Addr: addr, scope: fs.NewScope()}
 }
 
 // TaskGateRef is the storage address of the delivery tok's task gate — the
@@ -184,8 +206,9 @@ func (fs *FencedStore) NewScope() *FenceScope {
 }
 
 // FenceScope is one worker's handle onto a FencedStore. It implements Store:
-// reads pass through; with a delivery token set, mutations are applied at
-// most once per (token, mutation-index) across duplicate executions.
+// every op is counted and, when instrumented, timed; with a delivery token
+// set, mutations are applied at most once per (token, mutation-index) across
+// duplicate executions.
 type FenceScope struct {
 	mutations
 	fs  *FencedStore
@@ -207,7 +230,12 @@ func (s *FenceScope) ClearToken() { s.tok = Token{}; s.mut = 0 }
 func (s *FenceScope) Namespace() string { return s.fs.inner.Namespace() }
 
 // Get implements Store.
-func (s *FenceScope) Get(key string) (string, bool, error) { return s.fs.inner.Get(key) }
+func (s *FenceScope) Get(key string) (string, bool, error) {
+	start := s.fs.begin(countGet)
+	v, ok, err := s.fs.inner.Get(key)
+	s.fs.end(countGet, start)
+	return v, ok, err
+}
 
 // Apply implements Store. With a delivery token bound, the op is stamped with
 // the ledger field of the execution's next mutation index, so across every
@@ -219,33 +247,22 @@ func (s *FenceScope) Apply(op Op) (Result, error) {
 		op.Ledger = fenceField(s.tok, s.mut)
 		s.mut++
 	}
+	start := s.fs.begin(int(op.Kind))
 	res, err := s.fs.inner.Apply(op)
+	s.fs.end(int(op.Kind), start)
 	if err == nil && !res.Applied {
 		s.fs.dropped()
 	}
 	return res, err
 }
 
-// Keys implements Store, hiding the applied ledger.
-func (s *FenceScope) Keys() ([]string, error) {
-	keys, err := s.fs.inner.Keys()
-	return dataKeys(keys), err
-}
-
-// Len implements Store, counting only workflow entries.
-func (s *FenceScope) Len() (int, error) {
-	keys, err := s.Keys()
-	if err != nil {
-		return 0, err
-	}
-	return len(keys), nil
-}
-
-// Snapshot implements Store, hiding the applied ledger. Durability paths
-// (CheckpointStore, RestoreLatest) snapshot the inner chain directly and so
-// keep the ledger; this filtered view serves Final flushes and user code.
+// Snapshot implements Store, hiding the applied ledger. Checkpoint over the
+// backend store keeps the ledger; this filtered view serves Final flushes
+// and user code.
 func (s *FenceScope) Snapshot() (Snapshot, error) {
+	start := s.fs.begin(countSnapshot)
 	snap, err := s.fs.inner.Snapshot()
+	s.fs.end(countSnapshot, start)
 	if err != nil {
 		return nil, err
 	}
@@ -258,11 +275,11 @@ func (s *FenceScope) Snapshot() (Snapshot, error) {
 }
 
 // Restore implements Store.
-func (s *FenceScope) Restore(snap Snapshot) error { return s.fs.inner.Restore(snap) }
-
-// Clear implements Store. Clearing wipes the ledger with the data — which is
-// coherent: with no data left there is nothing a replayed update could
-// corrupt, and Clear itself is idempotent.
-func (s *FenceScope) Clear() error { return s.fs.inner.Clear() }
+func (s *FenceScope) Restore(snap Snapshot) error {
+	start := s.fs.begin(countRestore)
+	err := s.fs.inner.Restore(snap)
+	s.fs.end(countRestore, start)
+	return err
+}
 
 var _ Store = (*FenceScope)(nil)

@@ -72,9 +72,9 @@ func TestFenceDuplicateAddIntReturnsCurrentValue(t *testing.T) {
 }
 
 // TestFenceHidesLedgerFromUserViews: the applied ledger must be invisible to
-// Keys/Len/Snapshot through the scope and to the SortedKeys/SortedEntries
-// helpers (the Final-flush path), while remaining present in the inner
-// chain's snapshot — the durability view checkpoints are taken from.
+// the scope's Snapshot and to SortedEntries (the Final-flush path), while
+// remaining present in the backend store's snapshot — the durability view
+// checkpoints are taken from.
 func TestFenceHidesLedgerFromUserViews(t *testing.T) {
 	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
@@ -82,13 +82,6 @@ func TestFenceHidesLedgerFromUserViews(t *testing.T) {
 		scope.SetToken(state.Token{Src: 3, Seq: 9})
 		if err := scope.Put("data", "v"); err != nil {
 			t.Fatal(err)
-		}
-		keys, err := scope.Keys()
-		if err != nil || len(keys) != 1 || keys[0] != "data" {
-			t.Fatalf("scope keys = %v (%v), want [data]", keys, err)
-		}
-		if n, _ := scope.Len(); n != 1 {
-			t.Fatalf("scope len = %d, want 1", n)
 		}
 		snap, _ := scope.Snapshot()
 		if len(snap) != 1 {
@@ -98,9 +91,9 @@ func TestFenceHidesLedgerFromUserViews(t *testing.T) {
 		if err != nil || len(entries) != 1 || entries[0].Key != "data" {
 			t.Fatalf("SortedEntries = %v (%v)", entries, err)
 		}
-		sorted, err := state.SortedKeys(st)
-		if err != nil || len(sorted) != 1 || sorted[0] != "data" {
-			t.Fatalf("SortedKeys over the raw store = %v (%v), want ledger filtered", sorted, err)
+		entries, err = state.SortedEntries(st)
+		if err != nil || len(entries) != 1 || entries[0].Key != "data" {
+			t.Fatalf("SortedEntries over the backend store = %v (%v), want ledger filtered", entries, err)
 		}
 		inner, _ := st.Snapshot()
 		if len(inner) != 2 {
@@ -109,46 +102,59 @@ func TestFenceHidesLedgerFromUserViews(t *testing.T) {
 	})
 }
 
-// TestFenceSurvivesCheckpointRestore: the ledger rides the namespace through
-// checkpoint and restore, so a resumed run (StateResume) still drops the
-// updates the crashed run already applied — replaying the same deliveries
-// against the restored state must leave it byte-identical.
+// TestFenceSurvivesCheckpointRestore: the ledger rides the namespace — in the
+// live namespace a failed run keeps, which is what StateResume continues
+// from, and through an explicit checkpoint and restore — so replaying the
+// crashed run's deliveries against either leaves the state byte-identical.
 func TestFenceSurvivesCheckpointRestore(t *testing.T) {
 	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
-		ckpt := state.NewCheckpointStore(st, b, 1)
-		scope := state.NewFencedStore(ckpt).NewScope()
-
+		scope := state.NewFencedStore(st).NewScope()
 		scope.SetToken(state.Token{Src: 11, Seq: 4})
 		if _, err := scope.AddInt("total", 10); err != nil {
 			t.Fatal(err)
 		}
-
-		// Crash: a fresh store resumes from the checkpoint.
-		st2, _ := b.Open("ns")
-		if ok, err := state.RestoreLatest(b, st2); err != nil || !ok {
-			t.Fatalf("restore: ok=%v err=%v", ok, err)
-		}
-		scope2 := state.NewFencedStore(st2).NewScope()
-		scope2.SetToken(state.Token{Src: 11, Seq: 4}) // the same delivery, replayed
-		if _, err := scope2.AddInt("total", 10); err != nil {
+		if err := state.Checkpoint(b, st); err != nil {
 			t.Fatal(err)
 		}
-		v, ok, err := st2.Get("total")
-		if err != nil || !ok || v != "10" {
-			t.Fatalf("total = %q (%v, %v) after replay against restored state, want 10", v, ok, err)
+
+		// replay re-runs the delivery through a new run's link onto ns.
+		replay := func(what string) {
+			t.Helper()
+			st2, _ := b.Open("ns")
+			scope2 := state.NewFencedStore(st2).NewScope()
+			scope2.SetToken(state.Token{Src: 11, Seq: 4})
+			if _, err := scope2.AddInt("total", 10); err != nil {
+				t.Fatal(err)
+			}
+			v, ok, err := st2.Get("total")
+			if err != nil || !ok || v != "10" {
+				t.Fatalf("total = %q (%v, %v) after replay against %s, want 10", v, ok, err, what)
+			}
 		}
+		replay("the live namespace")
+
+		// Crash that loses the live namespace: restore the checkpoint.
+		if err := st.Restore(state.Snapshot{}); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := state.RestoreLatest(b, st); err != nil || !ok {
+			t.Fatalf("restore: ok=%v err=%v", ok, err)
+		}
+		replay("the restored checkpoint")
 	})
 }
 
 // TestFenceFinalGate: a delivery's task gate admits its first execution
-// only, and names the server the namespace lives on — through every wrapper
-// of the chain — so a transport on that server can record it atomically.
+// only, counts each admission as one AddInt of the namespace, and names the
+// server the namespace lives on, so a transport on that server can record it
+// atomically.
 func TestFenceFinalGate(t *testing.T) {
 	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("ns")
-		chain := state.InstrumentStore(state.NewCheckpointStore(st, b, 1), telemetry.New(telemetry.Config{}).State())
-		fs := state.NewFencedStore(chain)
+		fs := state.NewFencedStore(st)
+		sm := telemetry.New(telemetry.Config{}).State()
+		fs.Instrument(sm)
 		tok := state.Token{Src: 21, Seq: 0}
 		gate := fs.TaskGate(tok)
 		if first, err := gate.Admit(); err != nil || !first {
@@ -157,11 +163,15 @@ func TestFenceFinalGate(t *testing.T) {
 		if first, err := fs.TaskGate(tok).Admit(); err != nil || first {
 			t.Fatalf("duplicate admitted: %v %v", first, err)
 		}
-		if keys, _ := state.SortedKeys(st); len(keys) != 0 {
-			t.Fatalf("gate visible to user views: %v", keys)
+		if adds, timed := fs.Ops().Adds, sm.Add.Count(); adds != 2 || timed != 2 {
+			t.Fatalf("two admissions counted as %d adds, timed %d, want 2 and 2", adds, timed)
 		}
+		if entries, _ := state.SortedEntries(st); len(entries) != 0 {
+			t.Fatalf("gate visible to user views: %v", entries)
+		}
+		_, isRedis := b.(*state.RedisBackend)
 		key, field, onServer := fs.TaskGateRef(tok)
-		if field != gate.Field || key != gate.Key || onServer != (b.Name() == "redis") {
+		if field != gate.Field || key != gate.Key || onServer != isRedis {
 			t.Fatalf("TaskGateRef = (%q, %q, %v), gate = %+v", key, field, onServer, gate)
 		}
 		if onServer && gate.Addr == "" {

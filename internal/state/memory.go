@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-
-	"repro/internal/metrics"
 )
 
 // memShards is the lock-shard fan-out of one in-memory namespace. Sharding
@@ -20,7 +18,6 @@ type MemoryBackend struct {
 	mu          sync.RWMutex
 	namespaces  map[string]*memStore
 	checkpoints map[string]Snapshot
-	counts      opCounts
 	closed      bool
 }
 
@@ -32,9 +29,6 @@ func NewMemoryBackend() *MemoryBackend {
 	}
 }
 
-// Name implements Backend.
-func (b *MemoryBackend) Name() string { return "memory" }
-
 // Open implements Backend.
 func (b *MemoryBackend) Open(namespace string) (Store, error) {
 	b.mu.Lock()
@@ -44,7 +38,7 @@ func (b *MemoryBackend) Open(namespace string) (Store, error) {
 	}
 	st, ok := b.namespaces[namespace]
 	if !ok {
-		st = newMemStore(namespace, &b.counts)
+		st = newMemStore(namespace)
 		b.namespaces[namespace] = st
 	}
 	return st, nil
@@ -58,7 +52,6 @@ func (b *MemoryBackend) SaveCheckpoint(namespace string, snap Snapshot) error {
 		return fmt.Errorf("state: memory backend closed")
 	}
 	b.checkpoints[namespace] = snap.Clone()
-	b.counts[countCheckpoint].Add(1)
 	return nil
 }
 
@@ -82,9 +75,6 @@ func (b *MemoryBackend) DropNamespace(namespace string) error {
 	return nil
 }
 
-// Ops implements Backend.
-func (b *MemoryBackend) Ops() metrics.StateOps { return b.counts.ops() }
-
 // Close implements Backend.
 func (b *MemoryBackend) Close() error {
 	b.mu.Lock()
@@ -99,7 +89,6 @@ func (b *MemoryBackend) Close() error {
 type memStore struct {
 	mutations
 	namespace string
-	counts    *opCounts
 	shards    [memShards]memShard
 }
 
@@ -108,8 +97,8 @@ type memShard struct {
 	m  map[string]string
 }
 
-func newMemStore(namespace string, counts *opCounts) *memStore {
-	st := &memStore{namespace: namespace, counts: counts}
+func newMemStore(namespace string) *memStore {
+	st := &memStore{namespace: namespace}
 	st.mutations.to = st
 	for i := range st.shards {
 		st.shards[i].m = make(map[string]string)
@@ -137,40 +126,11 @@ func (st *memStore) Namespace() string { return st.namespace }
 
 // Get implements Store.
 func (st *memStore) Get(key string) (string, bool, error) {
-	st.counts[countGet].Add(1)
 	sh := st.shardOf(key)
 	sh.mu.Lock()
 	v, ok := sh.m[key]
 	sh.mu.Unlock()
 	return v, ok, nil
-}
-
-// Keys implements Store.
-func (st *memStore) Keys() ([]string, error) {
-	st.counts[countList].Add(1)
-	var keys []string
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
-	}
-	return keys, nil
-}
-
-// Len implements Store.
-func (st *memStore) Len() (int, error) {
-	st.counts[countList].Add(1)
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n, nil
 }
 
 // Apply implements Store. The key's shard — and, for a fenced op, the ledger
@@ -183,7 +143,6 @@ func (st *memStore) Len() (int, error) {
 // op that fails (a non-integer AddInt target, an Update whose Fn errors)
 // leaves no record and a clean retry of the same delivery still applies.
 func (st *memStore) Apply(op Op) (Result, error) {
-	st.counts[op.Kind].Add(1)
 	di := shardIndexOf(op.Key)
 	li := di
 	if op.Ledger != "" {
@@ -252,7 +211,6 @@ func (st *memStore) Apply(op Op) (Result, error) {
 
 // Snapshot implements Store.
 func (st *memStore) Snapshot() (Snapshot, error) {
-	st.counts[countSnapshot].Add(1)
 	snap := make(Snapshot)
 	for i := range st.shards {
 		sh := &st.shards[i]
@@ -267,8 +225,12 @@ func (st *memStore) Snapshot() (Snapshot, error) {
 
 // Restore implements Store.
 func (st *memStore) Restore(snap Snapshot) error {
-	st.counts[countRestore].Add(1)
-	st.wipe()
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		sh.m = make(map[string]string)
+		sh.mu.Unlock()
+	}
 	for k, v := range snap {
 		sh := st.shardOf(k)
 		sh.mu.Lock()
@@ -276,23 +238,6 @@ func (st *memStore) Restore(snap Snapshot) error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// Clear implements Store.
-func (st *memStore) Clear() error {
-	st.counts[OpDelete].Add(1)
-	st.wipe()
-	return nil
-}
-
-// wipe empties every shard.
-func (st *memStore) wipe() {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[string]string)
-		sh.mu.Unlock()
-	}
 }
 
 var (

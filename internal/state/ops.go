@@ -21,9 +21,9 @@ const (
 	numOpKinds
 )
 
-// Op is one state mutation as a value: what every store in a chain receives
-// through Apply, forwards, counts, times or fences. Only the fields its Kind
-// names are read.
+// Op is one state mutation as a value: what a FenceScope stamps, counts and
+// times and a backend store applies, both through Apply. Only the fields its
+// Kind names are read.
 type Op struct {
 	Kind  OpKind
 	Key   string
@@ -84,24 +84,21 @@ func (m mutations) Update(key string, fn func(cur string, exists bool) (next str
 // Counter slots past the four mutation kinds, which index opCounts directly.
 const (
 	countGet = int(numOpKinds) + iota
-	countList
 	countSnapshot
 	countRestore
-	countCheckpoint
 	numCounts
 )
 
-// opCounts is the concurrency-safe accumulator behind Backend.Ops: one slot
-// per mutation kind, bumped where the backend store applies the op (so a
-// fenced op counts once however long its chain), plus one per read shape.
+// opCounts is the concurrency-safe accumulator behind FencedStore.Ops: one
+// slot per mutation kind and one per read shape, bumped by the scope an op
+// passes through, so every op counts exactly once.
 type opCounts [numCounts]atomic.Int64
 
 // ops reads the current totals.
 func (c *opCounts) ops() metrics.StateOps {
 	return metrics.StateOps{
 		Gets: c[countGet].Load(), Puts: c[OpPut].Load(), Deletes: c[OpDelete].Load(),
-		Adds: c[OpAddInt].Load(), Updates: c[OpUpdate].Load(), Lists: c[countList].Load(),
+		Adds: c[OpAddInt].Load(), Updates: c[OpUpdate].Load(),
 		Snapshots: c[countSnapshot].Load(), Restores: c[countRestore].Load(),
-		Checkpoints: c[countCheckpoint].Load(),
 	}
 }

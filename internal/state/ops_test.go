@@ -5,35 +5,50 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
-// A backend's opCounts is shared by every worker of a run; hammer every slot
-// from many goroutines (meaningful under -race) and check the totals are
-// exact and land in the StateOps field each slot stands for.
+// A FencedStore's counters and histograms are shared by every worker's
+// scope; drive every op shape through many scopes at once (meaningful under
+// -race) and check the totals are exact and land in the StateOps field and
+// histogram each shape stands for.
 func TestOpCountsConcurrent(t *testing.T) {
-	var c opCounts
-	const workers, perWorker = 16, 500
+	st, err := NewMemoryBackend().Open("ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFencedStore(st)
+	sm := telemetry.New(telemetry.Config{}).State()
+	fs.Instrument(sm)
+	const workers, perWorker = 16, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := fs.NewScope()
+			keep := func(string, bool) (string, bool, error) { return "u", true, nil }
 			for i := 0; i < perWorker; i++ {
-				for slot := range c {
-					c[slot].Add(int64(slot + 1))
-				}
+				_ = sc.Put("p", "v")
+				_ = sc.Delete("p")
+				_, _ = sc.AddInt("n", 1)
+				_ = sc.Update("u", keep)
+				_, _, _ = sc.Get("n")
+				_, _ = sc.Snapshot()
+				_ = sc.Restore(Snapshot{})
 			}
 		}()
 	}
 	wg.Wait()
 	const n = workers * perWorker
-	want := metrics.StateOps{
-		Puts: n * (int64(OpPut) + 1), Deletes: n * (int64(OpDelete) + 1), Adds: n * (int64(OpAddInt) + 1),
-		Updates: n * (int64(OpUpdate) + 1), Gets: n * int64(countGet+1), Lists: n * int64(countList+1),
-		Snapshots: n * int64(countSnapshot+1), Restores: n * int64(countRestore+1),
-		Checkpoints: n * int64(countCheckpoint+1),
-	}
-	if got := c.ops(); got != want {
+	want := metrics.StateOps{Puts: n, Deletes: n, Adds: n, Updates: n, Gets: n, Snapshots: n, Restores: n}
+	if got := fs.Ops(); got != want {
 		t.Errorf("ops: %+v want %+v", got, want)
+	}
+	for name, h := range map[string]*telemetry.Histogram{"put": sm.Put, "delete": sm.Delete, "add": sm.Add,
+		"update": sm.Update, "get": sm.Get, "snapshot": sm.Snapshot, "restore": sm.Restore} {
+		if c := h.Count(); c != n {
+			t.Errorf("%s histogram holds %d observations, want %d", name, c, n)
+		}
 	}
 }

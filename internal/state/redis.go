@@ -6,8 +6,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/redisclient"
+)
+
+// Update-lock timing. lockTTL expires a lock whose holder died before
+// releasing it, so a killed run cannot deadlock a key forever; lockAttempts
+// sleeps of lockRetry (6s) outlast it, so a lock orphaned by a killed holder
+// delays an update until the TTL reaps it rather than failing the run.
+const (
+	lockRetry    = 200 * time.Microsecond
+	lockAttempts = 30000
+	lockTTL      = 5 * time.Second
 )
 
 // lockToken issues update-lock ownership tokens; lockNonce makes them unique
@@ -36,20 +45,7 @@ type RedisBackend struct {
 	cluster     *redisclient.Cluster
 	ownsCluster bool
 	prefix      string
-	counts      opCounts
 	coal        *coalescer
-
-	// LockRetry is the sleep between attempts on a contended per-key update
-	// lock. Zero means 200µs.
-	LockRetry time.Duration
-	// LockAttempts bounds lock acquisition; zero means 30000 attempts —
-	// chosen so that retry × attempts (6s) outlasts the default LockTTL: a
-	// lock orphaned by a killed holder delays an update until the TTL reaps
-	// it rather than failing the run.
-	LockAttempts int
-	// LockTTL expires an update lock whose holder died before releasing it,
-	// so a killed run cannot deadlock a key forever. Zero means 5s.
-	LockTTL time.Duration
 }
 
 // NewRedisClusterBackend creates a backend routing namespaces across the
@@ -78,9 +74,6 @@ func DialRedisClusterBackend(addrs []string, prefix string) (*RedisBackend, erro
 // instead of one round trip per call, while every caller still observes its
 // exact intermediate value. See coalescer.
 func (b *RedisBackend) EnableCoalescing() { b.coal = newCoalescer() }
-
-// Name implements Backend.
-func (b *RedisBackend) Name() string { return "redis" }
 
 // liveKey is the hash holding a namespace's live entries.
 func (b *RedisBackend) liveKey(ns string) string { return b.prefix + ":st:{" + ns + "}" }
@@ -113,7 +106,6 @@ func (b *RedisBackend) SaveCheckpoint(namespace string, snap Snapshot) error {
 	if err := b.cluster.For(b.ckptKey(namespace)).Set(b.ckptKey(namespace), enc); err != nil {
 		return fmt.Errorf("state: save checkpoint %s: %w", namespace, err)
 	}
-	b.counts[countCheckpoint].Add(1)
 	return nil
 }
 
@@ -140,9 +132,6 @@ func (b *RedisBackend) DropNamespace(namespace string) error {
 	return err
 }
 
-// Ops implements Backend.
-func (b *RedisBackend) Ops() metrics.StateOps { return b.counts.ops() }
-
 // Close implements Backend.
 func (b *RedisBackend) Close() error {
 	if b.coal != nil {
@@ -152,23 +141,6 @@ func (b *RedisBackend) Close() error {
 		return b.cluster.Close()
 	}
 	return nil
-}
-
-// lockParams resolves the retry configuration.
-func (b *RedisBackend) lockParams() (retry time.Duration, attempts int, ttl time.Duration) {
-	retry = b.LockRetry
-	if retry <= 0 {
-		retry = 200 * time.Microsecond
-	}
-	attempts = b.LockAttempts
-	if attempts <= 0 {
-		attempts = 30000
-	}
-	ttl = b.LockTTL
-	if ttl <= 0 {
-		ttl = 5 * time.Second
-	}
-	return retry, attempts, ttl
 }
 
 // redisStore is one namespace on a RedisBackend, pinned to the shard its
@@ -187,21 +159,7 @@ func (st *redisStore) Namespace() string { return st.namespace }
 
 // Get implements Store.
 func (st *redisStore) Get(key string) (string, bool, error) {
-	st.b.counts[countGet].Add(1)
 	return st.cl.HGet(st.live, key)
-}
-
-// Keys implements Store.
-func (st *redisStore) Keys() ([]string, error) {
-	st.b.counts[countList].Add(1)
-	return st.cl.HKeys(st.live)
-}
-
-// Len implements Store.
-func (st *redisStore) Len() (int, error) {
-	st.b.counts[countList].Add(1)
-	n, err := st.cl.HLen(st.live)
-	return int(n), err
 }
 
 // Apply implements Store. An unfenced op is the plain hash command — HSET,
@@ -227,10 +185,8 @@ func (st *redisStore) Len() (int, error) {
 // counts only grow, so a recorded duplicate stays recorded) and a duplicate
 // returns without invoking Fn; its final write rides FENCEAPPLY, so record
 // and apply land atomically even if the lock TTL were breached mid-section —
-// the server, not the lock, arbitrates the exactly-once decision. That inner
-// command is the same op's wire form, not a second op: it is not counted.
+// the server, not the lock, arbitrates the exactly-once decision.
 func (st *redisStore) Apply(op Op) (Result, error) {
-	st.b.counts[op.Kind].Add(1)
 	res := Result{Applied: true}
 	var err error
 	switch op.Kind {
@@ -296,11 +252,10 @@ func (st *redisStore) write(ledger, key, value string, keep bool) (applied bool,
 // expiry" to one round trip.)
 func (st *redisStore) withKeyLock(key string, body func() error) error {
 	lock := st.b.lockKey(st.namespace, key)
-	retry, attempts, ttl := st.b.lockParams()
 	token := fmt.Sprintf("%d-%d-%d", os.Getpid(), lockNonce, lockToken.Add(1))
 	acquired := false
-	for i := 0; i < attempts; i++ {
-		ok, err := st.cl.SetNX(lock, token, ttl)
+	for i := 0; i < lockAttempts; i++ {
+		ok, err := st.cl.SetNX(lock, token, lockTTL)
 		if err != nil {
 			return err
 		}
@@ -308,10 +263,10 @@ func (st *redisStore) withKeyLock(key string, body func() error) error {
 			acquired = true
 			break
 		}
-		time.Sleep(retry)
+		time.Sleep(lockRetry)
 	}
 	if !acquired {
-		return fmt.Errorf("state: update lock on %s/%s not acquired after %d attempts", st.namespace, key, attempts)
+		return fmt.Errorf("state: update lock on %s/%s not acquired after %d attempts", st.namespace, key, lockAttempts)
 	}
 	defer func() {
 		if v, ok, err := st.cl.Get(lock); err == nil && ok && v == token {
@@ -330,7 +285,6 @@ func (st *redisStore) home() (key, addr string) { return st.live, st.cl.Addr() }
 
 // Snapshot implements Store.
 func (st *redisStore) Snapshot() (Snapshot, error) {
-	st.b.counts[countSnapshot].Add(1)
 	m, err := st.cl.HGetAll(st.live)
 	if err != nil {
 		return nil, err
@@ -340,7 +294,6 @@ func (st *redisStore) Snapshot() (Snapshot, error) {
 
 // Restore implements Store.
 func (st *redisStore) Restore(snap Snapshot) error {
-	st.b.counts[countRestore].Add(1)
 	if _, err := st.cl.Del(st.live); err != nil {
 		return err
 	}
@@ -352,13 +305,6 @@ func (st *redisStore) Restore(snap Snapshot) error {
 		fv = append(fv, k, v)
 	}
 	return st.cl.HSet(st.live, fv...)
-}
-
-// Clear implements Store.
-func (st *redisStore) Clear() error {
-	st.b.counts[OpDelete].Add(1)
-	_, err := st.cl.Del(st.live)
-	return err
 }
 
 var (

@@ -2,11 +2,12 @@ package state_test
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/miniredis"
 	"repro/internal/state"
 )
@@ -52,12 +53,9 @@ func TestStoreCRUD(t *testing.T) {
 		if v, ok, err := st.Get("a"); err != nil || !ok || v != "1" {
 			t.Errorf("get a: %q %v %v", v, ok, err)
 		}
-		if n, err := st.Len(); err != nil || n != 2 {
-			t.Errorf("len: %d %v", n, err)
-		}
-		keys, err := state.SortedKeys(st)
-		if err != nil || len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-			t.Errorf("keys: %v %v", keys, err)
+		entries, err := state.SortedEntries(st)
+		if err != nil || len(entries) != 2 || entries[0] != (state.Entry{Key: "a", Value: "1"}) || entries[1].Key != "b" {
+			t.Errorf("entries: %v %v", entries, err)
 		}
 		if err := st.Delete("a"); err != nil {
 			t.Fatal(err)
@@ -65,11 +63,8 @@ func TestStoreCRUD(t *testing.T) {
 		if _, ok, _ := st.Get("a"); ok {
 			t.Error("deleted key still present")
 		}
-		if err := st.Clear(); err != nil {
-			t.Fatal(err)
-		}
-		if n, _ := st.Len(); n != 0 {
-			t.Errorf("len after clear: %d", n)
+		if snap, _ := st.Snapshot(); len(snap) != 1 {
+			t.Errorf("entries after delete: %v", snap)
 		}
 	})
 }
@@ -125,9 +120,8 @@ func TestAddIntConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		total := int64(0)
-		keys, _ := st.Keys()
-		for _, k := range keys {
-			v, _, _ := st.Get(k)
+		snap, _ := st.Snapshot()
+		for _, v := range snap {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
 				t.Fatalf("non-integer counter %q", v)
@@ -208,7 +202,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err != nil || len(snap) != 10 {
 			t.Fatalf("snapshot: %d entries, err=%v", len(snap), err)
 		}
-		_ = st.Clear()
 		_ = st.Put("garbage", "1")
 		if err := st.Restore(snap); err != nil {
 			t.Fatal(err)
@@ -234,9 +227,9 @@ func TestCheckpointRestoreAcrossStores(t *testing.T) {
 		if err := state.Checkpoint(b, st); err != nil {
 			t.Fatal(err)
 		}
-		// Simulate the instance dying: its live namespace is dropped, then a
+		// Simulate the instance dying: its live namespace is emptied, then a
 		// fresh store resumes from the checkpoint.
-		_ = st.Clear()
+		_ = st.Restore(state.Snapshot{})
 		st2, _ := b.Open(ns)
 		ok, err := state.RestoreLatest(b, st2)
 		if err != nil || !ok {
@@ -245,8 +238,8 @@ func TestCheckpointRestoreAcrossStores(t *testing.T) {
 		if v, _, _ := st2.Get("ohio"); v != "42" {
 			t.Errorf("ohio after restore: %q", v)
 		}
-		if n, _ := st2.Len(); n != 2 {
-			t.Errorf("restored %d entries, want 2", n)
+		if snap, _ := st2.Snapshot(); len(snap) != 2 {
+			t.Errorf("restored %d entries, want 2", len(snap))
 		}
 	})
 }
@@ -286,7 +279,7 @@ func TestDropNamespaceRemovesLiveAndCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		st2, _ := b.Open(ns)
-		if n, _ := st2.Len(); n != 0 {
+		if snap, _ := st2.Snapshot(); len(snap) != 0 {
 			t.Error("live data survived drop")
 		}
 		if _, ok, _ := b.LoadCheckpoint(ns); ok {
@@ -295,94 +288,85 @@ func TestDropNamespaceRemovesLiveAndCheckpoint(t *testing.T) {
 	})
 }
 
-func TestCheckpointStoreAutoCheckpoints(t *testing.T) {
-	withBackends(t, func(t *testing.T, b state.Backend) {
-		raw, _ := b.Open("wf/auto")
-		cs := state.NewCheckpointStore(raw, b, 3)
-		for i := 0; i < 7; i++ { // checkpoints fire at mutations 3 and 6
-			if _, err := cs.AddInt("n", 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, ok, err := b.LoadCheckpoint("wf/auto")
-		if err != nil || !ok {
-			t.Fatalf("no auto checkpoint: %v %v", ok, err)
-		}
-		if snap["n"] != "6" {
-			t.Errorf("checkpoint at %q, want \"6\" (last interval boundary)", snap["n"])
-		}
-		// Live state is ahead of the checkpoint by one mutation.
-		if v, _, _ := cs.Get("n"); v != "7" {
-			t.Errorf("live value %q, want \"7\"", v)
-		}
-	})
-}
-
+// TestTypedHelpers: EncodeValue/DecodeValue carry a typed value through a
+// store as a binary-safe string, including through Update's read-modify-write.
 func TestTypedHelpers(t *testing.T) {
 	type pos struct{ X, Y int }
 	withBackends(t, func(t *testing.T, b state.Backend) {
 		st, _ := b.Open("wf/typed")
-		if err := state.PutAs(st, "p", pos{X: 3, Y: 4}); err != nil {
+		enc, err := state.EncodeValue(pos{X: 3, Y: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := state.GetAs[pos](st, "p")
-		if err != nil || !ok || got != (pos{3, 4}) {
-			t.Errorf("GetAs: %+v %v %v", got, ok, err)
+		if err := st.Put("p", enc); err != nil {
+			t.Fatal(err)
 		}
-		err = state.UpdateAs(st, "p", func(cur pos, exists bool) (pos, error) {
-			if !exists {
-				t.Error("UpdateAs lost existing value")
+		err = st.Update("p", func(cur string, exists bool) (string, bool, error) {
+			p, err := state.DecodeValue[pos](cur)
+			if err != nil || !exists {
+				return "", false, fmt.Errorf("decode existing value: %v (exists=%v)", err, exists)
 			}
-			cur.X++
-			return cur, nil
+			p.X++
+			next, err := state.EncodeValue(p)
+			return next, true, err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, _ = state.GetAs[pos](st, "p")
-		if got.X != 4 {
-			t.Errorf("UpdateAs result: %+v", got)
+		s, ok, err := st.Get("p")
+		if err != nil || !ok {
+			t.Fatalf("get: %v %v", ok, err)
 		}
-		if _, ok, _ := state.GetAs[pos](st, "missing"); ok {
-			t.Error("GetAs on missing key reported present")
+		if got, err := state.DecodeValue[pos](s); err != nil || got != (pos{4, 4}) {
+			t.Errorf("decoded %+v (%v), want {4 4}", got, err)
+		}
+		if _, err := state.DecodeValue[pos]("not gob"); err == nil {
+			t.Error("decoding garbage succeeded")
 		}
 	})
 }
 
+// TestOpsCountersAccumulate: each op counts once, at the scope it passes
+// through, whichever scope of the namespace that is — and only there: ops on
+// the backend store directly, or a checkpoint, count nothing.
 func TestOpsCountersAccumulate(t *testing.T) {
 	withBackends(t, func(t *testing.T, b state.Backend) {
-		before := b.Ops()
 		st, _ := b.Open("wf/ops")
-		_ = st.Put("a", "1")
-		_, _, _ = st.Get("a")
-		_, _ = st.AddInt("n", 2)
-		_ = st.Update("a", func(string, bool) (string, bool, error) { return "2", true, nil })
-		_ = st.Delete("a")
-		_, _ = st.Keys()
-		_, _ = st.Snapshot()
-		_ = st.Restore(state.Snapshot{})
+		fs := state.NewFencedStore(st)
+		sc, other := fs.NewScope(), fs.NewScope()
+		_ = sc.Put("a", "1")
+		_, _, _ = sc.Get("a")
+		_, _ = other.AddInt("n", 2)
+		_ = sc.Update("a", func(string, bool) (string, bool, error) { return "2", true, nil })
+		other.SetToken(state.Token{Src: 1, Seq: 1})
+		_ = other.Delete("a")
+		_, _ = sc.Snapshot()
+		_ = sc.Restore(state.Snapshot{})
+		_ = st.Put("raw", "1")
 		_ = state.Checkpoint(b, st)
-		d := b.Ops().Sub(before)
-		if d.Puts != 1 || d.Gets != 1 || d.Adds != 1 || d.Updates != 1 || d.Deletes != 1 ||
-			d.Lists != 1 || d.Snapshots != 2 || d.Restores != 1 || d.Checkpoints != 1 {
-			t.Errorf("ops delta: %+v", d)
+		want := metrics.StateOps{Puts: 1, Gets: 1, Adds: 1, Updates: 1, Deletes: 1, Snapshots: 1, Restores: 1}
+		if got := fs.Ops(); got != want {
+			t.Errorf("ops: %+v, want %+v", got, want)
 		}
 	})
 }
 
-func TestSortedKeysDeterministic(t *testing.T) {
+func TestSortedEntriesDeterministic(t *testing.T) {
 	b := state.NewMemoryBackend()
 	defer b.Close()
 	st, _ := b.Open("wf/sorted")
 	for _, k := range []string{"zeta", "alpha", "mid"} {
 		_ = st.Put(k, "1")
 	}
-	got, err := state.SortedKeys(st)
+	got, err := state.SortedEntries(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"alpha", "mid", "zeta"}
-	if !sort.StringsAreSorted(got) || len(got) != 3 || got[0] != want[0] || got[2] != want[2] {
-		t.Errorf("sorted keys: %v", got)
+	keys := make([]string, len(got))
+	for i, e := range got {
+		keys[i] = e.Key
+	}
+	if want := []string{"alpha", "mid", "zeta"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("sorted keys: %v, want %v", keys, want)
 	}
 }

@@ -77,7 +77,7 @@ func newWorkerMetrics() *WorkerMetrics {
 // is not the bottleneck) and counts exactly-once fence drops.
 type StateMetrics struct {
 	// Per-operation latency histograms, matching the Store interface.
-	Get, Put, Delete, Add, Update, List, Snapshot, Restore *Histogram
+	Get, Put, Delete, Add, Update, Snapshot, Restore *Histogram
 	// FenceDrops counts mutations the exactly-once fence dropped as already
 	// applied — non-zero exactly when duplicate executions reached the store.
 	FenceDrops Counter
@@ -90,7 +90,6 @@ func newStateMetrics() *StateMetrics {
 		Delete:   NewLatencyHistogram(),
 		Add:      NewLatencyHistogram(),
 		Update:   NewLatencyHistogram(),
-		List:     NewLatencyHistogram(),
 		Snapshot: NewLatencyHistogram(),
 		Restore:  NewLatencyHistogram(),
 	}

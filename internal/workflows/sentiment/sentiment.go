@@ -16,7 +16,7 @@
 // Config.ManagedState selects an alternative implementation of the two
 // stateful PEs on the managed state subsystem (package state): identical
 // results, but the state is externalized, so the workflow additionally runs
-// under the plain dynamic mappings and supports checkpoint/resume.
+// under the plain dynamic mappings and can resume after a crash.
 package sentiment
 
 import (
@@ -48,8 +48,8 @@ type Config struct {
 	// reject the workflow) to the managed state subsystem (package state):
 	// happyState keeps keyed per-state totals and top3Happiest a singleton
 	// ranking in engine-managed stores, which lets the workflow run under
-	// every mapping — including dyn_multi/dyn_redis — and be checkpointed
-	// and resumed.
+	// every mapping — including dyn_multi/dyn_redis — and resume after a
+	// crash.
 	ManagedState bool
 	// OnTop3, when non-nil, receives the final top-3 ranking from each
 	// top3Happiest instance that holds data (with global grouping, exactly

@@ -11,7 +11,7 @@
 //	                              its payload to gob (tag 0xFF below)
 //
 //	record = flags byte:
-//	           0x01 Poison        0x02 Finalize
+//	           0x01 unused        0x02 Finalize
 //	           0x04 identity      Src/Seq present (fencing provenance)
 //	           0x08 traced        TraceAt present (telemetry sampling)
 //	           0x10 value         payload present (Value != nil)
@@ -108,8 +108,6 @@ type Task struct {
 	// Instance is the destination instance for grouped (stateful) routing;
 	// -1 means "any instance" (the dynamic pool).
 	Instance int
-	// Poison marks a termination pill.
-	Poison bool
 	// Finalize asks a stateful instance to run its Final hook (hybrid
 	// mapping's coordinated flush phase).
 	Finalize bool
@@ -141,8 +139,7 @@ const (
 
 // Record flag bits.
 const (
-	flagPoison   = 0x01
-	flagFinalize = 0x02
+	flagFinalize = 0x02 // 0x01 is unused
 	flagIdentity = 0x04 // Src/Seq present
 	flagTraced   = 0x08 // TraceAt present
 	flagValue    = 0x10 // payload present
@@ -262,9 +259,6 @@ func appendGobTrailer(dst []byte, ts []Task, gobIdx []int) ([]byte, error) {
 // inline table stays on its stack).
 func appendRecord(dst []byte, t *Task, types []*plan) ([]byte, []*plan, bool) {
 	flags := byte(0)
-	if t.Poison {
-		flags |= flagPoison
-	}
 	if t.Finalize {
 		flags |= flagFinalize
 	}
@@ -471,7 +465,6 @@ func decodeRecord(s string, off int, t *Task, types []*plan) (int, []*plan, bool
 		return off, types, false, fmt.Errorf("instance: %w", err)
 	}
 	t.Instance = int(inst)
-	t.Poison = flags&flagPoison != 0
 	t.Finalize = flags&flagFinalize != 0
 	if flags&flagIdentity != 0 {
 		if t.Src, off, err = readFixed64(s, off); err != nil {

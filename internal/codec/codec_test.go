@@ -33,7 +33,7 @@ func TestTaskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.PE != in.PE || out.Port != in.Port || out.Instance != 3 || out.Poison || out.Finalize {
+	if out.PE != in.PE || out.Port != in.Port || out.Instance != 3 || out.Finalize {
 		t.Errorf("header: %+v", out)
 	}
 	if out.Src != in.Src || out.Seq != in.Seq {
@@ -48,19 +48,29 @@ func TestTaskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestControlTasks round-trips the one control flag and pins the record
+// flag bits: 0x01 is unused, 0x02–0x10 keep the values the frame layout
+// documents.
 func TestControlTasks(t *testing.T) {
-	for _, in := range []Task{{Poison: true}, {PE: "agg", Instance: 1, Finalize: true}} {
-		s, err := Encode(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Decode(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Poison != in.Poison || out.Finalize != in.Finalize {
-			t.Errorf("control flags lost: %+v vs %+v", out, in)
-		}
+	in := Task{PE: "agg", Instance: 1, Finalize: true}
+	s, err := Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Decode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Finalize || out.PE != in.PE || out.Instance != in.Instance {
+		t.Errorf("control task lost: %+v vs %+v", out, in)
+	}
+	all, err := Encode(Task{PE: "p", Finalize: true, Src: 1, Seq: 2, TraceAt: 3, Value: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic (2) + version (1) + count (1), then the record's flags byte.
+	if got := all[4]; got != 0x02|0x04|0x08|0x10 {
+		t.Errorf("record flags = %#x, want 0x1e (Finalize 0x02, identity 0x04, traced 0x08, value 0x10)", got)
 	}
 }
 

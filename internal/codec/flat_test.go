@@ -54,10 +54,9 @@ func TestFlatScalarPayloads(t *testing.T) {
 // zero-value Src/Seq, empty strings, and negative instances — and requires
 // re-encoding the decoded task to reproduce the frame byte-for-byte.
 func TestFlatEnvelopeQuick(t *testing.T) {
-	f := func(pe, port string, inst int32, poison, finalize bool, src, seq uint64, traceAt int64, payload string, hasPayload bool) bool {
+	f := func(pe, port string, inst int32, finalize bool, src, seq uint64, traceAt int64, payload string, hasPayload bool) bool {
 		in := Task{
-			PE: pe, Port: port, Instance: int(inst),
-			Poison: poison, Finalize: finalize,
+			PE: pe, Port: port, Instance: int(inst), Finalize: finalize,
 			Src: src, Seq: seq, TraceAt: traceAt,
 		}
 		if hasPayload {
@@ -189,7 +188,7 @@ func encodeAllocatesNothing(t *testing.T, tasks []Task) {
 // FuzzDecodeBatch asserts the decoder never panics on hostile bytes.
 func FuzzDecodeBatch(f *testing.F) {
 	seed1, _ := Encode(Task{PE: "pe", Port: "in", Value: "v", Src: 1, Seq: 2})
-	seed2, _ := EncodeBatch([]Task{{PE: "a", Value: int64(1)}, {Poison: true}, {PE: "b", Value: samplePayload{Name: "x"}}})
+	seed2, _ := EncodeBatch([]Task{{PE: "a", Value: int64(1)}, {PE: "agg", Finalize: true}, {PE: "b", Value: samplePayload{Name: "x"}}})
 	seed3, _ := Encode(Task{PE: "flat", Value: flatEvent{User: "u1", Action: "view", Seq: 7}})
 	seed4, _ := EncodeBatch([]Task{{PE: "f1", Value: flatPoint{X: 1}}, {PE: "f2", Value: 3.5}, {PE: "f3", Value: flatEvent{User: "u2"}}})
 	f.Add(seed1)

@@ -164,7 +164,7 @@ func TestDiagnosisNamesSlowPEOnDynRedis(t *testing.T) {
 	for _, e := range evs {
 		kinds[e.Kind]++
 	}
-	for _, k := range []string{diagnosis.EvRunStart, diagnosis.EvRunEnd, diagnosis.EvWorkerStart, diagnosis.EvWorkerExit, diagnosis.EvPill} {
+	for _, k := range []string{diagnosis.EvRunStart, diagnosis.EvRunEnd, diagnosis.EvWorkerStart, diagnosis.EvWorkerExit, diagnosis.EvDrain} {
 		if kinds[k] == 0 {
 			t.Errorf("journal has no %s events (kinds: %v)", k, kinds)
 		}

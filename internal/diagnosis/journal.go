@@ -10,11 +10,10 @@ const (
 	EvRunStart    = "run_start"
 	EvRunEnd      = "run_end"
 	EvWorkerStart = "worker_start"
-	EvWorkerExit  = "worker_exit"
+	EvWorkerExit  = "worker_exit"  // detail: done (the drained transport closed), idle_release, abort or error
 	EvReclaim     = "reclaim"      // XAUTOCLAIM adopted stalled deliveries
 	EvLease       = "lease_extend" // progress-heartbeat XCLAIM JUSTID
 	EvFenceDrop   = "fence_drop"   // exactly-once fence dropped a duplicate
-	EvPill        = "pill"         // poison-pill routing
 	EvResize      = "resize"       // BatchSizer changed a batch window
 	EvScale       = "scale"        // auto-scaler entered or left saturation
 	EvDrain       = "drain"        // coordinator drain/finalize milestones

@@ -90,7 +90,7 @@ func TestJournalConcurrentAppendTail(t *testing.T) {
 		go func(w int) {
 			defer writeWg.Done()
 			for i := 0; i < perWriter; i++ {
-				j.Append(EvPill, w, "pe", "detail", int64(i))
+				j.Append(EvResize, w, "pe", "detail", int64(i))
 			}
 		}(w)
 	}

@@ -111,7 +111,7 @@ type Options struct {
 	// the run: the per-PE/per-edge flow ledger (tasks, bytes, service time,
 	// sampled queue wait, fence drops, replays) fed by the worker loop and
 	// router, and the run-event journal (worker lifecycle, reclaims, lease
-	// extensions, fence drops, pill routing, sizer resizes).
+	// extensions, fence drops, sizer resizes, drain milestones).
 	// Critical-path decomposition additionally needs Telemetry (it reads the
 	// tracer's assembled paths); the straggler detector needs TelemetryEvery
 	// flights. Like the registry, a Diag may be shared across runs, in which

@@ -69,7 +69,7 @@ func (c *chaosTransport) PullBatch(w, max int, timeout time.Duration) ([]runtime
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, env := range envs {
-		if c.issued >= c.budget || env.Poison || !c.eligible(env) {
+		if c.issued >= c.budget || !c.eligible(env) {
 			continue
 		}
 		key := [2]uint64{env.Src, env.Seq}

@@ -23,7 +23,10 @@ import (
 // histograms, task counts, a transport queue-depth gauge, state-operation
 // latencies, and at least one fully assembled source→sink trace — all
 // without disturbing the run's results. Run under -race this also hammers
-// the registry's lock-free hot path from every worker at once.
+// the registry's lock-free hot path from every worker at once. The run's
+// journal also pins the one shutdown path: every worker that started exits,
+// either on the coordinator's close of the drained transport ("done") or
+// released from the auto-scaler's idle state ("idle_release").
 func TestTelemetryConformanceAcrossMappings(t *testing.T) {
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
@@ -71,8 +74,10 @@ func TestTelemetryConformanceAcrossMappings(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := telemetry.New(telemetry.Config{TraceSampleEvery: 1})
+			diag := diagnosis.New(diagnosis.Config{JournalRing: 1 << 16})
 			opts := testOpts(tc.procs)
 			opts.Telemetry = reg
+			opts.Diagnosis = diag
 			if strings.Contains(tc.name, "redis") {
 				opts.RedisAddrs = []string{srv.Addr()}
 			}
@@ -136,6 +141,26 @@ func TestTelemetryConformanceAcrossMappings(t *testing.T) {
 			if complete == 0 {
 				t.Errorf("no complete trace among %d assembled (events=%d)",
 					len(snap.Traces), snap.TraceEvents)
+			}
+
+			evs := diag.Journal.Events()
+			if uint64(len(evs)) != diag.Journal.Total() {
+				t.Fatalf("journal ring evicted %d of %d events", diag.Journal.Total()-uint64(len(evs)), diag.Journal.Total())
+			}
+			starts, exits := 0, 0
+			for _, e := range evs {
+				switch e.Kind {
+				case diagnosis.EvWorkerStart:
+					starts++
+				case diagnosis.EvWorkerExit:
+					exits++
+					if e.Detail != "done" && e.Detail != "idle_release" {
+						t.Errorf("worker %d exited with %q, want done or idle_release", e.Worker, e.Detail)
+					}
+				}
+			}
+			if starts == 0 || starts != exits {
+				t.Errorf("worker_start %d, worker_exit %d: want equal and non-zero", starts, exits)
 			}
 		})
 	}

@@ -72,10 +72,10 @@ func TestPipelineBackpressure(t *testing.T) {
 	}
 }
 
-// TestDiamondEOSTermination checks the reference-counted poison-pill
-// protocol on a fan-out/fan-in topology with multi-instance middles: the
-// join instance must wait for EOS from every upstream instance before
-// finalizing.
+// TestDiamondEOSTermination checks coordinator-owned termination on a
+// fan-out/fan-in topology with multi-instance middles: the join instance
+// sees every value from every upstream instance and runs its Final exactly
+// once, pushed by the coordinator after the transport has drained.
 func TestDiamondEOSTermination(t *testing.T) {
 	var mu sync.Mutex
 	var beforeFinal int

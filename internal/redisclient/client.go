@@ -48,8 +48,6 @@ type Client struct {
 
 	// DialTimeout bounds connection establishment.
 	DialTimeout time.Duration
-	// MaxIdle bounds the number of pooled idle connections.
-	MaxIdle int
 	// Dialer, when set, replaces the default TCP dialer — the hook tests and
 	// proxies use to interpose on connection establishment.
 	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
@@ -59,31 +57,28 @@ type Client struct {
 	// deadlines.
 	CmdTimeout time.Duration
 	// Retries is how many times a failed *retry-safe* command (see Retryable)
-	// is re-sent after a transient failure. Zero disables retries.
+	// is re-sent after a transient failure, with a backoff before each
+	// attempt (see backoff). Zero disables retries.
 	Retries int
-	// RetryBackoff is the base delay before the first retry; each further
-	// retry doubles it (with jitter) up to RetryMaxBackoff.
-	RetryBackoff time.Duration
-	// RetryMaxBackoff caps the exponential backoff.
-	RetryMaxBackoff time.Duration
 
 	statRoundTrips atomic.Int64
 	statRetries    atomic.Int64
 }
 
+// maxIdle bounds the number of pooled idle connections.
+const maxIdle = 64
+
 // Dial creates a client for the server at addr. Connections are created
-// lazily. The returned client retries retry-safe commands twice with
-// exponential backoff and bounds every round trip with a generous deadline;
-// zero any of the knobs to opt out.
+// lazily and at most maxIdle idle ones are kept. The returned client retries
+// retry-safe commands twice with exponential backoff (2 ms doubling up to
+// 50 ms) and bounds every round trip with a generous deadline; zero Retries
+// or CmdTimeout to opt out.
 func Dial(addr string) *Client {
 	return &Client{
-		addr:            addr,
-		DialTimeout:     5 * time.Second,
-		MaxIdle:         64,
-		CmdTimeout:      30 * time.Second,
-		Retries:         2,
-		RetryBackoff:    2 * time.Millisecond,
-		RetryMaxBackoff: 50 * time.Millisecond,
+		addr:        addr,
+		DialTimeout: 5 * time.Second,
+		CmdTimeout:  30 * time.Second,
+		Retries:     2,
 	}
 }
 
@@ -193,7 +188,7 @@ func (c *Client) release(cn *conn) {
 	if c.shared == cn {
 		c.shared = nil
 	}
-	keep := !cn.broken.Load() && !c.closed && len(c.idle) < c.MaxIdle
+	keep := !cn.broken.Load() && !c.closed && len(c.idle) < maxIdle
 	if keep {
 		c.idle = append(c.idle, cn)
 	} else {
@@ -231,7 +226,7 @@ func (c *Client) do(blockFor time.Duration, argv []string) (resp.Value, error) {
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			c.statRetries.Add(1)
-			time.Sleep(backoff(c.RetryBackoff, c.RetryMaxBackoff, a))
+			time.Sleep(backoff(a))
 		}
 		c.statRoundTrips.Add(1)
 		v, _, err = c.roundTrip(cmds, nil, retrySafe && blockFor == 0, blockFor)
@@ -277,7 +272,7 @@ func (c *Client) Pipeline(cmds [][]string) ([]resp.Value, error) {
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			c.statRetries.Add(1)
-			time.Sleep(backoff(c.RetryBackoff, c.RetryMaxBackoff, a))
+			time.Sleep(backoff(a))
 		}
 		c.statRoundTrips.Add(1)
 		_, replies, err = c.roundTrip(cmds, make([]resp.Value, 0, len(cmds)), false, 0)

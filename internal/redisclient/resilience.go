@@ -111,16 +111,18 @@ func hasOption(argv []string, from int, word string) bool {
 	return false
 }
 
-// backoff computes the sleep before retry attempt (1-based): base doubled
-// per attempt, capped, with ±50% jitter so colliding retriers spread out.
-func backoff(base, cap time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	d := base << (attempt - 1)
-	if cap > 0 && d > cap {
-		d = cap
-	}
+// Retry backoff: the delay before the first retry, and the cap the
+// doubling stops at.
+const (
+	retryBackoff    = 2 * time.Millisecond
+	retryMaxBackoff = 50 * time.Millisecond
+)
+
+// backoff computes the sleep before retry attempt (1-based): retryBackoff
+// doubled per attempt, capped at retryMaxBackoff, with ±50% jitter so
+// colliding retriers spread out.
+func backoff(attempt int) time.Duration {
+	d := min(retryBackoff<<(attempt-1), retryMaxBackoff)
 	// Jitter in [0.5, 1.5); the top-level rand functions are thread-safe.
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }

@@ -1,9 +1,6 @@
 package redisclient
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRetryableClassification(t *testing.T) {
 	cases := []struct {
@@ -39,14 +36,11 @@ func TestRetryableClassification(t *testing.T) {
 
 func TestBackoffBounds(t *testing.T) {
 	for attempt := 1; attempt <= 6; attempt++ {
-		d := backoff(2*time.Millisecond, 50*time.Millisecond, attempt)
-		// ±50% jitter around the capped doubling: never zero, never past
-		// 1.5× the cap.
-		if d <= 0 || d > 75*time.Millisecond {
+		d := backoff(attempt)
+		// ±50% jitter around the capped doubling: never under half the
+		// base, never past 1.5× the cap.
+		if d < retryBackoff/2 || d > retryMaxBackoff*3/2 {
 			t.Fatalf("backoff(attempt=%d) = %v out of bounds", attempt, d)
 		}
-	}
-	if d := backoff(0, 0, 1); d <= 0 {
-		t.Fatalf("zero-base backoff = %v", d)
 	}
 }

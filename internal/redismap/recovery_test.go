@@ -20,10 +20,16 @@ import (
 
 // TestDynRedisRecoversAbandonedTask injects a failure: a rogue consumer
 // joins the worker group as the run starts, steals a task from the stream
-// and never acknowledges or processes it — the observable behaviour
-// of a worker process that crashed mid-task. With RecoverStale the real
-// workers must reclaim the pending entry via XAUTOCLAIM and finish the
-// workflow completely.
+// and never acknowledges or processes it — the observable behaviour of a
+// worker process that crashed mid-task. With RecoverStale the real worker
+// must reclaim the pending entry via XAUTOCLAIM and finish the workflow
+// completely.
+//
+// The theft is not a race. The run has one worker, and the source emits its
+// first value and then waits inside Generate until the rogue reports the
+// theft, so while the only worker is busy the rogue is the only reader of the
+// stream: it takes either the seeded generate task (before the worker pulls
+// it) or that first value.
 func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
@@ -33,12 +39,21 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 
 	const n = 15
 	col := &collector{}
+	stole := make(chan struct{}) // closed once the rogue holds a task
+	var stolen string            // the stolen entry ID; written before stole closes
 	g := graph.New("recovery")
 	g.Add(func() core.PE {
 		return core.NewSource("gen", func(ctx *core.Context) error {
 			for i := 1; i <= n; i++ {
 				if err := ctx.EmitDefault(i); err != nil {
 					return err
+				}
+				if i == 1 {
+					select {
+					case <-stole:
+					case <-time.After(5 * time.Second):
+						return fmt.Errorf("rogue consumer reported no theft within 5s")
+					}
 				}
 			}
 			return nil
@@ -53,7 +68,7 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	g.Pipe("gen", "sink")
 
 	opts := mapping.Options{
-		Processes:    3,
+		Processes:    1,
 		Platform:     platformForTest(),
 		Seed:         77,
 		RedisAddrs:   []string{srv.Addr()},
@@ -62,17 +77,12 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 		Retries:      40, // generous: termination must wait out the recovery
 	}
 
-	// The rogue consumer must steal a task before the workers take them all.
 	// Execute creates the group before it seeds the stream and launches the
-	// workers, so the rogue polls briefly until the run's queue appears and
-	// then parks in a blocking read: the stream wakes it on the first entry
-	// it is handed while no worker is reading — the seeded source task, or
-	// at worst an early emission of it. A non-blocking read retried after a
-	// sleep could come only after the workers had drained the run.
+	// worker, so the rogue polls until the run's queue appears and then parks
+	// in a blocking read, which the stream answers with the first entry no
+	// other consumer has read.
 	rogue := redisclient.Dial(srv.Addr())
 	defer rogue.Close()
-
-	theft := make(chan string, 1)
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
@@ -81,15 +91,13 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 				time.Sleep(50 * time.Microsecond)
 				continue
 			}
-			queue := keysReply.Array[0].Str
-			entries, err := rogue.XReadGroup("workers", "rogue", 1, time.Second, queue)
+			entries, err := rogue.XReadGroup("workers", "rogue", 1, 5*time.Second, keysReply.Array[0].Str)
 			if err == nil && len(entries) == 1 {
-				theft <- entries[0].ID
-				return
+				stolen = entries[0].ID
+				close(stole)
 			}
-			break
+			return
 		}
-		theft <- ""
 	}()
 
 	m, _ := mapping.Get("dyn_redis")
@@ -97,12 +105,10 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stolen := <-theft
-	if stolen == "" {
-		t.Fatal("rogue consumer never managed to steal a task")
-	}
-	// All n values must have reached the sink despite the theft: the stolen
-	// task was reclaimed and re-executed by a live worker.
+	// The run succeeding means the source saw the theft (it fails after 5s
+	// otherwise); all n values must have reached the sink despite it: the
+	// stolen task was reclaimed and re-executed by the live worker.
+	<-stole
 	_, count := col.snapshot()
 	if count < n {
 		t.Fatalf("sink saw %d values, want ≥ %d (stolen task %s not recovered)", count, n, stolen)

@@ -509,7 +509,7 @@ func (r *router) emitFor(node string) func(port string, value any) error {
 				r.tracer.RecordEmit(r.cur.Src, r.cur.Seq, r.cur.PE, t.Src, t.Seq, r.worker, false, t.TraceAt)
 			} else if r.tracer.Sample() {
 				t.TraceAt = time.Now().UnixNano()
-				isGen := r.cur.PE != "" && r.cur.Port == "" && !r.cur.Finalize && !r.cur.Poison
+				isGen := r.cur.PE != "" && r.cur.Port == "" && !r.cur.Finalize
 				r.tracer.RecordEmit(r.cur.Src, r.cur.Seq, r.cur.PE, t.Src, t.Seq, r.worker, isGen, t.TraceAt)
 			}
 		}

@@ -227,32 +227,6 @@ func TestRedisLeaseExtendBlocksClaim(t *testing.T) {
 	}
 }
 
-// TestRedisPillsBreakFrames asserts poison pills never ride inside a packed
-// frame: they get their own entries so they spread across consumers and
-// order survives.
-func TestRedisPillsBreakFrames(t *testing.T) {
-	tr, cl, keys := newEntryFixture(t, 1, false)
-	tasks := []runtime.Task{
-		{PE: "pe", Value: 1, Instance: -1},
-		{PE: "pe", Value: 2, Instance: -1},
-		{Poison: true, Instance: -1},
-		{PE: "pe", Value: 3, Instance: -1},
-	}
-	if err := tr.Push(tasks...); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := cl.XLen(keys.Queue); err != nil || n != 3 {
-		t.Fatalf("stream holds %d entries (%v), want run + pill + run = 3", n, err)
-	}
-	envs, err := tr.PullBatch(0, 10, 5*time.Millisecond)
-	if err != nil || len(envs) != 4 {
-		t.Fatalf("pull: %d envs, %v", len(envs), err)
-	}
-	if envs[0].Value != 1 || envs[1].Value != 2 || !envs[2].Poison || envs[3].Value != 3 {
-		t.Fatalf("delivery order broken: %+v", envs)
-	}
-}
-
 // TestRedisAckWithoutEntryIDIsAnError: every env PullBatch returns carries
 // its entry ID, so an env without one did not come from this transport. Ack
 // refuses it instead of guessing a decrement.

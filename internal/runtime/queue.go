@@ -123,10 +123,8 @@ func (q *Queue) await(timeout time.Duration) bool {
 
 // take removes up to max head tasks under one lock hold and one
 // synchronization cost. It blocks up to timeout for the first task and never
-// waits for more; a poison pill ends its batch (the pill is the last element
-// returned) so sibling pool workers keep their pills visible. Each task
-// taken off a bounded queue wakes one blocked pusher. Once the queue is
-// closed it fails with the closed error.
+// waits for more. Each task taken off a bounded queue wakes one blocked
+// pusher. Once the queue is closed it fails with the closed error.
 func (q *Queue) take(max int, timeout time.Duration) ([]Task, error) {
 	if max < 1 {
 		max = 1
@@ -142,16 +140,10 @@ func (q *Queue) take(max int, timeout time.Duration) ([]Task, error) {
 	}
 	platform.SpinWait(q.syncCost)
 	n := min(max, len(q.items))
-	out := make([]Task, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, q.items[i])
-		if q.items[i].Poison {
-			break
-		}
-	}
-	q.items = q.items[len(out):]
-	q.pops += int64(len(out))
-	q.pushers = signal(q.pushers, len(out))
+	out := slices.Clone(q.items[:n])
+	q.items = q.items[n:]
+	q.pops += int64(n)
+	q.pushers = signal(q.pushers, n)
 	return out, nil
 }
 
@@ -237,13 +229,11 @@ func (t *QueueTransport) Push(tasks ...Task) error {
 		return t.pushPinned(tasks)
 	}
 	for _, task := range tasks {
-		if task.Instance >= 0 && !task.Poison {
+		if task.Instance >= 0 {
 			return fmt.Errorf("runtime: queue transport cannot address pinned instance %s[%d]", task.PE, task.Instance)
 		}
-		if !task.Poison {
-			t.pending.Add(1)
-		}
 	}
+	t.pending.Add(int64(len(tasks)))
 	return t.pool.PushAll(tasks)
 }
 
@@ -256,9 +246,7 @@ func (t *QueueTransport) pushPinned(tasks []Task) error {
 		if !ok {
 			return fmt.Errorf("runtime: no pinned worker for %s[%d]", task.PE, task.Instance)
 		}
-		if !task.Poison {
-			t.pending.Add(1)
-		}
+		t.pending.Add(1)
 		if err := t.boxes[w].PushAll(tasks[i : i+1]); err != nil {
 			return err
 		}
@@ -294,14 +282,8 @@ func (t *QueueTransport) Extend(int) error { return nil }
 
 // Ack implements Transport: one atomic adjustment for the batch.
 func (t *QueueTransport) Ack(_ int, envs ...Env) error {
-	var n int64
-	for _, env := range envs {
-		if !env.Poison {
-			n++
-		}
-	}
-	if n > 0 {
-		t.pending.Add(-n)
+	if len(envs) > 0 {
+		t.pending.Add(-int64(len(envs)))
 	}
 	return nil
 }

@@ -122,8 +122,8 @@ type frameKey struct {
 type entryState struct {
 	// remaining counts delivered-but-unacked tasks of the entry.
 	remaining int
-	// tasks is the entry's non-poison task count — what the pending counter
-	// loses when the entry's FENCEXACK confirms removal.
+	// tasks is the entry's task count — what the pending counter loses when
+	// the entry's FENCEXACK confirms removal.
 	tasks int
 }
 
@@ -194,8 +194,8 @@ func (t *RedisTransport) homeShard(w int) int {
 
 // shardCmds accumulates one shard's slice of a push batch.
 type shardCmds struct {
-	// counted is the batch's non-poison task count landing on the shard —
-	// the shard's pending-counter increment.
+	// counted is the batch's task count landing on the shard — the shard's
+	// pending-counter increment.
 	counted int
 	cmds    [][]string
 }
@@ -213,10 +213,8 @@ type shardCmds struct {
 // autoBatchMax tasks each (one XADD per emit window instead of one per task),
 // round-robined across shards; a push carrying several windows — a pipelined
 // emitter's drain — thus lands as several entries, which several consumers
-// can pull in parallel. A poison pill always gets its own entry so delivery
-// order survives the packing and pills spread across consumers instead of
-// riding one frame. Tasks sharing a private stream ship as a single batch
-// frame in one XADD on the stream's home shard.
+// can pull in parallel. Tasks sharing a private stream ship as a single
+// batch frame in one XADD on the stream's home shard.
 func (t *RedisTransport) Push(tasks ...Task) error { return t.push(tasks, autoBatchMax) }
 
 // push is Push with at most entryCap pool tasks packed into one stream entry
@@ -316,14 +314,14 @@ func (sc *shardCmds) assemble(pendingKey string) [][]string {
 	return append(out, sc.cmds...)
 }
 
-// pushCmds packs a task batch into per-shard command sequences: one XADD per
-// contiguous pool run (poison pills get their own entries), one XADD batch
-// frame per private stream. entryCap > 0 bounds the tasks packed into one
-// pool-run entry. fixedShard >= 0 pins every command to that shard (the
-// fenced single-shard path); otherwise pool entries round-robin and private
-// frames follow the ring. Pool runs are encoded straight from sub-slices of
-// tasks; private tasks are grouped per stream, and a batch that holds any
-// copies its pool tasks once so the runs they interrupt stay whole.
+// pushCmds packs a task batch into per-shard command sequences: the pool
+// tasks in order as XADD entries of at most entryCap tasks each (entryCap
+// <= 0: one entry), one XADD batch frame per private stream. fixedShard >= 0
+// pins every command to that shard (the fenced single-shard path); otherwise
+// pool entries round-robin and private frames follow the ring. Pool entries
+// are encoded straight from sub-slices of tasks; private tasks are grouped
+// per stream, and a batch that holds any copies its pool tasks once so the
+// entries they interrupt stay whole.
 func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[int]*shardCmds, error) {
 	batches := map[int]*shardCmds{}
 	shardOf := func(key string) int {
@@ -366,19 +364,13 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 		}
 		sc := get(shard)
 		sc.cmds = append(sc.cmds, []string{"XADD", key, "*", taskField, string(b)})
-		for _, task := range frame {
-			if !task.Poison {
-				sc.counted++
-			}
-		}
+		sc.counted += len(frame)
 		return nil
 	}
 	for lo := 0; lo < len(pool); {
-		hi := lo + 1
-		if !pool[lo].Poison {
-			for hi < len(pool) && !pool[hi].Poison && (entryCap <= 0 || hi-lo < entryCap) {
-				hi++
-			}
+		hi := len(pool)
+		if entryCap > 0 {
+			hi = min(hi, lo+entryCap)
 		}
 		shard := fixedShard
 		if shard < 0 {
@@ -403,10 +395,6 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 // empty-handed worker parks in a blocking XREADGROUP on its home shard for
 // the poll timeout. Each entry may itself be a packed batch frame, so the
 // returned batch can exceed max — max is advisory.
-//
-// Because stream deliveries are irreversible (entries enter this consumer's
-// PEL on their shard), a batch read may carry several poison pills; the
-// worker loop re-routes any surplus to its siblings.
 func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
 	if t.closed.Load() {
 		return nil, errTransportClosed
@@ -476,21 +464,16 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 		if err != nil {
 			return nil, err
 		}
-		nonPoison := 0
 		for i := range frame[:n] {
 			env := &frame[i]
 			env.AckID, env.Shard = e.ID, shard
-			if env.Poison {
-				continue
-			}
-			nonPoison++
 			if reclaimed && t.diag != nil {
 				// Cold path (failure recovery): per-PE replay attribution may
 				// take the ledger lock per task.
 				t.diag.PE(env.PE).Replays.Inc()
 			}
 		}
-		reg[frameKey{shard: shard, id: e.ID}] = &entryState{remaining: n, tasks: nonPoison}
+		reg[frameKey{shard: shard, id: e.ID}] = &entryState{remaining: n, tasks: n}
 		next += n
 	}
 	if reclaimed && t.diag != nil {
@@ -533,19 +516,16 @@ func (t *RedisTransport) Ack(w int, envs ...Env) error {
 		if id == "" {
 			return fmt.Errorf("runtime: redis ack of a %s delivery without an entry ID", envs[i].PE)
 		}
-		acked, nonPoison := 0, 0
+		acked := 0
 		for ; i < len(envs) && envs[i].AckID == id && envs[i].Shard == shard; i++ {
 			acked++
-			if !envs[i].Poison {
-				nonPoison++
-			}
 		}
 		es, ok := reg[frameKey{shard: shard, id: id}]
 		if !ok {
 			// Not in this worker's registry: a duplicate delivery or a
 			// repeated ack of an entry already completed. Weight it by what
 			// this call saw; the server's PEL decides whether anything lands.
-			completed[shard] = append(completed[shard], doneEntry{id: id, tasks: nonPoison})
+			completed[shard] = append(completed[shard], doneEntry{id: id, tasks: acked})
 			continue
 		}
 		es.remaining -= acked

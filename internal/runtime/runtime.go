@@ -2,9 +2,11 @@
 // on. It owns the one worker loop (task pull → PE process → batched emit →
 // finalize → acknowledge) and the one termination protocol (a coordinator
 // that drains the transport, flushes Final hooks in topological order, then
-// poisons the workers), while the mappings shrink to planners: they decide
-// how many workers exist, which are pinned to PE instances and which form a
-// dynamic pool, and which Transport carries the tasks.
+// closes the drained transport, and every worker exits on its pull's closed
+// error — the same close a failed run unwinds through), while the mappings
+// shrink to planners: they decide how many workers exist, which are pinned
+// to PE instances and which form a dynamic pool, and which Transport carries
+// the tasks.
 //
 // Two transports implement the same contract:
 //
@@ -74,10 +76,10 @@ type Env struct {
 // engine has to probe for.
 //
 // The pending-count contract is what the termination protocol rests on:
-// Push counts every non-poison task as pending *before* it becomes visible
-// to any consumer, and Ack releases it only after the worker has pushed the
+// Push counts every task as pending *before* it becomes visible to any
+// consumer, and Ack releases it only after the worker has pushed the
 // task's children. Pending() == 0 therefore implies no queued or in-flight
-// work anywhere. Pulled-but-unacknowledged tasks — including everything
+// work anywhere, so closing the transport then (Done) strands nothing. Pulled-but-unacknowledged tasks — including everything
 // sitting in a worker's prefetch buffer — therefore still count as pending,
 // which is what keeps the coordinator's drain honest under batched consumes.
 type Transport interface {
@@ -102,11 +104,8 @@ type Transport interface {
 	// w, then returns it together with whatever is already queued, up to max
 	// tasks, without further waiting (nil on timeout). max is advisory: a
 	// transport whose wire format packs several tasks into one frame may
-	// return more. Where the dequeue is reversible (the in-process queue and
-	// boxes) a batch never extends past a poison pill — the pill ends its
-	// batch — so one worker cannot swallow siblings' pills;
-	// the Redis stream, whose deliveries are irreversible, may return
-	// several pills at once and the worker loop re-routes the surplus.
+	// return more. Once the transport is closed it fails with the closed
+	// error, which is how a worker learns the run is over.
 	PullBatch(w, max int, timeout time.Duration) ([]Env, error)
 	// Extend is worker w's progress heartbeat, called between the tasks of a
 	// pulled batch. A transport that reclaims deliveries by idle time
@@ -128,10 +127,13 @@ type Transport interface {
 	// counts. Keys name the queue ("queue", "box:<pe>:<i>", "stream", …);
 	// queues that cannot be sampled are skipped.
 	QueueDepths() map[string]int64
-	// Done shuts the transport down. In process, blocked Push and PullBatch
-	// calls return at once; on Redis, a blocked PullBatch returns within its
-	// poll timeout. From then on pulls fail with the closed error (IsClosed)
-	// and other operations may. It must be idempotent.
+	// Done shuts the transport down; it is the one way a run stops its
+	// workers. The coordinator calls it once the transport is drained (a
+	// successful run) and fail calls it to unwind a failed one. In process,
+	// blocked Push and PullBatch calls return at once; on Redis, a blocked
+	// PullBatch returns within its poll timeout. From then on pulls fail with
+	// the closed error (IsClosed) and other operations may. It must be
+	// idempotent.
 	Done() error
 }
 

@@ -43,8 +43,8 @@ func transportFixtures() []transportFixture {
 
 // TestTransportsHoldTerminationUntilDrained is the transport-level
 // termination conformance property: with a deliberately slow consumer, the
-// drain check the coordinator gates poison pills on must not pass while any
-// task is queued or in flight — on every fixture. A violation is
+// drain check the coordinator gates the transport's close on must not pass
+// while any task is queued or in flight — on every fixture. A violation is
 // exactly the bug class the per-mapping protocols used to guard against
 // individually: a worker exiting while tasks are pending.
 func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
@@ -98,6 +98,52 @@ func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
 				t.Fatalf("pending after drain: %d (%v)", p, err)
 			}
 			_ = tr.Done()
+		})
+	}
+}
+
+// TestTransportsDoneEndsPollingConsumer pins the one way a run stops its
+// workers, on every fixture: a consumer polling an empty transport the way
+// the worker loop does ends with the closed error once Done is called — in
+// process at once, on Redis within a poll timeout — and never before.
+func TestTransportsDoneEndsPollingConsumer(t *testing.T) {
+	const pollTimeout = 2 * time.Millisecond
+	for _, fx := range transportFixtures() {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			t.Parallel()
+			tr, _ := fx.make(t)
+			exited := make(chan error, 1)
+			go func() {
+				for {
+					envs, err := tr.PullBatch(0, 8, pollTimeout)
+					if err != nil {
+						exited <- err
+						return
+					}
+					if len(envs) > 0 {
+						exited <- nil
+						return
+					}
+				}
+			}()
+			time.Sleep(20 * pollTimeout)
+			select {
+			case err := <-exited:
+				t.Fatalf("consumer ended with %v before Done", err)
+			default:
+			}
+			if err := tr.Done(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-exited:
+				if !runtime.IsClosed(err) {
+					t.Fatalf("consumer ended with %v, want the closed error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("consumer still polling 5s after Done")
+			}
 		})
 	}
 }

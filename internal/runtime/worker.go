@@ -65,7 +65,8 @@ type Config struct {
 // generate task per source, starts one worker goroutine per plan slot, and
 // runs the termination coordinator that drains the transport, flushes Final
 // hooks exactly once each (topological order, draining between nodes so
-// flushed values propagate), and finally poisons the workers.
+// flushed values propagate), and finally closes the drained transport, which
+// is what makes every worker exit.
 func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report, err error) {
 	opts = opts.WithDefaults()
 	ms, err := mapping.OpenManagedState(g, opts, cfg.NewStateBackend)
@@ -108,10 +109,11 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 		})
 	}
 	// Post-mortem observability must exist even when the run errors out: the
-	// final flight (which also seeds the gauge sources' last-good cache while
-	// the transport is still open) and the run_end journal entry are deferred,
-	// so early-return failures — a seed push on a dead transport, a worker
-	// error — still leave a snapshot and a terminal journal event behind.
+	// final flight (which also seeds the gauge sources' last-good cache before
+	// the planner tears the transport down) and the run_end journal entry are
+	// deferred, so early-return failures — a seed push on a dead transport, a
+	// worker error — still leave a snapshot and a terminal journal event
+	// behind.
 	defer func() {
 		if r.tel != nil {
 			r.tel.RecordFlight()
@@ -252,14 +254,12 @@ type run struct {
 	abort     chan struct{}
 	abortOnce sync.Once
 	failed    atomic.Bool
-	poisoned  atomic.Bool
 	errMu     sync.Mutex
 	firstErr  error
 }
 
-// fail records the first error and unwinds the run: the transport shuts
-// down (unblocking workers), the controller releases idle workers, and the
-// abort channel stops loops that are between transport operations.
+// fail records the first error and unwinds the run: the abort channel stops
+// loops that are between transport operations, and stop ends the rest.
 func (r *run) fail(err error) {
 	r.errMu.Lock()
 	if r.firstErr == nil {
@@ -268,6 +268,13 @@ func (r *run) fail(err error) {
 	r.errMu.Unlock()
 	r.failed.Store(true)
 	r.abortOnce.Do(func() { close(r.abort) })
+	r.stop()
+}
+
+// stop is the one way a run ends its workers, on success and failure alike:
+// the transport shuts down, so every pull returns the closed error, and the
+// controller releases workers parked in the idle state.
+func (r *run) stop() {
 	_ = r.cfg.Transport.Done()
 	if r.cfg.Controller != nil {
 		r.cfg.Controller.Terminate()
@@ -466,6 +473,12 @@ func (r *run) runWorker(w int) {
 			}
 			start := time.Now()
 			envs, err := tr.PullBatch(w, window, pollTimeout)
+			if IsClosed(err) && !r.failed.Load() {
+				// The coordinator closed the drained transport: nothing is
+				// pending, so nothing is left unflushed or unacked here.
+				exitReason = "done"
+				return
+			}
 			if err != nil {
 				r.workerFail(fmt.Errorf("worker %s: pull: %w", procName, err))
 				return
@@ -508,11 +521,6 @@ func (r *run) runWorker(w int) {
 		next++
 		if wm != nil {
 			wm.Prefetch.Set(int64(len(buf) - next))
-		}
-		if env.Poison {
-			exitReason = "poison"
-			r.retirePoison(env, buf[next:], b, acks)
-			return
 		}
 		if wm != nil {
 			wm.Tasks.Inc()
@@ -560,30 +568,6 @@ func resizeLogger(d *diagnosis.Diag, w int, which string) func(oldSize, newSize 
 	return func(oldSize, newSize int) {
 		d.Log(diagnosis.EvResize, w, "", fmt.Sprintf("%s %d→%d", which, oldSize, newSize), int64(newSize))
 	}
-}
-
-// retirePoison winds a worker down on its pill. A batch read off the Redis
-// stream can deliver several pool pills to one consumer (stream deliveries
-// are irreversible, so the transport cannot put them back); whatever was
-// delivered behind this worker's pill is re-pushed for the workers it was
-// meant for before the deliveries are released — push before ack, so even a
-// non-poison straggler never dips the pending count. Errors are ignored:
-// this path races transport shutdown by design.
-func (r *run) retirePoison(pill Env, rest []Env, b *batcher, acks *ackBatch) {
-	r.diag.Log(diagnosis.EvPill, acks.w, "", "retire", int64(len(rest)))
-	if len(rest) > 0 {
-		tasks := make([]Task, len(rest))
-		for i, env := range rest {
-			tasks[i] = env.Task
-		}
-		_ = r.cfg.Transport.Push(tasks...)
-	}
-	_ = b.flush()
-	acks.add(pill)
-	for _, env := range rest {
-		acks.add(env)
-	}
-	_ = acks.flush()
 }
 
 // peCopy is one worker's private instance of a PE with what the loop needs
@@ -698,21 +682,17 @@ func (r *run) finalFenced(c *peCopy, b *batcher, env Env) error {
 	return err
 }
 
-// coordinate owns termination: wait for the drain, flush Finals, poison.
+// coordinate owns termination: wait for the drain, flush Finals, then stop
+// the run — nothing is pending once the transport is drained, so each worker
+// exits on its pull's closed error holding no emission or delivery.
 func (r *run) coordinate() {
 	err := r.drainAndFinalize()
 	if err != nil && !errors.Is(err, errRunAborted) && !r.failed.Load() {
 		r.fail(err)
 		return
 	}
-	if r.failed.Load() {
-		return
-	}
-	r.poisonAll()
-	if r.cfg.Controller != nil {
-		// Release workers parked in the idle state so they can observe
-		// their poison pills (or exit directly).
-		r.cfg.Controller.Terminate()
+	if !r.failed.Load() {
+		r.stop()
 	}
 }
 
@@ -798,27 +778,6 @@ func AwaitDrain(tr Transport, pollTimeout time.Duration, retries int, failed *at
 			zeros = 0
 		}
 		time.Sleep(pollTimeout)
-	}
-}
-
-// poisonAll pushes one pill per worker, once: pool pills on the shared
-// route, addressed pills to every pinned instance.
-func (r *run) poisonAll() {
-	if r.poisoned.Swap(true) {
-		return
-	}
-	var pills []Task
-	for i := 0; i < r.cfg.Plan.Pool; i++ {
-		pills = append(pills, Task{Poison: true, Instance: -1})
-	}
-	for _, spec := range r.cfg.Plan.Workers {
-		if spec.Pinned() {
-			pills = append(pills, Task{Poison: true, PE: spec.PE, Instance: spec.Instance})
-		}
-	}
-	if len(pills) > 0 {
-		r.diag.Log(diagnosis.EvPill, -1, "", "poison_all", int64(len(pills)))
-		_ = r.cfg.Transport.Push(pills...)
 	}
 }
 

@@ -193,6 +193,65 @@ func TestPipelinedEmissionOrderAndBarrier(t *testing.T) {
 	}
 }
 
+// TestAdaptiveWindowAgesOut pins the age cut of an emit window: with the
+// sizer grown to its cap, so that size never cuts a window, a trickle
+// emitter's windows are pushed once they are emitFlushEvery old. Every push
+// holds only tasks emitted within emitFlushEvery of its first task, plus
+// the one gap to the task whose emission found the window aged.
+func TestAdaptiveWindowAgesOut(t *testing.T) {
+	tr := newRecordingTransport(0)
+	b := newBatcher(tr, true)
+	defer b.close()
+	for b.sizer.Next() < autoBatchMax {
+		b.sizer.Observe(100*time.Microsecond, b.sizer.Next())
+	}
+	// Three windows of about five tasks each: every push of so few tasks
+	// halves the sizer, and three halvings leave it far above five. The
+	// emitter spins to its schedule, because a sleep this short overshoots
+	// to a timer tick on some hosts.
+	const gap, n = emitFlushEvery / 4, 16
+	began := make([]time.Time, n) // just before the task's emission
+	ended := make([]time.Time, n) // just after it
+	start := time.Now()
+	for i := range n {
+		for time.Since(start) < time.Duration(i)*gap {
+		}
+		began[i] = time.Now()
+		if err := b.push(Task{PE: "pe", Port: "in", Value: i, Instance: -1}); err != nil {
+			t.Fatal(err)
+		}
+		ended[i] = time.Now()
+	}
+	_, inline, piped := tr.pushed()
+	if err := b.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if inline+piped == 0 {
+		t.Fatalf("%d tasks over %v went out in the final flush only: no window aged out", n, time.Duration(n-1)*gap)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	next := 0
+	for _, ev := range tr.events {
+		first := ev.tasks[0].Value.(int)
+		if first != next {
+			t.Fatalf("push starts at task %d, want %d", first, next)
+		}
+		last := ev.tasks[len(ev.tasks)-1].Value.(int)
+		// Each task before the last one was emitted while the window was
+		// younger than the bound, or its emission would have shipped it.
+		for i := first; i < last; i++ {
+			if age := began[i].Sub(ended[first]); age >= emitFlushEvery {
+				t.Fatalf("push of tasks %d..%d holds task %d emitted %v after the first, past the %v bound", first, last, i, age, emitFlushEvery)
+			}
+		}
+		next = last + 1
+	}
+	if next != n {
+		t.Fatalf("pushes carried %d of %d tasks", next, n)
+	}
+}
+
 // TestPipelinedPushErrorIsSticky: the pusher's Push blocks with the queue
 // full, so the emitter waits; when that Push fails, the error releases the
 // waiting emitter and is returned again by every later emission and flush.

@@ -64,9 +64,9 @@ const taskField = "task"
 // entry; unfenced private frames go to the hash-ring home shard of their
 // stream key; fenced batches land entirely on the shard of their task gate
 // so the SINKAPPEND transaction stays single-shard (the co-location
-// invariant — see PushFenced). Each worker therefore blocking-reads its home
-// shard and sweeps the others non-blocking, so work is found wherever
-// routing put it.
+// invariant — see PushFenced). Each worker therefore sweeps the other shards
+// non-blocking and then blocking-reads its home shard, so work is found
+// wherever routing put it.
 //
 // Batched pushes are pipelined per shard and frame-packed: one INCRBY for
 // the shard's pending counter, one XADD per contiguous run of up to one emit
@@ -390,10 +390,12 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 }
 
 // PullBatch implements Transport. Every worker consumes its stream's
-// partitions home-shard-first: a non-blocking sweep over all shards
-// (home, home+1, …) picks up work wherever routing placed it, then an
-// empty-handed worker parks in a blocking XREADGROUP on its home shard for
-// the poll timeout. Each entry may itself be a packed batch frame, so the
+// partitions home-shard-last: a non-blocking sweep over the other shards
+// (home+1, home+2, …) picks up work wherever routing placed it, then one
+// blocking XREADGROUP on the home shard returns at once if entries are
+// already there and otherwise parks for the poll timeout. An idle pull
+// therefore costs one round trip per shard; a zero timeout keeps the home
+// read non-blocking. Each entry may itself be a packed batch frame, so the
 // returned batch can exceed max — max is advisory.
 func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
 	if t.closed.Load() {
@@ -410,7 +412,7 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 
 	var entries []redisclient.StreamEntry
 	shard := home
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		s := (home + i) % n
 		es, err := t.cluster.Shard(s).XReadGroup(t.keys.Group, consumer, max, 0, stream)
 		if err != nil {
@@ -421,7 +423,7 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 			break
 		}
 	}
-	if len(entries) == 0 && timeout > 0 {
+	if len(entries) == 0 {
 		es, err := t.cluster.Shard(home).XReadGroup(t.keys.Group, consumer, max, timeout, stream)
 		if err != nil {
 			return nil, t.maybeClosed(err)

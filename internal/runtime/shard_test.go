@@ -13,7 +13,15 @@ import (
 
 // shardedCluster starts n embedded servers and a cluster over them.
 func shardedCluster(t *testing.T, n int) *redisclient.Cluster {
+	c, _ := shardedServers(t, n)
+	return c
+}
+
+// shardedServers is shardedCluster that also returns the servers, in shard
+// order.
+func shardedServers(t *testing.T, n int) (*redisclient.Cluster, []*miniredis.Server) {
 	t.Helper()
+	srvs := make([]*miniredis.Server, n)
 	addrs := make([]string, n)
 	for i := range addrs {
 		srv, err := miniredis.StartTestServer()
@@ -21,14 +29,102 @@ func shardedCluster(t *testing.T, n int) *redisclient.Cluster {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		addrs[i] = srv.Addr()
+		srvs[i], addrs[i] = srv, srv.Addr()
 	}
 	c, err := redisclient.NewCluster(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return c, srvs
+}
+
+// TestRedisPullRoundTrips pins what one PullBatch costs in commands at one
+// and two shards: an idle pull sends one read per shard (the sweep of the
+// other shards, then the one blocking read of home), an entry on another
+// shard is found by the sweep, and an entry already on home comes back
+// from the blocking read without waiting out its timeout.
+func TestRedisPullRoundTrips(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cluster, srvs := shardedServers(t, shards)
+			commands := func() (n int64) {
+				for _, srv := range srvs {
+					n += srv.Commands()
+				}
+				return n
+			}
+			// Pool worker w's home is shard w, so each shard is some worker's home.
+			plan := runtime.NewPlan(make([]runtime.WorkerSpec, shards), map[string]int{"pe": 0})
+			tr, err := runtime.NewRedisTransport(cluster, runtime.NewRunKeys("pulltrips", 1), plan, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Done()
+			// pull runs one PullBatch by worker w and returns its deliveries,
+			// the commands it sent and how long it took.
+			pull := func(w int, timeout time.Duration) ([]runtime.Env, int64, time.Duration) {
+				t.Helper()
+				before, start := commands(), time.Now()
+				envs, err := tr.PullBatch(w, 4, timeout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return envs, commands() - before, time.Since(start)
+			}
+			// push puts one task on the stream and returns the shard that got it.
+			push := func(v int) int {
+				t.Helper()
+				before := tr.QueueDepths()
+				if err := tr.Push(runtime.Task{PE: "pe", Port: "in", Instance: -1, Value: v}); err != nil {
+					t.Fatal(err)
+				}
+				after := tr.QueueDepths()
+				for s := 0; s < shards; s++ {
+					if key := fmt.Sprintf("s%d:stream", s); after[key] > before[key] {
+						return s
+					}
+				}
+				t.Fatal("pushed task is on no shard")
+				return -1
+			}
+			ack := func(w int, envs []runtime.Env) {
+				t.Helper()
+				if err := tr.Ack(w, envs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			for w := 0; w < shards; w++ {
+				if envs, n, _ := pull(w, 2*time.Millisecond); len(envs) != 0 || n != int64(shards) {
+					t.Fatalf("idle pull by worker %d: %d deliveries in %d commands, want 0 in %d", w, len(envs), n, shards)
+				}
+			}
+
+			if shards > 1 {
+				s := push(1)
+				w := (s + 1) % shards // a worker whose home is not s
+				envs, n, _ := pull(w, 2*time.Millisecond)
+				if len(envs) != 1 || envs[0].Shard != s || n != 1 {
+					t.Fatalf("entry on shard %d, pulled by worker %d: %v in %d commands, want it found by the first sweep read", s, w, envs, n)
+				}
+				ack(w, envs)
+			}
+
+			s := push(2)
+			envs, n, took := pull(s, time.Second)
+			if len(envs) != 1 || envs[0].Shard != s || n != int64(shards) {
+				t.Fatalf("entry on home shard %d: %v in %d commands, want it in %d", s, envs, n, shards)
+			}
+			if took >= 100*time.Millisecond {
+				t.Fatalf("entry already on home took %v to pull with a 1s timeout; the blocking read must return at once", took)
+			}
+			ack(s, envs)
+			if p, err := tr.Pending(); err != nil || p != 0 {
+				t.Fatalf("pending = %d (%v), want 0", p, err)
+			}
+		})
+	}
 }
 
 // TestShardedPoolSpreadsAndDrains pins the multi-shard pool path: unfenced

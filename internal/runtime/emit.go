@@ -20,11 +20,16 @@ import (
 //
 // The bound sets the paced median of the stateful Redis workloads: a pulled
 // window runs one fenced round trip after another, so a window's age adds
-// to its tasks' latency. 1 ms is the measured frontier (the benchmark's
-// Redis workloads on a 2-vCPU host): from 2 ms, 1 ms cut the paced p50 by
-// 19–33% for up to 9% more paced CPU per event; 0.5 ms halved session's
-// p50 again but cost about 18% more CPU, most of it in idle pulls.
-const emitFlushEvery = time.Millisecond
+// to its tasks' latency. 0.5 ms is the measured frontier (the benchmark's
+// Redis workloads on a 2-vCPU host, with the coordinator's drain checks no
+// longer polling a busy pool): session's paced p50 read 2.14 ms at 1 ms and
+// 1.41 ms at 0.5 ms, for 7–8% more paced CPU per event on session and
+// enrich; 0.25 ms read 0.68 ms for about 23% more CPU. The next step down
+// needs fewer round trips per window, not a smaller bound. A timer cannot
+// enforce the bound either: on an idle process Go's netpoller rounds a
+// sub-millisecond wait up to about 1 ms, so a timer that ships an open window
+// fires as late as the stalled emission does.
+const emitFlushEvery = 500 * time.Microsecond
 
 // pipeWindows bounds a pusher's queue in emit windows: with a push in flight,
 // an emitter may hand off this many windows before it waits for the wire.

@@ -33,7 +33,8 @@
 // so a task's children are still pushed before the task is released.
 //
 // Because termination and finalization are decided by one coordinator
-// watching the transport's pending-task count, properties that previously
+// watching the transport's pending-task count — which it reads only while
+// every worker is idle — properties that previously
 // had to be rebuilt per mapping — managed-state Final-once, no worker exits
 // while tasks are in flight — hold uniformly. In particular the mpi mapping
 // supports managed keyed state through exactly the same barrier as everyone
@@ -81,7 +82,9 @@ type Env struct {
 // task's children. Pending() == 0 therefore implies no queued or in-flight
 // work anywhere, so closing the transport then (Done) strands nothing. Pulled-but-unacknowledged tasks — including everything
 // sitting in a worker's prefetch buffer — therefore still count as pending,
-// which is what keeps the coordinator's drain honest under batched consumes.
+// which is what keeps the coordinator's drain honest under batched consumes,
+// and what lets it skip the check while any worker holds a delivery (see
+// AwaitDrain).
 type Transport interface {
 	// Push enqueues tasks for their destinations: Instance >= 0 addresses a
 	// pinned (PE, instance) worker, Instance < 0 the shared pool. Batched

@@ -251,6 +251,12 @@ type run struct {
 	tracer *telemetry.Tracer
 	diag   *diagnosis.Diag
 
+	// busy counts the workers holding deliveries: a pull that returns tasks
+	// raises it, and the worker lowers it once its acks are flushed (before
+	// the idle gate and the next pull) or when it exits. The coordinator
+	// asks the transport for its pending count only while it is zero.
+	busy atomic.Int64
+
 	abort     chan struct{}
 	abortOnce sync.Once
 	failed    atomic.Bool
@@ -436,6 +442,12 @@ func (r *run) runWorker(w int) {
 	active := true
 	var buf []Env // worker-local prefetch buffer
 	next := 0
+	holding := false // counted in r.busy: buf's deliveries are not all acked
+	defer func() {
+		if holding {
+			r.busy.Add(-1)
+		}
+	}()
 	var pulledAt int64 // UnixNano of the current buffer's pull (tracing only)
 	for {
 		if r.aborted() {
@@ -454,6 +466,10 @@ func (r *run) runWorker(w int) {
 			if err := acks.flush(); err != nil {
 				r.workerFail(fmt.Errorf("worker %s: ack batch: %w", procName, err))
 				return
+			}
+			if holding {
+				r.busy.Add(-1)
+				holding = false
 			}
 			if fuseDsts != nil {
 				decideFusion(fuseDsts, b.sizer, r.diag, w)
@@ -511,6 +527,8 @@ func (r *run) runWorker(w int) {
 			if r.tracer != nil {
 				pulledAt = time.Now().UnixNano()
 			}
+			r.busy.Add(1)
+			holding = true
 			buf, next = envs, 0
 		}
 		if !active {
@@ -752,32 +770,44 @@ func (r *run) drainAndFinalize() error {
 // errRunAborted signals that a worker failed first; fail() owns the unwind.
 var errRunAborted = errors.New("runtime: run aborted")
 
+// awaitDrain is AwaitDrain gated on the run's busy count: the coordinator
+// sends no drain check while a worker holds a delivery — a source still in
+// Generate, say — since that delivery alone keeps Pending() above zero.
 func (r *run) awaitDrain() error {
-	return AwaitDrain(r.cfg.Transport, r.opts.PollTimeout, r.opts.Retries, &r.failed)
+	return AwaitDrain(r.cfg.Transport, r.opts.PollTimeout, r.opts.Retries, &r.failed, &r.busy)
 }
 
 // AwaitDrain blocks until the transport's pending count stays zero across
 // the retry budget — the engine-wide version of the paper's Section 3.2.3
 // retry termination check. A non-nil failed flag aborts the wait when set.
-func AwaitDrain(tr Transport, pollTimeout time.Duration, retries int, failed *atomic.Bool) error {
+//
+// A non-nil busy count gates the check: while it is above zero the loop
+// sleeps a poll timeout without asking the transport. Pending() stays the
+// only source of truth; the gate skips only checks that cannot succeed,
+// because a worker holding a delivery keeps the pending count above zero
+// until it acks, and it lowers busy only after that. A stale count
+// therefore delays a drain by at most one poll and never ends one early.
+func AwaitDrain(tr Transport, pollTimeout time.Duration, retries int, failed *atomic.Bool, busy *atomic.Int64) error {
 	zeros := 0
-	for {
+	for ; ; time.Sleep(pollTimeout) {
 		if failed != nil && failed.Load() {
 			return errRunAborted
+		}
+		if busy != nil && busy.Load() > 0 {
+			zeros = 0 // what the skipped check would have read
+			continue
 		}
 		n, err := tr.Pending()
 		if err != nil {
 			return err
 		}
-		if n == 0 {
-			zeros++
-			if zeros > retries {
-				return nil
-			}
-		} else {
+		if n > 0 {
 			zeros = 0
+			continue
 		}
-		time.Sleep(pollTimeout)
+		if zeros++; zeros > retries {
+			return nil
+		}
 	}
 }
 

@@ -6,16 +6,19 @@
 // many parked workers as the size grows by. A monitoring loop samples a
 // workload metric every Interval and applies a Strategy to resize the pool.
 //
-//   - DemandStrategy (dyn_auto_multi): sizes the pool to the outstanding
-//     tasks, queued plus in service. By Little's law that is offered rate
-//     times service time, the pool the stream needs. The rule has no memory,
-//     so the refill gate re-evaluates it on a fresh sample (GateOn) and a
-//     surplus worker parks without waiting for the next tick.
-//   - QueueSizeStrategy: the paper's ±1 reference for dyn_auto_multi; grow
-//     while the metric rises above a floor, shrink while it falls.
-//   - IdleTimeStrategy (dyn_auto_redis, hybrid_auto_redis): shrink when the
-//     consumer group's average idle time exceeds the reactivation threshold,
-//     grow when consumers are busy.
+// A strategy names the Signal it reads, and the engine samples that signal
+// on every transport, so any strategy runs on any auto mapping:
+//
+//   - DemandStrategy, the one default: sizes the pool to the outstanding
+//     tasks (Outstanding), queued plus in service. By Little's law that is
+//     offered rate times service time, the pool the stream needs. The rule
+//     has no memory, so the refill gate re-evaluates it on a fresh sample
+//     (GateOn) and a surplus worker parks without waiting for the next tick.
+//   - QueueSizeStrategy: the paper's ±1 reference; grow while the
+//     outstanding tasks rise above a floor, shrink while they fall.
+//   - IdleTimeStrategy: the paper's dyn_auto_redis policy; shrink when the
+//     admitted workers' mean idle time (IdleMs) exceeds the reactivation
+//     threshold, grow when they are busy.
 package autoscale
 
 import (
@@ -58,29 +61,47 @@ func (c Config) withDefaults() Config {
 // clamp bounds a size to [MinActive, MaxPoolSize].
 func (c Config) clamp(n int) int { return min(max(n, c.MinActive), c.MaxPoolSize) }
 
+// Signal names the workload metric a Strategy decides on.
+type Signal int
+
+const (
+	// Outstanding is the transport's pending task count: queued plus in
+	// service (runtime.Transport.Pending).
+	Outstanding Signal = iota
+	// IdleMs is the mean time, in milliseconds, since each admitted pool
+	// worker's last non-empty pull, the quantity Redis reports as a
+	// consumer's "inactive" time.
+	IdleMs
+)
+
 // Strategy decides the scaling delta from a metric sample ("when to scale"
 // and "how to scale").
 type Strategy interface {
 	// Name identifies the strategy in traces.
 	Name() string
+	// Signal names the metric the engine samples for Decide.
+	Signal() Signal
 	// Decide maps the latest metric sample and the current active size to a
 	// signed size delta; the controller clamps the result to its bounds.
 	Decide(sample float64, active int) int
 }
 
-// DemandStrategy is the dyn_auto_multi policy: the pool's target is the
-// number of outstanding tasks, reached in one step.
+// DemandStrategy is the default policy of every auto mapping: the pool's
+// target is the number of outstanding tasks, reached in one step.
 type DemandStrategy struct{}
 
 // Name implements Strategy.
 func (DemandStrategy) Name() string { return "demand" }
 
+// Signal implements Strategy.
+func (DemandStrategy) Signal() Signal { return Outstanding }
+
 // Decide implements Strategy; the sample is the outstanding task count.
 func (DemandStrategy) Decide(outstanding float64, active int) int { return int(outstanding) - active }
 
 // QueueSizeStrategy is the paper's dyn_auto_multi policy, kept as the
-// Algorithm 1 reference: scale up by one while the metric is growing and
-// above Floor, scale down by one while it is shrinking or small.
+// Algorithm 1 reference: scale up by one while the outstanding tasks are
+// growing and above Floor, scale down by one while they shrink or are few.
 type QueueSizeStrategy struct {
 	// Floor is the "minimum threshold [that] prevents unnecessary scaling
 	// during low demand".
@@ -92,6 +113,9 @@ type QueueSizeStrategy struct {
 
 // Name implements Strategy.
 func (s *QueueSizeStrategy) Name() string { return "queue-size" }
+
+// Signal implements Strategy.
+func (s *QueueSizeStrategy) Signal() Signal { return Outstanding }
 
 // Decide implements Strategy.
 func (s *QueueSizeStrategy) Decide(queueSize float64, _ int) int {
@@ -109,9 +133,10 @@ func (s *QueueSizeStrategy) Decide(queueSize float64, _ int) int {
 	}
 }
 
-// IdleTimeStrategy is the dyn_auto_redis policy: when the average idle time
-// of active consumers exceeds Threshold (the time worth a reactivation and
-// redeployment), deactivate a process; otherwise activate one.
+// IdleTimeStrategy is the paper's dyn_auto_redis policy: when the mean idle
+// time of the admitted workers exceeds Threshold (the time worth a
+// reactivation and redeployment), deactivate a process; otherwise activate
+// one.
 type IdleTimeStrategy struct {
 	// Threshold is the average idle duration above which a process is
 	// logically deactivated.
@@ -120,6 +145,9 @@ type IdleTimeStrategy struct {
 
 // Name implements Strategy.
 func (s *IdleTimeStrategy) Name() string { return "idle-time" }
+
+// Signal implements Strategy.
+func (s *IdleTimeStrategy) Signal() Signal { return IdleMs }
 
 // Decide implements Strategy; the sample is the average idle time in
 // milliseconds.
@@ -137,7 +165,7 @@ type TracePoint struct {
 	Iteration int
 	// Active is the active size after the decision.
 	Active int
-	// Metric is the sampled monitor value (outstanding tasks or avg idle ms).
+	// Metric is the sampled monitor value: the strategy's Signal.
 	Metric float64
 }
 

@@ -12,6 +12,8 @@ type scripted struct{ deltas []int }
 
 func (s *scripted) Name() string { return "scripted" }
 
+func (s *scripted) Signal() Signal { return Outstanding }
+
 func (s *scripted) Decide(float64, int) int {
 	if len(s.deltas) == 0 {
 		return 0

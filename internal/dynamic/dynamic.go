@@ -5,17 +5,17 @@
 // them, and push the results back — the "dynamic PE-Process mode" of the
 // paper's Figure 2.
 //
-// The worker loop, queue and termination protocol live in package runtime;
-// this package is a planner: it validates the workflow against dynamic
-// scheduling's limits, builds a pool plan over the queue transport, and —
-// for dyn_auto_multi — attaches the Algorithm 1 auto-scaler. Its monitor
-// samples the transport's outstanding tasks (queued plus in service), and the
-// default strategy sizes the active pool to that demand; Options.Strategy can
-// put the paper's ±1 QueueSizeStrategy behind the same signal.
+// The worker loop, queue, termination protocol and auto-scaler wiring live in
+// package runtime; this package is a planner: it validates the workflow
+// against dynamic scheduling's limits and builds a pool plan over the queue
+// transport. dyn_auto_multi only asks runtime for the Algorithm 1
+// auto-scaler, which every auto mapping gets the same way: the default
+// DemandStrategy sizes the active pool to the outstanding tasks, and
+// Options.Strategy swaps in another strategy together with the signal it
+// reads.
 package dynamic
 
 import (
-	"repro/internal/autoscale"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
@@ -29,7 +29,7 @@ import (
 type Dyn struct{}
 
 // DynAuto is the dyn_auto_multi mapping: Dyn plus the Algorithm 1
-// auto-scaler driven by the demand strategy.
+// auto-scaler.
 type DynAuto struct{}
 
 func init() {
@@ -68,32 +68,12 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool) (metr
 	host := platform.NewHost(opts.Platform)
 	tr := runtime.NewQueueTransport(runtime.NewQueue(host.SyncCost()))
 
-	var ctrl *autoscale.Controller
-	if auto {
-		// Outstanding tasks: one atomic load, cheap enough for every refill.
-		demand := func() float64 {
-			n, _ := tr.Pending() // the queue transport's Pending cannot fail
-			return float64(n)
-		}
-		strategy := opts.Strategy
-		if strategy == nil {
-			strategy = autoscale.DemandStrategy{}
-		}
-		ctrl = autoscale.NewController(opts.AutoScaleConfig(opts.Processes), strategy, opts.Trace)
-		if opts.Strategy == nil {
-			// The default rule has no memory, so the refill gate evaluates it too.
-			ctrl.GateOn(demand)
-		}
-		go ctrl.RunMonitor(demand)
-		defer ctrl.Terminate()
-	}
-
 	return runtime.Execute(g, opts, runtime.Config{
 		Name:            name,
 		Plan:            runtime.PoolPlan(g, opts.Processes),
 		Transport:       tr,
 		Host:            host,
-		Controller:      ctrl,
+		AutoScale:       auto,
 		NewStateBackend: func() state.Backend { return state.NewMemoryBackend() },
 	})
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -188,10 +189,13 @@ func Fig12(s Scale) []Experiment {
 }
 
 // Fig13 is the auto-scaler analysis (Figure 13): active size vs monitored
-// metric over iterations, six panels. The dyn_auto_multi metric is the
-// outstanding tasks (queued plus in service) the pool is sized to, where the
-// paper plots the queue size.
+// metric over iterations, six panels. The dyn_auto_multi panels run the
+// default strategy, whose metric is the outstanding tasks (queued plus in
+// service) the pool is sized to, where the paper plots the queue size. The
+// dyn_auto_redis panels (b, e) keep the paper's idle-time policy, with the
+// threshold at four default poll timeouts.
 func Fig13(s Scale) []TraceExperiment {
+	paperIdle := &autoscale.IdleTimeStrategy{Threshold: 8 * time.Millisecond}
 	return []TraceExperiment{
 		{
 			ID: "fig13a", Title: "Galaxy on server, dyn_auto_multi (active vs outstanding tasks)",
@@ -201,7 +205,7 @@ func Fig13(s Scale) []TraceExperiment {
 		{
 			ID: "fig13b", Title: "Galaxy on server, dyn_auto_redis (active vs avg idle time)",
 			Technique: "dyn_auto_redis", Platform: platform.Server, Processes: s.TraceProcsServer,
-			MakeGraph: s.galaxyGraph(1, false), Seed: 132,
+			MakeGraph: s.galaxyGraph(1, false), Seed: 132, Strategy: paperIdle,
 		},
 		{
 			ID: "fig13c", Title: "Galaxy on HPC, dyn_auto_multi (active vs outstanding tasks)",
@@ -216,7 +220,7 @@ func Fig13(s Scale) []TraceExperiment {
 		{
 			ID: "fig13e", Title: "Seismic on server, dyn_auto_redis (active vs avg idle time)",
 			Technique: "dyn_auto_redis", Platform: platform.Server, Processes: s.TraceProcsServer,
-			MakeGraph: s.seismicGraph(), Seed: 135,
+			MakeGraph: s.seismicGraph(), Seed: 135, Strategy: paperIdle,
 		},
 		{
 			ID: "fig13f", Title: "Seismic on HPC, dyn_auto_multi (active vs outstanding tasks)",

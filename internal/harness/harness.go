@@ -186,6 +186,8 @@ type TraceExperiment struct {
 	MakeGraph func() *graph.Graph
 	// Seed drives determinism.
 	Seed int64
+	// Strategy is the auto-scaling strategy; nil means the mapping default.
+	Strategy autoscale.Strategy
 }
 
 // RunTrace executes the experiment and returns the recorded trace.
@@ -200,6 +202,7 @@ func (r *Runner) RunTrace(e TraceExperiment) (*autoscale.Trace, metrics.Report, 
 		Platform:  e.Platform,
 		Seed:      e.Seed,
 		Trace:     trace,
+		Strategy:  e.Strategy,
 		Telemetry: r.Telemetry,
 		Diagnosis: r.Diag,
 	}

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -74,7 +76,7 @@ func TestQuickAllMappingsAgreeOnRandomPipelines(t *testing.T) {
 		return g
 	}
 
-	runUnder := func(name string, s shape) ([]int, error) {
+	runUnder := func(name string, strategy autoscale.Strategy, s shape) ([]int, error) {
 		var mu sync.Mutex
 		var got []int
 		g := build(s, func(v int) {
@@ -89,6 +91,7 @@ func TestQuickAllMappingsAgreeOnRandomPipelines(t *testing.T) {
 		// Up to 6 PEs (gen + 4 stages + sink): static mappings need one
 		// process per instance.
 		opts := testOpts(8)
+		opts.Strategy = strategy
 		if name == "dyn_redis" || name == "hybrid_redis" {
 			opts.RedisAddrs = []string{srv.Addr()}
 		}
@@ -102,13 +105,20 @@ func TestQuickAllMappingsAgreeOnRandomPipelines(t *testing.T) {
 	}
 
 	f := func(s shape) bool {
-		want, err := runUnder("simple", s)
+		want, err := runUnder("simple", nil, s)
 		if err != nil {
 			t.Logf("simple: %v", err)
 			return false
 		}
-		for _, name := range []string{"multi", "mpi", "dyn_multi", "dyn_redis", "hybrid_redis"} {
-			got, err := runUnder(name, s)
+		// The paper's idle-time policy on the in-process pool: its signal is
+		// the workers' own idle clocks, so it runs on every transport.
+		idle := &autoscale.IdleTimeStrategy{Threshold: 4 * time.Millisecond}
+		for _, run := range []struct {
+			name     string
+			strategy autoscale.Strategy
+		}{{"multi", nil}, {"mpi", nil}, {"dyn_multi", nil}, {"dyn_auto_multi", idle}, {"dyn_redis", nil}, {"hybrid_redis", nil}} {
+			name := run.name
+			got, err := runUnder(name, run.strategy, s)
 			if err != nil {
 				t.Logf("%s: %v", name, err)
 				return false

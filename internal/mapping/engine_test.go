@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
+	"repro/internal/miniredis"
 	_ "repro/internal/multiproc" // register multi
 	"repro/internal/platform"
 	"repro/internal/runtime"
@@ -415,11 +416,17 @@ func TestDynAutoTraceRecordsActivity(t *testing.T) {
 	}
 }
 
-// The paper's claim for auto-scaling, on its own workload: dyn_auto_multi
-// upholds dyn_multi's runtime while accruing no more process time. A batch
-// keeps the whole pool busy, so the saving is what the always-active pool
-// spends waiting on the ramp-up and on the termination protocol.
+// The paper's claim for auto-scaling, on its own workload: an auto mapping
+// upholds its fixed pool's runtime while accruing no more process time, on
+// the in-process queue and on Redis alike. A batch keeps the whole pool busy,
+// so the saving is what the always-active pool spends waiting on the ramp-up
+// and on the termination protocol.
 func TestDynAutoUsesFewerProcessTimeThanDyn(t *testing.T) {
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	run := func(name string) metrics.Report {
 		var results atomic.Int64
 		g := galaxy.New(galaxy.Config{Galaxies: 200, Heavy: true, Seed: 7, OnResult: func(string, float64) { results.Add(1) }})
@@ -427,7 +434,7 @@ func TestDynAutoUsesFewerProcessTimeThanDyn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := m.Execute(g, mapping.Options{Processes: 16, Platform: platform.Server, Seed: 7})
+		rep, err := m.Execute(g, mapping.Options{Processes: 16, Platform: platform.Server, Seed: 7, RedisAddrs: []string{srv.Addr()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,24 +443,31 @@ func TestDynAutoUsesFewerProcessTimeThanDyn(t *testing.T) {
 		}
 		return rep
 	}
-	// Both runs are a quarter of a second of wall time: a host stall during
-	// either one decides the comparison, so a miss is retried. A policy that
-	// lost the property misses every time.
-	var miss string
-	for attempt := 0; attempt < 3; attempt++ {
-		dyn, auto := run("dyn_multi"), run("dyn_auto_multi")
-		t.Logf("dyn_multi runtime %v process time %v; dyn_auto_multi runtime %v process time %v", dyn.Runtime, dyn.ProcessTime, auto.Runtime, auto.ProcessTime)
-		switch {
-		case auto.Runtime > dyn.Runtime*5/4:
-			miss = fmt.Sprintf("dyn_auto_multi runtime %v above 1.25x dyn_multi's %v", auto.Runtime, dyn.Runtime)
-		case auto.ProcessTime > dyn.ProcessTime:
-			miss = fmt.Sprintf("dyn_auto_multi process time %v above dyn_multi's %v", auto.ProcessTime, dyn.ProcessTime)
-		default:
-			return
-		}
-		t.Log(miss)
+	for _, pair := range []struct{ auto, fixed string }{
+		{"dyn_auto_multi", "dyn_multi"},
+		{"dyn_auto_redis", "dyn_redis"},
+	} {
+		t.Run(pair.auto, func(t *testing.T) {
+			// Both runs are a quarter of a second of wall time: a host stall
+			// during either one decides the comparison, so a miss is retried.
+			// A policy that lost the property misses every time.
+			var miss string
+			for attempt := 0; attempt < 3; attempt++ {
+				fixed, auto := run(pair.fixed), run(pair.auto)
+				t.Logf("%s runtime %v process time %v; %s runtime %v process time %v", pair.fixed, fixed.Runtime, fixed.ProcessTime, pair.auto, auto.Runtime, auto.ProcessTime)
+				switch {
+				case auto.Runtime > fixed.Runtime*5/4:
+					miss = fmt.Sprintf("%s runtime %v above 1.25x %s's %v", pair.auto, auto.Runtime, pair.fixed, fixed.Runtime)
+				case auto.ProcessTime > fixed.ProcessTime:
+					miss = fmt.Sprintf("%s process time %v above %s's %v", pair.auto, auto.ProcessTime, pair.fixed, fixed.ProcessTime)
+				default:
+					return
+				}
+				t.Log(miss)
+			}
+			t.Error(miss)
+		})
 	}
-	t.Error(miss)
 }
 
 // Options.Strategy puts the paper's ±1 Algorithm 1 behind the same signal and

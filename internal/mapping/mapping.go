@@ -10,9 +10,9 @@
 //	multi           static Multiprocessing: one process per PE instance
 //	mpi             static message-passing variant over internal/mpi
 //	dyn_multi       dynamic scheduling over an in-process global queue
-//	dyn_auto_multi  dyn_multi + auto-scaler (queue-size strategy)
+//	dyn_auto_multi  dyn_multi + auto-scaler (demand strategy)
 //	dyn_redis       dynamic scheduling over a Redis stream consumer group
-//	dyn_auto_redis  dyn_redis + auto-scaler (idle-time strategy)
+//	dyn_auto_redis  dyn_redis + auto-scaler (demand strategy)
 //	hybrid_redis    stateful instances on private queues + dynamic stateless pool
 package mapping
 
@@ -54,16 +54,17 @@ type Options struct {
 	// Retries is the retry budget of the termination protocol. Zero means 5.
 	Retries int
 	// AutoScale overrides the auto-scaler configuration of the auto
-	// mappings; nil means defaults (max pool = Processes, initial = half).
-	// Under dyn_auto_multi's default strategy the initial size only lasts
-	// until the first worker's refill re-reads the demand.
+	// mappings; nil means defaults (max pool = the pool's worker count,
+	// initial = half). Under the default strategy the initial size only
+	// lasts until the first worker's refill re-reads the demand.
 	AutoScale *autoscale.Config
-	// Strategy overrides the auto-scaling strategy; nil means the default
-	// per mapping: autoscale.DemandStrategy (pool sized to the outstanding
-	// tasks) for dyn_auto_multi, the paper's idle-time strategy for Redis.
-	// The override is fed the mapping's own monitor signal and stepped by
-	// the monitor tick only; autoscale.QueueSizeStrategy is the paper's ±1
-	// Algorithm 1 reference for dyn_auto_multi.
+	// Strategy overrides the auto-scaling strategy of every auto mapping;
+	// nil means the one default, autoscale.DemandStrategy (pool sized to the
+	// outstanding tasks, re-read at each refill). A strategy names the
+	// signal it reads and the engine samples that signal whatever the
+	// transport; an override is stepped by the monitor tick only.
+	// autoscale.QueueSizeStrategy is the paper's ±1 Algorithm 1 reference,
+	// autoscale.IdleTimeStrategy its dyn_auto_redis idle-time policy.
 	Strategy autoscale.Strategy
 	// Trace, when non-nil, collects auto-scaler trace points (Figure 13).
 	Trace *autoscale.Trace

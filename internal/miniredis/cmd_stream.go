@@ -2,7 +2,6 @@ package miniredis
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -21,7 +20,6 @@ func init() {
 	register("XCLAIM", 6, -1, cmdXClaim)
 	register("XAUTOCLAIM", 5, 7, cmdXAutoClaim)
 	register("XTRIM", 3, 4, cmdXTrim)
-	register("XINFO", 3, 3, cmdXInfo)
 }
 
 var errNoGroup = func(key, group string) resp.Value {
@@ -305,10 +303,9 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 			return *errv
 		}
 		e, _ := s.db.lookupKind(key, kindStream, now)
-		c := g.consumerNamed(consumerName, now)
+		c := g.consumerNamed(consumerName)
 		entries := e.stream.rangeEntries(g.lastDelivered.Next(), maxStreamID, count)
 		if len(entries) > 0 {
-			c.activeTime = now
 			for _, se := range entries {
 				g.lastDelivered = se.id
 				g.pending[se.id] = &pendingEntry{consumer: consumerName, deliveryTime: now, deliveryCount: 1}
@@ -418,7 +415,7 @@ func cmdXClaim(s *Server, args []string) resp.Value {
 	if errv != nil {
 		return *errv
 	}
-	dst := g.consumerNamed(consumerName, now)
+	dst := g.consumerNamed(consumerName)
 	minIdle := time.Duration(minIdleMs) * time.Millisecond
 	var out []resp.Value
 	for _, id := range ids {
@@ -433,9 +430,6 @@ func cmdXClaim(s *Server, args []string) resp.Value {
 		pe.deliveryTime = now
 		dst.pending[id] = struct{}{}
 		out = append(out, resp.Str(id.String()))
-	}
-	if len(out) > 0 {
-		dst.activeTime = now
 	}
 	return resp.Arr(out...)
 }
@@ -469,7 +463,7 @@ func cmdXAutoClaim(s *Server, args []string) resp.Value {
 		return *errv
 	}
 	e, _ := s.db.lookupKind(key, kindStream, now)
-	dst := g.consumerNamed(consumerName, now)
+	dst := g.consumerNamed(consumerName)
 	minIdle := time.Duration(minIdleMs) * time.Millisecond
 
 	var claimed []resp.Value
@@ -508,9 +502,6 @@ func cmdXAutoClaim(s *Server, args []string) resp.Value {
 		dst.pending[id] = struct{}{}
 		claimed = append(claimed, entryValue(*se))
 	}
-	if len(claimed) > 0 {
-		dst.activeTime = now
-	}
 	return resp.Arr(resp.Str(cursor), resp.Arr(claimed...), resp.Arr(deletedIDs...))
 }
 
@@ -538,33 +529,4 @@ func cmdXTrim(s *Server, args []string) resp.Value {
 		return resp.Int(0)
 	}
 	return resp.Int(e.stream.trimMaxLen(n))
-}
-
-// cmdXInfo serves XINFO CONSUMERS key group, the one subcommand the
-// dyn_auto_redis idle monitor issues.
-func cmdXInfo(s *Server, args []string) resp.Value {
-	if !strings.EqualFold(args[0], "CONSUMERS") {
-		return resp.Errf("ERR Unknown XINFO subcommand or wrong number of arguments for '%s'", args[0])
-	}
-	now := time.Now()
-	g, errv := lookupGroup(s, args[1], args[2], now)
-	if errv != nil {
-		return *errv
-	}
-	names := make([]string, 0, len(g.consumers))
-	for name := range g.consumers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rows := make([]resp.Value, len(names))
-	for i, name := range names {
-		c := g.consumers[name]
-		rows[i] = resp.Arr(
-			resp.Str("name"), resp.Str(name),
-			resp.Str("pending"), resp.Int(int64(len(c.pending))),
-			resp.Str("idle"), resp.Int(int64(now.Sub(c.seenTime)/time.Millisecond)),
-			resp.Str("inactive"), resp.Int(int64(now.Sub(c.activeTime)/time.Millisecond)),
-		)
-	}
-	return resp.Arr(rows...)
 }

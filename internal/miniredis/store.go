@@ -7,7 +7,7 @@
 // the table only while something issues it, and TestCommandSurface pins the
 // table and redisclient.Retryable to the list below.
 //
-// Issued by the engine (transport, state backend, fence, monitor), in these
+// Issued by the engine (transport, state backend, fence), in these
 // forms only — any other option arm is a syntax error:
 //
 //	PING FLUSHALL                                 connectivity, reset
@@ -17,7 +17,6 @@
 //	XREADGROUP ... STREAMS key >                  new entries of one stream
 //	XPENDING key group start end count [consumer] a consumer's pending IDs
 //	XCLAIM ... JUSTID, XAUTOCLAIM ... [COUNT n]   lease heartbeat, recovery
-//	XINFO CONSUMERS                               idle monitor
 //	FENCEAPPLY FENCEXACK SINKAPPEND               fenced transactions (cmd_compound.go)
 //
 // Issued by benchmark/: DBSIZE KEYS (leak checks after a run), HLEN (the
@@ -184,10 +183,8 @@ type pendingEntry struct {
 
 // consumer is one named consumer inside a group.
 type consumer struct {
-	name       string
-	pending    map[StreamID]struct{}
-	seenTime   time.Time // last command naming this consumer
-	activeTime time.Time // last successful entry delivery (Redis 7 "inactive")
+	name    string
+	pending map[StreamID]struct{}
 }
 
 // group is a stream consumer group.
@@ -205,13 +202,12 @@ func newGroup(last StreamID) *group {
 	}
 }
 
-func (g *group) consumerNamed(name string, now time.Time) *consumer {
+func (g *group) consumerNamed(name string) *consumer {
 	c, ok := g.consumers[name]
 	if !ok {
-		c = &consumer{name: name, pending: make(map[StreamID]struct{}), seenTime: now, activeTime: now}
+		c = &consumer{name: name, pending: make(map[StreamID]struct{})}
 		g.consumers[name] = c
 	}
-	c.seenTime = now
 	return c
 }
 

@@ -129,7 +129,7 @@ func TestNextAutoIDMonotonic(t *testing.T) {
 func TestGroupPendingBookkeeping(t *testing.T) {
 	g := newGroup(StreamID{})
 	now := time.Now()
-	c := g.consumerNamed("w1", now)
+	c := g.consumerNamed("w1")
 	id := StreamID{Ms: 1}
 	g.pending[id] = &pendingEntry{consumer: "w1", deliveryTime: now, deliveryCount: 1}
 	c.pending[id] = struct{}{}
@@ -140,13 +140,9 @@ func TestGroupPendingBookkeeping(t *testing.T) {
 	if got := g.sortedPending("other"); len(got) != 0 {
 		t.Errorf("consumer filter: %v", got)
 	}
-	// consumerNamed is idempotent and updates seenTime.
-	c2 := g.consumerNamed("w1", now.Add(time.Second))
-	if c2 != c {
+	// consumerNamed is idempotent.
+	if c2 := g.consumerNamed("w1"); c2 != c {
 		t.Error("consumerNamed created a duplicate")
-	}
-	if !c2.seenTime.After(now) {
-		t.Error("seenTime not refreshed")
 	}
 }
 

@@ -296,32 +296,6 @@ func TestXClaimAndAutoClaim(t *testing.T) {
 	}
 }
 
-func TestXInfo(t *testing.T) {
-	_, cl := newPair(t)
-	if err := cl.XGroupCreate("st", "g", "0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.XAddValues("st", "a", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.XReadGroup("g", "w1", 1, 0, "st"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(12 * time.Millisecond)
-	infos, err := cl.XInfoConsumers("st", "g")
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("XINFO CONSUMERS: %+v %v", infos, err)
-	}
-	if infos[0].Name != "w1" || infos[0].Pending != 1 || infos[0].Idle < 10*time.Millisecond {
-		t.Fatalf("consumer info: %+v", infos[0])
-	}
-	// CONSUMERS is the one subcommand served.
-	var se redisclient.ServerError
-	if _, err := cl.Do("XINFO", "STREAM", "st", "g"); !errors.As(err, &se) || !strings.Contains(string(se), "Unknown XINFO subcommand") {
-		t.Fatalf("XINFO STREAM: %v", err)
-	}
-}
-
 func TestXTrim(t *testing.T) {
 	_, cl := newPair(t)
 	var ids []string

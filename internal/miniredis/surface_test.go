@@ -14,10 +14,10 @@ import (
 // table when the last issuer goes.
 var keptCommands = [][]string{
 	// Issued by the engine: runtime.RedisTransport, state.RedisBackend and
-	// its fence, the coalescer, the dyn_auto_redis idle monitor.
+	// its fence, the coalescer.
 	{"PING", "FLUSHALL", "GET", "SET", "INCRBY", "DEL",
 		"HSET", "HGET", "HGETALL", "HDEL", "HINCRBY",
-		"XADD", "XLEN", "XGROUP", "XREADGROUP", "XPENDING", "XINFO", "XCLAIM", "XAUTOCLAIM",
+		"XADD", "XLEN", "XGROUP", "XREADGROUP", "XPENDING", "XCLAIM", "XAUTOCLAIM",
 		"FENCEAPPLY", "FENCEXACK", "SINKAPPEND"},
 	// Issued by benchmark/: keys left after a run, leftover queue streams,
 	// the fence-ledger size, and the plain-ack probe FENCEXACK is measured
@@ -46,7 +46,7 @@ var sentForms = [][]string{
 	{"XADD", "q", "1-1", "task", "a"},
 	{"XADD", "q", "1-2", "task", "b"},
 	{"XREADGROUP", "GROUP", "g", "w0", "COUNT", "2", "STREAMS", "q", ">"},
-	// The engine: transport, state backend, fence, idle monitor.
+	// The engine: transport, state backend, fence.
 	{"PING"},
 	{"SET", "k", "1"},
 	{"SET", "lock", "v", "NX"},
@@ -66,7 +66,6 @@ var sentForms = [][]string{
 	{"XPENDING", "q", "g", "-", "+", "10", "w0"},
 	{"XCLAIM", "q", "g", "w0", "0", "1-1", "1-2", "JUSTID"},
 	{"XAUTOCLAIM", "q", "g", "w1", "0", "0-0", "COUNT", "1"},
-	{"XINFO", "CONSUMERS", "q", "g"},
 	{"FENCEAPPLY", "h", "ledger:1", "INCR", "n", "1"},
 	{"FENCEXACK", "q", "g", "w0", "pending", "0", "1-2", "1"},
 	{"SINKAPPEND", "h", "gate:1", "1", "3", "INCRBY", "pending", "1"},

@@ -737,45 +737,6 @@ func (c *Client) XPendingIDs(key, group, consumer string, count int) ([]string, 
 	return out, nil
 }
 
-// ConsumerInfo is one row of XINFO CONSUMERS.
-type ConsumerInfo struct {
-	Name    string
-	Pending int64
-	// Idle is the time since the consumer's last attempted interaction.
-	Idle time.Duration
-	// Inactive is the time since the consumer's last successful entry
-	// delivery (Redis 7 semantics) — the dyn_auto_redis monitor metric,
-	// because polling consumers reset Idle on every empty read.
-	Inactive time.Duration
-}
-
-// XInfoConsumers lists consumers of a group with their idle times. The
-// dyn_auto_redis monitoring strategy averages the Idle values.
-func (c *Client) XInfoConsumers(key, group string) ([]ConsumerInfo, error) {
-	v, err := c.Do("XINFO", "CONSUMERS", key, group)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ConsumerInfo, 0, len(v.Array))
-	for _, row := range v.Array {
-		info := ConsumerInfo{}
-		for i := 0; i+1 < len(row.Array); i += 2 {
-			switch row.Array[i].Str {
-			case "name":
-				info.Name = row.Array[i+1].Str
-			case "pending":
-				info.Pending = row.Array[i+1].Int
-			case "idle":
-				info.Idle = time.Duration(row.Array[i+1].Int) * time.Millisecond
-			case "inactive":
-				info.Inactive = time.Duration(row.Array[i+1].Int) * time.Millisecond
-			}
-		}
-		out = append(out, info)
-	}
-	return out, nil
-}
-
 // XClaimJustID claims ids onto consumer with XCLAIM ... JUSTID, returning the
 // IDs actually claimed. JUSTID resets each entry's idle clock without bumping
 // its delivery counter, so a worker claiming its own pending entries acts as

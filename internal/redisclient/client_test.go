@@ -107,10 +107,6 @@ func TestStreamHelpers(t *testing.T) {
 	if pending, err := cl.XPendingIDs("st", "g", "c1", 10); err != nil || len(pending) != 1 || pending[0] != id {
 		t.Fatalf("XPendingIDs: %v %v", pending, err)
 	}
-	infos, err := cl.XInfoConsumers("st", "g")
-	if err != nil || len(infos) != 1 || infos[0].Name != "c1" {
-		t.Fatalf("XInfoConsumers: %+v %v", infos, err)
-	}
 	if n, err := cl.XAck("st", "g", id); err != nil || n != 1 {
 		t.Fatalf("XAck: %d %v", n, err)
 	}

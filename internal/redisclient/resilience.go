@@ -85,7 +85,7 @@ func Retryable(argv []string) bool {
 	case "PING", "EXISTS", "TYPE", "KEYS", "TTL", "INFO", "DBSIZE",
 		"GET",
 		"HGET", "HGETALL", "HLEN",
-		"XLEN", "XRANGE", "XPENDING", "XINFO",
+		"XLEN", "XRANGE", "XPENDING",
 		"DEL", "HDEL", "XACK", "XCLAIM",
 		"HSET", "XGROUP",
 		"FLUSHALL",

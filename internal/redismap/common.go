@@ -4,12 +4,18 @@
 //     Redis Stream consumed through a consumer group, replacing the
 //     multiprocessing queue of dyn_multi;
 //   - dyn_auto_redis (Section 3.2.2): dyn_redis plus the Algorithm 1
-//     auto-scaler driven by the consumer group's average idle time;
+//     auto-scaler;
 //   - hybrid_redis (Section 3.1.2): stateful PE instances pinned to
 //     dedicated processes with private Redis stream partitions, while
 //     stateless PEs keep dynamic scheduling on the global stream;
 //   - hybrid_auto_redis: hybrid_redis with the auto-scaler on its stateless
 //     pool.
+//
+// The auto mappings only set runtime.Config.AutoScale: runtime wires the
+// controller as it does for dyn_auto_multi, so the one default is
+// DemandStrategy over Transport.Pending(), and a strategy passed in
+// Options.Strategy brings the signal it reads. The paper's idle-time policy
+// (autoscale.IdleTimeStrategy) reads the workers' in-process idle clocks.
 //
 // The mappings are planners over runtime.RedisTransport: tasks are
 // flat-binary-encoded (package codec) and shipped through real TCP
@@ -22,7 +28,7 @@
 // per shard.
 //
 // Every Redis-touching component of a run — transport, state backend, fence
-// ledger, autoscale monitor — shares one redisclient.Cluster built here, so
+// ledger — shares one redisclient.Cluster built here, so
 // they agree on shard placement (the co-location invariant behind
 // single-shard FENCEAPPLY/SINKAPPEND transactions) and no code path opens
 // its own unrouted connection.
@@ -31,7 +37,6 @@ package redismap
 import (
 	"fmt"
 
-	"repro/internal/autoscale"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
@@ -43,8 +48,8 @@ import (
 
 // execute is the body of every Redis mapping. plan is what tells them apart:
 // it checks the graph against the mapping's scheduling limits and splits the
-// process budget into workers. auto attaches the Algorithm 1 auto-scaler to
-// the plan's pool when it has more than one worker to scale.
+// process budget into workers. auto asks runtime for the Algorithm 1
+// auto-scaler on the plan's pool, wired as on every other transport.
 //
 // With RecoverStale, stale deliveries are reclaimed through XAUTOCLAIM on
 // the pool and the private streams alike (pulled frames sit in the consumer
@@ -79,26 +84,12 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool,
 	tr.SetDiagnosis(opts.Diagnosis)
 	defer tr.Cleanup(g)
 
-	var ctrl *autoscale.Controller
-	if auto && p.Pool > 1 {
-		// The paper's dyn_auto_redis threshold is the time worth a process
-		// reactivation/redeployment; at our millisecond timescale the poll
-		// timeout is that order of magnitude.
-		strategy := opts.Strategy
-		if strategy == nil {
-			strategy = &autoscale.IdleTimeStrategy{Threshold: 4 * opts.PollTimeout}
-		}
-		ctrl = autoscale.NewController(opts.AutoScaleConfig(p.Pool), strategy, opts.Trace)
-		go ctrl.RunMonitor(consumerIdleMonitor(cluster, keys, ctrl))
-		defer ctrl.Terminate()
-	}
-
 	return runtime.Execute(g, opts, runtime.Config{
-		Name:       name,
-		Plan:       p,
-		Transport:  tr,
-		Host:       platform.NewHost(opts.Platform),
-		Controller: ctrl,
+		Name:      name,
+		Plan:      p,
+		Transport: tr,
+		Host:      platform.NewHost(opts.Platform),
+		AutoScale: auto,
 		NewStateBackend: func() state.Backend {
 			return state.NewRedisClusterBackend(cluster, keys.Prefix+":state")
 		},
@@ -123,41 +114,4 @@ func requireCluster(opts mapping.Options, technique string) (*redisclient.Cluste
 		return nil, fmt.Errorf("%s: redis unreachable: %w", technique, err)
 	}
 	return cluster, nil
-}
-
-// consumerIdleMonitor builds the dyn_auto_redis monitoring metric: the mean
-// Inactive time of the pool's admitted consumers in the run's consumer group.
-// The stream is partitioned per shard and a consumer is active wherever it
-// last found work, so the probe scatter-gathers XINFO CONSUMERS across the
-// shards and scores each consumer by its most recent activity anywhere
-// (minimum Inactive across shards) — a worker busy draining shard 1 is not
-// idle just because shard 0 hasn't seen it lately.
-func consumerIdleMonitor(cluster *redisclient.Cluster, keys runtime.RedisKeys, ctrl *autoscale.Controller) func() float64 {
-	return func() float64 {
-		idle := map[int]float64{}
-		for s := 0; s < cluster.NumShards(); s++ {
-			infos, err := cluster.Shard(s).XInfoConsumers(keys.Queue, keys.Group)
-			if err != nil {
-				continue
-			}
-			for _, info := range infos {
-				var w int
-				if _, err := fmt.Sscanf(info.Name, "w%d", &w); err != nil || !ctrl.Admitted(w) {
-					continue
-				}
-				ms := float64(info.Inactive.Milliseconds())
-				if cur, ok := idle[w]; !ok || ms < cur {
-					idle[w] = ms
-				}
-			}
-		}
-		if len(idle) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, ms := range idle {
-			sum += ms
-		}
-		return sum / float64(len(idle))
-	}
 }

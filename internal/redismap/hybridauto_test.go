@@ -89,9 +89,9 @@ func TestHybridAutoUsesCustomStrategy(t *testing.T) {
 	col := &collector{}
 	g := pipelineGraph(n, col)
 	opts := redisOpts(t, 6)
-	// The demand rule fed the idle-time metric is a poor policy, but any
-	// Strategy must be safe to plug in: the run still has to complete.
-	opts.Strategy = autoscale.DemandStrategy{}
+	// A strategy brings its own signal: the paper's idle-time policy reads
+	// the pool workers' idle clocks, with the pinned workers outside it.
+	opts.Strategy = &autoscale.IdleTimeStrategy{Threshold: 4 * time.Millisecond}
 	m, _ := mapping.Get("hybrid_auto_redis")
 	if _, err := m.Execute(g, opts); err != nil {
 		t.Fatal(err)

@@ -31,11 +31,12 @@ type Config struct {
 	Transport Transport
 	// Host is the simulated platform host accruing process time.
 	Host *platform.Host
-	// Controller optionally gates pool workers in and out of the idle state
-	// (the auto-scaling mappings): a pool worker joins at its first refill
-	// and asks at every refill whether it is surplus. Pinned workers are
-	// never gated.
-	Controller *autoscale.Controller
+	// AutoScale puts the Algorithm 1 auto-scaler in front of the plan's pool
+	// (the auto mappings): a pool worker joins at its first refill and asks
+	// at every refill whether it is surplus. Pinned workers are never gated.
+	// Execute wires the controller the same way on every transport (see
+	// autoScaler).
+	AutoScale bool
 	// NewStateBackend supplies the default managed-state backend when the
 	// graph declares managed state and Options.StateBackend is nil.
 	NewStateBackend func() state.Backend
@@ -77,6 +78,9 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 	defer func() { ms.Finish(g, success) }()
 
 	r := &run{g: g, opts: opts, cfg: cfg, ms: ms, fencing: ms.ExactlyOnce(), abort: make(chan struct{})}
+	if r.ctrl = r.autoScaler(); r.ctrl != nil {
+		defer r.ctrl.Terminate() // stop covers a started run, not an early return
+	}
 	r.tel = opts.Telemetry
 	if r.tel != nil {
 		r.tracer = r.tel.Tracer()
@@ -97,7 +101,7 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 			diag.Log(diagnosis.EvFault, -1, "", detail, 1)
 		})
 	}
-	if ctrl := cfg.Controller; ctrl != nil && r.diag != nil {
+	if ctrl := r.ctrl; ctrl != nil && r.diag != nil {
 		// Only the resizes that enter or leave saturation are journaled: the
 		// pool is resized up to once per monitor tick, which would evict every
 		// other event from the ring. The resize counts are autoscale gauges.
@@ -139,7 +143,7 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 			}
 			return vals, true
 		})
-		if ctrl := cfg.Controller; ctrl != nil {
+		if ctrl := r.ctrl; ctrl != nil {
 			r.tel.RegisterGauges("autoscale", func() (map[string]int64, bool) {
 				st := ctrl.Stats()
 				return map[string]int64{"active": int64(st.Active), "running": int64(st.Running), "parked": int64(st.Parked), "grows": st.Grows, "shrinks": st.Shrinks}, true
@@ -234,6 +238,12 @@ type run struct {
 	cfg  Config
 	ms   *mapping.ManagedState
 
+	// ctrl gates the pool workers in and out of the idle state (nil without
+	// auto-scaling); idle is its IdleMs signal's source (nil unless the
+	// strategy reads that signal).
+	ctrl *autoscale.Controller
+	idle *idleClock
+
 	tasks   atomic.Int64
 	outputs atomic.Int64
 
@@ -282,8 +292,8 @@ func (r *run) fail(err error) {
 // controller releases workers parked in the idle state.
 func (r *run) stop() {
 	_ = r.cfg.Transport.Done()
-	if r.cfg.Controller != nil {
-		r.cfg.Controller.Terminate()
+	if r.ctrl != nil {
+		r.ctrl.Terminate()
 	}
 }
 
@@ -434,7 +444,14 @@ func (r *run) runWorker(w int) {
 		acks.hist = wm.Ack
 	}
 
-	ctrl := r.cfg.Controller
+	ctrl := r.ctrl
+	idle := r.idle
+	if spec.Pinned() {
+		ctrl, idle = nil, nil
+	}
+	if idle != nil {
+		idle.stamp(w) // joining counts as activity, as a new consumer's does
+	}
 	// Pool workers accrue process time while polling an empty queue — the
 	// always-active cost auto-scaling exists to cut. Pinned workers under
 	// PinnedIdleStandby instead deactivate across empty polls (see Config).
@@ -474,7 +491,7 @@ func (r *run) runWorker(w int) {
 			if fuseDsts != nil {
 				decideFusion(fuseDsts, b.sizer, r.diag, w)
 			}
-			if ctrl != nil && !spec.Pinned() && ctrl.Gate(w) {
+			if ctrl != nil && ctrl.Gate(w) {
 				// Idle state: stop accruing process time until readmitted.
 				proc.Deactivate()
 				if !ctrl.Admit(w) {
@@ -529,6 +546,9 @@ func (r *run) runWorker(w int) {
 			}
 			r.busy.Add(1)
 			holding = true
+			if idle != nil {
+				idle.stamp(w)
+			}
 			buf, next = envs, 0
 		}
 		if !active {

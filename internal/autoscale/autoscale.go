@@ -12,8 +12,9 @@
 //   - DemandStrategy, the one default: sizes the pool to the outstanding
 //     tasks (Outstanding), queued plus in service. By Little's law that is
 //     offered rate times service time, the pool the stream needs. The rule
-//     has no memory, so the refill gate re-evaluates it on a fresh sample
-//     (GateOn) and a surplus worker parks without waiting for the next tick.
+//     has no memory, so as the default the refill gate re-evaluates it on a
+//     fresh sample (GateOn) and a surplus worker parks without waiting for
+//     the next tick.
 //   - QueueSizeStrategy: the paper's ±1 reference; grow while the
 //     outstanding tasks rise above a floor, shrink while they fall.
 //   - IdleTimeStrategy: the paper's dyn_auto_redis policy; shrink when the

@@ -15,15 +15,15 @@ import (
 // The strategy is Options.Strategy, or DemandStrategy when that is nil, and
 // the monitor samples the signal the strategy names every tick:
 //
-//   - Outstanding: Transport.Pending(). On a hybrid plan that also counts
-//     the tasks queued for pinned workers, so the stateless pool can be sized
-//     above its own demand.
+//   - Outstanding: Transport.Pending(), where a failed read repeats the last
+//     good one. On a hybrid plan it also counts the tasks queued for pinned
+//     workers, so the stateless pool can be sized above its own demand.
 //   - IdleMs: the mean time since each admitted pool worker's last non-empty
 //     pull, which the workers stamp in their loop (see idleClock).
 //
-// DemandStrategy has no memory, so the refill gate also re-evaluates it on a
-// fresh sample (GateOn); a strategy with memory is stepped by the tick alone.
-// The caller terminates the controller.
+// The default has no memory, so the refill gate also re-evaluates it on a
+// fresh sample (GateOn); a strategy passed in Options.Strategy is stepped by
+// the tick alone. The caller terminates the controller.
 func (r *run) autoScaler() *autoscale.Controller {
 	pool := r.cfg.Plan.Pool
 	if !r.cfg.AutoScale || pool < 2 {
@@ -34,15 +34,18 @@ func (r *run) autoScaler() *autoscale.Controller {
 		strategy = autoscale.DemandStrategy{}
 	}
 	ctrl := autoscale.NewController(r.opts.AutoScaleConfig(pool), strategy, r.opts.Trace)
+	var last atomic.Int64 // the last good Pending() read
 	sample := func() float64 {
-		n, _ := r.cfg.Transport.Pending() // a failed read samples no demand
-		return float64(n)
+		if n, err := r.cfg.Transport.Pending(); err == nil {
+			last.Store(n)
+		}
+		return float64(last.Load())
 	}
 	if strategy.Signal() == autoscale.IdleMs {
 		r.idle = newIdleClock(pool)
 		sample = func() float64 { return r.idle.meanMs(ctrl.Admitted) }
 	}
-	if _, memoryless := strategy.(autoscale.DemandStrategy); memoryless {
+	if r.opts.Strategy == nil {
 		ctrl.GateOn(sample)
 	}
 	go ctrl.RunMonitor(sample)

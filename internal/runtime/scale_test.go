@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,5 +98,74 @@ func TestIdleSignalTracksLastPull(t *testing.T) {
 	}
 	if limit := float64(5*poll) / float64(time.Millisecond); fresh < 0 || fresh > limit {
 		t.Errorf("worker that just pulled read %.2f ms idle at least, want under %.0f ms (%d samples)", fresh, limit, len(rec.samples))
+	}
+}
+
+// flakyPending is the in-process pool transport with every Pending() read
+// failing while failing is set, as a Redis shard's GET does on a transient
+// error.
+type flakyPending struct {
+	*runtime.QueueTransport
+	failing atomic.Bool
+	failed  atomic.Int64
+}
+
+func (f *flakyPending) Pending() (int64, error) {
+	if f.failing.Load() {
+		f.failed.Add(1)
+		return 0, errors.New("shard unavailable")
+	}
+	return f.QueueTransport.Pending()
+}
+
+// TestFailedPendingReadKeepsLastSample: under the default strategy, refills
+// and ticks both read Pending(). While those reads fail the signal repeats
+// the last good read, so the pool is not sized to zero demand. The failures
+// happen inside one sink call, whose delivery keeps the coordinator from
+// checking for a drain until they stop.
+func TestFailedPendingReadKeepsLastSample(t *testing.T) {
+	const items, window = 40, 30 * time.Millisecond
+	tr := &flakyPending{QueueTransport: runtime.NewQueueTransport(runtime.NewQueue(0))}
+	trace := &autoscale.Trace{}
+	var before, after atomic.Int64 // trace length when the failures start and stop
+	g := graph.New("flaky-pending")
+	g.Add(func() core.PE {
+		return core.NewSource("gen", func(ctx *core.Context) error {
+			for i := range items {
+				if err := ctx.EmitDefault(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	g.Add(func() core.PE {
+		return core.NewSink("sink", func(_ *core.Context, v any) error {
+			if v.(int) == items/2 {
+				before.Store(int64(len(trace.Points())))
+				tr.failing.Store(true)
+				time.Sleep(window)
+				tr.failing.Store(false)
+				after.Store(int64(len(trace.Points())))
+			}
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+	})
+	g.Pipe("gen", "sink")
+
+	opts := mapping.Options{Processes: 4, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1,
+		AutoScale: &autoscale.Config{Interval: time.Millisecond}, Trace: trace}
+	if _, err := runtime.Execute(g, opts, runtime.Config{Name: "flaky", Plan: runtime.PoolPlan(g, 4),
+		Transport: tr, Host: platform.NewHost(opts.Platform), AutoScale: true}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.failed.Load() == 0 {
+		t.Fatal("no Pending() read failed during the window")
+	}
+	for _, p := range trace.Points()[before.Load():after.Load()] {
+		if p.Metric == 0 {
+			t.Fatalf("a failed read sampled no demand: trace point %+v", p)
+		}
 	}
 }

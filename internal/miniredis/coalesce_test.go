@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resp"
 )
 
 // writeCounter counts the writes the server makes on one connection: one
@@ -98,5 +100,29 @@ func TestNoReplyHeldBehindBlock(t *testing.T) {
 	expectLines(t, r, "+OK", "+PONG") // while the XREADGROUP blocks forever
 	if got := wc.writes.Load(); got != 1 {
 		t.Fatalf("%d writes before the block, want the two replies in 1", got)
+	}
+}
+
+// TestBlockAfterCloseReturns: a blocking read dispatched after Close has
+// woken the blocked commands must not wait for a wake-up that never comes.
+func TestBlockAfterCloseReturns(t *testing.T) {
+	s, err := StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.dispatch(strings.Fields("XGROUP CREATE q g $ MKSTREAM"))
+	s.Close()
+	done := make(chan resp.Value, 1)
+	go func() {
+		v, _ := s.dispatch(strings.Fields("XREADGROUP GROUP g w0 BLOCK 0 STREAMS q >"))
+		done <- v
+	}()
+	select {
+	case v := <-done:
+		if v.Type != resp.Array || !v.Null {
+			t.Fatalf("blocked read after Close replied %+v, want a nil array", v)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("XREADGROUP BLOCK 0 dispatched after Close still blocked after 1s")
 	}
 }

@@ -221,8 +221,13 @@ func (s *Server) notifyKey(key string) {
 // awaitKeys blocks until one of the stream keys is appended to, the timeout
 // elapses (zero timeout means wait forever), or the server closes. It must be
 // called with s.mu held; it releases the lock while waiting and reacquires
-// before returning. The return value is false on timeout/closure.
+// before returning. The return value is false on timeout/closure. A command
+// dispatched after Close swept the watch map returns at once: nobody would
+// wake its channel, and s.mu orders this check before any later sweep.
 func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
+	if s.closed.Load() {
+		return false
+	}
 	ch := make(chan struct{})
 	for _, k := range keys {
 		s.watch[k] = append(s.watch[k], ch)

@@ -54,13 +54,13 @@ const pipeWindows = 4
 // could observe a spuriously drained transport.
 type batcher struct {
 	tr      Transport
-	sizer   *BatchSizer // adaptive window; nil passes every task straight through
+	sizer   *BatchSizer // adaptive window; nil pushes every task on its own
 	buf     []Task
 	firstAt time.Time
 
-	// pipe is the pusher (nil on the unbatched passthrough); lastPush is the
-	// duration of the latest push, inline or piped — what a window's fill
-	// time is compared with.
+	// pipe is the pusher (nil when unbatched); lastPush is the duration of
+	// the latest push, inline or piped — what a window's fill time is
+	// compared with.
 	pipe     *pusher
 	lastPush time.Duration
 
@@ -71,12 +71,12 @@ type batcher struct {
 	held    []Task
 
 	// Telemetry (optional): the latency and size of every push, inline or
-	// piped. nil keeps the passthrough free of time.Now calls.
+	// piped. nil keeps an unbatched push free of time.Now calls.
 	flushHist *telemetry.Histogram
 	sizeHist  *telemetry.Histogram
 }
 
-// newBatcher passes tasks straight through, or with adaptive set attaches a
+// newBatcher pushes each task on its own, or with adaptive set attaches a
 // sizer fed by the observed Push round-trip cost and a pusher; the caller
 // must close the batcher.
 func newBatcher(tr Transport, adaptive bool) *batcher {
@@ -126,16 +126,9 @@ func (b *batcher) push(t Task) error {
 		b.held = append(b.held, t)
 		return nil
 	}
-	if b.sizer == nil {
-		// Unbatched passthrough: each emission is its own flush.
-		if b.flushHist == nil {
-			return b.tr.Push(t)
-		}
-		start := time.Now()
-		err := b.tr.Push(t)
-		b.flushHist.Observe(int64(time.Since(start)))
-		b.sizeHist.Observe(1)
-		return err
+	if b.sizer == nil { // unbatched: each emission is its own push
+		b.buf = append(b.buf, t)
+		return b.pushInline()
 	}
 	if b.pipe.failed.Load() {
 		return b.pipe.stickyErr()
@@ -193,18 +186,17 @@ func (b *batcher) flush() error {
 	if len(b.buf) == 0 {
 		return nil
 	}
-	if b.sizer == nil && b.flushHist == nil {
-		tasks := b.buf
-		b.buf = b.buf[:0]
-		return b.tr.Push(tasks...)
-	}
 	return b.pushInline()
 }
 
-// pushInline pushes the buffered window on the worker's goroutine.
+// pushInline pushes the buffered window on the worker's goroutine; an
+// unbatched, uninstrumented push reads no clock.
 func (b *batcher) pushInline() error {
 	tasks := b.buf
 	b.buf = b.buf[:0]
+	if b.sizer == nil && b.flushHist == nil {
+		return b.tr.Push(tasks...)
+	}
 	start := time.Now()
 	err := b.tr.Push(tasks...)
 	b.observe(time.Since(start), len(tasks))

@@ -1,12 +1,15 @@
 // Package runtime is the shared execution core every parallel mapping runs
-// on. It owns the one worker loop (task pull → PE process → batched emit →
-// finalize → acknowledge) and the one termination protocol (a coordinator
-// that drains the transport, flushes Final hooks in topological order, then
-// closes the drained transport, and every worker exits on its pull's closed
-// error — the same close a failed run unwinds through), while the mappings
-// shrink to planners: they decide how many workers exist, which are pinned
-// to PE instances and which form a dynamic pool, and which Transport carries
-// the tasks.
+// on. It owns the one worker loop and the one termination protocol, while
+// the mappings shrink to planners: they decide how many workers exist, which
+// are pinned to PE instances and which form a dynamic pool, and which
+// Transport carries the tasks. The loop (runWorker) calls a worker's named
+// steps: init builds the PE copies and runs their Init hooks; refill flushes
+// emits, then acks, decides fusion, passes the auto-scaler's gate and pulls
+// the next window; execute runs one pulled delivery. Its one exit names why
+// the worker left (done, idle_release, error or abort). The termination
+// protocol is a coordinator that drains the transport, flushes Final hooks in
+// topological order, then closes the drained transport: every worker exits
+// on its pull's closed error, the same close a failed run unwinds through.
 //
 // Two transports implement the same contract:
 //
@@ -34,11 +37,10 @@
 //
 // Because termination and finalization are decided by one coordinator
 // watching the transport's pending-task count — which it reads only while
-// every worker is idle — properties that previously
-// had to be rebuilt per mapping — managed-state Final-once, no worker exits
-// while tasks are in flight — hold uniformly. In particular the mpi mapping
-// supports managed keyed state through exactly the same barrier as everyone
-// else.
+// every worker is idle — properties that previously had to be rebuilt per
+// mapping — managed-state Final-once, no worker exits while tasks are in
+// flight — hold uniformly. In particular the mpi mapping supports managed
+// keyed state through exactly the same barrier as everyone else.
 package runtime
 
 import (

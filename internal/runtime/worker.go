@@ -77,11 +77,11 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 	success := false
 	defer func() { ms.Finish(g, success) }()
 
-	r := &run{g: g, opts: opts, cfg: cfg, ms: ms, fencing: ms.ExactlyOnce(), abort: make(chan struct{})}
+	r := &run{g: g, opts: opts, cfg: cfg, ms: ms, fencing: ms.ExactlyOnce(),
+		tel: opts.Telemetry, diag: opts.Diagnosis}
 	if r.ctrl = r.autoScaler(); r.ctrl != nil {
 		defer r.ctrl.Terminate() // stop covers a started run, not an early return
 	}
-	r.tel = opts.Telemetry
 	if r.tel != nil {
 		r.tracer = r.tel.Tracer()
 	}
@@ -90,118 +90,20 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 	// Stamping without fencing is harmless: scopes are only bound to
 	// deliveries when their namespace is fenced.
 	r.stamped = r.fencing || r.tracer != nil
-	r.diag = opts.Diagnosis
-	r.diag.Log(diagnosis.EvRunStart, -1, "", cfg.Name+"/"+g.Name, int64(len(cfg.Plan.Workers)))
-	// An armed fault injector journals every fired fault as a run event, so
-	// /journal?kind=fault shows exactly which faults a chaos run saw and when
-	// relative to the lifecycle events around them.
-	if inj := faultinject.Active(); inj != nil && r.diag != nil {
-		diag := r.diag
-		inj.SetJournal(func(probe, detail string) {
-			diag.Log(diagnosis.EvFault, -1, "", detail, 1)
-		})
-	}
-	if ctrl := r.ctrl; ctrl != nil && r.diag != nil {
-		// Only the resizes that enter or leave saturation are journaled: the
-		// pool is resized up to once per monitor tick, which would evict every
-		// other event from the ring. The resize counts are autoscale gauges.
-		diag, full := r.diag, ctrl.Config().MaxPoolSize
-		ctrl.OnScale(func(from, to int) {
-			if from == full || to == full {
-				diag.Log(diagnosis.EvScale, -1, "", fmt.Sprintf("active %d→%d of %d", from, to, full), int64(to))
-			}
-		})
-	}
-	// Post-mortem observability must exist even when the run errors out: the
-	// final flight (which also seeds the gauge sources' last-good cache before
-	// the planner tears the transport down) and the run_end journal entry are
-	// deferred, so early-return failures — a seed push on a dead transport, a
-	// worker error — still leave a snapshot and a terminal journal event
-	// behind.
-	defer func() {
-		if r.tel != nil {
-			r.tel.RecordFlight()
-		}
-		if r.diag != nil {
-			detail := "ok"
-			if err != nil {
-				detail = "error: " + err.Error()
-			}
-			r.diag.Log(diagnosis.EvRunEnd, -1, "", detail, r.tasks.Load())
-		}
-	}()
-	if r.tel != nil {
-		tr := cfg.Transport
-		r.tel.RegisterGauges("transport", func() (map[string]int64, bool) {
-			n, err := tr.Pending()
-			if err != nil {
-				return nil, false
-			}
-			vals := map[string]int64{"pending": n}
-			for k, v := range tr.QueueDepths() {
-				vals[k] = v
-			}
-			return vals, true
-		})
-		if ctrl := r.ctrl; ctrl != nil {
-			r.tel.RegisterGauges("autoscale", func() (map[string]int64, bool) {
-				st := ctrl.Stats()
-				return map[string]int64{"active": int64(st.Active), "running": int64(st.Running), "parked": int64(st.Parked), "grows": st.Grows, "shrinks": st.Shrinks}, true
-			})
-		}
-		if opts.TelemetryEvery > 0 {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				tick := time.NewTicker(opts.TelemetryEvery)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-						r.tel.RecordFlight()
-					}
-				}
-			}()
-		}
-	}
-
-	// Seed one generate task per source instance (pinned plans) or per
-	// source (pool plans) before any worker starts, so the pending counter
-	// is non-zero from the coordinator's first drain check. Under stamping,
-	// seeds carry a (node, instance)-deterministic identity so a replayed
-	// generate task — and every child it re-emits — keeps its provenance.
-	seed := func(name string, instance int) Task {
-		t := Task{PE: name, Instance: instance}
-		if r.stamped {
-			t.Src = seedSrc(name, instance)
-		}
-		return t
-	}
-	for _, src := range g.Sources() {
-		count := cfg.Plan.Instances[src.Name]
-		if count == 0 {
-			if err := cfg.Transport.Push(seed(src.Name, -1)); err != nil {
-				return metrics.Report{}, fmt.Errorf("%s: seed source %s: %w", cfg.Name, src.Name, err)
-			}
-			continue
-		}
-		for i := 0; i < count; i++ {
-			if err := cfg.Transport.Push(seed(src.Name, i)); err != nil {
-				return metrics.Report{}, fmt.Errorf("%s: seed source %s: %w", cfg.Name, src.Name, err)
-			}
-		}
+	finish := r.observe()
+	defer func() { finish(err) }()
+	if err := r.seed(); err != nil {
+		return metrics.Report{}, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
 
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := range cfg.Plan.Workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			r.runWorker(w)
-		}(w)
+		}()
 	}
 	wg.Add(1)
 	go func() {
@@ -229,6 +131,116 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 		Outputs:     r.outputs.Load(),
 		State:       ms.Ops(),
 	}, nil
+}
+
+// observe wires the run's journal and telemetry: run_start, the transport
+// and autoscale gauges and the flight ticker. The returned finish stops the
+// ticker, records the final flight and journals run_end. Execute defers it,
+// because post-mortem observability must exist even when the run errors out:
+// the final flight (which also seeds the gauge sources' last-good cache
+// before the planner tears the transport down) and the run_end entry are
+// left behind by early-return failures too — a seed push on a dead
+// transport, a worker error.
+func (r *run) observe() (finish func(err error)) {
+	r.diag.Log(diagnosis.EvRunStart, -1, "", r.cfg.Name+"/"+r.g.Name, int64(len(r.cfg.Plan.Workers)))
+	// An armed fault injector journals every fired fault as a run event, so
+	// /journal?kind=fault shows exactly which faults a chaos run saw and when
+	// relative to the lifecycle events around them.
+	if inj := faultinject.Active(); inj != nil && r.diag != nil {
+		diag := r.diag
+		inj.SetJournal(func(probe, detail string) {
+			diag.Log(diagnosis.EvFault, -1, "", detail, 1)
+		})
+	}
+	if ctrl := r.ctrl; ctrl != nil && r.diag != nil {
+		// Only the resizes that enter or leave saturation are journaled: the
+		// pool is resized up to once per monitor tick, which would evict every
+		// other event from the ring. The resize counts are autoscale gauges.
+		diag, full := r.diag, ctrl.Config().MaxPoolSize
+		ctrl.OnScale(func(from, to int) {
+			if from == full || to == full {
+				diag.Log(diagnosis.EvScale, -1, "", fmt.Sprintf("active %d→%d of %d", from, to, full), int64(to))
+			}
+		})
+	}
+	stop := make(chan struct{})
+	if r.tel != nil {
+		tr := r.cfg.Transport
+		r.tel.RegisterGauges("transport", func() (map[string]int64, bool) {
+			n, err := tr.Pending()
+			if err != nil {
+				return nil, false
+			}
+			vals := map[string]int64{"pending": n}
+			for k, v := range tr.QueueDepths() {
+				vals[k] = v
+			}
+			return vals, true
+		})
+		if ctrl := r.ctrl; ctrl != nil {
+			r.tel.RegisterGauges("autoscale", func() (map[string]int64, bool) {
+				st := ctrl.Stats()
+				return map[string]int64{"active": int64(st.Active), "running": int64(st.Running), "parked": int64(st.Parked), "grows": st.Grows, "shrinks": st.Shrinks}, true
+			})
+		}
+		if every := r.opts.TelemetryEvery; every > 0 {
+			go func() {
+				tick := time.NewTicker(every)
+				defer tick.Stop()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+						r.tel.RecordFlight()
+					}
+				}
+			}()
+		}
+	}
+	return func(err error) {
+		close(stop)
+		if r.tel != nil {
+			r.tel.RecordFlight()
+		}
+		detail := "ok"
+		if err != nil {
+			detail = "error: " + err.Error()
+		}
+		r.diag.Log(diagnosis.EvRunEnd, -1, "", detail, r.tasks.Load())
+	}
+}
+
+// seed pushes one generate task per source instance (pinned plans) or per
+// source (pool plans) before any worker starts, so the pending counter is
+// non-zero from the coordinator's first drain check.
+func (r *run) seed() error {
+	for _, src := range r.g.Sources() {
+		first, n := -1, 1
+		if count := r.cfg.Plan.Instances[src.Name]; count > 0 {
+			first, n = 0, count
+		}
+		for i := first; i < first+n; i++ {
+			if err := r.cfg.Transport.Push(r.controlTask(src.Name, i, false)); err != nil {
+				return fmt.Errorf("seed source %s: %w", src.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// controlTask is the generate task (finalize false) or the Final task of one
+// node instance; instance -1 lets any pool worker run it. Under stamping it
+// carries a (node, instance)-deterministic identity, so a replayed control
+// task — and every child it re-emits — keeps its provenance.
+func (r *run) controlTask(name string, instance int, finalize bool) Task {
+	t := Task{PE: name, Instance: instance, Finalize: finalize}
+	if r.stamped && finalize {
+		t.Src = finalSrc(name, instance)
+	} else if r.stamped {
+		t.Src = seedSrc(name, instance)
+	}
+	return t
 }
 
 // run is the shared state of one Execute call.
@@ -267,24 +279,24 @@ type run struct {
 	// asks the transport for its pending count only while it is zero.
 	busy atomic.Int64
 
-	abort     chan struct{}
-	abortOnce sync.Once
-	failed    atomic.Bool
-	errMu     sync.Mutex
-	firstErr  error
+	failed   atomic.Bool
+	errMu    sync.Mutex
+	firstErr error
 }
 
-// fail records the first error and unwinds the run: the abort channel stops
-// loops that are between transport operations, and stop ends the rest.
-func (r *run) fail(err error) {
+// fail records the first error and unwinds the run: the failed flag stops
+// loops that are between transport operations, and stop ends the rest. It
+// reports whether err became the run's error.
+func (r *run) fail(err error) bool {
 	r.errMu.Lock()
-	if r.firstErr == nil {
+	first := r.firstErr == nil
+	if first {
 		r.firstErr = err
 	}
 	r.errMu.Unlock()
 	r.failed.Store(true)
-	r.abortOnce.Do(func() { close(r.abort) })
 	r.stop()
+	return first
 }
 
 // stop is the one way a run ends its workers, on success and failure alike:
@@ -297,103 +309,161 @@ func (r *run) stop() {
 	}
 }
 
-func (r *run) aborted() bool {
-	select {
-	case <-r.abort:
-		return true
-	default:
-		return false
-	}
-}
+// errReleased ends a pool worker the auto-scaler released from the idle state.
+var errReleased = errors.New("runtime: released from the idle state")
 
-// workerFail reports a worker-side error unless the run is already
-// unwinding (transport shutdown errors are the unwind, not a new failure).
-func (r *run) workerFail(err error) {
-	if IsClosed(err) || r.aborted() {
-		return
-	}
-	r.fail(err)
-}
-
-// runWorker is the one worker loop of the engine. A pinned worker owns a
-// single PE instance; a pool worker owns a private copy of every pooled PE
-// (the paper's cp_graph ← DeepCopy(graph)).
+// runWorker is the one worker loop of the engine, the paper's dynamic
+// mapping loop: after init, each turn executes the next buffered delivery or,
+// with the buffer spent, refills it. A step's error ends the loop, and the
+// one exit turns it into the worker's exit reason: "done" when the
+// coordinator closed the drained transport, "idle_release" when the
+// auto-scaler released the parked worker from a finished run, "error" when
+// the worker's own step fails the run (the one place a worker error is
+// wrapped with its process name and recorded), and "abort" when the run is
+// already unwinding: shutdown errors are the unwind, not a new failure.
 func (r *run) runWorker(w int) {
-	spec := r.cfg.Plan.Workers[w]
-	var procName string
-	if spec.Pinned() {
-		procName = fmt.Sprintf("%s:%s:%d", r.cfg.Name, spec.PE, spec.Instance)
-	} else {
-		procName = fmt.Sprintf("%s:w%d", r.cfg.Name, w)
-	}
-	proc := r.cfg.Host.NewProcess(procName)
-	proc.Activate()
-	defer proc.Deactivate()
-
-	// The worker's telemetry shard is resolved once; a nil shard leaves every
-	// hot-path branch on a simple pointer test.
-	var wm *telemetry.WorkerMetrics
-	if r.tel != nil {
-		wm = r.tel.Worker(w)
-	}
-	r.diag.Log(diagnosis.EvWorkerStart, w, spec.PE, procName, 0)
-	exitReason := "error"
-	defer func() { r.diag.Log(diagnosis.EvWorkerExit, w, spec.PE, exitReason, 0) }()
-
-	b := newBatcher(r.cfg.Transport, r.cfg.AdaptiveBatching)
-	defer b.close() // the pusher never outlives its worker
-	if wm != nil {
-		b.flushHist = wm.EmitFlush
-		b.sizeHist = wm.EmitBatch
-	}
-	if b.sizer != nil && r.diag != nil {
-		b.sizer.OnResize = resizeLogger(r.diag, w, "emit")
-	}
-	rt := &router{g: r.g, plan: r.cfg.Plan, outputs: &r.outputs, tasks: &r.tasks, out: b.push,
-		seq: map[*graph.Edge]uint64{}, stamped: r.stamped, tracer: r.tracer, worker: w, diag: r.diag, wm: wm}
-
-	// Build this worker's PE copies. The diagnosis flow rows and the PE's
-	// hooks are resolved here — once per worker, never per task. Each
-	// managed-state context is routed through a per-worker FenceScope; under
-	// fencing it is the handle the loop binds to the current delivery before
-	// each task. Every copy exists before any emit closure is built, so a
-	// closure can resolve the copy a fused edge calls into.
-	var nodes []*graph.Node
-	if spec.Pinned() {
-		nodes = []*graph.Node{r.g.Node(spec.PE)}
-	} else {
-		for _, n := range r.g.Nodes() {
-			if r.cfg.Plan.Instances[n.Name] == 0 { // else pinned elsewhere
-				nodes = append(nodes, n)
-			}
+	wk := r.newWorker(w)
+	defer wk.close()
+	err := wk.init()
+	for err == nil {
+		switch {
+		case r.failed.Load():
+			err = errRunAborted
+		case wk.next < len(wk.buf):
+			err = wk.execute()
+		default:
+			err = wk.refill()
 		}
 	}
-	copies := make(map[string]*peCopy, len(nodes))
-	for _, n := range nodes {
-		copies[n.Name] = &peCopy{}
+	reason := "abort"
+	switch {
+	case IsClosed(err) && !r.failed.Load():
+		reason = "done"
+	case errors.Is(err, errReleased) && !r.failed.Load():
+		reason = "idle_release"
+	case !r.failed.Load() && r.fail(fmt.Errorf("worker %s: %w", wk.proc.Name(), err)):
+		reason = "error"
+	}
+	r.diag.Log(diagnosis.EvWorkerExit, w, wk.spec.PE, reason, 0)
+}
+
+// worker is one plan slot's loop state; its methods are the loop's steps. A
+// pinned worker owns a single PE instance; a pool worker owns a private copy
+// of every pooled PE (the paper's cp_graph ← DeepCopy(graph)).
+type worker struct {
+	r    *run
+	w    int
+	spec WorkerSpec
+	tr   Transport
+	proc *platform.Process
+	// wm is the worker's telemetry shard, resolved once; nil leaves every
+	// hot-path branch on a simple pointer test.
+	wm *telemetry.WorkerMetrics
+
+	copies   map[string]*peCopy
+	fuseDsts []*peCopy // the destinations of this worker's fusable edges
+	rt       *router
+	b        *batcher
+	acks     *ackBatch
+	// pullSizer sizes the pull window; nil pulls one task at a time.
+	pullSizer *BatchSizer
+	// ctrl and idle are the run's, nil on a pinned worker, which is never
+	// gated. Pool workers accrue process time while polling an empty queue —
+	// the always-active cost auto-scaling exists to cut. A standby (pinned,
+	// under PinnedIdleStandby) worker instead deactivates across empty polls.
+	ctrl    *autoscale.Controller
+	idle    *idleClock
+	standby bool
+
+	buf      []Env // the prefetch buffer; next indexes its next delivery
+	next     int
+	holding  bool  // counted in r.busy: buf's deliveries are not all acked
+	pulledAt int64 // UnixNano of buf's pull (tracing only)
+}
+
+// newWorker starts worker w's process and builds its router, emit and ack
+// batches and pull sizer. Without adaptive batching a worker pulls one task
+// at a time.
+func (r *run) newWorker(w int) *worker {
+	wk := &worker{r: r, w: w, spec: r.cfg.Plan.Workers[w], tr: r.cfg.Transport,
+		b: newBatcher(r.cfg.Transport, r.cfg.AdaptiveBatching), acks: &ackBatch{tr: r.cfg.Transport, w: w, tracer: r.tracer}}
+	name := fmt.Sprintf("%s:w%d", r.cfg.Name, w)
+	if wk.spec.Pinned() {
+		name = fmt.Sprintf("%s:%s:%d", r.cfg.Name, wk.spec.PE, wk.spec.Instance)
+		wk.standby = r.cfg.PinnedIdleStandby
+	} else {
+		wk.ctrl, wk.idle = r.ctrl, r.idle
+	}
+	wk.proc = r.cfg.Host.NewProcess(name)
+	wk.proc.Activate()
+	if r.tel != nil {
+		wk.wm = r.tel.Worker(w)
+		wk.b.flushHist, wk.b.sizeHist, wk.acks.hist = wk.wm.EmitFlush, wk.wm.EmitBatch, wk.wm.Ack
+	}
+	if r.cfg.AdaptiveBatching {
+		wk.pullSizer = NewBatchSizer()
+		if r.diag != nil {
+			wk.b.sizer.OnResize = resizeLogger(r.diag, w, "emit")
+			wk.pullSizer.OnResize = resizeLogger(r.diag, w, "pull")
+		}
+	}
+	wk.rt = &router{g: r.g, plan: r.cfg.Plan, outputs: &r.outputs, tasks: &r.tasks, out: wk.b.push,
+		seq: map[*graph.Edge]uint64{}, stamped: r.stamped, tracer: r.tracer, worker: w, diag: r.diag, wm: wk.wm}
+	r.diag.Log(diagnosis.EvWorkerStart, w, wk.spec.PE, name, 0)
+	return wk
+}
+
+// close releases what the worker still holds: its busy count, its pusher
+// (which never outlives its worker) and its active span.
+func (wk *worker) close() {
+	wk.release()
+	wk.b.close()
+	wk.proc.Deactivate()
+}
+
+// release lowers the run's busy count once buf's deliveries are all acked.
+func (wk *worker) release() {
+	if wk.holding {
+		wk.r.busy.Add(-1)
+		wk.holding = false
+	}
+}
+
+// init builds the worker's PE copies and fusion edges, runs the Init hooks
+// and flushes their emissions. The diagnosis flow rows and the PE's hooks are
+// resolved here — once per worker, never per task. Each managed-state context
+// is routed through a per-worker FenceScope; under fencing it is the handle
+// runTask binds to the current delivery. Every copy exists before any emit
+// closure is built, so a closure can resolve the copy a fused edge calls into.
+func (wk *worker) init() error {
+	r, spec := wk.r, wk.spec
+	var nodes []*graph.Node
+	wk.copies = map[string]*peCopy{}
+	for _, n := range r.g.Nodes() {
+		if n.Name == spec.PE || !spec.Pinned() && r.cfg.Plan.Instances[n.Name] == 0 { // else pinned elsewhere
+			nodes = append(nodes, n)
+			wk.copies[n.Name] = &peCopy{}
+		}
 	}
 	// Fusion needs a measured hop cost, which only the adaptive sizers give.
-	var fuseDsts []*peCopy
 	if r.cfg.AdaptiveBatching && !spec.Pinned() {
-		rt.fuseTo = map[*graph.Edge]*peCopy{}
+		wk.rt.fuseTo = map[*graph.Edge]*peCopy{}
 		for _, e := range r.g.Edges() {
-			if !fusable(r.g, r.cfg.Plan, e) {
-				continue
-			}
-			c := copies[e.To]
-			rt.fuseTo[e] = c
-			if !c.fuseDst {
-				c.fuseDst = true
-				fuseDsts = append(fuseDsts, c)
+			if c := wk.copies[e.To]; fusable(r.g, r.cfg.Plan, e) {
+				wk.rt.fuseTo[e] = c
+				if !c.fuseDst {
+					c.fuseDst = true
+					wk.fuseDsts = append(wk.fuseDsts, c)
+				}
 			}
 		}
 	}
 	for _, n := range nodes {
-		instance, seed := w, r.opts.Seed^int64(w*7919)^int64(NodeHash(n.Name))
+		instance, seed := wk.w, r.opts.Seed^int64(wk.w*7919)^int64(NodeHash(n.Name))
 		if spec.Pinned() {
 			instance, seed = spec.Instance, r.opts.Seed^int64(InstanceSeed(n.Name, spec.Instance))
 		}
-		c := copies[n.Name]
+		c := wk.copies[n.Name]
 		c.pe = n.Factory()
 		c.fin, _ = c.pe.(core.Finalizer)
 		c.src, _ = c.pe.(core.Source)
@@ -401,7 +471,7 @@ func (r *run) runWorker(w int) {
 			c.flow = r.diag.PE(n.Name)
 			c.flow.AddServer()
 		}
-		c.ctx = core.NewContext(n.Name, instance, r.cfg.Host, synth.NewRand(seed), rt.emitFor(n.Name))
+		c.ctx = core.NewContext(n.Name, instance, r.cfg.Host, synth.NewRand(seed), wk.rt.emitFor(n.Name))
 		if sc := r.ms.Scope(n.Name); sc != nil {
 			c.scope, c.fence = sc, r.ms.Fenced(n.Name)
 			c.ctx = c.ctx.WithStore(sc)
@@ -410,195 +480,136 @@ func (r *run) runWorker(w int) {
 	// Init emissions carry a per-worker provenance: Init runs once per
 	// worker copy (never replayed), so its children must not be fenced
 	// against another worker's.
-	rt.begin(Task{Src: initSrc(w)})
-	for name, c := range copies {
+	wk.rt.begin(Task{Src: initSrc(wk.w)})
+	for name, c := range wk.copies {
 		if ini, ok := c.pe.(core.Initializer); ok {
 			if err := ini.Init(c.ctx); err != nil {
-				r.workerFail(fmt.Errorf("worker %s: init %s: %w", procName, name, err))
-				return
+				return fmt.Errorf("init %s: %w", name, err)
 			}
 		}
 	}
 	// Anything emitted from Init hooks must reach the transport before the
 	// worker starts pulling: a batch held here would be invisible to the
 	// pending count and silently dropped at termination.
-	if err := b.flush(); err != nil {
-		r.workerFail(fmt.Errorf("worker %s: flush init emissions: %w", procName, err))
-		return
+	if err := wk.b.flush(); err != nil {
+		return fmt.Errorf("flush init emissions: %w", err)
 	}
+	if wk.idle != nil {
+		wk.idle.stamp(wk.w) // joining counts as activity, as a new consumer's does
+	}
+	return nil
+}
 
-	// Per-loop invariants are hoisted out of the hot loop: the poll timeout
-	// and pull sizer are resolved once here, not chased on every pull
-	// iteration. Without adaptive batching a worker pulls one task at a time.
-	tr := r.cfg.Transport
-	pollTimeout := r.opts.PollTimeout
-	var pullSizer *BatchSizer
-	if r.cfg.AdaptiveBatching {
-		pullSizer = NewBatchSizer()
-		if r.diag != nil {
-			pullSizer.OnResize = resizeLogger(r.diag, w, "pull")
+// refill releases what the spent buffer held and pulls the next window.
+// Order matters: buffered emissions reach the transport first (children
+// become pending), then the processed deliveries are released in one
+// batched ack, and only then may the worker block — on the idle gate or on
+// the pull itself. Fusion is decided here, at a refill boundary, never
+// mid-task. A pull's closed error is the normal exit once the coordinator
+// closed the drained transport: nothing is pending, so nothing is left
+// unflushed or unacked. After an empty pull the buffer stays spent.
+func (wk *worker) refill() error {
+	if err := wk.b.flush(); err != nil {
+		return fmt.Errorf("flush emissions: %w", err)
+	}
+	if err := wk.acks.flush(); err != nil {
+		return fmt.Errorf("ack batch: %w", err)
+	}
+	wk.release()
+	if wk.fuseDsts != nil {
+		decideFusion(wk.fuseDsts, wk.b.sizer, wk.r.diag, wk.w)
+	}
+	if wk.ctrl != nil && wk.ctrl.Gate(wk.w) {
+		// Idle state: stop accruing process time until readmitted.
+		wk.proc.Deactivate()
+		if !wk.ctrl.Admit(wk.w) {
+			return errReleased
 		}
+		wk.proc.Activate()
 	}
-	acks := &ackBatch{tr: tr, w: w, tracer: r.tracer}
-	if wm != nil {
-		acks.hist = wm.Ack
+	window := 1
+	if wk.pullSizer != nil {
+		window = wk.pullSizer.Next()
 	}
+	start := time.Now()
+	envs, err := wk.tr.PullBatch(wk.w, window, wk.r.opts.PollTimeout)
+	if err != nil {
+		return fmt.Errorf("pull: %w", err)
+	}
+	if wk.pullSizer != nil {
+		// Empty polls are observed too: a timed-out round trip is real cost
+		// under bursty traffic and feeds the shrink rule (without polluting
+		// the per-task cost estimate). The count is frames, not tasks: the
+		// pull window (XREADGROUP COUNT) is denominated in stream entries,
+		// and a packed entry delivers many tasks for one unit of window —
+		// sizing on tasks would starve the window long before the round trip
+		// amortizes.
+		wk.pullSizer.Observe(time.Since(start), countFrames(envs))
+	}
+	if len(envs) == 0 {
+		if wk.wm != nil {
+			wk.wm.IdlePolls.Inc()
+		}
+		if wk.standby {
+			wk.proc.Deactivate()
+		}
+		return nil // the coordinator owns termination
+	}
+	if wk.wm != nil {
+		wk.wm.Pull.Observe(int64(time.Since(start)))
+		wk.wm.PullBatch.Observe(int64(len(envs)))
+	}
+	if wk.r.tracer != nil {
+		wk.pulledAt = time.Now().UnixNano()
+	}
+	if wk.standby {
+		wk.proc.Activate()
+	}
+	wk.r.busy.Add(1)
+	wk.holding = true
+	if wk.idle != nil {
+		wk.idle.stamp(wk.w)
+	}
+	wk.buf, wk.next = envs, 0
+	return nil
+}
 
-	ctrl := r.ctrl
-	idle := r.idle
-	if spec.Pinned() {
-		ctrl, idle = nil, nil
+// execute runs the next buffered delivery, after the progress heartbeat (see
+// Transport.Extend; a failure only risks an early reclaim, which recovery
+// tolerates). It is timed only when something reads the time: a traced
+// delivery records its span even on error (a trace ending in a failed hop is
+// still reconstructable), the flow ledger observes every execution's service
+// time — plus, for traced deliveries, the emit→start queue wait their TraceAt
+// stamp carries across the wire — and a fusion destination's mean service
+// time takes the sample.
+func (wk *worker) execute() error {
+	env := wk.buf[wk.next]
+	wk.next++
+	if wk.wm != nil {
+		wk.wm.Prefetch.Set(int64(len(wk.buf) - wk.next))
+		wk.wm.Tasks.Inc()
 	}
-	if idle != nil {
-		idle.stamp(w) // joining counts as activity, as a new consumer's does
+	_ = wk.tr.Extend(wk.w)
+	c, ok := wk.copies[env.PE]
+	if !ok {
+		return fmt.Errorf("task for unknown PE %q", env.PE)
 	}
-	// Pool workers accrue process time while polling an empty queue — the
-	// always-active cost auto-scaling exists to cut. Pinned workers under
-	// PinnedIdleStandby instead deactivate across empty polls (see Config).
-	standby := r.cfg.PinnedIdleStandby && spec.Pinned()
-	active := true
-	var buf []Env // worker-local prefetch buffer
-	next := 0
-	holding := false // counted in r.busy: buf's deliveries are not all acked
-	defer func() {
-		if holding {
-			r.busy.Add(-1)
-		}
-	}()
-	var pulledAt int64 // UnixNano of the current buffer's pull (tracing only)
-	for {
-		if r.aborted() {
-			exitReason = "abort"
-			return
-		}
-		if next >= len(buf) {
-			// Refill. Order matters: buffered emissions reach the transport
-			// first (children become pending), then the processed deliveries
-			// are released in one batched ack, and only then may the worker
-			// block — on the idle gate or on the pull itself.
-			if err := b.flush(); err != nil {
-				r.workerFail(fmt.Errorf("worker %s: flush emissions: %w", procName, err))
-				return
-			}
-			if err := acks.flush(); err != nil {
-				r.workerFail(fmt.Errorf("worker %s: ack batch: %w", procName, err))
-				return
-			}
-			if holding {
-				r.busy.Add(-1)
-				holding = false
-			}
-			if fuseDsts != nil {
-				decideFusion(fuseDsts, b.sizer, r.diag, w)
-			}
-			if ctrl != nil && ctrl.Gate(w) {
-				// Idle state: stop accruing process time until readmitted.
-				proc.Deactivate()
-				if !ctrl.Admit(w) {
-					exitReason = "idle_release"
-					return
-				}
-				proc.Activate()
-			}
-			window := 1
-			if pullSizer != nil {
-				window = pullSizer.Next()
-			}
-			start := time.Now()
-			envs, err := tr.PullBatch(w, window, pollTimeout)
-			if IsClosed(err) && !r.failed.Load() {
-				// The coordinator closed the drained transport: nothing is
-				// pending, so nothing is left unflushed or unacked here.
-				exitReason = "done"
-				return
-			}
-			if err != nil {
-				r.workerFail(fmt.Errorf("worker %s: pull: %w", procName, err))
-				return
-			}
-			if pullSizer != nil {
-				// Empty polls are observed too: a timed-out round trip is
-				// real cost under bursty traffic and feeds the shrink rule
-				// (without polluting the per-task cost estimate). The count
-				// is frames, not tasks: the pull window (XREADGROUP COUNT)
-				// is denominated in stream entries, and a packed entry
-				// delivers many tasks for one unit of window — sizing on
-				// tasks would starve the window long before the round trip
-				// amortizes.
-				pullSizer.Observe(time.Since(start), countFrames(envs))
-			}
-			if len(envs) == 0 {
-				if wm != nil {
-					wm.IdlePolls.Inc()
-				}
-				if standby && active {
-					proc.Deactivate()
-					active = false
-				}
-				continue // the coordinator owns termination
-			}
-			if wm != nil {
-				wm.Pull.Observe(int64(time.Since(start)))
-				wm.PullBatch.Observe(int64(len(envs)))
-			}
-			if r.tracer != nil {
-				pulledAt = time.Now().UnixNano()
-			}
-			r.busy.Add(1)
-			holding = true
-			if idle != nil {
-				idle.stamp(w)
-			}
-			buf, next = envs, 0
-		}
-		if !active {
-			proc.Activate()
-			active = true
-		}
-		env := buf[next]
-		next++
-		if wm != nil {
-			wm.Prefetch.Set(int64(len(buf) - next))
-		}
-		if wm != nil {
-			wm.Tasks.Inc()
-		}
-		// The progress heartbeat between tasks (see Transport.Extend); a
-		// failure only risks an early reclaim, which recovery tolerates.
-		_ = tr.Extend(w)
-		c, ok := copies[env.PE]
-		if !ok {
-			r.workerFail(fmt.Errorf("worker %s: task for unknown PE %q", procName, env.PE))
-			return
-		}
-		traced := r.tracer != nil && env.TraceAt != 0
-		if !traced && c.flow == nil && !c.fuseDst {
-			if err := r.runTask(procName, c, rt, b, acks, env); err != nil {
-				r.workerFail(err)
-				return
-			}
-			continue
-		}
-		// Timed execution: a traced delivery records its span even on error
-		// (a trace ending in a failed hop is still reconstructable), the
-		// flow ledger observes every execution's service time — plus, for
-		// traced deliveries, the emit→start queue wait their TraceAt stamp
-		// carries across the wire — and a fusion destination's mean service
-		// time takes the sample.
-		rt.inlineNs, rt.timing = 0, true
-		startNs := time.Now().UnixNano()
-		err := r.runTask(procName, c, rt, b, acks, env)
-		endNs := time.Now().UnixNano()
-		rt.timing = false
-		rt.recordExec(c, env.Task, pulledAt, startNs, endNs)
+	timed := c.flow != nil || c.fuseDst || wk.r.tracer != nil && env.TraceAt != 0
+	var start int64
+	if timed {
+		wk.rt.inlineNs, wk.rt.timing = 0, true
+		start = time.Now().UnixNano()
+	}
+	err := wk.runTask(c, env)
+	if timed {
+		end := time.Now().UnixNano()
+		wk.rt.timing = false
+		wk.rt.recordExec(c, env.Task, wk.pulledAt, start, end)
 		if c.fuseDst {
-			c.observeService(endNs - startNs - rt.inlineNs)
-		}
-		if err != nil {
-			r.workerFail(err)
-			return
+			c.observeService(end - start - wk.rt.inlineNs)
 		}
 	}
+	return err
 }
 
 // resizeLogger journals one BatchSizer's window changes.
@@ -641,8 +652,8 @@ type peCopy struct {
 // delivery's identity first, so re-emitted children are stamped
 // deterministically and managed-state mutations of a duplicate execution
 // are dropped by the store's applied ledger.
-func (r *run) runTask(procName string, c *peCopy, rt *router, b *batcher, acks *ackBatch, env Env) error {
-	rt.begin(env.Task)
+func (wk *worker) runTask(c *peCopy, env Env) error {
+	wk.rt.begin(env.Task)
 	if c.fence != nil {
 		c.scope.SetToken(state.Token{Src: env.Src, Seq: env.Seq})
 		defer c.scope.ClearToken()
@@ -650,36 +661,30 @@ func (r *run) runTask(procName string, c *peCopy, rt *router, b *batcher, acks *
 	var err error
 	switch {
 	case env.Finalize && c.fence != nil:
-		err = r.finalFenced(c, b, env)
+		err = wk.finalFenced(c, env)
 	case env.Finalize:
 		if c.fin != nil {
 			err = c.fin.Final(c.ctx)
 		}
+	case env.Port == "" && c.src == nil:
+		err = fmt.Errorf("generate task for non-source PE %q", env.PE)
 	case env.Port == "":
-		if c.src == nil {
-			err = fmt.Errorf("generate task for non-source PE %q", env.PE)
-			break
-		}
-		r.tasks.Add(1)
+		wk.r.tasks.Add(1)
 		err = c.src.Generate(c.ctx)
 	default:
-		r.tasks.Add(1)
+		wk.r.tasks.Add(1)
 		// Hold mode exists only inside a fenced Final, never here.
-		rt.processing = true
+		wk.rt.processing = true
 		err = c.pe.Process(c.ctx, env.Port, env.Value)
-		rt.processing = false
+		wk.rt.processing = false
 	}
+	wk.acks.add(env)
 	if err != nil {
 		// Release the deliveries so a failed run does not hang on a counter
 		// that can never drain, then surface the PE error.
-		acks.add(env)
-		_ = acks.flush()
-		if IsClosed(err) {
-			return err
-		}
-		return fmt.Errorf("worker %s: PE %s: %w", procName, env.PE, err)
+		_ = wk.acks.flush()
+		return fmt.Errorf("PE %s: %w", env.PE, err)
 	}
-	acks.add(env)
 	return nil
 }
 
@@ -694,7 +699,8 @@ func (r *run) runTask(procName string, c *peCopy, rt *router, b *batcher, acks *
 // killed anywhere before the push leaves no gate record and the replayed
 // Finalize redoes the flush in full. A duplicate pushes nothing and is
 // counted as a fence drop.
-func (r *run) finalFenced(c *peCopy, b *batcher, env Env) error {
+func (wk *worker) finalFenced(c *peCopy, env Env) error {
+	b := wk.b
 	if err := b.flush(); err != nil {
 		return err
 	}
@@ -713,7 +719,7 @@ func (r *run) finalFenced(c *peCopy, b *batcher, env Env) error {
 	// Entries are capped at the emit window so the batch keeps the normal
 	// path's delivery granularity downstream.
 	gate := c.fence.TaskGate(state.Token{Src: env.Src, Seq: env.Seq})
-	applied, err := r.cfg.Transport.PushFenced(gate, max(b.window(), 1), held...)
+	applied, err := wk.tr.PushFenced(gate, max(b.window(), 1), held...)
 	if err == nil && !applied {
 		c.fence.ObserveDrop()
 	}
@@ -755,25 +761,18 @@ func (r *run) drainAndFinalize() error {
 			continue
 		}
 		count := r.cfg.Plan.Instances[name]
-		final := func(instance int) Task {
-			t := Task{PE: name, Instance: instance, Finalize: true}
-			if r.stamped {
-				t.Src = finalSrc(name, instance)
-			}
-			return t
-		}
 		var finals []Task
 		switch {
 		case count == 0:
 			// Pooled node: validation guarantees it is managed-state, so a
 			// single Final on any worker flushes the shared namespace.
-			finals = []Task{final(-1)}
+			finals = []Task{r.controlTask(name, -1, true)}
 		case n.HasManagedState():
 			// One namespace shared by all instances ⇒ Final runs once.
-			finals = []Task{final(0)}
+			finals = []Task{r.controlTask(name, 0, true)}
 		default:
 			for i := 0; i < count; i++ {
-				finals = append(finals, final(i))
+				finals = append(finals, r.controlTask(name, i, true))
 			}
 		}
 		if err := r.cfg.Transport.Push(finals...); err != nil {

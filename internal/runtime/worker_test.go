@@ -1,11 +1,13 @@
 package runtime_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diagnosis"
 	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
 	"repro/internal/runtime"
+	"repro/internal/telemetry"
 )
 
 // testOptions are the options of a small run under the named mapping; a
@@ -155,6 +158,78 @@ func TestInitEmissionsSurviveBatching(t *testing.T) {
 			defer mu.Unlock()
 			if got != want {
 				t.Fatalf("sink saw %d init emissions, want %d (batch dropped)", got, want)
+			}
+		})
+	}
+}
+
+// TestFailedRunExitsThroughOneError pins the worker loop's one exit on a
+// failed run. With telemetry and diagnosis on, a sink fails on its only
+// input: Execute returns the PE's error as "<mapping>: worker <process>: PE
+// sink: …", exactly one worker — the sink's — journals worker_exit "error"
+// and every other worker leaves the unwinding run with "abort", and the
+// failed execution still counts in the sink's flow-ledger service time and
+// records its span in the trace.
+func TestFailedRunExitsThroughOneError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, name := range []string{"dyn_multi", "multi", "dyn_redis"} {
+		t.Run(name, func(t *testing.T) {
+			g := graph.New("failsink")
+			g.Add(func() core.PE {
+				return core.NewSource("gen", func(ctx *core.Context) error { return ctx.EmitDefault(1) })
+			})
+			g.Add(func() core.PE {
+				return core.NewSink("sink", func(ctx *core.Context, v any) error { return boom })
+			})
+			g.Pipe("gen", "sink")
+			m, err := mapping.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.New(telemetry.Config{TraceSampleEvery: 1})
+			diag := diagnosis.New(diagnosis.Config{JournalRing: 1 << 12})
+			opts := testOptions(t, name, 4)
+			opts.Telemetry, opts.Diagnosis = reg, diag
+			_, err = m.Execute(g, opts)
+			if !errors.Is(err, boom) {
+				t.Fatalf("Execute returned %v, want the sink's error", err)
+			}
+			if prefix := name + ": worker " + name + ":"; !strings.HasPrefix(err.Error(), prefix) ||
+				!strings.HasSuffix(err.Error(), ": PE sink: boom") {
+				t.Errorf("Execute returned %q, want %q<process>: PE sink: boom", err, prefix)
+			}
+
+			starts, exits := 0, map[string]int{}
+			for _, e := range diag.Journal.Events() {
+				switch e.Kind {
+				case diagnosis.EvWorkerStart:
+					starts++
+				case diagnosis.EvWorkerExit:
+					exits[e.Detail]++
+				}
+			}
+			if starts < 2 || exits["error"] != 1 || exits["abort"] != starts-1 {
+				t.Errorf("%d workers exited %v, want 1 error and %d abort", starts, exits, starts-1)
+			}
+
+			served := int64(0)
+			for _, pe := range diag.Flow.Snapshot().PEs {
+				if pe.PE == "sink" {
+					served = pe.Service.Count
+				}
+			}
+			if served != 1 {
+				t.Errorf("sink flow row timed %d executions, want the failed one", served)
+			}
+			events, _ := reg.Tracer().Events()
+			spans := 0
+			for _, e := range events {
+				if e.Kind == telemetry.KindExec && e.PE == "sink" {
+					spans++
+				}
+			}
+			if spans != 1 {
+				t.Errorf("trace holds %d sink spans, want the failed execution's", spans)
 			}
 		})
 	}

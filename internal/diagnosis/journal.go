@@ -13,6 +13,7 @@ const (
 	EvWorkerExit  = "worker_exit"  // detail: done (the drained transport closed), idle_release, abort or error
 	EvReclaim     = "reclaim"      // XAUTOCLAIM adopted stalled deliveries
 	EvLease       = "lease_extend" // progress-heartbeat XCLAIM JUSTID
+	EvPartition   = "partition"    // a leased partition changed hands: a takeover of an expired lease, or a commit that found its lease lost
 	EvFenceDrop   = "fence_drop"   // exactly-once fence dropped a duplicate
 	EvResize      = "resize"       // BatchSizer changed a batch window
 	EvScale       = "scale"        // auto-scaler entered or left saturation

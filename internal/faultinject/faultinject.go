@@ -42,6 +42,13 @@ const (
 	// here loses nothing: the task gate is recorded with the push, so the
 	// replay redoes the whole Final.
 	ProbeMidFinalFlush = "mid-final-flush"
+	// ProbeMidCommit fires in a pool worker after a window of an owned
+	// partition has executed and its emissions are pushed, before the commit
+	// that lands its state, task gates and acks. A kill here loses the
+	// window's effects and the partition's next holder redoes them; a delay
+	// past the lease's TTL lets another worker take the partition over, and
+	// the late commit then applies nothing.
+	ProbeMidCommit = "mid-commit"
 	// ProbeFusedCall fires in the worker after a fused successor ran inline
 	// inside its parent's Process. A kill here returns through the parent's
 	// Emit and fails the run with the fused child's effects applied and the

@@ -108,6 +108,10 @@ func (ms *ManagedState) Fenced(nodeName string) *state.FencedStore {
 	return ms.stores[nodeName]
 }
 
+// Store returns the node's link onto its namespace, nil when the node
+// declared no managed state.
+func (ms *ManagedState) Store(nodeName string) *state.FencedStore { return ms.stores[nodeName] }
+
 // ExactlyOnce reports whether any namespace of this run is fenced — the
 // signal for the runtime to stamp tasks with fencing identities.
 func (ms *ManagedState) ExactlyOnce() bool { return ms.fenced && len(ms.stores) > 0 }

@@ -21,6 +21,8 @@ import (
 //	FENCEXACK stream group consumer pendingKey direct [id weight]...
 //	                                              -> [acked, dec, newPending]
 //	SINKAPPEND hash ledgerField ncmds (n argv...)... -> applied
+//	SINKAPPEND LEASE pxMs hash nblocks (leaseKey token ncmds (n argv...)...)...
+//	                                              -> [[applied, hget values...]...]
 //
 // All three validate their full argument block before mutating anything, so a
 // malformed request leaves the store untouched.
@@ -129,27 +131,12 @@ func cmdFenceXAck(s *Server, args []string) resp.Value {
 	if err != nil {
 		return resp.Err("ERR value is not an integer or out of range")
 	}
-	rest := args[5:]
-	if len(rest)%2 != 0 {
-		return resp.Err("ERR wrong number of arguments for 'fencexack' command")
-	}
-	ids := make([]StreamID, 0, len(rest)/2)
-	weights := make([]int64, 0, len(rest)/2)
-	for i := 0; i < len(rest); i += 2 {
-		id, perr := parseStreamID(rest[i], 0)
-		if perr != nil {
-			return errValue(perr)
-		}
-		w, werr := strconv.ParseInt(rest[i+1], 10, 64)
-		if werr != nil || w < 0 {
-			return resp.Err("ERR value is not an integer or out of range")
-		}
-		ids = append(ids, id)
-		weights = append(weights, w)
+	ids, weights, errv := parseAckPairs(args[5:], "fencexack")
+	if errv != nil {
+		return *errv
 	}
 
 	now := time.Now()
-	var acked, dec int64
 	g, errv := lookupGroup(s, stream, groupName, now)
 	if errv != nil {
 		// Like XACK, a missing key/group acks nothing — but the direct
@@ -158,20 +145,7 @@ func cmdFenceXAck(s *Server, args []string) resp.Value {
 			return *errv
 		}
 	}
-	if g != nil {
-		for i, id := range ids {
-			pe, ok := g.pending[id]
-			if !ok || pe.consumer != consumer {
-				continue
-			}
-			delete(g.pending, id)
-			if c, ok := g.consumers[pe.consumer]; ok {
-				delete(c.pending, id)
-			}
-			acked++
-			dec += weights[i]
-		}
-	}
+	acked, dec := ackOwned(g, consumer, ids, weights)
 	dec += direct
 
 	var newPending int64
@@ -195,6 +169,54 @@ func cmdFenceXAck(s *Server, args []string) resp.Value {
 	return resp.Arr(resp.Int(acked), resp.Int(dec), resp.Int(newPending))
 }
 
+// parseAckPairs parses the trailing "id weight" pairs of an ownership-ruled
+// ack (FENCEXACK, SINKAPPEND's XACK subcommand).
+func parseAckPairs(rest []string, cmd string) ([]StreamID, []int64, *resp.Value) {
+	if len(rest)%2 != 0 {
+		v := resp.Errf("ERR wrong number of arguments for '%s' command", cmd)
+		return nil, nil, &v
+	}
+	ids := make([]StreamID, 0, len(rest)/2)
+	weights := make([]int64, 0, len(rest)/2)
+	for i := 0; i < len(rest); i += 2 {
+		id, perr := parseStreamID(rest[i], 0)
+		if perr != nil {
+			v := errValue(perr)
+			return nil, nil, &v
+		}
+		w, werr := strconv.ParseInt(rest[i+1], 10, 64)
+		if werr != nil || w < 0 {
+			v := resp.Err("ERR value is not an integer or out of range")
+			return nil, nil, &v
+		}
+		ids = append(ids, id)
+		weights = append(weights, w)
+	}
+	return ids, weights, nil
+}
+
+// ackOwned removes from g's PEL the ids pending under consumer — FENCEXACK's
+// ownership rule — and returns how many it removed and their summed weight.
+// A nil group acks nothing.
+func ackOwned(g *group, consumer string, ids []StreamID, weights []int64) (acked, dec int64) {
+	if g == nil {
+		return 0, 0
+	}
+	for i, id := range ids {
+		pe, ok := g.pending[id]
+		if !ok || pe.consumer != consumer {
+			continue
+		}
+		delete(g.pending, id)
+		if c, ok := g.consumers[pe.consumer]; ok {
+			delete(c.pending, id)
+		}
+		acked++
+		dec += weights[i]
+	}
+	return acked, dec
+}
+
 // sinkCmd is one validated SINKAPPEND subcommand.
 type sinkCmd struct {
 	op    string // XADD | INCRBY
@@ -210,6 +232,9 @@ type sinkCmd struct {
 // validated, including key types and stream ID headroom, before any mutation,
 // so a bad request cannot leave a half-applied batch.
 func cmdSinkAppend(s *Server, args []string) resp.Value {
+	if strings.EqualFold(args[0], "LEASE") {
+		return cmdSinkAppendLease(s, args[1:])
+	}
 	ledgerKey, ledgerField := args[0], args[1]
 	ncmds, err := strconv.Atoi(args[2])
 	if err != nil || ncmds < 0 {
@@ -306,4 +331,183 @@ func cmdSinkAppend(s *Server, args []string) resp.Value {
 		}
 	}
 	return resp.Int(1)
+}
+
+// leaseAck is a validated XACK subcommand of SINKAPPEND's lease form.
+type leaseAck struct {
+	group                *group // nil: the stream or group is gone, nothing to ack
+	consumer, pendingKey string
+	ids                  []StreamID
+	weights              []int64
+}
+
+// leaseBlock is one validated block of SINKAPPEND's lease form.
+type leaseBlock struct {
+	leaseKey, token string
+	cmds            [][]string
+	acks            []leaseAck // its XACK subcommands, in order
+	reads           int        // the fields its HGET subcommands read
+}
+
+// cmdSinkAppendLease is the lease-gated commit of owned partitions:
+//
+//	SINKAPPEND LEASE pxMs hash nblocks (leaseKey token ncmds (n argv...)...)...
+//
+// one block per partition, each with subcommands HGET field... (read fields
+// of hash), GATE field... (record task gates in hash's ledger), HSET field
+// value... and HDEL field... (keys' final values in hash), XACK stream group
+// consumer pendingKey id weight... (FENCEXACK's ownership rule, no direct
+// decrement) and DEL leaseKey (release the block's lease after the rest). A
+// block runs only while its leaseKey holds its token, and then refreshes
+// that lease's expiry to pxMs from now (0 keeps it as it is). The reply holds
+// one array per block: [1, one value per field HGET read, in order, nil when
+// absent] when it ran, [0] when its lease was lost and nothing of it ran. Every subcommand is
+// absolute — a read changes nothing, a gate recorded twice stays recorded, a
+// value set twice is the same value, an entry acked twice is acked once — so
+// the command is safe to re-send.
+func cmdSinkAppendLease(s *Server, args []string) resp.Value {
+	if len(args) < 3 {
+		return resp.Err("ERR wrong number of arguments for 'sinkappend' LEASE")
+	}
+	hashKey := args[1]
+	px, err := strconv.ParseInt(args[0], 10, 64)
+	if err != nil || px < 0 {
+		return resp.Err("ERR invalid expire time in 'sinkappend' LEASE")
+	}
+	nblocks, err := strconv.Atoi(args[2])
+	if err != nil || nblocks < 0 {
+		return resp.Err("ERR value is not an integer or out of range")
+	}
+	now := time.Now()
+	if _, lerr := s.db.lookupKind(hashKey, kindHash, now); lerr != nil {
+		return errValue(lerr)
+	}
+	blocks := make([]leaseBlock, nblocks)
+	i := 3
+	for b := range blocks {
+		if i+3 > len(args) {
+			return resp.Err("ERR SINKAPPEND malformed command block")
+		}
+		lb := &blocks[b]
+		lb.leaseKey, lb.token = args[i], args[i+1]
+		ncmds, nerr := strconv.Atoi(args[i+2])
+		if nerr != nil || ncmds < 0 {
+			return resp.Err("ERR SINKAPPEND malformed command block")
+		}
+		i += 3
+		lb.cmds = make([][]string, 0, ncmds)
+		for c := 0; c < ncmds; c++ {
+			if i >= len(args) {
+				return resp.Err("ERR SINKAPPEND malformed command block")
+			}
+			n, nerr := strconv.Atoi(args[i])
+			if nerr != nil || n < 1 || i+1+n > len(args) {
+				return resp.Err("ERR SINKAPPEND malformed command block")
+			}
+			argv := args[i+1 : i+1+n]
+			i += 1 + n
+			if errv := validateLeaseCmd(s, lb, argv, now); errv != nil {
+				return *errv
+			}
+			lb.cmds = append(lb.cmds, argv)
+		}
+	}
+	if i != len(args) {
+		return resp.Err("ERR SINKAPPEND malformed command block")
+	}
+	out := make([]resp.Value, len(blocks))
+	h, herr := s.db.hashFor(hashKey, now)
+	if herr != nil {
+		return errValue(herr)
+	}
+	for b := range blocks {
+		out[b] = applyLeaseBlock(s, &blocks[b], h, time.Duration(px)*time.Millisecond, now)
+	}
+	if len(h.hash) == 0 {
+		delete(s.db.keys, hashKey)
+	}
+	return resp.Arr(out...)
+}
+
+// validateLeaseCmd checks one subcommand of lease block lb, parsing an
+// XACK's arguments into lb.acks.
+func validateLeaseCmd(s *Server, lb *leaseBlock, argv []string, now time.Time) *resp.Value {
+	n := len(argv)
+	switch op := strings.ToUpper(argv[0]); {
+	case op == "HGET" && n >= 2:
+		lb.reads += n - 1
+	case (op == "GATE" || op == "HDEL") && n >= 2, op == "HSET" && n >= 3 && n%2 == 1:
+	case op == "DEL" && n == 2 && argv[1] == lb.leaseKey:
+	case op == "XACK" && n >= 7:
+		ids, weights, errv := parseAckPairs(argv[5:], "sinkappend")
+		if errv != nil {
+			return errv
+		}
+		g, errv := lookupGroup(s, argv[1], argv[2], now)
+		if errv != nil && !strings.HasPrefix(errv.Str, "NOGROUP") {
+			return errv
+		}
+		if e, lerr := s.db.lookupKind(argv[4], kindString, now); lerr != nil {
+			v := errValue(lerr)
+			return &v
+		} else if e != nil {
+			if _, perr := strconv.ParseInt(e.str, 10, 64); perr != nil {
+				v := resp.Err("ERR value is not an integer or out of range")
+				return &v
+			}
+		}
+		lb.acks = append(lb.acks, leaseAck{group: g, consumer: argv[3], pendingKey: argv[4], ids: ids, weights: weights})
+	default:
+		v := resp.Errf("ERR SINKAPPEND LEASE malformed subcommand '%s'", argv[0])
+		return &v
+	}
+	return nil
+}
+
+// applyLeaseBlock runs one validated block against hash h while its lease
+// holds, and returns the block's reply.
+func applyLeaseBlock(s *Server, lb *leaseBlock, h *entry, ttl time.Duration, now time.Time) resp.Value {
+	lease, _ := s.db.lookupKind(lb.leaseKey, kindString, now)
+	if lease == nil || lease.str != lb.token {
+		return resp.Arr(resp.Int(0))
+	}
+	if ttl > 0 {
+		lease.expireAt = now.Add(ttl)
+	}
+	out := make([]resp.Value, 1, 1+lb.reads)
+	out[0] = resp.Int(1)
+	acks := lb.acks
+	for _, argv := range lb.cmds {
+		switch strings.ToUpper(argv[0]) {
+		case "HGET":
+			for _, f := range argv[1:] {
+				if v, ok := h.hash[f]; ok {
+					out = append(out, resp.Str(v))
+				} else {
+					out = append(out, resp.Nil)
+				}
+			}
+		case "GATE":
+			for _, f := range argv[1:] {
+				_, _ = ledgerRecord(h, f) // gate fields hold counts only
+			}
+		case "HSET":
+			for i := 1; i < len(argv); i += 2 {
+				h.hash[argv[i]] = argv[i+1]
+			}
+		case "HDEL":
+			for _, f := range argv[1:] {
+				delete(h.hash, f)
+			}
+		case "XACK":
+			a := acks[0]
+			acks = acks[1:]
+			if _, dec := ackOwned(a.group, a.consumer, a.ids, a.weights); dec != 0 {
+				addToString(s, a.pendingKey, -dec)
+			}
+		case "DEL":
+			delete(s.db.keys, lb.leaseKey)
+		}
+	}
+	return resp.Arr(out...)
 }

@@ -14,7 +14,7 @@ func init() {
 	register("XLEN", 1, 1, cmdXLen)
 	register("XRANGE", 3, 5, cmdXRange)
 	register("XGROUP", 4, 5, cmdXGroup)
-	register("XREADGROUP", 6, 10, cmdXReadGroup)
+	register("XREADGROUP", 6, -1, cmdXReadGroup)
 	register("XACK", 3, -1, cmdXAck)
 	register("XPENDING", 5, 6, cmdXPending)
 	register("XCLAIM", 6, -1, cmdXClaim)
@@ -259,8 +259,9 @@ func lookupGroup(s *Server, key, groupName string, now time.Time) (*group, *resp
 }
 
 // cmdXReadGroup serves XREADGROUP GROUP group consumer [COUNT n] [BLOCK ms]
-// STREAMS key >, the one form the transport sends: new entries of one
-// stream, each entering the consumer's PEL.
+// STREAMS key... >..., the form the transport sends: new entries of one or
+// more streams, each entering the consumer's PEL. COUNT bounds each stream's
+// share; a blocked read wakes on an append to any of the keys.
 func cmdXReadGroup(s *Server, args []string) resp.Value {
 	if !strings.EqualFold(args[0], "GROUP") {
 		return resp.Err("ERR syntax error")
@@ -269,7 +270,10 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 	count := 0
 	blockMs := int64(-1)
 	i := 3
-	for ; i < len(args)-3; i += 2 {
+	for ; i < len(args) && !strings.EqualFold(args[i], "STREAMS"); i += 2 {
+		if i+1 >= len(args) {
+			return resp.Err("ERR syntax error")
+		}
 		switch strings.ToUpper(args[i]) {
 		case "COUNT":
 			n, err := strconv.Atoi(args[i+1])
@@ -287,10 +291,16 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 			return resp.Err("ERR syntax error")
 		}
 	}
-	if i != len(args)-3 || !strings.EqualFold(args[i], "STREAMS") || args[i+2] != ">" {
+	rest := args[min(i+1, len(args)):]
+	if i >= len(args) || len(rest) == 0 || len(rest)%2 != 0 {
 		return resp.Err("ERR syntax error")
 	}
-	key := args[i+1]
+	keys, ids := rest[:len(rest)/2], rest[len(rest)/2:]
+	for _, id := range ids {
+		if id != ">" {
+			return resp.Err("ERR syntax error")
+		}
+	}
 
 	var deadline time.Time
 	if blockMs > 0 {
@@ -298,22 +308,34 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 	}
 	for {
 		now := time.Now()
-		g, errv := lookupGroup(s, key, groupName, now)
-		if errv != nil {
-			return *errv
+		groups := make([]*group, len(keys))
+		for k, key := range keys {
+			g, errv := lookupGroup(s, key, groupName, now)
+			if errv != nil {
+				return *errv
+			}
+			groups[k] = g
 		}
-		e, _ := s.db.lookupKind(key, kindStream, now)
-		c := g.consumerNamed(consumerName)
-		entries := e.stream.rangeEntries(g.lastDelivered.Next(), maxStreamID, count)
-		if len(entries) > 0 {
+		var out []resp.Value
+		for k, key := range keys {
+			g := groups[k]
+			e, _ := s.db.lookupKind(key, kindStream, now)
+			entries := e.stream.rangeEntries(g.lastDelivered.Next(), maxStreamID, count)
+			if len(entries) == 0 {
+				continue
+			}
+			c := g.consumerNamed(consumerName)
 			for _, se := range entries {
 				g.lastDelivered = se.id
 				g.pending[se.id] = &pendingEntry{consumer: consumerName, deliveryTime: now, deliveryCount: 1}
 				c.pending[se.id] = struct{}{}
 			}
-			return resp.Arr(resp.Arr(resp.Str(key), entriesValue(entries)))
+			out = append(out, resp.Arr(resp.Str(key), entriesValue(entries)))
 		}
-		if blockMs < 0 || !s.awaitKeys([]string{key}, deadline) {
+		if len(out) > 0 {
+			return resp.Arr(out...)
+		}
+		if blockMs < 0 || !s.awaitKeys(keys, deadline) {
 			return resp.NilArray()
 		}
 	}

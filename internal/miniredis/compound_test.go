@@ -4,8 +4,10 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/redisclient"
+	"repro/internal/resp"
 )
 
 // TestFenceApplySetDel exercises the SET and DEL forms: first execution
@@ -281,5 +283,103 @@ func TestCompoundAtomicityUnderRaces(t *testing.T) {
 	}
 	if v, _, _ := cl.HGet("h", "cnt"); v != "10" {
 		t.Fatalf("cnt=%q want 10", v)
+	}
+}
+
+// TestSinkAppendLease exercises the lease-gated form: a block runs only while
+// its lease key holds its token, reads and writes the hash, records gates,
+// acks under the ownership rule, refreshes the lease, and releases it; a block
+// whose lease is gone applies nothing while its siblings still run.
+func TestSinkAppendLease(t *testing.T) {
+	_, cl := newPair(t)
+	if err := cl.XGroupCreate("p", "g", "0"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := cl.XAddValues("p", "task", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.IncrBy("pending", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.XReadGroup("g", "w0", 1, 0, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := cl.SetNX("lease:0", "tok", 0); err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+
+	commit := func(ttl time.Duration, blocks ...[]string) ([]bool, [][]resp.Value) {
+		t.Helper()
+		c := redisclient.NewLeaseCommit(nil, "h", ttl)
+		for _, b := range blocks {
+			c.Block(b[0], b[1])
+			for _, sub := range strings.Split(strings.Join(b[2:], " "), "|") {
+				f := strings.Fields(sub)
+				if len(f) == 0 {
+					continue
+				}
+				c.Sub(f[0])
+				c.Arg(f[1:]...)
+			}
+		}
+		v, err := cl.Do(c.Argv()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return redisclient.LeaseReplies(v)
+	}
+
+	// One window: gate, final value, ack; then a block on a lease nobody holds.
+	applied, _ := commit(time.Minute,
+		[]string{"lease:0", "tok", "GATE gate:1 | HSET k 7 | XACK p g w0 pending " + id + " 1"},
+		[]string{"lease:1", "tok", "HSET stolen 1"})
+	if !applied[0] || applied[1] {
+		t.Fatalf("applied=%v, want [true false]", applied)
+	}
+	if v, _, _ := cl.HGet("h", "k"); v != "7" {
+		t.Fatalf("k=%q want 7", v)
+	}
+	if _, ok, _ := cl.HGet("h", "stolen"); ok {
+		t.Fatal("a block whose lease is gone wrote the hash")
+	}
+	if n, _, _ := cl.Get("pending"); n != "0" {
+		t.Fatalf("pending=%q want 0: the ack must release the entry's weight", n)
+	}
+	if ttl, _ := cl.DoInt("TTL", "lease:0"); ttl <= 0 {
+		t.Fatalf("lease TTL %d: the commit must refresh it", ttl)
+	}
+	// The same commit re-sent changes nothing further (retry safety).
+	commit(time.Minute, []string{"lease:0", "tok", "GATE gate:1 | HSET k 7 | XACK p g w0 pending " + id + " 1"})
+	if n, _, _ := cl.Get("pending"); n != "0" {
+		t.Fatalf("pending=%q after the re-sent commit, want 0", n)
+	}
+
+	// A read sees the gate and the value; a stale token reads nothing.
+	applied, vals := commit(0,
+		[]string{"lease:0", "tok", "HGET k gate:1 absent"},
+		[]string{"lease:0", "old", "HGET k"})
+	if !applied[0] || applied[1] || len(vals[0]) != 3 || vals[0][0].Str != "7" || vals[0][1].IsNull() || !vals[0][2].IsNull() {
+		t.Fatalf("read: applied=%v vals=%v", applied, vals)
+	}
+
+	// Release: the lease key goes, and the next block under it applies nothing.
+	if applied, _ := commit(0, []string{"lease:0", "tok", "HDEL k | DEL lease:0"}); !applied[0] {
+		t.Fatal("release did not apply")
+	}
+	if _, ok, _ := cl.Get("lease:0"); ok {
+		t.Fatal("lease survived its release")
+	}
+	if applied, _ := commit(0, []string{"lease:0", "tok", "HSET k 9"}); applied[0] {
+		t.Fatal("a released lease still gated a write in")
+	}
+	if _, ok, _ := cl.HGet("h", "k"); ok {
+		t.Fatal("k survived its HDEL or came back after the release")
+	}
+
+	// A malformed block leaves the store untouched.
+	var se redisclient.ServerError
+	if _, err := cl.Do("SINKAPPEND", "LEASE", "0", "h", "1", "lease:0", "tok", "1", "2", "DEL", "other"); !errors.As(err, &se) {
+		t.Fatalf("DEL of another key: %v, want an error reply", err)
 	}
 }

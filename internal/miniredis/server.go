@@ -46,7 +46,10 @@ type Server struct {
 
 	mu    sync.Mutex
 	db    *db
-	watch map[string][]chan struct{} // stream key -> blocked XREADGROUP wake-up channels
+	watch map[string][]*waiter // stream key -> blocked XREADGROUP wake-ups
+	// woken holds the wake-ups of a pipelined batch still being dispatched:
+	// they fire when the batch's last command has run (see dispatch).
+	woken []*waiter
 
 	connMu sync.Mutex
 	active map[net.Conn]struct{}
@@ -61,7 +64,7 @@ func NewServer(opts Options) *Server {
 	return &Server{
 		opts:   opts,
 		db:     newDB(),
-		watch:  make(map[string][]chan struct{}),
+		watch:  make(map[string][]*waiter),
 		active: make(map[net.Conn]struct{}),
 	}
 }
@@ -115,12 +118,13 @@ func (s *Server) Close() error {
 		err = s.ln.Close()
 	}
 	s.mu.Lock()
-	for key, chans := range s.watch {
-		for _, ch := range chans {
-			close(ch)
+	for key, ws := range s.watch {
+		for _, w := range ws {
+			w.wake()
 		}
 		delete(s.watch, key)
 	}
+	s.wakeBatch()
 	s.mu.Unlock()
 	s.connMu.Lock()
 	for conn := range s.active {
@@ -165,6 +169,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := resp.NewReader(conn)
 	w := resp.NewWriter(conn)
+	defer func() { // a batch cut short must not strand its wake-ups
+		s.mu.Lock()
+		s.wakeBatch()
+		s.mu.Unlock()
+	}()
 	for {
 		argv, err := r.ReadCommand()
 		if err != nil {
@@ -188,7 +197,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		}
-		reply, quit := s.dispatch(argv)
+		reply, quit := s.dispatch(argv, r.Buffered() > 0)
 		if err := w.WriteValue(reply); err != nil {
 			return
 		}
@@ -203,19 +212,41 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// notifyKey wakes every XREADGROUP blocked on stream key. Only writes that
-// can satisfy such a read call it: XADD, SINKAPPEND's XADD arm, and FLUSHALL
-// (so a blocked reader re-evaluates against the emptied keyspace). Callers
-// must hold s.mu.
+// notifyKey wakes every XREADGROUP blocked on stream key once the running
+// batch has been dispatched. Only writes that can satisfy such a read call
+// it: XADD, SINKAPPEND's XADD arm, and FLUSHALL (so a blocked reader
+// re-evaluates against the emptied keyspace). Callers must hold s.mu.
 func (s *Server) notifyKey(key string) {
-	chans := s.watch[key]
-	if len(chans) == 0 {
+	ws := s.watch[key]
+	if len(ws) == 0 {
 		return
 	}
-	for _, ch := range chans {
-		close(ch)
-	}
+	s.woken = append(s.woken, ws...)
 	delete(s.watch, key)
+}
+
+// wakeBatch fires the wake-ups the running batch collected. Callers must
+// hold s.mu.
+func (s *Server) wakeBatch() {
+	for _, w := range s.woken {
+		w.wake()
+	}
+	s.woken = s.woken[:0]
+}
+
+// waiter is one blocked read's wake-up. A read blocked on several keys is
+// registered under each, so it may be woken more than once before it
+// deregisters; wake closes its channel only the first time. Guarded by s.mu.
+type waiter struct {
+	ch    chan struct{}
+	fired bool
+}
+
+func (w *waiter) wake() {
+	if !w.fired {
+		w.fired = true
+		close(w.ch)
+	}
 }
 
 // awaitKeys blocks until one of the stream keys is appended to, the timeout
@@ -225,12 +256,14 @@ func (s *Server) notifyKey(key string) {
 // dispatched after Close swept the watch map returns at once: nobody would
 // wake its channel, and s.mu orders this check before any later sweep.
 func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
+	s.wakeBatch() // the batch's earlier commands are done: their readers go first
 	if s.closed.Load() {
 		return false
 	}
-	ch := make(chan struct{})
+	w := &waiter{ch: make(chan struct{})}
+	ch := w.ch
 	for _, k := range keys {
-		s.watch[k] = append(s.watch[k], ch)
+		s.watch[k] = append(s.watch[k], w)
 	}
 	s.mu.Unlock()
 	var ok bool
@@ -250,10 +283,10 @@ func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
 	s.mu.Lock()
 	// Deregister our channel wherever it is still present (timeout path).
 	for _, k := range keys {
-		chans := s.watch[k]
-		for i, c := range chans {
-			if c == ch {
-				s.watch[k] = append(chans[:i], chans[i+1:]...)
+		ws := s.watch[k]
+		for i, c := range ws {
+			if c == w {
+				s.watch[k] = append(ws[:i], ws[i+1:]...)
 				break
 			}
 		}
@@ -265,8 +298,14 @@ func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
 }
 
 // dispatch executes one command under the server lock. The second result
-// requests connection termination (QUIT).
-func (s *Server) dispatch(argv []string) (resp.Value, bool) {
+// requests connection termination (QUIT). more reports that the command's
+// connection has already sent further commands — a pipelined batch — and
+// the reads the command wakes then wait until the batch's last command has
+// run: a batch of appends to several streams (one emit window over leased
+// partitions) wakes each blocked reader once, after the whole batch, instead
+// of setting every reader it wakes to contend for the lock with the rest of
+// the batch.
+func (s *Server) dispatch(argv []string, more bool) (resp.Value, bool) {
 	cmd := strings.ToUpper(argv[0])
 	args := argv[1:]
 
@@ -277,6 +316,9 @@ func (s *Server) dispatch(argv []string) (resp.Value, bool) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !more {
+		defer s.wakeBatch()
+	}
 	if s.opts.DispatchDelay > 0 {
 		time.Sleep(s.opts.DispatchDelay)
 	}

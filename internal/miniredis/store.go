@@ -14,10 +14,11 @@
 //	GET SET [NX] [PX ms] INCRBY DEL               pending counter, update locks, checkpoints
 //	HSET HGET HGETALL HDEL HINCRBY                namespace state hashes
 //	XADD XLEN XGROUP CREATE                       task streams and their groups
-//	XREADGROUP ... STREAMS key >                  new entries of one stream
+//	XREADGROUP ... STREAMS key... >...            new entries of one or more streams
 //	XPENDING key group start end count [consumer] a consumer's pending IDs
 //	XCLAIM ... JUSTID, XAUTOCLAIM ... [COUNT n]   lease heartbeat, recovery
-//	FENCEAPPLY FENCEXACK SINKAPPEND               fenced transactions (cmd_compound.go)
+//	FENCEAPPLY FENCEXACK SINKAPPEND               fenced transactions (cmd_compound.go),
+//	SINKAPPEND LEASE                              an owned partition's lease-checked read and commit
 //
 // Issued by benchmark/: DBSIZE KEYS (leak checks after a run), HLEN (the
 // fence-ledger size probe), XACK (the plain-ack probe the transport's

@@ -318,3 +318,62 @@ func TestXTrim(t *testing.T) {
 	n, err = cl.DoInt("XTRIM", "missing", "MAXLEN", "~", "1")
 	mustInt(t, n, err, 0, "XTRIM missing key")
 }
+
+// TestXReadGroupStreams covers the multi-stream read a lease holder sends:
+// COUNT bounds each stream's share, only streams with entries answer, and a
+// read blocked on several keys wakes on an append to any of them, and a
+// pipelined batch appending to several of them cannot wake it twice.
+func TestXReadGroupStreams(t *testing.T) {
+	srv, cl := newPair(t)
+	for _, k := range []string{"a", "b", "c"} {
+		if err := cl.XGroupCreate(k, "g", "0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cl.XAddValues("a", "n", "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.XAddValues("c", "n", "y"); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := cl.XReadGroupStreams("g", "w", 2, 0, "a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 2 || msgs[0].Key != "a" || len(msgs[0].Entries) != 2 || msgs[1].Key != "c" || len(msgs[1].Entries) != 1 {
+		t.Fatalf("read: %+v", msgs)
+	}
+
+	done := make(chan []redisclient.StreamMessages, 1)
+	go func() {
+		ms, err := cl.XReadGroupStreams("g", "w2", 10, 5*time.Second, "b", "c")
+		if err != nil {
+			t.Error(err)
+		}
+		done <- ms
+	}()
+	time.Sleep(20 * time.Millisecond)
+	writer := redisclient.Dial(srv.Addr())
+	defer writer.Close()
+	if _, err := writer.Pipeline([][]string{{"XADD", "b", "*", "n", "1"}, {"XADD", "c", "*", "n", "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ms := <-done:
+		rest, err := cl.XReadGroupStreams("g", "w2", 10, 0, "b", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, m := range append(ms, rest...) {
+			got += len(m.Entries)
+		}
+		if len(ms) == 0 || got != 2 {
+			t.Fatalf("woken read got %+v, then %+v: want both appends, at least one by the woken read", ms, rest)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a read blocked on two streams did not wake on their appends")
+	}
+}

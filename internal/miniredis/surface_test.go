@@ -38,11 +38,12 @@ var retrySafeForm = map[string][]string{
 }
 
 // sentForms is every argv form a caller sends, replayed in order against one
-// fresh server: each must succeed. The first rows only lay out state (a
-// stream q with group g, entries 1-1 and 1-2 delivered to w0) for the rows
-// after them.
+// fresh server: each must succeed. The first rows only lay out state
+// (streams q and r with group g, entries 1-1 and 1-2 of q delivered to w0)
+// for the rows after them.
 var sentForms = [][]string{
 	{"XGROUP", "CREATE", "q", "g", "0", "MKSTREAM"},
+	{"XGROUP", "CREATE", "r", "g", "0", "MKSTREAM"},
 	{"XADD", "q", "1-1", "task", "a"},
 	{"XADD", "q", "1-2", "task", "b"},
 	{"XREADGROUP", "GROUP", "g", "w0", "COUNT", "2", "STREAMS", "q", ">"},
@@ -63,12 +64,19 @@ var sentForms = [][]string{
 	{"XLEN", "q"},
 	{"XREADGROUP", "GROUP", "g", "w1", "STREAMS", "q", ">"},
 	{"XREADGROUP", "GROUP", "g", "w1", "COUNT", "1", "BLOCK", "1", "STREAMS", "q", ">"},
+	{"XREADGROUP", "GROUP", "g", "w1", "COUNT", "1", "BLOCK", "1", "STREAMS", "q", "r", ">", ">"},
 	{"XPENDING", "q", "g", "-", "+", "10", "w0"},
 	{"XCLAIM", "q", "g", "w0", "0", "1-1", "1-2", "JUSTID"},
 	{"XAUTOCLAIM", "q", "g", "w1", "0", "0-0", "COUNT", "1"},
 	{"FENCEAPPLY", "h", "ledger:1", "INCR", "n", "1"},
 	{"FENCEXACK", "q", "g", "w0", "pending", "0", "1-2", "1"},
 	{"SINKAPPEND", "h", "gate:1", "1", "3", "INCRBY", "pending", "1"},
+	// An owned partition's window: its read, then its commit (the lease
+	// "lease" holds token v from the SET NX PX row).
+	{"SINKAPPEND", "LEASE", "0", "h", "1", "lease", "v", "1", "3", "HGET", "n", "gate:2"},
+	{"SINKAPPEND", "LEASE", "60000", "h", "1", "lease", "v", "4",
+		"2", "GATE", "gate:2", "3", "HSET", "n", "5", "2", "HDEL", "f",
+		"7", "XACK", "q", "g", "w0", "pending", "1-2", "1"},
 	{"DEL", "k"},
 	// benchmark/.
 	{"XACK", "q", "g", "1-1"},
@@ -78,6 +86,8 @@ var sentForms = [][]string{
 	{"EXISTS", "h"},
 	{"TYPE", "q"},
 	{"TTL", "lease"},
+	// A partition's release: its last commit gives the lease up.
+	{"SINKAPPEND", "LEASE", "0", "h", "1", "lease", "v", "1", "2", "DEL", "lease"},
 	{"INFO"},
 	{"XRANGE", "q", "-", "+", "COUNT", "10"},
 	{"XADD", "q", "MAXLEN", "~", "100", "*", "task", "d"},
@@ -94,7 +104,6 @@ var deletedArms = [][]string{
 	{"XADD", "q", "NOMKSTREAM", "*", "task", "x"},
 	{"XREADGROUP", "GROUP", "g", "w0", "NOACK", "STREAMS", "q", ">"},
 	{"XREADGROUP", "GROUP", "g", "w0", "STREAMS", "q", "0"},
-	{"XREADGROUP", "GROUP", "g", "w0", "STREAMS", "q", "r", ">", ">"},
 	{"XCLAIM", "q", "g", "w0", "0", "1-1"},
 	{"XCLAIM", "q", "g", "w0", "0", "1-1", "FORCE", "JUSTID"},
 	{"XAUTOCLAIM", "q", "g", "w0", "0", "0-0", "JUSTID"},
@@ -108,6 +117,24 @@ var deletedArms = [][]string{
 // singleShot lists the commands that are never re-sent: their effect is
 // relative (a second execution adds, appends, trims or delivers again).
 var singleShot = []string{"INCRBY", "HINCRBY", "XADD", "XTRIM", "XREADGROUP", "XAUTOCLAIM"}
+
+// TestLeaseFormsAreRetrySafe classifies each SINKAPPEND LEASE form sent: an
+// owned partition's read, commit and release run only under the lease and
+// hold only absolute subcommands, so the client re-sends every one of them.
+func TestLeaseFormsAreRetrySafe(t *testing.T) {
+	n := 0
+	for _, argv := range sentForms {
+		if len(argv) > 1 && argv[0] == "SINKAPPEND" && argv[1] == "LEASE" {
+			n++
+			if !redisclient.Retryable(argv) {
+				t.Errorf("lease form %v is not retry-safe in redisclient.Retryable", argv)
+			}
+		}
+	}
+	if n != 3 {
+		t.Errorf("%d SINKAPPEND LEASE forms in sentForms, want the read, the commit and the release", n)
+	}
+}
 
 // TestCommandSurface pins the server's command table to the kept list and
 // checks that every command in it is classified on purpose: retry-safe in

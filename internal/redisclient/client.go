@@ -693,25 +693,58 @@ func (c *Client) XGroupCreate(key, group, start string) error {
 // XReadGroup reads new entries (id ">") for a consumer, blocking up to block
 // (0 means non-blocking). It returns nil when nothing is available.
 func (c *Client) XReadGroup(group, consumer string, count int, block time.Duration, key string) ([]StreamEntry, error) {
-	args := []string{"XREADGROUP", "GROUP", group, consumer}
+	msgs, err := c.XReadGroupStreams(group, consumer, count, block, key)
+	if err != nil || len(msgs) == 0 {
+		return nil, err
+	}
+	return msgs[0].Entries, nil
+}
+
+// XReadGroupStreams reads new entries of several streams in one command:
+// up to count from each, blocking up to block (0 means non-blocking) until
+// any of them has one. Only streams that delivered entries appear in the
+// result, in key order.
+func (c *Client) XReadGroupStreams(group, consumer string, count int, block time.Duration, keys ...string) ([]StreamMessages, error) {
+	v, err := c.do(block, xreadgroupArgs(group, consumer, count, block, keys))
+	if err != nil {
+		return nil, err
+	}
+	return parseStreamsReply(v), nil
+}
+
+// XReadGroupStreamsAfter is XReadGroupStreams sent in one round trip after
+// the commands pre, which the server runs first, in order; their replies
+// come back in pre's order. The batch is never re-sent.
+func (c *Client) XReadGroupStreamsAfter(pre [][]string, group, consumer string, count int, block time.Duration, keys ...string) ([]resp.Value, []StreamMessages, error) {
+	cmds := append(pre[:len(pre):len(pre)], xreadgroupArgs(group, consumer, count, block, keys))
+	c.statRoundTrips.Add(1)
+	_, replies, err := c.roundTrip(cmds, make([]resp.Value, 0, len(cmds)), false, max(block, 0))
+	if err != nil {
+		return nil, nil, &CmdError{Cmd: cmds[0][0], Err: err}
+	}
+	for i, v := range replies {
+		if v.Type == resp.Error {
+			return nil, nil, &CmdError{Cmd: cmds[i][0], Err: ServerError(v.Str)}
+		}
+	}
+	return replies[:len(pre)], parseStreamsReply(replies[len(pre)]), nil
+}
+
+func xreadgroupArgs(group, consumer string, count int, block time.Duration, keys []string) []string {
+	args := make([]string, 0, 9+2*len(keys))
+	args = append(args, "XREADGROUP", "GROUP", group, consumer)
 	if count > 0 {
 		args = append(args, "COUNT", strconv.Itoa(count))
 	}
 	if block > 0 {
 		args = append(args, "BLOCK", millis(block))
 	}
-	args = append(args, "STREAMS", key, ">")
-	v, err := c.do(block, args)
-	if err != nil {
-		return nil, err
+	args = append(args, "STREAMS")
+	args = append(args, keys...)
+	for range keys {
+		args = append(args, ">")
 	}
-	msgs := parseStreamsReply(v)
-	for _, m := range msgs {
-		if m.Key == key {
-			return m.Entries, nil
-		}
-	}
-	return nil, nil
+	return args
 }
 
 // XAck acknowledges processed entries, returning how many were pending.
@@ -765,11 +798,7 @@ func (c *Client) XClaimJustID(key, group, consumer string, minIdle time.Duration
 // the PEL scan at start ("0-0" to scan from the beginning). It returns the
 // next cursor and the claimed entries.
 func (c *Client) XAutoClaim(key, group, consumer string, minIdle time.Duration, start string, count int) (string, []StreamEntry, error) {
-	args := []string{
-		"XAUTOCLAIM", key, group, consumer, millis(minIdle), start,
-		"COUNT", strconv.Itoa(count),
-	}
-	v, err := c.Do(args...)
+	v, err := c.Do(xautoclaimArgs(key, group, consumer, minIdle, start, count)...)
 	if err != nil {
 		return "", nil, err
 	}
@@ -777,6 +806,32 @@ func (c *Client) XAutoClaim(key, group, consumer string, minIdle time.Duration, 
 		return "0-0", nil, nil
 	}
 	return v.Array[0].Str, parseEntries(v.Array[1]), nil
+}
+
+// XAutoClaimStreams is XAutoClaim from the start of each stream's PEL,
+// pipelined over several streams in one round trip. Only streams that
+// yielded entries appear in the result, in key order.
+func (c *Client) XAutoClaimStreams(group, consumer string, minIdle time.Duration, count int, keys ...string) ([]StreamMessages, error) {
+	cmds := make([][]string, len(keys))
+	for i, key := range keys {
+		cmds[i] = xautoclaimArgs(key, group, consumer, minIdle, "0-0", count)
+	}
+	replies, err := c.Pipeline(cmds)
+	if err != nil {
+		return nil, err
+	}
+	var out []StreamMessages
+	for i, v := range replies {
+		if len(v.Array) < 2 || len(v.Array[1].Array) == 0 {
+			continue
+		}
+		out = append(out, StreamMessages{Key: keys[i], Entries: parseEntries(v.Array[1])})
+	}
+	return out, nil
+}
+
+func xautoclaimArgs(key, group, consumer string, minIdle time.Duration, start string, count int) []string {
+	return []string{"XAUTOCLAIM", key, group, consumer, millis(minIdle), start, "COUNT", strconv.Itoa(count)}
 }
 
 // parseStreamsReply decodes the [[key, [entries...]]...] XREAD/XREADGROUP shape.

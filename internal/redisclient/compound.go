@@ -3,6 +3,7 @@ package redisclient
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"repro/internal/resp"
 )
@@ -95,4 +96,83 @@ func (c *Client) SinkAppend(ledgerKey, ledgerField string, cmds [][]string) (app
 		return false, err
 	}
 	return v.Int == 1, nil
+}
+
+// LeaseCommit builds SINKAPPEND LEASE, the lease-gated transaction of owned
+// partitions: one block per partition, each run against one hash only while
+// its lease key holds its token, and then refreshing that lease to expire
+// ttl from then (0 leaves its expiry alone). A block's subcommands are HGET
+// field..., GATE field..., HSET field value..., HDEL field..., XACK stream
+// group consumer pendingKey id weight... and DEL leaseKey. Its reply reads
+// with LeaseReplies. Every subcommand is absolute, so the command is
+// retry-safe.
+type LeaseCommit struct {
+	args []string
+	// Indices of the open block's and open subcommand's count placeholders
+	// (0: none open), and the counts so far.
+	block, sub   int
+	blocks, subs int
+}
+
+// NewLeaseCommit starts an empty transaction on hashKey, building it in
+// buf's storage: a caller that sends one transaction at a time reuses it.
+func NewLeaseCommit(buf []string, hashKey string, ttl time.Duration) LeaseCommit {
+	px := "0"
+	if ttl > 0 {
+		px = millis(ttl)
+	}
+	return LeaseCommit{args: append(buf[:0], "SINKAPPEND", "LEASE", px, hashKey, "")}
+}
+
+// Block opens the next partition's block, gated on leaseKey holding token.
+func (c *LeaseCommit) Block(leaseKey, token string) {
+	c.sealBlock()
+	c.args = append(c.args, leaseKey, token, "")
+	c.block, c.subs = len(c.args)-1, 0
+	c.blocks++
+}
+
+// Sub opens the next subcommand of the open block; Arg appends to it.
+func (c *LeaseCommit) Sub(op string) {
+	c.sealSub()
+	c.args = append(c.args, "", op)
+	c.sub = len(c.args) - 2
+	c.subs++
+}
+
+// Arg appends arguments to the open subcommand.
+func (c *LeaseCommit) Arg(args ...string) { c.args = append(c.args, args...) }
+
+func (c *LeaseCommit) sealSub() {
+	if c.sub > 0 {
+		c.args[c.sub] = strconv.Itoa(len(c.args) - c.sub - 1)
+		c.sub = 0
+	}
+}
+
+func (c *LeaseCommit) sealBlock() {
+	c.sealSub()
+	if c.block > 0 {
+		c.args[c.block] = strconv.Itoa(c.subs)
+	}
+}
+
+// Argv is the finished command.
+func (c *LeaseCommit) Argv() []string {
+	c.sealBlock()
+	c.args[4] = strconv.Itoa(c.blocks)
+	return c.args
+}
+
+// LeaseReplies reads a SINKAPPEND LEASE reply: per block, whether it ran
+// (false: its lease was lost and nothing of it ran) and the values its HGET
+// subcommands read, in order.
+func LeaseReplies(v resp.Value) (applied []bool, vals [][]resp.Value) {
+	applied, vals = make([]bool, len(v.Array)), make([][]resp.Value, len(v.Array))
+	for i, b := range v.Array {
+		if len(b.Array) > 0 && b.Array[0].Int == 1 {
+			applied[i], vals[i] = true, b.Array[1:]
+		}
+	}
+	return applied, vals
 }

@@ -67,7 +67,9 @@ func retryableError(err error) bool {
 //     only its JUSTID form, which moves ownership and resets idle clocks
 //     without counting a delivery;
 //   - fenced compounds (FENCEAPPLY, SINKAPPEND), where the server-side
-//     applied ledger absorbs the duplicate.
+//     applied ledger absorbs the duplicate; SINKAPPEND's lease form holds
+//     only absolute subcommands (reads, gates, final values, ownership-ruled
+//     acks, the lease's release) under a lease check.
 //
 // Relative-effect writes (INCRBY, HINCRBY, XADD, XTRIM, group reads and
 // XAUTOCLAIM) stay single-shot. The classification is argv-aware where it

@@ -42,7 +42,10 @@ const pipeWindows = 4
 //
 // A full or aged window is pushed inline, on the worker's goroutine, unless
 // it filled faster than the last push took: then it is handed to the pusher,
-// and the worker keeps emitting while the previous push is on the wire. A
+// and the worker keeps emitting while the previous push is on the wire. An
+// aged partial window is also handed off when the last push took longer than
+// the emitter's mean gap between emissions: an inline push would hold a
+// paced source's next emissions back and release them as one late burst. A
 // window is also handed off whenever earlier ones are still queued or in
 // flight, so an emitter's tasks reach the transport in emission order.
 //
@@ -144,13 +147,15 @@ func (b *batcher) push(t Task) error {
 }
 
 // ship sends a full or aged window that took fill to fill: inline while the
-// pipeline is idle and the window filled no faster than the last push took,
+// pipeline is idle, the window filled no faster than the last push took and,
+// for a partial window, its emitter's mean gap is no shorter than that push;
 // through the pusher otherwise.
 func (b *batcher) ship(fill time.Duration) error {
 	p := b.pipe
 	p.mu.Lock()
 	b.absorb()
-	if p.err == nil && !p.busy() && fill >= b.lastPush {
+	stalls := len(b.buf) < b.sizer.Next() && b.lastPush*time.Duration(len(b.buf)) > fill
+	if p.err == nil && !p.busy() && fill >= b.lastPush && !stalls {
 		p.mu.Unlock()
 		return b.pushInline()
 	}
@@ -455,6 +460,7 @@ func (r *router) begin(t Task) {
 // edgeDst is what an emit closure knows about one out-edge's destination.
 type edgeDst struct {
 	nInst    int     // pinned instances; 0 means the shared pool
+	parts    int     // leased partitions of an owned destination; 0 when not owned
 	terminal bool    // a delivery into it counts as a workflow output
 	fuse     *peCopy // on a fusable edge, this worker's copy of it
 }
@@ -466,7 +472,7 @@ func (r *router) emitFor(node string) func(port string, value any) error {
 	// Per-edge facts resolved once here, never per emission.
 	dsts := make([]edgeDst, len(edges))
 	for i, e := range edges {
-		dsts[i] = edgeDst{nInst: r.plan.Instances[e.To], terminal: len(r.g.OutEdges(e.To)) == 0, fuse: r.fuseTo[e]}
+		dsts[i] = edgeDst{nInst: r.plan.Instances[e.To], parts: r.plan.Parts[e.To], terminal: len(r.g.OutEdges(e.To)) == 0, fuse: r.fuseTo[e]}
 	}
 	// Per-closure stamping state: a stable salt per out-edge and one child
 	// sequence per out-edge, reset when the router moves to the next task
@@ -536,6 +542,16 @@ func (r *router) emitFor(node string) func(port string, value any) error {
 				r.outputs.Add(1)
 			}
 			nInst := dst.nInst
+			if dst.parts > 0 {
+				// Owned destination: the key's partition, read only by the
+				// pool worker holding its lease.
+				observe(ei, value)
+				idx := e.Grouping.RouteInstance(value, r.seq[e], dst.parts)
+				if err := r.out(stamp(Task{PE: e.To, Port: e.ToPort, Value: value, Instance: idx}, ei)); err != nil {
+					return err
+				}
+				continue
+			}
 			if nInst == 0 {
 				// Pooled destination: any worker may process the task — this
 				// one, inline, when the edge is fused.

@@ -39,6 +39,7 @@ type fusionCase struct {
 	final   bool          // dst has a Final hook
 	shape   func(g *graph.Graph, in *graph.Edge)
 	fuses   bool
+	owned   bool // mid rides leased partitions (the transport reports their depths)
 }
 
 // graph builds gen → mid → dst (or gen → dst) over tc.n integers. mid is a
@@ -120,6 +121,11 @@ func TestFusionRule(t *testing.T) {
 	const n = 3000
 	for _, tc := range []fusionCase{
 		{name: "shuffle into a cheap stateless PE", mapping: "dyn_redis", procs: 3, n: n, fuses: true},
+		{name: "out of an owned keyed PE into a stateless sink", mapping: "dyn_redis", procs: 3, n: n, fuses: true, owned: true,
+			shape: func(g *graph.Graph, _ *graph.Edge) {
+				g.Node("mid").SetKeyedState()
+				g.InEdges("mid")[0].SetGrouping(graph.GroupByKey(func(v any) string { return strconv.Itoa(v.(int) % 7) }))
+			}},
 		{name: "out of a source", mapping: "dyn_redis", procs: 3, n: n, direct: true},
 		{name: "grouped edge", procs: 3, n: n, shape: func(_ *graph.Graph, in *graph.Edge) {
 			in.SetGrouping(graph.GroupByKey(func(v any) string { return strconv.Itoa(v.(int) % 7) }))
@@ -172,9 +178,17 @@ func TestFusionRule(t *testing.T) {
 			if got.Load() != int64(tc.n) {
 				t.Fatalf("dst received %d values, want %d", got.Load(), tc.n)
 			}
-			fused := reg.Snapshot().Workers.Fused
+			snap := reg.Snapshot()
+			fused := snap.Workers.Fused
 			delivered := got.Load() - fused
 			t.Logf("dst: %d fused, %d delivered", fused, delivered)
+			owned := false
+			for k := range snap.Gauges {
+				owned = owned || strings.Contains(k, ":part:mid:")
+			}
+			if owned != tc.owned {
+				t.Errorf("mid on leased partitions = %v, want %v (gauges %v)", owned, tc.owned, snap.Gauges)
+			}
 			if tc.fuses && (fused == 0 || delivered == 0) {
 				t.Errorf("want a warm-up of delivered executions, then fused ones: %d fused, %d delivered", fused, delivered)
 			}

@@ -277,6 +277,10 @@ func (t *QueueTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	return envs, nil
 }
 
+// Partition implements Transport: in process every pool worker already
+// reaches the namespace directly, so no PE is owned.
+func (t *QueueTransport) Partition(PartitionSpec) (*Partitions, error) { return nil, nil }
+
 // Extend implements Transport: nothing reclaims an in-process delivery.
 func (t *QueueTransport) Extend(int) error { return nil }
 

@@ -58,7 +58,11 @@ const taskField = "task"
 // (consumer "w<index>" per pool worker), pinned tasks on per-instance
 // private streams partitioned the same way — the paper's dyn_redis and
 // hybrid_redis storage layout behind one Transport, spread over
-// N servers by a redisclient.Cluster.
+// N servers by a redisclient.Cluster. An owned PE's tasks ride leased
+// partitions instead (see Partitions): one stream per partition on its
+// namespace's shard, read only by the pool worker holding the partition's
+// lease, in the same XREADGROUP as its pool stream, and acknowledged by that
+// worker's lease-checked commit rather than by Ack.
 //
 // Placement: unfenced pool batches round-robin across shards per packed
 // entry; unfenced private frames go to the hash-ring home shard of their
@@ -101,6 +105,13 @@ type RedisTransport struct {
 	// ownership as frames[w]).
 	leases []leaseState
 
+	// owned lists the owned PEs' leased partitions (see Partition), fixed
+	// before any worker starts. claimed[w] holds the entries worker w adopted
+	// with a partition's lease, which its next pull returns first (same
+	// single-goroutine ownership as frames[w]).
+	owned   []*Partitions
+	claimed [][]Env
+
 	// diag (set via SetDiagnosis; nil keeps the paths cold) journals the
 	// recovery lifecycle — per-shard XAUTOCLAIM reclaims and lease
 	// extensions — and attributes reclaimed tasks to their PE's Replays
@@ -111,11 +122,13 @@ type RedisTransport struct {
 // SetDiagnosis attaches the diagnosis plane the planners thread through.
 func (t *RedisTransport) SetDiagnosis(d *diagnosis.Diag) { t.diag = d }
 
-// frameKey identifies one pulled stream entry: entry IDs are server-local,
-// so the shard index is part of the identity.
+// frameKey identifies one pulled stream entry: entry IDs are only unique
+// per stream and server, so the shard index and stream are part of the
+// identity.
 type frameKey struct {
-	shard int
-	id    string
+	shard  int
+	stream string
+	id     string
 }
 
 // entryState is the per-stream-entry ack bookkeeping.
@@ -147,7 +160,7 @@ func NewRedisTransport(cluster *redisclient.Cluster, keys RedisKeys, plan Plan, 
 			streams = append(streams, keys.PrivKey(spec.PE, spec.Instance))
 		}
 	}
-	err := cluster.Each(func(shard int, cl *redisclient.Client) error {
+	err := cluster.Gather(func(shard int, cl *redisclient.Client) error {
 		for _, stream := range streams {
 			if err := cl.XGroupCreate(stream, keys.Group, "0"); err != nil {
 				return fmt.Errorf("runtime: create consumer group on shard %d: %w", shard, err)
@@ -167,6 +180,7 @@ func NewRedisTransport(cluster *redisclient.Cluster, keys RedisKeys, plan Plan, 
 	return &RedisTransport{
 		cluster: cluster, keys: keys, plan: plan, recoverStale: recoverStale,
 		consumers: consumers, frames: frames, leases: make([]leaseState, len(plan.Workers)),
+		claimed: make([][]Env, len(plan.Workers)),
 	}, nil
 }
 
@@ -181,15 +195,46 @@ func (t *RedisTransport) streamFor(w int) string {
 }
 
 // homeShard is the shard worker w blocking-reads: pinned workers wait on the
-// ring home of their private stream (where unfenced pushes place frames),
-// pool workers spread round-robin so the blocking load covers every shard.
+// ring home of their private stream (where unfenced pushes place frames), a
+// pool worker holding partitions on the shard of their namespace, and the
+// other pool workers spread round-robin so the blocking load covers every
+// shard.
 func (t *RedisTransport) homeShard(w int) int {
 	n := t.cluster.NumShards()
 	spec := t.plan.Workers[w]
 	if spec.Pinned() {
 		return t.cluster.ShardFor(t.keys.PrivKey(spec.PE, spec.Instance))
 	}
+	for _, ps := range t.owned {
+		if len(ps.held[w]) > 0 {
+			return ps.shard
+		}
+	}
 	return w % n
+}
+
+// readSet is what worker w reads on shard: its own stream plus the
+// partitions it holds there.
+func (t *RedisTransport) readSet(w, shard int) []string {
+	keys := []string{t.streamFor(w)}
+	for _, ps := range t.owned {
+		if ps.shard != shard {
+			continue
+		}
+		for _, p := range ps.Held(w) {
+			keys = append(keys, ps.streams[p])
+		}
+	}
+	return keys
+}
+
+// instanceStream is the stream of a task addressed to instance i of pe: a
+// leased partition's when pe is owned, a pinned instance's otherwise.
+func (t *RedisTransport) instanceStream(pe string, i int) string {
+	if ps := t.partitionsOf(pe); ps != nil {
+		return ps.streams[i]
+	}
+	return t.keys.PrivKey(pe, i)
 }
 
 // shardCmds accumulates one shard's slice of a push batch.
@@ -286,7 +331,7 @@ func (t *RedisTransport) PushFenced(gate state.TaskGate, entryCap int, tasks ...
 		return false, errTransportClosed
 	}
 	gateShard := t.cluster.ShardFor(gate.Key)
-	if gate.Addr == "" || t.cluster.Shard(gateShard).Addr() != gate.Addr {
+	if gate.Addr == "" || t.cluster.Shard(gateShard).Addr() != gate.Addr || t.offShard(tasks, gateShard) {
 		return pushAdmitted(gate, func() error { return t.push(tasks, entryCap) })
 	}
 	batches, err := t.pushCmds(tasks, entryCap, gateShard)
@@ -300,6 +345,18 @@ func (t *RedisTransport) PushFenced(gate state.TaskGate, entryCap int, tasks ...
 	// An empty batch still records the gate: a Final with no emissions must
 	// be marked done exactly once too.
 	return t.cluster.Shard(gateShard).SinkAppend(gate.Key, gate.Field, cmds)
+}
+
+// offShard reports whether a task bound for a leased partition would land
+// away from shard: a partition is read on its own shard only, so such a
+// batch cannot ride one single-shard transaction.
+func (t *RedisTransport) offShard(tasks []Task, shard int) bool {
+	for _, task := range tasks {
+		if ps := t.partitionsOf(task.PE); ps != nil && task.Instance >= 0 && ps.shard != shard {
+			return true
+		}
+	}
+	return false
 }
 
 // assemble prepends the shard's pending-counter increment to its entry
@@ -319,9 +376,10 @@ func (sc *shardCmds) assemble(pendingKey string) [][]string {
 // <= 0: one entry), one XADD batch frame per private stream. fixedShard >= 0
 // pins every command to that shard (the fenced single-shard path); otherwise
 // pool entries round-robin and private frames follow the ring. Pool entries
-// are encoded straight from sub-slices of tasks; private tasks are grouped
-// per stream, and a batch that holds any copies its pool tasks once so the
-// entries they interrupt stay whole.
+// are encoded straight from sub-slices of tasks; private tasks (a pinned
+// instance's or a leased partition's) are grouped per stream, and a pool
+// task that follows one copies the pool tasks once, so the entries the
+// private tasks interrupt stay whole.
 func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[int]*shardCmds, error) {
 	batches := map[int]*shardCmds{}
 	shardOf := func(key string) int {
@@ -340,18 +398,23 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 	}
 	pool := tasks
 	var priv map[string][]Task
+	copied := false // pool no longer aliases a prefix of tasks
 	for i, task := range tasks {
 		if task.Instance < 0 {
-			if priv != nil {
+			if priv != nil && !copied {
+				pool = append(make([]Task, 0, len(pool)+len(tasks)-i), pool...)
+				copied = true
+			}
+			if copied {
 				pool = append(pool, task)
 			}
 			continue
 		}
 		if priv == nil {
 			priv = map[string][]Task{}
-			pool = append(make([]Task, 0, len(tasks)), tasks[:i]...)
+			pool = tasks[:i]
 		}
-		key := t.keys.PrivKey(task.PE, task.Instance)
+		key := t.instanceStream(task.PE, task.Instance)
 		priv[key] = append(priv[key], task)
 	}
 	buf := codec.GetBuffer()
@@ -382,7 +445,11 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 		lo = hi
 	}
 	for key, group := range priv {
-		if err := xadd(shardOf(key), key, group); err != nil {
+		shard := shardOf(key)
+		if ps := t.partitionsOf(group[0].PE); ps != nil {
+			shard = ps.shard // never pinned away: a partition is read on its shard only
+		}
+		if err := xadd(shard, key, group); err != nil {
 			return nil, err
 		}
 	}
@@ -393,96 +460,128 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 // partitions home-shard-last: a non-blocking sweep over the other shards
 // (home+1, home+2, …) picks up work wherever routing placed it, then one
 // blocking XREADGROUP on the home shard returns at once if entries are
-// already there and otherwise parks for the poll timeout. An idle pull
-// therefore costs one round trip per shard; a zero timeout keeps the home
-// read non-blocking. Each entry may itself be a packed batch frame, so the
-// returned batch can exceed max — max is advisory.
+// already there and otherwise parks for the poll timeout. A worker holding
+// leased partitions reads them in the same command as its own stream, on
+// their namespace's shard, which is then its home. An idle pull therefore
+// costs one round trip per shard; a zero timeout keeps the home read
+// non-blocking. Each entry may itself be a packed batch frame, so the
+// returned batch can exceed max — max is advisory, and bounds each stream's
+// share. Entries adopted with a partition's lease come first, without a
+// read. A commit the worker staged (Partitions.Stage) rides the home read's
+// round trip, ahead of it; on any other path it is sent on its own first.
 func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
 	if t.closed.Load() {
 		return nil, errTransportClosed
 	}
+	home := t.homeShard(w)
+	if err := t.flushStaged(w, home); err != nil {
+		return nil, err
+	}
+	if envs := t.claimed[w]; len(envs) > 0 {
+		t.claimed[w] = nil
+		return envs, t.flushStaged(w, -1)
+	}
 	if max < 1 {
 		max = 1
 	}
-	stream := t.streamFor(w)
 	consumer := t.consumers[w]
-	home := t.homeShard(w)
 	n := t.cluster.NumShards()
 	t.leases[w].timeout = timeout
 
-	var entries []redisclient.StreamEntry
+	var msgs []redisclient.StreamMessages
 	shard := home
 	for i := 1; i < n; i++ {
 		s := (home + i) % n
-		es, err := t.cluster.Shard(s).XReadGroup(t.keys.Group, consumer, max, 0, stream)
+		ms, err := t.cluster.Shard(s).XReadGroupStreams(t.keys.Group, consumer, max, 0, t.readSet(w, s)...)
 		if err != nil {
 			return nil, t.maybeClosed(err)
 		}
-		if len(es) > 0 {
-			entries, shard = es, s
+		if len(ms) > 0 {
+			msgs, shard = ms, s
 			break
 		}
 	}
-	if len(entries) == 0 {
-		es, err := t.cluster.Shard(home).XReadGroup(t.keys.Group, consumer, max, timeout, stream)
+	if len(msgs) > 0 {
+		if err := t.flushStaged(w, -1); err != nil {
+			return nil, err
+		}
+	} else {
+		ms, err := t.readHome(w, home, max, timeout)
 		if err != nil {
 			return nil, t.maybeClosed(err)
 		}
-		entries = es
+		msgs = ms
 	}
 	reclaimed := false
-	if len(entries) == 0 && t.recoverStale {
+	if len(msgs) == 0 && t.recoverStale {
 		// Reclaim tasks whose consumer stopped acknowledging them (crashed
 		// or descheduled), sweeping shard by shard: XAUTOCLAIM moves idle
 		// pending entries of the shard's partition into this worker's PEL so
 		// the stream's at-least-once guarantee actually holds under failures.
+		// A leased partition is swept only by its holder.
 		for i := 0; i < n; i++ {
 			s := (home + i) % n
-			_, claimed, err := t.cluster.Shard(s).XAutoClaim(stream, t.keys.Group, consumer, reclaimPolls*timeout, "0-0", max)
-			if err == nil && len(claimed) > 0 {
-				entries, shard, reclaimed = claimed, s, true
+			ms, err := t.cluster.Shard(s).XAutoClaimStreams(t.keys.Group, consumer, reclaimPolls*timeout, max, t.readSet(w, s)...)
+			if err == nil && len(ms) > 0 {
+				msgs, shard, reclaimed = ms, s, true
 				break
 			}
 		}
 	}
-	if len(entries) == 0 {
+	if len(msgs) == 0 {
 		return nil, nil
 	}
-	// Each entry may be a packed frame; fan its tasks out as one env per
-	// task, all sharing the entry's (shard, ID), and register the entry so
-	// Ack can release it once the last of them is acked. A re-delivered
-	// entry (XAUTOCLAIM bouncing it back to this worker) resets its
-	// bookkeeping — redelivery means full re-execution.
-	reg := t.frames[w]
-	total := 0
-	for _, e := range entries {
-		total += codec.FrameCount(e.Fields[taskField])
-	}
-	envs := make([]Env, total)
-	next := 0
-	for _, e := range entries {
-		frame := envs[next:]
-		n, err := codec.DecodeEach(e.Fields[taskField], func(i int) *Task { return &frame[i].Task })
-		if err != nil {
-			return nil, err
+	envs, err := t.register(w, shard, msgs, reclaimed)
+	if reclaimed && t.diag != nil && err == nil {
+		entries := 0
+		for _, m := range msgs {
+			entries += len(m.Entries)
 		}
-		for i := range frame[:n] {
-			env := &frame[i]
-			env.AckID, env.Shard = e.ID, shard
-			if reclaimed && t.diag != nil {
-				// Cold path (failure recovery): per-PE replay attribution may
-				// take the ledger lock per task.
-				t.diag.PE(env.PE).Replays.Inc()
+		t.diag.Log(diagnosis.EvReclaim, w, "",
+			fmt.Sprintf("%d stalled entries adopted on shard %d", entries, shard), int64(len(envs)))
+	}
+	return envs, err
+}
+
+// flushStaged sends worker w's staged commits on their own, except those on
+// shard keep (-1 keeps none), which its home read carries.
+func (t *RedisTransport) flushStaged(w, keep int) error {
+	for _, ps := range t.owned {
+		if ps.shard != keep {
+			if err := ps.flush(w); err != nil {
+				return err
 			}
 		}
-		reg[frameKey{shard: shard, id: e.ID}] = &entryState{remaining: n, tasks: n}
-		next += n
 	}
-	if reclaimed && t.diag != nil {
-		t.diag.Log(diagnosis.EvReclaim, w, "",
-			fmt.Sprintf("%d stalled entries adopted on shard %d", len(entries), shard), int64(len(envs)))
+	return nil
+}
+
+// readHome is worker w's blocking read of its home shard, carrying the
+// commits it staged there in the same round trip, ahead of the read.
+func (t *RedisTransport) readHome(w, home, max int, timeout time.Duration) ([]redisclient.StreamMessages, error) {
+	var pre [][]string
+	var staged []*Partitions
+	for _, ps := range t.owned {
+		if sc := ps.staged[w]; sc != nil && ps.shard == home {
+			pre, staged = append(pre, sc.argv), append(staged, ps)
+		}
 	}
-	return envs, nil
+	cl := t.cluster.Shard(home)
+	if len(pre) == 0 {
+		return cl.XReadGroupStreams(t.keys.Group, t.consumers[w], max, timeout, t.readSet(w, home)...)
+	}
+	replies, msgs, err := cl.XReadGroupStreamsAfter(pre, t.keys.Group, t.consumers[w], max, timeout, t.readSet(w, home)...)
+	if err != nil {
+		return nil, err
+	}
+	for i, ps := range staged {
+		sc := ps.staged[w]
+		ps.staged[w] = nil
+		if err := ps.landStaged(w, sc, replies[i]); err != nil {
+			return nil, err
+		}
+	}
+	return msgs, nil
 }
 
 // Ack implements Transport at entry-range granularity: each env releases one
@@ -506,38 +605,21 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 // counter until its last task releases. The decrement lands on the shard
 // whose counter the task incremented — the env's Shard, stamped at pull
 // time. The command carries no direct decrement, so the client re-sends it
-// across a dropped connection (the removal half is idempotent).
+// across a dropped connection (the removal half is idempotent). Deliveries
+// of leased partitions are not acked here: their window's commit acks them
+// (Partitions.Commit).
 func (t *RedisTransport) Ack(w int, envs ...Env) error {
-	reg := t.frames[w]
-	completed := map[int][]doneEntry{}
-	// Envs from one entry arrive contiguously (PullBatch fans frames out in
-	// order and the worker loop preserves it), so a linear run-group scan
-	// replaces a map.
-	for i := 0; i < len(envs); {
-		id, shard := envs[i].AckID, envs[i].Shard
-		if id == "" {
-			return fmt.Errorf("runtime: redis ack of a %s delivery without an entry ID", envs[i].PE)
-		}
-		acked := 0
-		for ; i < len(envs) && envs[i].AckID == id && envs[i].Shard == shard; i++ {
-			acked++
-		}
-		es, ok := reg[frameKey{shard: shard, id: id}]
-		if !ok {
-			// Not in this worker's registry: a duplicate delivery or a
-			// repeated ack of an entry already completed. Weight it by what
-			// this call saw; the server's PEL decides whether anything lands.
-			completed[shard] = append(completed[shard], doneEntry{id: id, tasks: acked})
-			continue
-		}
-		es.remaining -= acked
-		if es.remaining <= 0 {
-			completed[shard] = append(completed[shard], doneEntry{id: id, tasks: es.tasks})
-			delete(reg, frameKey{shard: shard, id: id})
+	for _, env := range envs {
+		if env.AckID == "" {
+			return fmt.Errorf("runtime: redis ack of a %s delivery without an entry ID", env.PE)
 		}
 	}
 	stream, consumer := t.streamFor(w), t.consumers[w]
-	for shard, done := range completed {
+	perShard := map[int][]doneEntry{}
+	for _, d := range t.complete(w, stream, envs) {
+		perShard[d.shard] = append(perShard[d.shard], d)
+	}
+	for shard, done := range perShard {
 		ids := make([]string, len(done))
 		weights := make([]int64, len(done))
 		for i, d := range done {
@@ -551,8 +633,10 @@ func (t *RedisTransport) Ack(w int, envs ...Env) error {
 }
 
 // doneEntry is a stream entry whose delivered tasks are all released:
-// eligible for acknowledgement, worth tasks pending-counter units on removal.
+// eligible for acknowledgement on its shard, worth tasks pending-counter
+// units on removal.
 type doneEntry struct {
+	shard int
 	id    string
 	tasks int
 }
@@ -588,6 +672,11 @@ func (t *RedisTransport) Extend(w int) error {
 	if !t.recoverStale || t.closed.Load() {
 		return nil
 	}
+	for _, ps := range t.owned {
+		if _, err := ps.Renew(w); err != nil {
+			return t.maybeClosed(err)
+		}
+	}
 	reg := t.frames[w]
 	if len(reg) == 0 {
 		return nil
@@ -605,7 +694,9 @@ func (t *RedisTransport) Extend(w int) error {
 	stream, consumer := t.streamFor(w), t.consumers[w]
 	perShard := map[int]int{}
 	for fk := range reg {
-		perShard[fk.shard]++
+		if fk.stream == stream {
+			perShard[fk.shard]++
+		}
 	}
 	extended := int64(0)
 	for shard, count := range perShard {
@@ -616,7 +707,7 @@ func (t *RedisTransport) Extend(w int) error {
 		}
 		ids := owned[:0]
 		for _, id := range owned {
-			if _, ok := reg[frameKey{shard: shard, id: id}]; ok {
+			if _, ok := reg[frameKey{shard: shard, stream: stream, id: id}]; ok {
 				ids = append(ids, id)
 			}
 		}
@@ -634,26 +725,39 @@ func (t *RedisTransport) Extend(w int) error {
 	return nil
 }
 
-// QueueDepths implements Transport: each partition's entry count —
-// the pool stream plus one "priv:<pe>:<i>" stream per pinned instance — per
-// shard under an "s<i>:" prefix ("s0:stream", "s1:priv:pe:0", …), so a hot
-// shard is visible as such. Sampling errors skip the affected entry (the
-// gauge set shrinks rather than failing the sample).
+// QueueDepths implements Transport: each partition's entry count — the
+// pool stream, one "priv:<pe>:<i>" stream per pinned instance and one
+// "part:<pe>:<p>" stream per leased partition of an owned PE — per shard
+// under an "s<i>:" prefix ("s0:stream", "s1:priv:pe:0", "s1:part:pe:3", …),
+// so a hot shard or a skewed partition is visible as such. Each shard's
+// counts cost one pipelined round trip; a shard that fails the sample is
+// skipped (the gauge set shrinks rather than failing the sample).
 func (t *RedisTransport) QueueDepths() map[string]int64 {
 	out := map[string]int64{}
 	for s := 0; s < t.cluster.NumShards(); s++ {
-		cl := t.cluster.Shard(s)
-		prefix := fmt.Sprintf("s%d:", s)
-		if v, err := cl.XLen(t.keys.Queue); err == nil {
-			out[prefix+"stream"] = v
-		}
+		names := []string{"stream"}
+		cmds := [][]string{{"XLEN", t.keys.Queue}}
 		for _, spec := range t.plan.Workers {
-			if !spec.Pinned() {
+			if spec.Pinned() {
+				names = append(names, fmt.Sprintf("priv:%s:%d", spec.PE, spec.Instance))
+				cmds = append(cmds, []string{"XLEN", t.keys.PrivKey(spec.PE, spec.Instance)})
+			}
+		}
+		for _, ps := range t.owned {
+			if ps.shard != s {
 				continue
 			}
-			if v, err := cl.XLen(t.keys.PrivKey(spec.PE, spec.Instance)); err == nil {
-				out[fmt.Sprintf("%spriv:%s:%d", prefix, spec.PE, spec.Instance)] = v
+			for p, stream := range ps.streams {
+				names = append(names, fmt.Sprintf("part:%s:%d", ps.pe, p))
+				cmds = append(cmds, []string{"XLEN", stream})
 			}
+		}
+		replies, err := t.cluster.Shard(s).Pipeline(cmds)
+		if err != nil {
+			continue
+		}
+		for i, v := range replies {
+			out[fmt.Sprintf("s%d:%s", s, names[i])] = v.Int
 		}
 	}
 	return out
@@ -686,7 +790,8 @@ func (t *RedisTransport) Done() error {
 }
 
 // Cleanup removes the run's queue, counter and private-stream keys from
-// every shard.
+// every shard, and the partition streams and lease keys from their
+// namespaces' shards.
 func (t *RedisTransport) Cleanup(g *graph.Graph) {
 	keys := []string{t.keys.Queue, t.keys.PendingKey}
 	for _, spec := range t.plan.Workers {
@@ -698,6 +803,9 @@ func (t *RedisTransport) Cleanup(g *graph.Graph) {
 		_, _ = cl.Del(keys...)
 		return nil
 	})
+	for _, ps := range t.owned {
+		_, _ = ps.cl.Del(append(append([]string(nil), ps.streams...), ps.leases...)...)
+	}
 }
 
 // maybeClosed maps client errors after shutdown onto the closed sentinel so

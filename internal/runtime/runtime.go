@@ -18,6 +18,13 @@
 //	                tasks per pinned worker (multi, mpi)
 //	RedisTransport  a Redis stream consumer group for the pool plus one
 //	                private stream per pinned instance (dyn_redis, hybrid_redis)
+//	                and one leased stream per partition of an owned PE
+//
+// On the Redis pool a keyed-state PE whose in-edges all group by key is owned
+// (see own.go): the router sends each of its tasks to a leased partition,
+// the one worker holding that partition serves the PE's state ops from a
+// table of its own, and the window's delta, task gates and acks land in one
+// lease-checked commit at refill.
 //
 // A pool worker holds a private copy of every pooled PE, so on the adaptive
 // (Redis) planners an edge that needs no transport — a shuffle from a pooled
@@ -127,6 +134,11 @@ type Transport interface {
 	Ack(w int, envs ...Env) error
 	// Pending reports the queued + in-flight task count.
 	Pending() (int64, error)
+	// Partition offers the transport one owned PE (see own.go): a keyed-state
+	// PE whose in-edges all group by key, on a pool plan. A transport whose
+	// servers hold the PE's namespace returns the PE's leased partitions; any
+	// other returns nil, and the PE's tasks keep the pool.
+	Partition(spec PartitionSpec) (*Partitions, error)
 	// QueueDepths samples per-queue depth gauges for telemetry: the global
 	// queue's and each pinned box's length, pool and private stream entry
 	// counts. Keys name the queue ("queue", "box:<pe>:<i>", "stream", …);
@@ -184,6 +196,11 @@ type Plan struct {
 	// Instances maps each node to its pinned instance count; 0 means the
 	// node runs on the shared pool (any worker, Instance -1 routing).
 	Instances map[string]int
+	// Parts maps each owned PE to its leased partition count: a pooled node
+	// whose tasks the router sends to partition Instance = hash(key) mod
+	// Parts, read only by the pool worker holding that partition's lease.
+	// Execute fills it (see own.go); a planner leaves it nil.
+	Parts map[string]int
 
 	// workerOf resolves a pinned (PE, instance) to its worker index.
 	workerOf map[string][]int

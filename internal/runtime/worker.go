@@ -79,6 +79,9 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 
 	r := &run{g: g, opts: opts, cfg: cfg, ms: ms, fencing: ms.ExactlyOnce(),
 		tel: opts.Telemetry, diag: opts.Diagnosis}
+	if err := r.own(); err != nil {
+		return metrics.Report{}, fmt.Errorf("%s: %w", cfg.Name, err)
+	}
 	if r.ctrl = r.autoScaler(); r.ctrl != nil {
 		defer r.ctrl.Terminate() // stop covers a started run, not an early return
 	}
@@ -273,6 +276,12 @@ type run struct {
 	tracer *telemetry.Tracer
 	diag   *diagnosis.Diag
 
+	// owned lists the PEs whose tasks ride leased partitions (own.go);
+	// holders counts the pool workers eligible to hold their leases: neither
+	// parked, nor in a source's Generate, nor gone.
+	owned   []*ownedPE
+	holders atomic.Int64
+
 	// busy counts the workers holding deliveries: a pull that returns tasks
 	// raises it, and the worker lowers it once its acks are flushed (before
 	// the idle gate and the next pull) or when it exits. The coordinator
@@ -375,8 +384,16 @@ type worker struct {
 	idle    *idleClock
 	standby bool
 
-	buf      []Env // the prefetch buffer; next indexes its next delivery
-	next     int
+	buf  []Env // the prefetch buffer; next indexes its next delivery
+	next int
+	// own is the worker's side of each owned PE (pool workers only),
+	// eligible whether it counts among the run's holders, pulled whether it
+	// has pulled yet, and gates holds what load read of each buffered
+	// delivery's task gate.
+	own      []*ownSlot
+	eligible bool
+	pulled   bool
+	gates    []gateRead
 	holding  bool  // counted in r.busy: buf's deliveries are not all acked
 	pulledAt int64 // UnixNano of buf's pull (tracing only)
 }
@@ -413,10 +430,12 @@ func (r *run) newWorker(w int) *worker {
 	return wk
 }
 
-// close releases what the worker still holds: its busy count, its pusher
-// (which never outlives its worker) and its active span.
+// close releases what the worker still holds: its busy count, its place
+// among the lease holders, its pusher (which never outlives its worker) and
+// its active span.
 func (wk *worker) close() {
 	wk.release()
+	wk.setEligible(false)
 	wk.b.close()
 	wk.proc.Deactivate()
 }
@@ -445,6 +464,7 @@ func (wk *worker) init() error {
 			wk.copies[n.Name] = &peCopy{}
 		}
 	}
+	wk.initOwn()
 	// Fusion needs a measured hop cost, which only the adaptive sizers give.
 	if r.cfg.AdaptiveBatching && !spec.Pinned() {
 		wk.rt.fuseTo = map[*graph.Edge]*peCopy{}
@@ -512,6 +532,9 @@ func (wk *worker) refill() error {
 	if err := wk.b.flush(); err != nil {
 		return fmt.Errorf("flush emissions: %w", err)
 	}
+	if err := wk.settle(false); err != nil {
+		return fmt.Errorf("commit: %w", err)
+	}
 	if err := wk.acks.flush(); err != nil {
 		return fmt.Errorf("ack batch: %w", err)
 	}
@@ -519,13 +542,11 @@ func (wk *worker) refill() error {
 	if wk.fuseDsts != nil {
 		decideFusion(wk.fuseDsts, wk.b.sizer, wk.r.diag, wk.w)
 	}
-	if wk.ctrl != nil && wk.ctrl.Gate(wk.w) {
-		// Idle state: stop accruing process time until readmitted.
-		wk.proc.Deactivate()
-		if !wk.ctrl.Admit(wk.w) {
-			return errReleased
-		}
-		wk.proc.Activate()
+	if err := wk.gate(); err != nil {
+		return err
+	}
+	if err := wk.lease(); err != nil {
+		return fmt.Errorf("lease: %w", err)
 	}
 	window := 1
 	if wk.pullSizer != nil {
@@ -533,7 +554,11 @@ func (wk *worker) refill() error {
 	}
 	start := time.Now()
 	envs, err := wk.tr.PullBatch(wk.w, window, wk.r.opts.PollTimeout)
+	wk.landed()
 	if err != nil {
+		if IsClosed(err) && !wk.r.failed.Load() {
+			_ = wk.standDown() // drained: nothing is left to commit, only leases to give back
+		}
 		return fmt.Errorf("pull: %w", err)
 	}
 	if wk.pullSizer != nil {
@@ -553,7 +578,7 @@ func (wk *worker) refill() error {
 		if wk.standby {
 			wk.proc.Deactivate()
 		}
-		return nil // the coordinator owns termination
+		return wk.takeover() // the coordinator owns termination
 	}
 	if wk.wm != nil {
 		wk.wm.Pull.Observe(int64(time.Since(start)))
@@ -571,6 +596,28 @@ func (wk *worker) refill() error {
 		wk.idle.stamp(wk.w)
 	}
 	wk.buf, wk.next = envs, 0
+	if err := wk.load(); err != nil {
+		return fmt.Errorf("load owned keys: %w", err)
+	}
+	return nil
+}
+
+// gate passes a pool worker through the auto-scaler's gate: a surplus
+// worker gives its leases up and stops accruing process time until it is
+// readmitted, or released from a finished run.
+func (wk *worker) gate() error {
+	if wk.ctrl == nil || !wk.ctrl.Gate(wk.w) {
+		return nil
+	}
+	if err := wk.standDown(); err != nil {
+		return fmt.Errorf("release leases: %w", err)
+	}
+	wk.proc.Deactivate()
+	if !wk.ctrl.Admit(wk.w) {
+		return errReleased
+	}
+	wk.proc.Activate()
+	wk.setEligible(true)
 	return nil
 }
 
@@ -653,6 +700,14 @@ type peCopy struct {
 // deterministically and managed-state mutations of a duplicate execution
 // are dropped by the store's applied ledger.
 func (wk *worker) runTask(c *peCopy, env Env) error {
+	s, replay := wk.slotFor(env), false
+	if s != nil {
+		var run bool
+		if run, replay = s.admit(wk.w, env, wk.gates[wk.next-1]); !run {
+			return nil
+		}
+		c.scope.Own(s.table, env.Instance, replay)
+	}
 	wk.rt.begin(env.Task)
 	if c.fence != nil {
 		c.scope.SetToken(state.Token{Src: env.Src, Seq: env.Seq})
@@ -670,7 +725,10 @@ func (wk *worker) runTask(c *peCopy, env Env) error {
 		err = fmt.Errorf("generate task for non-source PE %q", env.PE)
 	case env.Port == "":
 		wk.r.tasks.Add(1)
-		err = c.src.Generate(c.ctx)
+		if err = wk.standDown(); err == nil {
+			err = c.src.Generate(c.ctx)
+			wk.setEligible(true)
+		}
 	default:
 		wk.r.tasks.Add(1)
 		// Hold mode exists only inside a fenced Final, never here.
@@ -678,7 +736,13 @@ func (wk *worker) runTask(c *peCopy, env Env) error {
 		err = c.pe.Process(c.ctx, env.Port, env.Value)
 		wk.rt.processing = false
 	}
-	wk.acks.add(env)
+	if s == nil {
+		wk.acks.add(env)
+	} else if oerr := c.scope.Disown(); err == nil && oerr != nil {
+		err = oerr
+	} else if err == nil {
+		s.done(env, wk.gates[wk.next-1], replay)
+	}
 	if err != nil {
 		// Release the deliveries so a failed run does not hang on a counter
 		// that can never drain, then surface the PE error.

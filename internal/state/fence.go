@@ -183,6 +183,11 @@ func (fs *FencedStore) dropped() {
 // counters and journal stay the single source of truth for fence activity.
 func (fs *FencedStore) ObserveDrop() { fs.dropped() }
 
+// Home names the hash holding the namespace and the address of its server,
+// or two empty strings when the namespace does not live on a server (the
+// memory backend). Only a namespace with a home can be owned (see Table).
+func (fs *FencedStore) Home() (key, addr string) { return homeOf(fs.inner) }
+
 // TaskGate is the gate of the fenced delivery tok (a non-zero token).
 func (fs *FencedStore) TaskGate(tok Token) TaskGate {
 	key, addr := homeOf(fs.inner)
@@ -214,6 +219,14 @@ type FenceScope struct {
 	fs  *FencedStore
 	tok Token
 	mut uint64
+
+	// own, while set, serves the ops of a task of partition part from the
+	// worker's owned table (see Own); ownErr is the task's first op outside
+	// that partition.
+	own    *Table
+	part   int
+	replay bool
+	ownErr error
 }
 
 // SetToken binds the scope to a delivery before its task executes,
@@ -232,7 +245,17 @@ func (s *FenceScope) Namespace() string { return s.fs.inner.Namespace() }
 // Get implements Store.
 func (s *FenceScope) Get(key string) (string, bool, error) {
 	start := s.fs.begin(countGet)
-	v, ok, err := s.fs.inner.Get(key)
+	var v string
+	var ok bool
+	var err error
+	if s.own != nil {
+		var c cell
+		if c, err = s.ownCell(key); err == nil {
+			v, ok = c.val, c.exists
+		}
+	} else {
+		v, ok, err = s.fs.inner.Get(key)
+	}
 	s.fs.end(countGet, start)
 	return v, ok, err
 }
@@ -242,7 +265,15 @@ func (s *FenceScope) Get(key string) (string, bool, error) {
 // execution of that delivery it applies once: a duplicate's Put, Delete or
 // Update is dropped (Fn not invoked), and a duplicate's AddInt returns the
 // key's current value instead. Unbound, the op passes through as it came.
+// While the scope owns a table (Own) the op is applied there instead, and
+// the task's gate, recorded at commit, fences the whole task.
 func (s *FenceScope) Apply(op Op) (Result, error) {
+	if s.own != nil {
+		start := s.fs.begin(int(op.Kind))
+		res, err := s.ownApply(op)
+		s.fs.end(int(op.Kind), start)
+		return res, err
+	}
 	if !s.tok.IsZero() {
 		op.Ledger = fenceField(s.tok, s.mut)
 		s.mut++

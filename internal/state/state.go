@@ -6,13 +6,20 @@
 // A Store is a keyed map of binary-safe string values living in a namespace.
 // Managed-state nodes use one namespace per (workflow, PE): instances of the
 // same PE share the namespace, and correctness at instances > 1 comes from
-// one of two regimes:
+// one of three regimes:
 //
 //   - partitioned access — GroupBy routing guarantees each key is only
 //     touched by its owner instance (static and hybrid mappings);
+//   - owned partitions — on the Redis pool (dyn_redis, dyn_auto_redis) a
+//     keyed PE whose in-edges all group by key, and whose namespace lives on
+//     the transport's servers, has its tasks routed to leased partitions; the
+//     one worker holding a partition's lease serves the ops of its tasks from
+//     a Table of its own and commits each window's delta at once (see
+//     Table). A task may touch only keys of its own partition — its group
+//     key's — and an op on any other key fails the task;
 //   - shared atomic access — any worker may process any task because every
-//     store mutation (Put/AddInt/Update) is atomic per key (dynamic
-//     mappings, where tasks have no instance affinity).
+//     store mutation (Put/AddInt/Update) is atomic per key (the other dynamic
+//     mappings' managed state, where tasks have no instance affinity).
 //
 // Two backends implement the contract: a lock-sharded in-memory backend for
 // the in-process mappings, and a Redis backend (hashes via
@@ -26,6 +33,7 @@
 // worker's FenceScope over the namespace's FencedStore:
 //
 //	PE → FenceScope → backend store
+//	PE → FenceScope → owned Table   (a task of a leased partition)
 //
 // and a mutation travels it as a value. An Op says what to do (Put, Delete,
 // AddInt or Update on a key); the scope stamps the delivery's ledger field
@@ -40,7 +48,9 @@
 // TaskGate is one more ledger field of the namespace, which the transport
 // carrying the Final's output records — inside the same SINKAPPEND
 // transaction as the output when its queues live on the namespace's server,
-// through an unbound scope (TaskGate.Admit) otherwise.
+// through an unbound scope (TaskGate.Admit) otherwise. A task of an owned
+// partition is gated the same way: its ops stamp no ledger field, and the
+// window's commit records the task's gate (GateField) with its effects.
 package state
 
 import (

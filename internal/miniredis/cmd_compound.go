@@ -44,8 +44,12 @@ func ledgerRecord(e *entry, ledgerField string) (first bool, errv *resp.Value) {
 			return false, &v
 		}
 	}
+	if cnt == 0 {
+		e.hash[ledgerField] = "1"
+		return true, nil
+	}
 	e.hash[ledgerField] = strconv.FormatInt(cnt+1, 10)
-	return cnt == 0, nil
+	return false, nil
 }
 
 // cmdFenceApply is fence-check + ledger record + one hash mutation in a
@@ -341,12 +345,24 @@ type leaseAck struct {
 	weights              []int64
 }
 
-// leaseBlock is one validated block of SINKAPPEND's lease form.
+// leaseBlock is one validated block of SINKAPPEND's lease form: its
+// subcommands are the ncmds length-prefixed argvs at args[at:].
 type leaseBlock struct {
 	leaseKey, token string
-	cmds            [][]string
+	args            []string
+	at, ncmds       int
 	acks            []leaseAck // its XACK subcommands, in order
 	reads           int        // the fields its HGET subcommands read
+}
+
+// each calls fn with the block's subcommands in order.
+func (lb *leaseBlock) each(fn func(argv []string)) {
+	i := lb.at
+	for c := 0; c < lb.ncmds; c++ {
+		n, _ := strconv.Atoi(lb.args[i])
+		fn(lb.args[i+1 : i+1+n])
+		i += 1 + n
+	}
 }
 
 // cmdSinkAppendLease is the lease-gated commit of owned partitions:
@@ -389,13 +405,13 @@ func cmdSinkAppendLease(s *Server, args []string) resp.Value {
 			return resp.Err("ERR SINKAPPEND malformed command block")
 		}
 		lb := &blocks[b]
-		lb.leaseKey, lb.token = args[i], args[i+1]
+		lb.leaseKey, lb.token, lb.args = args[i], args[i+1], args
 		ncmds, nerr := strconv.Atoi(args[i+2])
 		if nerr != nil || ncmds < 0 {
 			return resp.Err("ERR SINKAPPEND malformed command block")
 		}
 		i += 3
-		lb.cmds = make([][]string, 0, ncmds)
+		lb.at, lb.ncmds = i, ncmds
 		for c := 0; c < ncmds; c++ {
 			if i >= len(args) {
 				return resp.Err("ERR SINKAPPEND malformed command block")
@@ -409,7 +425,6 @@ func cmdSinkAppendLease(s *Server, args []string) resp.Value {
 			if errv := validateLeaseCmd(s, lb, argv, now); errv != nil {
 				return *errv
 			}
-			lb.cmds = append(lb.cmds, argv)
 		}
 	}
 	if i != len(args) {
@@ -477,7 +492,7 @@ func applyLeaseBlock(s *Server, lb *leaseBlock, h *entry, ttl time.Duration, now
 	out := make([]resp.Value, 1, 1+lb.reads)
 	out[0] = resp.Int(1)
 	acks := lb.acks
-	for _, argv := range lb.cmds {
+	lb.each(func(argv []string) {
 		switch strings.ToUpper(argv[0]) {
 		case "HGET":
 			for _, f := range argv[1:] {
@@ -508,6 +523,6 @@ func applyLeaseBlock(s *Server, lb *leaseBlock, h *entry, ttl time.Duration, now
 		case "DEL":
 			delete(s.db.keys, lb.leaseKey)
 		}
-	}
+	})
 	return resp.Arr(out...)
 }

@@ -104,7 +104,7 @@ func TestConsumerGroupLifecycle(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].ID != id1 {
 		t.Fatalf("XREADGROUP first: %+v %v", entries, err)
 	}
-	if entries[0].Fields["job"] != "a" {
+	if entries[0].Field("job") != "a" {
 		t.Fatalf("fields: %+v", entries[0].Fields)
 	}
 	entries, err = cl.XReadGroup("workers", "w2", 10, 0, "tasks")
@@ -149,7 +149,7 @@ func TestXReadGroupBlocking(t *testing.T) {
 			done <- "error"
 			return
 		}
-		done <- entries[0].Fields["job"]
+		done <- entries[0].Field("job")
 	}()
 	time.Sleep(30 * time.Millisecond)
 	if _, err := producer.XAddValues("tasks", "job", "late"); err != nil {

@@ -658,8 +658,19 @@ func millis(d time.Duration) string {
 
 // StreamEntry is one stream record as seen by a client.
 type StreamEntry struct {
-	ID     string
-	Fields map[string]string
+	ID string
+	// Fields alternates field names and values, in the entry's order.
+	Fields []string
+}
+
+// Field returns the value of the entry's field name ("" when absent).
+func (e StreamEntry) Field(name string) string {
+	for i := 0; i+1 < len(e.Fields); i += 2 {
+		if e.Fields[i] == name {
+			return e.Fields[i+1]
+		}
+	}
+	return ""
 }
 
 // StreamMessages groups the entries read from one stream key.
@@ -859,10 +870,10 @@ func parseEntries(v resp.Value) []StreamEntry {
 		if len(ev.Array) != 2 {
 			continue
 		}
-		e := StreamEntry{ID: ev.Array[0].Str, Fields: map[string]string{}}
 		fv := ev.Array[1].Array
-		for i := 0; i+1 < len(fv); i += 2 {
-			e.Fields[fv[i].Str] = fv[i+1].Str
+		e := StreamEntry{ID: ev.Array[0].Str, Fields: make([]string, len(fv))}
+		for i, f := range fv {
+			e.Fields[i] = f.Str
 		}
 		entries = append(entries, e)
 	}

@@ -101,7 +101,7 @@ func TestStreamHelpers(t *testing.T) {
 		t.Fatalf("XLen: %d %v", n, err)
 	}
 	entries, err := cl.XReadGroup("g", "c1", 5, 0, "st")
-	if err != nil || len(entries) != 1 || entries[0].Fields["f"] != "payload" {
+	if err != nil || len(entries) != 1 || entries[0].Field("f") != "payload" {
 		t.Fatalf("XReadGroup: %+v %v", entries, err)
 	}
 	if pending, err := cl.XPendingIDs("st", "g", "c1", 10); err != nil || len(pending) != 1 || pending[0] != id {

@@ -17,9 +17,11 @@ import (
 // the PE's state ops from a table of its own (state.Table) and commits each
 // window — the dirty keys' final values, the executed tasks' gates, the
 // window's acks — in one transaction at refill, where the ack flush sits. A
-// window costs about two state round trips, a pipelined load of its cold
-// keys and gates before it runs and the commit after, instead of one per
-// op.
+// window costs one state round trip of its own, a load of its cold keys and
+// task gates before it runs, instead of one per op; its commit rides the
+// worker's next pull. A delivery whose gate is recorded is a duplicate: it
+// runs as a replay with every mutation dropped, as the fence drops them, so
+// that its children still reach downstream.
 //
 // Leases move by one protocol, whatever moves them:
 //
@@ -154,13 +156,18 @@ func (o *ownedPE) others(w int) []int {
 type ownSlot struct {
 	o     *ownedPE
 	table *state.Table
-	pend  [][]Env         // partition → deliveries its next commit acknowledges
-	ran   map[string]bool // gates of the fenced tasks executed since the last commit
+	pend  [][]Env              // partition → deliveries its next commit acknowledges
+	ran   map[state.Token]bool // the fenced tasks executed since the last commit
 
-	// load's scratch, per partition: the window's deliveries (indices in
-	// the worker's buffer) and the fields its read fetches.
+	// Scratch reused window after window: per partition, the window's
+	// deliveries (indices in the worker's buffer) and the fields load reads;
+	// the partitions load reads and their key counts; the blocks of a commit,
+	// which a staged commit holds until the next pull lands it.
 	byPart [][]int
 	fields [][]string
+	reads  []int
+	nkeys  []int
+	blocks []PartCommit
 }
 
 // initOwn gives a pool worker a slot per owned PE. The worker starts as an
@@ -171,7 +178,7 @@ func (wk *worker) initOwn() {
 	}
 	for _, o := range wk.r.owned {
 		parts := uint32(o.parts)
-		wk.own = append(wk.own, &ownSlot{o: o, pend: make([][]Env, o.parts), ran: map[string]bool{},
+		wk.own = append(wk.own, &ownSlot{o: o, pend: make([][]Env, o.parts), ran: map[state.Token]bool{},
 			byPart: make([][]int, o.parts), fields: make([][]string, o.parts),
 			table: state.NewTable(o.parts, func(key string) int { return int(graph.Hash32(key) % parts) })})
 	}
@@ -220,11 +227,11 @@ func (s *ownSlot) admit(w int, env Env, g gateRead) (run, replay bool) {
 	if !s.o.fenced {
 		return true, false
 	}
-	gate := g.of(env)
-	if g.recorded || s.ran[gate] {
+	tok := state.Token{Src: env.Src, Seq: env.Seq}
+	if g.recorded || s.ran[tok] {
 		return true, true
 	}
-	s.ran[gate] = true
+	s.ran[tok] = true
 	return true, false
 }
 
@@ -271,7 +278,12 @@ func (wk *worker) settle(release bool) error {
 // acked — its new holder adopted them — and its table is dropped with them.
 func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 	w, ps := wk.w, s.o.ps
-	var blocks []PartCommit
+	if release { // a staged commit lands first: the release would fail it
+		if err := wk.flushStaged(s); err != nil {
+			return err
+		}
+	}
+	blocks := s.blocks[:0]
 	work := false
 	for _, p := range ps.Held(w) {
 		writes, gates := s.table.Delta(p)
@@ -295,15 +307,14 @@ func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 	switch {
 	case err != nil:
 	case release:
-		if err = wk.flushStaged(s); err == nil {
-			lost, err = ps.Commit(w, blocks)
-		}
+		lost, err = ps.Commit(w, blocks)
 	default:
 		ps.Stage(w, blocks)
 	}
 	for p := range s.pend {
 		s.pend[p] = s.pend[p][:0]
 	}
+	s.blocks = blocks
 	if err != nil {
 		return err
 	}
@@ -466,8 +477,7 @@ func (wk *worker) loadSlot(s *ownSlot) error {
 			s.byPart[env.Instance] = append(s.byPart[env.Instance], i)
 		}
 	}
-	var parts, nkeys []int
-	var fields [][]string
+	parts, nkeys, fields := s.reads[:0], s.nkeys[:0], make([][]string, 0, len(s.reads))
 	for p, idx := range s.byPart {
 		if len(idx) == 0 {
 			continue
@@ -493,6 +503,7 @@ func (wk *worker) loadSlot(s *ownSlot) error {
 			parts, fields, nkeys = append(parts, p), append(fields, f), append(nkeys, n)
 		}
 	}
+	s.reads, s.nkeys = parts, nkeys
 	if len(parts) == 0 {
 		return nil
 	}

@@ -34,12 +34,11 @@ type PartitionSpec struct {
 // values, the executed tasks' gates and the acks — in one SINKAPPEND LEASE
 // transaction that lands only while the lease is still its own.
 //
-// held and renewed are per worker and touched only by that worker's
-// goroutine, like RedisTransport.frames.
+// The per-worker fields are touched only by that worker's goroutine, like
+// RedisTransport.frames.
 type Partitions struct {
 	t       *RedisTransport
 	pe      string
-	n       int
 	shard   int
 	cl      *redisclient.Client
 	home    string        // the namespace's state hash
@@ -75,7 +74,7 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 		return nil, nil
 	}
 	tag := spec.HomeKey[open : end+1]
-	ps := &Partitions{t: t, pe: spec.PE, n: spec.Parts, shard: shard, cl: t.cluster.Shard(shard), home: spec.HomeKey,
+	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: t.cluster.Shard(shard), home: spec.HomeKey,
 		used: make([]atomic.Bool, spec.Parts), held: make([]map[int]string, len(t.plan.Workers)), heldList: make([][]int, len(t.plan.Workers)),
 		renewed: make([]time.Time, len(t.plan.Workers)), staged: make([]*stagedCommit, len(t.plan.Workers)),
 		stage: make([]stagedCommit, len(t.plan.Workers)), args: make([][]string, len(t.plan.Workers)),
@@ -415,7 +414,7 @@ func (t *RedisTransport) register(w, shard int, msgs []redisclient.StreamMessage
 	total := 0
 	for _, m := range msgs {
 		for _, e := range m.Entries {
-			total += codec.FrameCount(e.Fields[taskField])
+			total += codec.FrameCount(e.Field(taskField))
 		}
 	}
 	if total == 0 {
@@ -427,7 +426,7 @@ func (t *RedisTransport) register(w, shard int, msgs []redisclient.StreamMessage
 	for _, m := range msgs {
 		for _, e := range m.Entries {
 			frame := envs[next:]
-			n, err := codec.DecodeEach(e.Fields[taskField], func(i int) *Task { return &frame[i].Task })
+			n, err := codec.DecodeEach(e.Field(taskField), func(i int) *Task { return &frame[i].Task })
 			if err != nil {
 				return nil, err
 			}

@@ -39,15 +39,22 @@ func IsFenceKey(key string) bool { return strings.HasPrefix(key, fencePrefix) }
 // admits several mutations from one execution while rejecting every mutation
 // of a duplicate execution of the same delivery.
 func fenceField(tok Token, mut uint64) string {
-	return fencePrefix + strconv.FormatUint(tok.Src, 36) + ":" +
-		strconv.FormatUint(tok.Seq, 36) + ":" + strconv.FormatUint(mut, 36)
+	var b [64]byte
+	return string(strconv.AppendUint(appendToken(b[:0], tok), mut, 36))
 }
 
 // taskFenceField is the ledger key gating a whole delivery (Final hooks,
 // whose effect is their emissions rather than store mutations).
 func taskFenceField(tok Token) string {
-	return fencePrefix + strconv.FormatUint(tok.Src, 36) + ":" +
-		strconv.FormatUint(tok.Seq, 36) + ":task"
+	var b [64]byte
+	return string(append(appendToken(b[:0], tok), "task"...))
+}
+
+// appendToken appends the ledger-key prefix of tok, "<fencePrefix><src>:<seq>:".
+func appendToken(b []byte, tok Token) []byte {
+	b = append(b, fencePrefix...)
+	b = append(strconv.AppendUint(b, tok.Src, 36), ':')
+	return append(strconv.AppendUint(b, tok.Seq, 36), ':')
 }
 
 // homed is implemented by stores whose namespace lives in one hash on a

@@ -26,9 +26,10 @@ type Table struct {
 
 // tablePart is one partition's keys and its uncommitted delta.
 type tablePart struct {
-	cells map[string]cell
-	dirty []string // keys changed since the last commit, each once
-	gates []string // ledger fields of the tasks executed since the last commit
+	cells  map[string]cell
+	dirty  []string // keys changed since the last commit, each once
+	gates  []string // ledger fields of the tasks executed since the last commit
+	writes []Write  // Delta's storage, reused
 }
 
 // cell is one key's current value; dirty marks it for the next commit.
@@ -57,14 +58,16 @@ func (t *Table) Executed(p int, gate string) {
 }
 
 // Delta is partition p's uncommitted delta: each dirty key's final value and
-// the gates of the tasks executed since the last commit.
+// the gates of the tasks executed since the last commit. Both stay valid
+// until the partition's next Delta, Committed or Drop.
 func (t *Table) Delta(p int) (writes []Write, gates []string) {
 	tp := &t.parts[p]
+	tp.writes = tp.writes[:0]
 	for _, k := range tp.dirty {
 		c := tp.cells[k]
-		writes = append(writes, Write{Key: k, Value: c.val, Keep: c.exists})
+		tp.writes = append(tp.writes, Write{Key: k, Value: c.val, Keep: c.exists})
 	}
-	return writes, tp.gates
+	return tp.writes, tp.gates
 }
 
 // Committed marks partition p's delta as landed.

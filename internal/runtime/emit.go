@@ -43,11 +43,13 @@ const pipeWindows = 4
 // A full or aged window is pushed inline, on the worker's goroutine, unless
 // it filled faster than the last push took: then it is handed to the pusher,
 // and the worker keeps emitting while the previous push is on the wire. An
-// aged partial window is also handed off when the last push took longer than
-// the emitter's mean gap between emissions: an inline push would hold a
-// paced source's next emissions back and release them as one late burst. A
-// window is also handed off whenever earlier ones are still queued or in
-// flight, so an emitter's tasks reach the transport in emission order.
+// aged partial window is also handed off when the last push took more than a
+// quarter of the age bound and longer than the emitter's mean gap between
+// emissions: an inline push would hold a paced source's next emissions back
+// and release them as one late burst (an emit window that fans out over an
+// owned PE's partitions is one entry per partition, so its push is that
+// slow). A window is also handed off whenever earlier ones are still queued
+// or in flight, so an emitter's tasks reach the transport in emission order.
 //
 // flush is the barrier: it returns only once every emitted task has been
 // pushed. The worker loop flushes the batch before releasing any task that
@@ -148,13 +150,13 @@ func (b *batcher) push(t Task) error {
 
 // ship sends a full or aged window that took fill to fill: inline while the
 // pipeline is idle, the window filled no faster than the last push took and,
-// for a partial window, its emitter's mean gap is no shorter than that push;
-// through the pusher otherwise.
+// for a partial window, that push was short (see batcher); through the
+// pusher otherwise.
 func (b *batcher) ship(fill time.Duration) error {
 	p := b.pipe
 	p.mu.Lock()
 	b.absorb()
-	stalls := len(b.buf) < b.sizer.Next() && b.lastPush*time.Duration(len(b.buf)) > fill
+	stalls := len(b.buf) < b.sizer.Next() && b.lastPush > emitFlushEvery/4 && b.lastPush*time.Duration(len(b.buf)) > fill
 	if p.err == nil && !p.busy() && fill >= b.lastPush && !stalls {
 		p.mu.Unlock()
 		return b.pushInline()

@@ -110,11 +110,11 @@ func TestBlockAfterCloseReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.dispatch(strings.Fields("XGROUP CREATE q g $ MKSTREAM"), false)
+	s.dispatch(strings.Fields("XGROUP CREATE q g $ MKSTREAM"))
 	s.Close()
 	done := make(chan resp.Value, 1)
 	go func() {
-		v, _ := s.dispatch(strings.Fields("XREADGROUP GROUP g w0 BLOCK 0 STREAMS q >"), false)
+		v, _ := s.dispatch(strings.Fields("XREADGROUP GROUP g w0 BLOCK 0 STREAMS q >"))
 		done <- v
 	}()
 	select {

@@ -47,9 +47,6 @@ type Server struct {
 	mu    sync.Mutex
 	db    *db
 	watch map[string][]*waiter // stream key -> blocked XREADGROUP wake-ups
-	// woken holds the wake-ups of a pipelined batch still being dispatched:
-	// they fire when the batch's last command has run (see dispatch).
-	woken []*waiter
 
 	connMu sync.Mutex
 	active map[net.Conn]struct{}
@@ -124,7 +121,6 @@ func (s *Server) Close() error {
 		}
 		delete(s.watch, key)
 	}
-	s.wakeBatch()
 	s.mu.Unlock()
 	s.connMu.Lock()
 	for conn := range s.active {
@@ -169,11 +165,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := resp.NewReader(conn)
 	w := resp.NewWriter(conn)
-	defer func() { // a batch cut short must not strand its wake-ups
-		s.mu.Lock()
-		s.wakeBatch()
-		s.mu.Unlock()
-	}()
 	for {
 		argv, err := r.ReadCommand()
 		if err != nil {
@@ -197,7 +188,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		}
-		reply, quit := s.dispatch(argv, r.Buffered() > 0)
+		reply, quit := s.dispatch(argv)
 		if err := w.WriteValue(reply); err != nil {
 			return
 		}
@@ -212,26 +203,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// notifyKey wakes every XREADGROUP blocked on stream key once the running
-// batch has been dispatched. Only writes that can satisfy such a read call
-// it: XADD, SINKAPPEND's XADD arm, and FLUSHALL (so a blocked reader
-// re-evaluates against the emptied keyspace). Callers must hold s.mu.
+// notifyKey wakes every XREADGROUP blocked on stream key. Only writes that
+// can satisfy such a read call it: XADD, SINKAPPEND's XADD arm, and FLUSHALL
+// (so a blocked reader re-evaluates against the emptied keyspace). Callers
+// must hold s.mu.
 func (s *Server) notifyKey(key string) {
 	ws := s.watch[key]
 	if len(ws) == 0 {
 		return
 	}
-	s.woken = append(s.woken, ws...)
-	delete(s.watch, key)
-}
-
-// wakeBatch fires the wake-ups the running batch collected. Callers must
-// hold s.mu.
-func (s *Server) wakeBatch() {
-	for _, w := range s.woken {
+	for _, w := range ws {
 		w.wake()
 	}
-	s.woken = s.woken[:0]
+	delete(s.watch, key)
 }
 
 // waiter is one blocked read's wake-up. A read blocked on several keys is
@@ -256,7 +240,6 @@ func (w *waiter) wake() {
 // dispatched after Close swept the watch map returns at once: nobody would
 // wake its channel, and s.mu orders this check before any later sweep.
 func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
-	s.wakeBatch() // the batch's earlier commands are done: their readers go first
 	if s.closed.Load() {
 		return false
 	}
@@ -298,14 +281,8 @@ func (s *Server) awaitKeys(keys []string, deadline time.Time) bool {
 }
 
 // dispatch executes one command under the server lock. The second result
-// requests connection termination (QUIT). more reports that the command's
-// connection has already sent further commands — a pipelined batch — and
-// the reads the command wakes then wait until the batch's last command has
-// run: a batch of appends to several streams (one emit window over leased
-// partitions) wakes each blocked reader once, after the whole batch, instead
-// of setting every reader it wakes to contend for the lock with the rest of
-// the batch.
-func (s *Server) dispatch(argv []string, more bool) (resp.Value, bool) {
+// requests connection termination (QUIT).
+func (s *Server) dispatch(argv []string) (resp.Value, bool) {
 	cmd := strings.ToUpper(argv[0])
 	args := argv[1:]
 
@@ -316,9 +293,6 @@ func (s *Server) dispatch(argv []string, more bool) (resp.Value, bool) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !more {
-		defer s.wakeBatch()
-	}
 	if s.opts.DispatchDelay > 0 {
 		time.Sleep(s.opts.DispatchDelay)
 	}

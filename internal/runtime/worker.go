@@ -522,9 +522,12 @@ func (wk *worker) init() error {
 
 // refill releases what the spent buffer held and pulls the next window.
 // Order matters: buffered emissions reach the transport first (children
-// become pending), then the processed deliveries are released in one
-// batched ack, and only then may the worker block — on the idle gate or on
-// the pull itself. Fusion is decided here, at a refill boundary, never
+// become pending), then the processed deliveries are released — owned
+// partitions' in their window's commit, which the pull carries ahead of its
+// read (see own.go), the rest in one batched ack — and only then may the
+// worker block, on the idle gate or on the pull itself. Leases are evened
+// out before the pull, and an owned window's cold keys and task gates are
+// loaded after it. Fusion is decided here, at a refill boundary, never
 // mid-task. A pull's closed error is the normal exit once the coordinator
 // closed the drained transport: nothing is pending, so nothing is left
 // unflushed or unacked. After an empty pull the buffer stays spent.

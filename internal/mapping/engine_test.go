@@ -470,6 +470,75 @@ func TestDynAutoUsesFewerProcessTimeThanDyn(t *testing.T) {
 	}
 }
 
+// TestPinnedStandbyOnlyWithoutPool pins down when a pinned worker stands by
+// (stops accruing process time while its queue is empty): on the static
+// mappings, whose plans have no pool, a downstream instance behind a slow
+// source is idle for most of the run and costs little; on hybrid_redis the
+// stateful instance is a dedicated process beside the pool and stays hot for
+// the whole run, as in the paper.
+func TestPinnedStandbyOnlyWithoutPool(t *testing.T) {
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const items, gap = 10, 20 * time.Millisecond
+	slowSource := func() *graph.Graph {
+		g := graph.New("standby")
+		g.Add(func() core.PE {
+			return core.NewSource("gen", func(ctx *core.Context) error {
+				for i := 0; i < items; i++ {
+					time.Sleep(gap)
+					if err := ctx.EmitDefault(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		g.Add(func() core.PE {
+			return core.NewMap("count", func(ctx *core.Context, v any) (any, error) { return v, nil })
+		}).SetInstances(1).SetStateful(true)
+		g.Add(func() core.PE {
+			return core.NewSink("sink", func(ctx *core.Context, v any) error { return nil })
+		}).SetInstances(1)
+		g.Pipe("gen", "count")
+		g.Pipe("count", "sink")
+		return g
+	}
+	// Three workers either way: gen, count and sink pinned on the static
+	// mappings; count pinned beside a pool of two on hybrid_redis.
+	const workers = 3
+	for _, tc := range []struct {
+		name    string
+		standby bool
+	}{{"multi", true}, {"mpi", true}, {"hybrid_redis", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := mapping.Get(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := testOpts(workers)
+			opts.RedisAddrs = []string{srv.Addr()}
+			rep, err := m.Execute(slowSource(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Outputs != items {
+				t.Fatalf("outputs=%d want %d", rep.Outputs, items)
+			}
+			share := float64(rep.ProcessTime) / float64(workers*rep.Runtime)
+			t.Logf("runtime %v process time %v: %.2f of %d workers x runtime", rep.Runtime, rep.ProcessTime, share, workers)
+			if tc.standby && share > 0.6 {
+				t.Errorf("process time is %.2f of workers x runtime; idle pinned workers should stand by", share)
+			}
+			if !tc.standby && share < 0.85 {
+				t.Errorf("process time is %.2f of workers x runtime; the pinned stateful worker should stay hot", share)
+			}
+		})
+	}
+}
+
 // Options.Strategy puts the paper's ±1 Algorithm 1 behind the same signal and
 // the same admission by count.
 func TestDynAutoRunsReferenceStrategy(t *testing.T) {

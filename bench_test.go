@@ -21,12 +21,9 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
 	"repro/internal/state"
-	"repro/internal/statics"
 	"repro/internal/telemetry"
 	"repro/internal/workflows/galaxy"
 	"repro/internal/workflows/sentiment"
@@ -232,40 +229,6 @@ func BenchmarkAblationHybridVsMulti(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStaging measures the static staging fusion on the
-// seismic chain: fusing the linear transform stages removes seven queue
-// hops per data unit under dynamic scheduling.
-func BenchmarkAblationStaging(b *testing.B) {
-	s := benchScale()
-	for _, fused := range []bool{false, true} {
-		name := "unfused"
-		if fused {
-			name = "staged"
-		}
-		b.Run(name, func(b *testing.B) {
-			m, err := mapping.Get("dyn_multi")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				g := harnessSeismic(s)
-				if fused {
-					g, err = statics.Staging(g)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				rep, err := m.Execute(g, mapping.Options{Processes: 8, Platform: platform.Server, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.Runtime.Seconds(), "runtime-s")
-				b.ReportMetric(float64(rep.Tasks), "tasks")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationStrategy contrasts the paper's naive ±1 queue-size
 // strategy (Algorithm 1, kept as the reference) with the mapping's default,
 // which sizes the pool to the outstanding tasks in one step, on a bursty
@@ -403,11 +366,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.Fatal("diagnosis-on run recorded no flow rows")
 		}
 	})
-}
-
-// harnessSeismic builds the quick-scale seismic graph via the catalog.
-func harnessSeismic(s harness.Scale) *graph.Graph {
-	return harness.Fig11(s)[0].MakeGraph()
 }
 
 // benchKeyed is the payload of the state-subsystem benchmark workload.

@@ -26,8 +26,6 @@ import (
 	_ "repro/internal/dynamic"
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	_ "repro/internal/redismap"
 	"repro/internal/telemetry"
 )

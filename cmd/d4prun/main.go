@@ -25,11 +25,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
-	"repro/internal/statics"
 	"repro/internal/telemetry"
 	"repro/internal/workflows/galaxy"
 	"repro/internal/workflows/seismic"
@@ -50,7 +47,6 @@ func main() {
 		managed      = flag.Bool("managed", false, "sentiment: declare managed state (required for the dynamic Redis mappings)")
 		redisAddr    = flag.String("redis", "", "external miniredisd address(es), comma-separated in shard ring order (empty = embedded servers)")
 		shards       = flag.Int("shards", 0, "embedded Redis shard count for the Redis mappings (0/1 = single server; ignored with -redis)")
-		staging      = flag.Bool("staging", false, "apply the static staging optimization before mapping")
 		dot          = flag.Bool("dot", false, "print the abstract workflow in Graphviz dot format and exit")
 		list         = flag.Bool("list", false, "list available mappings and exit")
 		telAddr      = flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics, /flights, /diagnosis, /journal, /debug/pprof); empty disables")
@@ -68,7 +64,7 @@ func main() {
 	}
 	tel := telemetryConfig{Addr: *telAddr, Every: *telEvery, SampleEvery: *telSample, Hold: *telHold, JournalRing: *journalRing}
 	if err := run(*workflowName, *mappingName, *processes, *platformName, *seed,
-		*scaleX, *heavy, *stations, *articles, *managed, *redisAddr, *shards, *staging, *dot, tel); err != nil {
+		*scaleX, *heavy, *stations, *articles, *managed, *redisAddr, *shards, *dot, tel); err != nil {
 		fmt.Fprintln(os.Stderr, "d4prun:", err)
 		os.Exit(1)
 	}
@@ -88,7 +84,7 @@ func (tc telemetryConfig) enabled() bool {
 }
 
 func run(workflowName, mappingName string, processes int, platformName string, seed int64,
-	scaleX int, heavy bool, stations, articles int, managed bool, redisAddr string, shards int, staging, dot bool,
+	scaleX int, heavy bool, stations, articles int, managed bool, redisAddr string, shards int, dot bool,
 	tel telemetryConfig) error {
 
 	plat, err := platform.ByName(platformName)
@@ -122,14 +118,6 @@ func run(workflowName, mappingName string, processes int, platformName string, s
 		return fmt.Errorf("unknown workflow %q (want galaxy, seismic or sentiment)", workflowName)
 	}
 
-	if staging {
-		fused, err := statics.Staging(g)
-		if err != nil {
-			return fmt.Errorf("staging: %w", err)
-		}
-		fmt.Printf("staging: %d PEs fused into %d\n", len(g.Nodes()), len(fused.Nodes()))
-		g = fused
-	}
 	if dot {
 		fmt.Print(g.DOT())
 		return nil

@@ -14,7 +14,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
 	"repro/internal/workflows/galaxy"

@@ -15,7 +15,6 @@ import (
 	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 )
 

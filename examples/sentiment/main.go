@@ -16,7 +16,6 @@ import (
 	_ "repro/internal/dynamic"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
 	"repro/internal/workflows/sentiment"

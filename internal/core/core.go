@@ -148,24 +148,6 @@ func (c *Context) Rand() *rand.Rand {
 	return c.rng
 }
 
-// WithPE returns a copy of the context relabeled for another PE name,
-// sharing the host, random source and emit routing. Composite PEs use it to
-// give their inner stages correctly-labeled contexts.
-func (c *Context) WithPE(peName string) *Context {
-	cp := *c
-	cp.peName = peName
-	return &cp
-}
-
-// WithEmit returns a copy of the context with a different PE name and emit
-// function, sharing the host and random source.
-func (c *Context) WithEmit(peName string, emit func(port string, value any) error) *Context {
-	cp := *c
-	cp.peName = peName
-	cp.emit = emit
-	return &cp
-}
-
 // Base provides Name/InPorts/OutPorts plumbing for PE implementations.
 // Embed it and implement Process (plus Generate for sources).
 type Base struct {

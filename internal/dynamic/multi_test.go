@@ -1,4 +1,4 @@
-package multiproc
+package dynamic
 
 import (
 	"sync"
@@ -11,13 +11,14 @@ import (
 	"repro/internal/platform"
 )
 
-func TestNameAndRegistration(t *testing.T) {
-	if (Multi{}).Name() != "multi" {
-		t.Error("name")
-	}
-	if _, err := mapping.Get("multi"); err != nil {
+// getMulti looks up the static Multiprocessing row in the registry.
+func getMulti(t *testing.T) mapping.Mapping {
+	t.Helper()
+	m, err := mapping.Get("multi")
+	if err != nil {
 		t.Fatal(err)
 	}
+	return m
 }
 
 // TestPipelineBackpressure fills the bounded instance boxes: a slow sink
@@ -48,9 +49,10 @@ func TestPipelineBackpressure(t *testing.T) {
 	})
 	g.Pipe("gen", "slow")
 
+	multi := getMulti(t)
 	done := make(chan error, 1)
 	go func() {
-		_, err := (Multi{}).Execute(g, mapping.Options{
+		_, err := multi.Execute(g, mapping.Options{
 			Processes: 2,
 			Platform:  platform.Platform{Name: "t", Cores: 4},
 			Seed:      1,
@@ -114,7 +116,7 @@ func TestDiamondEOSTermination(t *testing.T) {
 	g.Pipe("left", "join")
 	g.Pipe("right", "join")
 
-	if _, err := (Multi{}).Execute(g, mapping.Options{
+	if _, err := getMulti(t).Execute(g, mapping.Options{
 		Processes: 8,
 		Platform:  platform.Platform{Name: "t", Cores: 4},
 		Seed:      1,

@@ -8,7 +8,6 @@ import (
 	_ "repro/internal/dynamic"
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	_ "repro/internal/multiproc"
 	_ "repro/internal/redismap"
 	"repro/internal/workflows/galaxy"
 )

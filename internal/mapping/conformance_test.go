@@ -15,7 +15,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"      // register mpi
 	_ "repro/internal/redismap" // register redis mappings
 	"repro/internal/state"
 )
@@ -92,7 +91,7 @@ func TestQuickAllMappingsAgreeOnRandomPipelines(t *testing.T) {
 		// process per instance.
 		opts := testOpts(8)
 		opts.Strategy = strategy
-		if name == "dyn_redis" || name == "hybrid_redis" {
+		if strings.Contains(name, "redis") {
 			opts.RedisAddrs = []string{srv.Addr()}
 		}
 		if _, err := m.Execute(g, opts); err != nil {
@@ -116,7 +115,10 @@ func TestQuickAllMappingsAgreeOnRandomPipelines(t *testing.T) {
 		for _, run := range []struct {
 			name     string
 			strategy autoscale.Strategy
-		}{{"multi", nil}, {"mpi", nil}, {"dyn_multi", nil}, {"dyn_auto_multi", idle}, {"dyn_redis", nil}, {"hybrid_redis", nil}} {
+		}{
+			{"multi", nil}, {"mpi", nil}, {"dyn_multi", nil}, {"dyn_auto_multi", idle},
+			{"dyn_redis", nil}, {"dyn_auto_redis", nil}, {"hybrid_redis", nil}, {"hybrid_auto_redis", nil},
+		} {
 			name := run.name
 			got, err := runUnder(name, run.strategy, s)
 			if err != nil {

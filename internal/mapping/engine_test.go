@@ -2,6 +2,7 @@ package mapping_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,13 +12,13 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/diagnosis"
-	_ "repro/internal/dynamic" // register dyn_multi, dyn_auto_multi
+	_ "repro/internal/dynamic" // register multi, mpi, dyn_multi, dyn_auto_multi
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc" // register multi
 	"repro/internal/platform"
+	_ "repro/internal/redismap" // register the four Redis mappings
 	"repro/internal/runtime"
 	"repro/internal/workflows/galaxy"
 )
@@ -115,21 +116,16 @@ func TestMappingsAgreeOnPipeline(t *testing.T) {
 	}
 }
 
+// TestRegistryLookup checks that the two planner tables and simple register
+// exactly the nine mappings.
 func TestRegistryLookup(t *testing.T) {
 	if _, err := mapping.Get("nope"); err == nil {
 		t.Error("unknown mapping should error")
 	}
-	names := mapping.Names()
-	for _, want := range []string{"simple", "multi", "dyn_multi", "dyn_auto_multi"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
-		}
+	want := []string{"dyn_auto_multi", "dyn_auto_redis", "dyn_multi", "dyn_redis",
+		"hybrid_auto_redis", "hybrid_redis", "mpi", "multi", "simple"}
+	if got := mapping.Names(); !slices.Equal(got, want) {
+		t.Errorf("registry has %v, want %v", got, want)
 	}
 }
 

@@ -3,17 +3,20 @@
 // execution systems"), a registry of the available mappings, and the Simple
 // sequential mapping.
 //
-// The mappings implemented across this repository, matching the paper's
-// evaluation section:
+// The nine mappings, matching the paper's evaluation section. simple lives
+// here; the other eight are rows of two planner tables, internal/dynamic (in
+// process) and internal/redismap (over Redis), which register themselves when
+// imported:
 //
-//	simple          sequential in-process execution (reference semantics)
-//	multi           static Multiprocessing: one process per PE instance
-//	mpi             static message-passing variant over internal/mpi
-//	dyn_multi       dynamic scheduling over an in-process global queue
-//	dyn_auto_multi  dyn_multi + auto-scaler (demand strategy)
-//	dyn_redis       dynamic scheduling over a Redis stream consumer group
-//	dyn_auto_redis  dyn_redis + auto-scaler (demand strategy)
-//	hybrid_redis    stateful instances on private queues + dynamic stateless pool
+//	simple             mapping    sequential in-process execution (reference semantics)
+//	multi              dynamic    static Multiprocessing: one process per PE instance
+//	mpi                dynamic    static message-passing variant of multi
+//	dyn_multi          dynamic    dynamic scheduling over an in-process global queue
+//	dyn_auto_multi     dynamic    dyn_multi + auto-scaler (demand strategy)
+//	dyn_redis          redismap   dynamic scheduling over a Redis stream consumer group
+//	dyn_auto_redis     redismap   dyn_redis + auto-scaler (demand strategy)
+//	hybrid_redis       redismap   stateful instances on private queues + dynamic stateless pool
+//	hybrid_auto_redis  redismap   hybrid_redis + auto-scaler on its stateless pool
 package mapping
 
 import (
@@ -148,11 +151,6 @@ func (o Options) AutoScaleConfig(pool int) autoscale.Config {
 	cfg.MaxPoolSize = pool
 	return cfg
 }
-
-// ShardAddrs is the Redis data-plane address list (nil when none is
-// configured). Every layer that dials Redis goes through this, so a run
-// cannot end up with its transport and state backend on different shard sets.
-func (o Options) ShardAddrs() []string { return o.RedisAddrs }
 
 // Mapping executes abstract workflows on a concrete engine.
 type Mapping interface {

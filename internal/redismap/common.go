@@ -9,7 +9,12 @@
 //     dedicated processes with private Redis stream partitions, while
 //     stateless PEs keep dynamic scheduling on the global stream;
 //   - hybrid_auto_redis: hybrid_redis with the auto-scaler on its stateless
-//     pool.
+//     pool, the combination the paper leaves for future work. Stateful
+//     pinned processes are never scaled (their state is place-bound); only
+//     the stateless workers cycle between active and idle.
+//
+// Each mapping is one row of the planner table in this file: a name, whether
+// it auto-scales, and its plan (planDyn or planHybrid).
 //
 // The auto mappings only set runtime.Config.AutoScale: runtime wires the
 // controller as it does for dyn_auto_multi, so the one default is
@@ -46,10 +51,31 @@ import (
 	"repro/internal/state"
 )
 
-// execute is the body of every Redis mapping. plan is what tells them apart:
-// it checks the graph against the mapping's scheduling limits and splits the
-// process budget into workers. auto asks runtime for the Algorithm 1
-// auto-scaler on the plan's pool, wired as on every other transport.
+// planner is one Redis mapping. plan is what tells them apart: it checks the
+// graph against the mapping's scheduling limits and splits the process budget
+// into workers. auto asks runtime for the Algorithm 1 auto-scaler on the
+// plan's pool, wired as on every other transport.
+type planner struct {
+	name string
+	auto bool
+	plan func(g *graph.Graph, name string, processes int) (runtime.Plan, error)
+}
+
+func init() {
+	for _, p := range []planner{
+		{name: "dyn_redis", plan: planDyn},
+		{name: "dyn_auto_redis", auto: true, plan: planDyn},
+		{name: "hybrid_redis", plan: planHybrid},
+		{name: "hybrid_auto_redis", auto: true, plan: planHybrid},
+	} {
+		mapping.Register(p)
+	}
+}
+
+// Name implements mapping.Mapping.
+func (p planner) Name() string { return p.name }
+
+// Execute implements mapping.Mapping; it is the body of every Redis mapping.
 //
 // With RecoverStale, stale deliveries are reclaimed through XAUTOCLAIM on
 // the pool and the private streams alike (pulled frames sit in the consumer
@@ -60,36 +86,35 @@ import (
 // execution already applied, while the transport's ownership-checked
 // FENCEXACK keeps the pending counter exact when a claimed-away consumer's
 // late ack lands.
-func execute(g *graph.Graph, opts mapping.Options, name string, auto bool,
-	plan func(g *graph.Graph, name string, processes int) (runtime.Plan, error)) (metrics.Report, error) {
+func (p planner) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
 	opts = opts.WithDefaults()
 	if err := g.Validate(); err != nil {
 		return metrics.Report{}, err
 	}
-	p, err := plan(g, name, opts.Processes)
+	plan, err := p.plan(g, p.name, opts.Processes)
 	if err != nil {
 		return metrics.Report{}, err
 	}
-	cluster, err := requireCluster(opts, name)
+	cluster, err := requireCluster(opts, p.name)
 	if err != nil {
 		return metrics.Report{}, err
 	}
 	defer cluster.Close()
 
 	keys := runtime.NewRunKeys(g.Name, opts.Seed)
-	tr, err := runtime.NewRedisTransport(cluster, keys, p, opts.RecoverStale)
+	tr, err := runtime.NewRedisTransport(cluster, keys, plan, opts.RecoverStale)
 	if err != nil {
-		return metrics.Report{}, fmt.Errorf("%s: %w", name, err)
+		return metrics.Report{}, fmt.Errorf("%s: %w", p.name, err)
 	}
 	tr.SetDiagnosis(opts.Diagnosis)
 	defer tr.Cleanup(g)
 
 	return runtime.Execute(g, opts, runtime.Config{
-		Name:      name,
-		Plan:      p,
+		Name:      p.name,
+		Plan:      plan,
 		Transport: tr,
 		Host:      platform.NewHost(opts.Platform),
-		AutoScale: auto,
+		AutoScale: p.auto,
 		NewStateBackend: func() state.Backend {
 			return state.NewRedisClusterBackend(cluster, keys.Prefix+":state")
 		},
@@ -98,14 +123,22 @@ func execute(g *graph.Graph, opts mapping.Options, name string, auto bool,
 	})
 }
 
+// planDyn checks the graph against dynamic scheduling's limits and places
+// every node on one shared pool of all the processes.
+func planDyn(g *graph.Graph, name string, processes int) (runtime.Plan, error) {
+	if err := runtime.ValidateDynamic(g, name); err != nil {
+		return runtime.Plan{}, err
+	}
+	return runtime.PoolPlan(g, processes), nil
+}
+
 // requireCluster validates the Redis data-plane addresses and dials the
 // run's shared shard cluster. The caller owns the handle (defer Close).
 func requireCluster(opts mapping.Options, technique string) (*redisclient.Cluster, error) {
-	addrs := opts.ShardAddrs()
-	if len(addrs) == 0 {
+	if len(opts.RedisAddrs) == 0 {
 		return nil, fmt.Errorf("%s: Options.RedisAddrs is required (start internal/miniredis and pass its address)", technique)
 	}
-	cluster, err := redisclient.NewCluster(addrs)
+	cluster, err := redisclient.NewCluster(opts.RedisAddrs)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", technique, err)
 	}

@@ -9,10 +9,10 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/codec"
 	"repro/internal/core"
+	_ "repro/internal/dynamic" // register multi for conformance comparison
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc" // register multi for conformance comparison
 	"repro/internal/platform"
 	_ "repro/internal/redismap" // register redis mappings
 )
@@ -276,13 +276,17 @@ func TestHybridRejectsStatefulSource(t *testing.T) {
 	}
 }
 
+// Both hybrid mappings reject a grouped edge into a stateless PE, each under
+// its own name.
 func TestHybridRejectsGroupedEdgeIntoStateless(t *testing.T) {
-	col := &collector{}
-	g := pipelineGraph(5, col)
-	g.OutEdges("gen")[0].SetGrouping(graph.GlobalGrouping())
-	m, _ := mapping.Get("hybrid_redis")
-	if _, err := m.Execute(g, redisOpts(t, 4)); err == nil || !strings.Contains(err.Error(), "stateless") {
-		t.Fatalf("want grouped-into-stateless rejection, got %v", err)
+	for _, name := range []string{"hybrid_redis", "hybrid_auto_redis"} {
+		g := pipelineGraph(5, &collector{})
+		g.OutEdges("gen")[0].SetGrouping(graph.GlobalGrouping())
+		m, _ := mapping.Get(name)
+		_, err := m.Execute(g, redisOpts(t, 4))
+		if err == nil || !strings.HasPrefix(err.Error(), name+":") || !strings.Contains(err.Error(), "stateless") {
+			t.Errorf("want %s's grouped-into-stateless rejection, got %v", name, err)
+		}
 	}
 }
 

@@ -40,14 +40,6 @@ type Config struct {
 	// NewStateBackend supplies the default managed-state backend when the
 	// graph declares managed state and Options.StateBackend is nil.
 	NewStateBackend func() state.Backend
-	// PinnedIdleStandby makes pinned workers deactivate (stop accruing
-	// process time) while their queue is empty. The static mappings (multi,
-	// mpi) enable it: their pre-runtime instances exited outright once
-	// their input stream drained, so idle standby reproduces that
-	// process-time accounting under coordinator-owned termination. Hybrid
-	// leaves it off — its pinned stateful processes are dedicated and stay
-	// hot for the whole run, the inefficiency hybrid_auto_redis attacks.
-	PinnedIdleStandby bool
 	// AdaptiveBatching sizes every worker's emit and pull windows at run
 	// time (see BatchSizer). A partial emit batch is flushed when the next
 	// emission finds it emitFlushEvery old — the age is checked only then —
@@ -378,8 +370,13 @@ type worker struct {
 	pullSizer *BatchSizer
 	// ctrl and idle are the run's, nil on a pinned worker, which is never
 	// gated. Pool workers accrue process time while polling an empty queue —
-	// the always-active cost auto-scaling exists to cut. A standby (pinned,
-	// under PinnedIdleStandby) worker instead deactivates across empty polls.
+	// the always-active cost auto-scaling exists to cut. A standby worker
+	// instead deactivates across empty polls. That is every pinned worker of
+	// a plan with no pool (multi, mpi): a static instance's process ends
+	// once its input drains, and standby keeps that process-time accounting
+	// under coordinator-owned termination. Hybrid's pinned stateful
+	// processes sit beside a pool; they are dedicated and stay hot for the
+	// whole run, the inefficiency hybrid_auto_redis attacks.
 	ctrl    *autoscale.Controller
 	idle    *idleClock
 	standby bool
@@ -407,7 +404,7 @@ func (r *run) newWorker(w int) *worker {
 	name := fmt.Sprintf("%s:w%d", r.cfg.Name, w)
 	if wk.spec.Pinned() {
 		name = fmt.Sprintf("%s:%s:%d", r.cfg.Name, wk.spec.PE, wk.spec.Instance)
-		wk.standby = r.cfg.PinnedIdleStandby
+		wk.standby = r.cfg.Plan.Pool == 0
 	} else {
 		wk.ctrl, wk.idle = r.ctrl, r.idle
 	}

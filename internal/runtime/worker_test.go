@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
 	"repro/internal/runtime"

@@ -11,8 +11,6 @@ import (
 	_ "repro/internal/dynamic"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
 	"repro/internal/synth"

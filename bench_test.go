@@ -148,58 +148,6 @@ func BenchmarkTable3SentimentRatios(b *testing.B) {
 
 // --- Ablations ---------------------------------------------------------------
 
-// BenchmarkAblationTermination sweeps the retry budget of the dynamic
-// termination protocol: too small risks premature exits (caught by output
-// checks), larger budgets pay tail latency.
-func BenchmarkAblationTermination(b *testing.B) {
-	for _, retries := range []int{1, 5, 20} {
-		b.Run(fmt.Sprintf("retries=%d", retries), func(b *testing.B) {
-			m, err := mapping.Get("dyn_multi")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				g := galaxy.New(galaxy.Config{Galaxies: 20})
-				rep, err := m.Execute(g, mapping.Options{
-					Processes: 8, Platform: platform.Server, Seed: 1, Retries: retries,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Outputs != 20 {
-					b.Fatalf("premature termination: %d outputs", rep.Outputs)
-				}
-				b.ReportMetric(rep.Runtime.Seconds(), "runtime-s")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationThreshold sweeps the auto-scaler's initial active size
-// (Algorithm 1's active_size default of max/2 vs extremes).
-func BenchmarkAblationThreshold(b *testing.B) {
-	for _, initial := range []int{1, 8, 16} {
-		b.Run(fmt.Sprintf("initial=%d", initial), func(b *testing.B) {
-			m, err := mapping.Get("dyn_auto_multi")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				g := galaxy.New(galaxy.Config{Galaxies: 40})
-				rep, err := m.Execute(g, mapping.Options{
-					Processes: 16, Platform: platform.Server, Seed: 1,
-					AutoScale: &autoscale.Config{MaxPoolSize: 16, InitialActive: initial},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.Runtime.Seconds(), "runtime-s")
-				b.ReportMetric(rep.ProcessTime.Seconds(), "proctime-s")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationHybridVsMulti contrasts the two stateful-capable
 // mappings head to head at the paper's shared sweep point.
 func BenchmarkAblationHybridVsMulti(b *testing.B) {

@@ -51,16 +51,9 @@ type Options struct {
 	// stream, state namespaces, fence ledgers and telemetry gauges across
 	// these shards through one shared redisclient.Cluster.
 	RedisAddrs []string
-	// PollTimeout is how long dynamic workers block on an empty queue before
-	// counting a retry. Zero means 2ms.
+	// PollTimeout is how long a worker blocks on an empty queue before it
+	// pulls again, and the period of the drain check. Zero means 2ms.
 	PollTimeout time.Duration
-	// Retries is the retry budget of the termination protocol. Zero means 5.
-	Retries int
-	// AutoScale overrides the auto-scaler configuration of the auto
-	// mappings; nil means defaults (max pool = the pool's worker count,
-	// initial = half). Under the default strategy the initial size only
-	// lasts until the first worker's refill re-reads the demand.
-	AutoScale *autoscale.Config
 	// Strategy overrides the auto-scaling strategy of every auto mapping;
 	// nil means the one default, autoscale.DemandStrategy (pool sized to the
 	// outstanding tasks, re-read at each refill). A strategy names the
@@ -134,22 +127,7 @@ func (o Options) WithDefaults() Options {
 	if o.PollTimeout <= 0 {
 		o.PollTimeout = 2 * time.Millisecond
 	}
-	if o.Retries <= 0 {
-		o.Retries = 5
-	}
 	return o
-}
-
-// AutoScaleConfig is the auto-scaler configuration of an auto mapping whose
-// scalable pool has pool workers: AutoScale when set, the defaults
-// otherwise, with MaxPoolSize always the pool's.
-func (o Options) AutoScaleConfig(pool int) autoscale.Config {
-	var cfg autoscale.Config
-	if o.AutoScale != nil {
-		cfg = *o.AutoScale
-	}
-	cfg.MaxPoolSize = pool
-	return cfg
 }
 
 // Mapping executes abstract workflows on a concrete engine.

@@ -249,7 +249,6 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 			chaos := newChaosTransport(tr, 3, 16, false, eligible, target)
 			opts := testOpts(3)
 			opts.ExactlyOnceState = true
-			opts.Retries = 20
 			leak := &shardLeakBackend{
 				Backend: state.NewRedisClusterBackend(cluster, keys.Prefix+":state"),
 				t:       t, cluster: cluster, prefix: keys.Prefix + ":state",
@@ -273,7 +272,6 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 			chaos := newChaosTransport(runtime.NewQueueTransport(runtime.NewQueue(0)), 3, 16, true, eligible, poolTarget)
 			opts := testOpts(3)
 			opts.ExactlyOnceState = true
-			opts.Retries = 20
 			if _, err := runtime.Execute(g, opts, runtime.Config{
 				Name: "chaos-queue", Plan: plan, Transport: chaos,
 				Host:            platform.NewHost(opts.Platform),
@@ -295,7 +293,6 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 			chaos := newChaosTransport(runtime.NewPinnedTransport(plan), len(plan.Workers), 16, true, eligible, pinnedTarget(plan))
 			opts := testOpts(len(plan.Workers))
 			opts.ExactlyOnceState = true
-			opts.Retries = 20
 			if _, err := runtime.Execute(g, opts, runtime.Config{
 				Name: "chaos-rank", Plan: plan, Transport: chaos,
 				Host:            platform.NewHost(opts.Platform),

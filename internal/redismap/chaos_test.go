@@ -86,7 +86,6 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 				RedisAddrs:   addrs,
 				RecoverStale: true,
 				PollTimeout:  2 * time.Millisecond,
-				Retries:      40,
 				StateBackend: backend,
 			}
 			m, err = mapping.Get(name)

@@ -138,7 +138,6 @@ func TestFusedChainExactlyOnceUnderReplay(t *testing.T) {
 				RedisAddrs:       addrs,
 				ExactlyOnceState: true,
 				PollTimeout:      2 * time.Millisecond,
-				Retries:          40,
 				StateBackend:     backend,
 			}
 

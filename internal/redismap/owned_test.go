@@ -63,7 +63,7 @@ func TestLeaseTakeoverKeepsExactlyOnce(t *testing.T) {
 			diag := diagnosis.New(diagnosis.Config{})
 			got := run(t, "dyn_redis", mapping.Options{
 				Processes: 3, Platform: platformForTest(), Seed: 31, RedisAddrs: addrs,
-				RecoverStale: true, PollTimeout: time.Millisecond, Retries: 60, Diagnosis: diag,
+				RecoverStale: true, PollTimeout: time.Millisecond, Diagnosis: diag,
 			})
 			faultinject.Disarm()
 			if strings.Join(got, ",") != strings.Join(want, ",") {

@@ -74,7 +74,6 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 		RedisAddrs:   []string{srv.Addr()},
 		RecoverStale: true,
 		PollTimeout:  2 * time.Millisecond,
-		Retries:      40, // generous: termination must wait out the recovery
 	}
 
 	// Execute creates the group before it seeds the stream and launches the
@@ -279,7 +278,6 @@ func TestDynRedisExactlyOnceStateUnderLiveReplay(t *testing.T) {
 		RedisAddrs:   []string{srv.Addr()},
 		RecoverStale: true, // implies ExactlyOnceState for the managed PE
 		PollTimeout:  time.Millisecond,
-		Retries:      60,
 	}
 	got := run("dyn_redis", opts, 4*time.Millisecond)
 	if strings.Join(got, ",") != strings.Join(want, ",") {

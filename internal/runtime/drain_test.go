@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,5 +193,110 @@ func TestDrainGateSurfacesMidRunError(t *testing.T) {
 				t.Fatalf("Execute returned %v, want the PE's error", err)
 			}
 		})
+	}
+}
+
+// tornRead is the in-process pool transport with one Pending() read torn
+// the way a per-shard sum read one shard at a time can be: the first pull
+// that returns a task for pe is held until a Pending() call starts; that
+// call waits until the pulling worker is back at PullBatch — the task's
+// children pushed, the task acked, the worker idle — holding that pull and
+// every later one, and then reads 0 with the children still queued.
+type tornRead struct {
+	*runtime.QueueTransport
+	pe string
+
+	stall, arm atomic.Bool
+	w          int           // the worker whose pull was stalled
+	stalled    chan struct{} // closed once that pull holds the task
+	reading    chan struct{} // closed when the torn read starts
+	back       chan struct{} // closed when worker w is back at PullBatch
+	read       chan struct{} // closed when the torn read returns
+	backOnce   sync.Once
+}
+
+func newTornRead(pe string) *tornRead {
+	return &tornRead{QueueTransport: runtime.NewQueueTransport(runtime.NewQueue(0)), pe: pe,
+		stalled: make(chan struct{}), reading: make(chan struct{}), back: make(chan struct{}), read: make(chan struct{})}
+}
+
+func (t *tornRead) PullBatch(w, max int, timeout time.Duration) ([]runtime.Env, error) {
+	select {
+	case <-t.reading:
+		if w == t.w {
+			t.backOnce.Do(func() { close(t.back) })
+		}
+		<-t.read
+	default:
+	}
+	envs, err := t.QueueTransport.PullBatch(w, max, timeout)
+	if len(envs) > 0 && envs[0].PE == t.pe && t.stall.CompareAndSwap(false, true) {
+		t.w = w
+		close(t.stalled)
+		select {
+		case <-t.reading:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return envs, err
+}
+
+func (t *tornRead) Pending() (int64, error) {
+	select {
+	case <-t.stalled:
+		if t.arm.CompareAndSwap(false, true) {
+			close(t.reading)
+			select {
+			case <-t.back:
+			case <-time.After(5 * time.Second):
+			}
+			close(t.read)
+			return 0, nil
+		}
+	default:
+	}
+	return t.QueueTransport.Pending()
+}
+
+// TestDrainRejectsTornPendingRead: a Pending() read that sums shards one at
+// a time can miss a child pushed to a shard it already read while its
+// parent is acked on one it reads later, and so return 0 with the child
+// still queued. The pull that delivered the parent returned during that
+// read, so the coordinator must not accept the zero: the run has to go on
+// and deliver every value the parent emitted.
+func TestDrainRejectsTornPendingRead(t *testing.T) {
+	const n = 8
+	var got atomic.Int64
+	g := graph.New("torn-read")
+	g.Add(func() core.PE {
+		return core.NewSource("gen", func(ctx *core.Context) error { return ctx.EmitDefault(0) })
+	})
+	g.Add(func() core.PE {
+		return core.NewEach("fan", func(ctx *core.Context, _ any) error {
+			for i := range n {
+				if err := ctx.EmitDefault(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	g.Add(func() core.PE {
+		return core.NewSink("sink", func(*core.Context, any) error { got.Add(1); return nil })
+	})
+	g.Pipe("gen", "fan")
+	g.Pipe("fan", "sink")
+
+	tr := newTornRead("fan")
+	opts := mapping.Options{Processes: 2, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1}
+	if _, err := runtime.Execute(g, opts, runtime.Config{Name: "torn", Plan: runtime.PoolPlan(g, 2),
+		Transport: tr, Host: platform.NewHost(opts.Platform)}); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.arm.Load() {
+		t.Fatal("no Pending read was torn: the case went unexercised")
+	}
+	if got.Load() != n {
+		t.Fatalf("sink saw %d of %d values: the run ended on the torn read", got.Load(), n)
 	}
 }

@@ -763,11 +763,13 @@ func (t *RedisTransport) QueueDepths() map[string]int64 {
 	return out
 }
 
-// Pending implements Transport: the scatter-gathered sum of the per-shard
-// outstanding-task counters. The sum is safe as a termination signal
-// because a task's decrement (on its own shard, at ack time) is only issued
-// after its children's increments (on whatever shards routing chose) have
-// durably landed — a transient cross-shard zero cannot hide in-flight work.
+// Pending implements Transport: the sum of the per-shard outstanding-task
+// counters, read one shard at a time. The sum alone can be torn: a child
+// pushed to a shard already read and its parent acked on a shard read later
+// add up to zero while the child is queued. It is a termination signal only
+// under the coordinator's rule (AwaitDrain): no worker may hold a delivery
+// or have a pull return tasks during the read, so no push lands inside it
+// and the sum can only overstate what was left.
 func (t *RedisTransport) Pending() (int64, error) {
 	total, err := t.cluster.SumInt(func(_ int, cl *redisclient.Client) (int64, error) {
 		s, ok, err := cl.Get(t.keys.PendingKey)

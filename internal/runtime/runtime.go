@@ -44,7 +44,8 @@
 //
 // Because termination and finalization are decided by one coordinator
 // watching the transport's pending-task count — which it reads only while
-// every worker is idle — properties that previously had to be rebuilt per
+// every worker is idle, and accepts at zero only if no pull returned tasks
+// during the read — properties that previously had to be rebuilt per
 // mapping — managed-state Final-once, no worker exits while tasks are in
 // flight — hold uniformly. In particular the mpi mapping supports managed
 // keyed state through exactly the same barrier as everyone else.
@@ -88,12 +89,15 @@ type Env struct {
 // The pending-count contract is what the termination protocol rests on:
 // Push counts every task as pending *before* it becomes visible to any
 // consumer, and Ack releases it only after the worker has pushed the
-// task's children. Pending() == 0 therefore implies no queued or in-flight
-// work anywhere, so closing the transport then (Done) strands nothing. Pulled-but-unacknowledged tasks — including everything
-// sitting in a worker's prefetch buffer — therefore still count as pending,
-// which is what keeps the coordinator's drain honest under batched consumes,
-// and what lets it skip the check while any worker holds a delivery (see
-// AwaitDrain).
+// task's children. Pulled-but-unacknowledged tasks — including everything
+// sitting in a worker's prefetch buffer — therefore still count as pending.
+// A Pending() read of zero taken while no push can land implies no queued
+// or in-flight work anywhere, so closing the transport then (Done) strands
+// nothing. The coordinator makes sure no push can land: it reads only while
+// no worker is in Init or holds a delivery, and rejects a read during which
+// a pull returned tasks (see AwaitDrain). A read that is not one atomic
+// snapshot, such as a sum over shards, may then overstate the count but
+// never understate it.
 type Transport interface {
 	// Push enqueues tasks for their destinations: Instance >= 0 addresses a
 	// pinned (PE, instance) worker, Instance < 0 the shared pool. Batched

@@ -23,7 +23,9 @@ import (
 //
 // The default has no memory, so the refill gate also re-evaluates it on a
 // fresh sample (GateOn); a strategy passed in Options.Strategy is stepped by
-// the tick alone. The caller terminates the controller.
+// the tick alone. The controller keeps autoscale.Config's defaults for the
+// pool: half of it active at the start, a floor of one, a 2 ms tick. The
+// caller terminates the controller.
 func (r *run) autoScaler() *autoscale.Controller {
 	pool := r.cfg.Plan.Pool
 	if !r.cfg.AutoScale || pool < 2 {
@@ -33,7 +35,7 @@ func (r *run) autoScaler() *autoscale.Controller {
 	if strategy == nil {
 		strategy = autoscale.DemandStrategy{}
 	}
-	ctrl := autoscale.NewController(r.opts.AutoScaleConfig(pool), strategy, r.opts.Trace)
+	ctrl := autoscale.NewController(autoscale.Config{MaxPoolSize: pool}, strategy, r.opts.Trace)
 	var last atomic.Int64 // the last good Pending() read
 	sample := func() float64 {
 		if n, err := r.cfg.Transport.Pending(); err == nil {

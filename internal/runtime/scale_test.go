@@ -59,23 +59,29 @@ func (s *starvedTransport) PullBatch(w, max int, timeout time.Duration) ([]runti
 
 // TestIdleSignalTracksLastPull: the IdleMs signal is the time since each
 // admitted pool worker's last non-empty pull, stamped in the worker loop. A
-// pool of two with one admitted worker is starved for starve poll timeouts
-// and must read at least that long idle; once it pulls a task it must read
-// close to zero.
+// pool of two with one admitted worker (the default initial size) is
+// starved for starve poll timeouts and must read at least that long idle;
+// once it pulls a task it must read close to zero. The sink holds its
+// delivery for hold poll timeouts, so the monitor samples the fresh pull
+// before the run drains.
 func TestIdleSignalTracksLastPull(t *testing.T) {
-	const starve, poll = 20, 2 * time.Millisecond
+	const starve, hold, poll = 20, 4, 2 * time.Millisecond
 	g := graph.New("idle-signal")
 	g.Add(func() core.PE {
 		return core.NewSource("gen", func(ctx *core.Context) error { return ctx.EmitDefault(1) })
 	})
-	g.Add(func() core.PE { return core.NewSink("sink", func(*core.Context, any) error { return nil }) })
+	g.Add(func() core.PE {
+		return core.NewSink("sink", func(*core.Context, any) error { time.Sleep(hold * poll); return nil })
+	})
 	g.Pipe("gen", "sink")
 
 	tr := &starvedTransport{QueueTransport: runtime.NewQueueTransport(runtime.NewQueue(0)), open: make(chan struct{})}
 	rec := &idleRecorder{}
 	opts := mapping.Options{Processes: 2, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1, PollTimeout: poll,
-		AutoScale: &autoscale.Config{InitialActive: 1, Interval: time.Millisecond}, Strategy: rec}
-	time.AfterFunc((starve+2)*poll, func() { close(tr.open) })
+		Strategy: rec}
+	// The transport opens three polls past the bound: the last sample taken
+	// before the pull can be a whole monitor tick (one poll) older than it.
+	time.AfterFunc((starve+3)*poll, func() { close(tr.open) })
 	if _, err := runtime.Execute(g, opts, runtime.Config{Name: "idle", Plan: runtime.PoolPlan(g, 2),
 		Transport: tr, Host: platform.NewHost(opts.Platform), AutoScale: true}); err != nil {
 		t.Fatal(err)
@@ -154,8 +160,7 @@ func TestFailedPendingReadKeepsLastSample(t *testing.T) {
 	})
 	g.Pipe("gen", "sink")
 
-	opts := mapping.Options{Processes: 4, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1,
-		AutoScale: &autoscale.Config{Interval: time.Millisecond}, Trace: trace}
+	opts := mapping.Options{Processes: 4, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1, Trace: trace}
 	if _, err := runtime.Execute(g, opts, runtime.Config{Name: "flaky", Plan: runtime.PoolPlan(g, 4),
 		Transport: tr, Host: platform.NewHost(opts.Platform), AutoScale: true}); err != nil {
 		t.Fatal(err)

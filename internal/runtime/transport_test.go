@@ -88,7 +88,7 @@ func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
 				}
 			}()
 
-			if err := runtime.AwaitDrain(tr, time.Millisecond, 3, nil, nil); err != nil {
+			if err := runtime.AwaitDrain(tr, time.Millisecond, new(atomic.Bool), new(atomic.Int64), new(atomic.Int64)); err != nil {
 				t.Fatal(err)
 			}
 			if got := processed.Load(); got != n {
@@ -199,7 +199,7 @@ func TestTransportsHoldTerminationWithPrefetch(t *testing.T) {
 				}
 			}()
 
-			if err := runtime.AwaitDrain(tr, time.Millisecond, 3, nil, nil); err != nil {
+			if err := runtime.AwaitDrain(tr, time.Millisecond, new(atomic.Bool), new(atomic.Int64), new(atomic.Int64)); err != nil {
 				t.Fatal(err)
 			}
 			if got := acked.Load(); got != n {

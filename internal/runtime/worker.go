@@ -91,6 +91,10 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 		return metrics.Report{}, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
 
+	// Every worker counts as busy until its first refill, which comes after
+	// its Init emissions are flushed: a drain check can only succeed once
+	// each worker has left init.
+	r.busy.Store(int64(len(cfg.Plan.Workers)))
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := range cfg.Plan.Workers {
@@ -274,11 +278,15 @@ type run struct {
 	owned   []*ownedPE
 	holders atomic.Int64
 
-	// busy counts the workers holding deliveries: a pull that returns tasks
-	// raises it, and the worker lowers it once its acks are flushed (before
-	// the idle gate and the next pull) or when it exits. The coordinator
-	// asks the transport for its pending count only while it is zero.
-	busy atomic.Int64
+	// busy counts the workers in init or holding deliveries: Execute counts
+	// every worker before it starts, a pull that returns tasks raises it, and
+	// the worker lowers it once its acks are flushed (before the idle gate
+	// and the next pull) or when it exits. pulls counts the pulls that
+	// returned tasks, each raised after its busy count. The coordinator
+	// accepts a drain on one zero pending read only if busy stays zero and
+	// pulls does not move across it (see AwaitDrain).
+	busy  atomic.Int64
+	pulls atomic.Int64
 
 	failed   atomic.Bool
 	errMu    sync.Mutex
@@ -391,7 +399,7 @@ type worker struct {
 	eligible bool
 	pulled   bool
 	gates    []gateRead
-	holding  bool  // counted in r.busy: buf's deliveries are not all acked
+	holding  bool  // counted in r.busy: in init, or buf's deliveries are not all acked
 	pulledAt int64 // UnixNano of buf's pull (tracing only)
 }
 
@@ -399,7 +407,7 @@ type worker struct {
 // batches and pull sizer. Without adaptive batching a worker pulls one task
 // at a time.
 func (r *run) newWorker(w int) *worker {
-	wk := &worker{r: r, w: w, spec: r.cfg.Plan.Workers[w], tr: r.cfg.Transport,
+	wk := &worker{r: r, w: w, spec: r.cfg.Plan.Workers[w], tr: r.cfg.Transport, holding: true,
 		b: newBatcher(r.cfg.Transport, r.cfg.AdaptiveBatching), acks: &ackBatch{tr: r.cfg.Transport, w: w, tracer: r.tracer}}
 	name := fmt.Sprintf("%s:w%d", r.cfg.Name, w)
 	if wk.spec.Pinned() {
@@ -592,6 +600,7 @@ func (wk *worker) refill() error {
 	}
 	wk.r.busy.Add(1)
 	wk.holding = true
+	wk.r.pulls.Add(1)
 	if wk.idle != nil {
 		wk.idle.stamp(wk.w)
 	}
@@ -853,42 +862,41 @@ func (r *run) drainAndFinalize() error {
 // errRunAborted signals that a worker failed first; fail() owns the unwind.
 var errRunAborted = errors.New("runtime: run aborted")
 
-// awaitDrain is AwaitDrain gated on the run's busy count: the coordinator
-// sends no drain check while a worker holds a delivery — a source still in
-// Generate, say — since that delivery alone keeps Pending() above zero.
+// awaitDrain is AwaitDrain on the run's busy and pull counts.
 func (r *run) awaitDrain() error {
-	return AwaitDrain(r.cfg.Transport, r.opts.PollTimeout, r.opts.Retries, &r.failed, &r.busy)
+	return AwaitDrain(r.cfg.Transport, r.opts.PollTimeout, &r.failed, &r.busy, &r.pulls)
 }
 
-// AwaitDrain blocks until the transport's pending count stays zero across
-// the retry budget — the engine-wide version of the paper's Section 3.2.3
-// retry termination check. A non-nil failed flag aborts the wait when set.
+// AwaitDrain blocks until one Pending() read returns zero while no worker
+// held a delivery, ran Init, or had a pull return tasks, from before the
+// read to after it; it checks every poll timeout. Setting failed aborts the
+// wait.
 //
-// A non-nil busy count gates the check: while it is above zero the loop
-// sleeps a poll timeout without asking the transport. Pending() stays the
-// only source of truth; the gate skips only checks that cannot succeed,
-// because a worker holding a delivery keeps the pending count above zero
-// until it acks, and it lowers busy only after that. A stale count
-// therefore delays a drain by at most one poll and never ends one early.
-func AwaitDrain(tr Transport, pollTimeout time.Duration, retries int, failed *atomic.Bool, busy *atomic.Int64) error {
-	zeros := 0
+// busy counts the workers in init or holding deliveries, and pulls the pulls
+// that returned tasks, each raised after busy. The loop loads pulls, then
+// skips the read while busy is above zero, and accepts a zero read only if
+// busy is still zero and pulls has not moved. Every push comes from a busy
+// worker (or the coordinator itself), so no task was added during an
+// accepted read, and a read that sums per-shard counters one shard at a
+// time can only overstate what was left. Loading pulls first matters: were
+// it loaded after the busy check, a pull returning between the two could
+// raise both counts unseen, then push a child, ack and go idle inside the
+// read, leaving the child on a shard already read and the ack on one not
+// yet read.
+func AwaitDrain(tr Transport, pollTimeout time.Duration, failed *atomic.Bool, busy, pulls *atomic.Int64) error {
 	for ; ; time.Sleep(pollTimeout) {
-		if failed != nil && failed.Load() {
+		if failed.Load() {
 			return errRunAborted
 		}
-		if busy != nil && busy.Load() > 0 {
-			zeros = 0 // what the skipped check would have read
+		pulled := pulls.Load()
+		if busy.Load() > 0 {
 			continue
 		}
 		n, err := tr.Pending()
 		if err != nil {
 			return err
 		}
-		if n > 0 {
-			zeros = 0
-			continue
-		}
-		if zeros++; zeros > retries {
+		if n == 0 && busy.Load() == 0 && pulls.Load() == pulled {
 			return nil
 		}
 	}

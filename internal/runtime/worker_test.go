@@ -4,7 +4,9 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/diagnosis"
@@ -89,13 +91,20 @@ func TestPullBatchingPreservesDelivery(t *testing.T) {
 	}
 }
 
-// initEmitPE emits values from its Init hook and nothing else.
+// initEmitPE emits values from its Init hook and nothing else. With slow
+// set, the first copy to run Init takes slowInit longer than the rest.
 type initEmitPE struct {
 	core.Base
-	n int
+	n    int
+	slow *atomic.Bool
 }
 
+const slowInit = 30 * time.Millisecond
+
 func (p *initEmitPE) Init(ctx *core.Context) error {
+	if p.slow != nil && p.slow.CompareAndSwap(false, true) {
+		time.Sleep(slowInit)
+	}
 	for i := 0; i < p.n; i++ {
 		if err := ctx.EmitDefault(i); err != nil {
 			return err
@@ -112,19 +121,36 @@ func (p *initEmitPE) Process(ctx *core.Context, port string, v any) error { retu
 // and silently dropped at termination. On dyn_redis the adaptive emit window
 // doubles 1→2→4→8 over the first seven Init emissions, so the last three sit
 // in the window when Init returns, and the emit pushers the workers started
-// must all have exited when Execute returns.
+// must all have exited when Execute returns. In the slow_init cases one
+// pool worker's Init ends well after the others have drained the run: the
+// run must wait for it, because a worker counts as busy until its Init
+// emissions are flushed.
 func TestInitEmissionsSurviveBatching(t *testing.T) {
 	const emissions, workers = 10, 3
-	for _, name := range []string{"multi", "dyn_multi", "dyn_redis"} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, mapping string
+		slow          bool
+	}{
+		{"multi", "multi", false},
+		{"dyn_multi", "dyn_multi", false},
+		{"dyn_redis", "dyn_redis", false},
+		{"dyn_multi_slow_init", "dyn_multi", true},
+		{"dyn_redis_slow_init", "dyn_redis", true},
+	} {
+		name := tc.mapping
+		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			got := 0
+			var slow *atomic.Bool
+			if tc.slow {
+				slow = new(atomic.Bool)
+			}
 			g := graph.New("initemit")
 			g.Add(func() core.PE {
 				return core.NewSource("gen", func(ctx *core.Context) error { return nil })
 			})
 			g.Add(func() core.PE {
-				return &initEmitPE{Base: core.NewBase("mid", core.In(), core.Out()), n: emissions}
+				return &initEmitPE{Base: core.NewBase("mid", core.In(), core.Out()), n: emissions, slow: slow}
 			})
 			g.Add(func() core.PE {
 				return core.NewSink("sink", func(ctx *core.Context, v any) error {

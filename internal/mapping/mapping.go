@@ -51,9 +51,6 @@ type Options struct {
 	// stream, state namespaces, fence ledgers and telemetry gauges across
 	// these shards through one shared redisclient.Cluster.
 	RedisAddrs []string
-	// PollTimeout is how long a worker blocks on an empty queue before it
-	// pulls again, and the period of the drain check. Zero means 2ms.
-	PollTimeout time.Duration
 	// Strategy overrides the auto-scaling strategy of every auto mapping;
 	// nil means the one default, autoscale.DemandStrategy (pool sized to the
 	// outstanding tasks, re-read at each refill). A strategy names the
@@ -70,9 +67,9 @@ type Options struct {
 	// re-run by another worker — possibly while the original worker is
 	// still alive, so both executions race. With managed-state PEs this
 	// implies ExactlyOnceState, so the race cannot double-apply store
-	// mutations. The reclaim threshold is fixed at 8× PollTimeout of idle
-	// time; a worker heartbeats the entries it still holds, so only a
-	// worker that stops making progress loses them.
+	// mutations. The reclaim threshold is fixed at 16 ms of idle time; a
+	// worker heartbeats the entries it still holds, so only a worker that
+	// stops making progress loses them.
 	RecoverStale bool
 	// ExactlyOnceState fences managed-state writes against duplicate task
 	// executions: every task is stamped with a deterministic provenance +
@@ -123,9 +120,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Platform.Cores == 0 {
 		o.Platform = platform.Server
-	}
-	if o.PollTimeout <= 0 {
-		o.PollTimeout = 2 * time.Millisecond
 	}
 	return o
 }

@@ -29,6 +29,9 @@ import (
 // ErrClosed is returned by operations on a closed client.
 var ErrClosed = errors.New("redisclient: client closed")
 
+// errInterrupted fails the blocking reads InterruptBlocking ends.
+var errInterrupted = errors.New("blocking read interrupted")
+
 // ServerError is an error reply from the server (for example NOGROUP or
 // WRONGTYPE).
 type ServerError string
@@ -116,13 +119,28 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// InterruptBlocking fails every blocking read in flight at once. Each holds
+// its own connection, which is closed and dropped; other commands are
+// untouched and the client stays usable.
+func (c *Client) InterruptBlocking() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for cn := range c.conns {
+		if cn.users > 0 && cn.blocking {
+			cn.mu.Lock()
+			cn.fail(errInterrupted)
+			cn.mu.Unlock()
+		}
+	}
+}
+
 // acquire returns a connection for one command. A retry-safe command (share)
 // joins the connection another retry-safe command has in flight; otherwise
 // it takes an idle connection or dials one, as an exclusive command always
 // does, and makes that the shared one. A serial caller therefore runs on one
 // connection, and a dropped shared connection fails only commands the retry
-// loop re-sends.
-func (c *Client) acquire(share bool) (*conn, error) {
+// loop re-sends. A blocking read marks its connection blocking.
+func (c *Client) acquire(share, blocking bool) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -154,7 +172,7 @@ func (c *Client) acquire(share bool) (*conn, error) {
 		}
 		c.conns[cn] = struct{}{}
 	}
-	cn.users = 1
+	cn.users, cn.blocking = 1, blocking
 	if sh := c.shared; share && (sh == nil || sh.broken.Load()) {
 		c.shared = cn
 	}
@@ -304,10 +322,11 @@ var errConnDropped = errors.New("connection dropped")
 // takes both roles itself; the shared connection carries every retry-safe
 // command the client has in flight.
 type conn struct {
-	nc     net.Conn
-	r      *resp.Reader // used only by the reader-role holder
-	users  int          // commands holding the conn; guarded by Client.mu
-	broken atomic.Bool  // set once failed: no command may join it
+	nc       net.Conn
+	r        *resp.Reader // used only by the reader-role holder
+	users    int          // commands holding the conn; guarded by Client.mu
+	blocking bool         // a blocking read's, while users > 0; guarded by Client.mu
+	broken   atomic.Bool  // set once failed: no command may join it
 
 	mu      sync.Mutex
 	w       *resp.Writer // encodes into out
@@ -360,7 +379,7 @@ func (c *Client) roundTrip(cmds [][]string, replies []resp.Value, share bool, bl
 	}
 	var cn *conn
 	for {
-		if cn, err = c.acquire(share); err != nil {
+		if cn, err = c.acquire(share, blockFor > 0); err != nil {
 			return v, nil, err
 		}
 		cn.mu.Lock()

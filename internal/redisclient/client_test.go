@@ -177,3 +177,40 @@ func TestConcurrentPoolUse(t *testing.T) {
 		t.Fatalf("final: %q %v %v", s, ok, err)
 	}
 }
+
+// TestInterruptBlockingEndsParkedRead: a blocking read parked on an empty
+// stream fails as soon as InterruptBlocking is called, not when its block
+// ends, and the client stays usable: a plain command right after succeeds.
+func TestInterruptBlockingEndsParkedRead(t *testing.T) {
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := redisclient.Dial(srv.Addr())
+	defer cl.Close()
+	if err := cl.XGroupCreate("st", "g", "0"); err != nil {
+		t.Fatal(err)
+	}
+	sent := srv.Commands()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.XReadGroup("g", "c1", 1, 5*time.Second, "st")
+		done <- err
+	}()
+	for srv.Commands() == sent { // until the server has the read
+		time.Sleep(time.Millisecond)
+	}
+	cl.InterruptBlocking()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("interrupted read returned no error")
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("blocking read still parked 100ms after InterruptBlocking")
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("client unusable after the interrupt: %v", err)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/mapping"
@@ -85,7 +84,6 @@ func TestKillMidFinalFlushThenResume(t *testing.T) {
 				Seed:         31,
 				RedisAddrs:   addrs,
 				RecoverStale: true,
-				PollTimeout:  2 * time.Millisecond,
 				StateBackend: backend,
 			}
 			m, err = mapping.Get(name)

@@ -137,7 +137,6 @@ func TestFusedChainExactlyOnceUnderReplay(t *testing.T) {
 				Seed:             5,
 				RedisAddrs:       addrs,
 				ExactlyOnceState: true,
-				PollTimeout:      2 * time.Millisecond,
 				StateBackend:     backend,
 			}
 

@@ -54,8 +54,8 @@ func TestLeaseTakeoverKeepsExactlyOnce(t *testing.T) {
 			for i := range addrs {
 				addrs[i] = startRedis(t)
 			}
-			// The lease's TTL is 8 poll timeouts: 8 ms here, well inside
-			// the stall.
+			// The lease's TTL is 8 poll timeouts, 16 ms: well inside the
+			// stall.
 			inj := faultinject.New(1).Schedule(faultinject.Fault{
 				Probe: faultinject.ProbeMidCommit, Kind: faultinject.Delay, Delay: 120 * time.Millisecond, Hits: 1})
 			faultinject.Arm(inj)
@@ -63,7 +63,7 @@ func TestLeaseTakeoverKeepsExactlyOnce(t *testing.T) {
 			diag := diagnosis.New(diagnosis.Config{})
 			got := run(t, "dyn_redis", mapping.Options{
 				Processes: 3, Platform: platformForTest(), Seed: 31, RedisAddrs: addrs,
-				RecoverStale: true, PollTimeout: time.Millisecond, Diagnosis: diag,
+				RecoverStale: true, Diagnosis: diag,
 			})
 			faultinject.Disarm()
 			if strings.Join(got, ",") != strings.Join(want, ",") {

@@ -73,7 +73,6 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 		Seed:         77,
 		RedisAddrs:   []string{srv.Addr()},
 		RecoverStale: true,
-		PollTimeout:  2 * time.Millisecond,
 	}
 
 	// Execute creates the group before it seeds the stream and launches the
@@ -225,11 +224,11 @@ func replayAggGraph(items []replayItem, delay time.Duration, collect func(string
 }
 
 // TestDynRedisExactlyOnceStateUnderLiveReplay runs a managed keyed
-// aggregation through the real dyn_redis mapping with RecoverStale on and a
-// poll timeout small enough that the XAUTOCLAIM idle threshold (8× the
-// timeout) expires while a live worker is still chewing through its pulled
-// batch: pending entries are genuinely claimed to other workers and both
-// executions race — the seed's rejected combination, now the fenced path.
+// aggregation through the real dyn_redis mapping with RecoverStale on: the
+// 16 ms reclaim threshold and lease TTL span only four of the slow count
+// PE's tasks, so a live worker that falls behind its heartbeat can lose a
+// partition to another and both executions race — the seed's rejected
+// combination, now the fenced path.
 // The final aggregates must be byte-identical to an undisturbed sequential
 // run: no double-applied updates, no lost updates, no early termination.
 func TestDynRedisExactlyOnceStateUnderLiveReplay(t *testing.T) {
@@ -277,7 +276,6 @@ func TestDynRedisExactlyOnceStateUnderLiveReplay(t *testing.T) {
 		Seed:         31,
 		RedisAddrs:   []string{srv.Addr()},
 		RecoverStale: true, // implies ExactlyOnceState for the managed PE
-		PollTimeout:  time.Millisecond,
 	}
 	got := run("dyn_redis", opts, 4*time.Millisecond)
 	if strings.Join(got, ",") != strings.Join(want, ",") {

@@ -61,7 +61,7 @@ func TestDrainChecksWaitForIdlePool(t *testing.T) {
 	g.Pipe("gen", "sink")
 
 	tr := &pendingCounter{QueueTransport: runtime.NewQueueTransport(runtime.NewQueue(0))}
-	opts := mapping.Options{Processes: 2, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1, PollTimeout: poll}
+	opts := mapping.Options{Processes: 2, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1}
 	done := make(chan error, 1)
 	go func() {
 		_, err := runtime.Execute(g, opts, runtime.Config{Name: "counted", Plan: runtime.PoolPlan(g, 2),
@@ -298,5 +298,64 @@ func TestDrainRejectsTornPendingRead(t *testing.T) {
 	}
 	if got.Load() != n {
 		t.Fatalf("sink saw %d of %d values: the run ended on the torn read", got.Load(), n)
+	}
+}
+
+// TestAwaitDrainWakesOnSignal: the drain check runs when it is woken, not
+// only when its poll comes round. With a 10 s poll, a wake after busy falls
+// to zero ends the wait with the drain, and a wake after the run failed ends
+// it with the abort, each well inside the poll. Without a wake channel the
+// poll alone still ends it.
+func TestAwaitDrainWakesOnSignal(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wake    bool
+		poll    time.Duration
+		fail    bool
+		within  time.Duration
+		wantErr string
+	}{
+		{name: "drained", wake: true, poll: 10 * time.Second, within: 100 * time.Millisecond},
+		{name: "failed", wake: true, poll: 10 * time.Second, fail: true, within: 100 * time.Millisecond, wantErr: "runtime: run aborted"},
+		{name: "poll", poll: 5 * time.Millisecond, within: time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wake chan struct{}
+			if tc.wake {
+				wake = make(chan struct{}, 1)
+			}
+			var failed atomic.Bool
+			var busy atomic.Int64
+			busy.Store(1)
+			tr := runtime.NewQueueTransport(runtime.NewQueue(0))
+			done := make(chan error, 1)
+			go func() { done <- runtime.AwaitDrain(tr, wake, tc.poll, &failed, &busy, new(atomic.Int64)) }()
+			time.Sleep(20 * time.Millisecond) // the first check finds a worker busy
+			select {
+			case err := <-done:
+				t.Fatalf("AwaitDrain returned %v while a worker was busy", err)
+			default:
+			}
+			if tc.fail {
+				failed.Store(true)
+			} else {
+				busy.Store(0)
+			}
+			if wake != nil {
+				wake <- struct{}{}
+			}
+			select {
+			case err := <-done:
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if got != tc.wantErr {
+					t.Fatalf("AwaitDrain returned %q, want %q", got, tc.wantErr)
+				}
+			case <-time.After(tc.within):
+				t.Fatalf("AwaitDrain still waiting %v after the change", tc.within)
+			}
+		})
 	}
 }

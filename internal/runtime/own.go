@@ -84,7 +84,7 @@ func (r *run) own() error {
 			continue
 		}
 		parts := partsPerWorker * plan.Pool
-		ps, err := r.cfg.Transport.Partition(PartitionSpec{PE: n.Name, Parts: parts, HomeKey: key, Home: addr, PollTimeout: r.opts.PollTimeout})
+		ps, err := r.cfg.Transport.Partition(PartitionSpec{PE: n.Name, Parts: parts, HomeKey: key, Home: addr})
 		if err != nil {
 			return err
 		}

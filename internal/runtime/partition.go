@@ -16,14 +16,12 @@ import (
 )
 
 // PartitionSpec asks a transport to carry one owned PE's tasks on leased
-// partitions (see own.go): the PE, its partition count, the hash holding its
-// namespace and the address of that hash's server, and the run's poll
-// timeout, which sets a lease's TTL under stale recovery.
+// partitions (see own.go): the PE, its partition count, and the hash holding
+// its namespace and the address of that hash's server.
 type PartitionSpec struct {
 	PE            string
 	Parts         int
 	HomeKey, Home string
-	PollTimeout   time.Duration
 }
 
 // Partitions is one owned PE's leased partitions on a RedisTransport. Each
@@ -80,7 +78,7 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 		stage: make([]stagedCommit, len(t.plan.Workers)), args: make([][]string, len(t.plan.Workers)),
 		lost: make([][]int, len(t.plan.Workers))}
 	if t.recoverStale {
-		ps.ttl = reclaimPolls * spec.PollTimeout
+		ps.ttl = reclaimPolls * pollTimeout
 	}
 	cmds := make([][]string, spec.Parts)
 	for p := range spec.Parts {

@@ -460,9 +460,9 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 // partitions home-shard-last: a non-blocking sweep over the other shards
 // (home+1, home+2, …) picks up work wherever routing placed it, then one
 // blocking XREADGROUP on the home shard returns at once if entries are
-// already there and otherwise parks for the poll timeout. A worker holding
-// leased partitions reads them in the same command as its own stream, on
-// their namespace's shard, which is then its home. An idle pull therefore
+// already there and otherwise parks for the timeout or until Done. A worker
+// holding leased partitions reads them in the same command as its own
+// stream, on their namespace's shard, which is then its home. An idle pull
 // costs one round trip per shard; a zero timeout keeps the home read
 // non-blocking. Each entry may itself be a packed batch frame, so the
 // returned batch can exceed max — max is advisory, and bounds each stream's
@@ -505,6 +505,8 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 		if err := t.flushStaged(w, -1); err != nil {
 			return nil, err
 		}
+	} else if t.closed.Load() { // Done may have come during the sweep
+		return nil, errTransportClosed
 	} else {
 		ms, err := t.readHome(w, home, max, timeout)
 		if err != nil {
@@ -784,10 +786,13 @@ func (t *RedisTransport) Pending() (int64, error) {
 	return total, nil
 }
 
-// Done implements Transport. The cluster itself stays open — the planner
-// owns it and still needs it for cleanup.
+// Done implements Transport and interrupts the reads parked on every shard.
+// The cluster stays open: the planner owns it and still needs it for cleanup.
 func (t *RedisTransport) Done() error {
 	t.closed.Store(true)
+	for s := range t.cluster.NumShards() {
+		t.cluster.Shard(s).InterruptBlocking()
+	}
 	return nil
 }
 

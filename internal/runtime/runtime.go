@@ -150,11 +150,10 @@ type Transport interface {
 	QueueDepths() map[string]int64
 	// Done shuts the transport down; it is the one way a run stops its
 	// workers. The coordinator calls it once the transport is drained (a
-	// successful run) and fail calls it to unwind a failed one. In process,
-	// blocked Push and PullBatch calls return at once; on Redis, a blocked
-	// PullBatch returns within its poll timeout. From then on pulls fail with
-	// the closed error (IsClosed) and other operations may. It must be
-	// idempotent.
+	// successful run) and fail calls it to unwind a failed one. Blocked Push
+	// and PullBatch calls return at once; only a Redis read that starts just
+	// after Done may block up to its timeout. From then on pulls fail with
+	// the closed error (IsClosed) and other operations may; it is idempotent.
 	Done() error
 }
 

@@ -77,8 +77,7 @@ func TestIdleSignalTracksLastPull(t *testing.T) {
 
 	tr := &starvedTransport{QueueTransport: runtime.NewQueueTransport(runtime.NewQueue(0)), open: make(chan struct{})}
 	rec := &idleRecorder{}
-	opts := mapping.Options{Processes: 2, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1, PollTimeout: poll,
-		Strategy: rec}
+	opts := mapping.Options{Processes: 2, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1, Strategy: rec}
 	// The transport opens three polls past the bound: the last sample taken
 	// before the pull can be a whole monitor tick (one poll) older than it.
 	time.AfterFunc((starve+3)*poll, func() { close(tr.open) })

@@ -88,7 +88,7 @@ func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
 				}
 			}()
 
-			if err := runtime.AwaitDrain(tr, time.Millisecond, new(atomic.Bool), new(atomic.Int64), new(atomic.Int64)); err != nil {
+			if err := runtime.AwaitDrain(tr, nil, time.Millisecond, new(atomic.Bool), new(atomic.Int64), new(atomic.Int64)); err != nil {
 				t.Fatal(err)
 			}
 			if got := processed.Load(); got != n {
@@ -103,48 +103,63 @@ func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
 }
 
 // TestTransportsDoneEndsPollingConsumer pins the one way a run stops its
-// workers, on every fixture: a consumer polling an empty transport the way
-// the worker loop does ends with the closed error once Done is called — in
-// process at once, on Redis within a poll timeout — and never before.
+// workers, on every fixture: a consumer on an empty transport ends with the
+// closed error once Done is called, and never before. The polling consumer
+// pulls the way the worker loop does; the parked one makes a single pull
+// whose timeout far outlasts the test, so only Done's wake can end it in
+// time — on Redis, Done interrupts the parked XREADGROUP ... BLOCK.
 func TestTransportsDoneEndsPollingConsumer(t *testing.T) {
-	const pollTimeout = 2 * time.Millisecond
 	for _, fx := range transportFixtures() {
-		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			t.Parallel()
-			tr, _ := fx.make(t)
-			exited := make(chan error, 1)
-			go func() {
-				for {
-					envs, err := tr.PullBatch(0, 8, pollTimeout)
-					if err != nil {
-						exited <- err
-						return
-					}
-					if len(envs) > 0 {
-						exited <- nil
-						return
-					}
-				}
-			}()
-			time.Sleep(20 * pollTimeout)
-			select {
-			case err := <-exited:
-				t.Fatalf("consumer ended with %v before Done", err)
-			default:
-			}
-			if err := tr.Done(); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-exited:
-				if !runtime.IsClosed(err) {
-					t.Fatalf("consumer ended with %v, want the closed error", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("consumer still polling 5s after Done")
+			for _, consumer := range []struct {
+				name            string
+				timeout, within time.Duration
+			}{{"polling", 2 * time.Millisecond, 5 * time.Second}, {"parked", 2 * time.Second, 250 * time.Millisecond}} {
+				t.Run(consumer.name, func(t *testing.T) {
+					t.Parallel()
+					testDoneEndsConsumer(t, fx, consumer.timeout, consumer.within)
+				})
 			}
 		})
+	}
+}
+
+// testDoneEndsConsumer starts a consumer pulling fx's transport with timeout
+// until it fails or gets tasks, and requires it to end with the closed error
+// within the given time of Done.
+func testDoneEndsConsumer(t *testing.T, fx transportFixture, timeout, within time.Duration) {
+	tr, _ := fx.make(t)
+	exited := make(chan error, 1)
+	go func() {
+		for {
+			envs, err := tr.PullBatch(0, 8, timeout)
+			if err != nil {
+				exited <- err
+				return
+			}
+			if len(envs) > 0 {
+				exited <- nil
+				return
+			}
+		}
+	}()
+	time.Sleep(40 * time.Millisecond)
+	select {
+	case err := <-exited:
+		t.Fatalf("consumer ended with %v before Done", err)
+	default:
+	}
+	if err := tr.Done(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if !runtime.IsClosed(err) {
+			t.Fatalf("consumer ended with %v, want the closed error", err)
+		}
+	case <-time.After(within):
+		t.Fatalf("consumer still pulling %v after Done", within)
 	}
 }
 
@@ -199,7 +214,7 @@ func TestTransportsHoldTerminationWithPrefetch(t *testing.T) {
 				}
 			}()
 
-			if err := runtime.AwaitDrain(tr, time.Millisecond, new(atomic.Bool), new(atomic.Int64), new(atomic.Int64)); err != nil {
+			if err := runtime.AwaitDrain(tr, nil, time.Millisecond, new(atomic.Bool), new(atomic.Int64), new(atomic.Int64)); err != nil {
 				t.Fatal(err)
 			}
 			if got := acked.Load(); got != n {

@@ -70,7 +70,7 @@ func Execute(g *graph.Graph, opts mapping.Options, cfg Config) (_ metrics.Report
 	defer func() { ms.Finish(g, success) }()
 
 	r := &run{g: g, opts: opts, cfg: cfg, ms: ms, fencing: ms.ExactlyOnce(),
-		tel: opts.Telemetry, diag: opts.Diagnosis}
+		tel: opts.Telemetry, diag: opts.Diagnosis, drained: make(chan struct{}, 1)}
 	if err := r.own(); err != nil {
 		return metrics.Report{}, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
@@ -284,9 +284,10 @@ type run struct {
 	// and the next pull) or when it exits. pulls counts the pulls that
 	// returned tasks, each raised after its busy count. The coordinator
 	// accepts a drain on one zero pending read only if busy stays zero and
-	// pulls does not move across it (see AwaitDrain).
-	busy  atomic.Int64
-	pulls atomic.Int64
+	// pulls does not move across it (see AwaitDrain, woken through drained).
+	busy    atomic.Int64
+	pulls   atomic.Int64
+	drained chan struct{}
 
 	failed   atomic.Bool
 	errMu    sync.Mutex
@@ -304,8 +305,17 @@ func (r *run) fail(err error) bool {
 	}
 	r.errMu.Unlock()
 	r.failed.Store(true)
+	r.wake()
 	r.stop()
 	return first
+}
+
+// wake tells the coordinator a drain check may pass, without blocking.
+func (r *run) wake() {
+	select {
+	case r.drained <- struct{}{}:
+	default:
+	}
 }
 
 // stop is the one way a run ends its workers, on success and failure alike:
@@ -379,12 +389,11 @@ type worker struct {
 	// ctrl and idle are the run's, nil on a pinned worker, which is never
 	// gated. Pool workers accrue process time while polling an empty queue —
 	// the always-active cost auto-scaling exists to cut. A standby worker
-	// instead deactivates across empty polls. That is every pinned worker of
-	// a plan with no pool (multi, mpi): a static instance's process ends
-	// once its input drains, and standby keeps that process-time accounting
-	// under coordinator-owned termination. Hybrid's pinned stateful
-	// processes sit beside a pool; they are dedicated and stay hot for the
-	// whole run, the inefficiency hybrid_auto_redis attacks.
+	// (every pinned worker of a plan with no pool: multi, mpi) is off the
+	// clock while its box is empty, as a static instance's process ends once
+	// its input drains. Hybrid's pinned stateful processes sit beside a pool
+	// and stay hot for the whole run, the inefficiency hybrid_auto_redis
+	// attacks.
 	ctrl    *autoscale.Controller
 	idle    *idleClock
 	standby bool
@@ -445,10 +454,13 @@ func (wk *worker) close() {
 	wk.proc.Deactivate()
 }
 
-// release lowers the run's busy count once buf's deliveries are all acked.
+// release lowers the run's busy count once buf's deliveries are all acked;
+// the worker that brings it to zero wakes the coordinator.
 func (wk *worker) release() {
 	if wk.holding {
-		wk.r.busy.Add(-1)
+		if wk.r.busy.Add(-1) == 0 {
+			wk.r.wake()
+		}
 		wk.holding = false
 	}
 }
@@ -561,7 +573,7 @@ func (wk *worker) refill() error {
 		window = wk.pullSizer.Next()
 	}
 	start := time.Now()
-	envs, err := wk.tr.PullBatch(wk.w, window, wk.r.opts.PollTimeout)
+	envs, err := wk.pull(window)
 	wk.landed()
 	if err != nil {
 		if IsClosed(err) && !wk.r.failed.Load() {
@@ -583,9 +595,6 @@ func (wk *worker) refill() error {
 		if wk.wm != nil {
 			wk.wm.IdlePolls.Inc()
 		}
-		if wk.standby {
-			wk.proc.Deactivate()
-		}
 		return wk.takeover() // the coordinator owns termination
 	}
 	if wk.wm != nil {
@@ -594,9 +603,6 @@ func (wk *worker) refill() error {
 	}
 	if wk.r.tracer != nil {
 		wk.pulledAt = time.Now().UnixNano()
-	}
-	if wk.standby {
-		wk.proc.Activate()
 	}
 	wk.r.busy.Add(1)
 	wk.holding = true
@@ -609,6 +615,24 @@ func (wk *worker) refill() error {
 		return fmt.Errorf("load owned keys: %w", err)
 	}
 	return nil
+}
+
+// pull pulls the next window, blocking up to the poll. A standby worker
+// blocks off the clock: only when a non-blocking pull finds nothing does it
+// deactivate and block, and a delivery activates it again.
+func (wk *worker) pull(window int) ([]Env, error) {
+	if !wk.standby {
+		return wk.tr.PullBatch(wk.w, window, pollTimeout)
+	}
+	envs, err := wk.tr.PullBatch(wk.w, window, 0)
+	if err == nil && len(envs) == 0 {
+		wk.proc.Deactivate()
+		envs, err = wk.tr.PullBatch(wk.w, window, pollTimeout)
+	}
+	if len(envs) > 0 {
+		wk.proc.Activate()
+	}
+	return envs, err
 }
 
 // gate passes a pool worker through the auto-scaler's gate: a surplus
@@ -862,15 +886,22 @@ func (r *run) drainAndFinalize() error {
 // errRunAborted signals that a worker failed first; fail() owns the unwind.
 var errRunAborted = errors.New("runtime: run aborted")
 
-// awaitDrain is AwaitDrain on the run's busy and pull counts.
+// pollTimeout bounds only liveness: the events a wait is for notify it (a
+// push, Done, busy falling to zero), and the poll covers what is not
+// signalled — a Redis read parked just after Done, an owned window's commit
+// riding a worker's next pull. reclaimPolls of it make the reclaim threshold.
+const pollTimeout = 2 * time.Millisecond
+
+// awaitDrain is AwaitDrain on the run's busy and pull counts and its drain
+// signal.
 func (r *run) awaitDrain() error {
-	return AwaitDrain(r.cfg.Transport, r.opts.PollTimeout, &r.failed, &r.busy, &r.pulls)
+	return AwaitDrain(r.cfg.Transport, r.drained, pollTimeout, &r.failed, &r.busy, &r.pulls)
 }
 
 // AwaitDrain blocks until one Pending() read returns zero while no worker
 // held a delivery, ran Init, or had a pull return tasks, from before the
-// read to after it; it checks every poll timeout. Setting failed aborts the
-// wait.
+// read to after it. It checks when wake is signalled and otherwise every
+// poll; a nil wake leaves only the poll. Setting failed aborts the wait.
 //
 // busy counts the workers in init or holding deliveries, and pulls the pulls
 // that returned tasks, each raised after busy. The loop loads pulls, then
@@ -883,21 +914,25 @@ func (r *run) awaitDrain() error {
 // raise both counts unseen, then push a child, ack and go idle inside the
 // read, leaving the child on a shard already read and the ack on one not
 // yet read.
-func AwaitDrain(tr Transport, pollTimeout time.Duration, failed *atomic.Bool, busy, pulls *atomic.Int64) error {
-	for ; ; time.Sleep(pollTimeout) {
+func AwaitDrain(tr Transport, wake <-chan struct{}, poll time.Duration, failed *atomic.Bool, busy, pulls *atomic.Int64) error {
+	tick := time.NewTicker(poll) // a wake does not reset the poll's phase
+	defer tick.Stop()
+	for {
 		if failed.Load() {
 			return errRunAborted
 		}
-		pulled := pulls.Load()
-		if busy.Load() > 0 {
-			continue
+		if pulled := pulls.Load(); busy.Load() == 0 {
+			n, err := tr.Pending()
+			if err != nil {
+				return err
+			}
+			if n == 0 && busy.Load() == 0 && pulls.Load() == pulled {
+				return nil
+			}
 		}
-		n, err := tr.Pending()
-		if err != nil {
-			return err
-		}
-		if n == 0 && busy.Load() == 0 && pulls.Load() == pulled {
-			return nil
+		select {
+		case <-wake:
+		case <-tick.C:
 		}
 	}
 }

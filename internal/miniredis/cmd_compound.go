@@ -370,17 +370,16 @@ func (lb *leaseBlock) each(fn func(argv []string)) {
 //	SINKAPPEND LEASE pxMs hash nblocks (leaseKey token ncmds (n argv...)...)...
 //
 // one block per partition, each with subcommands HGET field... (read fields
-// of hash), GATE field... (record task gates in hash's ledger), HSET field
-// value... and HDEL field... (keys' final values in hash), XACK stream group
-// consumer pendingKey id weight... (FENCEXACK's ownership rule, no direct
-// decrement) and DEL leaseKey (release the block's lease after the rest). A
-// block runs only while its leaseKey holds its token, and then refreshes
-// that lease's expiry to pxMs from now (0 keeps it as it is). The reply holds
-// one array per block: [1, one value per field HGET read, in order, nil when
-// absent] when it ran, [0] when its lease was lost and nothing of it ran. Every subcommand is
-// absolute — a read changes nothing, a gate recorded twice stays recorded, a
-// value set twice is the same value, an entry acked twice is acked once — so
-// the command is safe to re-send.
+// of hash), HSET field value... and HDEL field... (keys' final values and
+// ledger marks in hash), XACK stream group consumer pendingKey id weight...
+// (FENCEXACK's ownership rule, no direct decrement) and DEL leaseKey
+// (release the block's lease after the rest). A block runs only while its
+// leaseKey holds its token, and then refreshes that lease's expiry to pxMs
+// from now (0 keeps it as it is). The reply holds one array per block: [1,
+// one value per field HGET read, in order, nil when absent] when it ran, [0]
+// when its lease was lost and nothing of it ran. Every subcommand is
+// absolute — a read changes nothing, a value set twice is the same value, an
+// entry acked twice is acked once — so the command is safe to re-send.
 func cmdSinkAppendLease(s *Server, args []string) resp.Value {
 	if len(args) < 3 {
 		return resp.Err("ERR wrong number of arguments for 'sinkappend' LEASE")
@@ -451,7 +450,7 @@ func validateLeaseCmd(s *Server, lb *leaseBlock, argv []string, now time.Time) *
 	switch op := strings.ToUpper(argv[0]); {
 	case op == "HGET" && n >= 2:
 		lb.reads += n - 1
-	case (op == "GATE" || op == "HDEL") && n >= 2, op == "HSET" && n >= 3 && n%2 == 1:
+	case op == "HDEL" && n >= 2, op == "HSET" && n >= 3 && n%2 == 1:
 	case op == "DEL" && n == 2 && argv[1] == lb.leaseKey:
 	case op == "XACK" && n >= 7:
 		ids, weights, errv := parseAckPairs(argv[5:], "sinkappend")
@@ -501,10 +500,6 @@ func applyLeaseBlock(s *Server, lb *leaseBlock, h *entry, ttl time.Duration, now
 				} else {
 					out = append(out, resp.Nil)
 				}
-			}
-		case "GATE":
-			for _, f := range argv[1:] {
-				_, _ = ledgerRecord(h, f) // gate fields hold counts only
 			}
 		case "HSET":
 			for i := 1; i < len(argv); i += 2 {

@@ -287,8 +287,8 @@ func TestCompoundAtomicityUnderRaces(t *testing.T) {
 }
 
 // TestSinkAppendLease exercises the lease-gated form: a block runs only while
-// its lease key holds its token, reads and writes the hash, records gates,
-// acks under the ownership rule, refreshes the lease, and releases it; a block
+// its lease key holds its token, reads and writes the hash, acks under the
+// ownership rule, refreshes the lease, and releases it; a block
 // whose lease is gone applies nothing while its siblings still run.
 func TestSinkAppendLease(t *testing.T) {
 	_, cl := newPair(t)
@@ -330,9 +330,10 @@ func TestSinkAppendLease(t *testing.T) {
 		return redisclient.LeaseReplies(v)
 	}
 
-	// One window: gate, final value, ack; then a block on a lease nobody holds.
+	// One window: final value and mark, ack; then a block on a lease nobody
+	// holds.
 	applied, _ := commit(time.Minute,
-		[]string{"lease:0", "tok", "GATE gate:1 | HSET k 7 | XACK p g w0 pending " + id + " 1"},
+		[]string{"lease:0", "tok", "HSET k 7 mark 3 | XACK p g w0 pending " + id + " 1"},
 		[]string{"lease:1", "tok", "HSET stolen 1"})
 	if !applied[0] || applied[1] {
 		t.Fatalf("applied=%v, want [true false]", applied)
@@ -350,16 +351,16 @@ func TestSinkAppendLease(t *testing.T) {
 		t.Fatalf("lease TTL %d: the commit must refresh it", ttl)
 	}
 	// The same commit re-sent changes nothing further (retry safety).
-	commit(time.Minute, []string{"lease:0", "tok", "GATE gate:1 | HSET k 7 | XACK p g w0 pending " + id + " 1"})
+	commit(time.Minute, []string{"lease:0", "tok", "HSET k 7 mark 3 | XACK p g w0 pending " + id + " 1"})
 	if n, _, _ := cl.Get("pending"); n != "0" {
 		t.Fatalf("pending=%q after the re-sent commit, want 0", n)
 	}
 
-	// A read sees the gate and the value; a stale token reads nothing.
+	// A read sees the value and the mark; a stale token reads nothing.
 	applied, vals := commit(0,
-		[]string{"lease:0", "tok", "HGET k gate:1 absent"},
+		[]string{"lease:0", "tok", "HGET k mark absent"},
 		[]string{"lease:0", "old", "HGET k"})
-	if !applied[0] || applied[1] || len(vals[0]) != 3 || vals[0][0].Str != "7" || vals[0][1].IsNull() || !vals[0][2].IsNull() {
+	if !applied[0] || applied[1] || len(vals[0]) != 3 || vals[0][0].Str != "7" || vals[0][1].Str != "3" || !vals[0][2].IsNull() {
 		t.Fatalf("read: applied=%v vals=%v", applied, vals)
 	}
 

@@ -138,6 +138,9 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// acceptLoop serves each accepted connection. A connection is counted and
+// registered under connMu, where Close looks for them, so one accepted while
+// Close runs is either closed by Close or refused here, never missed.
 func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
@@ -147,7 +150,15 @@ func (s *Server) acceptLoop() {
 			}
 			return
 		}
+		s.connMu.Lock()
+		if s.closed.Load() {
+			s.connMu.Unlock()
+			conn.Close()
+			return
+		}
 		s.conns.Add(1)
+		s.active[conn] = struct{}{}
+		s.connMu.Unlock()
 		go s.serveConn(conn)
 	}
 }
@@ -155,9 +166,6 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.conns.Done()
 	defer conn.Close()
-	s.connMu.Lock()
-	s.active[conn] = struct{}{}
-	s.connMu.Unlock()
 	defer func() {
 		s.connMu.Lock()
 		delete(s.active, conn)

@@ -73,9 +73,9 @@ var sentForms = [][]string{
 	{"SINKAPPEND", "h", "gate:1", "1", "3", "INCRBY", "pending", "1"},
 	// An owned partition's window: its read, then its commit (the lease
 	// "lease" holds token v from the SET NX PX row).
-	{"SINKAPPEND", "LEASE", "0", "h", "1", "lease", "v", "1", "3", "HGET", "n", "gate:2"},
-	{"SINKAPPEND", "LEASE", "60000", "h", "1", "lease", "v", "4",
-		"2", "GATE", "gate:2", "3", "HSET", "n", "5", "2", "HDEL", "f",
+	{"SINKAPPEND", "LEASE", "0", "h", "1", "lease", "v", "1", "3", "HGET", "n", "mark:2"},
+	{"SINKAPPEND", "LEASE", "60000", "h", "1", "lease", "v", "3",
+		"5", "HSET", "n", "5", "mark:2", "7", "2", "HDEL", "f",
 		"7", "XACK", "q", "g", "w0", "pending", "1-2", "1"},
 	{"DEL", "k"},
 	// benchmark/.
@@ -112,6 +112,8 @@ var deletedArms = [][]string{
 	{"XPENDING", "q", "g", "IDLE", "10", "-", "+", "10"},
 	{"XPENDING", "q", "g", "(1-1", "+", "10"},
 	{"XRANGE", "q", "(1-1", "+"},
+	// SINKAPPEND LEASE GATE: owned partitions fence by marks, plain HSET fields.
+	{"SINKAPPEND", "LEASE", "0", "h", "1", "lease", "v", "1", "2", "GATE", "gate:2"},
 }
 
 // singleShot lists the commands that are never re-sent: their effect is

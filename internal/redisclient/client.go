@@ -48,6 +48,10 @@ type Client struct {
 	idle   []*conn
 	shared *conn // the connection retry-safe commands join while one is in flight
 	closed bool
+	// interrupts counts InterruptBlocking calls: a blocking read that dials
+	// is in no connection InterruptBlocking can see, so it checks the count
+	// after the dial.
+	interrupts uint64
 
 	// DialTimeout bounds connection establishment.
 	DialTimeout time.Duration
@@ -125,6 +129,7 @@ func (c *Client) Close() error {
 func (c *Client) InterruptBlocking() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.interrupts++
 	for cn := range c.conns {
 		if cn.users > 0 && cn.blocking {
 			cn.mu.Lock()
@@ -139,7 +144,9 @@ func (c *Client) InterruptBlocking() {
 // it takes an idle connection or dials one, as an exclusive command always
 // does, and makes that the shared one. A serial caller therefore runs on one
 // connection, and a dropped shared connection fails only commands the retry
-// loop re-sends. A blocking read marks its connection blocking.
+// loop re-sends. A blocking read marks its connection blocking; one that had
+// to dial fails instead when InterruptBlocking ran meanwhile, as it would
+// have failed on a connection the interrupt could see.
 func (c *Client) acquire(share, blocking bool) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -156,6 +163,7 @@ func (c *Client) acquire(share, blocking bool) (*conn, error) {
 		cn = c.idle[n-1]
 		c.idle = c.idle[:n-1]
 	} else {
+		interrupts := c.interrupts
 		c.mu.Unlock()
 		var err error
 		if cn, err = c.dial(); err != nil {
@@ -171,6 +179,12 @@ func (c *Client) acquire(share, blocking bool) (*conn, error) {
 			c.conns = make(map[*conn]struct{})
 		}
 		c.conns[cn] = struct{}{}
+		if blocking && c.interrupts != interrupts {
+			cn.users = 1
+			c.mu.Unlock()
+			c.release(cn) // unused, so it joins the idle pool
+			return nil, errInterrupted
+		}
 	}
 	cn.users, cn.blocking = 1, blocking
 	if sh := c.shared; share && (sh == nil || sh.broken.Load()) {

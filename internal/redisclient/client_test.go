@@ -2,6 +2,7 @@ package redisclient_test
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +210,57 @@ func TestInterruptBlockingEndsParkedRead(t *testing.T) {
 		}
 	case <-time.After(100 * time.Millisecond):
 		t.Fatal("blocking read still parked 100ms after InterruptBlocking")
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("client unusable after the interrupt: %v", err)
+	}
+}
+
+// TestInterruptBlockingEndsDialingRead: a blocking read that is still dialing
+// its connection when InterruptBlocking runs sits on no connection the
+// interrupt can see; it fails once its dial completes, without reaching the
+// server, instead of parking for its whole block.
+func TestInterruptBlockingEndsDialingRead(t *testing.T) {
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	setup := redisclient.Dial(srv.Addr())
+	defer setup.Close()
+	if err := setup.XGroupCreate("st", "g", "0"); err != nil {
+		t.Fatal(err)
+	}
+	dialing, proceed := make(chan struct{}), make(chan struct{})
+	var slow sync.Once
+	cl := redisclient.Dial(srv.Addr())
+	defer cl.Close()
+	cl.Dialer = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		slow.Do(func() {
+			close(dialing)
+			<-proceed
+		})
+		return net.DialTimeout(network, addr, timeout)
+	}
+	sent := srv.Commands()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.XReadGroup("g", "c1", 1, 5*time.Second, "st")
+		done <- err
+	}()
+	<-dialing
+	cl.InterruptBlocking()
+	close(proceed)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("interrupted read returned no error")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("blocking read that was dialing still parked 1s after InterruptBlocking")
+	}
+	if n := srv.Commands(); n != sent {
+		t.Fatalf("the interrupted read reached the server (%d commands, want %d)", n, sent)
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("client unusable after the interrupt: %v", err)

@@ -102,7 +102,7 @@ func (c *Client) SinkAppend(ledgerKey, ledgerField string, cmds [][]string) (app
 // partitions: one block per partition, each run against one hash only while
 // its lease key holds its token, and then refreshing that lease to expire
 // ttl from then (0 leaves its expiry alone). A block's subcommands are HGET
-// field..., GATE field..., HSET field value..., HDEL field..., XACK stream
+// field..., HSET field value..., HDEL field..., XACK stream
 // group consumer pendingKey id weight... and DEL leaseKey. Its reply reads
 // with LeaseReplies. Every subcommand is absolute, so the command is
 // retry-safe.

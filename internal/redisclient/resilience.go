@@ -68,7 +68,7 @@ func retryableError(err error) bool {
 //     without counting a delivery;
 //   - fenced compounds (FENCEAPPLY, SINKAPPEND), where the server-side
 //     applied ledger absorbs the duplicate; SINKAPPEND's lease form holds
-//     only absolute subcommands (reads, gates, final values, ownership-ruled
+//     only absolute subcommands (reads, final values, ownership-ruled
 //     acks, the lease's release) under a lease check.
 //
 // Relative-effect writes (INCRBY, HINCRBY, XADD, XTRIM, group reads and

@@ -15,13 +15,36 @@ import (
 // router sends each of its tasks to partition hash(group key) mod P; each
 // partition is read by the one pool worker holding its lease, which serves
 // the PE's state ops from a table of its own (state.Table) and commits each
-// window — the dirty keys' final values, the executed tasks' gates, the
-// window's acks — in one transaction at refill, where the ack flush sits. A
-// window costs one state round trip of its own, a load of its cold keys and
-// task gates before it runs, instead of one per op; its commit rides the
-// worker's next pull. A delivery whose gate is recorded is a duplicate: it
-// runs as a replay with every mutation dropped, as the fence drops them, so
-// that its children still reach downstream.
+// window — the dirty keys' final values, the raised marks, the window's
+// acks — in one transaction at refill, where the ack flush sits. A window
+// costs at most one state round trip of its own, a load of its cold keys and
+// marks before it runs, instead of one per op; its commit rides the worker's
+// next pull.
+//
+// Under fencing a partition keeps one high-water mark per provenance
+// (Task.Src): the highest Seq of that provenance that has run in it. A
+// delivery whose Seq is at or below its mark is a duplicate: it runs as a
+// replay with every mutation dropped, as the fence drops them, so that its
+// children still reach downstream. A holder loads a mark the first time it
+// meets the (partition, provenance), raises it as tasks run, and writes each
+// raised mark once per commit. This is sound because first deliveries of one
+// provenance into one partition arrive in increasing Seq:
+//
+//   - one execution emits its children on an edge in increasing Seq, and the
+//     batcher and its pusher push them in emission order (emit.go);
+//   - a partition has one holder at a time, which reads its stream in ID
+//     order, the entries it adopted from the last holder first, and commits
+//     each window's marks with its acks, so what is acked is what the marks
+//     cover;
+//   - when a parent runs twice, each Seq first appears at the earlier of its
+//     two positions, and the pointwise minimum of two increasing sequences
+//     increases.
+//
+// The last step assumes a replay re-emits the same children, in the same
+// order, as every fenced PE must for its children to meet their fences at
+// all. Marks are per partition, so they hold only under one partition count:
+// the namespace records its count (state.PartsField), and a run that finds
+// one recorded adopts it (see Partition).
 //
 // Leases move by one protocol, whatever moves them:
 //
@@ -83,14 +106,14 @@ func (r *run) own() error {
 		if key == "" {
 			continue
 		}
-		parts := partsPerWorker * plan.Pool
-		ps, err := r.cfg.Transport.Partition(PartitionSpec{PE: n.Name, Parts: parts, HomeKey: key, Home: addr})
+		ps, err := r.cfg.Transport.Partition(PartitionSpec{PE: n.Name, Parts: partsPerWorker * plan.Pool, HomeKey: key, Home: addr})
 		if err != nil {
 			return err
 		}
 		if ps == nil {
 			continue
 		}
+		parts := ps.Parts()
 		o := &ownedPE{name: n.Name, parts: parts, ps: ps, fs: fs, fenced: r.ms.Fenced(n.Name) != nil,
 			keys: map[string][]graph.KeyFunc{}, holder: make([]int, parts)}
 		for p := range o.holder {
@@ -156,15 +179,16 @@ func (o *ownedPE) others(w int) []int {
 type ownSlot struct {
 	o     *ownedPE
 	table *state.Table
-	pend  [][]Env              // partition → deliveries its next commit acknowledges
-	ran   map[state.Token]bool // the fenced tasks executed since the last commit
+	pend  [][]Env // partition → deliveries its next commit acknowledges
 
 	// Scratch reused window after window: per partition, the window's
-	// deliveries (indices in the worker's buffer) and the fields load reads;
-	// the partitions load reads and their key counts; the blocks of a commit,
-	// which a staged commit holds until the next pull lands it.
+	// deliveries (indices in the worker's buffer), the fields load reads and
+	// the provenances whose marks are among them; the partitions load reads
+	// and their key counts; the blocks of a commit, which a staged commit
+	// holds until the next pull lands it.
 	byPart [][]int
 	fields [][]string
+	srcs   [][]uint64
 	reads  []int
 	nkeys  []int
 	blocks []PartCommit
@@ -178,8 +202,8 @@ func (wk *worker) initOwn() {
 	}
 	for _, o := range wk.r.owned {
 		parts := uint32(o.parts)
-		wk.own = append(wk.own, &ownSlot{o: o, pend: make([][]Env, o.parts), ran: map[state.Token]bool{},
-			byPart: make([][]int, o.parts), fields: make([][]string, o.parts),
+		wk.own = append(wk.own, &ownSlot{o: o, pend: make([][]Env, o.parts),
+			byPart: make([][]int, o.parts), fields: make([][]string, o.parts), srcs: make([][]uint64, o.parts),
 			table: state.NewTable(o.parts, func(key string) int { return int(graph.Hash32(key) % parts) })})
 	}
 	wk.eligible = len(wk.own) > 0
@@ -212,14 +236,15 @@ func (wk *worker) slotFor(env Env) *ownSlot {
 	return nil
 }
 
-// admit decides how a partition delivery runs; g is what load read of it.
-// A delivery of a partition the worker does not hold does not run: it stays
-// unacked, and the partition's holder adopts its entry (a fence drop). A
-// fenced task whose gate is recorded, or that already ran in this window, is
-// a duplicate: it runs as a replay, every mutation dropped, so that its
-// children — stamped with the original's identities — reach downstream again
-// and meet their own gates there, and it is acked with the window.
-func (s *ownSlot) admit(w int, env Env, g gateRead) (run, replay bool) {
+// admit decides how a partition delivery runs. A delivery of a partition the
+// worker does not hold does not run: it stays unacked, and the partition's
+// holder adopts its entry (a fence drop). A fenced task at or below its
+// partition's mark for its provenance — recorded, or raised earlier in this
+// window — is a duplicate: it runs as a replay, every mutation dropped, so
+// that its children, stamped with the original's identities, reach
+// downstream again and meet their own fences there, and it is acked with the
+// window.
+func (s *ownSlot) admit(w int, env Env) (run, replay bool) {
 	if !s.o.ps.Holds(w, env.Instance) {
 		s.o.fs.ObserveDrop()
 		return false, false
@@ -227,38 +252,12 @@ func (s *ownSlot) admit(w int, env Env, g gateRead) (run, replay bool) {
 	if !s.o.fenced {
 		return true, false
 	}
-	tok := state.Token{Src: env.Src, Seq: env.Seq}
-	if g.recorded || s.ran[tok] {
-		return true, true
-	}
-	s.ran[tok] = true
-	return true, false
+	return true, !s.table.Admit(env.Instance, state.Token{Src: env.Src, Seq: env.Seq})
 }
 
-// done books a partition delivery that ran for the partition's next commit,
-// with its task gate unless it was a replay.
-func (s *ownSlot) done(env Env, g gateRead, replay bool) {
-	p := env.Instance
-	if s.o.fenced && !replay {
-		s.table.Executed(p, g.of(env))
-	}
-	s.pend[p] = append(s.pend[p], env)
-}
-
-// gateRead is what load found of one buffered delivery's task gate: its
-// ledger field (empty when load did not read it) and whether it is already
-// recorded.
-type gateRead struct {
-	field    string
-	recorded bool
-}
-
-// of is env's gate field.
-func (g gateRead) of(env Env) string {
-	if g.field != "" {
-		return g.field
-	}
-	return state.GateField(state.Token{Src: env.Src, Seq: env.Seq})
+// done books a partition delivery that ran for the partition's next commit.
+func (s *ownSlot) done(env Env) {
+	s.pend[env.Instance] = append(s.pend[env.Instance], env)
 }
 
 // settle commits every owned partition's window — with release, also giving
@@ -286,10 +285,10 @@ func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 	blocks := s.blocks[:0]
 	work := false
 	for _, p := range ps.Held(w) {
-		writes, gates := s.table.Delta(p)
-		if n := len(writes) + len(gates) + len(s.pend[p]); n > 0 || release {
+		writes := s.table.Delta(p)
+		if n := len(writes) + len(s.pend[p]); n > 0 || release {
 			work = work || n > 0
-			blocks = append(blocks, PartCommit{Part: p, Writes: writes, Gates: gates, Envs: s.pend[p], Release: release})
+			blocks = append(blocks, PartCommit{Part: p, Writes: writes, Envs: s.pend[p], Release: release})
 		}
 	}
 	for p, envs := range s.pend {
@@ -298,7 +297,6 @@ func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 			s.o.free(p, w)
 		}
 	}
-	clear(s.ran)
 	var lost []int
 	var err error
 	if work {
@@ -451,14 +449,9 @@ func (wk *worker) takeover() error {
 
 // load readies a pulled window's partition deliveries: for each owned PE,
 // one round trip reads, per held partition, the group keys the table lacks
-// and, under fencing, the deliveries' task gates; a delivery whose gate is
-// recorded is marked to be acked unexecuted.
+// and, under fencing, the marks of the provenances it has not met yet. A
+// window that lacks neither makes no round trip.
 func (wk *worker) load() error {
-	if len(wk.own) == 0 {
-		return nil
-	}
-	wk.gates = slices.Grow(wk.gates[:0], len(wk.buf))[:len(wk.buf)]
-	clear(wk.gates)
 	for _, s := range wk.own {
 		if err := wk.loadSlot(s); err != nil {
 			return err
@@ -492,13 +485,16 @@ func (wk *worker) loadSlot(s *ownSlot) error {
 		}
 		f = s.table.Missing(f)
 		n := len(f)
+		srcs := s.srcs[p][:0]
 		if s.o.fenced {
 			for _, i := range idx {
-				wk.gates[i].field = state.GateField(state.Token{Src: wk.buf[i].Src, Seq: wk.buf[i].Seq})
-				f = append(f, wk.gates[i].field)
+				if src := wk.buf[i].Src; !s.table.Marked(p, src) && !slices.Contains(srcs, src) {
+					srcs = append(srcs, src)
+					f = append(f, state.MarkField(p, src))
+				}
 			}
 		}
-		s.fields[p] = f
+		s.fields[p], s.srcs[p] = f, srcs
 		if len(f) > 0 {
 			parts, fields, nkeys = append(parts, p), append(fields, f), append(nkeys, n)
 		}
@@ -517,11 +513,14 @@ func (wk *worker) loadSlot(s *ownSlot) error {
 			s.o.free(p, wk.w)
 			continue
 		}
-		for k := 0; k < nkeys[j]; k++ {
+		n := nkeys[j]
+		for k := 0; k < n; k++ {
 			s.table.Fill(fields[j][k], vals[j][k], found[j][k])
 		}
-		for m, i := range s.byPart[p] {
-			wk.gates[i].recorded = s.o.fenced && found[j][nkeys[j]+m]
+		for m, src := range s.srcs[p] {
+			if err := s.table.FillMark(p, src, vals[j][n+m], found[j][n+m]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -5,7 +5,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -14,13 +16,14 @@ import (
 	"repro/internal/platform"
 	"repro/internal/redisclient"
 	"repro/internal/state"
+	"repro/internal/telemetry"
 )
 
 // ownRun executes g on a Redis pool plan of procs workers over one embedded
 // server, as dyn_redis does, and returns the transport for inspection.
 // backend, when non-nil, holds the managed state instead of the run's own
-// server.
-func ownRun(t *testing.T, g *graph.Graph, procs int, backend state.Backend) (*RedisTransport, error) {
+// server; opt, when non-nil, adjusts the options and config before the run.
+func ownRun(t *testing.T, g *graph.Graph, procs int, backend state.Backend, opt func(*mapping.Options, *Config)) (*RedisTransport, error) {
 	t.Helper()
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
@@ -41,9 +44,13 @@ func ownRun(t *testing.T, g *graph.Graph, procs int, backend state.Backend) (*Re
 	t.Cleanup(func() { tr.Cleanup(g) })
 	opts := mapping.Options{Processes: procs, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1,
 		ExactlyOnceState: true, StateBackend: backend}
-	_, err = Execute(g, opts, Config{Name: "own_redis", Plan: plan, Transport: tr, Host: platform.NewHost(opts.Platform),
+	cfg := Config{Name: "own_redis", Plan: plan, Transport: tr, Host: platform.NewHost(opts.Platform),
 		NewStateBackend:  func() state.Backend { return state.NewRedisClusterBackend(cluster, keys.Prefix+":state") },
-		AdaptiveBatching: true})
+		AdaptiveBatching: true}
+	if opt != nil {
+		opt(&opts, &cfg)
+	}
+	_, err = Execute(g, opts, cfg)
 	return tr, err
 }
 
@@ -111,7 +118,7 @@ func TestOwnershipContract(t *testing.T) {
 			if tc.backend != nil {
 				backend = tc.backend(t)
 			}
-			tr, err := ownRun(t, countGraph(200, add, tc.shape), 3, backend)
+			tr, err := ownRun(t, countGraph(200, add, tc.shape), 3, backend, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +134,7 @@ func TestOwnershipContract(t *testing.T) {
 			_, _ = ctx.State().AddInt(key+"/stray", 1)
 			return nil
 		}
-		_, err := ownRun(t, countGraph(200, stray, nil), 2, nil)
+		_, err := ownRun(t, countGraph(200, stray, nil), 2, nil, nil)
 		if err == nil {
 			t.Fatal("the run succeeded with an owned PE writing outside its partition")
 		}
@@ -231,7 +238,7 @@ func TestOwnedCountsMatchSimple(t *testing.T) {
 				mu.Unlock()
 				return err
 			}
-			if _, err := ownRun(t, countGraph(1000, add, nil), procs, nil); err != nil {
+			if _, err := ownRun(t, countGraph(1000, add, nil), procs, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			var got []string
@@ -244,5 +251,175 @@ func TestOwnedCountsMatchSimple(t *testing.T) {
 				t.Fatalf("running counts reached %v, want %s", got, want)
 			}
 		})
+	}
+}
+
+// dupGenerate delivers the seeded generate task of source gen twice, as two
+// stream entries, the way a redelivery would: two executions of one
+// provenance.
+type dupGenerate struct{ *RedisTransport }
+
+func (d dupGenerate) Push(tasks ...Task) error {
+	if len(tasks) == 1 && tasks[0].PE == "gen" && tasks[0].Port == "" && !tasks[0].Finalize {
+		if err := d.RedisTransport.Push(tasks...); err != nil {
+			return err
+		}
+	}
+	return d.RedisTransport.Push(tasks...)
+}
+
+// TestOwnedMarksUnderInterleavedDuplicateExecution: one provenance reaches
+// the owned partitions from two executions of its parent at once, whose
+// emit windows interleave on the partition streams — the second starts
+// late, the first stalls halfway and is overtaken. A partition's high-water
+// mark must still run each task exactly once: every key's total equals
+// simple's, and each of the n duplicates counts as one fence drop.
+func TestOwnedMarksUnderInterleavedDuplicateExecution(t *testing.T) {
+	const n = 300
+	var started, overlapped atomic.Int32
+	build := func(dup bool, add func(ctx *core.Context, key string) error) *graph.Graph {
+		g := graph.New("owned")
+		g.Add(func() core.PE {
+			return core.NewSource("gen", func(ctx *core.Context) error {
+				exec := int32(1)
+				if dup {
+					exec = started.Add(1)
+					for deadline := time.Now().Add(5 * time.Second); started.Load() < 2 && time.Now().Before(deadline); {
+						time.Sleep(100 * time.Microsecond)
+					}
+					if started.Load() == 2 {
+						overlapped.Add(1)
+					}
+					if exec == 2 {
+						time.Sleep(5 * time.Millisecond)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if dup && exec == 1 && i == n/2 {
+						time.Sleep(30 * time.Millisecond)
+					}
+					if dup {
+						time.Sleep(100 * time.Microsecond)
+					}
+					if err := ctx.EmitDefault(fmt.Sprintf("k%d", i%10)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		g.Add(func() core.PE {
+			return core.NewEach("count", func(ctx *core.Context, v any) error { return add(ctx, v.(string)) })
+		}).SetKeyedState()
+		g.Pipe("gen", "count").SetGrouping(graph.GroupByKey(func(v any) string { return v.(string) }))
+		return g
+	}
+	totals := func(run func(g *graph.Graph) error, dup bool) string {
+		var mu sync.Mutex
+		top := map[string]int64{}
+		add := func(ctx *core.Context, key string) error {
+			n, err := ctx.State().AddInt(key, 1)
+			mu.Lock()
+			top[key] = max(top[key], n)
+			mu.Unlock()
+			return err
+		}
+		if err := run(build(dup, add)); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for k, n := range top {
+			got = append(got, fmt.Sprintf("%s=%d", k, n))
+		}
+		sort.Strings(got)
+		return strings.Join(got, " ")
+	}
+	simple, err := mapping.Get("simple")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := totals(func(g *graph.Graph) error {
+		_, err := simple.Execute(g, mapping.Options{Processes: 1, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1})
+		return err
+	}, false)
+
+	reg := telemetry.New(telemetry.Config{TraceSampleEvery: -1})
+	got := totals(func(g *graph.Graph) error {
+		_, err := ownRun(t, g, 3, nil, func(o *mapping.Options, c *Config) {
+			o.Telemetry = reg
+			c.Transport = dupGenerate{c.Transport.(*RedisTransport)}
+		})
+		return err
+	}, true)
+	if overlapped.Load() != 2 {
+		t.Fatalf("the two executions of the generate task did not overlap (%d of 2 saw both running)", overlapped.Load())
+	}
+	if got != want {
+		t.Fatalf("totals under interleaved duplicate execution:\n got %s\nwant %s", got, want)
+	}
+	if drops := reg.Snapshot().State.FenceDrops; drops != n {
+		t.Fatalf("%d fence drops, want one per duplicate delivery, %d", drops, n)
+	}
+}
+
+// ledgerCountPE counts each key and, in its Final, hands the count of ledger
+// fields in its namespace to fields.
+type ledgerCountPE struct {
+	core.Base
+	fields func() error
+}
+
+func (p *ledgerCountPE) Process(ctx *core.Context, _ string, v any) error {
+	_, err := ctx.State().AddInt(v.(string), 1)
+	return err
+}
+
+func (p *ledgerCountPE) Final(*core.Context) error { return p.fields() }
+
+// TestOwnedLedgerPlateaus: a fenced owned count keeps one mark per
+// (partition, provenance) and the partition count, not a field per task, so
+// runs over N and 4N events leave the same number of ledger fields in the
+// namespace, at most P × provenances + 1, when every task has run (the PE's
+// Final).
+func TestOwnedLedgerPlateaus(t *testing.T) {
+	const procs = 2
+	fields := func(n int) int {
+		var tr *RedisTransport
+		var count int
+		g := graph.New("owned")
+		g.Add(func() core.PE {
+			return core.NewSource("gen", func(ctx *core.Context) error {
+				for i := 0; i < n; i++ {
+					if err := ctx.EmitDefault(fmt.Sprintf("k%d", i%10)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		g.Add(func() core.PE {
+			return &ledgerCountPE{Base: core.NewBase("count", core.In(), nil), fields: func() error {
+				ps := tr.owned[0]
+				all, err := ps.cl.HGetAll(ps.home)
+				for k := range all {
+					if state.IsFenceKey(k) {
+						count++
+					}
+				}
+				return err
+			}}
+		}).SetKeyedState()
+		g.Pipe("gen", "count").SetGrouping(graph.GroupByKey(func(v any) string { return v.(string) }))
+		if _, err := ownRun(t, g, procs, nil, func(_ *mapping.Options, c *Config) { tr = c.Transport.(*RedisTransport) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.owned) != 1 {
+			t.Fatal("count is not owned")
+		}
+		return count
+	}
+	small, large := fields(500), fields(2000)
+	if bound := partsPerWorker*procs*1 + 1; small < 2 || small > bound || large != small {
+		t.Fatalf("ledger fields: %d after 500 events, %d after 2000; want the same number, 2 to %d", small, large, bound)
 	}
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // PartitionSpec asks a transport to carry one owned PE's tasks on leased
-// partitions (see own.go): the PE, its partition count, and the hash holding
-// its namespace and the address of that hash's server.
+// partitions (see own.go): the PE, the partition count a fresh namespace
+// gets, and the hash holding its namespace and the address of that hash's
+// server. A namespace that already records a count keeps it (see Partition).
 type PartitionSpec struct {
 	PE            string
 	Parts         int
@@ -29,8 +30,13 @@ type PartitionSpec struct {
 // sits on the shard of the state hash, beside its lease key. Only the worker
 // holding a partition's lease reads its stream; it acquires the lease with
 // SET NX, and commits each window of the partition — the dirty keys' final
-// values, the executed tasks' gates and the acks — in one SINKAPPEND LEASE
+// values, the raised high-water marks and the acks — in one SINKAPPEND LEASE
 // transaction that lands only while the lease is still its own.
+//
+// The partition count is the namespace's: the marks are per partition, so a
+// run whose namespace records a count (state.PartsField) adopts it, whatever
+// its own pool size asks for, and a run whose namespace records none writes
+// its count with its commits until one has landed.
 //
 // The per-worker fields are touched only by that worker's goroutine, like
 // RedisTransport.frames.
@@ -43,6 +49,7 @@ type Partitions struct {
 	streams []string      // partition p's stream
 	leases  []string      // partition p's lease key
 	ttl     time.Duration // a lease's TTL; 0 (no expiry) without stale recovery
+	counted atomic.Bool   // the namespace records the partition count
 
 	used     []atomic.Bool    // partition → it has had a holder in this run
 	held     []map[int]string // worker → partition → its lease token
@@ -58,9 +65,12 @@ type Partitions struct {
 var leaseSeq atomic.Int64
 
 // Partition implements Transport: when the PE's namespace lives on this
-// transport's cluster, it lays out spec.Parts partition streams beside the
-// namespace's hash (one pipelined round trip creates their groups) and
-// returns them; otherwise it returns nil and the PE keeps the pool.
+// transport's cluster, it lays out partition streams beside the namespace's
+// hash and returns them; otherwise it returns nil and the PE keeps the pool.
+// One pipelined round trip reads the namespace's recorded partition count
+// and creates spec.Parts groups. A recorded count that differs — a resumed
+// run on another pool size — is adopted, at the cost of one more round trip
+// that fixes the streams up, and journaled.
 func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	open := strings.IndexByte(spec.HomeKey, '{')
 	end := strings.IndexByte(spec.HomeKey, '}')
@@ -72,29 +82,61 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 		return nil, nil
 	}
 	tag := spec.HomeKey[open : end+1]
-	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: t.cluster.Shard(shard), home: spec.HomeKey,
-		used: make([]atomic.Bool, spec.Parts), held: make([]map[int]string, len(t.plan.Workers)), heldList: make([][]int, len(t.plan.Workers)),
+	cl := t.cluster.Shard(shard)
+	stream := func(p int) string { return fmt.Sprintf("%s:part:%s%s:%d", t.keys.Prefix, spec.PE, tag, p) }
+	create := func(p int) []string { return []string{"XGROUP", "CREATE", stream(p), t.keys.Group, "0", "MKSTREAM"} }
+	cmds := [][]string{{"HGET", spec.HomeKey, state.PartsField}}
+	for p := range spec.Parts {
+		cmds = append(cmds, create(p))
+	}
+	replies, err := cl.Pipeline(cmds)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: create partition groups of %s: %w", spec.PE, err)
+	}
+	parts, counted := spec.Parts, !replies[0].IsNull()
+	if counted {
+		if parts, err = strconv.Atoi(replies[0].Str); err != nil || parts < 1 {
+			return nil, fmt.Errorf("runtime: partition count %q recorded for %s is not a count", replies[0].Str, spec.PE)
+		}
+	}
+	if parts != spec.Parts {
+		var fix [][]string
+		for p := spec.Parts; p < parts; p++ {
+			fix = append(fix, create(p))
+		}
+		for p := parts; p < spec.Parts; p++ {
+			fix = append(fix, []string{"DEL", stream(p)})
+		}
+		if _, err := cl.Pipeline(fix); err != nil {
+			return nil, fmt.Errorf("runtime: adopt the partition count of %s: %w", spec.PE, err)
+		}
+		if t.diag != nil {
+			t.diag.Log(diagnosis.EvPartition, -1, spec.PE, fmt.Sprintf("adopted the namespace's %d partitions instead of %d", parts, spec.Parts), int64(parts))
+		}
+	}
+	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: cl, home: spec.HomeKey,
+		used: make([]atomic.Bool, parts), held: make([]map[int]string, len(t.plan.Workers)), heldList: make([][]int, len(t.plan.Workers)),
 		renewed: make([]time.Time, len(t.plan.Workers)), staged: make([]*stagedCommit, len(t.plan.Workers)),
 		stage: make([]stagedCommit, len(t.plan.Workers)), args: make([][]string, len(t.plan.Workers)),
 		lost: make([][]int, len(t.plan.Workers))}
+	ps.counted.Store(counted)
 	if t.recoverStale {
 		ps.ttl = reclaimPolls * pollTimeout
 	}
-	cmds := make([][]string, spec.Parts)
-	for p := range spec.Parts {
-		ps.streams = append(ps.streams, fmt.Sprintf("%s:part:%s%s:%d", t.keys.Prefix, spec.PE, tag, p))
+	for p := range parts {
+		ps.streams = append(ps.streams, stream(p))
 		ps.leases = append(ps.leases, fmt.Sprintf("%s:lease:%s%s:%d", t.keys.Prefix, spec.PE, tag, p))
-		cmds[p] = []string{"XGROUP", "CREATE", ps.streams[p], t.keys.Group, "0", "MKSTREAM"}
 	}
 	for w := range ps.held {
 		ps.held[w] = map[int]string{}
 	}
-	if _, err := ps.cl.Pipeline(cmds); err != nil {
-		return nil, fmt.Errorf("runtime: create partition groups of %s: %w", spec.PE, err)
-	}
 	t.owned = append(t.owned, ps)
 	return ps, nil
 }
+
+// Parts is the partition count: the namespace's recorded one, when it has
+// one.
+func (ps *Partitions) Parts() int { return len(ps.streams) }
 
 // partitionsOf is pe's partitions, nil when pe is not owned.
 func (t *RedisTransport) partitionsOf(pe string) *Partitions {
@@ -211,12 +253,11 @@ func (ps *Partitions) Read(w int, parts []int, fields [][]string) (vals [][]stri
 }
 
 // PartCommit is one partition's share of a commit: the dirty keys' final
-// values, the executed tasks' gates, the deliveries to acknowledge, and
-// whether the lease is released after them.
+// values and raised marks, the deliveries to acknowledge, and whether the
+// lease is released after them.
 type PartCommit struct {
 	Part    int
 	Writes  []state.Write
-	Gates   []string
 	Envs    []Env
 	Release bool
 }
@@ -287,23 +328,26 @@ func (ps *Partitions) Lost(w int) []int {
 }
 
 // commitArgv builds the SINKAPPEND LEASE of worker w's blocks in buf's
-// storage.
+// storage. Until the namespace records the partition count, every block
+// records it too: whichever block lands first, its marks land with the count
+// they were kept under.
 func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []string {
 	t := ps.t
 	c := redisclient.NewLeaseCommit(buf, ps.home, ps.ttl)
+	count := !ps.counted.Load()
 	for _, b := range blocks {
 		stream := ps.streams[b.Part]
 		c.Block(ps.leases[b.Part], ps.held[w][b.Part])
-		if len(b.Gates) > 0 {
-			c.Sub("GATE")
-			c.Arg(b.Gates...)
-		}
 		for _, keep := range []bool{true, false} {
 			op := "HDEL"
 			if keep {
 				op = "HSET"
 			}
-			opened := false
+			opened := keep && count
+			if opened {
+				c.Sub(op)
+				c.Arg(state.PartsField, strconv.Itoa(len(ps.streams)))
+			}
 			for _, wr := range b.Writes {
 				if wr.Keep != keep {
 					continue
@@ -334,7 +378,8 @@ func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []str
 
 // land books the reply v of worker w's commit of blocks: a block whose lease
 // was lost applied nothing, and its partition is no longer w's; a released
-// one is no longer w's either. The lost partitions are returned.
+// one is no longer w's either. The lost partitions are returned. A block
+// that applied recorded the partition count, if it was not recorded before.
 func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) (lost []int, err error) {
 	applied, _ := redisclient.LeaseReplies(v)
 	if len(applied) != len(blocks) {
@@ -349,6 +394,9 @@ func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) (lost []int
 		case b.Release:
 			ps.forget(w, b.Part)
 		}
+	}
+	if !ps.counted.Load() && slices.Contains(applied, true) {
+		ps.counted.Store(true)
 	}
 	return lost, nil
 }

@@ -23,8 +23,8 @@
 // On the Redis pool a keyed-state PE whose in-edges all group by key is owned
 // (see own.go): the router sends each of its tasks to a leased partition,
 // the one worker holding that partition serves the PE's state ops from a
-// table of its own, and the window's delta, task gates and acks land in one
-// lease-checked commit at refill.
+// table of its own, and the window's delta, raised marks and acks land in
+// one lease-checked commit at refill.
 //
 // A pool worker holds a private copy of every pooled PE, so on the adaptive
 // (Redis) planners an edge that needs no transport — a shuffle from a pooled

@@ -401,13 +401,11 @@ type worker struct {
 	buf  []Env // the prefetch buffer; next indexes its next delivery
 	next int
 	// own is the worker's side of each owned PE (pool workers only),
-	// eligible whether it counts among the run's holders, pulled whether it
-	// has pulled yet, and gates holds what load read of each buffered
-	// delivery's task gate.
+	// eligible whether it counts among the run's holders, and pulled whether
+	// it has pulled yet.
 	own      []*ownSlot
 	eligible bool
 	pulled   bool
-	gates    []gateRead
 	holding  bool  // counted in r.busy: in init, or buf's deliveries are not all acked
 	pulledAt int64 // UnixNano of buf's pull (tracing only)
 }
@@ -543,8 +541,8 @@ func (wk *worker) init() error {
 // partitions' in their window's commit, which the pull carries ahead of its
 // read (see own.go), the rest in one batched ack — and only then may the
 // worker block, on the idle gate or on the pull itself. Leases are evened
-// out before the pull, and an owned window's cold keys and task gates are
-// loaded after it. Fusion is decided here, at a refill boundary, never
+// out before the pull, and an owned window's cold keys and marks are loaded
+// after it. Fusion is decided here, at a refill boundary, never
 // mid-task. A pull's closed error is the normal exit once the coordinator
 // closed the drained transport: nothing is pending, so nothing is left
 // unflushed or unacked. After an empty pull the buffer stays spent.
@@ -736,7 +734,7 @@ func (wk *worker) runTask(c *peCopy, env Env) error {
 	s, replay := wk.slotFor(env), false
 	if s != nil {
 		var run bool
-		if run, replay = s.admit(wk.w, env, wk.gates[wk.next-1]); !run {
+		if run, replay = s.admit(wk.w, env); !run {
 			return nil
 		}
 		c.scope.Own(s.table, env.Instance, replay)
@@ -774,7 +772,7 @@ func (wk *worker) runTask(c *peCopy, env Env) error {
 	} else if oerr := c.scope.Disown(); err == nil && oerr != nil {
 		err = oerr
 	} else if err == nil {
-		s.done(env, wk.gates[wk.next-1], replay)
+		s.done(env)
 	}
 	if err != nil {
 		// Release the deliveries so a failed run does not hang on a counter

@@ -50,6 +50,22 @@ func taskFenceField(tok Token) string {
 	return string(append(appendToken(b[:0], tok), "task"...))
 }
 
+// MarkField is the ledger field of an owned namespace's high-water mark for
+// provenance src in partition p: the highest Seq of src whose delivery into
+// p has run (see Table.Admit). Its "#" follows the ledger prefix where a
+// per-op or task-gate field starts its token with a base-36 digit, so a mark
+// never equals either.
+func MarkField(p int, src uint64) string {
+	var b [48]byte
+	f := strconv.AppendInt(append(append(b[:0], fencePrefix...), '#'), int64(p), 10)
+	return string(strconv.AppendUint(append(f, ':'), src, 36))
+}
+
+// PartsField is the ledger field recording an owned namespace's partition
+// count. Marks are kept per partition, so they mean nothing under another
+// count: a run that finds one recorded adopts it.
+const PartsField = fencePrefix + "#parts"
+
 // appendToken appends the ledger-key prefix of tok, "<fencePrefix><src>:<seq>:".
 func appendToken(b []byte, tok Token) []byte {
 	b = append(b, fencePrefix...)
@@ -108,10 +124,12 @@ func (g TaskGate) Admit() (bool, error) {
 // each mutation at most once across every execution of that delivery,
 // dropping the rest; an unbound one applies every op as it comes.
 //
-// The ledger is exact — one entry per applied (delivery, mutation) — so
-// out-of-order duplicate deliveries are caught without assuming ordered
-// consumption. Entries live in the namespace itself (see fencePrefix) and
-// are filtered from the scope's Snapshot.
+// On this per-op path the ledger is exact — one entry per applied (delivery,
+// mutation) — so out-of-order duplicate deliveries are caught without
+// assuming ordered consumption. An owned partition's tasks take the other
+// path, which does assume it: one high-water mark per (partition,
+// provenance) (see Table). Entries of both live in the namespace itself (see
+// fencePrefix) and are filtered from the scope's Snapshot.
 //
 // Atomicity scope: a fenced Op records its ledger entry and applies its
 // effect in one indivisible operation on both backends — a single FENCEAPPLY

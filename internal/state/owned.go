@@ -11,25 +11,28 @@ import (
 // with its scope owning the table (FenceScope.Own), every op on a key of p
 // reads and writes the table — a key not yet in it is fetched from the
 // backend once — and the table keeps what the partition's next commit must
-// write: each dirty key's final value and, under fencing, each executed
-// task's gate. The runtime commits that delta with the window's acks in one
-// transaction (see Delta and Committed); a partition whose lease is released
-// or lost is dropped, and its next holder starts from the backend.
+// write: each dirty key's final value and, under fencing, each raised
+// high-water mark (see Admit). The runtime commits that delta with the
+// window's acks in one transaction (see Delta and Committed); a partition
+// whose lease is released or lost is dropped, and its next holder starts
+// from the backend.
 //
-// The holder of a partition's lease is the only writer of its keys, which
-// is what makes the table safe: no other worker's op can slip between the
-// table's read and its commit. A Table is not safe for concurrent use.
+// The holder of a partition's lease is the only writer of its keys and
+// marks, which is what makes the table safe: no other worker's op can slip
+// between the table's read and its commit. A Table is not safe for
+// concurrent use.
 type Table struct {
 	partOf func(key string) int
 	parts  []tablePart
 }
 
-// tablePart is one partition's keys and its uncommitted delta.
+// tablePart is one partition's keys, marks and uncommitted delta.
 type tablePart struct {
 	cells  map[string]cell
-	dirty  []string // keys changed since the last commit, each once
-	gates  []string // ledger fields of the tasks executed since the last commit
-	writes []Write  // Delta's storage, reused
+	dirty  []string        // keys changed since the last commit, each once
+	marks  map[uint64]mark // provenance → its mark, once loaded or raised
+	raised []uint64        // provenances whose mark rose since the last commit, each once
+	writes []Write         // Delta's storage, reused
 }
 
 // cell is one key's current value; dirty marks it for the next commit.
@@ -38,6 +41,20 @@ type cell struct {
 	exists bool
 	dirty  bool
 }
+
+// mark is one provenance's high-water mark in a partition: the highest Seq
+// that ran, none while set is false; dirty marks it for the next commit.
+type mark struct {
+	field      string // its ledger field (MarkField)
+	seq        uint64
+	set, dirty bool
+}
+
+// markCache bounds a partition's marks kept across commits: past it, a
+// commit forgets the clean ones, and a provenance seen again is loaded
+// again. A workload whose every task is a provenance of its own keeps no
+// more than this per partition.
+const markCache = 1024
 
 // Write is one dirty key's final value; Keep false deletes the key.
 type Write struct {
@@ -51,23 +68,75 @@ func NewTable(parts int, partOf func(key string) int) *Table {
 	return &Table{partOf: partOf, parts: make([]tablePart, parts)}
 }
 
-// Executed records that a fenced task of partition p ran, so the next commit
-// records its task gate (see GateField).
-func (t *Table) Executed(p int, gate string) {
-	t.parts[p].gates = append(t.parts[p].gates, gate)
+// Marked reports whether partition p's mark for provenance src is in the
+// table: a window loads each one it lacks before it runs (FillMark).
+func (t *Table) Marked(p int, src uint64) bool {
+	_, ok := t.parts[p].marks[src]
+	return ok
+}
+
+// FillMark stores partition p's mark for src as the backend holds it:
+// value is its field's content, which is absent when exists is false.
+func (t *Table) FillMark(p int, src uint64, value string, exists bool) error {
+	m := mark{field: MarkField(p, src)}
+	if exists {
+		seq, err := strconv.ParseUint(value, 10, 64)
+		if err != nil {
+			return fmt.Errorf("state: mark %q of partition %d is not a sequence number", value, p)
+		}
+		m.seq, m.set = seq, true
+	}
+	t.setMark(p, src, m)
+	return nil
+}
+
+// Admit decides whether the fenced delivery tok of partition p runs afresh,
+// by the partition's mark for tok.Src, which must be in the table (Marked).
+// A Seq at or below the mark has run before: Admit reports false, and the
+// delivery is a replay. Any other Seq raises the mark to itself for the next
+// commit. First deliveries of one provenance into one partition arrive in
+// increasing Seq (the runtime's own.go says why), so the mark is all the
+// ledger a partition needs.
+func (t *Table) Admit(p int, tok Token) bool {
+	tp := &t.parts[p]
+	m := tp.marks[tok.Src]
+	if m.set && tok.Seq <= m.seq {
+		return false
+	}
+	if !m.dirty {
+		tp.raised = append(tp.raised, tok.Src)
+	}
+	if m.field == "" {
+		m.field = MarkField(p, tok.Src)
+	}
+	m.seq, m.set, m.dirty = tok.Seq, true, true
+	t.setMark(p, tok.Src, m)
+	return true
+}
+
+func (t *Table) setMark(p int, src uint64, m mark) {
+	tp := &t.parts[p]
+	if tp.marks == nil {
+		tp.marks = map[uint64]mark{}
+	}
+	tp.marks[src] = m
 }
 
 // Delta is partition p's uncommitted delta: each dirty key's final value and
-// the gates of the tasks executed since the last commit. Both stay valid
-// until the partition's next Delta, Committed or Drop.
-func (t *Table) Delta(p int) (writes []Write, gates []string) {
+// each raised mark. It stays valid until the partition's next Delta,
+// Committed or Drop.
+func (t *Table) Delta(p int) []Write {
 	tp := &t.parts[p]
 	tp.writes = tp.writes[:0]
 	for _, k := range tp.dirty {
 		c := tp.cells[k]
 		tp.writes = append(tp.writes, Write{Key: k, Value: c.val, Keep: c.exists})
 	}
-	return tp.writes, tp.gates
+	for _, src := range tp.raised {
+		m := tp.marks[src]
+		tp.writes = append(tp.writes, Write{Key: m.field, Value: strconv.FormatUint(m.seq, 10), Keep: true})
+	}
+	return tp.writes
 }
 
 // Committed marks partition p's delta as landed.
@@ -78,7 +147,16 @@ func (t *Table) Committed(p int) {
 		c.dirty = false
 		tp.cells[k] = c
 	}
-	tp.dirty, tp.gates = tp.dirty[:0], tp.gates[:0]
+	if len(tp.marks) > markCache {
+		clear(tp.marks)
+	} else {
+		for _, src := range tp.raised {
+			m := tp.marks[src]
+			m.dirty = false
+			tp.marks[src] = m
+		}
+	}
+	tp.dirty, tp.raised = tp.dirty[:0], tp.raised[:0]
 }
 
 // Drop forgets partition p, delta included: its lease is gone.
@@ -108,10 +186,6 @@ func (t *Table) fill(key, value string, exists bool) cell {
 	tp.cells[key] = c
 	return c
 }
-
-// GateField is the ledger field of the fenced task tok's gate in its
-// namespace's hash: what a window reads to find the tasks already applied.
-func GateField(tok Token) string { return taskFenceField(tok) }
 
 // set gives key, whose cell was c, a new value marked for the commit.
 func (t *Table) set(p int, key string, c cell, value string, exists bool) {
@@ -164,7 +238,7 @@ func (s *FenceScope) ownCell(key string) (cell, error) {
 }
 
 // ownApply is Apply on the owned table. Nothing is ledger-stamped: the
-// commit records the whole task's gate instead.
+// partition's mark for the task's provenance fences the whole task instead.
 func (s *FenceScope) ownApply(op Op) (Result, error) {
 	c, err := s.ownCell(op.Key)
 	if err != nil {

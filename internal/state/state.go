@@ -49,8 +49,10 @@
 // carrying the Final's output records — inside the same SINKAPPEND
 // transaction as the output when its queues live on the namespace's server,
 // through an unbound scope (TaskGate.Admit) otherwise. A task of an owned
-// partition is gated the same way: its ops stamp no ledger field, and the
-// window's commit records the task's gate (GateField) with its effects.
+// partition stamps no ledger field either: its partition's high-water mark
+// for the task's provenance decides whether it is a replay (Table.Admit),
+// and the window's commit records the raised marks (MarkField) with its
+// effects.
 package state
 
 import (

@@ -259,9 +259,13 @@ func lookupGroup(s *Server, key, groupName string, now time.Time) (*group, *resp
 }
 
 // cmdXReadGroup serves XREADGROUP GROUP group consumer [COUNT n] [BLOCK ms]
-// STREAMS key... >..., the form the transport sends: new entries of one or
-// more streams, each entering the consumer's PEL. COUNT bounds each stream's
-// share; a blocked read wakes on an append to any of the keys.
+// [LEASES m (leaseKey token)...] STREAMS key... >..., the form the transport
+// sends: new entries of one or more streams, each entering the consumer's
+// PEL. COUNT bounds each stream's share; a blocked read wakes on an append
+// to any of the keys. LEASES guards the last m streams, in order: such a
+// stream is read, and waited on, only while its leaseKey holds its token,
+// checked each time the read looks for entries, so a consumer whose lease
+// was taken never moves the stream's new entries into its PEL.
 func cmdXReadGroup(s *Server, args []string) resp.Value {
 	if !strings.EqualFold(args[0], "GROUP") {
 		return resp.Err("ERR syntax error")
@@ -269,12 +273,20 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 	groupName, consumerName := args[1], args[2]
 	count := 0
 	blockMs := int64(-1)
+	var leases []string // (leaseKey, token) pairs of the last len(leases)/2 streams
 	i := 3
 	for ; i < len(args) && !strings.EqualFold(args[i], "STREAMS"); i += 2 {
 		if i+1 >= len(args) {
 			return resp.Err("ERR syntax error")
 		}
 		switch strings.ToUpper(args[i]) {
+		case "LEASES":
+			m, err := strconv.Atoi(args[i+1])
+			if err != nil || m < 1 || i+2+2*m > len(args) {
+				return resp.Err("ERR syntax error")
+			}
+			leases = args[i+2 : i+2+2*m]
+			i += 2 * m
 		case "COUNT":
 			n, err := strconv.Atoi(args[i+1])
 			if err != nil {
@@ -301,6 +313,10 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 			return resp.Err("ERR syntax error")
 		}
 	}
+	leased := len(keys) - len(leases)/2 // the first guarded stream
+	if leased < 0 {
+		return resp.Err("ERR syntax error")
+	}
 
 	var deadline time.Time
 	if blockMs > 0 {
@@ -317,7 +333,15 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 			groups[k] = g
 		}
 		var out []resp.Value
+		live := make([]string, 0, len(keys))
 		for k, key := range keys {
+			if k >= leased {
+				j := 2 * (k - leased)
+				if l, _ := s.db.lookupKind(leases[j], kindString, now); l == nil || l.str != leases[j+1] {
+					continue
+				}
+			}
+			live = append(live, key)
 			g := groups[k]
 			e, _ := s.db.lookupKind(key, kindStream, now)
 			entries := e.stream.rangeEntries(g.lastDelivered.Next(), maxStreamID, count)
@@ -335,7 +359,7 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 		if len(out) > 0 {
 			return resp.Arr(out...)
 		}
-		if blockMs < 0 || !s.awaitKeys(keys, deadline) {
+		if blockMs < 0 || len(live) == 0 || !s.awaitKeys(live, deadline) {
 			return resp.NilArray()
 		}
 	}

@@ -377,3 +377,66 @@ func TestXReadGroupStreams(t *testing.T) {
 		t.Fatal("a read blocked on two streams did not wake on their appends")
 	}
 }
+
+// TestXReadGroupLeases covers the lease-guarded read of a partition holder:
+// a guarded stream answers only while its lease key holds the reader's
+// token, checked again when a blocked read wakes, and the entries it skips
+// stay undelivered for the lease's holder.
+func TestXReadGroupLeases(t *testing.T) {
+	srv, cl := newPair(t)
+	for _, k := range []string{"own", "p"} {
+		if err := cl.XGroupCreate(k, "g", "0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Do("SET", "lease", "old"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.XAddValues("p", "n", "1"); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := cl.XReadGroupLeased("g", "w", 10, 0, []string{"own", "p"}, []string{"lease", "old"})
+	if err != nil || len(msgs) != 1 || msgs[0].Key != "p" || len(msgs[0].Entries) != 1 {
+		t.Fatalf("read under the lease: %+v %v", msgs, err)
+	}
+
+	if _, err := cl.Do("SET", "lease", "new"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.XAddValues("p", "n", "2"); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err = cl.XReadGroupLeased("g", "w", 10, 0, []string{"own", "p"}, []string{"lease", "old"})
+	if err != nil || len(msgs) != 0 {
+		t.Fatalf("read after the lease was taken: %+v %v, want nothing", msgs, err)
+	}
+
+	done := make(chan []redisclient.StreamMessages, 1)
+	go func() {
+		ms, err := cl.XReadGroupLeased("g", "w", 10, 200*time.Millisecond, []string{"own", "p"}, []string{"lease", "old"})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- ms
+	}()
+	time.Sleep(20 * time.Millisecond)
+	writer := redisclient.Dial(srv.Addr())
+	defer writer.Close()
+	if _, err := writer.XAddValues("p", "n", "3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.XAddValues("own", "n", "4"); err != nil {
+		t.Fatal(err)
+	}
+	if ms := <-done; len(ms) != 1 || ms[0].Key != "own" {
+		t.Fatalf("blocked read after the lease was taken: %+v, want only its own stream", ms)
+	}
+
+	msgs, err = writer.XReadGroupLeased("g", "w2", 10, 0, []string{"own", "p"}, []string{"lease", "new"})
+	if err != nil || len(msgs) != 1 || msgs[0].Key != "p" || len(msgs[0].Entries) != 2 {
+		t.Fatalf("the new holder's read: %+v %v, want both entries the old one skipped", msgs, err)
+	}
+	if v, err := cl.Do("XREADGROUP", "GROUP", "g", "w", "LEASES", "2", "lease", "old", "x", "y", "STREAMS", "p", ">"); err == nil {
+		t.Fatalf("more leases than streams answered %+v", v)
+	}
+}

@@ -65,6 +65,8 @@ var sentForms = [][]string{
 	{"XREADGROUP", "GROUP", "g", "w1", "STREAMS", "q", ">"},
 	{"XREADGROUP", "GROUP", "g", "w1", "COUNT", "1", "BLOCK", "1", "STREAMS", "q", ">"},
 	{"XREADGROUP", "GROUP", "g", "w1", "COUNT", "1", "BLOCK", "1", "STREAMS", "q", "r", ">", ">"},
+	// A partition holder's read: r only while "lease" holds token v.
+	{"XREADGROUP", "GROUP", "g", "w1", "COUNT", "1", "BLOCK", "1", "LEASES", "1", "lease", "v", "STREAMS", "q", "r", ">", ">"},
 	{"XPENDING", "q", "g", "-", "+", "10", "w0"},
 	{"XCLAIM", "q", "g", "w0", "0", "1-1", "1-2", "JUSTID"},
 	{"XAUTOCLAIM", "q", "g", "w1", "0", "0-0", "COUNT", "1"},

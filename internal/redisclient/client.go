@@ -749,18 +749,25 @@ func (c *Client) XReadGroup(group, consumer string, count int, block time.Durati
 // any of them has one. Only streams that delivered entries appear in the
 // result, in key order.
 func (c *Client) XReadGroupStreams(group, consumer string, count int, block time.Duration, keys ...string) ([]StreamMessages, error) {
-	v, err := c.do(block, xreadgroupArgs(group, consumer, count, block, keys))
+	return c.XReadGroupLeased(group, consumer, count, block, keys, nil)
+}
+
+// XReadGroupLeased is XReadGroupStreams whose last len(leases)/2 keys are
+// guarded by leases, (lease key, token) pairs in key order: the server reads
+// such a stream only while its lease key holds the token.
+func (c *Client) XReadGroupLeased(group, consumer string, count int, block time.Duration, keys, leases []string) ([]StreamMessages, error) {
+	v, err := c.do(block, xreadgroupArgs(group, consumer, count, block, keys, leases))
 	if err != nil {
 		return nil, err
 	}
 	return parseStreamsReply(v), nil
 }
 
-// XReadGroupStreamsAfter is XReadGroupStreams sent in one round trip after
+// XReadGroupLeasedAfter is XReadGroupLeased sent in one round trip after
 // the commands pre, which the server runs first, in order; their replies
 // come back in pre's order. The batch is never re-sent.
-func (c *Client) XReadGroupStreamsAfter(pre [][]string, group, consumer string, count int, block time.Duration, keys ...string) ([]resp.Value, []StreamMessages, error) {
-	cmds := append(pre[:len(pre):len(pre)], xreadgroupArgs(group, consumer, count, block, keys))
+func (c *Client) XReadGroupLeasedAfter(pre [][]string, group, consumer string, count int, block time.Duration, keys, leases []string) ([]resp.Value, []StreamMessages, error) {
+	cmds := append(pre[:len(pre):len(pre)], xreadgroupArgs(group, consumer, count, block, keys, leases))
 	c.statRoundTrips.Add(1)
 	_, replies, err := c.roundTrip(cmds, make([]resp.Value, 0, len(cmds)), false, max(block, 0))
 	if err != nil {
@@ -774,14 +781,18 @@ func (c *Client) XReadGroupStreamsAfter(pre [][]string, group, consumer string, 
 	return replies[:len(pre)], parseStreamsReply(replies[len(pre)]), nil
 }
 
-func xreadgroupArgs(group, consumer string, count int, block time.Duration, keys []string) []string {
-	args := make([]string, 0, 9+2*len(keys))
+func xreadgroupArgs(group, consumer string, count int, block time.Duration, keys, leases []string) []string {
+	args := make([]string, 0, 11+2*len(keys)+len(leases))
 	args = append(args, "XREADGROUP", "GROUP", group, consumer)
 	if count > 0 {
 		args = append(args, "COUNT", strconv.Itoa(count))
 	}
 	if block > 0 {
 		args = append(args, "BLOCK", millis(block))
+	}
+	if len(leases) > 0 {
+		args = append(args, "LEASES", strconv.Itoa(len(leases)/2))
+		args = append(args, leases...)
 	}
 	args = append(args, "STREAMS")
 	args = append(args, keys...)

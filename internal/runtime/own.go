@@ -32,10 +32,20 @@ import (
 //
 //   - one execution emits its children on an edge in increasing Seq, and the
 //     batcher and its pusher push them in emission order (emit.go);
-//   - a partition has one holder at a time, which reads its stream in ID
-//     order, the entries it adopted from the last holder first, and commits
-//     each window's marks with its acks, so what is acked is what the marks
-//     cover;
+//   - a partition has one holder at a time, and only it is delivered the
+//     partition's new entries. Under stale recovery, where a lease can
+//     expire and be taken over without its holder knowing, the server
+//     checks the lease on every read of a partition stream (readSet), so a
+//     worker whose lease was taken while it was on its way to the server
+//     reads nothing of the partition; otherwise only a holder gives its
+//     lease up, and it stops reading the partition when it does. A new
+//     holder adopts the partition's pending entries when it acquires the
+//     lease, before its first read, so it meets its entries in ID order, the
+//     adopted ones first, and it commits each window's marks with its acks,
+//     so what is acked is what the marks cover. An entry its idle sweep
+//     takes back from another worker reached this holder before, by
+//     adoption or read, and ran in a window the holder has committed (a
+//     sweep follows an empty pull): it is a replay;
 //   - when a parent runs twice, each Seq first appears at the earlier of its
 //     two positions, and the pointwise minimum of two increasing sequences
 //     increases.
@@ -43,8 +53,8 @@ import (
 // The last step assumes a replay re-emits the same children, in the same
 // order, as every fenced PE must for its children to meet their fences at
 // all. Marks are per partition, so they hold only under one partition count:
-// the namespace records its count (state.PartsField), and a run that finds
-// one recorded adopts it (see Partition).
+// a fresh run records its count in the namespace (state.PartsField), and a
+// resumed run adopts the recorded count (see Partition).
 //
 // Leases move by one protocol, whatever moves them:
 //
@@ -106,7 +116,7 @@ func (r *run) own() error {
 		if key == "" {
 			continue
 		}
-		ps, err := r.cfg.Transport.Partition(PartitionSpec{PE: n.Name, Parts: partsPerWorker * plan.Pool, HomeKey: key, Home: addr})
+		ps, err := r.cfg.Transport.Partition(PartitionSpec{PE: n.Name, Parts: partsPerWorker * plan.Pool, HomeKey: key, Home: addr, Resume: r.opts.StateResume})
 		if err != nil {
 			return err
 		}
@@ -237,8 +247,9 @@ func (wk *worker) slotFor(env Env) *ownSlot {
 }
 
 // admit decides how a partition delivery runs. A delivery of a partition the
-// worker does not hold does not run: it stays unacked, and the partition's
-// holder adopts its entry (a fence drop). A fenced task at or below its
+// worker does not hold does not run: it stays unacked, for the partition's
+// holder, which adopts it when it acquires the lease or, if it held the entry
+// already, takes it back with its idle sweep (a fence drop). A fenced task at or below its
 // partition's mark for its provenance — recorded, or raised earlier in this
 // window — is a duplicate: it runs as a replay, every mutation dropped, so
 // that its children, stamped with the original's identities, reach

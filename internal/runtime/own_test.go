@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diagnosis"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
@@ -378,9 +379,10 @@ func (p *ledgerCountPE) Final(*core.Context) error { return p.fields() }
 
 // TestOwnedLedgerPlateaus: a fenced owned count keeps one mark per
 // (partition, provenance) and the partition count, not a field per task, so
-// runs over N and 4N events leave the same number of ledger fields in the
-// namespace, at most P × provenances + 1, when every task has run (the PE's
-// Final).
+// when one parent emits every task — here the source's generate task, the
+// one provenance — runs over N and 4N events leave the same number of
+// ledger fields in the namespace, at most P × 1 + 1, when every task has run
+// (the PE's Final). A per-event parent would leave a mark per task.
 func TestOwnedLedgerPlateaus(t *testing.T) {
 	const procs = 2
 	fields := func(n int) int {
@@ -421,5 +423,229 @@ func TestOwnedLedgerPlateaus(t *testing.T) {
 	small, large := fields(500), fields(2000)
 	if bound := partsPerWorker*procs*1 + 1; small < 2 || small > bound || large != small {
 		t.Fatalf("ledger fields: %d after 500 events, %d after 2000; want the same number, 2 to %d", small, large, bound)
+	}
+}
+
+// staleHolder stalls the first read of a worker that holds partitions of the
+// owned PE once the source has paused halfway, after the worker's lease step
+// and before its read, until another worker has taken every one of those
+// leases over. It then holds every other worker's pulls back, lets the
+// source emit its second half onto the partitions, and only then sends the
+// stalled worker's read, one entry per stream, with the leases the worker
+// still believes it holds. The other workers' pulls resume once that read
+// has returned.
+type staleHolder struct {
+	*RedisTransport
+	paused   atomic.Bool   // the source has emitted its first half
+	resume   chan struct{} // closed: the source emits its second half
+	released chan struct{} // closed: the stale read has returned
+	n        int           // tasks the source emits
+	pushed   atomic.Int64  // of those, pushed so far
+	stalled  atomic.Bool
+	gated    atomic.Bool
+	inFlight atomic.Int32 // other workers' pulls under way
+	diag     *diagnosis.Diag
+	tookOver atomic.Bool  // no stalled lease was the worker's before the read, and the journal shows a takeover
+	stolen   atomic.Int64 // deliveries of the stalled partitions the stale read returned
+}
+
+func (s *staleHolder) Push(tasks ...Task) error {
+	err := s.RedisTransport.Push(tasks...)
+	for _, t := range tasks {
+		if t.PE == "count" {
+			s.pushed.Add(1)
+		}
+	}
+	return err
+}
+
+func (s *staleHolder) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
+	// A pull that would hand out entries adopted with a lease reads nothing.
+	if s.paused.Load() && len(s.owned[0].Held(w)) > 0 && len(s.claimed[w]) == 0 && s.stalled.CompareAndSwap(false, true) {
+		return s.staleRead(w, timeout)
+	}
+	s.inFlight.Add(1)
+	if s.gated.Load() {
+		s.inFlight.Add(-1)
+		<-s.released
+		s.inFlight.Add(1)
+	}
+	defer s.inFlight.Add(-1)
+	return s.RedisTransport.PullBatch(w, max, timeout)
+}
+
+// pause, called halfway by the generate task running on worker w (its
+// context's instance), waits for the stale read to be set up, heartbeating
+// the task's entry so that no other worker reclaims it meanwhile.
+func (s *staleHolder) pause(w int) error {
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case <-s.resume:
+			return nil
+		case <-deadline:
+			return fmt.Errorf("no holder stalled")
+		case <-time.After(time.Millisecond):
+			if err := s.Extend(w); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+func (s *staleHolder) staleRead(w int, timeout time.Duration) ([]Env, error) {
+	defer close(s.released)
+	ps := s.owned[0]
+	toks := map[int]string{}
+	for _, p := range ps.Held(w) {
+		toks[p] = ps.held[w][p]
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !s.tookOver.Load() && time.Now().Before(deadline) {
+		gone := true
+		for p, tok := range toks {
+			v, _, err := ps.cl.Get(ps.leases[p])
+			if err != nil {
+				return nil, err
+			}
+			gone = gone && v != tok
+		}
+		taken := false
+		for _, ev := range s.diag.Journal.Events() {
+			taken = taken || ev.Kind == diagnosis.EvPartition && strings.Contains(ev.Detail, "took over")
+		}
+		s.tookOver.Store(gone && taken)
+		time.Sleep(time.Millisecond)
+	}
+	s.gated.Store(true)
+	for s.inFlight.Load() > 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(s.resume)
+	for s.pushed.Load() < int64(s.n) && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	swept := s.reclaims(w)
+	envs, err := s.RedisTransport.PullBatch(w, 1, timeout)
+	if s.reclaims(w) > swept {
+		// The read found nothing, and the idle sweep took back entries the
+		// new holder had already been delivered.
+		return envs, err
+	}
+	for _, env := range envs {
+		if _, ok := toks[env.Instance]; ok && env.PE == "count" {
+			s.stolen.Add(1)
+		}
+	}
+	return envs, err
+}
+
+// reclaims counts the idle sweeps of worker w that took entries.
+func (s *staleHolder) reclaims(w int) int {
+	n := 0
+	for _, ev := range s.diag.Journal.Events() {
+		if ev.Kind == diagnosis.EvReclaim && ev.Worker == w {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStaleHolderReadsNothingAfterTakeover stalls a partition holder between
+// its lease step and its read for longer than the lease's TTL, until another
+// worker has taken its partitions over, and has the source emit more tasks
+// onto them before the stale read is sent. One provenance (the generate
+// task) feeds every partition. The read must not deliver the partitions'
+// new entries to the stale holder — they would reach the new holder only
+// after later ones had raised its mark past them, and run as replays — so
+// every key's total equals simple's.
+func TestStaleHolderReadsNothingAfterTakeover(t *testing.T) {
+	const n = 1200
+	var st *staleHolder
+	build := func(add func(ctx *core.Context, key string) error) *graph.Graph {
+		g := graph.New("owned")
+		g.Add(func() core.PE {
+			return core.NewSource("gen", func(ctx *core.Context) error {
+				for i := 0; i < n; i++ {
+					if st != nil && i%32 == 0 {
+						// Heartbeat the generate task's entry, so that no
+						// idle worker reclaims and reruns the task.
+						if err := st.Extend(ctx.Instance()); err != nil {
+							return err
+						}
+					}
+					// Only the first execution to get here pauses: a rerun of
+					// the task, reclaimed from a worker that stalled before
+					// its first heartbeat, runs through.
+					if i == n/2 && st != nil && st.paused.CompareAndSwap(false, true) {
+						if err := st.pause(ctx.Instance()); err != nil {
+							return err
+						}
+					}
+					if err := ctx.EmitDefault(fmt.Sprintf("k%d", i%40)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		g.Add(func() core.PE {
+			return core.NewEach("count", func(ctx *core.Context, v any) error { return add(ctx, v.(string)) })
+		}).SetKeyedState()
+		g.Pipe("gen", "count").SetGrouping(graph.GroupByKey(func(v any) string { return v.(string) }))
+		return g
+	}
+	totals := func(run func(g *graph.Graph) error) string {
+		var mu sync.Mutex
+		top := map[string]int64{}
+		add := func(ctx *core.Context, key string) error {
+			n, err := ctx.State().AddInt(key, 1)
+			mu.Lock()
+			top[key] = max(top[key], n)
+			mu.Unlock()
+			return err
+		}
+		if err := run(build(add)); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for k, n := range top {
+			got = append(got, fmt.Sprintf("%s=%d", k, n))
+		}
+		sort.Strings(got)
+		return strings.Join(got, " ")
+	}
+	simple, err := mapping.Get("simple")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := totals(func(g *graph.Graph) error {
+		_, err := simple.Execute(g, mapping.Options{Processes: 1, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1})
+		return err
+	})
+
+	got := totals(func(g *graph.Graph) error {
+		_, err := ownRun(t, g, 3, nil, func(o *mapping.Options, c *Config) {
+			tr := c.Transport.(*RedisTransport)
+			stale, err := NewRedisTransport(tr.cluster, tr.keys, tr.plan, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.RecoverStale = true
+			o.Diagnosis = diagnosis.New(diagnosis.Config{})
+			stale.SetDiagnosis(o.Diagnosis)
+			st = &staleHolder{RedisTransport: stale, diag: o.Diagnosis, n: n, resume: make(chan struct{}), released: make(chan struct{})}
+			c.Transport = st
+		})
+		return err
+	})
+	if !st.tookOver.Load() {
+		t.Fatal("no takeover freed every lease of the stalled holder")
+	}
+	if k := st.stolen.Load(); k != 0 {
+		t.Errorf("the stale read delivered %d tasks of partitions whose leases were taken", k)
+	}
+	if got != want {
+		t.Fatalf("totals after a stale holder's read:\n got %s\nwant %s", got, want)
 	}
 }

@@ -17,12 +17,14 @@ import (
 
 // PartitionSpec asks a transport to carry one owned PE's tasks on leased
 // partitions (see own.go): the PE, the partition count a fresh namespace
-// gets, and the hash holding its namespace and the address of that hash's
-// server. A namespace that already records a count keeps it (see Partition).
+// gets, the hash holding its namespace and the address of that hash's
+// server, and whether the run resumes that namespace. A resumed namespace
+// that records a count keeps it (see Partition).
 type PartitionSpec struct {
 	PE            string
 	Parts         int
 	HomeKey, Home string
+	Resume        bool
 }
 
 // Partitions is one owned PE's leased partitions on a RedisTransport. Each
@@ -34,9 +36,9 @@ type PartitionSpec struct {
 // transaction that lands only while the lease is still its own.
 //
 // The partition count is the namespace's: the marks are per partition, so a
-// run whose namespace records a count (state.PartsField) adopts it, whatever
-// its own pool size asks for, and a run whose namespace records none writes
-// its count with its commits until one has landed.
+// fresh run records its count (state.PartsField) before any commit, and a
+// resumed run adopts the recorded count, whatever its own pool size asks
+// for.
 //
 // The per-worker fields are touched only by that worker's goroutine, like
 // RedisTransport.frames.
@@ -49,7 +51,6 @@ type Partitions struct {
 	streams []string      // partition p's stream
 	leases  []string      // partition p's lease key
 	ttl     time.Duration // a lease's TTL; 0 (no expiry) without stale recovery
-	counted atomic.Bool   // the namespace records the partition count
 
 	used     []atomic.Bool    // partition → it has had a holder in this run
 	held     []map[int]string // worker → partition → its lease token
@@ -67,10 +68,12 @@ var leaseSeq atomic.Int64
 // Partition implements Transport: when the PE's namespace lives on this
 // transport's cluster, it lays out partition streams beside the namespace's
 // hash and returns them; otherwise it returns nil and the PE keeps the pool.
-// One pipelined round trip reads the namespace's recorded partition count
-// and creates spec.Parts groups. A recorded count that differs — a resumed
-// run on another pool size — is adopted, at the cost of one more round trip
-// that fixes the streams up, and journaled.
+// One pipelined round trip creates spec.Parts groups and, on a fresh run,
+// records the count in the namespace or, on a resumed one, reads the count
+// recorded there. A recorded count that differs — a resumed run on another
+// pool size — is adopted, at the cost of one more round trip that fixes the
+// streams up, and journaled; a resumed namespace that records none gets
+// spec.Parts in that round trip.
 func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	open := strings.IndexByte(spec.HomeKey, '{')
 	end := strings.IndexByte(spec.HomeKey, '}')
@@ -85,7 +88,11 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	cl := t.cluster.Shard(shard)
 	stream := func(p int) string { return fmt.Sprintf("%s:part:%s%s:%d", t.keys.Prefix, spec.PE, tag, p) }
 	create := func(p int) []string { return []string{"XGROUP", "CREATE", stream(p), t.keys.Group, "0", "MKSTREAM"} }
-	cmds := [][]string{{"HGET", spec.HomeKey, state.PartsField}}
+	record := []string{"HSET", spec.HomeKey, state.PartsField, strconv.Itoa(spec.Parts)}
+	cmds := [][]string{record}
+	if spec.Resume {
+		cmds[0] = []string{"HGET", spec.HomeKey, state.PartsField}
+	}
 	for p := range spec.Parts {
 		cmds = append(cmds, create(p))
 	}
@@ -93,33 +100,36 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: create partition groups of %s: %w", spec.PE, err)
 	}
-	parts, counted := spec.Parts, !replies[0].IsNull()
-	if counted {
+	parts := spec.Parts
+	var fix [][]string
+	switch {
+	case !spec.Resume:
+	case replies[0].IsNull():
+		fix = append(fix, record)
+	default:
 		if parts, err = strconv.Atoi(replies[0].Str); err != nil || parts < 1 {
 			return nil, fmt.Errorf("runtime: partition count %q recorded for %s is not a count", replies[0].Str, spec.PE)
 		}
 	}
-	if parts != spec.Parts {
-		var fix [][]string
-		for p := spec.Parts; p < parts; p++ {
-			fix = append(fix, create(p))
-		}
-		for p := parts; p < spec.Parts; p++ {
-			fix = append(fix, []string{"DEL", stream(p)})
-		}
+	for p := spec.Parts; p < parts; p++ {
+		fix = append(fix, create(p))
+	}
+	for p := parts; p < spec.Parts; p++ {
+		fix = append(fix, []string{"DEL", stream(p)})
+	}
+	if len(fix) > 0 {
 		if _, err := cl.Pipeline(fix); err != nil {
 			return nil, fmt.Errorf("runtime: adopt the partition count of %s: %w", spec.PE, err)
 		}
-		if t.diag != nil {
-			t.diag.Log(diagnosis.EvPartition, -1, spec.PE, fmt.Sprintf("adopted the namespace's %d partitions instead of %d", parts, spec.Parts), int64(parts))
-		}
+	}
+	if parts != spec.Parts && t.diag != nil {
+		t.diag.Log(diagnosis.EvPartition, -1, spec.PE, fmt.Sprintf("adopted the namespace's %d partitions instead of %d", parts, spec.Parts), int64(parts))
 	}
 	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: cl, home: spec.HomeKey,
 		used: make([]atomic.Bool, parts), held: make([]map[int]string, len(t.plan.Workers)), heldList: make([][]int, len(t.plan.Workers)),
 		renewed: make([]time.Time, len(t.plan.Workers)), staged: make([]*stagedCommit, len(t.plan.Workers)),
 		stage: make([]stagedCommit, len(t.plan.Workers)), args: make([][]string, len(t.plan.Workers)),
 		lost: make([][]int, len(t.plan.Workers))}
-	ps.counted.Store(counted)
 	if t.recoverStale {
 		ps.ttl = reclaimPolls * pollTimeout
 	}
@@ -328,13 +338,10 @@ func (ps *Partitions) Lost(w int) []int {
 }
 
 // commitArgv builds the SINKAPPEND LEASE of worker w's blocks in buf's
-// storage. Until the namespace records the partition count, every block
-// records it too: whichever block lands first, its marks land with the count
-// they were kept under.
+// storage.
 func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []string {
 	t := ps.t
 	c := redisclient.NewLeaseCommit(buf, ps.home, ps.ttl)
-	count := !ps.counted.Load()
 	for _, b := range blocks {
 		stream := ps.streams[b.Part]
 		c.Block(ps.leases[b.Part], ps.held[w][b.Part])
@@ -343,11 +350,7 @@ func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []str
 			if keep {
 				op = "HSET"
 			}
-			opened := keep && count
-			if opened {
-				c.Sub(op)
-				c.Arg(state.PartsField, strconv.Itoa(len(ps.streams)))
-			}
+			opened := false
 			for _, wr := range b.Writes {
 				if wr.Keep != keep {
 					continue
@@ -378,8 +381,7 @@ func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []str
 
 // land books the reply v of worker w's commit of blocks: a block whose lease
 // was lost applied nothing, and its partition is no longer w's; a released
-// one is no longer w's either. The lost partitions are returned. A block
-// that applied recorded the partition count, if it was not recorded before.
+// one is no longer w's either. The lost partitions are returned.
 func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) (lost []int, err error) {
 	applied, _ := redisclient.LeaseReplies(v)
 	if len(applied) != len(blocks) {
@@ -394,9 +396,6 @@ func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) (lost []int
 		case b.Release:
 			ps.forget(w, b.Part)
 		}
-	}
-	if !ps.counted.Load() && slices.Contains(applied, true) {
-		ps.counted.Store(true)
 	}
 	return lost, nil
 }

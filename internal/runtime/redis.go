@@ -214,18 +214,28 @@ func (t *RedisTransport) homeShard(w int) int {
 }
 
 // readSet is what worker w reads on shard: its own stream plus the
-// partitions it holds there.
-func (t *RedisTransport) readSet(w, shard int) []string {
-	keys := []string{t.streamFor(w)}
+// partitions it holds there and, under stale recovery, for those partitions
+// in the same order, the (lease key, token) pairs under which the server
+// lets w read them. A read thus never delivers a partition's entries to a
+// worker whose lease expired or was taken since it last looked: they wait
+// for the new holder, which reads them in ID order after the entries it
+// adopted (see own.go). Without stale recovery a lease never expires and
+// only its holder gives it up, so w's own view is exact and the read
+// carries no leases.
+func (t *RedisTransport) readSet(w, shard int) (keys, leases []string) {
+	keys = []string{t.streamFor(w)}
 	for _, ps := range t.owned {
 		if ps.shard != shard {
 			continue
 		}
 		for _, p := range ps.Held(w) {
 			keys = append(keys, ps.streams[p])
+			if ps.ttl > 0 {
+				leases = append(leases, ps.leases[p], ps.held[w][p])
+			}
 		}
 	}
-	return keys
+	return keys, leases
 }
 
 // instanceStream is the stream of a task addressed to instance i of pe: a
@@ -462,7 +472,9 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 // blocking XREADGROUP on the home shard returns at once if entries are
 // already there and otherwise parks for the timeout or until Done. A worker
 // holding leased partitions reads them in the same command as its own
-// stream, on their namespace's shard, which is then its home. An idle pull
+// stream, on their namespace's shard, which is then its home, and under
+// stale recovery the server serves each only while its lease is still the
+// worker's. An idle pull
 // costs one round trip per shard; a zero timeout keeps the home read
 // non-blocking. Each entry may itself be a packed batch frame, so the
 // returned batch can exceed max — max is advisory, and bounds each stream's
@@ -492,7 +504,8 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	shard := home
 	for i := 1; i < n; i++ {
 		s := (home + i) % n
-		ms, err := t.cluster.Shard(s).XReadGroupStreams(t.keys.Group, consumer, max, 0, t.readSet(w, s)...)
+		keys, leases := t.readSet(w, s)
+		ms, err := t.cluster.Shard(s).XReadGroupLeased(t.keys.Group, consumer, max, 0, keys, leases)
 		if err != nil {
 			return nil, t.maybeClosed(err)
 		}
@@ -520,10 +533,13 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 		// or descheduled), sweeping shard by shard: XAUTOCLAIM moves idle
 		// pending entries of the shard's partition into this worker's PEL so
 		// the stream's at-least-once guarantee actually holds under failures.
-		// A leased partition is swept only by its holder.
+		// A leased partition is swept only by the worker that believes it
+		// holds it; as its reads are lease-checked, what a stale holder
+		// sweeps there was delivered to the real holder already.
 		for i := 0; i < n; i++ {
 			s := (home + i) % n
-			ms, err := t.cluster.Shard(s).XAutoClaimStreams(t.keys.Group, consumer, reclaimPolls*timeout, max, t.readSet(w, s)...)
+			keys, _ := t.readSet(w, s)
+			ms, err := t.cluster.Shard(s).XAutoClaimStreams(t.keys.Group, consumer, reclaimPolls*timeout, max, keys...)
 			if err == nil && len(ms) > 0 {
 				msgs, shard, reclaimed = ms, s, true
 				break
@@ -569,10 +585,11 @@ func (t *RedisTransport) readHome(w, home, max int, timeout time.Duration) ([]re
 		}
 	}
 	cl := t.cluster.Shard(home)
+	keys, leases := t.readSet(w, home)
 	if len(pre) == 0 {
-		return cl.XReadGroupStreams(t.keys.Group, t.consumers[w], max, timeout, t.readSet(w, home)...)
+		return cl.XReadGroupLeased(t.keys.Group, t.consumers[w], max, timeout, keys, leases)
 	}
-	replies, msgs, err := cl.XReadGroupStreamsAfter(pre, t.keys.Group, t.consumers[w], max, timeout, t.readSet(w, home)...)
+	replies, msgs, err := cl.XReadGroupLeasedAfter(pre, t.keys.Group, t.consumers[w], max, timeout, keys, leases)
 	if err != nil {
 		return nil, err
 	}

@@ -52,8 +52,9 @@ type mark struct {
 
 // markCache bounds a partition's marks kept across commits: past it, a
 // commit forgets the clean ones, and a provenance seen again is loaded
-// again. A workload whose every task is a provenance of its own keeps no
-// more than this per partition.
+// again. It is a memory bound for an owned PE fed by a per-event upstream
+// PE, whose every task is a provenance of its own; no measured workload
+// reaches it, so neither its value nor the forget-all policy is tuned.
 const markCache = 1024
 
 // Write is one dirty key's final value; Keep false deletes the key.

@@ -444,6 +444,11 @@ type router struct {
 	processing bool
 	inlineNs   int64
 	timing     bool
+
+	// beat, set while a source's Generate runs, is the worker's progress
+	// heartbeat (Transport.Extend), called at each emission: a Generate is
+	// one task, however long it runs.
+	beat func()
 }
 
 // begin marks the start of one task execution: subsequent emissions derive
@@ -535,6 +540,9 @@ func (r *router) emitFor(node string) func(port string, value any) error {
 		}
 	}
 	return func(port string, value any) error {
+		if r.beat != nil {
+			r.beat()
+		}
 		for ei, e := range edges {
 			if e.FromPort != port {
 				continue

@@ -18,8 +18,21 @@ import (
 // window — the dirty keys' final values, the raised marks, the window's
 // acks — in one transaction at refill, where the ack flush sits. A window
 // costs at most one state round trip of its own, a load of its cold keys and
-// marks before it runs, instead of one per op; its commit rides the worker's
-// next pull.
+// marks before it runs, instead of one per op, and none when its partitions
+// are complete; its commit rides the worker's next pull.
+//
+// A window of a complete partition loads nothing: its holder is the
+// partition's first in a run that does not resume (Partitions.Acquire's
+// fresh), so what its table lacks is absent from the backend
+// (state.Table.Complete). That holds because a fresh run drops the
+// namespace at setup, before any worker starts, a lease holder is its
+// partition's only writer, and the PE's managed Final, the one other
+// writer, runs after the drain, when no task of the PE is left to run on a
+// partition (the graph is acyclic, so no later Final feeds it). Completeness
+// ends with the holder's table — a release, a loss, a takeover — so a
+// partition that has had a holder, and every partition of a resumed run,
+// loads as above; and the marks of a partition that passes markCache are
+// loaded again once forgotten.
 //
 // Under fencing a partition keeps one high-water mark per provenance
 // (Task.Src): the highest Seq of that provenance that has run in it. A
@@ -421,10 +434,13 @@ func (wk *worker) lease() error {
 			continue
 		}
 		cand := o.claim(w, quota-len(held), wk.r.cfg.Plan.Pool)
-		got, err := o.ps.Acquire(w, cand)
+		got, fresh, err := o.ps.Acquire(w, cand)
 		for _, p := range cand {
 			if slices.Contains(got, p) {
 				s.table.Drop(p)
+				if slices.Contains(fresh, p) {
+					s.table.Complete(p)
+				}
 			} else {
 				o.free(p, w)
 			}
@@ -461,7 +477,8 @@ func (wk *worker) takeover() error {
 // load readies a pulled window's partition deliveries: for each owned PE,
 // one round trip reads, per held partition, the group keys the table lacks
 // and, under fencing, the marks of the provenances it has not met yet. A
-// window that lacks neither makes no round trip.
+// window that lacks neither, as every window of a complete partition,
+// makes no round trip.
 func (wk *worker) load() error {
 	for _, s := range wk.own {
 		if err := wk.loadSlot(s); err != nil {

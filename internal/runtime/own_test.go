@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -26,6 +28,13 @@ import (
 // server; opt, when non-nil, adjusts the options and config before the run.
 func ownRun(t *testing.T, g *graph.Graph, procs int, backend state.Backend, opt func(*mapping.Options, *Config)) (*RedisTransport, error) {
 	t.Helper()
+	return ownRunOn(t, ownCluster(t, nil), g, procs, backend, opt)
+}
+
+// ownCluster starts one embedded server and a cluster over it whose client
+// dials through dial, when non-nil.
+func ownCluster(t *testing.T, dial func(network, addr string, timeout time.Duration) (net.Conn, error)) *redisclient.Cluster {
+	t.Helper()
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +45,13 @@ func ownRun(t *testing.T, g *graph.Graph, procs int, backend state.Backend, opt 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
+	cluster.Shard(0).Dialer = dial
+	return cluster
+}
+
+// ownRunOn is ownRun on a given cluster.
+func ownRunOn(t *testing.T, cluster *redisclient.Cluster, g *graph.Graph, procs int, backend state.Backend, opt func(*mapping.Options, *Config)) (*RedisTransport, error) {
+	t.Helper()
 	plan := PoolPlan(g, procs)
 	keys := NewRunKeys(g.Name, 1)
 	tr, err := NewRedisTransport(cluster, keys, plan, false)
@@ -77,6 +93,40 @@ func countGraph(n int, write func(ctx *core.Context, key string) error, shape fu
 		shape(g)
 	}
 	return g
+}
+
+// keyTotals builds a graph around add, which counts a key in the owned
+// PE's state, runs it — under simple when run is nil — and returns each
+// key's highest running count, sorted.
+func keyTotals(t *testing.T, build func(add func(ctx *core.Context, key string) error) *graph.Graph, run func(g *graph.Graph) error) string {
+	t.Helper()
+	var mu sync.Mutex
+	top := map[string]int64{}
+	add := func(ctx *core.Context, key string) error {
+		n, err := ctx.State().AddInt(key, 1)
+		mu.Lock()
+		top[key] = max(top[key], n)
+		mu.Unlock()
+		return err
+	}
+	if run == nil {
+		run = func(g *graph.Graph) error {
+			simple, err := mapping.Get("simple")
+			if err == nil {
+				_, err = simple.Execute(g, mapping.Options{Processes: 1, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1})
+			}
+			return err
+		}
+	}
+	if err := run(build(add)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k, n := range top {
+		got = append(got, fmt.Sprintf("%s=%d", k, n))
+	}
+	sort.Strings(got)
+	return strings.Join(got, " ")
 }
 
 // TestOwnershipContract: a keyed-state PE behind group-by edges, whose state
@@ -230,26 +280,14 @@ func TestGenerateHoldsNoLease(t *testing.T) {
 func TestOwnedCountsMatchSimple(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("%dprocs", procs), func(t *testing.T) {
-			var mu sync.Mutex
-			totals := map[string]int64{}
-			add := func(ctx *core.Context, key string) error {
-				n, err := ctx.State().AddInt(key, 1)
-				mu.Lock()
-				totals[key] = max(totals[key], n)
-				mu.Unlock()
-				return err
-			}
-			if _, err := ownRun(t, countGraph(1000, add, nil), procs, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for k, n := range totals {
-				got = append(got, fmt.Sprintf("%s=%d", k, n))
-			}
-			sort.Strings(got)
+			got := keyTotals(t, func(add func(ctx *core.Context, key string) error) *graph.Graph { return countGraph(1000, add, nil) },
+				func(g *graph.Graph) error {
+					_, err := ownRun(t, g, procs, nil, nil)
+					return err
+				})
 			want := "k0=100 k1=100 k2=100 k3=100 k4=100 k5=100 k6=100 k7=100 k8=100 k9=100"
-			if strings.Join(got, " ") != want {
-				t.Fatalf("running counts reached %v, want %s", got, want)
+			if got != want {
+				t.Fatalf("running counts reached %s, want %s", got, want)
 			}
 		})
 	}
@@ -315,43 +353,16 @@ func TestOwnedMarksUnderInterleavedDuplicateExecution(t *testing.T) {
 		g.Pipe("gen", "count").SetGrouping(graph.GroupByKey(func(v any) string { return v.(string) }))
 		return g
 	}
-	totals := func(run func(g *graph.Graph) error, dup bool) string {
-		var mu sync.Mutex
-		top := map[string]int64{}
-		add := func(ctx *core.Context, key string) error {
-			n, err := ctx.State().AddInt(key, 1)
-			mu.Lock()
-			top[key] = max(top[key], n)
-			mu.Unlock()
-			return err
-		}
-		if err := run(build(dup, add)); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for k, n := range top {
-			got = append(got, fmt.Sprintf("%s=%d", k, n))
-		}
-		sort.Strings(got)
-		return strings.Join(got, " ")
-	}
-	simple, err := mapping.Get("simple")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := totals(func(g *graph.Graph) error {
-		_, err := simple.Execute(g, mapping.Options{Processes: 1, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1})
-		return err
-	}, false)
+	want := keyTotals(t, func(add func(ctx *core.Context, key string) error) *graph.Graph { return build(false, add) }, nil)
 
 	reg := telemetry.New(telemetry.Config{TraceSampleEvery: -1})
-	got := totals(func(g *graph.Graph) error {
+	got := keyTotals(t, func(add func(ctx *core.Context, key string) error) *graph.Graph { return build(true, add) }, func(g *graph.Graph) error {
 		_, err := ownRun(t, g, 3, nil, func(o *mapping.Options, c *Config) {
 			o.Telemetry = reg
 			c.Transport = dupGenerate{c.Transport.(*RedisTransport)}
 		})
 		return err
-	}, true)
+	})
 	if overlapped.Load() != 2 {
 		t.Fatalf("the two executions of the generate task did not overlap (%d of 2 saw both running)", overlapped.Load())
 	}
@@ -567,13 +578,6 @@ func TestStaleHolderReadsNothingAfterTakeover(t *testing.T) {
 		g.Add(func() core.PE {
 			return core.NewSource("gen", func(ctx *core.Context) error {
 				for i := 0; i < n; i++ {
-					if st != nil && i%32 == 0 {
-						// Heartbeat the generate task's entry, so that no
-						// idle worker reclaims and reruns the task.
-						if err := st.Extend(ctx.Instance()); err != nil {
-							return err
-						}
-					}
 					// Only the first execution to get here pauses: a rerun of
 					// the task, reclaimed from a worker that stalled before
 					// its first heartbeat, runs through.
@@ -595,36 +599,9 @@ func TestStaleHolderReadsNothingAfterTakeover(t *testing.T) {
 		g.Pipe("gen", "count").SetGrouping(graph.GroupByKey(func(v any) string { return v.(string) }))
 		return g
 	}
-	totals := func(run func(g *graph.Graph) error) string {
-		var mu sync.Mutex
-		top := map[string]int64{}
-		add := func(ctx *core.Context, key string) error {
-			n, err := ctx.State().AddInt(key, 1)
-			mu.Lock()
-			top[key] = max(top[key], n)
-			mu.Unlock()
-			return err
-		}
-		if err := run(build(add)); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for k, n := range top {
-			got = append(got, fmt.Sprintf("%s=%d", k, n))
-		}
-		sort.Strings(got)
-		return strings.Join(got, " ")
-	}
-	simple, err := mapping.Get("simple")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := totals(func(g *graph.Graph) error {
-		_, err := simple.Execute(g, mapping.Options{Processes: 1, Platform: platform.Platform{Name: "test", Cores: 4}, Seed: 1})
-		return err
-	})
+	want := keyTotals(t, build, nil)
 
-	got := totals(func(g *graph.Graph) error {
+	got := keyTotals(t, build, func(g *graph.Graph) error {
 		_, err := ownRun(t, g, 3, nil, func(o *mapping.Options, c *Config) {
 			tr := c.Transport.(*RedisTransport)
 			stale, err := NewRedisTransport(tr.cluster, tr.keys, tr.plan, true)
@@ -647,5 +624,157 @@ func TestStaleHolderReadsNothingAfterTakeover(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("totals after a stale holder's read:\n got %s\nwant %s", got, want)
+	}
+}
+
+// wireCounter dials TCP and counts, in what its connections write, the
+// commands that read a hash field (HGET, on its own or as a lease read's
+// sub-command) and the lease-checked blocks (SINKAPPEND).
+type wireCounter struct{ hgets, sinkAppends atomic.Int64 }
+
+func (c *wireCounter) dial(network, addr string, timeout time.Duration) (net.Conn, error) {
+	nc, err := net.DialTimeout(network, addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: nc, c: c}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	c *wireCounter
+}
+
+func (cc *countedConn) Write(b []byte) (int, error) {
+	cc.c.hgets.Add(int64(bytes.Count(b, []byte("$4\r\nHGET\r\n"))))
+	cc.c.sinkAppends.Add(int64(bytes.Count(b, []byte("$10\r\nSINKAPPEND\r\n"))))
+	return cc.Conn.Write(b)
+}
+
+// TestFreshOwnedRunReadsNoLease: on a fresh run a partition's first holder
+// holds all of its state, so a fenced owned count whose leases never move
+// (one worker) reads no key and no mark from its namespace — no lease read,
+// no backend Get — and still lands simple's totals.
+func TestFreshOwnedRunReadsNoLease(t *testing.T) {
+	build := func(add func(ctx *core.Context, key string) error) *graph.Graph { return countGraph(1000, add, nil) }
+	want := keyTotals(t, build, nil)
+
+	var wire wireCounter
+	var tr *RedisTransport
+	got := keyTotals(t, build, func(g *graph.Graph) error {
+		var err error
+		tr, err = ownRunOn(t, ownCluster(t, wire.dial), g, 1, nil, nil)
+		return err
+	})
+	if len(tr.owned) != 1 || wire.sinkAppends.Load() == 0 {
+		t.Fatalf("count owned %v, %d lease-checked blocks sent: the owned path did not run", len(tr.owned) == 1, wire.sinkAppends.Load())
+	}
+	if n := wire.hgets.Load(); n != 0 {
+		t.Errorf("a fresh run with no lease movement sent %d hash reads, want 0", n)
+	}
+	if got != want {
+		t.Fatalf("totals:\n got %s\nwant %s", got, want)
+	}
+}
+
+// markReplay remembers the first task pushed to the owned PE count, so that
+// it can be delivered again later (again).
+type markReplay struct {
+	*RedisTransport
+	mu    sync.Mutex
+	first *Task
+}
+
+func (m *markReplay) Push(tasks ...Task) error {
+	m.mu.Lock()
+	for _, t := range tasks {
+		if t.PE == "count" && m.first == nil {
+			m.first = &t
+		}
+	}
+	m.mu.Unlock()
+	return m.RedisTransport.Push(tasks...)
+}
+
+func (m *markReplay) again() error {
+	m.mu.Lock()
+	t := *m.first
+	m.mu.Unlock()
+	return m.RedisTransport.Push(t)
+}
+
+// TestForgottenMarkIsLoadedAgain: a fenced owned count fed by a per-event
+// upstream PE meets one provenance per task, so its one hot partition passes
+// markCache marks and a commit forgets them. The partition began complete,
+// with its first holder; an early provenance delivered again after the
+// forget must still load its mark and run as a replay — one fence drop, the
+// key's total unchanged — not find it absent and count twice.
+func TestForgottenMarkIsLoadedAgain(t *testing.T) {
+	const n = 1024 + 100 // past the 1,024 marks a partition keeps (state.markCache)
+	var mr *markReplay
+	var ran, top atomic.Int64 // count's executions, replays included; the key's highest total
+	wait := func(k int64) error {
+		for deadline := time.Now().Add(10 * time.Second); ran.Load() < k; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("count ran %d times, want %d", ran.Load(), k)
+			}
+		}
+		return nil
+	}
+	g := graph.New("owned")
+	g.Add(func() core.PE {
+		return core.NewSource("gen", func(ctx *core.Context) error {
+			for i := 0; i < n; i++ {
+				if err := ctx.EmitDefault(i); err != nil {
+					return err
+				}
+			}
+			// One more task, so that the commit that forgot the marks has
+			// landed before the early task comes again.
+			if err := wait(n); err != nil {
+				return err
+			}
+			if err := ctx.EmitDefault(n); err != nil {
+				return err
+			}
+			if err := wait(n + 1); err != nil {
+				return err
+			}
+			if err := mr.again(); err != nil {
+				return err
+			}
+			return wait(n + 2)
+		})
+	})
+	g.Add(func() core.PE {
+		return core.NewMap("relay", func(_ *core.Context, v any) (any, error) { return v, nil })
+	})
+	g.Add(func() core.PE {
+		return core.NewEach("count", func(ctx *core.Context, _ any) error {
+			ran.Add(1)
+			k, err := ctx.State().AddInt("k", 1)
+			for cur := top.Load(); k > cur && !top.CompareAndSwap(cur, k); cur = top.Load() {
+			}
+			return err
+		})
+	}).SetKeyedState()
+	g.Pipe("gen", "relay")
+	g.Pipe("relay", "count").SetGrouping(graph.GroupByKey(func(any) string { return "k" }))
+
+	reg := telemetry.New(telemetry.Config{TraceSampleEvery: -1})
+	tr, err := ownRun(t, g, 2, nil, func(o *mapping.Options, c *Config) {
+		o.Telemetry = reg
+		c.AdaptiveBatching = false // every emission is pushed at once
+		mr = &markReplay{RedisTransport: c.Transport.(*RedisTransport)}
+		c.Transport = mr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.owned) != 1 {
+		t.Fatal("count is not owned")
+	}
+	if drops, k := reg.Snapshot().State.FenceDrops, top.Load(); drops != 1 || k != n+1 {
+		t.Fatalf("the early task delivered again: %d fence drops, total %d; want 1 drop and total %d", drops, k, n+1)
 	}
 }

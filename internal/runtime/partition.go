@@ -19,7 +19,8 @@ import (
 // partitions (see own.go): the PE, the partition count a fresh namespace
 // gets, the hash holding its namespace and the address of that hash's
 // server, and whether the run resumes that namespace. A resumed namespace
-// that records a count keeps it (see Partition).
+// that records a count keeps it (see Partition), and none of its partitions
+// starts complete (see Acquire).
 type PartitionSpec struct {
 	PE            string
 	Parts         int
@@ -51,6 +52,7 @@ type Partitions struct {
 	streams []string      // partition p's stream
 	leases  []string      // partition p's lease key
 	ttl     time.Duration // a lease's TTL; 0 (no expiry) without stale recovery
+	resume  bool          // the run resumes the namespace: no partition starts complete
 
 	used     []atomic.Bool    // partition → it has had a holder in this run
 	held     []map[int]string // worker → partition → its lease token
@@ -125,7 +127,7 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	if parts != spec.Parts && t.diag != nil {
 		t.diag.Log(diagnosis.EvPartition, -1, spec.PE, fmt.Sprintf("adopted the namespace's %d partitions instead of %d", parts, spec.Parts), int64(parts))
 	}
-	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: cl, home: spec.HomeKey,
+	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: cl, home: spec.HomeKey, resume: spec.Resume,
 		used: make([]atomic.Bool, parts), held: make([]map[int]string, len(t.plan.Workers)), heldList: make([][]int, len(t.plan.Workers)),
 		renewed: make([]time.Time, len(t.plan.Workers)), staged: make([]*stagedCommit, len(t.plan.Workers)),
 		stage: make([]stagedCommit, len(t.plan.Workers)), args: make([][]string, len(t.plan.Workers)),
@@ -171,10 +173,13 @@ func (ps *Partitions) Holds(w, p int) bool {
 // Acquire tries to take the leases of partitions cand for worker w with one
 // pipelined SET NX and returns those it got. A new holder then claims each
 // partition's pending entries — deliveries its last holder pulled but never
-// committed — which its next pull returns first.
-func (ps *Partitions) Acquire(w int, cand []int) ([]int, error) {
+// committed — which its next pull returns first. fresh lists those of got
+// that never had a holder, on a run that does not resume: the namespace was
+// dropped at setup and only a holder writes a partition's keys and marks,
+// so none of them exists yet (state.Table.Complete).
+func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 	if len(cand) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	toks := make([]string, len(cand))
 	cmds := make([][]string, len(cand))
@@ -187,9 +192,8 @@ func (ps *Partitions) Acquire(w int, cand []int) ([]int, error) {
 	}
 	replies, err := ps.cl.Pipeline(cmds)
 	if err != nil {
-		return nil, ps.t.maybeClosed(err)
+		return nil, nil, ps.t.maybeClosed(err)
 	}
-	var got []int
 	var streams []string // those of got that had a holder before: only they can hold pending entries
 	for i, v := range replies {
 		if v.IsNull() {
@@ -199,29 +203,31 @@ func (ps *Partitions) Acquire(w int, cand []int) ([]int, error) {
 		got = append(got, p)
 		if ps.used[p].Swap(true) {
 			streams = append(streams, ps.streams[p])
+		} else if !ps.resume {
+			fresh = append(fresh, p)
 		}
 		ps.held[w][p] = toks[i]
 	}
 	if len(got) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	list := append(slices.Clone(ps.heldList[w]), got...)
 	slices.Sort(list)
 	ps.heldList[w] = list
 	ps.renewed[w] = time.Now()
 	if len(streams) == 0 {
-		return got, nil
+		return got, fresh, nil
 	}
 	msgs, err := ps.cl.XAutoClaimStreams(ps.t.keys.Group, ps.t.consumers[w], 0, 1<<20, streams...)
 	if err != nil {
-		return got, ps.t.maybeClosed(err)
+		return got, fresh, ps.t.maybeClosed(err)
 	}
 	envs, err := ps.t.register(w, ps.shard, msgs, false)
 	if err != nil {
-		return got, err
+		return got, fresh, err
 	}
 	ps.t.claimed[w] = append(ps.t.claimed[w], envs...)
-	return got, nil
+	return got, fresh, nil
 }
 
 // Read fetches, for each partition parts[i] worker w holds, the fields[i]
@@ -444,7 +450,7 @@ func (ps *Partitions) Takeover(w int, cand []int) ([]int, error) {
 	if ps.ttl <= 0 {
 		return nil, nil
 	}
-	got, err := ps.Acquire(w, cand)
+	got, _, err := ps.Acquire(w, cand) // a partition another worker held is never fresh
 	if len(got) > 0 && ps.t.diag != nil {
 		ps.t.diag.Log(diagnosis.EvPartition, w, ps.pe, fmt.Sprintf("took over expired leases of partitions %v", got), int64(len(got)))
 	}

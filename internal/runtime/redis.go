@@ -70,7 +70,8 @@ const taskField = "task"
 // so the SINKAPPEND transaction stays single-shard (the co-location
 // invariant — see PushFenced). Each worker therefore sweeps the other shards
 // non-blocking and then blocking-reads its home shard, so work is found
-// wherever routing put it.
+// wherever routing put it; a shard where nothing pushed is still unread
+// (unread) is not swept.
 //
 // Batched pushes are pipelined per shard and frame-packed: one INCRBY for
 // the shard's pending counter, one XADD per contiguous run of up to one emit
@@ -89,6 +90,15 @@ type RedisTransport struct {
 
 	// rr round-robins unfenced pool entries across shards.
 	rr atomic.Uint64
+
+	// unread[s] counts the entries pushed to shard s, on any of its streams,
+	// minus those its '>' reads delivered. A push counts its entries before
+	// it sends them and a read subtracts what it delivered, so the count is
+	// never below what is unread there: every producer of the run's entries
+	// is a worker of this transport, and '>' delivers an entry once. A push
+	// that does not land (an error, a refused SINKAPPEND) leaves it above,
+	// which costs a sweep. PullBatch sweeps no shard whose count is zero.
+	unread []atomic.Int64
 
 	// consumers[w] is worker w's consumer name in the group, "w<index>".
 	consumers []string
@@ -180,7 +190,7 @@ func NewRedisTransport(cluster *redisclient.Cluster, keys RedisKeys, plan Plan, 
 	return &RedisTransport{
 		cluster: cluster, keys: keys, plan: plan, recoverStale: recoverStale,
 		consumers: consumers, frames: frames, leases: make([]leaseState, len(plan.Workers)),
-		claimed: make([][]Env, len(plan.Workers)),
+		claimed: make([][]Env, len(plan.Workers)), unread: make([]atomic.Int64, cluster.NumShards()),
 	}, nil
 }
 
@@ -282,6 +292,7 @@ func (t *RedisTransport) push(tasks []Task, entryCap int) error {
 	if err != nil || len(batches) == 0 {
 		return err
 	}
+	t.expect(batches)
 	if len(batches) == 1 {
 		for shard, sc := range batches {
 			_, err := t.cluster.Shard(shard).Pipeline(sc.assemble(t.keys.PendingKey))
@@ -352,9 +363,26 @@ func (t *RedisTransport) PushFenced(gate state.TaskGate, entryCap int, tasks ...
 	if sc, ok := batches[gateShard]; ok {
 		cmds = sc.assemble(t.keys.PendingKey)
 	}
+	t.expect(batches)
 	// An empty batch still records the gate: a Final with no emissions must
 	// be marked done exactly once too.
 	return t.cluster.Shard(gateShard).SinkAppend(gate.Key, gate.Field, cmds)
+}
+
+// expect counts a push batch's entries as unread on their shards, before
+// any of them is sent.
+func (t *RedisTransport) expect(batches map[int]*shardCmds) {
+	for shard, sc := range batches {
+		t.unread[shard].Add(int64(len(sc.cmds)))
+	}
+}
+
+// delivered subtracts the entries a '>' read of shard delivered from its
+// unread count.
+func (t *RedisTransport) delivered(shard int, msgs []redisclient.StreamMessages) {
+	for _, m := range msgs {
+		t.unread[shard].Add(-int64(len(m.Entries)))
+	}
 }
 
 // offShard reports whether a task bound for a leased partition would land
@@ -474,13 +502,17 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 // holding leased partitions reads them in the same command as its own
 // stream, on their namespace's shard, which is then its home, and under
 // stale recovery the server serves each only while its lease is still the
-// worker's. An idle pull
-// costs one round trip per shard; a zero timeout keeps the home read
-// non-blocking. Each entry may itself be a packed batch frame, so the
-// returned batch can exceed max — max is advisory, and bounds each stream's
-// share. Entries adopted with a partition's lease come first, without a
-// read. A commit the worker staged (Partitions.Stage) rides the home read's
-// round trip, ahead of it; on any other path it is sent on its own first.
+// worker's. The sweep skips a shard whose unread count is zero, so a pull
+// costs one round trip for the home read plus one per other shard that
+// holds entries no read has delivered yet, and an idle pull costs one; a
+// zero timeout keeps the home read non-blocking. An empty pull's XAUTOCLAIM
+// reclaim, under stale recovery, does not skip a shard: what it takes back
+// was delivered already. Each entry may itself be a packed batch frame, so
+// the returned batch can exceed max — max is advisory, and bounds each
+// stream's share. Entries adopted with a partition's lease come first,
+// without a read. A commit the worker staged (Partitions.Stage) rides the
+// home read's round trip, ahead of it; on any other path it is sent on its
+// own first.
 func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
 	if t.closed.Load() {
 		return nil, errTransportClosed
@@ -504,12 +536,16 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 	shard := home
 	for i := 1; i < n; i++ {
 		s := (home + i) % n
+		if t.unread[s].Load() == 0 {
+			continue
+		}
 		keys, leases := t.readSet(w, s)
 		ms, err := t.cluster.Shard(s).XReadGroupLeased(t.keys.Group, consumer, max, 0, keys, leases)
 		if err != nil {
 			return nil, t.maybeClosed(err)
 		}
 		if len(ms) > 0 {
+			t.delivered(s, ms)
 			msgs, shard = ms, s
 			break
 		}
@@ -525,6 +561,7 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 		if err != nil {
 			return nil, t.maybeClosed(err)
 		}
+		t.delivered(home, ms)
 		msgs = ms
 	}
 	reclaimed := false

@@ -124,12 +124,15 @@ type Transport interface {
 	// error, which is how a worker learns the run is over.
 	PullBatch(w, max int, timeout time.Duration) ([]Env, error)
 	// Extend is worker w's progress heartbeat, called between the tasks of a
-	// pulled batch. A transport that reclaims deliveries by idle time
-	// refreshes the idle clock of every entry w still owns, so recovery
-	// fires on stalled workers and not on healthy ones working through a
-	// packed frame slower than the idle threshold. It must be cheap when
-	// called every task (implementations self-throttle) and is best-effort:
-	// a failure only risks an early reclaim, which recovery tolerates.
+	// pulled batch and at each emission of a source's Generate. A transport
+	// that reclaims deliveries by idle time refreshes the idle clock of
+	// every entry w still owns, so recovery fires on stalled workers and not
+	// on healthy ones working through a packed frame, or a long Generate,
+	// slower than the idle threshold; a Generate that blocks without
+	// emitting for longer is reclaimed and run again. It must be cheap when
+	// called every task or emission (implementations self-throttle) and is
+	// best-effort: a failure only risks an early reclaim, which recovery
+	// tolerates.
 	Extend(w int) error
 	// Ack releases pulled tasks after they are fully processed (children
 	// already pushed). A multi-task batch is released in one amortized

@@ -40,10 +40,11 @@ func shardedServers(t *testing.T, n int) (*redisclient.Cluster, []*miniredis.Ser
 }
 
 // TestRedisPullRoundTrips pins what one PullBatch costs in commands at one
-// and two shards: an idle pull sends one read per shard (the sweep of the
-// other shards, then the one blocking read of home), an entry on another
-// shard is found by the sweep, and an entry already on home comes back
-// from the blocking read without waiting out its timeout.
+// and two shards: a pull sends the one blocking read of home, plus a sweep
+// read of each other shard that has entries nobody read yet. So an idle
+// pull costs one command, an entry on another shard is found by the first
+// sweep read, the next pull skips that sweep again, and an entry already on
+// home comes back from the blocking read without waiting out its timeout.
 func TestRedisPullRoundTrips(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -96,8 +97,8 @@ func TestRedisPullRoundTrips(t *testing.T) {
 			}
 
 			for w := 0; w < shards; w++ {
-				if envs, n, _ := pull(w, 2*time.Millisecond); len(envs) != 0 || n != int64(shards) {
-					t.Fatalf("idle pull by worker %d: %d deliveries in %d commands, want 0 in %d", w, len(envs), n, shards)
+				if envs, n, _ := pull(w, 2*time.Millisecond); len(envs) != 0 || n != 1 {
+					t.Fatalf("idle pull by worker %d: %d deliveries in %d commands, want 0 in 1", w, len(envs), n)
 				}
 			}
 
@@ -109,12 +110,15 @@ func TestRedisPullRoundTrips(t *testing.T) {
 					t.Fatalf("entry on shard %d, pulled by worker %d: %v in %d commands, want it found by the first sweep read", s, w, envs, n)
 				}
 				ack(w, envs)
+				if envs, n, _ := pull(w, 2*time.Millisecond); len(envs) != 0 || n != 1 {
+					t.Fatalf("pull by worker %d after shard %d's one entry was read: %d deliveries in %d commands, want 0 in 1 (no sweep)", w, s, len(envs), n)
+				}
 			}
 
 			s := push(2)
 			envs, n, took := pull(s, time.Second)
-			if len(envs) != 1 || envs[0].Shard != s || n != int64(shards) {
-				t.Fatalf("entry on home shard %d: %v in %d commands, want it in %d", s, envs, n, shards)
+			if len(envs) != 1 || envs[0].Shard != s || n != 1 {
+				t.Fatalf("entry on home shard %d: %v in %d commands, want it in 1", s, envs, n)
 			}
 			if took >= 100*time.Millisecond {
 				t.Fatalf("entry already on home took %v to pull with a 1s timeout; the blocking read must return at once", took)

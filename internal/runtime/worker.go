@@ -654,12 +654,13 @@ func (wk *worker) gate() error {
 
 // execute runs the next buffered delivery, after the progress heartbeat (see
 // Transport.Extend; a failure only risks an early reclaim, which recovery
-// tolerates). It is timed only when something reads the time: a traced
-// delivery records its span even on error (a trace ending in a failed hop is
-// still reconstructable), the flow ledger observes every execution's service
-// time — plus, for traced deliveries, the emit→start queue wait their TraceAt
-// stamp carries across the wire — and a fusion destination's mean service
-// time takes the sample.
+// tolerates; a source's Generate also beats at each emission). It is timed
+// only when something reads the time: a traced delivery records its span
+// even on error (a trace ending in a failed hop is still reconstructable),
+// the flow ledger observes every execution's service time — plus, for
+// traced deliveries, the emit→start queue wait their TraceAt stamp carries
+// across the wire — and a fusion destination's mean service time takes the
+// sample.
 func (wk *worker) execute() error {
 	env := wk.buf[wk.next]
 	wk.next++
@@ -757,7 +758,9 @@ func (wk *worker) runTask(c *peCopy, env Env) error {
 	case env.Port == "":
 		wk.r.tasks.Add(1)
 		if err = wk.standDown(); err == nil {
+			wk.rt.beat = func() { _ = wk.tr.Extend(wk.w) }
 			err = c.src.Generate(c.ctx)
+			wk.rt.beat = nil
 			wk.setEligible(true)
 		}
 	default:

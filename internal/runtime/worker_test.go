@@ -259,3 +259,44 @@ func TestFailedRunExitsThroughOneError(t *testing.T) {
 		})
 	}
 }
+
+// TestLongGenerateRunsOnce: under stale recovery a source whose Generate
+// keeps emitting for about 100 ms, past the 16 ms reclaim threshold, runs
+// Generate once. Its emissions heartbeat the generate task's entry, so the
+// idle worker's XAUTOCLAIM never reclaims it and runs it again. (A Generate
+// that blocks that long without emitting is still reclaimed.)
+func TestLongGenerateRunsOnce(t *testing.T) {
+	const n = 100
+	var gens, got atomic.Int64
+	g := graph.New("longgen")
+	g.Add(func() core.PE {
+		return core.NewSource("gen", func(ctx *core.Context) error {
+			if gens.Add(1) > 1 {
+				return errors.New("Generate ran again: its generate task was reclaimed")
+			}
+			for i := 0; i < n; i++ {
+				time.Sleep(time.Millisecond)
+				if err := ctx.EmitDefault(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	g.Add(func() core.PE {
+		return core.NewSink("sink", func(*core.Context, any) error { got.Add(1); return nil })
+	})
+	g.Pipe("gen", "sink")
+	opts := testOptions(t, "dyn_redis", 2)
+	opts.RecoverStale = true
+	start := time.Now()
+	if err := executeWithin(t, "dyn_redis", g, opts); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 50*time.Millisecond {
+		t.Fatalf("the run took %v: Generate did not outlast the reclaim threshold", took)
+	}
+	if k := gens.Load(); k != 1 || got.Load() != n {
+		t.Fatalf("Generate ran %d times and the sink got %d values, want once and %d", k, got.Load(), n)
+	}
+}

@@ -291,7 +291,7 @@ func (s *FenceScope) Get(key string) (string, bool, error) {
 // Update is dropped (Fn not invoked), and a duplicate's AddInt returns the
 // key's current value instead. Unbound, the op passes through as it came.
 // While the scope owns a table (Own) the op is applied there instead, and
-// the task's gate, recorded at commit, fences the whole task.
+// the partition's mark for the task's provenance fences the whole task.
 func (s *FenceScope) Apply(op Op) (Result, error) {
 	if s.own != nil {
 		start := s.fs.begin(int(op.Kind))

@@ -2,6 +2,7 @@ package state
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/miniredis"
@@ -126,5 +127,76 @@ func TestTableMarksAdmitFirstDeliveries(t *testing.T) {
 	tbl.Drop(p)
 	if tbl.Marked(p, src) {
 		t.Error("a dropped partition kept its mark")
+	}
+}
+
+// TestTableCompleteness: a complete partition lacks nothing — no key is
+// missing, every mark is known (absent until raised), and an owned op reads
+// no backend value — until Drop ends it. A commit that forgets the marks
+// past markCache ends it for the marks alone: a forgotten mark must be
+// loaded again, not read as absent, while the keys stay complete.
+func TestTableCompleteness(t *testing.T) {
+	const p = 1
+	partOf := func(key string) int {
+		if key[0] == 'a' {
+			return 0
+		}
+		return p
+	}
+	st, err := NewMemoryBackend().Open("ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("b1", "7"); err != nil {
+		t.Fatal(err)
+	}
+	scope := NewFencedStore(st).NewScope()
+	tbl := NewTable(2, partOf)
+	missing := func() []string { return tbl.Missing([]string{"a1", "b1", "b2", "b1"}) }
+	if got := missing(); !slices.Equal(got, []string{"a1", "b1", "b2"}) {
+		t.Fatalf("an empty table misses %v, want every key once", got)
+	}
+
+	tbl.Complete(p)
+	if got := missing(); !slices.Equal(got, []string{"a1"}) {
+		t.Fatalf("with partition %d complete the table misses %v, want the other partition's key alone", p, got)
+	}
+	if !tbl.Marked(p, 5) || tbl.Marked(0, 5) {
+		t.Fatalf("marks known: complete partition %v, other partition %v; want true, false", tbl.Marked(p, 5), tbl.Marked(0, 5))
+	}
+	if !tbl.Admit(p, Token{Src: 5, Seq: 0}) || tbl.Admit(p, Token{Src: 5, Seq: 0}) {
+		t.Fatal("an absent mark must admit its first Seq once")
+	}
+	scope.Own(tbl, p, false)
+	n, err := scope.AddInt("b1", 1)
+	if err := scope.Disown(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil || n != 1 {
+		t.Fatalf("AddInt on a complete partition = %d (%v), want 1: the backend's value must not be read", n, err)
+	}
+
+	for src := uint64(100); src <= 100+markCache; src++ {
+		tbl.Admit(p, Token{Src: src, Seq: 0})
+	}
+	tbl.Committed(p)
+	if tbl.Marked(p, 5) {
+		t.Fatal("a mark forgotten past markCache is read as absent; it must be loaded again")
+	}
+	if got := tbl.Missing([]string{"b3"}); len(got) != 0 {
+		t.Fatalf("after the marks were forgotten the table misses %v, want no key: the keys stay complete", got)
+	}
+
+	tbl.Drop(p)
+	if got := missing(); !slices.Equal(got, []string{"a1", "b1", "b2"}) || tbl.Marked(p, 5) {
+		t.Fatalf("a dropped partition is still complete: misses %v, mark known %v", got, tbl.Marked(p, 5))
+	}
+	scope.Own(tbl, p, false)
+	n, err = scope.AddInt("b1", 1)
+	if err := scope.Disown(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil || n != 8 {
+		t.Fatalf("AddInt after Drop = %d (%v), want 8 from the backend's 7", n, err)
 	}
 }

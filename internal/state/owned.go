@@ -10,29 +10,35 @@ import (
 // partitions it leases, served from memory. While a task of partition p runs
 // with its scope owning the table (FenceScope.Own), every op on a key of p
 // reads and writes the table — a key not yet in it is fetched from the
-// backend once — and the table keeps what the partition's next commit must
-// write: each dirty key's final value and, under fencing, each raised
-// high-water mark (see Admit). The runtime commits that delta with the
-// window's acks in one transaction (see Delta and Committed); a partition
-// whose lease is released or lost is dropped, and its next holder starts
-// from the backend.
+// backend once, unless p is complete — and the table keeps what the
+// partition's next commit must write: each dirty key's final value and,
+// under fencing, each raised high-water mark (see Admit). The runtime
+// commits that delta with the window's acks in one transaction (see Delta
+// and Committed); a partition whose lease is released or lost is dropped,
+// and its next holder starts from the backend.
 //
 // The holder of a partition's lease is the only writer of its keys and
 // marks, which is what makes the table safe: no other worker's op can slip
-// between the table's read and its commit. A Table is not safe for
-// concurrent use.
+// between the table's read and its commit. It also lets a partition be
+// complete (see Complete): when its holder is the first writer of a fresh
+// namespace, whatever the table lacks is absent from the backend, so
+// nothing is fetched. A Table is not safe for concurrent use.
 type Table struct {
 	partOf func(key string) int
 	parts  []tablePart
 }
 
 // tablePart is one partition's keys, marks and uncommitted delta.
+// keysComplete and marksComplete say that a key or mark the table lacks is
+// absent from the backend (Complete).
 type tablePart struct {
-	cells  map[string]cell
-	dirty  []string        // keys changed since the last commit, each once
-	marks  map[uint64]mark // provenance → its mark, once loaded or raised
-	raised []uint64        // provenances whose mark rose since the last commit, each once
-	writes []Write         // Delta's storage, reused
+	cells         map[string]cell
+	dirty         []string        // keys changed since the last commit, each once
+	marks         map[uint64]mark // provenance → its mark, once loaded or raised
+	raised        []uint64        // provenances whose mark rose since the last commit, each once
+	writes        []Write         // Delta's storage, reused
+	keysComplete  bool
+	marksComplete bool
 }
 
 // cell is one key's current value; dirty marks it for the next commit.
@@ -51,10 +57,12 @@ type mark struct {
 }
 
 // markCache bounds a partition's marks kept across commits: past it, a
-// commit forgets the clean ones, and a provenance seen again is loaded
-// again. It is a memory bound for an owned PE fed by a per-event upstream
-// PE, whose every task is a provenance of its own; no measured workload
-// reaches it, so neither its value nor the forget-all policy is tuned.
+// commit forgets them all, and a provenance seen again is loaded again — so
+// a complete partition's marks stop being complete there, while its keys
+// stay complete. It is a memory bound for an owned PE fed by a per-event
+// upstream PE, whose every task is a provenance of its own; no measured
+// workload reaches it, so neither its value nor the forget-all policy is
+// tuned.
 const markCache = 1024
 
 // Write is one dirty key's final value; Keep false deletes the key.
@@ -69,11 +77,23 @@ func NewTable(parts int, partOf func(key string) int) *Table {
 	return &Table{partOf: partOf, parts: make([]tablePart, parts)}
 }
 
-// Marked reports whether partition p's mark for provenance src is in the
-// table: a window loads each one it lacks before it runs (FillMark).
+// Complete declares that partition p's backend holds nothing the table
+// lacks: every key and mark not in the table is absent. It holds for the
+// first holder of a partition in a fresh namespace, as the only writer
+// there ever was. It lasts until Drop; a commit that forgets the marks
+// (markCache) ends it for the marks alone.
+func (t *Table) Complete(p int) {
+	tp := &t.parts[p]
+	tp.keysComplete, tp.marksComplete = true, true
+}
+
+// Marked reports whether partition p's mark for provenance src is known: in
+// the table, or absent because the partition's marks are complete. A window
+// loads each one that is not before it runs (FillMark).
 func (t *Table) Marked(p int, src uint64) bool {
-	_, ok := t.parts[p].marks[src]
-	return ok
+	tp := &t.parts[p]
+	_, ok := tp.marks[src]
+	return ok || tp.marksComplete
 }
 
 // FillMark stores partition p's mark for src as the backend holds it:
@@ -92,7 +112,7 @@ func (t *Table) FillMark(p int, src uint64, value string, exists bool) error {
 }
 
 // Admit decides whether the fenced delivery tok of partition p runs afresh,
-// by the partition's mark for tok.Src, which must be in the table (Marked).
+// by the partition's mark for tok.Src, which must be known (Marked).
 // A Seq at or below the mark has run before: Admit reports false, and the
 // delivery is a replay. Any other Seq raises the mark to itself for the next
 // commit. First deliveries of one provenance into one partition arrive in
@@ -150,6 +170,7 @@ func (t *Table) Committed(p int) {
 	}
 	if len(tp.marks) > markCache {
 		clear(tp.marks)
+		tp.marksComplete = false
 	} else {
 		for _, src := range tp.raised {
 			m := tp.marks[src]
@@ -164,11 +185,13 @@ func (t *Table) Committed(p int) {
 func (t *Table) Drop(p int) { t.parts[p] = tablePart{} }
 
 // Missing filters keys in place down to those the table does not hold yet,
-// each once: what a window must fetch before it runs.
+// each once, leaving out those of complete partitions: what a window must
+// fetch before it runs.
 func (t *Table) Missing(keys []string) []string {
 	out := keys[:0]
 	for _, k := range keys {
-		if _, ok := t.parts[t.partOf(k)].cells[k]; !ok && !slices.Contains(out, k) {
+		tp := &t.parts[t.partOf(k)]
+		if _, ok := tp.cells[k]; !ok && !tp.keysComplete && !slices.Contains(out, k) {
 			out = append(out, k)
 		}
 	}
@@ -217,7 +240,8 @@ func (s *FenceScope) Disown() error {
 }
 
 // ownCell resolves key's cell in the owned table, fetching it from the
-// backend on first use. A key outside the task's partition is an error: its
+// backend on first use unless the partition is complete, where a key the
+// table lacks is absent. A key outside the task's partition is an error: its
 // holder may be another worker.
 func (s *FenceScope) ownCell(key string) (cell, error) {
 	t := s.own
@@ -228,8 +252,12 @@ func (s *FenceScope) ownCell(key string) (cell, error) {
 		}
 		return cell{}, s.ownErr
 	}
-	if c, ok := t.parts[s.part].cells[key]; ok {
+	tp := &t.parts[s.part]
+	if c, ok := tp.cells[key]; ok {
 		return c, nil
+	}
+	if tp.keysComplete {
+		return t.fill(key, "", false), nil
 	}
 	v, ok, err := s.fs.inner.Get(key)
 	if err != nil {

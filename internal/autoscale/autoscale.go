@@ -247,9 +247,6 @@ func (c *Controller) OnScale(fn func(from, to int)) {
 	c.mu.Unlock()
 }
 
-// ActiveSize returns the current active size.
-func (c *Controller) ActiveSize() int { return c.Stats().Active }
-
 // Stats returns a snapshot of the pool.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()

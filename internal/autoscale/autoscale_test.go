@@ -39,20 +39,20 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.MinActive != 1 || cfg.Interval <= 0 {
 		t.Errorf("defaults: %+v", cfg)
 	}
-	if c.ActiveSize() != 8 {
-		t.Errorf("active=%d", c.ActiveSize())
+	if c.Stats().Active != 8 {
+		t.Errorf("active=%d", c.Stats().Active)
 	}
 }
 
 func TestGrowShrinkBounds(t *testing.T) {
 	c := NewController(Config{MaxPoolSize: 4, InitialActive: 2}, &scripted{deltas: []int{+10, -10}}, nil)
 	c.Step(0)
-	if c.ActiveSize() != 4 {
-		t.Errorf("grow capped at max: %d", c.ActiveSize())
+	if c.Stats().Active != 4 {
+		t.Errorf("grow capped at max: %d", c.Stats().Active)
 	}
 	c.Step(0)
-	if c.ActiveSize() != 1 {
-		t.Errorf("shrink floored at min: %d", c.ActiveSize())
+	if c.Stats().Active != 1 {
+		t.Errorf("shrink floored at min: %d", c.Stats().Active)
 	}
 	if st := c.Stats(); st.Grows != 1 || st.Shrinks != 1 {
 		t.Errorf("resize counts: %+v", st)
@@ -116,7 +116,7 @@ func TestStepAppliesStrategyAndTraces(t *testing.T) {
 	c.Step(9) // grew → +1
 	c.Step(9) // flat → hold, metric unchanged → no new trace point
 	c.Step(2) // shrank → -1
-	if got := c.ActiveSize(); got != 4 {
+	if got := c.Stats().Active; got != 4 {
 		t.Errorf("active=%d want 4 (4+1-1)", got)
 	}
 	pts := trace.Points()
@@ -236,9 +236,9 @@ func TestRunMonitorLoop(t *testing.T) {
 			return 2 // always below the 10ms threshold → keep growing
 		})
 	}()
-	for deadline := time.Now().Add(5 * time.Second); c.ActiveSize() != 8; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Active != 8; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("monitor should have grown to max, active=%d", c.ActiveSize())
+			t.Fatalf("monitor should have grown to max, active=%d", c.Stats().Active)
 		}
 	}
 	c.Terminate()
@@ -347,8 +347,8 @@ func TestDemandControllerDrain(t *testing.T) {
 	}
 	p.demand.Store(1000)
 	p.tick()
-	if len(p.running) != size || p.c.ActiveSize() != size {
-		t.Fatalf("backlog of 1000: running %d, active %d, want %d", len(p.running), p.c.ActiveSize(), size)
+	if len(p.running) != size || p.c.Stats().Active != size {
+		t.Fatalf("backlog of 1000: running %d, active %d, want %d", len(p.running), p.c.Stats().Active, size)
 	}
 	// Drain: each round every running worker finishes one task and refills.
 	for p.demand.Load() > 0 {

@@ -83,9 +83,6 @@ func NewContext(peName string, instance int, host *platform.Host, rng *rand.Rand
 	return &Context{peName: peName, instance: instance, host: host, rng: rng, emit: emit}
 }
 
-// PEName returns the owning PE's name.
-func (c *Context) PEName() string { return c.peName }
-
 // Instance returns the zero-based instance index of the PE copy running.
 func (c *Context) Instance() int { return c.instance }
 
@@ -98,9 +95,6 @@ func (c *Context) State() state.Store {
 	}
 	return c.store
 }
-
-// HasState reports whether a managed state store is wired.
-func (c *Context) HasState() bool { return c.store != nil }
 
 // WithStore returns a copy of the context carrying the managed state store.
 // Mappings call it when constructing contexts for managed-state nodes.
@@ -220,25 +214,6 @@ func (e *EachPE) Process(ctx *Context, port string, value any) error {
 	return e.fn(ctx, value)
 }
 
-// FilterPE passes through values satisfying a predicate.
-type FilterPE struct {
-	Base
-	pred func(value any) bool
-}
-
-// NewFilter builds a predicate filter PE.
-func NewFilter(name string, pred func(value any) bool) *FilterPE {
-	return &FilterPE{Base: NewBase(name, In(), Out()), pred: pred}
-}
-
-// Process implements PE.
-func (f *FilterPE) Process(ctx *Context, port string, value any) error {
-	if f.pred(value) {
-		return ctx.EmitDefault(value)
-	}
-	return nil
-}
-
 // SourcePE produces a stream from a generator function.
 type SourcePE struct {
 	Base
@@ -278,7 +253,6 @@ func (s *SinkPE) Process(ctx *Context, port string, value any) error {
 var (
 	_ PE     = (*MapPE)(nil)
 	_ PE     = (*EachPE)(nil)
-	_ PE     = (*FilterPE)(nil)
 	_ Source = (*SourcePE)(nil)
 	_ PE     = (*SinkPE)(nil)
 )

@@ -70,19 +70,6 @@ func TestEachPEMultipleEmissions(t *testing.T) {
 	}
 }
 
-func TestFilterPE(t *testing.T) {
-	pe := NewFilter("evens", func(v any) bool { return v.(int)%2 == 0 })
-	ctx, got := collectContext("evens")
-	for i := 0; i < 6; i++ {
-		if err := pe.Process(ctx, PortIn, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(*got) != 3 {
-		t.Fatalf("filtered: %v", *got)
-	}
-}
-
 func TestSourcePE(t *testing.T) {
 	pe := NewSource("gen", func(ctx *Context) error {
 		for i := 0; i < 4; i++ {
@@ -148,7 +135,7 @@ func TestContextRandNeverNil(t *testing.T) {
 	if ctx.Rand() == nil {
 		t.Fatal("Rand returned nil")
 	}
-	if ctx.Instance() != 3 || ctx.PEName() != "pe" {
+	if ctx.Instance() != 3 {
 		t.Error("accessors")
 	}
 }

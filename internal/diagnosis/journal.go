@@ -106,15 +106,6 @@ func (j *Journal) Events() []Event {
 	return append(out, j.ring[:j.at]...)
 }
 
-// Tail returns the most recent n retained events, oldest first.
-func (j *Journal) Tail(n int) []Event {
-	evs := j.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
 // Since returns retained events with Seq > seq, oldest first — the resume
 // cursor for tailers: pass the last Seq you saw.
 func (j *Journal) Since(seq uint64) []Event {

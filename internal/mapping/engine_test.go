@@ -20,7 +20,6 @@ import (
 	"repro/internal/platform"
 	_ "repro/internal/redismap" // register the four Redis mappings
 	"repro/internal/runtime"
-	"repro/internal/workflows/galaxy"
 )
 
 // sumCollector accumulates sink deliveries across instances/workers.
@@ -412,59 +411,100 @@ func TestDynAutoTraceRecordsActivity(t *testing.T) {
 	}
 }
 
-// The paper's claim for auto-scaling, on its own workload: an auto mapping
-// upholds its fixed pool's runtime while accruing no more process time, on
-// the in-process queue and on Redis alike. A batch keeps the whole pool busy,
-// so the saving is what the always-active pool spends waiting on the ramp-up
-// and on the termination protocol.
+// The paper's claim for auto-scaling, where the pool has idle capacity: a
+// source paced at about a third of what 16 workers serve. An auto mapping
+// upholds its fixed pool's runtime (at most 1.25×) while accruing at most
+// 0.8× its process time, on the in-process queue and on Redis alike: the
+// fixed pool keeps all 16 workers active for the whole run, the auto pool
+// parks those it does not need. A batch that keeps every worker busy leaves
+// nothing to cut, so it cannot show the claim. The pace leaves room on
+// Redis, whose demand signal counts more tasks than are in service: paced
+// at half, dyn_auto_redis accrues about 0.85× dyn_redis's process time. The
+// negative control runs the auto mapping with a strategy that never shrinks
+// the pool; the same predicate must reject it, or the test cannot tell a
+// saving from none.
 func TestDynAutoUsesFewerProcessTimeThanDyn(t *testing.T) {
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	run := func(name string) metrics.Report {
+	// 16 workers serve 16 ms tasks, 1,000 a second, and the source emits
+	// one every 3 ms, about 330 a second.
+	const items, service, gap = 200, 16 * time.Millisecond, 3 * time.Millisecond
+	run := func(name string, strategy autoscale.Strategy) metrics.Report {
 		var results atomic.Int64
-		g := galaxy.New(galaxy.Config{Galaxies: 200, Heavy: true, Seed: 7, OnResult: func(string, float64) { results.Add(1) }})
+		g := graph.New("paced")
+		g.Add(func() core.PE {
+			return core.NewSource("gen", func(ctx *core.Context) error {
+				for i := 0; i < items; i++ {
+					time.Sleep(gap)
+					if err := ctx.EmitDefault(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		g.Add(func() core.PE {
+			return core.NewSink("work", func(ctx *core.Context, _ any) error {
+				ctx.Work(service)
+				results.Add(1)
+				return nil
+			})
+		})
+		g.Pipe("gen", "work")
 		m, err := mapping.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := m.Execute(g, mapping.Options{Processes: 16, Platform: platform.Server, Seed: 7, RedisAddrs: []string{srv.Addr()}})
+		rep, err := m.Execute(g, mapping.Options{Processes: 16, Platform: platform.Platform{Name: "paced", Cores: 16}, Seed: 7,
+			RedisAddrs: []string{srv.Addr()}, Strategy: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if results.Load() != 200 {
-			t.Fatalf("%s computed %d of 200 extinctions", name, results.Load())
+		if results.Load() != items {
+			t.Fatalf("%s served %d of %d tasks", name, results.Load(), items)
 		}
 		return rep
+	}
+	// saves is the claim's predicate: "" when auto upholds fixed's runtime
+	// and cuts its process time, else what it missed.
+	saves := func(auto, fixed metrics.Report) string {
+		switch {
+		case auto.Runtime > fixed.Runtime*5/4:
+			return fmt.Sprintf("runtime %v above 1.25x the fixed pool's %v", auto.Runtime, fixed.Runtime)
+		case auto.ProcessTime > fixed.ProcessTime*4/5:
+			return fmt.Sprintf("process time %v above 0.8x the fixed pool's %v", auto.ProcessTime, fixed.ProcessTime)
+		}
+		return ""
 	}
 	for _, pair := range []struct{ auto, fixed string }{
 		{"dyn_auto_multi", "dyn_multi"},
 		{"dyn_auto_redis", "dyn_redis"},
 	} {
 		t.Run(pair.auto, func(t *testing.T) {
-			// Both runs are a quarter of a second of wall time: a host stall
-			// during either one decides the comparison, so a miss is retried.
-			// A policy that lost the property misses every time.
-			var miss string
-			for attempt := 0; attempt < 3; attempt++ {
-				fixed, auto := run(pair.fixed), run(pair.auto)
-				t.Logf("%s runtime %v process time %v; %s runtime %v process time %v", pair.fixed, fixed.Runtime, fixed.ProcessTime, pair.auto, auto.Runtime, auto.ProcessTime)
-				switch {
-				case auto.Runtime > fixed.Runtime*5/4:
-					miss = fmt.Sprintf("%s runtime %v above 1.25x %s's %v", pair.auto, auto.Runtime, pair.fixed, fixed.Runtime)
-				case auto.ProcessTime > fixed.ProcessTime:
-					miss = fmt.Sprintf("%s process time %v above %s's %v", pair.auto, auto.ProcessTime, pair.fixed, fixed.ProcessTime)
-				default:
-					return
-				}
-				t.Log(miss)
+			fixed, auto, control := run(pair.fixed, nil), run(pair.auto, nil), run(pair.auto, neverShrink{})
+			for _, r := range []metrics.Report{fixed, auto, control} {
+				t.Logf("%s: runtime %v process time %v", r.Mapping, r.Runtime, r.ProcessTime)
 			}
-			t.Error(miss)
+			if miss := saves(auto, fixed); miss != "" {
+				t.Errorf("%s: %s", pair.auto, miss)
+			}
+			if saves(control, fixed) == "" {
+				t.Errorf("%s with a pool that never shrinks passed too: process time %v against %v", pair.auto, control.ProcessTime, fixed.ProcessTime)
+			}
 		})
 	}
 }
+
+// neverShrink is a strategy that grows the pool to its maximum and keeps it
+// there: the auto mappings' negative control.
+type neverShrink struct{}
+
+func (neverShrink) Name() string             { return "never-shrink" }
+func (neverShrink) Signal() autoscale.Signal { return autoscale.Outstanding }
+func (neverShrink) Decide(float64, int) int  { return 1 << 20 }
 
 // TestPinnedStandbyOnlyWithoutPool pins down when a pinned worker stands by
 // (stops accruing process time while its queue is empty): on the static
@@ -606,22 +646,10 @@ func TestQueueOpsAndLen(t *testing.T) {
 	if q.Len() != 2 {
 		t.Errorf("len=%d", q.Len())
 	}
-	tsk, ok := q.Pop(time.Millisecond)
-	if !ok || tsk.PE != "a" {
-		t.Errorf("pop: %+v %v", tsk, ok)
-	}
-	if _, ok := q.Pop(time.Millisecond); !ok {
-		t.Error("second pop should succeed")
-	}
-	start := time.Now()
-	if _, ok := q.Pop(20 * time.Millisecond); ok {
-		t.Error("empty pop should time out")
-	}
-	if time.Since(start) < 15*time.Millisecond {
-		t.Error("pop returned before timeout")
-	}
+	// Taking tasks off the queue (FIFO order, the timeout of an empty take)
+	// is the runtime's own suite's: TestQueueFIFO, TestQueuePopTimeoutBounds.
 	pushes, pops := q.Ops()
-	if pushes != 2 || pops != 2 {
+	if pushes != 2 || pops != 0 {
 		t.Errorf("ops: %d %d", pushes, pops)
 	}
 }

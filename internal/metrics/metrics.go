@@ -199,12 +199,6 @@ func BuildRatioTable(platform, aLabel, bLabel string, pairs []RatioPair) (RatioT
 	}, nil
 }
 
-// CompareSeries builds the ratio table for A/B over their shared process
-// counts. It returns an error when the series share no points.
-func CompareSeries(platform string, a, b Series) (RatioTable, error) {
-	return BuildRatioTable(platform, a.Label, b.Label, PairsFromSeries(a, b))
-}
-
 // MeanStd returns the mean and population standard deviation of xs.
 func MeanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {

@@ -96,14 +96,6 @@ func TestBuildRatioTableEmpty(t *testing.T) {
 	}
 }
 
-func TestCompareSeriesNoSharedPoints(t *testing.T) {
-	a := Series{Label: "a", Points: []Report{pt(4, 1, 1)}}
-	b := Series{Label: "b", Points: []Report{pt(8, 1, 1)}}
-	if _, err := CompareSeries("server", a, b); err == nil {
-		t.Error("disjoint sweeps must error")
-	}
-}
-
 func TestRenderSeriesAlignsMissingPoints(t *testing.T) {
 	a := Series{Label: "multi", Points: []Report{pt(12, time.Second, 2*time.Second)}}
 	b := Series{Label: "dyn", Points: []Report{pt(4, time.Second, time.Second), pt(12, time.Second, time.Second)}}

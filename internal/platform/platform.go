@@ -138,13 +138,6 @@ func (h *Host) TotalProcessTime() time.Duration {
 	return total
 }
 
-// ProcessCount returns how many processes were registered.
-func (h *Host) ProcessCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.procs)
-}
-
 // Process is one simulated OS process with active-span accounting. The
 // active state corresponds to the paper's auto-scaler states: an active
 // process accrues process time; an idle (deactivated) one does not.

@@ -127,9 +127,6 @@ func TestTotalProcessTimeSums(t *testing.T) {
 	if total < 40*time.Millisecond {
 		t.Errorf("total %v, want ≥ ~50ms", total)
 	}
-	if h.ProcessCount() != 2 {
-		t.Errorf("process count %d", h.ProcessCount())
-	}
 }
 
 func TestOpenSpanCountsInTotal(t *testing.T) {

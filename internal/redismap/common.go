@@ -24,10 +24,12 @@
 //
 // The mappings are planners over runtime.RedisTransport: tasks are
 // flat-binary-encoded (package codec) and shipped through real TCP
-// connections to the Redis servers (internal/miniredis in this repository,
-// or any RESP2-compatible server), so the cost structure of the Redis
-// mappings — heavier than in-process queues, as the paper observes — is
-// physically present rather than assumed. Every Redis planner sizes its emit
+// connections to the Redis servers (internal/miniredis in this repository),
+// so the cost structure of the Redis mappings — heavier than in-process
+// queues, as the paper observes — is physically present rather than
+// assumed. The servers must be miniredis: the mappings speak RESP2, but
+// they issue commands of its own that a stock Redis does not serve —
+// FENCEAPPLY, FENCEXACK, SINKAPPEND and XREADGROUP's LEASES option. Every Redis planner sizes its emit
 // and pull windows adaptively (runtime.Config.AdaptiveBatching), and the
 // transport pipelines the XADD commands of an emit batch into one round trip
 // per shard.

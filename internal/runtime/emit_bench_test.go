@@ -96,7 +96,7 @@ func BenchmarkEmitBatching(b *testing.B) {
 					pushAll(b, tr, batch)
 					b.StopTimer()
 					for {
-						if _, ok := q.Pop(0); !ok {
+						if envs, _ := tr.PullBatch(0, emits, 0); len(envs) == 0 {
 							break
 						}
 					}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -78,11 +77,15 @@ import (
 //     auto-scaler's gate, before it runs a source's Generate (one long task
 //     would starve its partitions for the whole run) and when it exits;
 //   - under stale recovery a lease expires after the reclaim threshold
-//     unless its holder's commits and heartbeats renew it, and an
+//     unless its holder's commits and renewals refresh it, and an
 //     empty-handed worker takes over expired leases;
-//   - a new holder adopts the partition's pending entries and starts from an
-//     empty table, and a holder whose lease was taken finds out at its next
-//     commit, which then applies nothing.
+//   - a holder whose lease was taken finds out at its next read, commit or
+//     renewal, which then reads or applies nothing;
+//   - a holding ends in one place, whatever ends it — a release or a lease
+//     found lost (Partitions.forget) — and the worker drops the tables of
+//     its ended holdings at one point, before it next acquires, so a new
+//     holder adopts the partition's pending entries and starts from an
+//     empty table.
 //
 // Every PE keeps its copy on every pool worker, and its out-edges fuse as
 // before. Final, Snapshot and Restore, and every other PE's ops, still go to
@@ -93,21 +96,13 @@ import (
 // distribution stays below one worker's share.
 const partsPerWorker = 4
 
-// ownedPE is one owned PE of a run.
+// ownedPE is one owned PE of a run: its partitions, which own every
+// holding of them, and what its deliveries need to run.
 type ownedPE struct {
-	name   string
-	parts  int
 	ps     *Partitions
 	fs     *state.FencedStore
 	fenced bool
 	keys   map[string][]graph.KeyFunc // in-port → the key functions of the edges into it
-
-	// holder is the in-process view that spreads the leases: partition →
-	// the worker holding it, -1 when free. The lease keys decide who really
-	// holds what; this only keeps the workers from all asking for the same
-	// partitions.
-	mu     sync.Mutex
-	holder []int
 }
 
 // own finds the run's owned PEs and lays out their partitions, before any
@@ -136,12 +131,7 @@ func (r *run) own() error {
 		if ps == nil {
 			continue
 		}
-		parts := ps.Parts()
-		o := &ownedPE{name: n.Name, parts: parts, ps: ps, fs: fs, fenced: r.ms.Fenced(n.Name) != nil,
-			keys: map[string][]graph.KeyFunc{}, holder: make([]int, parts)}
-		for p := range o.holder {
-			o.holder[p] = -1
-		}
+		o := &ownedPE{ps: ps, fs: fs, fenced: r.ms.Fenced(n.Name) != nil, keys: map[string][]graph.KeyFunc{}}
 		for _, e := range in {
 			o.keys[e.ToPort] = append(o.keys[e.ToPort], e.Grouping.Key)
 		}
@@ -149,52 +139,10 @@ func (r *run) own() error {
 		if r.cfg.Plan.Parts == nil {
 			r.cfg.Plan.Parts = map[string]int{}
 		}
-		r.cfg.Plan.Parts[n.Name] = parts
+		r.cfg.Plan.Parts[n.Name] = ps.Parts()
 	}
 	r.holders.Store(int64(plan.Pool))
 	return nil
-}
-
-// claim marks up to k free partitions as w's — its stripe (p ≡ w mod pool)
-// first — and returns them, for w to acquire.
-func (o *ownedPE) claim(w, k, pool int) []int {
-	if k <= 0 {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var out []int
-	for pass := 0; pass < 2 && len(out) < k; pass++ {
-		for p, h := range o.holder {
-			if h == -1 && (p%pool == w%pool) == (pass == 0) && len(out) < k {
-				o.holder[p] = w
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
-// free marks partition p free unless another worker holds it by now.
-func (o *ownedPE) free(p, w int) {
-	o.mu.Lock()
-	if o.holder[p] == w {
-		o.holder[p] = -1
-	}
-	o.mu.Unlock()
-}
-
-// others lists the partitions other workers hold.
-func (o *ownedPE) others(w int) []int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var out []int
-	for p, h := range o.holder {
-		if h != -1 && h != w {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // ownSlot is one pool worker's side of an owned PE: its table and what the
@@ -224,10 +172,10 @@ func (wk *worker) initOwn() {
 		return
 	}
 	for _, o := range wk.r.owned {
-		parts := uint32(o.parts)
-		wk.own = append(wk.own, &ownSlot{o: o, pend: make([][]Env, o.parts),
-			byPart: make([][]int, o.parts), fields: make([][]string, o.parts), srcs: make([][]uint64, o.parts),
-			table: state.NewTable(o.parts, func(key string) int { return int(graph.Hash32(key) % parts) })})
+		n := o.ps.Parts()
+		wk.own = append(wk.own, &ownSlot{o: o, pend: make([][]Env, n),
+			byPart: make([][]int, n), fields: make([][]string, n), srcs: make([][]uint64, n),
+			table: state.NewTable(n, func(key string) int { return int(graph.Hash32(key) % uint32(n)) })})
 	}
 	wk.eligible = len(wk.own) > 0
 }
@@ -252,7 +200,7 @@ func (wk *worker) slotFor(env Env) *ownSlot {
 		return nil
 	}
 	for _, s := range wk.own {
-		if s.o.name == env.PE {
+		if s.o.ps.pe == env.PE {
 			return s
 		}
 	}
@@ -298,14 +246,9 @@ func (wk *worker) settle(release bool) error {
 // settleSlot commits one owned PE's partitions: a release commits at once,
 // and any other commit is staged for the worker's next pull to carry
 // (Partitions.Stage). Deliveries of a partition lost since they ran are not
-// acked — its new holder adopted them — and its table is dropped with them.
+// acked — its new holder adopted them.
 func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 	w, ps := wk.w, s.o.ps
-	if release { // a staged commit lands first: the release would fail it
-		if err := wk.flushStaged(s); err != nil {
-			return err
-		}
-	}
 	blocks := s.blocks[:0]
 	work := false
 	for _, p := range ps.Held(w) {
@@ -315,13 +258,6 @@ func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 			blocks = append(blocks, PartCommit{Part: p, Writes: writes, Envs: s.pend[p], Release: release})
 		}
 	}
-	for p, envs := range s.pend {
-		if len(envs) > 0 && !ps.Holds(w, p) {
-			s.table.Drop(p)
-			s.o.free(p, w)
-		}
-	}
-	var lost []int
 	var err error
 	if work {
 		err = faultinject.Fire(faultinject.ProbeMidCommit)
@@ -329,7 +265,7 @@ func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 	switch {
 	case err != nil:
 	case release:
-		lost, err = ps.Commit(w, blocks)
+		err = ps.Commit(w, blocks)
 	default:
 		ps.Stage(w, blocks)
 	}
@@ -341,39 +277,11 @@ func (wk *worker) settleSlot(s *ownSlot, release bool) error {
 		return err
 	}
 	for _, b := range blocks {
-		if b.Release || slices.Contains(lost, b.Part) {
-			s.table.Drop(b.Part)
-			s.o.free(b.Part, w)
-		} else {
+		if ps.Holds(w, b.Part) { // not released, nor lost
 			s.table.Committed(b.Part)
 		}
 	}
 	return nil
-}
-
-// flushStaged sends the slot's staged commit on its own, ahead of a commit
-// that must follow it, and drops what it found lost.
-func (wk *worker) flushStaged(s *ownSlot) error {
-	if err := s.o.ps.flush(wk.w); err != nil {
-		return err
-	}
-	wk.dropLost(s)
-	return nil
-}
-
-// dropLost drops the partitions the slot's staged commits found lost.
-func (wk *worker) dropLost(s *ownSlot) {
-	for _, p := range s.o.ps.Lost(wk.w) {
-		s.table.Drop(p)
-		s.o.free(p, wk.w)
-	}
-}
-
-// landed books the staged commits the worker's pull carried.
-func (wk *worker) landed() {
-	for _, s := range wk.own {
-		wk.dropLost(s)
-	}
 }
 
 // standDown commits and releases every lease and leaves the eligible
@@ -390,11 +298,10 @@ func (wk *worker) standDown() error {
 }
 
 // lease keeps the worker's share of each owned PE's partitions at its quota,
-// ceil(P / eligible holders), right after a settle: it renews its leases
-// when due, gives a surplus up, and takes free partitions up to the quota.
-// A worker takes none before its first pull: nothing is pending on a
-// partition yet, and the worker that pulls a source's generate task would
-// only give them back.
+// ceil(P / eligible holders), right after a settle: it gives a surplus up
+// and takes free partitions up to the quota. A worker takes none before its
+// first pull: nothing is pending on a partition yet, and the worker that
+// pulls a source's generate task would only give them back.
 func (wk *worker) lease() error {
 	if !wk.pulled {
 		wk.pulled = true
@@ -402,76 +309,60 @@ func (wk *worker) lease() error {
 	}
 	holders := int(max(wk.r.holders.Load(), 1))
 	for _, s := range wk.own {
-		o, w := s.o, wk.w
-		lost, err := o.ps.Renew(w)
-		if err != nil {
-			return err
-		}
-		for _, p := range lost {
-			s.table.Drop(p)
-			o.free(p, w)
-		}
-		held := o.ps.Held(w)
-		quota := (o.parts + holders - 1) / holders
-		if len(held) > quota { // a staged commit goes first: a release would fail it
-			if err := wk.flushStaged(s); err != nil {
+		ps, w := s.o.ps, wk.w
+		quota := (ps.Parts() + holders - 1) / holders
+		if held := ps.Held(w); len(held) > quota {
+			blocks := make([]PartCommit, len(held)-quota)
+			for i, p := range held[quota:] {
+				blocks[i] = PartCommit{Part: p, Release: true}
+			}
+			if err := ps.Commit(w, blocks); err != nil {
 				return err
 			}
-			held = o.ps.Held(w)
 		}
-		if len(held) > quota {
-			var blocks []PartCommit
-			for _, p := range held[quota:] {
-				blocks = append(blocks, PartCommit{Part: p, Release: true})
-			}
-			if _, err := o.ps.Commit(w, blocks); err != nil {
-				return err
-			}
-			for _, b := range blocks {
-				s.table.Drop(b.Part)
-				o.free(b.Part, w)
-			}
-			continue
-		}
-		cand := o.claim(w, quota-len(held), wk.r.cfg.Plan.Pool)
-		got, fresh, err := o.ps.Acquire(w, cand)
-		for _, p := range cand {
-			if slices.Contains(got, p) {
-				s.table.Drop(p)
-				if slices.Contains(fresh, p) {
-					s.table.Complete(p)
-				}
-			} else {
-				o.free(p, w)
-			}
-		}
-		if err != nil {
+		if err := wk.acquire(s, ps.claim(w, quota-len(ps.Held(w)), wk.r.cfg.Plan.Pool), false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// takeover, after an empty pull, takes the expired leases of partitions
-// other workers held (stale recovery only: without it a lease never
-// expires).
+// takeover, after an empty pull, renews the worker's leases when due and
+// takes the expired leases of partitions other workers held (stale recovery
+// only: without it a lease never expires).
 func (wk *worker) takeover() error {
 	for _, s := range wk.own {
-		if s.o.ps.ttl <= 0 {
-			continue
-		}
-		got, err := s.o.ps.Takeover(wk.w, s.o.others(wk.w))
-		for _, p := range got {
-			s.o.mu.Lock()
-			s.o.holder[p] = wk.w
-			s.o.mu.Unlock()
-			s.table.Drop(p)
-		}
-		if err != nil {
-			return err
+		if ps := s.o.ps; ps.ttl > 0 {
+			if err := ps.Renew(wk.w); err != nil {
+				return err
+			}
+			if err := wk.acquire(s, ps.others(wk.w), true); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// acquire takes the leases of partitions cand for the worker — claimed ones,
+// or with over, expired ones other workers held. It first drops the tables
+// of the holdings that ended since it last ran, the one place a table is
+// dropped, so a partition taken again starts from an empty table and one no
+// worker ever held starts complete.
+func (wk *worker) acquire(s *ownSlot, cand []int, over bool) error {
+	ps := s.o.ps
+	for _, p := range ps.drainEnded(wk.w) {
+		s.table.Drop(p)
+	}
+	if over {
+		_, err := ps.Takeover(wk.w, cand)
+		return err
+	}
+	_, fresh, err := ps.Acquire(wk.w, cand)
+	for _, p := range fresh {
+		s.table.Complete(p)
+	}
+	return err
 }
 
 // load readies a pulled window's partition deliveries: for each owned PE,
@@ -494,7 +385,7 @@ func (wk *worker) loadSlot(s *ownSlot) error {
 		s.byPart[p] = s.byPart[p][:0]
 	}
 	for i, env := range wk.buf {
-		if env.PE == s.o.name && env.Instance >= 0 && s.o.ps.Holds(wk.w, env.Instance) {
+		if env.PE == s.o.ps.pe && env.Instance >= 0 && s.o.ps.Holds(wk.w, env.Instance) {
 			s.byPart[env.Instance] = append(s.byPart[env.Instance], i)
 		}
 	}
@@ -531,14 +422,12 @@ func (wk *worker) loadSlot(s *ownSlot) error {
 	if len(parts) == 0 {
 		return nil
 	}
-	vals, found, lost, err := s.o.ps.Read(wk.w, parts, fields)
+	vals, found, err := s.o.ps.Read(wk.w, parts, fields)
 	if err != nil {
 		return err
 	}
 	for j, p := range parts {
-		if slices.Contains(lost, p) {
-			s.table.Drop(p)
-			s.o.free(p, wk.w)
+		if !s.o.ps.Holds(wk.w, p) { // the read found the lease lost
 			continue
 		}
 		n := nkeys[j]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -776,5 +777,128 @@ func TestForgottenMarkIsLoadedAgain(t *testing.T) {
 	}
 	if drops, k := reg.Snapshot().State.FenceDrops, top.Load(); drops != 1 || k != n+1 {
 		t.Fatalf("the early task delivered again: %d fence drops, total %d; want 1 drop and total %d", drops, k, n+1)
+	}
+}
+
+// renewStall stalls, once, the heartbeat of a worker that holds partitions
+// of the owned PE until other workers have taken every one of those leases
+// over (the in-process holder view shows another worker's, or none), so
+// that the heartbeat's renewal finds them lost. It records whether
+// the renewal ended those holdings and whether the worker's next pull found
+// them drained, that is, their tables dropped by the refill's lease step.
+type renewStall struct {
+	*RedisTransport
+	stalled atomic.Int32 // the stalled worker, plus one
+	ended   atomic.Bool  // the renewal found every stalled lease taken and ended its holding
+	checked atomic.Bool  // the stalled worker pulled again since
+	drained atomic.Bool  // and that pull found no ended holding left undrained
+}
+
+func (s *renewStall) Extend(w int) error {
+	ps := s.owned[0]
+	if len(ps.Held(w)) == 0 || !s.stalled.CompareAndSwap(0, int32(w)+1) {
+		return s.RedisTransport.Extend(w)
+	}
+	held := slices.Clone(ps.Held(w))
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		taken := true
+		for _, p := range held {
+			taken = taken && ps.holder[p].Load() != int32(w)+1
+		}
+		if taken {
+			break
+		}
+	}
+	err := s.RedisTransport.Extend(w)
+	s.ended.Store(len(ps.Held(w)) == 0 && len(ps.ended[w]) >= len(held))
+	return err
+}
+
+func (s *renewStall) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
+	if s.stalled.Load() == int32(w)+1 && s.ended.Load() && s.checked.CompareAndSwap(false, true) {
+		s.drained.Store(len(s.owned[0].ended[w]) == 0)
+	}
+	return s.RedisTransport.PullBatch(w, max, timeout)
+}
+
+// TestRenewalFindsLeaseLost stalls a partition holder's heartbeat, before a
+// task of its window, until other workers have taken its expired leases
+// over. The heartbeat's renewal must end those holdings, as a commit that
+// finds its lease lost does: the rest of the window does not run on them,
+// their tables are dropped by the worker's next refill, and every key's
+// total equals simple's.
+func TestRenewalFindsLeaseLost(t *testing.T) {
+	build := func(add func(ctx *core.Context, key string) error) *graph.Graph { return countGraph(1200, add, nil) }
+	want := keyTotals(t, build, nil)
+
+	var st *renewStall
+	got := keyTotals(t, build, func(g *graph.Graph) error {
+		_, err := ownRun(t, g, 3, nil, func(o *mapping.Options, c *Config) {
+			tr := c.Transport.(*RedisTransport)
+			stale, err := NewRedisTransport(tr.cluster, tr.keys, tr.plan, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.RecoverStale = true
+			st = &renewStall{RedisTransport: stale}
+			c.Transport = st
+		})
+		return err
+	})
+	if !st.ended.Load() {
+		t.Fatal("the stalled heartbeat's renewal did not end the holdings whose leases were taken")
+	}
+	if !st.drained.Load() {
+		t.Error("the stalled worker pulled again with ended holdings whose tables were not dropped")
+	}
+	if got != want {
+		t.Fatalf("totals after a renewal found leases lost:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestReclaimedPartitionStartsEmpty: a worker that gives its partitions up
+// and takes them again in one refill — as a worker the auto-scaler parks
+// and readmits at once does — starts each from an empty table, and a later
+// refill does not drop what the table has loaded since.
+func TestReclaimedPartitionStartsEmpty(t *testing.T) {
+	g := countGraph(0, nil, nil)
+	cluster := ownCluster(t, nil)
+	plan := PoolPlan(g, 1)
+	tr, err := NewRedisTransport(cluster, NewRunKeys(g.Name, 1), plan, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Cleanup(g) })
+	ps, err := tr.Partition(PartitionSpec{PE: "count", Parts: 2, HomeKey: "ns:{owned}", Home: cluster.Shard(0).Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{cfg: Config{Plan: plan}, owned: []*ownedPE{{ps: ps}}}
+	r.holders.Store(1)
+	wk := &worker{r: r, spec: plan.Workers[0], pulled: true}
+	wk.initOwn()
+	s := wk.own[0]
+	lacks := func() bool { return len(s.table.Missing([]string{"k"})) > 0 }
+	if err := wk.lease(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.Held(0)) != 2 || lacks() {
+		t.Fatalf("first holder: holds %v, lacks k %v; want both partitions, complete", ps.Held(0), lacks())
+	}
+	if err := wk.settle(true); err != nil { // the park gives every lease up
+		t.Fatal(err)
+	}
+	if err := wk.lease(); err != nil { // the readmission takes them again
+		t.Fatal(err)
+	}
+	if len(ps.Held(0)) != 2 || !lacks() {
+		t.Fatalf("taken again: holds %v, lacks k %v; want both partitions, from an empty table", ps.Held(0), lacks())
+	}
+	s.table.Fill("k", "1", true)
+	if err := wk.lease(); err != nil { // the next refill
+		t.Fatal(err)
+	}
+	if lacks() {
+		t.Fatal("the next refill dropped the table of a partition held since it was taken again")
 	}
 }

@@ -36,6 +36,15 @@ type PartitionSpec struct {
 // values, the raised high-water marks and the acks — in one SINKAPPEND LEASE
 // transaction that lands only while the lease is still its own.
 //
+// Partitions owns a holding from its acquisition to its end. holder spreads
+// the leases: a worker claims a free partition's slot with a
+// compare-and-swap before it asks for the lease; the lease keys decide who
+// really holds what. held is each worker's own view, with its tokens. A
+// holding ends in one place, forget, on a release or when a read, a commit
+// or a renewal finds the lease lost; the worker drops the tables of its
+// ended holdings before it next acquires (drainEnded). A staged commit
+// lands before any direct commit of the same worker.
+//
 // The partition count is the namespace's: the marks are per partition, so a
 // fresh run records its count (state.PartsField) before any commit, and a
 // resumed run adopts the recorded count, whatever its own pool size asks
@@ -54,14 +63,14 @@ type Partitions struct {
 	ttl     time.Duration // a lease's TTL; 0 (no expiry) without stale recovery
 	resume  bool          // the run resumes the namespace: no partition starts complete
 
-	used     []atomic.Bool    // partition → it has had a holder in this run
-	held     []map[int]string // worker → partition → its lease token
-	heldList [][]int          // worker → its held partitions, ascending; replaced, never changed in place
-	renewed  []time.Time      // worker → last lease renewal
-	staged   []*stagedCommit  // worker → its commit waiting for its next pull, nil when none
-	stage    []stagedCommit   // worker → the storage staged points into, reused
-	args     [][]string       // worker → the argument storage of its reads and direct commits, reused
-	lost     [][]int          // worker → partitions its commits found lost, not yet drained
+	used    []atomic.Bool  // partition → it has had a holder in this run
+	holder  []atomic.Int32 // partition → the worker holding or claiming it, plus one; 0 when free
+	held    [][]string     // worker → partition → its lease token, "" when not held
+	list    [][]int        // worker → Held's storage, reused
+	ended   [][]int        // worker → partitions whose holding ended, not yet drained
+	renewed []time.Time    // worker → when all its leases were last refreshed
+	staged  []stagedCommit // worker → its commit waiting for its next pull, none while it has no blocks
+	args    [][]string     // worker → the argument storage of its reads and direct commits, reused
 }
 
 // leaseSeq makes lease tokens unique per acquisition.
@@ -127,11 +136,11 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	if parts != spec.Parts && t.diag != nil {
 		t.diag.Log(diagnosis.EvPartition, -1, spec.PE, fmt.Sprintf("adopted the namespace's %d partitions instead of %d", parts, spec.Parts), int64(parts))
 	}
+	workers := len(t.plan.Workers)
 	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: cl, home: spec.HomeKey, resume: spec.Resume,
-		used: make([]atomic.Bool, parts), held: make([]map[int]string, len(t.plan.Workers)), heldList: make([][]int, len(t.plan.Workers)),
-		renewed: make([]time.Time, len(t.plan.Workers)), staged: make([]*stagedCommit, len(t.plan.Workers)),
-		stage: make([]stagedCommit, len(t.plan.Workers)), args: make([][]string, len(t.plan.Workers)),
-		lost: make([][]int, len(t.plan.Workers))}
+		used: make([]atomic.Bool, parts), holder: make([]atomic.Int32, parts), held: make([][]string, workers),
+		list: make([][]int, workers), ended: make([][]int, workers), renewed: make([]time.Time, workers),
+		staged: make([]stagedCommit, workers), args: make([][]string, workers)}
 	if t.recoverStale {
 		ps.ttl = reclaimPolls * pollTimeout
 	}
@@ -140,7 +149,7 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 		ps.leases = append(ps.leases, fmt.Sprintf("%s:lease:%s%s:%d", t.keys.Prefix, spec.PE, tag, p))
 	}
 	for w := range ps.held {
-		ps.held[w] = map[int]string{}
+		ps.held[w] = make([]string, parts)
 	}
 	t.owned = append(t.owned, ps)
 	return ps, nil
@@ -160,23 +169,67 @@ func (t *RedisTransport) partitionsOf(pe string) *Partitions {
 	return nil
 }
 
-// Held lists the partitions worker w holds, in ascending order. The caller
-// must not modify the list.
-func (ps *Partitions) Held(w int) []int { return ps.heldList[w] }
-
-// Holds reports whether worker w holds partition p.
-func (ps *Partitions) Holds(w, p int) bool {
-	_, ok := ps.held[w][p]
-	return ok
+// Held lists the partitions worker w holds, in ascending order. The list is
+// valid until w's next call; the caller must not modify it.
+func (ps *Partitions) Held(w int) []int {
+	list := ps.list[w][:0]
+	for p, tok := range ps.held[w] {
+		if tok != "" {
+			list = append(list, p)
+		}
+	}
+	ps.list[w] = list
+	return list
 }
 
-// Acquire tries to take the leases of partitions cand for worker w with one
-// pipelined SET NX and returns those it got. A new holder then claims each
-// partition's pending entries — deliveries its last holder pulled but never
-// committed — which its next pull returns first. fresh lists those of got
-// that never had a holder, on a run that does not resume: the namespace was
-// dropped at setup and only a holder writes a partition's keys and marks,
-// so none of them exists yet (state.Table.Complete).
+// Holds reports whether worker w holds partition p.
+func (ps *Partitions) Holds(w, p int) bool { return ps.held[w][p] != "" }
+
+// claim marks up to k free partitions as worker w's — its stripe (p ≡ w mod
+// pool) first — and returns them, for w to acquire. A partition w still
+// believes it holds is not free to it: it finds out whether it lost the
+// lease at its next read, commit or renewal.
+func (ps *Partitions) claim(w, k, pool int) []int {
+	var out []int
+	for pass := 0; pass < 2 && len(out) < k; pass++ {
+		for p := range ps.holder {
+			if len(out) < k && (p%pool == w%pool) == (pass == 0) && !ps.Holds(w, p) && ps.holder[p].CompareAndSwap(0, int32(w)+1) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+// others lists the partitions other workers hold, for w to take over.
+func (ps *Partitions) others(w int) []int {
+	var out []int
+	for p := range ps.holder {
+		if h := ps.holder[p].Load(); h != 0 && h != int32(w)+1 && !ps.Holds(w, p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// drainEnded returns the partitions whose holding by worker w ended since the
+// last drain, and forgets them. The list is valid until another of w's
+// holdings ends.
+func (ps *Partitions) drainEnded(w int) []int {
+	ended := ps.ended[w]
+	ps.ended[w] = ended[:0]
+	return ended
+}
+
+// Acquire tries to take the leases of partitions cand — claimed by worker w,
+// or held by others when w takes them over — for w with one pipelined SET
+// NX and returns those it got; a claim that got no lease is freed. A new
+// holder then claims each partition's pending entries — deliveries its last
+// holder pulled but never committed — which its next pull returns first.
+// fresh lists those of got that never had a holder, on a run that does not
+// resume: the namespace was dropped at setup and only a holder writes a
+// partition's keys and marks, so none of them exists yet
+// (state.Table.Complete).
 func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 	if len(cand) == 0 {
 		return nil, nil, nil
@@ -194,12 +247,17 @@ func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 	if err != nil {
 		return nil, nil, ps.t.maybeClosed(err)
 	}
+	if len(ps.Held(w)) == 0 { // every lease w will hold is new
+		ps.renewed[w] = time.Now()
+	}
 	var streams []string // those of got that had a holder before: only they can hold pending entries
 	for i, v := range replies {
+		p := cand[i]
 		if v.IsNull() {
+			ps.holder[p].CompareAndSwap(int32(w)+1, 0)
 			continue
 		}
-		p := cand[i]
+		ps.holder[p].Store(int32(w) + 1)
 		got = append(got, p)
 		if ps.used[p].Swap(true) {
 			streams = append(streams, ps.streams[p])
@@ -211,10 +269,6 @@ func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 	if len(got) == 0 {
 		return nil, nil, nil
 	}
-	list := append(slices.Clone(ps.heldList[w]), got...)
-	slices.Sort(list)
-	ps.heldList[w] = list
-	ps.renewed[w] = time.Now()
 	if len(streams) == 0 {
 		return got, fresh, nil
 	}
@@ -233,9 +287,9 @@ func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 // Read fetches, for each partition parts[i] worker w holds, the fields[i]
 // of the namespace's hash: one lease-checked SINKAPPEND LEASE with one read
 // block per partition. vals[i] and found[i] run parallel to fields[i]. A
-// partition whose lease turns out lost yields nothing and is no longer held;
-// it is returned in lost.
-func (ps *Partitions) Read(w int, parts []int, fields [][]string) (vals [][]string, found [][]bool, lost []int, err error) {
+// partition whose lease turns out lost yields nothing, and its holding ends
+// (forget).
+func (ps *Partitions) Read(w int, parts []int, fields [][]string) (vals [][]string, found [][]bool, err error) {
 	c := redisclient.NewLeaseCommit(ps.args[w], ps.home, ps.ttl)
 	for i, p := range parts {
 		c.Block(ps.leases[p], ps.held[w][p])
@@ -247,16 +301,15 @@ func (ps *Partitions) Read(w int, parts []int, fields [][]string) (vals [][]stri
 	ps.args[w] = c.Argv()
 	v, err := ps.cl.Do(ps.args[w]...)
 	if err != nil {
-		return nil, nil, nil, ps.t.maybeClosed(err)
+		return nil, nil, ps.t.maybeClosed(err)
 	}
 	applied, replies := redisclient.LeaseReplies(v)
 	if len(applied) != len(parts) {
-		return nil, nil, nil, fmt.Errorf("runtime: lease read of %s: %d replies for %d partitions", ps.pe, len(applied), len(parts))
+		return nil, nil, fmt.Errorf("runtime: lease read of %s: %d replies for %d partitions", ps.pe, len(applied), len(parts))
 	}
 	vals, found = make([][]string, len(parts)), make([][]bool, len(parts))
 	for i, p := range parts {
 		if !applied[i] {
-			lost = append(lost, p)
 			ps.lose(w, p, 0)
 			continue
 		}
@@ -265,7 +318,7 @@ func (ps *Partitions) Read(w int, parts []int, fields [][]string) (vals [][]stri
 			vals[i][j], found[i][j] = r.Str, !r.IsNull()
 		}
 	}
-	return vals, found, lost, nil
+	return vals, found, nil
 }
 
 // PartCommit is one partition's share of a commit: the dirty keys' final
@@ -279,19 +332,26 @@ type PartCommit struct {
 }
 
 // Commit lands worker w's blocks in one SINKAPPEND LEASE transaction on the
-// namespace's shard, one block per partition. Each block applies only while
-// its lease is still w's — then it also refreshes the lease's TTL — and
-// acknowledges its entries under FENCEXACK's ownership rule. It returns the
-// partitions whose lease was lost: their blocks applied nothing and w no
-// longer holds them. A released partition is no longer held either.
-func (ps *Partitions) Commit(w int, blocks []PartCommit) (lost []int, err error) {
+// namespace's shard, one block per partition, after w's staged commit, which
+// it sends on its own first. Each block applies only while its lease is
+// still w's — then it also refreshes the lease's TTL — and acknowledges its
+// entries under FENCEXACK's ownership rule. A block whose lease was lost
+// applies nothing; that holding ends, as a released one does. A block of a
+// partition the staged commit found lost is not sent.
+func (ps *Partitions) Commit(w int, blocks []PartCommit) error {
+	if err := ps.flush(w); err != nil {
+		return err
+	}
+	if slices.ContainsFunc(blocks, func(b PartCommit) bool { return !ps.Holds(w, b.Part) }) {
+		blocks = slices.DeleteFunc(slices.Clone(blocks), func(b PartCommit) bool { return !ps.Holds(w, b.Part) })
+	}
 	if len(blocks) == 0 {
-		return nil, nil
+		return nil
 	}
 	ps.args[w] = ps.commitArgv(ps.args[w], w, blocks)
 	v, err := ps.cl.Do(ps.args[w]...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return ps.land(w, blocks, v)
 }
@@ -299,12 +359,10 @@ func (ps *Partitions) Commit(w int, blocks []PartCommit) (lost []int, err error)
 // Stage is Commit handed to worker w's next pull, which carries it in the
 // same round trip as its read of the namespace's shard — the commit runs
 // first, so nothing is read, and the worker does not block, before it lands.
-// The partitions it finds lost are reported by Lost.
 func (ps *Partitions) Stage(w int, blocks []PartCommit) {
 	if len(blocks) > 0 {
-		sc := &ps.stage[w]
+		sc := &ps.staged[w]
 		sc.argv, sc.blocks = ps.commitArgv(sc.argv, w, blocks), blocks
-		ps.staged[w] = sc
 	}
 }
 
@@ -316,31 +374,17 @@ type stagedCommit struct {
 
 // flush sends worker w's staged commit on its own, if there is one.
 func (ps *Partitions) flush(w int) error {
-	sc := ps.staged[w]
-	if sc == nil {
+	sc := &ps.staged[w]
+	blocks := sc.blocks
+	if len(blocks) == 0 {
 		return nil
 	}
-	ps.staged[w] = nil
+	sc.blocks = nil
 	v, err := ps.cl.Do(sc.argv...)
 	if err != nil {
 		return ps.t.maybeClosed(err)
 	}
-	return ps.landStaged(w, sc, v)
-}
-
-// landStaged books the reply v of worker w's staged commit sc, keeping the
-// partitions it found lost for Lost.
-func (ps *Partitions) landStaged(w int, sc *stagedCommit, v resp.Value) error {
-	lost, err := ps.land(w, sc.blocks, v)
-	ps.lost[w] = append(ps.lost[w], lost...)
-	return err
-}
-
-// Lost drains the partitions worker w's staged commits found lost.
-func (ps *Partitions) Lost(w int) []int {
-	lost := ps.lost[w]
-	ps.lost[w] = nil
-	return lost
+	return ps.land(w, blocks, v)
 }
 
 // commitArgv builds the SINKAPPEND LEASE of worker w's blocks in buf's
@@ -385,29 +429,30 @@ func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []str
 	return c.Argv()
 }
 
-// land books the reply v of worker w's commit of blocks: a block whose lease
-// was lost applied nothing, and its partition is no longer w's; a released
-// one is no longer w's either. The lost partitions are returned.
-func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) (lost []int, err error) {
+// land books the reply v of worker w's commit of blocks: the holding of a
+// partition whose block found its lease lost ends, and so does a released
+// one's.
+func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) error {
 	applied, _ := redisclient.LeaseReplies(v)
 	if len(applied) != len(blocks) {
-		return nil, fmt.Errorf("runtime: lease commit of %s: %d replies for %d partitions", ps.pe, len(applied), len(blocks))
+		return fmt.Errorf("runtime: lease commit of %s: %d replies for %d partitions", ps.pe, len(applied), len(blocks))
 	}
-	ps.renewed[w] = time.Now()
+	if len(blocks) == len(ps.Held(w)) { // it refreshed every lease w holds
+		ps.renewed[w] = time.Now()
+	}
 	for i, b := range blocks {
 		switch {
 		case !applied[i]:
-			lost = append(lost, b.Part)
 			ps.lose(w, b.Part, len(b.Envs))
 		case b.Release:
 			ps.forget(w, b.Part)
 		}
 	}
-	return lost, nil
+	return nil
 }
 
-// lose forgets partition p, whose lease worker w found taken, and journals
-// the n deliveries whose effects it thereby dropped.
+// lose ends worker w's holding of partition p, whose lease it found taken,
+// and journals the n deliveries whose effects it thereby dropped.
 func (ps *Partitions) lose(w, p, n int) {
 	ps.forget(w, p)
 	if ps.t.diag != nil {
@@ -415,11 +460,14 @@ func (ps *Partitions) lose(w, p, n int) {
 	}
 }
 
-// forget drops partition p from worker w: its lease and the bookkeeping of
-// the entries w pulled from it.
+// forget is the one place where worker w's holding of partition p ends: it
+// drops w's lease and the bookkeeping of the entries w pulled from p, frees
+// p's holder slot unless another worker has it by now, and lists p among
+// w's ended holdings, whose tables w drops before it next acquires.
 func (ps *Partitions) forget(w, p int) {
-	delete(ps.held[w], p)
-	ps.heldList[w] = slices.DeleteFunc(slices.Clone(ps.heldList[w]), func(q int) bool { return q == p })
+	ps.held[w][p] = ""
+	ps.holder[p].CompareAndSwap(int32(w)+1, 0)
+	ps.ended[w] = append(ps.ended[w], p)
 	reg := ps.t.frames[w]
 	for fk := range reg {
 		if fk.stream == ps.streams[p] {
@@ -429,11 +477,12 @@ func (ps *Partitions) forget(w, p int) {
 }
 
 // Renew refreshes worker w's leases when a quarter of their TTL has passed
-// since the last commit or renewal, with one empty commit per partition, and
-// returns the partitions found lost. Without a TTL it does nothing.
-func (ps *Partitions) Renew(w int) ([]int, error) {
-	if ps.ttl <= 0 || len(ps.held[w]) == 0 || time.Since(ps.renewed[w]) < ps.ttl/4 {
-		return nil, nil
+// since a commit or renewal last refreshed all of them, with one empty
+// commit per partition; a lease it finds lost ends its holding. Without a
+// TTL it does nothing.
+func (ps *Partitions) Renew(w int) error {
+	if ps.ttl <= 0 || time.Since(ps.renewed[w]) < ps.ttl/4 {
+		return nil
 	}
 	held := ps.Held(w)
 	blocks := make([]PartCommit, len(held))

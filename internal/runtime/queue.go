@@ -147,24 +147,6 @@ func (q *Queue) take(max int, timeout time.Duration) ([]Task, error) {
 	return out, nil
 }
 
-// Pop removes the head task, blocking up to timeout when the queue is
-// empty. ok is false on timeout and once the queue is closed.
-func (q *Queue) Pop(timeout time.Duration) (t Task, ok bool) {
-	ts, _ := q.take(1, timeout)
-	if len(ts) == 0 {
-		return Task{}, false
-	}
-	return ts[0], true
-}
-
-// PopN removes up to max head tasks — the single-lock multi-dequeue that
-// mirrors PushAll on the consume path; see take. It returns nil on timeout
-// and once the queue is closed.
-func (q *Queue) PopN(max int, timeout time.Duration) []Task {
-	ts, _ := q.take(max, timeout)
-	return ts
-}
-
 // close wakes every blocked popper and pusher; from then on pushes and pops
 // fail. It is idempotent.
 func (q *Queue) close() {

@@ -144,7 +144,7 @@ func TestQueueFIFO(t *testing.T) {
 		q.Push(Task{PE: "pe", Value: i})
 	}
 	for i := 0; i < 100; i++ {
-		task, ok := q.Pop(time.Millisecond)
+		task, ok := pop(q, time.Millisecond)
 		if !ok || task.Value.(int) != i {
 			t.Fatalf("pop %d: %+v %v", i, task, ok)
 		}
@@ -154,7 +154,7 @@ func TestQueueFIFO(t *testing.T) {
 func TestQueuePopTimeoutBounds(t *testing.T) {
 	q := NewQueue(0)
 	start := time.Now()
-	_, ok := q.Pop(30 * time.Millisecond)
+	_, ok := pop(q, 30*time.Millisecond)
 	elapsed := time.Since(start)
 	if ok {
 		t.Fatal("empty queue returned a task")
@@ -168,7 +168,7 @@ func TestQueuePopTimeoutBounds(t *testing.T) {
 func TestQueuePopNTimeoutBounds(t *testing.T) {
 	q := NewQueue(0)
 	start := time.Now()
-	if got := q.PopN(8, 30*time.Millisecond); got != nil {
+	if got := popN(q, 8, 30*time.Millisecond); got != nil {
 		t.Fatalf("empty queue returned %d tasks", len(got))
 	}
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond || elapsed > 500*time.Millisecond {
@@ -176,7 +176,7 @@ func TestQueuePopNTimeoutBounds(t *testing.T) {
 	}
 	awaitWaiters(t, q, 0)
 	q.Push(Task{PE: "after"}) // must not block on the departed popper
-	if got := q.PopN(8, time.Millisecond); len(got) != 1 {
+	if got := popN(q, 8, time.Millisecond); len(got) != 1 {
 		t.Errorf("pop after a timed-out pop: %d tasks", len(got))
 	}
 }
@@ -191,7 +191,7 @@ func TestQueuePushWakesBlockedPopperAtOnce(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		popped := make(chan time.Time, 1)
 		go func() {
-			if tasks := q.PopN(4, 5*time.Second); len(tasks) == 1 {
+			if tasks := popN(q, 4, 5*time.Second); len(tasks) == 1 {
 				popped <- time.Now()
 			}
 			close(popped)
@@ -217,7 +217,7 @@ func TestQueuePushAllWakesOnePopperPerTask(t *testing.T) {
 	const poppers = 5
 	returned := make(chan int, poppers)
 	for i := 0; i < poppers; i++ {
-		go func() { returned <- len(q.PopN(1, 10*time.Second)) }()
+		go func() { returned <- len(popN(q, 1, 10*time.Second)) }()
 	}
 	awaitWaiters(t, q, poppers)
 	q.PushAll([]Task{{PE: "a"}, {PE: "b"}})
@@ -265,8 +265,8 @@ func TestQueueNoLostWakeups(t *testing.T) {
 			for consumed.Load() < total {
 				var n int
 				if c%2 == 0 {
-					n = len(q.PopN(3, 30*time.Second))
-				} else if _, ok := q.Pop(30 * time.Second); ok {
+					n = len(popN(q, 3, 30*time.Second))
+				} else if _, ok := pop(q, 30*time.Second); ok {
 					n = 1
 				}
 				if consumed.Add(int64(n)) >= total {
@@ -308,7 +308,7 @@ func TestQueuePopWakesOnPush(t *testing.T) {
 	q := NewQueue(0)
 	got := make(chan Task, 1)
 	go func() {
-		task, ok := q.Pop(5 * time.Second)
+		task, ok := pop(q, 5*time.Second)
 		if ok {
 			got <- task
 		}
@@ -345,7 +345,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer cg.Done()
 			for {
-				task, ok := q.Pop(50 * time.Millisecond)
+				task, ok := pop(q, 50*time.Millisecond)
 				if !ok {
 					return
 				}
@@ -401,13 +401,13 @@ func TestQuickQueueNoLoss(t *testing.T) {
 		}
 		counts := map[int]int{}
 		for range values {
-			task, ok := q.Pop(time.Millisecond)
+			task, ok := pop(q, time.Millisecond)
 			if !ok {
 				return false
 			}
 			counts[task.Value.(int)]++
 		}
-		if _, ok := q.Pop(time.Millisecond); ok {
+		if _, ok := pop(q, time.Millisecond); ok {
 			return false // extra task appeared
 		}
 		want := map[int]int{}
@@ -427,4 +427,21 @@ func TestQuickQueueNoLoss(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// pop takes the head task off q, blocking up to timeout: a pull of one. ok
+// is false on timeout and once the queue is closed.
+func pop(q *Queue, timeout time.Duration) (t Task, ok bool) {
+	ts, _ := q.take(1, timeout)
+	if len(ts) == 0 {
+		return Task{}, false
+	}
+	return ts[0], true
+}
+
+// popN takes up to max head tasks off q under one lock hold; nil on timeout
+// and once the queue is closed.
+func popN(q *Queue, max int, timeout time.Duration) []Task {
+	ts, _ := q.take(max, timeout)
+	return ts
 }

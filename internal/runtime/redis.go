@@ -216,7 +216,7 @@ func (t *RedisTransport) homeShard(w int) int {
 		return t.cluster.ShardFor(t.keys.PrivKey(spec.PE, spec.Instance))
 	}
 	for _, ps := range t.owned {
-		if len(ps.held[w]) > 0 {
+		if len(ps.Held(w)) > 0 {
 			return ps.shard
 		}
 	}
@@ -617,7 +617,7 @@ func (t *RedisTransport) readHome(w, home, max int, timeout time.Duration) ([]re
 	var pre [][]string
 	var staged []*Partitions
 	for _, ps := range t.owned {
-		if sc := ps.staged[w]; sc != nil && ps.shard == home {
+		if sc := &ps.staged[w]; len(sc.blocks) > 0 && ps.shard == home {
 			pre, staged = append(pre, sc.argv), append(staged, ps)
 		}
 	}
@@ -631,9 +631,9 @@ func (t *RedisTransport) readHome(w, home, max int, timeout time.Duration) ([]re
 		return nil, err
 	}
 	for i, ps := range staged {
-		sc := ps.staged[w]
-		ps.staged[w] = nil
-		if err := ps.landStaged(w, sc, replies[i]); err != nil {
+		blocks := ps.staged[w].blocks
+		ps.staged[w].blocks = nil
+		if err := ps.land(w, blocks, replies[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -729,7 +729,7 @@ func (t *RedisTransport) Extend(w int) error {
 		return nil
 	}
 	for _, ps := range t.owned {
-		if _, err := ps.Renew(w); err != nil {
+		if err := ps.Renew(w); err != nil {
 			return t.maybeClosed(err)
 		}
 	}

@@ -572,7 +572,6 @@ func (wk *worker) refill() error {
 	}
 	start := time.Now()
 	envs, err := wk.pull(window)
-	wk.landed()
 	if err != nil {
 		if IsClosed(err) && !wk.r.failed.Load() {
 			_ = wk.standDown() // drained: nothing is left to commit, only leases to give back

@@ -30,9 +30,10 @@ var (
 // RedisBackend serves namespaces out of a sharded Redis data plane: each
 // namespace is one hash (field = state key), checkpoints are single
 // gob-encoded string keys (so an empty checkpoint is representable and the
-// save is one atomic SET). It works against internal/miniredis or any RESP2
-// server and backs the distributed mappings, where workers in different
-// processes must see the same state.
+// save is one atomic SET). It speaks RESP2 to internal/miniredis, the only
+// server it works against — a fenced op is FENCEAPPLY, a command of that
+// server's that a stock Redis does not serve — and backs the distributed
+// mappings, where workers in different processes must see the same state.
 //
 // Sharding is by namespace: every key the backend writes for a namespace —
 // live hash, checkpoint, update locks, and the fence-ledger fields living

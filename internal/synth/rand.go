@@ -64,21 +64,3 @@ func Gamma(rng *rand.Rand, shape float64) float64 {
 		}
 	}
 }
-
-// BetaDelaySampler samples the paper's "heavy workload" PE delay: a
-// beta(2,5)-distributed fraction of Max ("random sleep time sampled from a
-// beta(2,5) distribution ... ranging from 0 to 1 second", scaled down by the
-// harness).
-type BetaDelaySampler struct {
-	rng   *rand.Rand
-	alpha float64
-	beta  float64
-}
-
-// NewBetaDelaySampler builds the paper's beta(2,5) sampler.
-func NewBetaDelaySampler(seed int64) *BetaDelaySampler {
-	return &BetaDelaySampler{rng: NewRand(seed), alpha: 2, beta: 5}
-}
-
-// Fraction returns the next delay as a fraction in [0, 1).
-func (s *BetaDelaySampler) Fraction() float64 { return Beta(s.rng, s.alpha, s.beta) }

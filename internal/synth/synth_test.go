@@ -46,16 +46,6 @@ func TestGammaDegenerate(t *testing.T) {
 	}
 }
 
-func TestBetaDelaySamplerDeterministic(t *testing.T) {
-	a := NewBetaDelaySampler(7)
-	b := NewBetaDelaySampler(7)
-	for i := 0; i < 100; i++ {
-		if a.Fraction() != b.Fraction() {
-			t.Fatal("same seed must give same sequence")
-		}
-	}
-}
-
 func TestGalaxyCatalogDeterministicAndBounded(t *testing.T) {
 	a := GalaxyCatalog(11, 100)
 	b := GalaxyCatalog(11, 100)

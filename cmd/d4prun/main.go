@@ -99,7 +99,7 @@ func run(workflowName, mappingName string, processes int, platformName string, s
 	var g *graph.Graph
 	switch workflowName {
 	case "galaxy":
-		g = galaxy.New(galaxy.Config{Galaxies: galaxy.BaseGalaxies * scaleX, Heavy: heavy})
+		g = galaxy.New(galaxy.Scaled(scaleX, heavy))
 	case "seismic":
 		g = seismic.New(seismic.Config{Stations: stations})
 	case "sentiment":

@@ -155,8 +155,7 @@ type ownSlot struct {
 	// Scratch reused window after window: per partition, the window's
 	// deliveries (indices in the worker's buffer), the fields load reads and
 	// the provenances whose marks are among them; the partitions load reads
-	// and their key counts; the blocks of a commit, which a staged commit
-	// holds until the next pull lands it.
+	// and their key counts; the blocks of a commit.
 	byPart [][]int
 	fields [][]string
 	srcs   [][]uint64
@@ -320,7 +319,7 @@ func (wk *worker) lease() error {
 				return err
 			}
 		}
-		if err := wk.acquire(s, ps.claim(w, quota-len(ps.Held(w)), wk.r.cfg.Plan.Pool), false); err != nil {
+		if err := wk.acquire(s, ps.claim(w, quota-ps.nheld[w], wk.r.cfg.Plan.Pool), false); err != nil {
 			return err
 		}
 	}

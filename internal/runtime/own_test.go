@@ -901,4 +901,28 @@ func TestReclaimedPartitionStartsEmpty(t *testing.T) {
 	if lacks() {
 		t.Fatal("the next refill dropped the table of a partition held since it was taken again")
 	}
+	// A window's commit is staged for the next pull, and a park releases
+	// before that pull: the staged commit lands first, then every lease is
+	// given up on the server, so the readmission can take them all again.
+	s.table.Admit(0, state.Token{Src: 1, Seq: 1})
+	if err := wk.settle(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.settle(true); err != nil {
+		t.Fatal(err)
+	}
+	if held := ps.Held(0); len(held) != 0 {
+		t.Fatalf("after the park: holds %v, want none", held)
+	}
+	for _, key := range ps.leases {
+		if v, err := ps.cl.Do("EXISTS", key); err != nil || v.Int != 0 {
+			t.Fatalf("after the park: lease %s exists (%v, %v), want it deleted", key, v.Int, err)
+		}
+	}
+	if err := wk.lease(); err != nil {
+		t.Fatal(err)
+	}
+	if held := ps.Held(0); len(held) != 2 {
+		t.Fatalf("readmitted after the park: holds %v, want both partitions", held)
+	}
 }

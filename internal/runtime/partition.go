@@ -39,11 +39,11 @@ type PartitionSpec struct {
 // Partitions owns a holding from its acquisition to its end. holder spreads
 // the leases: a worker claims a free partition's slot with a
 // compare-and-swap before it asks for the lease; the lease keys decide who
-// really holds what. held is each worker's own view, with its tokens. A
-// holding ends in one place, forget, on a release or when a read, a commit
-// or a renewal finds the lease lost; the worker drops the tables of its
-// ended holdings before it next acquires (drainEnded). A staged commit
-// lands before any direct commit of the same worker.
+// really holds what. held is each worker's own view, with its tokens, and
+// nheld its size. A holding ends in one place, forget, on a release or when
+// a read, a commit or a renewal finds the lease lost; the worker drops the
+// tables of its ended holdings before it next acquires (drainEnded). A
+// staged commit lands before any direct commit of the same worker.
 //
 // The partition count is the namespace's: the marks are per partition, so a
 // fresh run records its count (state.PartsField) before any commit, and a
@@ -66,6 +66,7 @@ type Partitions struct {
 	used    []atomic.Bool  // partition → it has had a holder in this run
 	holder  []atomic.Int32 // partition → the worker holding or claiming it, plus one; 0 when free
 	held    [][]string     // worker → partition → its lease token, "" when not held
+	nheld   []int          // worker → how many partitions it holds
 	list    [][]int        // worker → Held's storage, reused
 	ended   [][]int        // worker → partitions whose holding ended, not yet drained
 	renewed []time.Time    // worker → when all its leases were last refreshed
@@ -139,8 +140,8 @@ func (t *RedisTransport) Partition(spec PartitionSpec) (*Partitions, error) {
 	workers := len(t.plan.Workers)
 	ps := &Partitions{t: t, pe: spec.PE, shard: shard, cl: cl, home: spec.HomeKey, resume: spec.Resume,
 		used: make([]atomic.Bool, parts), holder: make([]atomic.Int32, parts), held: make([][]string, workers),
-		list: make([][]int, workers), ended: make([][]int, workers), renewed: make([]time.Time, workers),
-		staged: make([]stagedCommit, workers), args: make([][]string, workers)}
+		nheld: make([]int, workers), list: make([][]int, workers), ended: make([][]int, workers),
+		renewed: make([]time.Time, workers), staged: make([]stagedCommit, workers), args: make([][]string, workers)}
 	if t.recoverStale {
 		ps.ttl = reclaimPolls * pollTimeout
 	}
@@ -247,7 +248,7 @@ func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 	if err != nil {
 		return nil, nil, ps.t.maybeClosed(err)
 	}
-	if len(ps.Held(w)) == 0 { // every lease w will hold is new
+	if ps.nheld[w] == 0 { // every lease w will hold is new
 		ps.renewed[w] = time.Now()
 	}
 	var streams []string // those of got that had a holder before: only they can hold pending entries
@@ -265,6 +266,7 @@ func (ps *Partitions) Acquire(w int, cand []int) (got, fresh []int, err error) {
 			fresh = append(fresh, p)
 		}
 		ps.held[w][p] = toks[i]
+		ps.nheld[w]++
 	}
 	if len(got) == 0 {
 		return nil, nil, nil
@@ -359,10 +361,12 @@ func (ps *Partitions) Commit(w int, blocks []PartCommit) error {
 // Stage is Commit handed to worker w's next pull, which carries it in the
 // same round trip as its read of the namespace's shard — the commit runs
 // first, so nothing is read, and the worker does not block, before it lands.
+// The staged commit keeps its own copy of blocks: the caller may reuse their
+// storage at once.
 func (ps *Partitions) Stage(w int, blocks []PartCommit) {
 	if len(blocks) > 0 {
 		sc := &ps.staged[w]
-		sc.argv, sc.blocks = ps.commitArgv(sc.argv, w, blocks), blocks
+		sc.argv, sc.blocks = ps.commitArgv(sc.argv, w, blocks), append(sc.blocks[:0], blocks...)
 	}
 }
 
@@ -372,15 +376,23 @@ type stagedCommit struct {
 	blocks []PartCommit
 }
 
-// flush sends worker w's staged commit on its own, if there is one.
-func (ps *Partitions) flush(w int) error {
+// unstage takes worker w's staged commit off its slot, for its reply to
+// land, and returns its blocks, none when nothing is staged. They stay valid
+// until w stages again.
+func (ps *Partitions) unstage(w int) []PartCommit {
 	sc := &ps.staged[w]
 	blocks := sc.blocks
+	sc.blocks = blocks[:0]
+	return blocks
+}
+
+// flush sends worker w's staged commit on its own, if there is one.
+func (ps *Partitions) flush(w int) error {
+	blocks := ps.unstage(w)
 	if len(blocks) == 0 {
 		return nil
 	}
-	sc.blocks = nil
-	v, err := ps.cl.Do(sc.argv...)
+	v, err := ps.cl.Do(ps.staged[w].argv...)
 	if err != nil {
 		return ps.t.maybeClosed(err)
 	}
@@ -437,7 +449,7 @@ func (ps *Partitions) land(w int, blocks []PartCommit, v resp.Value) error {
 	if len(applied) != len(blocks) {
 		return fmt.Errorf("runtime: lease commit of %s: %d replies for %d partitions", ps.pe, len(applied), len(blocks))
 	}
-	if len(blocks) == len(ps.Held(w)) { // it refreshed every lease w holds
+	if len(blocks) == ps.nheld[w] { // it refreshed every lease w holds
 		ps.renewed[w] = time.Now()
 	}
 	for i, b := range blocks {
@@ -465,6 +477,9 @@ func (ps *Partitions) lose(w, p, n int) {
 // p's holder slot unless another worker has it by now, and lists p among
 // w's ended holdings, whose tables w drops before it next acquires.
 func (ps *Partitions) forget(w, p int) {
+	if ps.held[w][p] != "" {
+		ps.nheld[w]--
+	}
 	ps.held[w][p] = ""
 	ps.holder[p].CompareAndSwap(int32(w)+1, 0)
 	ps.ended[w] = append(ps.ended[w], p)

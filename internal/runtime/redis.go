@@ -216,7 +216,7 @@ func (t *RedisTransport) homeShard(w int) int {
 		return t.cluster.ShardFor(t.keys.PrivKey(spec.PE, spec.Instance))
 	}
 	for _, ps := range t.owned {
-		if len(ps.Held(w)) > 0 {
+		if ps.nheld[w] > 0 {
 			return ps.shard
 		}
 	}
@@ -631,9 +631,7 @@ func (t *RedisTransport) readHome(w, home, max int, timeout time.Duration) ([]re
 		return nil, err
 	}
 	for i, ps := range staged {
-		blocks := ps.staged[w].blocks
-		ps.staged[w].blocks = nil
-		if err := ps.land(w, blocks, replies[i]); err != nil {
+		if err := ps.land(w, ps.unstage(w), replies[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -18,23 +18,25 @@ import (
 // analogue of Tasks/Outputs, letting the benches compare the cost of
 // field-state vs. managed-state (memory and Redis backends).
 type StateOps struct {
-	// Gets/Puts/Deletes/Adds/Updates count single-key operations.
-	Gets, Puts, Deletes, Adds, Updates int64
+	// Gets/Puts/Adds count single-key operations.
+	Gets, Puts, Adds int64
+	// Deletes and Updates are always 0: the state layer has no such ops.
+	// They stay for readers of older reports and the CSV's fixed columns.
+	Deletes, Updates int64
 	// Snapshots/Restores count whole-store snapshot round-trips.
 	Snapshots, Restores int64
 }
 
 // Total sums all counted operations.
 func (s StateOps) Total() int64 {
-	return s.Gets + s.Puts + s.Deletes + s.Adds + s.Updates + s.Snapshots + s.Restores
+	return s.Gets + s.Puts + s.Adds + s.Snapshots + s.Restores
 }
 
 // Add returns the element-wise sum s + o (for totalling one run's
 // namespaces).
 func (s StateOps) Add(o StateOps) StateOps {
 	return StateOps{
-		Gets: s.Gets + o.Gets, Puts: s.Puts + o.Puts, Deletes: s.Deletes + o.Deletes,
-		Adds: s.Adds + o.Adds, Updates: s.Updates + o.Updates,
+		Gets: s.Gets + o.Gets, Puts: s.Puts + o.Puts, Adds: s.Adds + o.Adds,
 		Snapshots: s.Snapshots + o.Snapshots, Restores: s.Restores + o.Restores,
 	}
 }
@@ -44,8 +46,8 @@ func (s StateOps) String() string {
 	if s.Total() == 0 {
 		return "state=∅"
 	}
-	return fmt.Sprintf("state[get=%d put=%d del=%d add=%d upd=%d snap=%d restore=%d]",
-		s.Gets, s.Puts, s.Deletes, s.Adds, s.Updates, s.Snapshots, s.Restores)
+	return fmt.Sprintf("state[get=%d put=%d add=%d snap=%d restore=%d]",
+		s.Gets, s.Puts, s.Adds, s.Snapshots, s.Restores)
 }
 
 // Report captures one workflow execution.

@@ -16,7 +16,6 @@ import (
 // two-round-trip sequences could not give.
 //
 //	FENCEAPPLY hash ledgerField SET field value   -> [applied, nil]
-//	FENCEAPPLY hash ledgerField DEL field         -> [applied, nil]
 //	FENCEAPPLY hash ledgerField INCR field delta  -> [applied, value]
 //	FENCEXACK stream group consumer pendingKey direct [id weight]...
 //	                                              -> [acked, dec, newPending]
@@ -55,33 +54,22 @@ func ledgerRecord(e *entry, ledgerField string) (first bool, errv *resp.Value) {
 // cmdFenceApply is fence-check + ledger record + one hash mutation in a
 // single atomic step. The reply is a two-element array: applied (1 when the
 // mutation ran, 0 when the ledger already held a record and it was skipped)
-// and, for INCR, the field's current value either way (nil for SET/DEL).
+// and, for INCR, the field's current value either way (nil for SET).
 func cmdFenceApply(s *Server, args []string) resp.Value {
 	hashKey, ledgerField, op := args[0], args[1], strings.ToUpper(args[2])
-	var field string
+	if op != "SET" && op != "INCR" {
+		return resp.Errf("ERR FENCEAPPLY unsupported op '%s'", args[2])
+	}
+	if len(args) != 5 {
+		return resp.Errf("ERR wrong number of arguments for 'fenceapply' %s", op)
+	}
+	field := args[3]
 	var delta int64
-	switch op {
-	case "SET":
-		if len(args) != 5 {
-			return resp.Err("ERR wrong number of arguments for 'fenceapply' SET")
-		}
-		field = args[3]
-	case "DEL":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'fenceapply' DEL")
-		}
-		field = args[3]
-	case "INCR":
-		if len(args) != 5 {
-			return resp.Err("ERR wrong number of arguments for 'fenceapply' INCR")
-		}
-		field = args[3]
+	if op == "INCR" {
 		var err error
 		if delta, err = strconv.ParseInt(args[4], 10, 64); err != nil {
 			return resp.Err("ERR value is not an integer or out of range")
 		}
-	default:
-		return resp.Errf("ERR FENCEAPPLY unsupported op '%s'", args[2])
 	}
 
 	e, err := s.db.hashFor(hashKey, time.Now())
@@ -109,18 +97,13 @@ func cmdFenceApply(s *Server, args []string) resp.Value {
 		}
 		return resp.Arr(resp.Int(0), resp.Nil)
 	}
-	switch op {
-	case "SET":
+	if op == "SET" {
 		e.hash[field] = args[4]
 		return resp.Arr(resp.Int(1), resp.Nil)
-	case "DEL":
-		delete(e.hash, field)
-		return resp.Arr(resp.Int(1), resp.Nil)
-	default: // INCR
-		cur += delta
-		e.hash[field] = strconv.FormatInt(cur, 10)
-		return resp.Arr(resp.Int(1), resp.Int(cur))
 	}
+	cur += delta
+	e.hash[field] = strconv.FormatInt(cur, 10)
+	return resp.Arr(resp.Int(1), resp.Int(cur))
 }
 
 // cmdFenceXAck acknowledges stream entries *owned by the named consumer* and
@@ -370,8 +353,8 @@ func (lb *leaseBlock) each(fn func(argv []string)) {
 //	SINKAPPEND LEASE pxMs hash nblocks (leaseKey token ncmds (n argv...)...)...
 //
 // one block per partition, each with subcommands HGET field... (read fields
-// of hash), HSET field value... and HDEL field... (keys' final values and
-// ledger marks in hash), XACK stream group consumer pendingKey id weight...
+// of hash), HSET field value... (keys' final values and ledger marks in
+// hash), XACK stream group consumer pendingKey id weight...
 // (FENCEXACK's ownership rule, no direct decrement) and DEL leaseKey
 // (release the block's lease after the rest). A block runs only while its
 // leaseKey holds its token, and then refreshes that lease's expiry to pxMs
@@ -450,7 +433,7 @@ func validateLeaseCmd(s *Server, lb *leaseBlock, argv []string, now time.Time) *
 	switch op := strings.ToUpper(argv[0]); {
 	case op == "HGET" && n >= 2:
 		lb.reads += n - 1
-	case op == "HDEL" && n >= 2, op == "HSET" && n >= 3 && n%2 == 1:
+	case op == "HSET" && n >= 3 && n%2 == 1:
 	case op == "DEL" && n == 2 && argv[1] == lb.leaseKey:
 	case op == "XACK" && n >= 7:
 		ids, weights, errv := parseAckPairs(argv[5:], "sinkappend")
@@ -504,10 +487,6 @@ func applyLeaseBlock(s *Server, lb *leaseBlock, h *entry, ttl time.Duration, now
 		case "HSET":
 			for i := 1; i < len(argv); i += 2 {
 				h.hash[argv[i]] = argv[i+1]
-			}
-		case "HDEL":
-			for _, f := range argv[1:] {
-				delete(h.hash, f)
 			}
 		case "XACK":
 			a := acks[0]

@@ -11,7 +11,6 @@ import (
 func init() {
 	register("HSET", 3, -1, cmdHSet)
 	register("HGET", 2, 2, cmdHGet)
-	register("HDEL", 2, -1, cmdHDel)
 	register("HGETALL", 1, 1, cmdHGetAll)
 	register("HLEN", 1, 1, cmdHLen)
 	register("HINCRBY", 3, 3, cmdHIncrBy)
@@ -58,27 +57,6 @@ func cmdHGet(s *Server, args []string) resp.Value {
 		return resp.Nil
 	}
 	return resp.Str(v)
-}
-
-func cmdHDel(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindHash, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	var n int64
-	for _, f := range args[1:] {
-		if _, ok := e.hash[f]; ok {
-			delete(e.hash, f)
-			n++
-		}
-	}
-	if len(e.hash) == 0 {
-		delete(s.db.keys, args[0])
-	}
-	return resp.Int(n)
 }
 
 func sortedHashFields(h map[string]string) []string {

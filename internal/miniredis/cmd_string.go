@@ -20,7 +20,7 @@ func (d *db) setString(key, val string) {
 }
 
 // cmdSet serves SET key value [NX] [PX ms]: plain sets for checkpoints and
-// counters, NX PX for the state layer's expiring update locks.
+// counters, NX [PX] for an owned partition's lease.
 func cmdSet(s *Server, args []string) resp.Value {
 	key, val := args[0], args[1]
 	var nx bool

@@ -10,9 +10,9 @@ import (
 	"repro/internal/resp"
 )
 
-// TestFenceApplySetDel exercises the SET and DEL forms: first execution
-// applies, duplicates are dropped, and the ledger count keeps growing.
-func TestFenceApplySetDel(t *testing.T) {
+// TestFenceApplySet exercises the SET form: first execution applies,
+// duplicates are dropped, and the ledger count keeps growing.
+func TestFenceApplySet(t *testing.T) {
 	_, cl := newPair(t)
 
 	applied, err := cl.FenceApplySet("h", "ledger:1", "k", "v1")
@@ -34,16 +34,12 @@ func TestFenceApplySetDel(t *testing.T) {
 	}
 
 	// A distinct ledger field is an independent gate.
-	applied, err = cl.FenceApplyDel("h", "ledger:2", "k")
+	applied, err = cl.FenceApplySet("h", "ledger:2", "k", "v3")
 	if err != nil || !applied {
-		t.Fatalf("FenceApplyDel: applied=%v err=%v", applied, err)
+		t.Fatalf("FenceApplySet under a second field: applied=%v err=%v", applied, err)
 	}
-	if _, ok, _ := cl.HGet("h", "k"); ok {
-		t.Fatal("key survived fenced delete")
-	}
-	applied, err = cl.FenceApplyDel("h", "ledger:2", "k")
-	if err != nil || applied {
-		t.Fatalf("duplicate FenceApplyDel: applied=%v err=%v", applied, err)
+	if v, _, _ := cl.HGet("h", "k"); v != "v3" {
+		t.Fatalf("after the second field's apply: k=%q", v)
 	}
 }
 
@@ -72,8 +68,10 @@ func TestFenceApplyValidation(t *testing.T) {
 	_, cl := newPair(t)
 
 	var se redisclient.ServerError
-	if _, err := cl.Do("FENCEAPPLY", "h", "lf", "NOPE", "k"); !errors.As(err, &se) {
-		t.Fatalf("unsupported op: %v", err)
+	for _, op := range []string{"NOPE", "DEL"} {
+		if _, err := cl.Do("FENCEAPPLY", "h", "lf", op, "k"); !errors.As(err, &se) || !strings.Contains(string(se), "unsupported op") {
+			t.Fatalf("FENCEAPPLY %s: %v, want an unsupported op", op, err)
+		}
 	}
 	if _, err := cl.Do("FENCEAPPLY", "h", "lf", "INCR", "k", "notanint"); !errors.As(err, &se) {
 		t.Fatalf("bad delta: %v", err)
@@ -305,8 +303,8 @@ func TestSinkAppendLease(t *testing.T) {
 	if _, err := cl.XReadGroup("g", "w0", 1, 0, "p"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := cl.SetNX("lease:0", "tok", 0); err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	if v, err := cl.Do("SET", "lease:0", "tok", "NX"); err != nil || v.IsNull() {
+		t.Fatalf("lease: %v err=%v", v, err)
 	}
 
 	commit := func(ttl time.Duration, blocks ...[]string) ([]bool, [][]resp.Value) {
@@ -365,7 +363,7 @@ func TestSinkAppendLease(t *testing.T) {
 	}
 
 	// Release: the lease key goes, and the next block under it applies nothing.
-	if applied, _ := commit(0, []string{"lease:0", "tok", "HDEL k | DEL lease:0"}); !applied[0] {
+	if applied, _ := commit(0, []string{"lease:0", "tok", "HSET k 8 | DEL lease:0"}); !applied[0] {
 		t.Fatal("release did not apply")
 	}
 	if _, ok, _ := cl.Get("lease:0"); ok {
@@ -374,13 +372,20 @@ func TestSinkAppendLease(t *testing.T) {
 	if applied, _ := commit(0, []string{"lease:0", "tok", "HSET k 9"}); applied[0] {
 		t.Fatal("a released lease still gated a write in")
 	}
-	if _, ok, _ := cl.HGet("h", "k"); ok {
-		t.Fatal("k survived its HDEL or came back after the release")
+	if v, _, _ := cl.HGet("h", "k"); v != "8" {
+		t.Fatalf("k=%q after the release, want the released block's 8", v)
 	}
 
-	// A malformed block leaves the store untouched.
+	// A malformed block leaves the store untouched: a DEL of another key,
+	// and HDEL, which no commit sends (a dirty key always exists).
 	var se redisclient.ServerError
 	if _, err := cl.Do("SINKAPPEND", "LEASE", "0", "h", "1", "lease:0", "tok", "1", "2", "DEL", "other"); !errors.As(err, &se) {
 		t.Fatalf("DEL of another key: %v, want an error reply", err)
+	}
+	if _, err := cl.Do("SINKAPPEND", "LEASE", "0", "h", "1", "lease:0", "tok", "1", "2", "HDEL", "k"); !errors.As(err, &se) || !strings.Contains(string(se), "malformed subcommand") {
+		t.Fatalf("HDEL: %v, want a malformed subcommand", err)
+	}
+	if v, _, _ := cl.HGet("h", "k"); v != "8" {
+		t.Fatalf("k=%q after the refused HDEL, want 8", v)
 	}
 }

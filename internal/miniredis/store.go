@@ -11,8 +11,8 @@
 // forms only — any other option arm is a syntax error:
 //
 //	PING FLUSHALL                                 connectivity, reset
-//	GET SET [NX] [PX ms] INCRBY DEL               pending counter, update locks, checkpoints
-//	HSET HGET HGETALL HDEL HINCRBY                namespace state hashes
+//	GET SET [NX] [PX ms] INCRBY DEL               pending counter, partition leases, checkpoints
+//	HSET HGET HGETALL HINCRBY                     namespace state hashes
 //	XADD XLEN XGROUP CREATE                       task streams and their groups
 //	XREADGROUP ... STREAMS key... >...            new entries of one or more streams
 //	XPENDING key group start end count [consumer] a consumer's pending IDs

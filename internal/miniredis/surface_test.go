@@ -13,10 +13,11 @@ import (
 // A command enters this list when something starts issuing it and leaves the
 // table when the last issuer goes.
 var keptCommands = [][]string{
-	// Issued by the engine: runtime.RedisTransport, state.RedisBackend and
-	// its fence, the coalescer.
+	// Sent by the engine: runtime.RedisTransport and its partition leases,
+	// state.RedisBackend (Get, Put, AddInt, Snapshot, Restore, checkpoints)
+	// and its fence, the coalescer.
 	{"PING", "FLUSHALL", "GET", "SET", "INCRBY", "DEL",
-		"HSET", "HGET", "HGETALL", "HDEL", "HINCRBY",
+		"HSET", "HGET", "HGETALL", "HINCRBY",
 		"XADD", "XLEN", "XGROUP", "XREADGROUP", "XPENDING", "XCLAIM", "XAUTOCLAIM",
 		"FENCEAPPLY", "FENCEXACK", "SINKAPPEND"},
 	// Issued by benchmark/: keys left after a run, leftover queue streams,
@@ -50,7 +51,8 @@ var sentForms = [][]string{
 	// The engine: transport, state backend, fence.
 	{"PING"},
 	{"SET", "k", "1"},
-	{"SET", "lock", "v", "NX"},
+	// A lease taken without stale recovery, then one with it.
+	{"SET", "lease0", "v", "NX"},
 	{"SET", "lease", "v", "NX", "PX", "60000"},
 	{"GET", "k"},
 	{"INCRBY", "k", "2"},
@@ -59,7 +61,6 @@ var sentForms = [][]string{
 	{"HGETALL", "h"},
 	{"HLEN", "h"},
 	{"HINCRBY", "h", "n", "1"},
-	{"HDEL", "h", "f"},
 	{"XADD", "q", "*", "task", "c"},
 	{"XLEN", "q"},
 	{"XREADGROUP", "GROUP", "g", "w1", "STREAMS", "q", ">"},
@@ -70,14 +71,15 @@ var sentForms = [][]string{
 	{"XPENDING", "q", "g", "-", "+", "10", "w0"},
 	{"XCLAIM", "q", "g", "w0", "0", "1-1", "1-2", "JUSTID"},
 	{"XAUTOCLAIM", "q", "g", "w1", "0", "0-0", "COUNT", "1"},
-	{"FENCEAPPLY", "h", "ledger:1", "INCR", "n", "1"},
+	{"FENCEAPPLY", "h", "ledger:1", "SET", "f", "v"},
+	{"FENCEAPPLY", "h", "ledger:2", "INCR", "n", "1"},
 	{"FENCEXACK", "q", "g", "w0", "pending", "0", "1-2", "1"},
 	{"SINKAPPEND", "h", "gate:1", "1", "3", "INCRBY", "pending", "1"},
 	// An owned partition's window: its read, then its commit (the lease
 	// "lease" holds token v from the SET NX PX row).
 	{"SINKAPPEND", "LEASE", "0", "h", "1", "lease", "v", "1", "3", "HGET", "n", "mark:2"},
-	{"SINKAPPEND", "LEASE", "60000", "h", "1", "lease", "v", "3",
-		"5", "HSET", "n", "5", "mark:2", "7", "2", "HDEL", "f",
+	{"SINKAPPEND", "LEASE", "60000", "h", "1", "lease", "v", "2",
+		"5", "HSET", "n", "5", "mark:2", "7",
 		"7", "XACK", "q", "g", "w0", "pending", "1-2", "1"},
 	{"DEL", "k"},
 	// benchmark/.

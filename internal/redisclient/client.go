@@ -641,11 +641,6 @@ func (c *Client) HGet(key, field string) (string, bool, error) {
 	return c.DoString("HGET", key, field)
 }
 
-// HDel removes hash fields, returning how many existed.
-func (c *Client) HDel(key string, fields ...string) (int64, error) {
-	return c.DoInt(append([]string{"HDEL", key}, fields...)...)
-}
-
 // HLen returns the number of fields in a hash.
 func (c *Client) HLen(key string) (int64, error) { return c.DoInt("HLEN", key) }
 
@@ -654,21 +649,6 @@ func (c *Client) HLen(key string) (int64, error) { return c.DoInt("HLEN", key) }
 // counter state.
 func (c *Client) HIncrBy(key, field string, delta int64) (int64, error) {
 	return c.DoInt("HINCRBY", key, field, strconv.FormatInt(delta, 10))
-}
-
-// SetNX sets key only when absent, reporting whether it was set; a non-zero
-// ttl expires the key (SET NX PX, one atomic command). It is the primitive
-// behind the state layer's per-key update locks.
-func (c *Client) SetNX(key, value string, ttl time.Duration) (bool, error) {
-	args := []string{"SET", key, value, "NX"}
-	if ttl > 0 {
-		args = append(args, "PX", millis(ttl))
-	}
-	v, err := c.Do(args...)
-	if err != nil {
-		return false, err
-	}
-	return !v.IsNull(), nil
 }
 
 // Del removes keys, returning how many existed.

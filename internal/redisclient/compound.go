@@ -22,16 +22,10 @@ func (c *Client) FenceApplySet(hashKey, ledgerField, field, value string) (appli
 	if err != nil {
 		return false, err
 	}
-	return fenceApplied(v)
-}
-
-// FenceApplyDel is FenceApplySet for a field deletion.
-func (c *Client) FenceApplyDel(hashKey, ledgerField, field string) (applied bool, err error) {
-	v, err := c.Do("FENCEAPPLY", hashKey, ledgerField, "DEL", field)
-	if err != nil {
-		return false, err
+	if len(v.Array) < 1 {
+		return false, fmt.Errorf("redisclient: FENCEAPPLY: unexpected reply shape")
 	}
-	return fenceApplied(v)
+	return v.Array[0].Int == 1, nil
 }
 
 // FenceApplyIncr atomically records ledgerField and adds delta to field,
@@ -46,14 +40,6 @@ func (c *Client) FenceApplyIncr(hashKey, ledgerField, field string, delta int64)
 		return false, 0, fmt.Errorf("redisclient: FENCEAPPLY: unexpected reply shape")
 	}
 	return v.Array[0].Int == 1, v.Array[1].Int, nil
-}
-
-// fenceApplied decodes the [applied, value] FENCEAPPLY reply.
-func fenceApplied(v resp.Value) (bool, error) {
-	if len(v.Array) < 1 {
-		return false, fmt.Errorf("redisclient: FENCEAPPLY: unexpected reply shape")
-	}
-	return v.Array[0].Int == 1, nil
 }
 
 // FenceXAck acknowledges stream ids still owned by consumer and applies their
@@ -102,10 +88,9 @@ func (c *Client) SinkAppend(ledgerKey, ledgerField string, cmds [][]string) (app
 // partitions: one block per partition, each run against one hash only while
 // its lease key holds its token, and then refreshing that lease to expire
 // ttl from then (0 leaves its expiry alone). A block's subcommands are HGET
-// field..., HSET field value..., HDEL field..., XACK stream
-// group consumer pendingKey id weight... and DEL leaseKey. Its reply reads
-// with LeaseReplies. Every subcommand is absolute, so the command is
-// retry-safe.
+// field..., HSET field value..., XACK stream group consumer pendingKey id
+// weight... and DEL leaseKey. Its reply reads with LeaseReplies. Every
+// subcommand is absolute, so the command is retry-safe.
 type LeaseCommit struct {
 	args []string
 	// Indices of the open block's and open subcommand's count placeholders

@@ -73,12 +73,12 @@ func retryableError(err error) bool {
 //
 // Relative-effect writes (INCRBY, HINCRBY, XADD, XTRIM, group reads and
 // XAUTOCLAIM) stay single-shot. The classification is argv-aware where it
-// must be: SET..NX is excluded (a lost "acquired" reply would leave the lock
-// stuck while the retry reports failure), and FENCEXACK is retryable only
-// when its direct decrement is zero — the PEL acks are ownership-fenced but
-// the direct counter adjustment is not idempotent. Every command the server registers is
-// classified here or in miniredis's TestCommandSurface single-shot list, so
-// the two tables cannot drift.
+// must be: SET..NX is excluded (a lost "acquired" reply would leave a
+// partition's lease held while the retry reports failure), and FENCEXACK is
+// retryable only when its direct decrement is zero — the PEL acks are
+// ownership-fenced but the direct counter adjustment is not idempotent.
+// Every command the server registers is classified here or in miniredis's
+// TestCommandSurface single-shot list, so the two tables cannot drift.
 func Retryable(argv []string) bool {
 	if len(argv) == 0 {
 		return false
@@ -88,7 +88,7 @@ func Retryable(argv []string) bool {
 		"GET",
 		"HGET", "HGETALL", "HLEN",
 		"XLEN", "XRANGE", "XPENDING",
-		"DEL", "HDEL", "XACK", "XCLAIM",
+		"DEL", "XACK", "XCLAIM",
 		"HSET", "XGROUP",
 		"FLUSHALL",
 		"FENCEAPPLY", "SINKAPPEND":

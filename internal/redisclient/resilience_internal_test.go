@@ -11,7 +11,7 @@ func TestRetryableClassification(t *testing.T) {
 		{[]string{"HSET", "h", "f", "v"}, true},
 		{[]string{"DEL", "k"}, true},
 		{[]string{"SET", "k", "v"}, true},
-		{[]string{"SET", "k", "v", "NX", "PX", "100"}, false}, // lock-stuck hazard
+		{[]string{"SET", "k", "v", "NX", "PX", "100"}, false}, // lease-stuck hazard
 		{[]string{"INCRBY", "k", "1"}, false},                 // relative effect
 		{[]string{"HINCRBY", "h", "f", "1"}, false},
 		{[]string{"XADD", "q", "*", "f", "v"}, false},

@@ -379,7 +379,8 @@ func TestCloseFailsSharersInFlight(t *testing.T) {
 
 // TestSubMillisecondDurationsRoundUp: a positive duration under a
 // millisecond goes out as 1 ms, never as 0, which would mean block forever
-// (BLOCK), an invalid expiry (PX) or no idle time at all (XAUTOCLAIM).
+// (BLOCK), leave a lease's expiry alone (SINKAPPEND LEASE) or no idle time
+// at all (XAUTOCLAIM).
 func TestSubMillisecondDurationsRoundUp(t *testing.T) {
 	s := newStub(t)
 	s.release()
@@ -389,7 +390,8 @@ func TestSubMillisecondDurationsRoundUp(t *testing.T) {
 	if _, err := cl.XReadGroup("g", "w0", 8, sub, "q"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.SetNX("lock", "me", sub); err != nil {
+	lease := redisclient.NewLeaseCommit(nil, "h", sub)
+	if _, err := cl.Do(lease.Argv()...); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := cl.XAutoClaim("q", "g", "w1", sub, "0-0", 8); err != nil {
@@ -403,7 +405,7 @@ func TestSubMillisecondDurationsRoundUp(t *testing.T) {
 		at       int // index of the duration in argv, or -1 for "after opt"
 	}{
 		{"XREADGROUP", "BLOCK", -1},
-		{"SET", "PX", -1},
+		{"SINKAPPEND", "", 2},
 		{"XAUTOCLAIM", "", 4},
 	} {
 		var argv []string
@@ -437,8 +439,8 @@ func TestSubMillisecondDurationsRoundUp(t *testing.T) {
 	if took := time.Since(start); took > live.CmdTimeout/2 {
 		t.Fatalf("XReadGroup with a %v block took %v", sub, took)
 	}
-	if ok, err := live.SetNX("lock", "me", sub); err != nil || !ok {
-		t.Fatalf("SetNX with a %v ttl: %v %v", sub, ok, err)
+	if _, err := live.Do(lease.Argv()...); err != nil {
+		t.Fatalf("SINKAPPEND LEASE with a %v ttl: %v", sub, err)
 	}
 }
 

@@ -407,23 +407,10 @@ func (ps *Partitions) commitArgv(buf []string, w int, blocks []PartCommit) []str
 	for _, b := range blocks {
 		stream := ps.streams[b.Part]
 		c.Block(ps.leases[b.Part], ps.held[w][b.Part])
-		for _, keep := range []bool{true, false} {
-			op := "HDEL"
-			if keep {
-				op = "HSET"
-			}
-			opened := false
+		if len(b.Writes) > 0 {
+			c.Sub("HSET")
 			for _, wr := range b.Writes {
-				if wr.Keep != keep {
-					continue
-				}
-				if !opened {
-					c.Sub(op)
-					opened = true
-				}
-				if c.Arg(wr.Key); keep {
-					c.Arg(wr.Value)
-				}
+				c.Arg(wr.Key, wr.Value)
 			}
 		}
 		if done := t.complete(w, stream, b.Envs); len(done) > 0 {

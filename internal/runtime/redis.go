@@ -265,14 +265,15 @@ type shardCmds struct {
 	cmds    [][]string
 }
 
-// Push implements Transport. Each shard's pending counter is incremented
-// before any task on any shard becomes readable, preserving the
-// sum(pending) == 0 ⇒ fully drained invariant across the whole batch: when
-// the batch spans shards, the counter increments land as a first
-// scatter-gather phase and the task entries only ship after every increment
-// is durable (a task acked on a fast shard can then never outrun a slow
-// shard's increment and expose a transient zero). A single-shard batch —
-// always, at one shard — keeps the original one-pipeline fast path.
+// Push implements Transport. Each involved shard gets one pipeline: its
+// pending-counter increment, then its entries, so a task counts as pending
+// on its shard before it becomes readable there. A batch spanning shards
+// sends those pipelines at once: a task acked on a fast shard may then
+// outrun a slow shard's increment, and a sum over shards read meanwhile may
+// come out short. The drain rule makes that harmless: AwaitDrain reads
+// Pending only while no worker is busy and no pull returned tasks during the
+// read, and every push — seed, Init, emit, the pipelined pusher behind its
+// flush barrier, Finals — completes before its pusher stops being busy.
 //
 // Contiguous runs of pool tasks pack into stream entries of at most
 // autoBatchMax tasks each (one XADD per emit window instead of one per task),
@@ -299,26 +300,12 @@ func (t *RedisTransport) push(tasks []Task, entryCap int) error {
 			return err
 		}
 	}
-	// Phase 1: pending increments on every involved shard — all durable
-	// before any entry ships.
-	err = t.cluster.Gather(func(shard int, cl *redisclient.Client) error {
-		sc, ok := batches[shard]
-		if !ok || sc.counted == 0 {
-			return nil
-		}
-		_, err := cl.IncrBy(t.keys.PendingKey, int64(sc.counted))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	// Phase 2: the entry pipelines, scatter-gathered per shard.
 	return t.cluster.Gather(func(shard int, cl *redisclient.Client) error {
 		sc, ok := batches[shard]
-		if !ok || len(sc.cmds) == 0 {
+		if !ok {
 			return nil
 		}
-		_, err := cl.Pipeline(sc.cmds)
+		_, err := cl.Pipeline(sc.assemble(t.keys.PendingKey))
 		return err
 	})
 }

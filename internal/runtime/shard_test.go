@@ -191,6 +191,29 @@ func TestShardedPoolSpreadsAndDrains(t *testing.T) {
 	if p, err := tr.Pending(); err != nil || p != 0 {
 		t.Fatalf("pending after full ack = %d (%v), want 0", p, err)
 	}
+
+	// One Push of two entries' worth of tasks (an entry packs at most 128)
+	// spans both shards, at one pipeline each: a shard's pending increment
+	// rides with its entries.
+	var before [shards]int64
+	for s := range before {
+		before[s] = cluster.Shard(s).Stats().RoundTrips
+	}
+	batch := make([]runtime.Task, 200)
+	for i := range batch {
+		batch[i] = runtime.Task{PE: "pe", Port: "in", Instance: -1, Value: i}
+	}
+	if err := tr.Push(batch...); err != nil {
+		t.Fatal(err)
+	}
+	for s := range before {
+		if got := cluster.Shard(s).Stats().RoundTrips - before[s]; got != 1 {
+			t.Errorf("a push spanning both shards cost shard %d %d round trips, want 1", s, got)
+		}
+	}
+	if p, err := tr.Pending(); err != nil || p != int64(len(batch)) {
+		t.Fatalf("pending after the spanning push = %d (%v), want %d", p, err, len(batch))
+	}
 	_ = tr.Done()
 }
 

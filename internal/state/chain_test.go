@@ -1,7 +1,6 @@
 package state_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -34,23 +33,11 @@ type chainOutcome struct {
 	failed bool
 }
 
-var errChainBoom = errors.New("boom")
-
 // chainScript builds the op script every configuration runs. It is a pure
-// function of the seed; Fn closures report an invocation they must not see
-// through t.
-func chainScript(t *testing.T, seed int64) []chainExec {
+// function of the seed.
+func chainScript(seed int64) []chainExec {
 	put := func(k, v string) state.Op { return state.Op{Kind: state.OpPut, Key: k, Value: v} }
-	del := func(k string) state.Op { return state.Op{Kind: state.OpDelete, Key: k} }
 	add := func(k string, d int64) state.Op { return state.Op{Kind: state.OpAddInt, Key: k, Delta: d} }
-	upd := func(k string, fn func(string, bool) (string, bool, error)) state.Op {
-		return state.Op{Kind: state.OpUpdate, Key: k, Fn: fn}
-	}
-	bang := func(cur string, _ bool) (string, bool, error) { return cur + "!", true, nil }
-	never := func(string, bool) (string, bool, error) {
-		t.Error("Fn invoked for a duplicate execution")
-		return "clobbered", true, nil
-	}
 	applied := chainOutcome{res: state.Result{Applied: true}}
 	dropped := chainOutcome{}
 	failed := chainOutcome{failed: true}
@@ -58,59 +45,44 @@ func chainScript(t *testing.T, seed int64) []chainExec {
 		return chainOutcome{res: state.Result{Applied: applied, N: v}}
 	}
 
-	window, retried, repaired := state.Token{Src: 2, Seq: 9}, state.Token{Src: 4, Seq: 1}, state.Token{Src: 5, Seq: 1}
+	window, repaired := state.Token{Src: 2, Seq: 9}, state.Token{Src: 5, Seq: 1}
 	script := []chainExec{
-		// Every fenced mutation shape is one record+apply step on both
+		// Both fenced mutation shapes are one record+apply step on both
 		// backends: there is no record-then-apply sequence left for a crash
 		// to split, so the execution lands whole...
-		{name: "all four kinds, fenced", tok: window,
-			ops:  []state.Op{put("k", "v"), add("n", 3), upd("k", bang), del("n")},
-			want: []chainOutcome{applied, n(true, 3), applied, applied}},
-		// ...and its replay not at all: Fn is not invoked, and the dropped
-		// AddInt reports the key's current value (n is gone, so 0).
+		{name: "both kinds, fenced", tok: window,
+			ops:  []state.Op{put("k", "v"), add("n", 3), put("k", "v!")},
+			want: []chainOutcome{applied, n(true, 3), applied}},
+		// ...and its replay not at all: the dropped AddInt reports the key's
+		// current value.
 		{name: "replayed token", tok: window, dup: true,
-			ops:  []state.Op{put("k", "again"), add("n", 3), upd("k", never), del("k")},
-			want: []chainOutcome{dropped, n(false, 0), dropped, dropped}},
-		{name: "all four kinds, unfenced",
-			ops:  []state.Op{put("p", "1"), add("m", 2), add("m", 2), upd("p", bang), upd("p", bang), del("m"), del("m")},
-			want: []chainOutcome{applied, n(true, 2), n(true, 4), applied, applied, applied, applied}},
-		// An Update whose Fn errors leaves no ledger record: the retry of the
-		// same delivery sees no phantom value and applies; only the replay
-		// after that is a duplicate.
-		{name: "failing Update fn", tok: retried,
-			ops:  []state.Op{upd("u", func(string, bool) (string, bool, error) { return "", false, errChainBoom })},
-			want: []chainOutcome{failed}},
-		{name: "failing Update fn, retried", tok: retried,
-			ops: []state.Op{upd("u", func(cur string, exists bool) (string, bool, error) {
-				if exists {
-					t.Errorf("failed Update left phantom value %q", cur)
-				}
-				return "ok", true, nil
-			})},
-			want: []chainOutcome{applied}},
-		{name: "failing Update fn, replayed", tok: retried, dup: true,
-			ops: []state.Op{upd("u", never)}, want: []chainOutcome{dropped}},
+			ops:  []state.Op{put("k", "again"), add("n", 3), put("k", "clobbered")},
+			want: []chainOutcome{dropped, n(false, 3), dropped}},
+		{name: "both kinds, unfenced",
+			ops:  []state.Op{put("p", "1"), add("m", 2), add("m", 2), put("p", "1!")},
+			want: []chainOutcome{applied, n(true, 2), n(true, 4), applied}},
 		// A fenced AddInt on a non-integer value errors without burning the
 		// delivery's ledger slot: once the key is repaired, the retry of the
-		// same token applies instead of being dropped as a duplicate.
+		// same token applies instead of being dropped as a duplicate, and only
+		// the replay after that is one.
 		{name: "non-integer value", ops: []state.Op{put("c", "x")}, want: []chainOutcome{applied}},
 		{name: "non-integer AddInt", tok: repaired, ops: []state.Op{add("c", 5)}, want: []chainOutcome{failed}},
 		{name: "value repaired", ops: []state.Op{put("c", "10")}, want: []chainOutcome{applied}},
 		{name: "non-integer AddInt, retried", tok: repaired, ops: []state.Op{add("c", 5)}, want: []chainOutcome{n(true, 15)}},
+		{name: "non-integer AddInt, replayed", tok: repaired, dup: true, ops: []state.Op{add("c", 5)}, want: []chainOutcome{n(false, 15)}},
 	}
 
 	// Seeded rows: a pool of deliveries, each with a fixed op list, scheduled
 	// with repeats so a good share of the executions are whole-task replays.
 	// Counters and strings use disjoint keys so no seeded op can fail.
 	rng := rand.New(rand.NewSource(seed))
-	grow := func(cur string, _ bool) (string, bool, error) { return cur + "+", len(cur) < 3, nil }
 	pool := make([][]state.Op, 24)
 	for i := range pool {
 		for j, nops := 0, 1+rng.Intn(4); j < nops; j++ {
 			str, cnt := fmt.Sprintf("s%d", rng.Intn(4)), fmt.Sprintf("n%d", rng.Intn(4))
 			pool[i] = append(pool[i], []state.Op{
-				put(str, fmt.Sprint(rng.Intn(100))), del(str), add(cnt, int64(rng.Intn(9)-4)), upd(str, grow),
-			}[rng.Intn(4)])
+				put(str, fmt.Sprint(rng.Intn(100))), add(cnt, int64(rng.Intn(9)-4)),
+			}[rng.Intn(2)])
 		}
 	}
 	seen := map[int]bool{}
@@ -145,7 +117,7 @@ func TestStoreChainAppliesOneScript(t *testing.T) {
 				name = "instrument"
 			}
 			t.Run(name, func(t *testing.T) {
-				script := chainScript(t, 20231112)
+				script := chainScript(20231112)
 				st, err := b.Open("chain/" + name)
 				if err != nil {
 					t.Fatal(err)
@@ -160,7 +132,7 @@ func TestStoreChainAppliesOneScript(t *testing.T) {
 				scope := fs.NewScope()
 
 				run := &chainRun{}
-				var byKind [4]int64
+				byKind := map[state.OpKind]int64{}
 				var clean, wantDrops int64 // ops that returned no error; ops of dup executions
 				for _, ex := range script {
 					scope.SetToken(ex.tok)
@@ -193,12 +165,11 @@ func TestStoreChainAppliesOneScript(t *testing.T) {
 				}
 				// Every op counts once, at the scope, and an op that fails or
 				// is dropped still counts.
-				wantOps := metrics.StateOps{Puts: byKind[state.OpPut], Deletes: byKind[state.OpDelete],
-					Adds: byKind[state.OpAddInt], Updates: byKind[state.OpUpdate]}
+				wantOps := metrics.StateOps{Puts: byKind[state.OpPut], Adds: byKind[state.OpAddInt]}
 				if ops := fs.Ops(); ops != wantOps {
 					t.Errorf("ops = %+v, want %+v", ops, wantOps)
 				}
-				hists := [4]*telemetry.Histogram{state.OpPut: sm.Put, state.OpDelete: sm.Delete, state.OpAddInt: sm.Add, state.OpUpdate: sm.Update}
+				hists := map[state.OpKind]*telemetry.Histogram{state.OpPut: sm.Put, state.OpAddInt: sm.Add}
 				for kind, h := range hists {
 					want := byKind[kind]
 					if !instrumented {
@@ -216,24 +187,9 @@ func TestStoreChainAppliesOneScript(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k, v := range map[string]string{"k": "v!", "p": "1!!", "u": "ok", "c": "15"} {
+				for k, v := range map[string]string{"k": "v!", "n": "3", "p": "1!", "m": "4", "c": "15"} {
 					if view[k] != v {
 						t.Errorf("final %s = %q, want %q", k, view[k], v)
-					}
-				}
-				for _, gone := range []string{"n", "m"} {
-					if v, ok := view[gone]; ok {
-						t.Errorf("deleted key %s still holds %q", gone, v)
-					}
-				}
-				// A ledger entry's count past 1 is how often a duplicate
-				// reached the backend's apply step, which a dropped Update
-				// does on memory and not on Redis (it returns under the key
-				// lock, before the wire op); whether the entry exists is the
-				// contract, so that is what is compared.
-				for k := range run.snap {
-					if state.IsFenceKey(k) {
-						run.snap[k] = "recorded"
 					}
 				}
 				if ref == nil {

@@ -131,13 +131,14 @@ func (g TaskGate) Admit() (bool, error) {
 // provenance) (see Table). Entries of both live in the namespace itself (see
 // fencePrefix) and are filtered from the scope's Snapshot.
 //
-// Atomicity scope: a fenced Op records its ledger entry and applies its
-// effect in one indivisible operation on both backends — a single FENCEAPPLY
-// compound command on Redis (fence-check + record + HSET/HDEL/HINCRBY under
-// the server's one dispatch lock), a double-shard-locked section in memory —
-// so no crash point between "recorded" and "applied" exists: a worker killed
-// mid-mutation either left no record (the replay re-applies) or left
-// record+effect together (the replay drops). There is no second path.
+// Atomicity scope: a fenced Op, a Put or an AddInt, records its ledger entry
+// and applies its effect in one indivisible operation on both backends — a
+// single FENCEAPPLY compound command on Redis (fence-check + record + the
+// SET or INCR of one field under the server's one dispatch lock), a
+// double-shard-locked section in memory — so no crash point between
+// "recorded" and "applied" exists: a worker killed mid-mutation either left
+// no record (the replay re-applies) or left record+effect together (the
+// replay drops). There is no second path.
 type FencedStore struct {
 	inner  Store
 	counts opCounts
@@ -153,7 +154,7 @@ func NewFencedStore(inner Store) *FencedStore { return &FencedStore{inner: inner
 // Call before any scope is used; until then no op reads the clock.
 func (fs *FencedStore) Instrument(sm *telemetry.StateMetrics) {
 	fs.hist = [numCounts]*telemetry.Histogram{
-		OpPut: sm.Put, OpDelete: sm.Delete, OpAddInt: sm.Add, OpUpdate: sm.Update,
+		OpPut: sm.Put, OpAddInt: sm.Add,
 		countGet: sm.Get, countSnapshot: sm.Snapshot, countRestore: sm.Restore,
 	}
 }
@@ -287,11 +288,11 @@ func (s *FenceScope) Get(key string) (string, bool, error) {
 
 // Apply implements Store. With a delivery token bound, the op is stamped with
 // the ledger field of the execution's next mutation index, so across every
-// execution of that delivery it applies once: a duplicate's Put, Delete or
-// Update is dropped (Fn not invoked), and a duplicate's AddInt returns the
-// key's current value instead. Unbound, the op passes through as it came.
-// While the scope owns a table (Own) the op is applied there instead, and
-// the partition's mark for the task's provenance fences the whole task.
+// execution of that delivery it applies once: a duplicate's Put is dropped,
+// and a duplicate's AddInt returns the key's current value instead. Unbound,
+// the op passes through as it came. While the scope owns a table (Own) the
+// op is applied there instead, and the partition's mark for the task's
+// provenance fences the whole task.
 func (s *FenceScope) Apply(op Op) (Result, error) {
 	if s.own != nil {
 		start := s.fs.begin(int(op.Kind))

@@ -111,7 +111,7 @@ func TestTableMarksAdmitFirstDeliveries(t *testing.T) {
 		}
 	}
 	delta := tbl.Delta(p)
-	if len(delta) != 1 || delta[0].Key != MarkField(p, src) || delta[0].Value != "9" || !delta[0].Keep {
+	if len(delta) != 1 || delta[0].Key != MarkField(p, src) || delta[0].Value != "9" {
 		t.Fatalf("delta %v, want the one mark at 9", delta)
 	}
 	tbl.Committed(p)

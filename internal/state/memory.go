@@ -140,8 +140,8 @@ func (st *memStore) Get(key string) (string, bool, error) {
 // in-process analogue of a FENCEAPPLY compound command: a racing duplicate
 // execution can neither double-apply nor observe a gap between record and
 // apply. The order inside is check ledger → validate → record → apply, so an
-// op that fails (a non-integer AddInt target, an Update whose Fn errors)
-// leaves no record and a clean retry of the same delivery still applies.
+// op that fails (a non-integer AddInt target) leaves no record and a clean
+// retry of the same delivery still applies.
 func (st *memStore) Apply(op Op) (Result, error) {
 	di := shardIndexOf(op.Key)
 	li := di
@@ -168,14 +168,12 @@ func (st *memStore) Apply(op Op) (Result, error) {
 			}
 		}
 	}
-	cur, exists := data[op.Key]
 	res := Result{Applied: recorded == 0}
-	next, keep := op.Value, op.Kind != OpDelete
-	switch op.Kind {
-	case OpAddInt:
+	next := op.Value
+	if op.Kind == OpAddInt {
 		// Parsed on the duplicate branch too: a dropped increment still
 		// reports the key's current value.
-		if exists {
+		if cur, exists := data[op.Key]; exists {
 			n, err := strconv.ParseInt(cur, 10, 64)
 			if err != nil {
 				return Result{}, fmt.Errorf("state: AddInt on non-integer value %q of key %q", cur, op.Key)
@@ -186,25 +184,12 @@ func (st *memStore) Apply(op Op) (Result, error) {
 			res.N += op.Delta
 			next = strconv.FormatInt(res.N, 10)
 		}
-	case OpUpdate:
-		// A duplicate does not invoke Fn.
-		if res.Applied {
-			var err error
-			if next, keep, err = op.Fn(cur, exists); err != nil {
-				return Result{}, err
-			}
-		}
 	}
 	if op.Ledger != "" {
 		ledger[op.Ledger] = strconv.FormatInt(recorded+1, 10)
 	}
-	if !res.Applied {
-		return res, nil
-	}
-	if keep {
+	if res.Applied {
 		data[op.Key] = next
-	} else {
-		delete(data, op.Key)
 	}
 	return res, nil
 }

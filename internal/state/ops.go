@@ -6,18 +6,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// OpKind names one of the four mutation shapes.
+// OpKind names one of the two mutation shapes.
 type OpKind uint8
 
 const (
 	// OpPut sets Key to Value.
 	OpPut OpKind = iota
-	// OpDelete removes Key.
-	OpDelete
 	// OpAddInt adds Delta to the integer at Key (absent counts as 0).
 	OpAddInt
-	// OpUpdate replaces Key's value with what Fn makes of the current one.
-	OpUpdate
 	numOpKinds
 )
 
@@ -29,10 +25,6 @@ type Op struct {
 	Key   string
 	Value string // OpPut
 	Delta int64  // OpAddInt
-	// Fn is OpUpdate's read-modify-write: it receives the current value and
-	// whether it exists and returns the next value, keep=false to delete the
-	// key, or an error to abort without writing.
-	Fn func(cur string, exists bool) (next string, keep bool, err error)
 	// Ledger, when non-empty, fences the op: the store records this field of
 	// the namespace's applied ledger and applies the mutation in one
 	// indivisible step, or — when the field was already recorded — applies
@@ -50,7 +42,7 @@ type Result struct {
 	N int64
 }
 
-// mutations supplies Store's four mutation methods as sugar over Apply. Every
+// mutations supplies Store's two mutation methods as sugar over Apply. Every
 // store type embeds it bound to itself, so the methods PEs call are written
 // once and each type implements exactly one mutation path.
 type mutations struct {
@@ -63,25 +55,13 @@ func (m mutations) Put(key, value string) error {
 	return err
 }
 
-// Delete implements Store.
-func (m mutations) Delete(key string) error {
-	_, err := m.to.Apply(Op{Kind: OpDelete, Key: key})
-	return err
-}
-
 // AddInt implements Store.
 func (m mutations) AddInt(key string, delta int64) (int64, error) {
 	res, err := m.to.Apply(Op{Kind: OpAddInt, Key: key, Delta: delta})
 	return res.N, err
 }
 
-// Update implements Store.
-func (m mutations) Update(key string, fn func(cur string, exists bool) (next string, keep bool, err error)) error {
-	_, err := m.to.Apply(Op{Kind: OpUpdate, Key: key, Fn: fn})
-	return err
-}
-
-// Counter slots past the four mutation kinds, which index opCounts directly.
+// Counter slots past the two mutation kinds, which index opCounts directly.
 const (
 	countGet = int(numOpKinds) + iota
 	countSnapshot
@@ -97,8 +77,7 @@ type opCounts [numCounts]atomic.Int64
 // ops reads the current totals.
 func (c *opCounts) ops() metrics.StateOps {
 	return metrics.StateOps{
-		Gets: c[countGet].Load(), Puts: c[OpPut].Load(), Deletes: c[OpDelete].Load(),
-		Adds: c[OpAddInt].Load(), Updates: c[OpUpdate].Load(),
+		Gets: c[countGet].Load(), Puts: c[OpPut].Load(), Adds: c[OpAddInt].Load(),
 		Snapshots: c[countSnapshot].Load(), Restores: c[countRestore].Load(),
 	}
 }

@@ -27,12 +27,9 @@ func TestOpCountsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sc := fs.NewScope()
-			keep := func(string, bool) (string, bool, error) { return "u", true, nil }
 			for i := 0; i < perWorker; i++ {
 				_ = sc.Put("p", "v")
-				_ = sc.Delete("p")
 				_, _ = sc.AddInt("n", 1)
-				_ = sc.Update("u", keep)
 				_, _, _ = sc.Get("n")
 				_, _ = sc.Snapshot()
 				_ = sc.Restore(Snapshot{})
@@ -41,12 +38,12 @@ func TestOpCountsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	const n = workers * perWorker
-	want := metrics.StateOps{Puts: n, Deletes: n, Adds: n, Updates: n, Gets: n, Snapshots: n, Restores: n}
+	want := metrics.StateOps{Puts: n, Adds: n, Gets: n, Snapshots: n, Restores: n}
 	if got := fs.Ops(); got != want {
 		t.Errorf("ops: %+v want %+v", got, want)
 	}
-	for name, h := range map[string]*telemetry.Histogram{"put": sm.Put, "delete": sm.Delete, "add": sm.Add,
-		"update": sm.Update, "get": sm.Get, "snapshot": sm.Snapshot, "restore": sm.Restore} {
+	for name, h := range map[string]*telemetry.Histogram{"put": sm.Put, "add": sm.Add,
+		"get": sm.Get, "snapshot": sm.Snapshot, "restore": sm.Restore} {
 		if c := h.Count(); c != n {
 			t.Errorf("%s histogram holds %d observations, want %d", name, c, n)
 		}

@@ -65,10 +65,9 @@ type mark struct {
 // tuned.
 const markCache = 1024
 
-// Write is one dirty key's final value; Keep false deletes the key.
+// Write is one dirty key's final value.
 type Write struct {
 	Key, Value string
-	Keep       bool
 }
 
 // NewTable makes an empty table over parts partitions; partOf names the
@@ -150,12 +149,11 @@ func (t *Table) Delta(p int) []Write {
 	tp := &t.parts[p]
 	tp.writes = tp.writes[:0]
 	for _, k := range tp.dirty {
-		c := tp.cells[k]
-		tp.writes = append(tp.writes, Write{Key: k, Value: c.val, Keep: c.exists})
+		tp.writes = append(tp.writes, Write{Key: k, Value: tp.cells[k].val})
 	}
 	for _, src := range tp.raised {
 		m := tp.marks[src]
-		tp.writes = append(tp.writes, Write{Key: m.field, Value: strconv.FormatUint(m.seq, 10), Keep: true})
+		tp.writes = append(tp.writes, Write{Key: m.field, Value: strconv.FormatUint(m.seq, 10)})
 	}
 	return tp.writes
 }
@@ -212,20 +210,21 @@ func (t *Table) fill(key, value string, exists bool) cell {
 }
 
 // set gives key, whose cell was c, a new value marked for the commit.
-func (t *Table) set(p int, key string, c cell, value string, exists bool) {
+func (t *Table) set(p int, key string, c cell, value string) {
 	tp := &t.parts[p]
 	if !c.dirty {
 		tp.dirty = append(tp.dirty, key)
 	}
-	tp.cells[key] = cell{val: value, exists: exists, dirty: true}
+	tp.cells[key] = cell{val: value, exists: true, dirty: true}
 }
 
 // Own serves the scope's ops from t, as partition part's holder, until
-// Disown. The runtime sets it around each task of an owned partition. A
-// replay is a duplicate execution of a task whose effects have landed: its
-// reads see the table, and each of its mutations is dropped as by the fence —
-// Fn not invoked, an AddInt answering the key's current value — and counted
-// as a fence drop.
+// Disown. The runtime sets it around each task of an owned partition: its
+// Get, Put and AddInt read and write the table. A replay is a duplicate
+// execution of a task whose effects have landed: its reads see the table,
+// and each of its mutations is dropped as by the fence — a Put writing
+// nothing, an AddInt answering the key's current value — and counted as a
+// fence drop.
 func (s *FenceScope) Own(t *Table, part int, replay bool) {
 	s.own, s.part, s.replay, s.ownErr = t, part, replay, nil
 }
@@ -266,47 +265,30 @@ func (s *FenceScope) ownCell(key string) (cell, error) {
 	return t.fill(key, v, ok), nil
 }
 
-// ownApply is Apply on the owned table. Nothing is ledger-stamped: the
+// ownApply is Apply on the owned table: a Put or AddInt sets the key's cell,
+// which then exists, for the next commit. Nothing is ledger-stamped: the
 // partition's mark for the task's provenance fences the whole task instead.
 func (s *FenceScope) ownApply(op Op) (Result, error) {
 	c, err := s.ownCell(op.Key)
 	if err != nil {
 		return Result{}, err
 	}
-	if s.replay {
-		res := Result{}
-		if op.Kind == OpAddInt && c.exists {
-			if res.N, err = strconv.ParseInt(c.val, 10, 64); err != nil {
-				return Result{}, fmt.Errorf("state: value of %q is not an integer", op.Key)
-			}
+	var cur int64
+	if op.Kind == OpAddInt && c.exists {
+		if cur, err = strconv.ParseInt(c.val, 10, 64); err != nil {
+			return Result{}, fmt.Errorf("state: value of %q is not an integer", op.Key)
 		}
+	}
+	if s.replay {
 		s.fs.dropped()
-		return res, nil
+		return Result{N: cur}, nil
 	}
 	res := Result{Applied: true}
-	switch op.Kind {
-	case OpPut:
-		s.own.set(s.part, op.Key, c, op.Value, true)
-	case OpDelete:
-		s.own.set(s.part, op.Key, c, "", false)
-	case OpAddInt:
-		var cur int64
-		if c.exists {
-			if cur, err = strconv.ParseInt(c.val, 10, 64); err != nil {
-				return Result{}, fmt.Errorf("state: value of %q is not an integer", op.Key)
-			}
-		}
+	next := op.Value
+	if op.Kind == OpAddInt {
 		res.N = cur + op.Delta
-		s.own.set(s.part, op.Key, c, strconv.FormatInt(res.N, 10), true)
-	case OpUpdate:
-		next, keep, err := op.Fn(c.val, c.exists)
-		if err != nil {
-			return Result{}, err
-		}
-		if !keep {
-			next = ""
-		}
-		s.own.set(s.part, op.Key, c, next, keep)
+		next = strconv.FormatInt(res.N, 10)
 	}
+	s.own.set(s.part, op.Key, c, next)
 	return res, nil
 }

@@ -18,7 +18,7 @@
 //     Table). A task may touch only keys of its own partition — its group
 //     key's — and an op on any other key fails the task;
 //   - shared atomic access — any worker may process any task because every
-//     store mutation (Put/AddInt/Update) is atomic per key (the other dynamic
+//     store mutation (Put, AddInt) is atomic per key (the other dynamic
 //     mappings' managed state, where tasks have no instance affinity).
 //
 // Two backends implement the contract: a lock-sharded in-memory backend for
@@ -35,13 +35,13 @@
 //	PE → FenceScope → backend store
 //	PE → FenceScope → owned Table   (a task of a leased partition)
 //
-// and a mutation travels it as a value. An Op says what to do (Put, Delete,
-// AddInt or Update on a key); the scope stamps the delivery's ledger field
-// when the runtime has bound it to one, counts the op, times it when the run
-// has telemetry, and counts a drop; the backend store applies it. An Op
-// carrying a Ledger field is fenced: the backend records the field and
-// applies the mutation in one indivisible step, or applies nothing when it
-// was already recorded. FENCEAPPLY is the wire form of a fenced Op on the
+// and a mutation travels it as a value. An Op says what to do (Put or AddInt
+// on a key); the scope stamps the delivery's ledger field when the runtime
+// has bound it to one, counts the op, times it when the run has telemetry,
+// and counts a drop; the backend store applies it. Reads are Get and
+// Snapshot. An Op carrying a Ledger field is fenced: the backend records the
+// field and applies the mutation in one indivisible step, or applies nothing
+// when it was already recorded. FENCEAPPLY is the wire form of a fenced Op on the
 // Redis backend; the memory backend does the same under two shard locks.
 //
 // A fenced Final gates its whole delivery rather than one mutation: its
@@ -77,8 +77,8 @@ func (s Snapshot) Clone() Snapshot {
 // Store is one namespace of keyed state. Implementations are safe for
 // concurrent use; every mutation is atomic per key.
 type Store interface {
-	// Apply performs one mutation — the single path every Put, Delete,
-	// AddInt and Update below takes (see Op).
+	// Apply performs one mutation — the single path Put and AddInt below
+	// take (see Op).
 	Apply(Op) (Result, error)
 	// Namespace returns the store's namespace name.
 	Namespace() string
@@ -86,16 +86,10 @@ type Store interface {
 	Get(key string) (value string, ok bool, err error)
 	// Put stores a key.
 	Put(key, value string) error
-	// Delete removes a key (absent keys are not an error).
-	Delete(key string) error
 	// AddInt atomically adds delta to an integer-valued key (absent keys
 	// count as 0) and returns the new value. It is the fast path for keyed
 	// aggregation: Redis serves it server-side as HINCRBY.
 	AddInt(key string, delta int64) (int64, error)
-	// Update atomically applies fn to the current value of key. fn receives
-	// the value and whether it exists and returns the next value, keep=false
-	// to delete the key, or an error to abort without writing.
-	Update(key string, fn func(cur string, exists bool) (next string, keep bool, err error)) error
 	// Snapshot copies the whole namespace.
 	Snapshot() (Snapshot, error)
 	// Restore replaces the namespace's content with the snapshot.

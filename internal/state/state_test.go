@@ -57,14 +57,14 @@ func TestStoreCRUD(t *testing.T) {
 		if err != nil || len(entries) != 2 || entries[0] != (state.Entry{Key: "a", Value: "1"}) || entries[1].Key != "b" {
 			t.Errorf("entries: %v %v", entries, err)
 		}
-		if err := st.Delete("a"); err != nil {
+		if err := st.Put("a", "3"); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := st.Get("a"); ok {
-			t.Error("deleted key still present")
+		if v, ok, err := st.Get("a"); err != nil || !ok || v != "3" {
+			t.Errorf("get a after overwrite: %q %v %v", v, ok, err)
 		}
-		if snap, _ := st.Snapshot(); len(snap) != 1 {
-			t.Errorf("entries after delete: %v", snap)
+		if snap, _ := st.Snapshot(); len(snap) != 2 {
+			t.Errorf("entries after overwrite: %v", snap)
 		}
 	})
 }
@@ -130,64 +130,6 @@ func TestAddIntConcurrent(t *testing.T) {
 		}
 		if total != workers*perWorker {
 			t.Errorf("lost increments: total=%d want %d", total, workers*perWorker)
-		}
-	})
-}
-
-func TestUpdateAtomicUnderContention(t *testing.T) {
-	withBackends(t, func(t *testing.T, b state.Backend) {
-		st, _ := b.Open("wf/upd")
-		const workers, perWorker = 6, 30
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perWorker; i++ {
-					err := st.Update("shared", func(cur string, ok bool) (string, bool, error) {
-						n := int64(0)
-						if ok {
-							var err error
-							if n, err = strconv.ParseInt(cur, 10, 64); err != nil {
-								return "", false, err
-							}
-						}
-						return strconv.FormatInt(n+1, 10), true, nil
-					})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		v, _, _ := st.Get("shared")
-		if v != strconv.Itoa(workers*perWorker) {
-			t.Errorf("update lost writes: %s want %d", v, workers*perWorker)
-		}
-	})
-}
-
-func TestUpdateDeleteAndError(t *testing.T) {
-	withBackends(t, func(t *testing.T, b state.Backend) {
-		st, _ := b.Open("wf/ud")
-		_ = st.Put("k", "v")
-		// keep=false deletes.
-		if err := st.Update("k", func(string, bool) (string, bool, error) { return "", false, nil }); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, _ := st.Get("k"); ok {
-			t.Error("update keep=false did not delete")
-		}
-		// fn error aborts without writing.
-		_ = st.Put("k", "orig")
-		wantErr := fmt.Errorf("nope")
-		if err := st.Update("k", func(string, bool) (string, bool, error) { return "x", true, wantErr }); err == nil {
-			t.Error("update error not propagated")
-		}
-		if v, _, _ := st.Get("k"); v != "orig" {
-			t.Errorf("failed update wrote: %q", v)
 		}
 	})
 }
@@ -289,7 +231,7 @@ func TestDropNamespaceRemovesLiveAndCheckpoint(t *testing.T) {
 }
 
 // TestTypedHelpers: EncodeValue/DecodeValue carry a typed value through a
-// store as a binary-safe string, including through Update's read-modify-write.
+// store as a binary-safe string, including through a Get, change and Put.
 func TestTypedHelpers(t *testing.T) {
 	type pos struct{ X, Y int }
 	withBackends(t, func(t *testing.T, b state.Backend) {
@@ -301,16 +243,19 @@ func TestTypedHelpers(t *testing.T) {
 		if err := st.Put("p", enc); err != nil {
 			t.Fatal(err)
 		}
-		err = st.Update("p", func(cur string, exists bool) (string, bool, error) {
-			p, err := state.DecodeValue[pos](cur)
-			if err != nil || !exists {
-				return "", false, fmt.Errorf("decode existing value: %v (exists=%v)", err, exists)
-			}
-			p.X++
-			next, err := state.EncodeValue(p)
-			return next, true, err
-		})
+		cur, exists, err := st.Get("p")
+		if err != nil || !exists {
+			t.Fatalf("get: %v %v", exists, err)
+		}
+		p, err := state.DecodeValue[pos](cur)
 		if err != nil {
+			t.Fatalf("decode existing value: %v", err)
+		}
+		p.X++
+		if enc, err = state.EncodeValue(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put("p", enc); err != nil {
 			t.Fatal(err)
 		}
 		s, ok, err := st.Get("p")
@@ -337,14 +282,13 @@ func TestOpsCountersAccumulate(t *testing.T) {
 		_ = sc.Put("a", "1")
 		_, _, _ = sc.Get("a")
 		_, _ = other.AddInt("n", 2)
-		_ = sc.Update("a", func(string, bool) (string, bool, error) { return "2", true, nil })
 		other.SetToken(state.Token{Src: 1, Seq: 1})
-		_ = other.Delete("a")
+		_ = other.Put("a", "2")
 		_, _ = sc.Snapshot()
 		_ = sc.Restore(state.Snapshot{})
 		_ = st.Put("raw", "1")
 		_ = state.Checkpoint(b, st)
-		want := metrics.StateOps{Puts: 1, Gets: 1, Adds: 1, Updates: 1, Deletes: 1, Snapshots: 1, Restores: 1}
+		want := metrics.StateOps{Puts: 2, Gets: 1, Adds: 1, Snapshots: 1, Restores: 1}
 		if got := fs.Ops(); got != want {
 			t.Errorf("ops: %+v, want %+v", got, want)
 		}

@@ -100,8 +100,7 @@ func (r *Registry) snapshot(withTraces bool) Snapshot {
 
 	ops := map[string]HistogramSnapshot{}
 	for name, h := range map[string]*Histogram{
-		"get": r.state.Get, "put": r.state.Put, "delete": r.state.Delete,
-		"add": r.state.Add, "update": r.state.Update,
+		"get": r.state.Get, "put": r.state.Put, "add": r.state.Add,
 		"snapshot": r.state.Snapshot, "restore": r.state.Restore,
 	} {
 		if hs := h.Snapshot(); hs.Count > 0 {

@@ -77,7 +77,7 @@ func newWorkerMetrics() *WorkerMetrics {
 // is not the bottleneck) and counts exactly-once fence drops.
 type StateMetrics struct {
 	// Per-operation latency histograms, matching the Store interface.
-	Get, Put, Delete, Add, Update, Snapshot, Restore *Histogram
+	Get, Put, Add, Snapshot, Restore *Histogram
 	// FenceDrops counts mutations the exactly-once fence dropped as already
 	// applied — non-zero exactly when duplicate executions reached the store.
 	FenceDrops Counter
@@ -87,9 +87,7 @@ func newStateMetrics() *StateMetrics {
 	return &StateMetrics{
 		Get:      NewLatencyHistogram(),
 		Put:      NewLatencyHistogram(),
-		Delete:   NewLatencyHistogram(),
 		Add:      NewLatencyHistogram(),
-		Update:   NewLatencyHistogram(),
 		Snapshot: NewLatencyHistogram(),
 		Restore:  NewLatencyHistogram(),
 	}
